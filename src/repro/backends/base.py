@@ -50,47 +50,69 @@ def fill_weight_matrix(
     candidate: SetRecord,
     phi: SimilarityFunction,
     set_entry: Callable[[int, int, float], None],
-    memo: SimilarityMemo | None = None,
 ) -> None:
-    """Write every non-zero ``phi_alpha`` weight through *set_entry*.
+    """Write every non-zero token-kind weight through *set_entry*.
 
-    Shared by all backends so the sparsity logic (token-sharing pairs
-    under token kinds, banded Levenshtein under edit kinds) exists
-    once.  *memo* serves edit-kind pairs from the cross-stage
-    similarity cache -- most verification pairs were already scored by
-    the check or NN filter.
+    Shared by all backends so the token-sharing sparsity logic exists
+    once.  Edit kinds never come here: their matrices are columns of
+    :meth:`ComputeBackend.edit_grid`.
     """
-    if phi.kind.is_token_based:
-        # Two elements without a common token score 0 -- except the
-        # degenerate empty/empty pair, which every token kind defines
-        # as similarity 1 and the index can never surface.
-        empty_cols = [
-            j for j, s in enumerate(candidate.elements) if not s.index_tokens
-        ]
-        empty_weight = phi.threshold(1.0)
-        for i, r_tokens, touched in iter_token_pairs(reference, candidate):
-            for j in touched:
-                set_entry(
-                    i, j, phi.tokens(r_tokens, candidate.elements[j].index_tokens)
-                )
-            if not r_tokens and empty_weight > 0.0:
-                for j in empty_cols:
-                    set_entry(i, j, empty_weight)
-        return
-    banded = phi.alpha > 0.0
-    memoized = memo is not None and memo.enabled
-    for i, r in enumerate(reference.elements):
-        for j, s in enumerate(candidate.elements):
-            if memoized:
-                weight = memo.edit_value(phi, r.text, s.text)
-            elif banded:
-                # The banded Levenshtein bails out as soon as a pair
-                # provably scores below alpha (thresholded weight 0).
-                weight = phi.edit_at_least(r.text, s.text, 0.0)
-            else:
-                weight = phi(r.text, s.text)
-            if weight > 0.0:
-                set_entry(i, j, weight)
+    # Two elements without a common token score 0 -- except the
+    # degenerate empty/empty pair, which every token kind defines
+    # as similarity 1 and the index can never surface.
+    empty_cols = [
+        j for j, s in enumerate(candidate.elements) if not s.index_tokens
+    ]
+    empty_weight = phi.threshold(1.0)
+    for i, r_tokens, touched in iter_token_pairs(reference, candidate):
+        for j in touched:
+            set_entry(
+                i, j, phi.tokens(r_tokens, candidate.elements[j].index_tokens)
+            )
+        if not r_tokens and empty_weight > 0.0:
+            for j in empty_cols:
+                set_entry(i, j, empty_weight)
+
+
+def lookup_edit_grid(
+    patterns: Sequence[str],
+    texts: Sequence[str],
+    memo: SimilarityMemo | None,
+) -> tuple[list[list], int]:
+    """Memo-first rows of an edit grid and how many cells are unknown.
+
+    ``rows[i][j]`` is the memoised ``phi_alpha(patterns[i], texts[j])``
+    or ``None`` where the memo holds nothing (everywhere, without an
+    enabled memo).
+    """
+    if memo is None or not memo.enabled:
+        return [[None] * len(texts) for _ in patterns], len(patterns) * len(texts)
+    rows = [memo.lookup(x, texts) for x in patterns]
+    return rows, sum(row.count(None) for row in rows)
+
+
+def fill_edit_grid(
+    phi: SimilarityFunction,
+    patterns: Sequence[str],
+    texts: Sequence[str],
+    rows: list[list],
+    memo: SimilarityMemo | None,
+) -> None:
+    """Compute the ``None`` cells of *rows* one scalar call at a time.
+
+    Each becomes ``phi.edit_at_least(x, y, 0.0)`` -- the banded
+    Levenshtein bails out as soon as a pair provably scores below
+    alpha -- and is stored in *memo* for later passes.
+    """
+    store = memo.store if memo is not None and memo.enabled else None
+    for x, row in zip(patterns, rows):
+        if None not in row:
+            continue
+        for j, value in enumerate(row):
+            if value is None:
+                row[j] = value = phi.edit_at_least(x, texts[j], 0.0)
+                if store is not None:
+                    store(x, texts[j], value)
 
 
 class ComputeBackend(abc.ABC):
@@ -181,6 +203,32 @@ class ComputeBackend(abc.ABC):
             ]
         return [phi.edit_at_least(x, y, floor) for x, y, floor in tasks]
 
+    def edit_grid(
+        self,
+        phi: SimilarityFunction,
+        patterns: Sequence[str],
+        texts: Sequence[str],
+        memo: SimilarityMemo | None = None,
+    ):
+        """The ``len(patterns) x len(texts)`` matrix of ``phi_alpha`` values.
+
+        Edit kinds only; every cell equals
+        ``phi.edit_at_least(patterns[i], texts[j], 0.0)`` bit for bit.
+        This is the one way an edit-kind weight matrix gets built:
+        verification asks for one grid per pass (patterns = the
+        reference's elements, texts = the distinct element texts of all
+        survivors) and gathers each candidate's matrix from it with
+        :meth:`matrix_columns`; :meth:`weight_matrix` asks for the grid
+        of a single candidate.  *memo* is consulted first and receives
+        what had to be computed, so the cross-stage cache means what it
+        always did; only how its misses are computed is up to the
+        backend (scalar calls here, Myers lanes on numpy).  The result
+        has the backend's matrix type.
+        """
+        rows, _ = lookup_edit_grid(patterns, texts, memo)
+        fill_edit_grid(phi, patterns, texts, rows, memo)
+        return rows
+
     @abc.abstractmethod
     def token_similarities(
         self,
@@ -232,8 +280,8 @@ class ComputeBackend(abc.ABC):
     ):
         """Pairwise ``phi_alpha`` weight matrix (backend-opaque type).
 
-        *memo* (edit kinds) serves already-scored pairs from the
-        cross-stage similarity cache; *collection* (token kinds) lets a
+        Edit kinds return :meth:`edit_grid` of the two sets' element
+        texts (*memo* as there); *collection* (token kinds) lets a
         backend use precomputed packed token arrays when *candidate*
         is one of its live records.
         """
@@ -254,6 +302,10 @@ class ComputeBackend(abc.ABC):
     @abc.abstractmethod
     def matrix_entry(self, matrix, i: int, j: int) -> float:
         """Read one entry of a matrix built by :meth:`weight_matrix`."""
+
+    @abc.abstractmethod
+    def matrix_columns(self, matrix, columns: Sequence[int]):
+        """The matrix whose j-th column is column ``columns[j]`` of *matrix*."""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

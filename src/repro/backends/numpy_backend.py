@@ -23,9 +23,16 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.backends.base import ComputeBackend, fill_weight_matrix, iter_token_pairs
+from repro.backends.base import (
+    ComputeBackend,
+    fill_edit_grid,
+    fill_weight_matrix,
+    iter_token_pairs,
+    lookup_edit_grid,
+)
 from repro.backends.packed import PackedTokenStore, intersection_counts, probe_array
 from repro.backends.select import merge_distinct_postings_python
+from repro.core.constants import EPSILON
 from repro.core.records import SetCollection, SetRecord
 from repro.index.inverted import PACK_SHIFT
 from repro.matching.hungarian import hungarian_max_weight_numpy
@@ -69,6 +76,23 @@ def _formula_scores(
     return scores
 
 
+#: Set bits per byte value (``np.bitwise_count`` needs numpy >= 2).
+_BYTE_BITS = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
+
+
+def _popcount(words: np.ndarray) -> np.ndarray:
+    """Set bits per element of a contiguous uint64 array."""
+    return _BYTE_BITS[words.view(np.uint8).reshape(-1, 8)].sum(axis=1)
+
+
+def _positions(distinct: Sequence[str], items: Sequence[str]) -> np.ndarray:
+    """For each of *items*, its index in the duplicate-free *distinct*."""
+    position = dict(zip(distinct, range(len(distinct))))
+    return np.fromiter(
+        map(position.__getitem__, items), dtype=np.intp, count=len(items)
+    )
+
+
 class NumpyBackend(ComputeBackend):
     """Vectorised kernels; bit-identical to :class:`PythonBackend`."""
 
@@ -78,9 +102,12 @@ class NumpyBackend(ComputeBackend):
         #: Packed token arrays per served collection (weak: dropping a
         #: collection releases its arrays with it).
         self._packed: WeakKeyDictionary = WeakKeyDictionary()
-        #: When False the collection-backed kernels fall back to the
-        #: frozenset paths -- the perf-trajectory harness flips this to
-        #: measure the packed kernels against their predecessor.
+        #: When False every batched kernel falls back to its scalar
+        #: predecessor: the collection-backed token kernels to the
+        #: frozenset paths, the selection merge to the pure-Python one,
+        #: and both edit kernels (select's :meth:`edit_values` batch and
+        #: verify's :meth:`edit_grid`) to one banded call per pair.  The
+        #: perf-trajectory harness flips this for its A/B.
         self.packed_enabled = True
         #: Minimum batch size (pairs) before the packed similarity
         #: kernel dispatches.  Measured on the trajectory workloads:
@@ -97,9 +124,12 @@ class NumpyBackend(ComputeBackend):
         #: pure-Python galloping merge, whose constant factors win
         #: before array lifting can amortise.
         self.select_min_postings = 64
-        #: Minimum task count before :meth:`edit_values` runs the
-        #: lane-parallel Myers kernel; below it the scalar banded path
-        #: wins (per-step array dispatch cannot amortise).
+        #: Minimum number of pairs to score before the lane-parallel
+        #: Myers kernel runs -- tasks of an :meth:`edit_values` batch,
+        #: cells of an :meth:`edit_grid` the memo does not hold.  Below
+        #: it the scalar banded path wins: a lane batch costs a fixed
+        #: ~20 array dispatches per text character however few lanes
+        #: it has (measurements: docs/parameters.md).
         self.edit_batch_min_tasks = 64
 
     def _store(self, collection: SetCollection) -> PackedTokenStore:
@@ -206,145 +236,201 @@ class NumpyBackend(ComputeBackend):
     def edit_values(self, phi, tasks, memo=None) -> list[float]:
         """Batched floored ``phi_alpha`` via the lane-parallel Myers kernel.
 
-        Tasks whose pattern fits one 64-bit word (``0 < len(x) <= 64``,
-        ASCII strings, positive cutoff) are scored together: one Myers
-        bit-vector state per task, advanced over the candidate strings'
-        character columns as uint64 array operations -- the exact
-        recurrence of :func:`repro.sim.myers.myers_distance`, so the
-        distances (and therefore every returned float, computed through
-        :meth:`~repro.sim.functions.SimilarityFunction.edit_score_from_distance`)
-        are bit-identical to the scalar path.  Everything else, and
-        batches too small to amortise the array dispatch, falls back to
-        the scalar implementation.  The cross-stage memo is bypassed on
-        the vector path (recomputing is cheaper than 2 dict round-trips
-        per task); values are unaffected because the similarity is a
-        pure function of the strings.
+        The ragged task list is interned into distinct patterns and
+        distinct texts plus one index pair per task, then scored by
+        :meth:`_edit_lanes`; tasks the lanes cannot take, and batches
+        under :attr:`edit_batch_min_tasks`, use the scalar
+        implementation.  The cross-stage memo is bypassed on the vector
+        path (recomputing is cheaper than 2 dict round-trips per task);
+        values are unaffected because the similarity is a pure function
+        of the strings.
         """
-        if not self.packed_enabled or len(tasks) < self.edit_batch_min_tasks:
+        if (
+            not self.packed_enabled
+            or not tasks
+            or len(tasks) < self.edit_batch_min_tasks
+        ):
             return super().edit_values(phi, tasks, memo=memo)
-        alpha = phi.alpha
-        values: list = [None] * len(tasks)
-        vec: list[int] = []
-        bands: dict[int, int] = {}
-        for k, (x, y, floor) in enumerate(tasks):
-            cutoff = floor if floor > alpha else alpha
-            if (
-                cutoff > 0.0
-                and 0 < len(x) <= 64
-                and x.isascii()
-                and y.isascii()
-            ):
-                if x == y:
-                    values[k] = 1.0
-                else:
-                    max_ld = phi.edit_band(len(x), len(y), cutoff)
-                    if abs(len(x) - len(y)) > max_ld:
-                        values[k] = 0.0
-                    else:
-                        bands[k] = max_ld
-                        vec.append(k)
-            elif memo is not None and memo.enabled:
+        xs, ys, floors = zip(*tasks)
+        patterns = list(dict.fromkeys(xs))
+        texts = list(dict.fromkeys(ys))
+        values, scalar = self._edit_lanes(
+            phi,
+            patterns,
+            texts,
+            _positions(patterns, xs),
+            _positions(texts, ys),
+            np.array(floors, dtype=np.float64),
+        )
+        values = values.tolist()
+        memoized = memo is not None and memo.enabled
+        for k in scalar.tolist():
+            x, y, floor = tasks[k]
+            if memoized:
                 values[k] = memo.edit_value(phi, x, y, floor)
             else:
                 values[k] = phi.edit_at_least(x, y, floor)
-        if vec:
-            distances = self._myers_lanes([tasks[k] for k in vec])
-            for k, distance in zip(vec, distances):
-                x, y, floor = tasks[k]
-                if distance > bands[k]:
-                    values[k] = 0.0
-                else:
-                    values[k] = phi.edit_score_from_distance(
-                        len(x), len(y), distance, floor
-                    )
         return values
 
-    def _myers_lanes(self, tasks: Sequence[tuple]) -> list[int]:
-        """Exact Levenshtein distances, one uint64 Myers lane per task.
+    def edit_grid(self, phi, patterns, texts, memo=None) -> np.ndarray:
+        """The edit grid as an ndarray; unknown cells through the Myers lanes.
 
-        Each task contributes one lane of bit-vector state (``vp``,
-        ``vn``, running score); every step consumes one character column
-        across all candidate strings.  Lanes are sorted by candidate
-        length (longest first) so finished lanes simply fall out of the
-        active prefix -- no per-step masking.  Patterns are capped at 64
-        characters (one word) and strings at ASCII by the caller.
+        Memo-first like the default.  The dispatch rule is the one
+        :meth:`edit_values` has, applied to the cells the memo does not
+        hold: at least :attr:`edit_batch_min_tasks` of them (and a
+        positive alpha, without which no cell has a band) are offered
+        to :meth:`_edit_lanes` in one batch and stored back; whatever
+        is still unknown after that takes the default's scalar fill.
         """
-        count = len(tasks)
-        # One occurrence-bitmask table row per distinct pattern string.
-        row_of: dict[str, int] = {}
-        table_rows: list[list[int]] = []
-        row_idx = np.empty(count, dtype=np.intp)
-        mask_list: list[int] = []
-        high_list: list[int] = []
-        m_list: list[int] = []
-        encoded: list[bytes] = []
-        lens = np.empty(count, dtype=np.int64)
-        for k, (x, y, _) in enumerate(tasks):
-            row = row_of.get(x)
-            if row is None:
-                masks = [0] * 128
-                bit = 1
-                for ch in x:
-                    code = ord(ch)
-                    masks[code] |= bit
-                    bit <<= 1
-                row = row_of[x] = len(table_rows)
-                table_rows.append(masks)
-            row_idx[k] = row
-            m = len(x)
-            m_list.append(m)
-            mask_list.append((1 << m) - 1)
-            high_list.append(1 << (m - 1))
-            data = y.encode("ascii")
-            encoded.append(data)
-            lens[k] = len(data)
-        max_len = int(lens.max())
-        if max_len == 0:
-            # Every candidate is empty: the distance is the pattern length.
-            return m_list
-        eq_table = np.array(table_rows, dtype=np.uint64)
-        codes = np.frombuffer(
-            b"".join(data.ljust(max_len, b"\0") for data in encoded),
-            dtype=np.uint8,
-        ).reshape(count, max_len)
-        # Longest candidates first: the active lanes are always a prefix.
-        order = np.argsort(-lens, kind="stable")
-        codes = codes[order]
-        row_idx = row_idx[order]
-        lens_sorted = lens[order]
-        mask = np.array(mask_list, dtype=np.uint64)[order]
-        high = np.array(high_list, dtype=np.uint64)[order]
-        score = np.array(m_list, dtype=np.int64)[order]
+        rows, unknown = lookup_edit_grid(patterns, texts, memo)
+        if (
+            self.packed_enabled
+            and unknown >= self.edit_batch_min_tasks
+            and phi.alpha > 0.0
+        ):
+            # None (unknown) converts to nan; no phi value is nan.
+            unknown_at = np.isnan(
+                np.array(rows, dtype=np.float64).reshape(len(patterns), len(texts))
+            )
+            pi, ti = np.nonzero(unknown_at)
+            values, scalar = self._edit_lanes(phi, patterns, texts, pi, ti, 0.0)
+            values[scalar] = np.nan
+            store = memo.store if memo is not None and memo.enabled else None
+            for i, j, value in zip(pi.tolist(), ti.tolist(), values.tolist()):
+                if value == value:  # not nan: the lanes scored this cell
+                    rows[i][j] = value
+                    if store is not None:
+                        store(patterns[i], texts[j], value)
+        fill_edit_grid(phi, patterns, texts, rows, memo)
+        return np.array(rows, dtype=np.float64).reshape(len(patterns), len(texts))
+
+    def _edit_lanes(
+        self,
+        phi: SimilarityFunction,
+        patterns: Sequence[str],
+        texts: Sequence[str],
+        pi: np.ndarray,
+        ti: np.ndarray,
+        floors,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Floored ``phi_alpha(patterns[pi[k]], texts[ti[k]])`` per cell k.
+
+        Returns the values and the indices of the cells left for the
+        caller's scalar path (value 0.0 here): non-ASCII strings,
+        patterns that do not fit one 64-bit word (length 0 or > 64) and
+        cells whose cutoff ``max(floor, alpha)`` is 0.  *floors* is one
+        float per cell, or a single float for all of them.
+
+        Set-up is per distinct string -- lengths, ASCII flags, one
+        occurrence-bitmask row per pattern, one row of byte codes per
+        text -- and per cell only as array expressions: the band and
+        the closing score are :meth:`SimilarityFunction.edit_band` and
+        :meth:`~SimilarityFunction.edit_score_from_distance` written
+        with the same IEEE operations in the same order, so every float
+        equals the scalar path's.  Cells the length gap already rejects
+        score 0.0 without a lane.  Each remaining cell is one uint64
+        lane of Myers bit-vector state (``vp``, ``vn``) -- the
+        recurrence of :func:`repro.sim.myers.myers_distance` -- and
+        every step consumes one character column across all lanes.
+        Lanes are sorted by text length (longest first) so finished
+        lanes simply fall out of the active prefix with their last
+        column intact, from which the distance is read at the end.
+        """
+        alpha = phi.alpha
+        eds = phi.kind is SimilarityKind.EDS
+        len_p = np.fromiter(map(len, patterns), dtype=np.int64, count=len(patterns))
+        len_t = np.fromiter(map(len, texts), dtype=np.int64, count=len(texts))
+        ok_p = np.fromiter(
+            (0 < len(x) <= 64 and x.isascii() for x in patterns),
+            dtype=bool,
+            count=len(patterns),
+        )
+        ok_t = np.fromiter(
+            map(str.isascii, texts), dtype=bool, count=len(texts)
+        )
+        cutoff = np.maximum(floors, alpha)
+        vectorizable = ok_p[pi] & ok_t[ti] & (cutoff > 0.0)
+        scalar = np.flatnonzero(~vectorizable)
+        values = np.zeros(len(pi))
+        # edit_band, then the length-gap reject of levenshtein_within.
+        lx = len_p[pi]
+        ly = len_t[ti]
+        if eds:
+            band = (1.0 - cutoff) * (lx + ly) / (1.0 + cutoff) + EPSILON
+        else:
+            band = (1.0 - cutoff) * np.maximum(lx, ly) + EPSILON
+        band = band.astype(np.int64)
+        lanes = np.flatnonzero(vectorizable & (np.abs(lx - ly) <= band))
+        count = len(lanes)
+        if count == 0 or count < self.edit_batch_min_tasks:
+            # Too few Myers runs to amortise the per-step dispatch (the
+            # callers' own check only bounded the count from above).
+            return values, np.concatenate((scalar, lanes))
+        # Longest texts first: the active lanes are always a prefix.
+        lanes = lanes[np.argsort(-ly[lanes], kind="stable")]
+        row = pi[lanes]
+        m = lx[lanes]
+        n = ly[lanes]
+        max_len = int(n[0])
+        one = np.uint64(1)
+        high = one << (m - 1).astype(np.uint64)
+        mask = high | (high - one)
         vp = mask.copy()
         vn = np.zeros(count, dtype=np.uint64)
-        # Active lanes per step: lens_sorted is descending, so the lane
-        # count at step j is the number of candidates longer than j.
+        # One occurrence-bitmask row per pattern the lanes can take.
+        table_rows = []
+        for x, ok in zip(patterns, ok_p.tolist()):
+            masks = [0] * 128
+            if ok:
+                bit = 1
+                for ch in x:
+                    masks[ord(ch)] |= bit
+                    bit <<= 1
+            table_rows.append(masks)
+        eq_table = np.array(table_rows, dtype=np.uint64).ravel()
+        eq_row = row * 128
+        # One NUL-padded row of byte codes per text (cut at the
+        # longest lane; longer texts have none), gathered by lane
+        # and laid out step-major.
+        codes = np.frombuffer(
+            b"".join(
+                (y.encode("ascii") if ok else b"")[:max_len].ljust(max_len, b"\0")
+                for y, ok in zip(texts, ok_t.tolist())
+            ),
+            dtype=np.uint8,
+        ).reshape(len(texts), max_len)
+        codes = np.ascontiguousarray(codes[ti[lanes]].T)
+        # n is descending, so the lane count at step j is the
+        # number of texts longer than j.
         active = count - np.searchsorted(
-            lens_sorted[::-1], np.arange(max_len), side="right"
+            n[::-1], np.arange(max_len), side="right"
         )
-        one = np.uint64(1)
-        for j in range(max_len):
-            n = int(active[j])
-            if n == 0:
-                break
-            lanes = slice(0, n)
-            vp_n = vp[lanes]
-            vn_n = vn[lanes]
-            mask_n = mask[lanes]
-            eq = eq_table[row_idx[lanes], codes[lanes, j]]
+        # uint64 arithmetic wraps, and neither the carry nor the
+        # shifts move a bit downwards, so the garbage a pattern
+        # shorter than 64 leaves above its top bit is never read.
+        for j, live in enumerate(active.tolist()):
+            vp_n = vp[:live]
+            vn_n = vn[:live]
+            eq = eq_table[eq_row[:live] + codes[j, :live]]
             d0 = (((eq & vp_n) + vp_n) ^ vp_n) | eq | vn_n
-            hp = vn_n | (mask_n & ~(d0 | vp_n))
+            hp = vn_n | ~(d0 | vp_n)
             hn = d0 & vp_n
-            high_n = high[lanes]
-            score[lanes] += (hp & high_n) != 0
-            score[lanes] -= (hn & high_n) != 0
-            hp = ((hp << one) | one) & mask_n
-            hn = (hn << one) & mask_n
-            vp[lanes] = hn | (mask_n & ~(d0 | hp))
-            vn[lanes] = d0 & hp
-        distances = np.empty(count, dtype=np.int64)
-        distances[order] = score
-        return distances.tolist()
+            hp = (hp << one) | one
+            hn = hn << one
+            np.bitwise_or(hn, ~(d0 | hp), out=vp_n)
+            np.bitwise_and(d0, hp, out=vn_n)
+        # A lane's last column holds the vertical deltas below
+        # D[0][n] = n: +1 per vp bit, -1 per vn bit.
+        distance = n + _popcount(vp & mask) - _popcount(vn & mask)
+        # edit_score_from_distance, zeroed beyond the band.
+        if eds:
+            score = 1.0 - 2.0 * distance / (m + n + distance)
+        else:
+            score = 1.0 - distance / np.maximum(m, n)
+        floor = floors[lanes] if isinstance(floors, np.ndarray) else floors
+        keep = (distance <= band[lanes]) & (score >= floor) & (score >= alpha)
+        values[lanes] = np.where(keep, score, 0.0)
+        return values, scalar
 
     def token_similarities(
         self,
@@ -436,6 +522,13 @@ class NumpyBackend(ComputeBackend):
         shared scalar sparse fill, which measurement shows is faster
         for element-scale matrices.
         """
+        if phi.kind.is_edit_based:
+            return self.edit_grid(
+                phi,
+                [r.text for r in reference.elements],
+                [s.text for s in candidate.elements],
+                memo,
+            )
         matrix = np.zeros((len(reference), len(candidate)))
         if (
             self.packed_enabled
@@ -453,7 +546,7 @@ class NumpyBackend(ComputeBackend):
         def set_entry(i: int, j: int, weight: float) -> None:
             matrix[i, j] = weight
 
-        fill_weight_matrix(reference, candidate, phi, set_entry, memo=memo)
+        fill_weight_matrix(reference, candidate, phi, set_entry)
         return matrix
 
     def _fill_token_matrix_packed(
@@ -500,3 +593,7 @@ class NumpyBackend(ComputeBackend):
     def matrix_entry(self, matrix: np.ndarray, i: int, j: int) -> float:
         """``matrix[i, j]`` as a Python float."""
         return float(matrix[i, j])
+
+    def matrix_columns(self, matrix: np.ndarray, columns: Sequence[int]) -> np.ndarray:
+        """A copy of the selected columns, in the given order."""
+        return matrix.take(columns, axis=1)

@@ -61,12 +61,19 @@ class PythonBackend(ComputeBackend):
         *collection* is accepted for interface parity and unused: the
         scalar fill already runs on the shared frozenset views.
         """
+        if phi.kind.is_edit_based:
+            return self.edit_grid(
+                phi,
+                [r.text for r in reference.elements],
+                [s.text for s in candidate.elements],
+                memo,
+            )
         matrix = [[0.0] * len(candidate) for _ in range(len(reference))]
 
         def set_entry(i: int, j: int, weight: float) -> None:
             matrix[i][j] = weight
 
-        fill_weight_matrix(reference, candidate, phi, set_entry, memo=memo)
+        fill_weight_matrix(reference, candidate, phi, set_entry)
         return matrix
 
     def assignment_score(self, matrix: list[list[float]]) -> float:
@@ -78,3 +85,9 @@ class PythonBackend(ComputeBackend):
     def matrix_entry(self, matrix: list[list[float]], i: int, j: int) -> float:
         """``matrix[i][j]``."""
         return matrix[i][j]
+
+    def matrix_columns(
+        self, matrix: list[list[float]], columns: Sequence[int]
+    ) -> list[list[float]]:
+        """Fresh rows holding the selected columns, in the given order."""
+        return [[row[j] for j in columns] for row in matrix]

@@ -2,26 +2,19 @@
 
 Verification only needs the matching *score*, but applications usually
 want to know which element aligned with which (e.g. which Address row
-explains each Location row in Table 1).  This module re-runs the same
-Jonker-Volgenant machinery as :mod:`repro.matching.hungarian` but
-returns the argmax assignment, with zero-weight pairs dropped from the
-output (they contribute nothing and are an artifact of padding).  Like
-the score solver it has a numpy-vectorised path and a pure-Python path,
-picked by numpy availability.
+explains each Location row in Table 1).  The solvers of
+:mod:`repro.matching.hungarian` already compute the argmax assignment
+(zero-weight pairs dropped: they contribute nothing and are an artifact
+of padding); this module turns it into :class:`AlignedPair` records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-try:  # numpy is optional; the pure-Python assignment covers its absence.
-    import numpy as np
-except ImportError:  # pragma: no cover - exercised on numpy-less installs
-    np = None
-
 from repro.backends import get_backend
 from repro.core.records import SetRecord
-from repro.matching.hungarian import max_weight_assignment_python
+from repro.matching.hungarian import max_weight_assignment
 from repro.matching.score import build_weight_matrix
 from repro.sim.functions import SimilarityFunction
 
@@ -37,83 +30,6 @@ class AlignedPair:
     reference_index: int
     candidate_index: int
     weight: float
-
-
-def max_weight_assignment(weights) -> tuple[float, list[tuple[int, int]]]:
-    """Maximum-weight assignment score and its (row, col) pairs.
-
-    Zero-weight pairs are omitted: they never change the score and a
-    maximum matching containing them always has an equal-score sibling
-    without them.
-    """
-    if np is None:  # pragma: no cover - exercised on numpy-less installs
-        return max_weight_assignment_python(weights)
-    weights = np.asarray(weights, dtype=np.float64)
-    if weights.ndim != 2:
-        raise ValueError("weight matrix must be 2-dimensional")
-    n, m = weights.shape
-    if n == 0 or m == 0:
-        return 0.0, []
-    if weights.min() < 0:
-        raise ValueError("weights must be non-negative")
-
-    transposed = n > m
-    if transposed:
-        weights = weights.T
-        n, m = m, n
-
-    cost = float(weights.max()) - weights
-    INF = float("inf")
-    u = np.zeros(n + 1)
-    v = np.zeros(m + 1)
-    match_col = np.zeros(m + 1, dtype=np.int64)
-    padded = np.zeros((n + 1, m + 1))
-    padded[1:, 1:] = cost
-
-    for i in range(1, n + 1):
-        match_col[0] = i
-        j0 = 0
-        minv = np.full(m + 1, INF)
-        way = np.zeros(m + 1, dtype=np.int64)
-        used = np.zeros(m + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = match_col[j0]
-            free = ~used
-            cur = padded[i0] - u[i0] - v
-            better = free & (cur < minv)
-            minv[better] = cur[better]
-            way[better] = j0
-            candidates = np.where(free, minv, INF)
-            j1 = int(candidates.argmin())
-            delta = candidates[j1]
-            u[match_col[used]] += delta
-            v[used] -= delta
-            minv[free] -= delta
-            j0 = j1
-            if match_col[j0] == 0:
-                break
-        while j0 != 0:
-            j1 = way[j0]
-            match_col[j0] = match_col[j1]
-            j0 = j1
-
-    total = 0.0
-    pairs: list[tuple[int, int]] = []
-    for j in range(1, m + 1):
-        i = match_col[j]
-        if i == 0:
-            continue
-        weight = float(weights[i - 1, j - 1])
-        if weight <= 0.0:
-            continue
-        total += weight
-        if transposed:
-            pairs.append((j - 1, int(i) - 1))
-        else:
-            pairs.append((int(i) - 1, j - 1))
-    pairs.sort()
-    return total, pairs
 
 
 def matching_alignment(

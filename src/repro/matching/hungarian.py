@@ -4,19 +4,22 @@ Implemented from scratch using the O(n^3) shortest augmenting path
 formulation with potentials (Jonker-Volgenant style), in two variants
 behind one public entry point:
 
-* :func:`hungarian_max_weight_numpy` -- the per-row Dijkstra sweep is
+* :func:`max_weight_assignment_numpy` -- the per-row Dijkstra sweep is
   vectorised with numpy: the column scan that relaxes ``minv`` and
   finds the next column to settle is a handful of array operations.
   This is the kernel the numpy compute backend uses.
-* :func:`hungarian_max_weight_python` -- the same algorithm on plain
+* :func:`max_weight_assignment_python` -- the same algorithm on plain
   Python lists, with no third-party imports.  This is what the pure
   Python backend (and any numpy-less install) runs.
+
+Each returns the score and the matched pairs; the
+``hungarian_max_weight_*`` functions are their score halves.
 
 Both maximise total weight over *partial* assignments of min(n, m)
 pairs; since all our weights are non-negative, a maximum-cardinality
 maximum-weight assignment also maximises weight over all matchings.
-:func:`hungarian_max_weight` dispatches on numpy availability so
-existing callers keep one import.
+:func:`max_weight_assignment` and :func:`hungarian_max_weight` dispatch
+on numpy availability so callers keep one import.
 
 :func:`scipy_max_weight` wraps ``scipy.optimize.linear_sum_assignment``
 and exists only so tests can cross-check the hand-rolled solvers.
@@ -151,18 +154,15 @@ def hungarian_max_weight_python(weights: Sequence[Sequence[float]]) -> float:
     return max_weight_assignment_python(weights)[0]
 
 
-def hungarian_max_weight_numpy(weights) -> float:
-    """Maximum-weight assignment score, numpy-vectorised inner loop.
+def _solve_numpy(weights):
+    """The numpy solver both public numpy functions share.
 
-    Parameters
-    ----------
-    weights:
-        2-D array of shape (n, m) with non-negative entries; entry (i, j)
-        is the weight of matching row element i to column element j.
-
-    Returns
-    -------
-    The total weight of a maximum weighted bipartite matching.
+    Validates *weights*, prunes all-zero rows and columns, transposes
+    to rows <= columns and runs the per-row Dijkstra sweep of the
+    pure-Python solver with its column scan as array operations.
+    Returns ``(working matrix, matched row per working column (1-based,
+    0 = free), kept-row mask, kept-column mask, transposed)``, or
+    ``None`` when nothing can be matched.
     """
     if np is None:  # pragma: no cover - exercised on numpy-less installs
         raise RuntimeError("numpy is not installed")
@@ -171,7 +171,7 @@ def hungarian_max_weight_numpy(weights) -> float:
         raise ValueError("weight matrix must be 2-dimensional")
     n, m = weights.shape
     if n == 0 or m == 0:
-        return 0.0
+        return None
     if weights.min() < 0:
         raise ValueError("weights must be non-negative")
 
@@ -184,10 +184,11 @@ def hungarian_max_weight_numpy(weights) -> float:
         weights = weights[np.ix_(row_any, col_any)]
         n, m = weights.shape
         if n == 0 or m == 0:
-            return 0.0
+            return None
 
     # Work on the transposed matrix if needed so rows <= cols.
-    if n > m:
+    transposed = n > m
+    if transposed:
         weights = weights.T
         n, m = m, n
 
@@ -237,25 +238,80 @@ def hungarian_max_weight_numpy(weights) -> float:
             match_col[j0] = match_col[j1]
             j0 = j1
 
+    # Plain lists from here: a dozen scalar reads cost more through
+    # numpy than the conversion does.
+    return weights.tolist(), match_col[1:].tolist(), row_any, col_any, transposed
+
+
+def max_weight_assignment_numpy(weights) -> tuple[float, list[tuple[int, int]]]:
+    """Maximum-weight assignment score and its (row, col) pairs, numpy.
+
+    Zero-weight pairs are omitted, as in the pure-Python solver.
+
+    Parameters
+    ----------
+    weights:
+        2-D array of shape (n, m) with non-negative entries; entry (i, j)
+        is the weight of matching row element i to column element j.
+    """
+    solved = _solve_numpy(weights)
+    if solved is None:
+        return 0.0, []
+    cells, matched, row_any, col_any, transposed = solved
+    row_ids = np.flatnonzero(col_any if transposed else row_any).tolist()
+    col_ids = np.flatnonzero(row_any if transposed else col_any).tolist()
     total = 0.0
-    for j in range(1, m + 1):
-        i = match_col[j]
-        if i != 0:
-            total += float(weights[i - 1, j - 1])
+    pairs: list[tuple[int, int]] = []
+    for j, i in enumerate(matched):
+        if i and cells[i - 1][j] > 0.0:
+            total += cells[i - 1][j]
+            # Working rows are original columns after a transposition.
+            original = (row_ids[i - 1], col_ids[j])
+            pairs.append(original[::-1] if transposed else original)
+    pairs.sort()
+    return total, pairs
+
+
+def hungarian_max_weight_numpy(weights) -> float:
+    """Maximum-weight assignment score, numpy-vectorised inner loop.
+
+    The score of :func:`max_weight_assignment_numpy` without building
+    the pairs (verification calls this once per surviving candidate);
+    both sum the matched weights in working-column order.
+    """
+    solved = _solve_numpy(weights)
+    if solved is None:
+        return 0.0
+    cells, matched = solved[:2]
+    total = 0.0
+    for j, i in enumerate(matched):
+        if i:
+            total += cells[i - 1][j]
     return total
+
+
+def max_weight_assignment(weights) -> tuple[float, list[tuple[int, int]]]:
+    """Maximum-weight assignment score and its (row, col) pairs.
+
+    Dispatches to the numpy-vectorised solver when numpy is installed,
+    and to the pure-Python solver otherwise; both produce identical
+    scores.  Zero-weight pairs are omitted: they never change the score
+    and a maximum matching containing them always has an equal-score
+    sibling without them.
+    """
+    if np is not None:
+        return max_weight_assignment_numpy(weights)
+    return max_weight_assignment_python(weights)
 
 
 def hungarian_max_weight(weights) -> float:
     """Maximum-weight assignment score for a non-negative weight matrix.
 
-    Dispatches to the numpy-vectorised solver when numpy is installed,
-    and to the pure-Python solver otherwise; both produce identical
-    scores.  Callers that already know which compute backend they run
-    under (the verification stage) call the variant directly.
+    The score half of :func:`max_weight_assignment`.  Callers that
+    already know which compute backend they run under (the verification
+    stage) call the variant directly.
     """
-    if np is not None:
-        return hungarian_max_weight_numpy(weights)
-    return hungarian_max_weight_python(weights)
+    return max_weight_assignment(weights)[0]
 
 
 def scipy_max_weight(weights) -> float:

@@ -3,14 +3,17 @@
 The weight matrix between two sets is almost always sparse: under
 Jaccard, two elements with no common token have similarity exactly 0;
 under an edit kind with ``alpha > 0``, any pair whose banded Levenshtein
-cannot clear ``alpha`` contributes 0.  The sparsity logic lives in
-:func:`repro.backends.base.fill_weight_matrix`; this module routes it
-through a compute backend so verification only pays for the pairs that
-can actually appear in the maximum matching -- and runs vectorised when
-the numpy backend is active.
+cannot clear ``alpha`` contributes 0.  Token kinds fill only the
+token-sharing pairs (:func:`repro.backends.base.fill_weight_matrix`);
+edit kinds take columns of the backend's
+:meth:`~repro.backends.base.ComputeBackend.edit_grid` -- one grid for
+the survivors of a verification pass (:func:`edit_weight_matrices`), or
+the grid of a single candidate through ``backend.weight_matrix``.
 """
 
 from __future__ import annotations
+
+from typing import Iterator, Sequence
 
 from repro.backends import get_backend
 from repro.backends.base import ComputeBackend
@@ -43,6 +46,43 @@ def build_weight_matrix(
     )
 
 
+#: Candidates per grid.  Bounds the transient ``|R| x distinct texts``
+#: grid on passes that verify a whole collection (full scans); far more
+#: pairs than a lane batch needs to amortise.
+GRID_CANDIDATES = 512
+
+
+def edit_weight_matrices(
+    reference: SetRecord,
+    candidates: Sequence[SetRecord],
+    phi: SimilarityFunction,
+    backend: ComputeBackend,
+    memo: SimilarityMemo | None = None,
+) -> Iterator:
+    """Each candidate's edit-kind weight matrix, from one grid per block.
+
+    The backend scores the reference's elements against the *distinct*
+    element texts of up to :data:`GRID_CANDIDATES` candidates in one
+    ``edit_grid`` call; each candidate's matrix is a column gather of
+    that grid (cells are pure functions of the two strings, so sharing
+    them changes no float).
+    """
+    patterns = [element.text for element in reference.elements]
+    for start in range(0, len(candidates), GRID_CANDIDATES):
+        block = candidates[start : start + GRID_CANDIDATES]
+        texts = list(
+            dict.fromkeys(
+                element.text for candidate in block for element in candidate.elements
+            )
+        )
+        grid = backend.edit_grid(phi, patterns, texts, memo)
+        column = dict(zip(texts, range(len(texts))))
+        for candidate in block:
+            yield backend.matrix_columns(
+                grid, [column[element.text] for element in candidate.elements]
+            )
+
+
 def matching_score(
     reference: SetRecord,
     candidate: SetRecord,
@@ -50,14 +90,19 @@ def matching_score(
     backend: ComputeBackend | None = None,
     memo: SimilarityMemo | None = None,
     collection=None,
+    weights=None,
 ) -> float:
-    """The maximum matching score ``|R ~cap~ S|`` without any reduction."""
+    """The maximum matching score ``|R ~cap~ S|`` without any reduction.
+
+    *weights* is the pair's weight matrix when the caller already has
+    it (verification's per-pass grid); it is built here otherwise.
+    """
     if len(reference) == 0 or len(candidate) == 0:
         return 0.0
     if backend is None:
         backend = get_backend()
-    return backend.assignment_score(
-        backend.weight_matrix(
+    if weights is None:
+        weights = backend.weight_matrix(
             reference, candidate, phi, memo=memo, collection=collection
         )
-    )
+    return backend.assignment_score(weights)

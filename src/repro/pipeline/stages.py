@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 from repro.core.constants import EPSILON
@@ -25,7 +26,7 @@ from repro.core.stats import PassStats
 from repro.filters.check import select_and_check
 from repro.filters.nearest_neighbor import nn_filter_columns
 from repro.matching.reduction import reduced_matching_score
-from repro.matching.score import matching_score
+from repro.matching.score import edit_weight_matrices, matching_score
 from repro.pipeline.batch import CandidateBatch
 from repro.signatures.base import Signature
 
@@ -195,7 +196,9 @@ class VerifyStage(Stage):
     """Exact verification: maximum matching score per survivor.
 
     Uses reduction-based verification (Section 5.3) where it is sound;
-    the Hungarian solve runs on the plan's compute backend either way.
+    otherwise edit kinds get all survivors' weight matrices from one
+    backend similarity grid per pass.  The Hungarian solve runs on the
+    plan's compute backend either way.
     """
 
     name = "verify"
@@ -209,10 +212,16 @@ class VerifyStage(Stage):
             and plan.phi.kind.supports_reduction
         )
         ref_size = len(plan.reference)
+        candidates = [plan.collection[set_id] for set_id in state.batch.set_ids]
+        if plan.phi.kind.is_edit_based and not use_reduction:
+            matrices = edit_weight_matrices(
+                plan.reference, candidates, plan.phi, plan.backend, plan.memo
+            )
+        else:
+            matrices = repeat(None)
         results: list[SearchResult] = []
-        for set_id in state.batch.set_ids:
+        for candidate, weights in zip(candidates, matrices):
             stats.verified += 1
-            candidate = plan.collection[set_id]
             if use_reduction:
                 score = reduced_matching_score(
                     plan.reference,
@@ -230,11 +239,12 @@ class VerifyStage(Stage):
                     backend=plan.backend,
                     memo=plan.memo,
                     collection=plan.collection,
+                    weights=weights,
                 )
             value = relatedness_value(
                 config.metric, score, ref_size, len(candidate)
             )
             if value >= config.delta - EPSILON:
-                results.append(SearchResult(set_id, score, value))
+                results.append(SearchResult(candidate.set_id, score, value))
         stats.matches = len(results)
         state.results = results

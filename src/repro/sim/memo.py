@@ -3,10 +3,21 @@
 The paper's computation-reuse idea (Section 5.2) carries exact
 similarities from the check filter into the NN filter -- but only
 within a single candidate of a single pass.  This module extends the
-reuse across *everything* that evaluates ``phi_alpha`` on element
-pairs: the check filter, the NN filter, and the maximum-matching
-verification, across all candidates of a pass and across queries of a
-long-lived :class:`~repro.service.SilkMothService`.
+reuse across the stages that evaluate ``phi_alpha`` on element pairs,
+across all candidates of a pass and across queries of a long-lived
+:class:`~repro.service.SilkMothService`.
+
+Who fills it depends on the compute backend.  The NN filter always
+goes through :meth:`SimilarityMemo.edit_value` (compute on miss).  On
+the python backend so does selection, and verification then mostly
+hits.  On numpy, selection scores its pairs in one lane batch that
+bypasses the memo, so verification starts colder (measured hit ratio
+0.20 on the benchmark's ``verify_eds``, 0.70 on ``discover_eds``); it
+reads a pass's whole similarity grid with :meth:`SimilarityMemo.lookup`
+(never computes), computes the unknown cells in one batch and hands
+them back with :meth:`SimilarityMemo.store` -- the hits it does get are
+mostly the symmetric half: a pair scored for reference R against S is
+served when S becomes the reference.
 
 A :class:`SimilarityMemo` interns element texts into small integer ids
 and keeps an LRU map from unordered id pairs to the canonical
@@ -140,6 +151,74 @@ class SimilarityMemo:
             self.generation = generation
             self.clear()
 
+    def _key(self, x: str, y: str) -> tuple:
+        """The unordered id pair of two texts, interning them as needed.
+
+        The id table only grows past the live pairs' reach when most
+        entries belong to long-evicted pairs; once it hits
+        ``_ids_limit`` both maps are rebuilt, which keeps memory
+        proportional to the configured capacity.
+        """
+        ids = self._ids
+        a = ids.get(x)
+        if a is None:
+            if len(ids) >= self._ids_limit:
+                self.clear()
+            a = ids[x] = len(ids)
+        b = ids.get(y)
+        if b is None:
+            if len(ids) >= self._ids_limit:
+                self.clear()
+                a = ids[x] = 0
+            b = ids[y] = len(ids)
+        return (a, b) if a <= b else (b, a)
+
+    def lookup(self, x: str, texts) -> list:
+        """The cached canonical ``phi_alpha(x, y)`` per *y* in *texts*.
+
+        ``None`` where the memo holds nothing; never computes and
+        interns nothing.  Counts one hit or miss per text exactly like
+        :meth:`edit_value`, so a batched caller that looks a row up
+        here, computes the ``None`` cells itself and hands them to
+        :meth:`store` leaves the same counters and the same cache
+        contents as per-pair :meth:`edit_value` calls would.
+        """
+        ids = self._ids
+        a = ids.get(x)
+        if a is None:
+            self.misses += len(texts)
+            return [None] * len(texts)
+        pairs = self._pairs
+        row = []
+        for y in texts:
+            b = ids.get(y)
+            if b is None:
+                row.append(None)
+                continue
+            key = (a, b) if a <= b else (b, a)
+            value = pairs.get(key)
+            if value is not None:
+                pairs.move_to_end(key)
+            row.append(value)
+        missed = row.count(None)
+        self.misses += missed
+        self.hits += len(row) - missed
+        return row
+
+    def store(self, x: str, y: str, value: float) -> None:
+        """Cache *value* as the canonical (floor-free) ``phi_alpha(x, y)``.
+
+        The other half of :meth:`lookup`; interning honours the same
+        id-table rebuild rule as :meth:`edit_value`, so a rebuild
+        between the two calls only costs the dropped entries.
+        """
+        if self.capacity == 0:
+            return
+        pairs = self._pairs
+        pairs[self._key(x, y)] = value
+        if len(pairs) > self.capacity:
+            pairs.popitem(last=False)
+
     def edit_value(
         self, phi: SimilarityFunction, x: str, y: str, floor: float = 0.0
     ) -> float:
@@ -153,23 +232,7 @@ class SimilarityMemo:
         """
         if self.capacity == 0:
             return phi.edit_at_least(x, y, floor)
-        ids = self._ids
-        a = ids.get(x)
-        if a is None:
-            if len(ids) >= self._ids_limit:
-                # The id table only grows past the live pairs' reach
-                # when most entries belong to long-evicted pairs;
-                # rebuilding both maps keeps memory proportional to
-                # the configured capacity.
-                self.clear()
-            a = ids[x] = len(ids)
-        b = ids.get(y)
-        if b is None:
-            if len(ids) >= self._ids_limit:
-                self.clear()
-                a = ids[x] = 0
-            b = ids[y] = len(ids)
-        key = (a, b) if a <= b else (b, a)
+        key = self._key(x, y)
         pairs = self._pairs
         value = pairs.get(key)
         if value is not None:

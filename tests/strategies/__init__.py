@@ -11,6 +11,8 @@ the code under test.
 
 from __future__ import annotations
 
+import random
+
 from hypothesis import strategies as st
 
 from repro.core.config import Relatedness, SilkMothConfig
@@ -125,3 +127,97 @@ def string_collections(
 ) -> st.SearchStrategy[list[list[str]]]:
     """A searched collection of raw-string sets (edit kinds)."""
     return st.lists(string_sets(), min_size=min_sets, max_size=max_sets)
+
+
+#: String lengths on both sides of the Myers lanes' one-word limit
+#: (patterns of 1..64 characters are vectorised; 0 and 65 are not).
+GRID_LENGTHS = (0, 1, 5, 63, 64, 65)
+
+#: Characters an edit may write: plain ASCII, one non-ASCII letter (the
+#: lanes take ASCII only) and NUL (the lane buffer pads with it).
+GRID_EDIT_CHARS = "abé\0"
+
+
+def _apply_edits(base: str, edits) -> str:
+    """*base* after substitute / insert / delete operations."""
+    chars = list(base)
+    for op, position, char in edits:
+        at = position % (len(chars) + 1)
+        if op == "insert":
+            chars.insert(at, char)
+        elif chars and op == "delete":
+            del chars[at % len(chars)]
+        elif chars:
+            chars[at % len(chars)] = char
+    return "".join(chars)
+
+
+@st.composite
+def edit_grid_strings(draw, max_patterns: int = 4, max_texts: int = 12):
+    """``(patterns, texts)`` for an edit-similarity grid.
+
+    Near-duplicates of one or two base strings of boundary lengths, so
+    cells land on both sides of the alpha band; texts repeat (several
+    candidates sharing an element) and may equal a pattern.
+    """
+    bases = draw(
+        st.lists(
+            st.sampled_from(GRID_LENGTHS).flatmap(
+                lambda n: st.text(alphabet="ab", min_size=n, max_size=n)
+            ),
+            min_size=1,
+            max_size=2,
+        )
+    )
+    variant = st.builds(
+        _apply_edits,
+        st.sampled_from(bases),
+        st.lists(
+            st.tuples(
+                st.sampled_from(("substitute", "insert", "delete")),
+                st.integers(min_value=0, max_value=70),
+                st.sampled_from(GRID_EDIT_CHARS),
+            ),
+            max_size=3,
+        ),
+    )
+    patterns = draw(st.lists(variant, min_size=1, max_size=max_patterns))
+    texts = draw(st.lists(variant, min_size=0, max_size=max_texts))
+    repeats = draw(st.lists(st.sampled_from(texts + patterns), max_size=4))
+    return patterns, texts + repeats
+
+
+def clustered_edit_sets(
+    seed: int, clusters: int = 4, sets_per_cluster: int = 4, strings: int = 5
+) -> list[list[str]]:
+    """Sets of near-duplicate strings, cluster by cluster (verify-heavy).
+
+    Every set of a cluster perturbs the same *strings* base strings by
+    0-2 edits, so the filters let most same-cluster candidates through
+    and verification sees grids of a few hundred cells.
+    """
+    rng = random.Random(seed)
+    sets: list[list[str]] = []
+    for _ in range(clusters):
+        bases = [
+            "".join(rng.choice("abcdefgh ") for _ in range(rng.randint(8, 16)))
+            for _ in range(strings)
+        ]
+        for _ in range(sets_per_cluster):
+            sets.append(
+                [
+                    _apply_edits(
+                        base,
+                        [
+                            (
+                                rng.choice(("substitute", "insert", "delete")),
+                                rng.randrange(70),
+                                rng.choice("abcdefgh"),
+                            )
+                            for _ in range(rng.randint(0, 2))
+                        ],
+                    )
+                    for base in bases
+                ]
+            )
+    return sets

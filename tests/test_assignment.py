@@ -13,7 +13,10 @@ from repro.matching.assignment import (
     matching_alignment,
     max_weight_assignment,
 )
-from repro.matching.hungarian import hungarian_max_weight
+from repro.matching.hungarian import (
+    hungarian_max_weight,
+    max_weight_assignment_python,
+)
 from repro.matching.score import matching_score
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 
@@ -63,14 +66,21 @@ class TestMaxWeightAssignment:
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_score_matches_hungarian(self, seed):
+        # Sparse on purpose: all-zero rows and columns are pruned before
+        # the solve, and the pairs must come back in original coordinates.
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        weights = rng.random((n, m))
+        weights = rng.random((n, m)) * (rng.random((n, m)) < 0.6)
+        weights[rng.random(n) < 0.3, :] = 0.0
+        weights[:, rng.random(m) < 0.3] = 0.0
         score, pairs = max_weight_assignment(weights)
-        assert score == pytest.approx(hungarian_max_weight(weights))
+        assert score == hungarian_max_weight(weights)
+        assert score == pytest.approx(max_weight_assignment_python(weights)[0])
         assert score == pytest.approx(
             sum(weights[i, j] for i, j in pairs)
         )
+        assert all(weights[i, j] > 0.0 for i, j in pairs)
+        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
 
 
 class TestMatchingAlignment:
