@@ -8,8 +8,9 @@ Two contracts from the telemetry subsystem's design:
 * **Cheap when disabled, affordable when enabled** -- the disabled path
   is a single shared no-op object (no allocation); the enabled path
   targets <5% wall-clock overhead on the verification-heavy edit
-  workload.  CI machines are noisy, so the hard assertion is a
-  generous 2x bound; the measured ratio is printed for the curious.
+  workload.  CI machines are noisy, so off and on rounds alternate,
+  the best round of each side is compared, and the hard assertion is
+  a generous 2x bound; the measured ratio is printed for the curious.
 """
 
 import time
@@ -40,25 +41,37 @@ def _search_all(sets, config, backend):
     return rows, time.perf_counter() - started
 
 
+#: Interleaved off/on rounds; the best of each side is compared, so one
+#: scheduling hiccup on the shared box cannot decide the ratio.
+ROUNDS = 3
+
+
 @pytest.mark.parametrize("backend", available_backends())
 def test_tracing_is_bit_identical_and_cheap(backend):
     sets, config = edit_workload(scale=0.3)
     get_tracer().drain()
+    off, on = [], []
     try:
-        set_trace_enabled(False)
-        rows_off, seconds_off = _search_all(sets, config, backend)
-        set_trace_enabled(True)
-        rows_on, seconds_on = _search_all(sets, config, backend)
+        for _ in range(ROUNDS):
+            set_trace_enabled(False)
+            off.append(_search_all(sets, config, backend))
+            set_trace_enabled(True)
+            on.append(_search_all(sets, config, backend))
+            get_tracer().drain()
     finally:
         set_trace_enabled(None)
         get_tracer().drain()
+    rows_off = off[0][0]
     # Exactness: telemetry never touches the pipeline's arithmetic.
-    assert rows_on == rows_off
+    assert all(rows == rows_off for rows, _ in off + on)
     assert rows_off, "workload produced no matches; overhead unmeasured"
+    seconds_off = min(seconds for _, seconds in off)
+    seconds_on = min(seconds for _, seconds in on)
     ratio = seconds_on / seconds_off if seconds_off > 0 else 1.0
     print(
         f"\ntrace overhead [{backend}]: off {seconds_off:.3f}s, "
-        f"on {seconds_on:.3f}s, ratio {ratio:.3f} (target < 1.05)"
+        f"on {seconds_on:.3f}s, ratio {ratio:.3f} (target < 1.05; "
+        f"best of {ROUNDS} interleaved rounds)"
     )
     # Generous CI bound; the 5% target is tracked via the printout.
     assert ratio < 2.0

@@ -6,11 +6,11 @@ kernels vectorise the arithmetic the pipeline runs per candidate batch:
 size and threshold masks, the check-filter bound aggregation, the
 token-similarity formulas, and the Hungarian solve's inner column scan.
 
-Collection-backed batches (the check filter's probe, the NN filter's
-per-set search, the token-kind weight matrices) additionally avoid
-per-call Python set operations: element token sets are packed into
-int64 arrays once per set (:mod:`repro.backends.packed`) and
-intersection sizes come from one C-level membership scan per batch.
+Collection-backed batches (the check filter's probe, the token-kind
+weight matrices) additionally avoid per-call Python set operations:
+element token sets are packed into int64 arrays once per set
+(:mod:`repro.backends.packed`) and intersection sizes come from one
+C-level membership scan per batch.
 The legacy frozenset-based :meth:`NumpyBackend.token_similarities`
 remains for callers without a collection at hand; both paths apply the
 identical closed-form formulas.

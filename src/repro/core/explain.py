@@ -109,15 +109,18 @@ def explain(
             survives.append("signature")
 
         bounds = signature.element_bounds
+        # Exact nearest neighbour of every reference element; both
+        # estimates below read it.
+        nearest = [
+            nn_search(element, candidate_id, engine.index, phi, engine.collection)
+            for element in reference.elements
+        ]
         # Check-filter estimate: exact best similarity for elements
         # whose signature tokens the candidate shares, bound elsewhere.
         per_element = []
-        for i, element in enumerate(reference.elements):
-            if signature.per_element[i] & candidate_tokens:
-                best = nn_search(
-                    element, candidate_id, engine.index, phi, engine.collection
-                )
-                per_element.append(max(best, 0.0) if best > bounds[i] else bounds[i])
+        for i, best in enumerate(nearest):
+            if signature.per_element[i] & candidate_tokens and best > bounds[i]:
+                per_element.append(best)
             else:
                 per_element.append(bounds[i])
         check_estimate = sum(per_element)
@@ -127,13 +130,9 @@ def explain(
         # NN estimate: exact nearest neighbour for every element,
         # capped by the no-share bound for edit kinds.
         q = config.effective_q
-        nn_total = 0.0
-        for i, element in enumerate(reference.elements):
-            nn = nn_search(
-                element, candidate_id, engine.index, phi, engine.collection
-            )
-            nn_total += max(nn, _no_share_cap(element, phi, q))
-        nn_estimate = nn_total
+        nn_estimate = 0.0
+        for nn, element in zip(nearest, reference.elements):
+            nn_estimate += max(nn, _no_share_cap(element, phi, q))
         if "check" in survives and nn_estimate >= theta - EPSILON:
             survives.append("nn")
 

@@ -10,7 +10,8 @@ reach the matching threshold theta:
 * :mod:`repro.filters.nearest_neighbor` -- the nearest-neighbour filter
   (Section 5.2): the matching score is at most the sum of per-element
   nearest-neighbour similarities; computed lazily with computation
-  reuse and early termination.
+  reuse and early termination, one reference element at a time for all
+  candidates of a pass.
 """
 
 from repro.filters.check import CandidateInfo, select_and_check
@@ -18,6 +19,7 @@ from repro.filters.nearest_neighbor import (
     nearest_neighbor_filter,
     nn_filter_columns,
     nn_search,
+    nn_search_group,
 )
 
 __all__ = [
@@ -25,5 +27,6 @@ __all__ = [
     "nearest_neighbor_filter",
     "nn_filter_columns",
     "nn_search",
+    "nn_search_group",
     "select_and_check",
 ]

@@ -13,23 +13,27 @@ with the no-shared-gram cap ``|r| / (|r| + ceil(|r|/q))`` from Section
 7.1; under the evaluation's ``q < alpha/(1-alpha)`` constraint that cap
 is below alpha and vanishes after thresholding.
 
-The core implementation, :func:`nn_filter_columns`, works on the
-pipeline's columnar candidate batches (parallel arrays of set ids and
-witnessed-similarity maps) and routes batched similarity evaluation
-through a compute backend; :func:`nearest_neighbor_filter` is the
-row-per-candidate wrapper around it.
+Loop order: Algorithm 2 refines a candidate's elements worst bound
+first, and that order depends on the reference element alone, so every
+candidate of a pass walks the same global element order.
+:func:`nn_filter_columns` therefore iterates *element-major*: for each
+reference element, one :func:`nn_search_group` answers every candidate
+that still needs it, walking each of the element's posting lists once.
+Each candidate sees exactly the additions, in exactly the order, of a
+per-candidate loop, so estimates and witnessed maps are bit-identical
+to it (``tests/test_nn_filter.py`` keeps that loop as the oracle).
+:func:`nearest_neighbor_filter` is the row-per-candidate wrapper.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Sequence
 
-from repro.backends import get_backend
-from repro.backends.base import ComputeBackend
 from repro.core.records import ElementRecord, SetCollection, SetRecord
 from repro.filters.check import CandidateInfo
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import PACK_MASK, PACK_SHIFT, InvertedIndex
 from repro.sim.functions import SimilarityFunction
 from repro.sim.memo import SimilarityMemo
 
@@ -45,6 +49,78 @@ def _no_share_cap(element: ElementRecord, phi: SimilarityFunction, q: int) -> fl
     return phi.threshold(length / (length + chunks))
 
 
+def nn_search_group(
+    element: ElementRecord,
+    set_ids: Sequence[int],
+    index: InvertedIndex,
+    phi: SimilarityFunction,
+    collection: SetCollection,
+    memo: SimilarityMemo | None = None,
+) -> dict[int, float]:
+    """Exact NN similarity of *element* within each of *set_ids*, via the index.
+
+    *set_ids* must be ascending.  Returns ``{set_id: phi_alpha of the
+    nearest element}`` for the sets where that is positive; a missing
+    set means no element sharing an index token scores above zero
+    (Section 5.2 -- the caller combines the result with the no-share
+    cap where that matters).
+
+    Each token's posting run is walked once for the whole group
+    (:meth:`InvertedIndex.keys_in_sets`).  For token kinds the walk is
+    the similarity: the index holds one posting per (element, distinct
+    token) -- ``index_tokens`` is a frozenset, and tombstoning,
+    out-of-order ``add_record`` re-sorts and compaction all keep it so
+    -- hence the number of *element*'s tokens whose run contains
+    ``(S, j)`` is ``|element & s_j|`` exactly, and the score is the
+    kind's closed form on the three sizes
+    (:meth:`SimilarityFunction.tokens_from_counts`).  Edit kinds score
+    each distinct sharing element once, in first-seen order per set,
+    each set's running best tightening the Levenshtein band for its
+    next element; *memo* serves and records those pairs.
+    """
+    nearest: dict[int, float] = {}
+    tokens = element.index_tokens
+    if phi.kind.is_token_based:
+        if not tokens:
+            # Empty probe: similarity is 1 against an empty candidate
+            # element (invisible to the index) and 0 against the rest.
+            top = phi.threshold(1.0)
+            if top > 0.0:
+                for set_id in set_ids:
+                    if any(not s.index_tokens for s in collection[set_id].elements):
+                        nearest[set_id] = top
+            return nearest
+        found: list[int] = []
+        for token in tokens:
+            found += index.keys_in_sets(token, set_ids)
+        size = len(tokens)
+        for key, shared in Counter(found).items():
+            set_id = key >> PACK_SHIFT
+            other = collection[set_id].elements[key & PACK_MASK]
+            score = phi.tokens_from_counts(size, len(other.index_tokens), shared)
+            if score > nearest.get(set_id, 0.0):
+                nearest[set_id] = score
+        return nearest
+    text = element.text
+    memoized = memo is not None and memo.enabled
+    seen: set[int] = set()
+    for token in tokens:
+        for key in index.keys_in_sets(token, set_ids):
+            if key in seen:
+                continue
+            seen.add(key)
+            set_id = key >> PACK_SHIFT
+            best = nearest.get(set_id, 0.0)
+            other = collection[set_id].elements[key & PACK_MASK].text
+            if memoized:
+                score = memo.edit_value(phi, text, other, best)
+            else:
+                score = phi.edit_at_least(text, other, best)
+            if score > best:
+                nearest[set_id] = score
+    return nearest
+
+
 def nn_search(
     element: ElementRecord,
     set_id: int,
@@ -52,63 +128,14 @@ def nn_search(
     phi: SimilarityFunction,
     collection: SetCollection,
     floor: float = 0.0,
-    backend: ComputeBackend | None = None,
     memo: SimilarityMemo | None = None,
 ) -> float:
-    """Exact NN similarity of *element* within set *set_id* via the index.
+    """Exact NN similarity of *element* within set *set_id*, at least *floor*.
 
-    Only elements sharing at least one index token are examined
-    (Section 5.2); the caller is responsible for combining the result
-    with the no-share cap where that matters.
-
-    Token-based kinds gather the sharing elements and evaluate phi as
-    one backend batch; edit kinds stay sequential because each computed
-    score tightens the Levenshtein band for the next one.
+    The one-set case of :func:`nn_search_group`.
     """
-    best = floor
-    candidate_record = collection[set_id]
-    if phi.kind.is_token_based:
-        if backend is None:
-            backend = get_backend()
-        if not element.index_tokens:
-            # Empty probe: similarity is 1 against an empty candidate
-            # element (invisible to the index) and 0 against the rest.
-            if any(not s.index_tokens for s in candidate_record.elements):
-                top = phi.threshold(1.0)
-                if top > best:
-                    return top
-            return best
-        seen: set[int] = set()
-        for token in element.index_tokens:
-            seen.update(index.elements_in_set(token, set_id))
-        if not seen:
-            return best
-        scores = backend.indexed_token_similarities(
-            element.index_tokens,
-            collection,
-            [(set_id, j) for j in sorted(seen)],
-            phi,
-        )
-        top = max(scores)
-        return top if top > best else best
-    seen_edit: set[int] = set()
-    memoized = memo is not None and memo.enabled
-    for token in element.index_tokens:
-        for j in index.elements_in_set(token, set_id):
-            if j in seen_edit:
-                continue
-            seen_edit.add(j)
-            if memoized:
-                score = memo.edit_value(
-                    phi, element.text, candidate_record.elements[j].text, best
-                )
-            else:
-                score = phi.edit_at_least(
-                    element.text, candidate_record.elements[j].text, best
-                )
-            if score > best:
-                best = score
-    return best
+    nearest = nn_search_group(element, (set_id,), index, phi, collection, memo)
+    return max(floor, nearest.get(set_id, 0.0))
 
 
 def nn_filter_columns(
@@ -121,7 +148,6 @@ def nn_filter_columns(
     phi: SimilarityFunction,
     collection: SetCollection,
     q: int = 1,
-    backend: ComputeBackend | None = None,
     memo: SimilarityMemo | None = None,
 ) -> tuple[list[int], list[float]]:
     """Algorithm 2 over a columnar candidate batch.
@@ -129,9 +155,9 @@ def nn_filter_columns(
     Parameters
     ----------
     set_ids / best_maps:
-        Parallel arrays: candidate set ids and their witnessed NN
-        similarities (mutated in place as refinement fills them in --
-        the computation-reuse contract of Section 5.2).
+        Parallel arrays: candidate set ids (any order) and their
+        witnessed NN similarities (mutated in place as refinement fills
+        them in -- the computation-reuse contract of Section 5.2).
     bounds:
         The signature's per-element bounds; *q* is the gram length
         (ignored for token kinds).
@@ -141,53 +167,58 @@ def nn_filter_columns(
     ``(keep, estimates)``: indices into the batch that survive, and the
     refined score upper bound for each survivor (parallel to *keep*).
     """
-    if backend is None:
-        backend = get_backend()
     caps = [_no_share_cap(element, phi, q) for element in reference.elements]
-    keep: list[int] = []
-    estimates: list[float] = []
-    for k, set_id in enumerate(set_ids):
+    effective = [max(bound, cap) for bound, cap in zip(bounds, caps)]
+    # Start from the check filter's estimate: witnessed exact NN values
+    # where they beat the bound, signature bounds elsewhere.  Candidates
+    # are visited in set-id order (the batch may arrive unsorted through
+    # the row wrapper) so every element's group is ready for the walk.
+    totals = [0.0] * len(set_ids)
+    alive = [False] * len(set_ids)
+    waiting: list[list[int]] = [[] for _ in effective]
+    for k in sorted(range(len(set_ids)), key=set_ids.__getitem__):
         best = best_maps[k]
-        # Start from the check filter's estimate: witnessed exact NN
-        # values where they beat the bound, signature bounds elsewhere.
         total = 0.0
         pending: list[int] = []
-        for i, bound_i in enumerate(bounds):
+        for i, estimated in enumerate(effective):
             witnessed = best.get(i)
             if witnessed is not None:
                 total += witnessed
             else:
-                effective = max(bound_i, caps[i])
-                total += effective
-                if effective > 0.0:
+                total += estimated
+                if estimated > 0.0:
                     pending.append(i)
-        if total < theta:
+        totals[k] = total
+        if total >= theta:
+            alive[k] = True
+            for i in pending:
+                waiting[i].append(k)
+    # Refine the estimated elements with exact NN searches, worst bound
+    # first so the estimates fall fastest; a candidate leaves the moment
+    # it is pruned and costs no later element a search.
+    for i in sorted(range(len(effective)), key=lambda i: -effective[i]):
+        group = [k for k in waiting[i] if alive[k]]
+        if not group:
             continue
-        # Refine the estimated elements with exact NN searches, worst
-        # bound first so the estimate falls fastest; stop early when the
-        # candidate is pruned.
-        pending.sort(key=lambda i: -max(bounds[i], caps[i]))
-        pruned = False
-        for i in pending:
-            nn = nn_search(
-                reference.elements[i],
-                set_id,
-                index,
-                phi,
-                collection,
-                backend=backend,
-                memo=memo,
-            )
-            nn = max(nn, caps[i])
-            total += nn - max(bounds[i], caps[i])
-            best[i] = nn
-            if total < theta:
-                pruned = True
-                break
-        if not pruned:
-            keep.append(k)
-            estimates.append(total)
-    return keep, estimates
+        nearest = nn_search_group(
+            reference.elements[i],
+            [set_ids[k] for k in group],
+            index,
+            phi,
+            collection,
+            memo,
+        )
+        cap, estimated = caps[i], effective[i]
+        for k in group:
+            nn = nearest.get(set_ids[k], 0.0)
+            if cap > nn:
+                nn = cap
+            totals[k] += nn - estimated
+            best_maps[k][i] = nn
+            if totals[k] < theta:
+                alive[k] = False
+    keep = [k for k, survives in enumerate(alive) if survives]
+    return keep, [totals[k] for k in keep]
 
 
 def nearest_neighbor_filter(
@@ -199,7 +230,7 @@ def nearest_neighbor_filter(
     phi: SimilarityFunction,
     collection: SetCollection,
     q: int = 1,
-    backend: ComputeBackend | None = None,
+    memo: SimilarityMemo | None = None,
 ) -> list[CandidateInfo]:
     """Algorithm 2: prune candidates by the NN upper bound.
 
@@ -216,6 +247,6 @@ def nearest_neighbor_filter(
         phi,
         collection,
         q=q,
-        backend=backend,
+        memo=memo,
     )
     return [candidates[k] for k in keep]

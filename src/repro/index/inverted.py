@@ -4,8 +4,11 @@ For each token id ``t``, ``I[t]`` is the list of (set_id, element_index)
 postings whose element contains ``t`` (by *index* tokens).  Postings are
 kept sorted by (set_id, element_index) so candidate selection can
 deduplicate with a sorted merge and the nearest-neighbour filter can
-binary-search the slice belonging to one candidate set (paper Section
-5.2, footnote 7).
+binary-search the slices of a whole group of candidate sets in one
+left-to-right pass (:meth:`InvertedIndex.keys_in_sets`; paper Section
+5.2, footnote 7).  An element contributes exactly one posting per
+distinct token, which is what lets that filter count intersections off
+the lists.
 
 Storage layout: each posting list is one ``array('q')`` of packed int64
 keys, ``(set_id << 32) | element_index`` (:data:`PACK_SHIFT`).  Packing
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.core.records import SetCollection, SetRecord
 
@@ -232,18 +235,32 @@ class InvertedIndex:
         postings = self._lists.get(token)
         return len(postings) if postings else 0
 
-    def elements_in_set(self, token: int, set_id: int) -> Iterable[int]:
-        """Element indices of *set_id* whose element contains *token*.
+    def keys_in_sets(self, token: int, set_ids: Sequence[int]) -> list[int]:
+        """Packed keys of *token*'s postings inside the ascending *set_ids*.
 
-        Binary-searches the packed posting array, per Section 5.2 --
-        one ``bisect`` per bound over flat int64 keys.
+        One galloping pass over the posting run: each set id costs one
+        ``bisect_left`` that starts where the previous set's slice
+        ended (Section 5.2, footnote 7), and the matching keys are read
+        off in place.  A repeated set id finds nothing the second time.
         """
         keys = self._lists.get(token)
+        found: list[int] = []
         if not keys:
-            return ()
-        lo = bisect_left(keys, set_id << PACK_SHIFT)
-        hi = bisect_left(keys, (set_id + 1) << PACK_SHIFT, lo)
-        return tuple(keys[i] & PACK_MASK for i in range(lo, hi))
+            return found
+        lo, end = 0, len(keys)
+        for set_id in set_ids:
+            lo = bisect_left(keys, set_id << PACK_SHIFT, lo)
+            if lo == end:
+                break
+            stop = (set_id + 1) << PACK_SHIFT
+            key = keys[lo]
+            while key < stop:
+                found.append(key)
+                lo += 1
+                if lo == end:
+                    return found
+                key = keys[lo]
+        return found
 
     def empty_postings(self) -> list[Posting]:
         """Postings of elements that tokenised to nothing, as tuples.

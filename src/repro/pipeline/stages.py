@@ -184,7 +184,6 @@ class NNFilterStage(Stage):
                 plan.phi,
                 plan.collection,
                 q=plan.config.effective_q,
-                backend=plan.backend,
                 memo=plan.memo,
             )
             state.batch = state.batch.take(keep)

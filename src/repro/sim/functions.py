@@ -238,6 +238,31 @@ class SimilarityFunction:
             score = 1.0 - distance / max(len_x, len_y)
         return self.threshold(score) if score >= floor else 0.0
 
+    def tokens_from_counts(self, size_x: int, size_y: int, shared: int) -> float:
+        """``phi_alpha`` of two token sets given ``|x|``, ``|y|``, ``|x & y|``.
+
+        The token kinds' closed forms without the sets themselves: the
+        same operations on the same integers as :meth:`tokens` (and as
+        the numpy backend's ``_formula_scores``), so the float is
+        bit-identical.  Lets a caller that counted the intersection
+        elsewhere -- the NN filter counts it off the posting lists --
+        skip the set intersection.
+        """
+        kind = self.kind
+        if shared == 0 and kind.is_token_based:
+            score = 1.0 if size_x == 0 and size_y == 0 else 0.0
+        elif kind is SimilarityKind.JACCARD:
+            score = shared / (size_x + size_y - shared)
+        elif kind is SimilarityKind.DICE:
+            score = 2.0 * shared / (size_x + size_y)
+        elif kind is SimilarityKind.COSINE:
+            score = shared / math.sqrt(size_x * size_y)
+        elif kind is SimilarityKind.OVERLAP:
+            score = shared / min(size_x, size_y)
+        else:
+            raise ValueError("tokens_from_counts requires a token-based kind")
+        return score if score >= self.alpha else 0.0
+
     def edit_at_least(self, x: str, y: str, floor: float) -> float:
         """``phi_alpha(x, y)`` for edit kinds, or 0.0 if it is below *floor*.
 

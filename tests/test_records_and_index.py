@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.records import SetCollection
-from repro.index.inverted import InvertedIndex
+from repro.index.inverted import InvertedIndex, pack_posting
 from repro.sim.functions import SimilarityKind
 
 
@@ -81,13 +81,18 @@ class TestInvertedIndex:
         assert index.postings(10**6) == []
         assert index.list_length(10**6) == 0
 
-    def test_elements_in_set(self, jaccard_collection):
+    def test_keys_in_sets(self, jaccard_collection):
         index = InvertedIndex(jaccard_collection)
         vocab = jaccard_collection.vocabulary
         c = vocab.id_of("c")
-        assert tuple(index.elements_in_set(c, 0)) == (0, 1)
-        assert tuple(index.elements_in_set(c, 1)) == (0,)
-        assert tuple(index.elements_in_set(c, 2)) == ()
+        in_set0 = [pack_posting(0, 0), pack_posting(0, 1)]
+        in_set1 = [pack_posting(1, 0)]
+        assert index.keys_in_sets(c, [0]) == in_set0
+        assert index.keys_in_sets(c, [1]) == in_set1
+        assert index.keys_in_sets(c, [2]) == []
+        assert index.keys_in_sets(c, [0, 1, 2]) == in_set0 + in_set1
+        assert index.keys_in_sets(c, [1, 1, 2]) == in_set1
+        assert index.keys_in_sets(10**6, [0, 1]) == []
 
     def test_total_postings(self, jaccard_collection):
         index = InvertedIndex(jaccard_collection)
