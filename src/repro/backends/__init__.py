@@ -20,7 +20,7 @@ Instances are cached per name, and that singleton identity is
 load-bearing: the numpy backend owns per-collection packed-token
 stores (released by the service on compaction through the same
 instance) plus process-wide kernel-dispatch knobs (``packed_enabled``,
-``packed_min_pairs``, ``packed_min_cells``).  Results never depend on
+``packed_min_cells``).  Results never depend on
 any of that state -- only which (equally exact) kernel runs.
 """
 

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import abc
 from collections import defaultdict
-from typing import Callable, Iterator, Optional, Sequence, Tuple
+from itertools import repeat
+from operator import attrgetter
+from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.backends.select import merge_distinct_postings_python
-from repro.core.records import SetCollection, SetRecord
+from repro.core.records import ElementRecord, SetCollection, SetRecord
 from repro.sim.functions import SimilarityFunction
 from repro.sim.memo import SimilarityMemo
 
@@ -43,6 +45,22 @@ def iter_token_pairs(
         for token in r.index_tokens:
             touched.update(by_token.get(token, ()))
         yield i, r.index_tokens, touched
+
+
+_INDEX_TOKENS = attrgetter("index_tokens")
+
+
+def posting_token_sets(
+    elements: Mapping[int, ElementRecord], keys: Sequence[int]
+) -> list[frozenset[int]]:
+    """The ``index_tokens`` of the elements *keys* address, in key order.
+
+    *elements* is the index's forward column
+    (:meth:`repro.index.inverted.InvertedIndex.posting_elements`); the
+    gather is two chained C-level ``map`` passes -- no Python frame per
+    key -- and returns the records' own frozensets.
+    """
+    return list(map(_INDEX_TOKENS, map(elements.__getitem__, keys)))
 
 
 def fill_weight_matrix(
@@ -245,26 +263,52 @@ class ComputeBackend(abc.ABC):
     def indexed_token_similarities(
         self,
         probe: frozenset[int],
-        collection: SetCollection,
-        pairs: Sequence[tuple[int, int]],
+        elements: Mapping[int, ElementRecord],
+        keys: Sequence[int],
         phi: SimilarityFunction,
-    ) -> list[float]:
-        """``phi_alpha(probe, element)`` per ``(set_id, element_index)`` pair.
+    ):
+        """``phi_alpha(probe, element)`` per packed posting key.
 
-        Same semantics as :meth:`token_similarities` with the targets
-        addressed through *collection* -- which lets a backend
-        substitute a precomputed packed representation for the
-        elements' token sets (the numpy backend does; this default
-        simply gathers the frozensets).
+        Candidate selection's scoring kernel: *keys* are merged posting
+        keys and *elements* the index's forward column from key to
+        element record.  Entry k equals
+        ``phi.tokens(probe, elements[keys[k]].index_tokens)`` bit for
+        bit; the intersection and size counts are taken by C-level
+        ``map`` passes over the gathered frozensets and only the
+        closed-form arithmetic differs per backend
+        (:meth:`~repro.sim.functions.SimilarityFunction.tokens_from_counts`
+        here, one array expression on numpy).  The result is the
+        backend's vector type -- a list here, an ndarray on numpy --
+        which :meth:`witnesses` consumes.
         """
-        return self.token_similarities(
-            probe,
-            [
-                collection[set_id].elements[j].index_tokens
-                for set_id, j in pairs
-            ],
-            phi,
+        if phi.kind.is_edit_based:
+            raise ValueError(
+                "indexed_token_similarities requires a token-based kind"
+            )
+        targets = posting_token_sets(elements, keys)
+        return list(
+            map(
+                phi.tokens_from_counts,
+                repeat(len(probe)),
+                map(len, targets),
+                map(len, map(probe.__and__, targets)),
+            )
         )
+
+    def witnesses(
+        self, scores, bound: float
+    ) -> Tuple[list[int], list[float]]:
+        """Positions k with ``scores[k] > bound``, and those scores.
+
+        The check filter's per-element witness test (Algorithm 1):
+        only the pairs whose similarity beats the signature bound are
+        ever recorded.  *scores* is a list or this backend's vector
+        type; both results are plain lists, positions ascending.  The
+        default is one scan; the numpy backend answers for its own
+        arrays with one vector compare.
+        """
+        hits = [k for k, score in enumerate(scores) if score > bound]
+        return hits, [scores[k] for k in hits]
 
     # ------------------------------------------------------------------
     # Verification kernels

@@ -6,19 +6,20 @@ kernels vectorise the arithmetic the pipeline runs per candidate batch:
 size and threshold masks, the check-filter bound aggregation, the
 token-similarity formulas, and the Hungarian solve's inner column scan.
 
-Collection-backed batches (the check filter's probe, the token-kind
-weight matrices) additionally avoid per-call Python set operations:
-element token sets are packed into int64 arrays once per set
-(:mod:`repro.backends.packed`) and intersection sizes come from one
-C-level membership scan per batch.
-The legacy frozenset-based :meth:`NumpyBackend.token_similarities`
-remains for callers without a collection at hand; both paths apply the
-identical closed-form formulas.
+Candidate selection's token scoring
+(:meth:`NumpyBackend.indexed_token_similarities`) gathers its targets
+off the index's forward column and counts intersections on the
+records' own frozensets with C-level ``map`` passes; only the closed
+form runs as an array expression.  Large token-kind weight matrices
+additionally avoid per-pair set operations: element token sets are
+packed into int64 arrays once per set (:mod:`repro.backends.packed`)
+and intersection sizes come from one membership scan per row.  All
+paths apply the identical closed-form formulas.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -29,11 +30,12 @@ from repro.backends.base import (
     fill_weight_matrix,
     iter_token_pairs,
     lookup_edit_grid,
+    posting_token_sets,
 )
 from repro.backends.packed import PackedTokenStore, intersection_counts, probe_array
 from repro.backends.select import merge_distinct_postings_python
 from repro.core.constants import EPSILON
-from repro.core.records import SetCollection, SetRecord
+from repro.core.records import ElementRecord, SetCollection, SetRecord
 from repro.index.inverted import PACK_SHIFT
 from repro.matching.hungarian import hungarian_max_weight_numpy
 from repro.sim.functions import SimilarityFunction, SimilarityKind
@@ -76,6 +78,24 @@ def _formula_scores(
     return scores
 
 
+def _token_scores(
+    probe: frozenset[int],
+    targets: Sequence[frozenset[int]],
+    phi: SimilarityFunction,
+) -> np.ndarray:
+    """``phi_alpha(probe, target)`` per target, as a float64 array.
+
+    The counts are taken by C-level ``map`` passes (no generator frame
+    per target), the formula by :func:`_formula_scores`.
+    """
+    count = len(targets)
+    inter = np.fromiter(
+        map(len, map(probe.__and__, targets)), dtype=np.float64, count=count
+    )
+    sizes = np.fromiter(map(len, targets), dtype=np.float64, count=count)
+    return _formula_scores(phi.kind, float(len(probe)), sizes, inter, phi.alpha)
+
+
 #: Set bits per byte value (``np.bitwise_count`` needs numpy >= 2).
 _BYTE_BITS = np.array([bin(byte).count("1") for byte in range(256)], dtype=np.int64)
 
@@ -103,21 +123,16 @@ class NumpyBackend(ComputeBackend):
         #: collection releases its arrays with it).
         self._packed: WeakKeyDictionary = WeakKeyDictionary()
         #: When False every batched kernel falls back to its scalar
-        #: predecessor: the collection-backed token kernels to the
-        #: frozenset paths, the selection merge to the pure-Python one,
+        #: predecessor: the packed token weight matrix to the shared
+        #: sparse fill, the selection merge to the pure-Python one,
         #: and both edit kernels (select's :meth:`edit_values` batch and
         #: verify's :meth:`edit_grid`) to one banded call per pair.  The
         #: perf-trajectory harness flips this for its A/B.
         self.packed_enabled = True
-        #: Minimum batch size (pairs) before the packed similarity
-        #: kernel dispatches.  Measured on the trajectory workloads:
-        #: Python's C-level frozenset intersection wins below roughly
-        #: this scale because the packed path's per-pair array gather
-        #: cannot amortise; the vectorised scan only pays off for
-        #: hot-token batches.  Tests set this to 0 to force coverage.
-        self.packed_min_pairs = 1024
-        #: Same idea for the dense token weight matrix: below this many
-        #: cells the shared scalar sparse fill is faster.
+        #: Minimum cells of a dense token weight matrix before the
+        #: packed-array row kernel dispatches; below it the shared
+        #: scalar sparse fill is faster (the per-row array gather
+        #: cannot amortise).  Tests set this to 0 to force coverage.
         self.packed_min_cells = 4096
         #: Minimum postings scanned per probe before the vectorised
         #: selection merge dispatches; smaller probes take the shared
@@ -444,65 +459,42 @@ class NumpyBackend(ComputeBackend):
         closed-form formula and the alpha cut as array expressions;
         results equal the scalar functions bit for bit.
         """
-        count = len(targets)
-        if count == 0:
-            return []
-        inter = np.fromiter(
-            (len(probe & target) for target in targets),
-            dtype=np.float64,
-            count=count,
-        )
-        sizes = np.fromiter(
-            (len(target) for target in targets), dtype=np.float64, count=count
-        )
-        scores = _formula_scores(
-            phi.kind, float(len(probe)), sizes, inter, phi.alpha
-        )
-        return scores.tolist()
+        return _token_scores(probe, targets, phi).tolist()
 
     def indexed_token_similarities(
         self,
         probe: frozenset[int],
-        collection: SetCollection,
-        pairs: Sequence[tuple[int, int]],
+        elements: Mapping[int, ElementRecord],
+        keys: Sequence[int],
         phi: SimilarityFunction,
-    ) -> list[float]:
-        """Packed-array ``phi_alpha`` batch over collection elements.
+    ) -> np.ndarray:
+        """``phi_alpha(probe, element)`` per packed posting key, as an ndarray.
 
-        For batches of at least :attr:`packed_min_pairs` this gathers
-        the pairs' precomputed int64 token arrays from the
-        per-collection store and computes every intersection size with
-        one membership scan; smaller batches take the frozenset path,
-        which measurement shows is faster there (the per-pair gather
-        dominates before vectorisation can amortise).
+        The targets are gathered off the forward column by the same
+        C-level ``map`` passes as the default's; the scores are
+        :meth:`token_similarities`' array expression, left unconverted
+        for :meth:`witnesses`.
         """
         if phi.kind.is_edit_based:
             raise ValueError(
                 "indexed_token_similarities requires a token-based kind"
             )
-        if not self.packed_enabled or len(pairs) < self.packed_min_pairs:
-            return super().indexed_token_similarities(
-                probe, collection, pairs, phi
-            )
-        count = len(pairs)
-        if count == 0:
-            return []
-        store = self._store(collection)
-        arrays = []
-        sizes = np.empty(count, dtype=np.float64)
-        for k, (set_id, j) in enumerate(pairs):
-            element_arrays, element_sizes = store.element_arrays(
-                collection, set_id
-            )
-            arrays.append(element_arrays[j])
-            sizes[k] = element_sizes[j]
-        probe_size = float(len(probe))
-        if probe_size == 0.0:
-            inter = np.zeros(count, dtype=np.float64)
-        else:
-            inter = intersection_counts(arrays, sizes, probe_array(probe))
-        scores = _formula_scores(phi.kind, probe_size, sizes, inter, phi.alpha)
-        return scores.tolist()
+        return _token_scores(probe, posting_token_sets(elements, keys), phi)
+
+    def witnesses(self, scores, bound: float) -> Tuple[list[int], list[float]]:
+        """Positions and values of the scores above *bound*.
+
+        One vector compare for this backend's own arrays (token
+        kinds); a list (the edit kinds' values) takes the default
+        scan, which converting it first would not beat.
+        """
+        if not isinstance(scores, np.ndarray):
+            return super().witnesses(scores, bound)
+        hits = np.flatnonzero(scores > bound)
+        if not hits.size:
+            # The common case: most probes witness nothing.
+            return [], []
+        return hits.tolist(), scores[hits].tolist()
 
     # -- verification kernels ------------------------------------------
     def weight_matrix(

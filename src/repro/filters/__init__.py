@@ -14,7 +14,7 @@ reach the matching threshold theta:
   candidates of a pass.
 """
 
-from repro.filters.check import CandidateInfo, select_and_check
+from repro.filters.check import CandidateInfo, select_and_check, select_columns
 from repro.filters.nearest_neighbor import (
     nearest_neighbor_filter,
     nn_filter_columns,
@@ -29,4 +29,5 @@ __all__ = [
     "nn_search",
     "nn_search_group",
     "select_and_check",
+    "select_columns",
 ]

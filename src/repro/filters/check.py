@@ -12,6 +12,12 @@ The per-candidate witnessed maxima are *exact* nearest-neighbour
 similarities (computation reuse, Section 5.2): any candidate element
 sharing no signature token with ``r_i`` is bounded by ``u_i`` anyway.
 
+The probe's output is columnar: :func:`select_columns` returns the
+candidate batch's ``set_ids`` / ``sizes`` / ``gains`` / ``best``
+columns, which the pipeline's select stage installs as is;
+:func:`select_and_check` is the row-per-candidate wrapper for
+explain-style callers, baselines and tests.
+
 Two interchangeable kernels drive the probe:
 
 ``packed`` (the default)
@@ -22,35 +28,51 @@ Two interchangeable kernels drive the probe:
     :meth:`~repro.backends.base.ComputeBackend.merge_distinct_postings`
     (a galloping sorted-run merge in pure Python, ``numpy.unique`` over
     ``int64`` views on the numpy backend), and receives the distinct
-    gated ``(set_id, element_index)`` pairs with no per-posting tuple,
-    set or dict traffic.  Self-match, tombstone and size gates are
-    applied inside the merge at run level -- once per candidate set --
-    and skipped entirely when no gate applies.
+    gated keys with no per-posting tuple, set or dict traffic.
+    Self-match, tombstone and size gates are applied inside the merge
+    at run level -- once per candidate set -- and skipped entirely when
+    no gate applies.  The merged keys themselves are scored against
+    the index's forward column
+    (:meth:`~repro.index.inverted.InvertedIndex.posting_elements`):
+    token kinds by the backend's
+    :meth:`~repro.backends.base.ComputeBackend.indexed_token_similarities`,
+    edit kinds as one query-wide ``edit_values`` batch over the
+    column's texts.  As in Algorithm 1, a surfaced set costs almost
+    nothing until it proves interesting: only the pairs the backend's
+    :meth:`~repro.backends.base.ComputeBackend.witnesses` reports
+    above ``u_i`` get a ``best`` entry; every other candidate is just
+    its id (the distinct ``key >> 32`` of the merged runs), its size
+    off :meth:`~repro.index.inverted.InvertedIndex.set_sizes` and a
+    zero gain.
 
 ``reference``
     The original per-posting loop, kept verbatim as the executable
     oracle the packed kernel is property-tested against
-    (``tests/test_select_kernel.py``) and as an escape hatch
-    (``SILKMOTH_SELECT_KERNEL=reference``).
+    (``tests/test_select_kernel.py``, ``tests/test_select_columns.py``)
+    and as an escape hatch (``SILKMOTH_SELECT_KERNEL=reference``); its
+    per-candidate infos are columnarised on the way out.
 
-Both kernels evaluate ``phi_alpha`` over identical pair sets with
-identical per-pair calls and record witnessed maxima in the same
-(reference-element, then empty-element) phase order, so candidate infos
--- including ``best``-map insertion order, which downstream float
-summation observes -- are bit-identical.  The choice affects speed
-only, never results.
+Both kernels evaluate ``phi_alpha`` over identical pair sets and record
+witnessed maxima in the same (reference-element, then empty-element)
+phase order, so the columns -- including ``best``-map insertion order,
+which downstream float summation observes, and the gains summed in
+that order -- are bit-identical.  The choice affects speed only, never
+results.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import attrgetter, rshift
+from typing import Tuple
 
 from repro.backends import get_backend
 from repro.backends.base import ComputeBackend
 from repro.core.records import SetCollection, SetRecord
 from repro.core.stats import PassStats
-from repro.index.inverted import PACK_MASK, PACK_SHIFT, InvertedIndex
+from repro.index.inverted import PACK_SHIFT, InvertedIndex
 from repro.obs.trace import span
 from repro.sim.functions import SimilarityFunction
 from repro.sim.memo import SimilarityMemo
@@ -66,6 +88,8 @@ SELECT_KERNEL_ENV_VAR = "SILKMOTH_SELECT_KERNEL"
 KNOWN_SELECT_KERNELS = ("packed", "reference")
 
 _select_kernel = "packed"
+
+_TEXT = attrgetter("text")
 
 
 def use_select_kernel(name: str) -> str:
@@ -122,21 +146,24 @@ class CandidateInfo:
         return total
 
 
-def select_and_check(
+#: The candidate batch's columns, parallel and ascending by set id:
+#: ``(set_ids, sizes, gains, best)``.
+SelectColumns = Tuple[list[int], list[int], list[float], list[dict[int, float]]]
+
+
+def select_columns(
     reference: SetRecord,
     signature: Signature,
     index: InvertedIndex,
     phi: SimilarityFunction,
-    theta: float,
     collection: SetCollection,
-    apply_check: bool = True,
     size_range: tuple[float, float] | None = None,
     skip_set: int | None = None,
     backend: ComputeBackend | None = None,
     memo: SimilarityMemo | None = None,
     pass_stats: PassStats | None = None,
-) -> list[CandidateInfo]:
-    """Algorithm 1: probe the index with the signature and check-filter.
+) -> SelectColumns:
+    """Algorithm 1's probe, as the columns of a candidate batch.
 
     Parameters
     ----------
@@ -145,13 +172,9 @@ def select_and_check(
         check of Section 5, footnote 6, and the containment gate).
     skip_set:
         Set id to exclude (self-matches in discovery mode).
-    apply_check:
-        When False, candidates are only gathered (used by baselines and
-        the NOFILTER configurations of Figure 6); the returned infos
-        still carry witnessed similarities for downstream reuse.
     backend:
-        Compute backend for the batched similarity evaluation; ``None``
-        resolves the process default.
+        Compute backend for the posting merge and the batched
+        similarity evaluation; ``None`` resolves the process default.
     memo:
         Cross-stage similarity memo for the edit kinds (``None``
         computes every pair).
@@ -162,7 +185,12 @@ def select_and_check(
 
     Returns
     -------
-    Candidate infos for every set that survived; ordering follows set id.
+    ``(set_ids, sizes, gains, best)``: every surfaced set in ascending
+    id order, its cardinality, its witnessed improvement over the
+    signature residual (``sum_i best_i - u_i``) and its witnessed map.
+    The check filter proper -- ``residual + gain >= theta`` -- is left
+    to the caller (:class:`~repro.pipeline.stages.CheckFilterStage`
+    runs it as one backend kernel; :func:`select_and_check` per row).
     """
     if backend is None:
         backend = get_backend()
@@ -180,29 +208,81 @@ def select_and_check(
                 backend,
                 memo,
             )
-        else:
-            candidates = _gather_packed(
-                reference,
-                signature,
-                index,
-                phi,
-                collection,
-                size_range,
-                skip_set,
-                backend,
-                memo,
-                pass_stats,
-                sp,
+            bounds = signature.element_bounds
+            infos = [candidates[set_id] for set_id in sorted(candidates)]
+            return (
+                [info.set_id for info in infos],
+                [len(collection[info.set_id]) for info in infos],
+                [info.gain(bounds) for info in infos],
+                [info.best for info in infos],
             )
-    bounds = signature.element_bounds
-    infos = [candidates[set_id] for set_id in sorted(candidates)]
+        return _gather_packed(
+            reference,
+            signature,
+            index,
+            phi,
+            collection,
+            size_range,
+            skip_set,
+            backend,
+            memo,
+            pass_stats,
+            sp,
+        )
+
+
+def select_and_check(
+    reference: SetRecord,
+    signature: Signature,
+    index: InvertedIndex,
+    phi: SimilarityFunction,
+    theta: float,
+    collection: SetCollection,
+    apply_check: bool = True,
+    size_range: tuple[float, float] | None = None,
+    skip_set: int | None = None,
+    backend: ComputeBackend | None = None,
+    memo: SimilarityMemo | None = None,
+    pass_stats: PassStats | None = None,
+) -> list[CandidateInfo]:
+    """Algorithm 1, one :class:`CandidateInfo` row per candidate.
+
+    The row-API wrapper around :func:`select_columns` (same parameters)
+    for explain-style callers, baselines and tests; the pipeline
+    consumes the columns directly.  With *apply_check* the candidates
+    whose estimate cannot reach *theta* are pruned; without it they are
+    only gathered (the NOFILTER configurations of Figure 6), still
+    carrying their witnessed similarities for downstream reuse.
+
+    Returns
+    -------
+    Candidate infos for every set that survived; ordering follows set id.
+    """
+    set_ids, _, gains, best = select_columns(
+        reference,
+        signature,
+        index,
+        phi,
+        collection,
+        size_range=size_range,
+        skip_set=skip_set,
+        backend=backend,
+        memo=memo,
+        pass_stats=pass_stats,
+    )
+    infos = [
+        CandidateInfo(set_id, witnessed)
+        for set_id, witnessed in zip(set_ids, best)
+    ]
     if not apply_check:
         return infos
-
     # Prune candidates whose estimate cannot reach theta.  The estimate
     # is sound for every scheme because each u_i individually bounds the
     # contribution of r_i.
-    return [info for info in infos if info.estimate(bounds) >= theta]
+    residual = sum(signature.element_bounds)
+    return [
+        info for info, gain in zip(infos, gains) if residual + gain >= theta
+    ]
 
 
 def _gather_packed(
@@ -217,18 +297,18 @@ def _gather_packed(
     memo: SimilarityMemo | None,
     pass_stats: PassStats | None,
     sp,
-) -> dict[int, CandidateInfo]:
-    """The columnar probe: merge packed posting runs per element.
+) -> SelectColumns:
+    """The columnar probe: merged key runs in, batch columns out.
 
-    Gathers the same candidate infos as :func:`_gather_reference` --
-    same pair sets, same per-pair ``phi_alpha`` calls, same witness
-    order -- but traverses the index as flat sorted int64 runs through
-    the backend's merge kernel instead of per-posting Python
-    bookkeeping.
+    Surfaces the same candidates with the same witnessed maps as
+    :func:`_gather_reference` -- same pair sets, same scores, same
+    witness order -- without an object per surfaced set: per reference
+    element the backend merges the posting runs, scores the merged keys
+    against the index's forward column, and only the pairs that beat
+    the element's bound are ever touched again.
     """
     bounds = signature.element_bounds
     token_based = phi.kind.is_token_based
-    candidates: dict[int, CandidateInfo] = {}
     deleted = collection.deleted_ids
     # Hoisted no-op fast path: a fully open size window (what the
     # pipeline passes when the size filter is disabled) is no gate at
@@ -239,8 +319,21 @@ def _gather_packed(
     ) and size_range[1] == float("inf"):
         size_range = None
     sizes = index.set_sizes()
+    elements = index.posting_elements()
     memoized = memo is not None and memo.enabled
     scanned = distinct = size_drops = 0
+    #: Every surfaced set id; the witnessed maps of the few that have one.
+    surfaced: set[int] = set()
+    best_of: dict[int, dict[int, float]] = {}
+
+    def witness(i: int, kept, scores) -> None:
+        """Record element *i*'s exact NN value per set, where it beats u_i."""
+        positions, values = backend.witnesses(scores, bounds[i])
+        for position, score in zip(positions, values):
+            best = best_of.setdefault(kept[position] >> PACK_SHIFT, {})
+            if score > best.get(i, 0.0):
+                best[i] = score
+
     # Edit kinds: per-element probes are merged first and their scoring
     # deferred, so one backend.edit_values batch covers the whole query
     # (the numpy backend runs its lane-parallel Myers kernel across it).
@@ -249,7 +342,6 @@ def _gather_packed(
     for i, tokens in enumerate(signature.per_element):
         if not tokens:
             continue
-        bound_i = bounds[i]
         probe = reference.elements[i]
         # This element's posting runs, shortest first so short lists
         # seed the merge and prune the accumulated run early.
@@ -265,68 +357,40 @@ def _gather_packed(
         size_drops += n_drops
         if not len(kept):
             continue
+        surfaced.update(map(rshift, kept, repeat(PACK_SHIFT)))
         if token_based:
-            pairs = [(key >> PACK_SHIFT, key & PACK_MASK) for key in kept]
-            scores = backend.indexed_token_similarities(
-                probe.index_tokens, collection, pairs, phi
+            witness(
+                i,
+                kept,
+                backend.indexed_token_similarities(
+                    probe.index_tokens, elements, kept, phi
+                ),
             )
-            # Merged keys arrive sorted, so one candidate set's pairs
-            # are consecutive: carry the info across the run instead of
-            # a dict probe per pair.
-            last_set = -2
-            info: CandidateInfo | None = None
-            for (set_id, _), score in zip(pairs, scores):
-                if set_id != last_set:
-                    info = candidates.get(set_id)
-                    if info is None:
-                        info = candidates[set_id] = CandidateInfo(set_id)
-                    last_set = set_id
-                if score > bound_i and score > info.best.get(i, 0.0):
-                    info.best[i] = score
         else:
             # Each distinct candidate text is scored once per reference
             # element -- duplicated texts share the value (the
             # similarity is a pure function of the two strings).
-            texts: list[str] = []
-            misses: list[str] = []
-            by_text: dict[str, bool] = {}
-            for key in kept:
-                other = collection[key >> PACK_SHIFT].elements[
-                    key & PACK_MASK
-                ].text
-                texts.append(other)
-                if other not in by_text:
-                    by_text[other] = True
-                    misses.append(other)
-            deferred.append((i, bound_i, probe.text, kept, texts, misses))
+            texts = list(map(_TEXT, map(elements.__getitem__, kept)))
+            deferred.append(
+                (i, probe.text, kept, texts, list(dict.fromkeys(texts)))
+            )
 
     if deferred:
         # One floored-phi task per (reference element, distinct text);
-        # *bound_i* lets the banded scalar path bail out early and caps
+        # the bound lets the banded scalar path bail out early and caps
         # the vector path's certified-rejection band.
         tasks = [
-            (text, other, bound_i)
-            for _, bound_i, text, _, _, misses in deferred
-            for other in misses
+            (text, other, bounds[i])
+            for i, text, _, _, distinct_texts in deferred
+            for other in distinct_texts
         ]
         values = backend.edit_values(phi, tasks, memo if memoized else None)
         pos = 0
-        for i, bound_i, _, kept, texts, misses in deferred:
-            end = pos + len(misses)
-            score_of = dict(zip(misses, values[pos:end]))
+        for i, _, kept, texts, distinct_texts in deferred:
+            end = pos + len(distinct_texts)
+            score_of = dict(zip(distinct_texts, values[pos:end]))
             pos = end
-            last_set = -2
-            info = None
-            for key, other in zip(kept, texts):
-                set_id = key >> PACK_SHIFT
-                if set_id != last_set:
-                    info = candidates.get(set_id)
-                    if info is None:
-                        info = candidates[set_id] = CandidateInfo(set_id)
-                    last_set = set_id
-                score = score_of[other]
-                if score > bound_i and score > info.best.get(i, 0.0):
-                    info.best[i] = score
+            witness(i, kept, list(map(score_of.__getitem__, texts)))
 
     # Empty-after-tokenisation reference elements score similarity 1
     # against any empty candidate element, yet neither side carries a
@@ -342,7 +406,7 @@ def _gather_packed(
     if empty_ref:
         empty_keys = index.empty_posting_keys()
         if len(empty_keys):
-            witness = phi.threshold(1.0)
+            top = phi.threshold(1.0)
             kept, n_scanned, n_distinct, n_drops = (
                 backend.merge_distinct_postings(
                     [empty_keys], skip_set, deleted, sizes, size_range
@@ -351,18 +415,14 @@ def _gather_packed(
             scanned += n_scanned
             distinct += n_distinct
             size_drops += n_drops
-            last_set = -2
-            for key in kept:
-                set_id = key >> PACK_SHIFT
-                if set_id == last_set:
-                    continue
-                last_set = set_id
-                info = candidates.get(set_id)
-                if info is None:
-                    info = candidates[set_id] = CandidateInfo(set_id)
-                for i in empty_ref:
-                    if witness > bounds[i] and witness > info.best.get(i, 0.0):
-                        info.best[i] = witness
+            with_empty = set(map(rshift, kept, repeat(PACK_SHIFT)))
+            surfaced |= with_empty
+            beaten = [i for i in empty_ref if top > bounds[i]]
+            for set_id in with_empty if beaten else ():
+                best = best_of.setdefault(set_id, {})
+                for i in beaten:
+                    if top > best.get(i, 0.0):
+                        best[i] = top
 
     if pass_stats is not None:
         pass_stats.select_postings_scanned += scanned
@@ -372,7 +432,22 @@ def _gather_packed(
         sp.set_attr("postings_scanned", scanned)
         sp.set_attr("distinct_pairs", distinct)
         sp.set_attr("size_gate_drops", size_drops)
-    return candidates
+
+    # Gains accumulate with += in the maps' insertion order -- the sum
+    # CandidateInfo.gain takes (sum() is compensated on 3.12: not it).
+    gain_of: dict[int, float] = {}
+    for set_id, best in best_of.items():
+        total = 0.0
+        for i, score in best.items():
+            total += score - bounds[i]
+        gain_of[set_id] = total
+    set_ids = sorted(surfaced)
+    return (
+        set_ids,
+        list(map(sizes.__getitem__, set_ids)),
+        list(map(gain_of.get, set_ids, repeat(0.0))),
+        [best_of.get(set_id) or {} for set_id in set_ids],
+    )
 
 
 def _gather_reference(
@@ -439,8 +514,13 @@ def _gather_reference(
         if not pairs:
             continue
         if token_based:
-            scores = backend.indexed_token_similarities(
-                probe.index_tokens, collection, pairs, phi
+            scores = backend.token_similarities(
+                probe.index_tokens,
+                [
+                    collection[set_id].elements[j].index_tokens
+                    for set_id, j in pairs
+                ],
+                phi,
             )
         elif memo is not None and memo.enabled:
             scores = [

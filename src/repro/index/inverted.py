@@ -22,6 +22,17 @@ invariant of the tuple era carries over unchanged.  :meth:`postings`
 still materialises :class:`Posting` tuples for callers that want the
 row view; the hot paths never do.
 
+Beside the posting lists the index keeps one *forward column*: packed
+posting key -> the :class:`~repro.core.records.ElementRecord` it
+addresses (:meth:`InvertedIndex.posting_elements`).  Candidate
+selection scores every merged key against that element's tokens or
+text, and one ``dict`` probe per key -- driven by a C-level ``map`` --
+replaces the ``collection[set_id].elements[j]`` dereference.  The
+column shares the records' own objects (no copies), is filled by
+:meth:`~InvertedIndex.add_record` and pruned by
+:meth:`~InvertedIndex.compact`, so it always holds exactly the keys
+the posting lists (and the empty-element list) hold.
+
 Mutability: removals are *lazy*.  Tombstoning a set leaves its postings
 in place (candidate selection skips them via the collection's tombstone
 set) and only bumps a dead-posting counter; :meth:`compact` physically
@@ -36,7 +47,7 @@ from array import array
 from bisect import bisect_left
 from typing import Iterable, NamedTuple, Sequence
 
-from repro.core.records import SetCollection, SetRecord
+from repro.core.records import ElementRecord, SetCollection, SetRecord
 
 #: Bits the set id is shifted left by inside one packed posting key.
 PACK_SHIFT = 32
@@ -87,6 +98,8 @@ class InvertedIndex:
         # the size-gate input the selection kernel reads as a flat
         # column instead of dereferencing collection records per set.
         self._sizes: array = array("q")
+        # Forward column: packed posting key -> the element's record.
+        self._elements: dict[int, ElementRecord] = {}
         self._max_set_id = -1
         self._live_postings = 0
         self._dead_postings = 0
@@ -118,12 +131,14 @@ class InvertedIndex:
         in_order = set_id > self._max_set_id
         base = set_id << PACK_SHIFT
         touched: set[int] = set()
+        elements = self._elements
         for element_index, element in enumerate(record.elements):
+            key = base | element_index
+            elements[key] = element
             if not element.index_tokens:
-                self._empty.append(base | element_index)
+                self._empty.append(key)
                 self._live_postings += 1
                 continue
-            key = base | element_index
             for token in element.index_tokens:
                 postings = lists.get(token)
                 if postings is None:
@@ -194,6 +209,12 @@ class InvertedIndex:
             )
             removed += len(self._empty) - len(kept_empty)
             self._empty = kept_empty
+        if removed:
+            self._elements = {
+                key: element
+                for key, element in self._elements.items()
+                if (key >> PACK_SHIFT) not in deleted
+            }
         self._dead_postings = 0
         self._compactions += 1
         return removed
@@ -283,6 +304,17 @@ class InvertedIndex:
         records are immutable; replacing a set allocates a fresh id.
         """
         return self._sizes
+
+    def posting_elements(self) -> dict[int, ElementRecord]:
+        """Packed posting key -> element record (shared, do not mutate).
+
+        The forward column candidate selection gathers its scoring
+        targets from: one entry per stored element, holding the
+        collection's own :class:`~repro.core.records.ElementRecord`.
+        Like the posting lists it keeps tombstoned sets' entries until
+        :meth:`compact`.
+        """
+        return self._elements
 
     def tokens(self) -> Iterable[int]:
         """The indexed token ids (one per posting list), unordered."""

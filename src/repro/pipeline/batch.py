@@ -2,9 +2,12 @@
 
 Stages exchange a :class:`CandidateBatch` -- parallel arrays of set
 ids, cardinalities, witnessed-similarity maps and score upper bounds --
-instead of per-candidate objects.  The numeric columns are plain lists
-at rest; compute backends lift them into their preferred representation
-(numpy arrays, etc.) per kernel call, so the batch type itself stays
+instead of per-candidate objects.  The select stage does not convert
+into this form: the index probe
+(:func:`repro.filters.check.select_columns`) emits the columns and the
+stage installs them.  The numeric columns are plain lists at rest;
+compute backends lift them into their preferred representation (numpy
+arrays, etc.) per kernel call, so the batch type itself stays
 backend-neutral and picklable.
 """
 
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.records import SetCollection
 from repro.filters.check import CandidateInfo
 
 
@@ -60,22 +62,6 @@ class CandidateBatch:
             gains=[self.gains[k] for k in indices],
             estimates=[self.estimates[k] for k in indices],
             best=[self.best[k] for k in indices],
-        )
-
-    @classmethod
-    def from_infos(
-        cls,
-        infos: Sequence[CandidateInfo],
-        collection: SetCollection,
-        bounds: tuple[float, ...],
-    ) -> "CandidateBatch":
-        """Columnarise the check probe's per-candidate infos."""
-        return cls(
-            set_ids=[info.set_id for info in infos],
-            sizes=[len(collection[info.set_id]) for info in infos],
-            gains=[info.gain(bounds) for info in infos],
-            estimates=[float("inf")] * len(infos),
-            best=[info.best for info in infos],
         )
 
     def to_infos(self) -> list[CandidateInfo]:

@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from repro.core.constants import EPSILON
 from repro.core.results import SearchResult, relatedness_value
 from repro.core.stats import PassStats
-from repro.filters.check import select_and_check
+from repro.filters.check import select_columns
 from repro.filters.nearest_neighbor import nn_filter_columns
 from repro.matching.reduction import reduced_matching_score
 from repro.matching.score import edit_weight_matrices, matching_score
@@ -117,22 +117,24 @@ class CandidateSelectStage(Stage):
             )
             stats.initial_candidates = len(state.batch)
             return
-        infos = select_and_check(
+        set_ids, sizes, gains, best = select_columns(
             plan.reference,
             state.signature,
             plan.index,
             plan.phi,
-            plan.theta - EPSILON,
             plan.collection,
-            apply_check=False,
             size_range=plan.size_range,
             skip_set=plan.skip_set,
             backend=plan.backend,
             memo=plan.memo,
             pass_stats=stats,
         )
-        state.batch = CandidateBatch.from_infos(
-            infos, plan.collection, state.signature.element_bounds
+        state.batch = CandidateBatch(
+            set_ids=set_ids,
+            sizes=sizes,
+            gains=gains,
+            estimates=[float("inf")] * len(set_ids),
+            best=best,
         )
         stats.initial_candidates = len(state.batch)
 

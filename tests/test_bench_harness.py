@@ -1,7 +1,13 @@
 """Tests for the benchmark harness and reporting helpers."""
 
+import importlib
 import json
+import sys
+from pathlib import Path
 
+import pytest
+
+from repro.backends import available_backends, get_backend
 from repro.bench.harness import run_discovery, run_search, run_workload
 from repro.bench.reporting import format_series
 from repro.bench.trajectory import (
@@ -117,3 +123,46 @@ class TestReporting:
         )
         assert "candidates" in text
         assert "42" in text
+
+
+E2E = Path(__file__).resolve().parents[1] / "benchmarks" / "e2e"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    # The tracer imports its sibling ``clock`` module by bare name.
+    sys.path.insert(0, str(E2E))
+    try:
+        yield importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(E2E))
+
+
+class TestTracerWrapPoints:
+    """``benchmarks/e2e/tracer.py`` replaces program callables by name.
+
+    A renamed method surfaces there as a bare ``AttributeError`` -- for
+    a backend method, a bare ``StopIteration`` -- in the middle of a
+    benchmark run; these name the missing attribute instead.
+    """
+
+    def test_wrap_points_resolve(self, tracer):
+        missing = []
+        for module_name, cls, attribute, span_name, _ in tracer.WRAP_POINTS:
+            owner = importlib.import_module(module_name)
+            if cls is not None:
+                owner = getattr(owner, cls, None)
+            if owner is None or not callable(getattr(owner, attribute, None)):
+                where = f"{module_name}.{cls}" if cls else module_name
+                missing.append(f"{where}.{attribute} ({span_name})")
+        assert not missing, f"tracer wrap points missing in src/: {missing}"
+
+    def test_backend_points_resolve_on_every_backend(self, tracer):
+        missing = [
+            f"{type(backend).__name__}.{attribute} ({span_name})"
+            for backend in map(get_backend, available_backends())
+            for attribute, span_name, _ in tracer.BACKEND_POINTS
+            # The tracer wraps the method on the class that defines it.
+            if not any(attribute in vars(cls) for cls in type(backend).__mro__)
+        ]
+        assert not missing, f"tracer backend points missing in src/: {missing}"

@@ -65,7 +65,13 @@ class TestSelectAndCheck:
         checked = select_and_check(
             reference, signature, index, phi, 2.1, collection, apply_check=True
         )
-        assert {c.set_id for c in checked} <= {c.set_id for c in unchecked}
+        # The hoisted residual + gain is the float estimate() computes.
+        assert [c.set_id for c in checked] == [
+            c.set_id
+            for c in unchecked
+            if c.estimate(signature.element_bounds) >= 2.1
+        ]
+        assert 0 < len(checked) < len(unchecked)
 
     def test_related_set_survives_check(self, table2_signature):
         # S4 (id 3) is the true answer at delta = 0.7; the check filter

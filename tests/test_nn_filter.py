@@ -100,13 +100,14 @@ def _oracle_nn_search(
             seen.update(_elements_in_set(index, token, set_id))
         if not seen:
             return best
+        # Re-keyed (PR 15): packed keys against the index's forward column.
         scores = backend.indexed_token_similarities(
             element.index_tokens,
-            collection,
-            [(set_id, j) for j in sorted(seen)],
+            index.posting_elements(),
+            [pack_posting(set_id, j) for j in sorted(seen)],
             phi,
         )
-        top = max(scores)
+        top = float(max(scores))
         return top if top > best else best
     seen_edit = set()
     memoized = memo is not None and memo.enabled

@@ -1,11 +1,12 @@
-"""Packed-array token kernels: identity with the frozenset reference.
+"""Index-backed token kernels: identity with the frozenset reference.
 
-The numpy backend's collection-backed kernels
-(``indexed_token_similarities`` and the packed token weight matrix)
-must be bit-identical to the pure-Python backend on the same inputs --
-including empty elements, empty probes, ephemeral (negative) query
-token ids, and reduction residual records (which must *not* take the
-packed fast path because their set ids alias live records).
+The numpy backend's ``indexed_token_similarities`` (scores per packed
+posting key, gathered off the index's forward column) and its packed
+token weight matrix must be bit-identical to the pure-Python backend
+on the same inputs -- including empty elements, empty probes,
+ephemeral (negative) query token ids, and reduction residual records
+(which must *not* take the packed fast path because their set ids
+alias live records).
 """
 
 import random
@@ -14,6 +15,7 @@ import pytest
 
 from repro.backends import get_backend, numpy_available
 from repro.core.records import SetCollection
+from repro.index.inverted import InvertedIndex, pack_posting
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 
 pytestmark = pytest.mark.skipif(
@@ -23,23 +25,22 @@ pytestmark = pytest.mark.skipif(
 
 @pytest.fixture(autouse=True)
 def force_packed_path():
-    """Zero the adaptive dispatch thresholds so the packed kernels run.
+    """Zero the adaptive dispatch threshold so the packed matrix runs.
 
-    Production dispatch only routes large batches through the packed
-    path (measurement: frozensets win below the thresholds); these
-    tests are about the packed kernels' exactness, so they force them.
+    Production dispatch only routes large matrices through the packed
+    path (measurement: frozensets win below the threshold); these
+    tests are about the packed kernel's exactness, so they force it.
     """
     if not numpy_available():
         yield
         return
     backend = get_backend("numpy")
-    saved = (backend.packed_min_pairs, backend.packed_min_cells)
-    backend.packed_min_pairs = 0
+    saved = backend.packed_min_cells
     backend.packed_min_cells = 0
     try:
         yield
     finally:
-        backend.packed_min_pairs, backend.packed_min_cells = saved
+        backend.packed_min_cells = saved
 
 TOKEN_KINDS = [
     SimilarityKind.JACCARD,
@@ -69,12 +70,13 @@ def test_indexed_similarities_match_python_backend(kind, alpha):
     phi = SimilarityFunction(kind=kind, alpha=alpha)
     python = get_backend("python")
     numpy = get_backend("numpy")
-    pairs = [
-        (set_id, j)
+    elements = InvertedIndex(collection).posting_elements()
+    keys = [
+        pack_posting(set_id, j)
         for set_id in range(len(collection))
         for j in range(len(collection[set_id]))
     ]
-    rng.shuffle(pairs)
+    rng.shuffle(keys)
     probes = [
         collection[0].elements[0].index_tokens,
         frozenset(),
@@ -82,11 +84,12 @@ def test_indexed_similarities_match_python_backend(kind, alpha):
         collection.query_set(["aa zz unseen", ""]).elements[0].index_tokens,
     ]
     for probe in probes:
-        expected = python.indexed_token_similarities(
-            probe, collection, pairs, phi
-        )
-        got = numpy.indexed_token_similarities(probe, collection, pairs, phi)
-        assert got == expected
+        expected = [phi.tokens(probe, elements[key].index_tokens) for key in keys]
+        assert python.indexed_token_similarities(probe, elements, keys, phi) == expected
+        got = numpy.indexed_token_similarities(probe, elements, keys, phi)
+        assert got.tolist() == expected
+        # The witness kernel reads either vector type.
+        assert numpy.witnesses(got, 0.25) == python.witnesses(expected, 0.25)
 
 
 @pytest.mark.parametrize("kind", TOKEN_KINDS)
@@ -113,22 +116,24 @@ def test_weight_matrix_packed_path_matches_python_backend(kind, alpha):
 
 def test_packed_toggle_falls_back_to_frozenset_kernels():
     # The perf harness's baseline switch: packed off must produce the
-    # same numbers through the same entry points.
+    # same numbers through the same entry point.
     rng = random.Random(23)
     collection = _collection(rng, SimilarityKind.JACCARD)
     phi = SimilarityFunction(kind=SimilarityKind.JACCARD)
     numpy = get_backend("numpy")
-    pairs = [(0, j) for j in range(len(collection[0]))]
-    probe = collection[1].elements[0].index_tokens
-    with_packed = numpy.indexed_token_similarities(probe, collection, pairs, phi)
+    reference = collection.query_set(["aa bb", "", "cc dd ee"])
+    candidate = collection[1]
+    with_packed = numpy.weight_matrix(
+        reference, candidate, phi, collection=collection
+    )
     numpy.packed_enabled = False
     try:
-        without_packed = numpy.indexed_token_similarities(
-            probe, collection, pairs, phi
+        without_packed = numpy.weight_matrix(
+            reference, candidate, phi, collection=collection
         )
     finally:
         numpy.packed_enabled = True
-    assert with_packed == without_packed
+    assert with_packed.tolist() == without_packed.tolist()
 
 
 def test_service_compaction_prunes_dead_packed_sets():
@@ -136,11 +141,13 @@ def test_service_compaction_prunes_dead_packed_sets():
     from repro.service import SilkMothService
 
     service = SilkMothService(
-        SilkMothConfig(delta=0.5, backend="numpy"), compact_dead_fraction=1.0
+        # No reduction: its residual records never take the packed path.
+        SilkMothConfig(delta=0.5, backend="numpy", reduction=False),
+        compact_dead_fraction=1.0,
     )
     for _ in range(6):
         service.add_set(["aa bb", "cc dd"])
-    service.search(["aa bb"])  # packs the live sets
+    service.search(["aa bb"])  # verification packs the live sets
     backend = service.engine.backend
     store = backend._store(service.collection)
     assert 0 in store._sets

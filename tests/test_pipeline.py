@@ -11,7 +11,6 @@ from repro.core.engine import SilkMoth
 from repro.core.parallel import parallel_discover
 from repro.core.partitioned import partitioned_discover
 from repro.core.records import SetCollection
-from repro.filters.check import CandidateInfo
 from repro.pipeline import CandidateBatch, QueryPlan, size_range
 from repro.service import SilkMothService
 
@@ -121,18 +120,20 @@ class TestCandidateBatch:
         assert taken.best == [{0: 0.1}, {1: 0.9}]
         assert len(taken) == 2
 
-    def test_round_trip_through_infos(self):
-        collection = SetCollection.from_strings(SETS)
-        infos = [CandidateInfo(1, {0: 0.9}), CandidateInfo(3)]
+    def test_row_view_of_the_columns(self):
         bounds = (0.5, 0.5)
-        batch = CandidateBatch.from_infos(infos, collection, bounds)
-        assert batch.set_ids == [1, 3]
-        assert batch.sizes == [len(collection[1]), len(collection[3])]
-        assert batch.gains == pytest.approx([0.4, 0.0])
+        batch = CandidateBatch(
+            set_ids=[1, 3],
+            sizes=[2, 4],
+            gains=[0.4, 0.0],
+            estimates=[float("inf")] * 2,
+            best=[{0: 0.9}, {}],
+        )
         back = batch.to_infos()
         assert [info.set_id for info in back] == [1, 3]
         assert back[0].best == {0: 0.9}
         assert back[0].estimate(bounds) == pytest.approx(1.4)
+        assert [info.gain(bounds) for info in back] == pytest.approx(batch.gains)
 
 
 class TestCrossDriverIdentity:

@@ -1,9 +1,13 @@
 """Unit tests for the data model and the inverted index."""
 
+import random
+
 import pytest
 
+from repro.core.config import SilkMothConfig
 from repro.core.records import SetCollection
-from repro.index.inverted import InvertedIndex, pack_posting
+from repro.index.inverted import PACK_MASK, PACK_SHIFT, InvertedIndex, pack_posting
+from repro.service import SilkMothService
 from repro.sim.functions import SimilarityKind
 
 
@@ -191,3 +195,114 @@ class TestIndexMutability:
         index = InvertedIndex(jaccard_collection)
         assert index.dead_fraction > 0.0
         assert index.compact() == 2                  # set2: "a" + "h"
+
+
+def _stored_keys(index):
+    """Every packed key some posting list (or the empty list) holds."""
+    keys = set(index.empty_posting_keys())
+    for token in index.tokens():
+        keys.update(index.posting_keys(token))
+    return keys
+
+
+def _assert_forward_column_consistent(index, collection):
+    column = index.posting_elements()
+    assert set(column) == _stored_keys(index)
+    for key, element in column.items():
+        # The collection's own record, not a copy.
+        assert element is collection[key >> PACK_SHIFT].elements[key & PACK_MASK]
+
+
+def _live_keys(collection):
+    return {
+        pack_posting(record.set_id, j)
+        for record in collection.iter_live()
+        for j in range(len(record))
+    }
+
+
+class TestForwardColumn:
+    """The key -> element column lives and dies with the postings."""
+
+    WORDS = ["aa", "bb", "cc", "dd", "ee", "ff", "gg"]
+
+    def _elements(self, rng):
+        # 0 words -> an empty-after-tokenisation element.
+        return [
+            " ".join(rng.choice(self.WORDS) for _ in range(rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
+
+    def _mutate(self, service, rng, steps=60):
+        """A seeded add / update / remove stream, consistent at every step."""
+        for _ in range(steps):
+            live = service.live_set_ids()
+            op = rng.random()
+            if op < 0.4 or len(live) < 3:
+                service.add_set(self._elements(rng))
+            elif op < 0.7:
+                service.update_set(rng.choice(live), self._elements(rng))
+            else:
+                service.remove_set(rng.choice(live))
+            _assert_forward_column_consistent(service.index, service.collection)
+
+    @pytest.mark.parametrize("wal", [False, True])
+    def test_column_tracks_service_mutations(self, tmp_path, wal):
+        config = SilkMothConfig(delta=0.5)
+        rng = random.Random(1503)
+        service = SilkMothService(
+            config,
+            SetCollection.from_strings([self._elements(rng) for _ in range(8)]),
+            wal_dir=tmp_path / "log" if wal else False,
+            # Low enough that the stream compacts on its own, too.
+            compact_dead_fraction=0.3,
+        )
+        self._mutate(service, rng)
+        assert service.stats.compactions > 0
+        # One more tombstone, so the explicit compaction has work.
+        service.remove_set(service.live_set_ids()[0])
+        service.compact()
+        assert set(service.index.posting_elements()) == _live_keys(
+            service.collection
+        )
+        rebuilt = InvertedIndex(service.collection)
+        rebuilt.compact()
+        assert rebuilt.posting_elements() == service.index.posting_elements()
+        # The column is derived state: the logical-state digest of this
+        # seeded stream is the one the parent commit computes.
+        fingerprint = service.state_fingerprint()
+        assert fingerprint == "5fc7bfabeadcb4ee90367eee98e86b29"
+        if wal:
+            service.close()
+            recovered = SilkMothService.recover(tmp_path / "log", config)
+            try:
+                assert recovered.state_fingerprint() == fingerprint
+                _assert_forward_column_consistent(
+                    recovered.index, recovered.collection
+                )
+                recovered.compact()
+                assert set(recovered.index.posting_elements()) == _live_keys(
+                    recovered.collection
+                )
+            finally:
+                recovered.close()
+
+    def test_out_of_order_add_record(self):
+        collection = SetCollection.from_strings(
+            [["a b", ""], ["b c"], ["a c", "", "d"]]
+        )
+        in_order = InvertedIndex(collection)
+        empty = SetCollection.from_strings([], vocabulary=collection.vocabulary)
+        shuffled = InvertedIndex(empty)
+        for set_id in (2, 0, 1):
+            shuffled.add_record(collection[set_id])
+        assert shuffled.posting_elements() == in_order.posting_elements()
+        assert set(shuffled.posting_elements()) == _stored_keys(shuffled)
+
+    def test_column_pickles_with_the_index(self):
+        import pickle
+
+        collection = SetCollection.from_strings([["a b", ""], ["b c"]])
+        index = pickle.loads(pickle.dumps(InvertedIndex(collection)))
+        # References survive: the copy's column shares its collection's records.
+        _assert_forward_column_consistent(index, index.collection)
