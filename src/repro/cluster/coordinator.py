@@ -38,8 +38,9 @@ import os
 import time
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
+from repro.backends import get_backend
 from repro.cluster.routing import (
     ReferenceProbe,
     ShardSummary,
@@ -115,6 +116,14 @@ MAX_BACKOFF_SECONDS = 0.5
 #: Internal sentinel: a shard request that found no surviving replica
 #: (distinguishable from a legitimate ``None`` reply).
 _LOST = object()
+
+
+def _close_quietly(transport: ShardTransport) -> None:
+    """Close an endpoint that is being discarded, whatever state it is in."""
+    try:
+        transport.close()
+    except Exception:  # noqa: BLE001 - endpoint already dead
+        pass
 
 
 class ClusterDegradedError(ShardTransportError):
@@ -294,13 +303,16 @@ class SilkMothCluster:
         """Shared constructor body (``__init__``, ``from_sets``, ``load``).
 
         *shard_states* is one ``(raw_sets, deleted_local_ids)`` pair per
-        shard; summaries are built here from the live sets' tokens.
+        shard; summaries are built here from the live sets' tokens,
+        while the shard workers construct (:meth:`_spawn_replicas`).
         Each logical shard gets *replicas* transport endpoints holding
         identical state; *fault_plan* (tests only) wraps every endpoint
         in a :class:`~repro.cluster.faults.FaultyTransport`.  With
         *recover_from_wal* (the :meth:`load` path), replicas whose WAL
         directory holds a log are rebuilt from disk and verified
-        against *shard_states* before being trusted.
+        against *shard_states* before being trusted.  Every replica has
+        answered ready when this returns, and a construction error
+        raises from here with every started worker closed.
         """
         self.config = config
         self._tokenizer = Tokenizer(
@@ -318,31 +330,42 @@ class SilkMothCluster:
         #: From-disk replica rebuilds that failed verification and fell
         #: back to coordinator state (observability for the tests).
         self.wal_revive_fallbacks = 0
+        # Resolve the compute backend here, once, before any worker
+        # exists: forked workers inherit the loaded singleton instead of
+        # each importing the numpy kernels inside its own construction.
+        get_backend(config.backend)
+        self._summaries: list[ShardSummary] = []
+
+        def build_summaries() -> None:
+            for raw_sets, deleted in shard_states:
+                summary = ShardSummary(make_token_summary(summary_bits))
+                dead = set(deleted)
+                for local_id, elements in enumerate(raw_sets):
+                    if local_id in dead:
+                        continue
+                    summary.add_set_tokens(
+                        *element_token_hashes(self._tokenizer, elements)
+                    )
+                self._summaries.append(summary)
+
+        endpoints = self._spawn_replicas(
+            [
+                (k, r, raw_sets, deleted)
+                for k, (raw_sets, deleted) in enumerate(shard_states)
+                for r in range(self._replica_count)
+            ],
+            try_recover=recover_from_wal,
+            meanwhile=build_summaries,
+        )
         #: Per shard: its replica transports (identical state each).
         self._shards: "list[list[ShardTransport]]" = [
-            [
-                self._spawn_replica(
-                    k, r, raw_sets, deleted, try_recover=recover_from_wal
-                )
-                for r in range(self._replica_count)
-            ]
-            for k, (raw_sets, deleted) in enumerate(shard_states)
+            endpoints[k * self._replica_count:(k + 1) * self._replica_count]
+            for k in range(n_shards)
         ]
         #: Per shard, per replica: whether the endpoint is serving.
         self._healthy: "list[list[bool]]" = [
             [True] * self._replica_count for _ in range(n_shards)
         ]
-        self._summaries: list[ShardSummary] = []
-        for raw_sets, deleted in shard_states:
-            summary = ShardSummary(make_token_summary(summary_bits))
-            dead = set(deleted)
-            for local_id, elements in enumerate(raw_sets):
-                if local_id in dead:
-                    continue
-                summary.add_set_tokens(
-                    *element_token_hashes(self._tokenizer, elements)
-                )
-            self._summaries.append(summary)
         #: Global id -> (shard index, shard-local id); append-only.
         self._placement: list[tuple[int, int]] = []
         #: Global id -> raw element texts (the coordinator's directory).
@@ -514,12 +537,14 @@ class SilkMothCluster:
         self, shard: int, replica: int, raw_sets, deleted,
         recover: bool = False,
     ) -> ShardTransport:
-        """Spawn one transport endpoint holding *shard*'s state.
+        """Start one transport endpoint holding *shard*'s state.
 
-        With *recover*, the endpoint ignores *raw_sets*/*deleted* and
-        rebuilds its service from its own WAL directory -- the caller
-        is responsible for verifying the result against coordinator
-        state before trusting it (see :meth:`_spawn_replica`).
+        The endpoint may still be constructing when this returns (see
+        :func:`~repro.cluster.transport.make_transport`).  With
+        *recover*, it ignores *raw_sets*/*deleted* and rebuilds its
+        service from its own WAL directory -- the caller is responsible
+        for verifying the result against coordinator state before
+        trusting it (see :meth:`_spawn_replicas`).
         """
         inner = make_transport(
             self._transport_name,
@@ -534,47 +559,93 @@ class SilkMothCluster:
             return FaultyTransport(inner, self._fault_plan, shard, replica)
         return inner
 
-    def _spawn_replica(
-        self, shard: int, replica: int, raw_sets, deleted,
-        try_recover: bool = False,
-    ) -> ShardTransport:
-        """Build one replica, preferring its on-disk WAL when asked.
+    def _recovered_as_expected(
+        self, transport: ShardTransport, raw_sets, deleted
+    ) -> bool:
+        """Whether a from-disk replica came up holding exactly this state.
 
-        The from-disk path is trust-but-verify: the recovered replica's
-        exported state must equal the expected ``(raw_sets, deleted)``
-        exactly, or the endpoint is discarded and rebuilt from that
-        authoritative state instead (counted in
-        :attr:`wal_revive_fallbacks`).  Any failure along the recovery
-        path -- corrupt log, dead worker, mismatched config -- falls
-        back the same way: recovery must never be able to make things
-        worse than a plain rebuild.
+        Any failure along the recovery path -- corrupt log, dead
+        worker, mismatched config -- reads as "no": recovery must never
+        be able to make things worse than a plain rebuild.
         """
-        wal_dir = self._replica_wal_dir(shard, replica)
-        if try_recover and wal_dir is not None and wal_directory_in_use(wal_dir):
-            transport = None
-            try:
-                transport = self._make_replica(
-                    shard, replica, (), (), recover=True
+        try:
+            transport.await_ready()
+            exported_sets, exported_deleted, _ = transport.request(
+                "export", timeout=self._deadline
+            )
+        except Exception:  # noqa: BLE001 - recovery must never block a rebuild
+            return False
+        return [tuple(s) for s in exported_sets] == [
+            tuple(elements) for elements in raw_sets
+        ] and sorted(exported_deleted) == sorted(deleted)
+
+    def _spawn_replicas(
+        self,
+        slots: list,
+        try_recover: bool = False,
+        meanwhile: "Callable[[], None] | None" = None,
+    ) -> "list[ShardTransport]":
+        """Build the replicas in *slots*, all at once; one endpoint each.
+
+        *slots* is a list of ``(shard, replica, raw_sets, deleted)``.
+        Construction is two-phase: every endpoint is *started* (worker
+        forked, construction tuple shipped) before the first one is
+        *awaited*, so the workers tokenise and index concurrently, and
+        *meanwhile* -- coordinator-side work that needs no shard -- runs
+        in between, while they do.  Every endpoint has answered ready
+        by the time this returns; if any step raises, every endpoint
+        started here is closed first, so a failed construction leaves
+        no orphaned worker behind.
+
+        With *try_recover*, a replica whose WAL directory holds a log
+        starts from disk instead.  That path is trust-but-verify: the
+        recovered replica's exported state must equal the expected
+        ``(raw_sets, deleted)`` exactly, or the endpoint is discarded
+        and rebuilt from that authoritative state (counted in
+        :attr:`wal_revive_fallbacks`).
+        """
+        endpoints: "list[ShardTransport]" = []
+        recovering: "list[bool]" = []
+        try:
+            for shard, replica, raw_sets, deleted in slots:
+                wal_dir = self._replica_wal_dir(shard, replica)
+                recover = (
+                    try_recover
+                    and wal_dir is not None
+                    and wal_directory_in_use(wal_dir)
                 )
-                exported_sets, exported_deleted, _ = transport.request(
-                    "export", timeout=self._deadline
-                )
-                expected_sets = [tuple(elements) for elements in raw_sets]
-                if (
-                    [tuple(s) for s in exported_sets] == expected_sets
-                    and sorted(exported_deleted) == sorted(deleted)
-                ):
-                    return transport
-                transport.close()
-                self.wal_revive_fallbacks += 1
-            except Exception:  # noqa: BLE001 - recovery must never block a rebuild
-                if transport is not None:
+                if recover:
                     try:
-                        transport.close()
-                    except Exception:  # noqa: BLE001 - endpoint already dead
-                        pass
-                self.wal_revive_fallbacks += 1
-        return self._make_replica(shard, replica, raw_sets, deleted)
+                        endpoints.append(
+                            self._make_replica(
+                                shard, replica, (), (), recover=True
+                            )
+                        )
+                    except Exception:  # noqa: BLE001 - inline shards recover here
+                        self.wal_revive_fallbacks += 1
+                        recover = False
+                if not recover:
+                    endpoints.append(
+                        self._make_replica(shard, replica, raw_sets, deleted)
+                    )
+                recovering.append(recover)
+            if meanwhile is not None:
+                meanwhile()
+            for i, (shard, replica, raw_sets, deleted) in enumerate(slots):
+                if recovering[i] and not self._recovered_as_expected(
+                    endpoints[i], raw_sets, deleted
+                ):
+                    _close_quietly(endpoints[i])
+                    self.wal_revive_fallbacks += 1
+                    endpoints[i] = self._make_replica(
+                        shard, replica, raw_sets, deleted
+                    )
+                endpoints[i].await_ready()
+        except BaseException:
+            for transport in endpoints:
+                _close_quietly(transport)
+            raise
+        return endpoints
 
     @property
     def replica_count(self) -> int:
@@ -786,10 +857,15 @@ class SilkMothCluster:
         directory and silently replaced by a plain rebuild on any
         mismatch (see :attr:`wal_revive_fallbacks`), so the flag can
         only change *how* a replica comes back, never *what* it holds.
+
+        The replacements are built concurrently
+        (:meth:`_spawn_replicas`) and all-or-nothing: if one fails to
+        construct, every replacement is closed, the error propagates
+        and the replicas stay dead.
         """
         self._ensure_open()
         targets = range(self.n_shards) if shard is None else [shard]
-        revived = 0
+        slots = []
         for k in targets:
             state = None
             for r in range(self._replica_count):
@@ -797,17 +873,14 @@ class SilkMothCluster:
                     continue
                 if state is None:
                     state = self._shard_state(k)
-                try:
-                    self._shards[k][r].close()
-                except Exception:  # noqa: BLE001 - endpoint already dead
-                    pass
-                self._shards[k][r] = self._spawn_replica(
-                    k, r, *state, try_recover=from_disk
-                )
-                self._healthy[k][r] = True
-                self.stats.replicas_revived += 1
-                revived += 1
-        return revived
+                _close_quietly(self._shards[k][r])
+                slots.append((k, r, *state))
+        endpoints = self._spawn_replicas(slots, try_recover=from_disk)
+        for (k, r, _, _), transport in zip(slots, endpoints):
+            self._shards[k][r] = transport
+            self._healthy[k][r] = True
+            self.stats.replicas_revived += 1
+        return len(slots)
 
     # ------------------------------------------------------------------
     # Mutations
@@ -1382,7 +1455,12 @@ class SilkMothCluster:
         return payload
 
     def plan_report(self) -> str:
-        """Human-readable per-shard planner summary (``cluster info``)."""
+        """Human-readable per-shard planner summary (``cluster info``).
+
+        Each shard line ends with the planner's own reason for the
+        shard's backend, so "why is this shard on python" needs no
+        :meth:`shard_infos` dig.
+        """
         lines = [
             f"cluster: {self.n_shards} shard(s), transport "
             f"{self._transport_name}, routing "
@@ -1394,11 +1472,21 @@ class SilkMothCluster:
         ]
         for k, entry in enumerate(self.shard_infos()):
             decision = entry.get("decision", {})
+            backend = decision.get("backend", "?")
+            why = next(
+                (
+                    reason.removeprefix(f"backend={backend} ")
+                    for reason in decision.get("reasons", ())
+                    if reason.startswith("backend=")
+                ),
+                "unknown",
+            )
             lines.append(
                 f"  shard {k}: {entry.get('live_sets', 0)} live set(s), "
                 f"scheme={decision.get('scheme', '?')}, "
-                f"backend={decision.get('backend', '?')}, "
-                f"full_scan={decision.get('full_scan', '?')}"
+                f"backend={backend}, "
+                f"full_scan={decision.get('full_scan', '?')}; "
+                f"backend {why}"
             )
         return "\n".join(lines)
 

@@ -325,6 +325,10 @@ class FaultyTransport(ShardTransport):
         self.inner.kill()
         raise ShardTransportError(reason)
 
+    def await_ready(self) -> None:
+        """Await the inner transport's construction (never faulted)."""
+        self.inner.await_ready()
+
     def submit(self, command: str, payload: tuple) -> None:
         """Forward one submit, unless a submit-side fault fires first."""
         if self._dead:

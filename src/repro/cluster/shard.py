@@ -9,6 +9,15 @@ tombstoned local sets, lazy posting deletion, threshold compaction and
 per-shard re-planning against the shard's own
 :class:`~repro.planner.cost.IndexProfile`.
 
+That profile is the shard's slice, not the cluster's, and the planner's
+backend rule reads posting lists rather than set count
+(:data:`~repro.planner.cost.NUMPY_MIN_PROBE_WORK`): a shard of a few
+dozen dense sets plans the same batched numpy kernels the single node
+would, a shard of sparse ones stays on python.  A worker process does
+not import those kernels itself -- the coordinator resolves the backend
+before it forks (see :mod:`repro.cluster.transport`), so constructing a
+host costs tokenise + index + plan and nothing else.
+
 Local ids are shard-private and append-only (never reused); the
 coordinator owns the global numbering and the mapping between the two.
 The host never learns about routing -- summaries are coordinator state

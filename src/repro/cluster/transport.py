@@ -28,6 +28,18 @@ compute concurrently.  Each transport owns exactly one shard;
 request/response pairs are strictly ordered per transport, which keeps
 the protocol trivial (no request ids).
 
+Construction is pipelined the same way, in two phases.  *Start*
+(:func:`make_transport`, i.e. the transport constructors) forks the
+worker and ships it the construction tuple; *await-ready*
+(:meth:`ShardTransport.await_ready`) blocks for the worker's "ready"
+reply and raises its construction error.  A coordinator starts every
+replica before it awaits the first, so N workers tokenise and index at
+once, and awaits them all before its own constructor returns.  Workers
+are forked where the platform forks (Linux), so they inherit every
+module -- and the compute-backend singleton -- the coordinator process
+already loaded; on a spawn-start platform each worker re-imports
+:mod:`repro` (and numpy) from scratch, inside its construction.
+
 Errors raised inside a worker travel back as a formatted traceback and
 re-raise coordinator-side as :class:`ShardTransportError` -- a shard
 failure must never silently shrink a result set.
@@ -114,6 +126,16 @@ class ShardTransport(abc.ABC):
         immediately and never time out).  Calling without a pending
         ``submit`` raises :class:`ShardTransportError` on every
         transport -- protocol misuse fails fast and uniformly.
+        """
+
+    def await_ready(self) -> None:
+        """Block until the shard behind this endpoint is constructed.
+
+        Second phase of the construction handshake (the constructor is
+        the first): raises :class:`ShardTransportError` when the worker
+        failed to build its shard or died trying.  Idempotent; the
+        default is a no-op because an in-process shard is built by the
+        time its constructor returns.
         """
 
     def request(
@@ -253,8 +275,10 @@ class _RemoteTransport(ShardTransport):
         self._conn: Connection | None = None
         self._process: multiprocessing.Process | None = None
         self._outstanding = 0
+        #: Whether the worker's construction reply has been consumed.
+        self._ready = False
 
-    def _handshake(
+    def _start(
         self,
         config: SilkMothConfig,
         raw_sets: Sequence[Sequence[str]],
@@ -263,7 +287,7 @@ class _RemoteTransport(ShardTransport):
         wal_dir: "str | None" = None,
         recover: bool = False,
     ) -> None:
-        """Ship the construction tuple and wait for the ready reply."""
+        """Ship the construction tuple; the reply is :meth:`await_ready`'s."""
         self._conn.send(
             (
                 config,
@@ -274,9 +298,16 @@ class _RemoteTransport(ShardTransport):
                 recover,
             )
         )
+
+    def await_ready(self) -> None:
+        """Wait for the worker's ready reply (or its construction error)."""
+        if self._ready:
+            return
+        if self._conn is None:
+            raise ShardTransportError("transport is closed")
         try:
             ok, value = self._conn.recv()
-        except EOFError as exc:
+        except (OSError, EOFError) as exc:
             # A worker that died during construction (e.g. an armed
             # crash point in its recovery path) closes the pipe without
             # a reply.
@@ -285,11 +316,16 @@ class _RemoteTransport(ShardTransport):
             ) from exc
         if not ok:
             raise ShardTransportError(f"shard worker failed to start: {value}")
+        self._ready = True
 
     def submit(self, command: str, payload: tuple) -> None:
         """Send one command; the worker replies in submission order."""
         if self._conn is None:
             raise ShardTransportError("transport is closed")
+        if not self._ready:
+            # Replies pair with requests by order alone: the construction
+            # reply must be consumed before the first command's can be.
+            self.await_ready()
         try:
             self._conn.send((command, payload))
         except (OSError, BrokenPipeError) as exc:
@@ -328,9 +364,13 @@ class _RemoteTransport(ShardTransport):
         if self._conn is None:
             return
         try:
-            # Drain anything outstanding so the close reply pairs up; a
-            # bounded wait per reply keeps close() from hanging forever
-            # on a worker that will never answer.
+            # Drain anything outstanding (the construction reply of a
+            # started-but-never-awaited worker included) so the close
+            # reply pairs up; a bounded wait per reply keeps close()
+            # from hanging forever on a worker that will never answer.
+            if not self._ready and not self._conn.poll(5):
+                raise ShardTimeoutError("shard worker is still constructing")
+            self.await_ready()
             while self._outstanding > 0:
                 self.collect(timeout=5)
             self._conn.send(("close", ()))
@@ -381,7 +421,7 @@ class ProcessTransport(_RemoteTransport):
         self._process.start()
         child.close()
         self._conn = parent
-        self._handshake(
+        self._start(
             config, raw_sets, deleted, compact_dead_fraction,
             wal_dir, recover,
         )
@@ -429,7 +469,7 @@ class SocketTransport(_RemoteTransport):
             self._conn = listener.accept()
         finally:
             listener.close()
-        self._handshake(
+        self._start(
             config, raw_sets, deleted, compact_dead_fraction,
             wal_dir, recover,
         )
@@ -452,10 +492,15 @@ def make_transport(
     wal_dir: "str | None" = None,
     recover: bool = False,
 ) -> ShardTransport:
-    """Construct one shard behind the named transport.
+    """Start one shard behind the named transport.
 
-    *wal_dir* / *recover* pass straight through to
-    :class:`~repro.cluster.shard.ShardHost`: the replica's private
+    Returns as soon as the worker has been handed its construction
+    tuple, so a caller can start further shards while this one builds.
+    :meth:`~ShardTransport.await_ready` blocks until the shard is
+    built and raises its construction error; ``submit`` and ``close``
+    imply it, so an endpoint that is simply used behaves as if it had
+    been ready all along.  *wal_dir* / *recover* pass straight through
+    to :class:`~repro.cluster.shard.ShardHost`: the replica's private
     write-ahead-log directory, and whether to rebuild from it instead
     of from *raw_sets*.
     """

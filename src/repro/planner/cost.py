@@ -8,17 +8,20 @@ inverted index in O(distinct tokens); the ``choose_*`` functions turn a
 profile into a (choice, reason) pair the plan report can show verbatim.
 
 The heuristics are deliberately coarse: they pick between options that
-are all exact, so a wrong guess costs only speed.  The thresholds
-mirror what the benchmark suite measures (``benchmarks/test_fig5_*``,
-``benchmarks/test_backend_speedup.py``, and
-``benchmarks/test_planner_overhead.py``).
+are all exact, so a wrong guess costs only speed.  The scheme
+thresholds mirror what the benchmark suite measures
+(``benchmarks/test_fig5_*``, ``benchmarks/test_planner_overhead.py``);
+the backend cutover (:data:`NUMPY_MIN_PROBE_WORK`) sits in the gap of
+the crossover table in ``docs/parameters.md``, measured with
+``discover()`` pinned to each backend on dense and sparse collections
+of 6 to 512 sets.
 
 Measured costs beat fixed constants when available: point
 ``SILKMOTH_COST_PROFILE`` at a perf-trajectory file written by
 ``tools/bench_trajectory.py`` (its ``calibration`` section records
 wall-clock per backend on the pinned workloads) and
 :func:`choose_backend` will prefer the backend that was actually
-fastest on this machine over the :data:`NUMPY_MIN_SETS` guess.
+fastest on this machine over the probe-work guess.
 """
 
 from __future__ import annotations
@@ -46,10 +49,17 @@ EXHAUSTIVE_MAX_SETS = 32
 #: dichotomy: very hot tokens make whole-element saturation too eager.
 SKYLINE_SKEW = 8.0
 
-#: Below this many live sets the numpy backend's per-kernel overhead
-#: (array lifting, dispatch) exceeds what vectorisation recovers, so
-#: auto-selection stays with the pure-Python backend.
-NUMPY_MIN_SETS = 64
+#: Below this much :attr:`IndexProfile.probe_work` the batches an index
+#: probe hands the numpy kernels stay under the kernels' own per-call
+#: gates, so every call pays array lifting and dispatch and then runs
+#: the scalar path anyway; auto-selection stays with the pure-Python
+#: backend.  Set count does not predict that (36 dense sets vectorise
+#: 3x, 128 sparse ones lose 20 %); posting-list length times posting
+#: count does.  The measured crossover lies between 30 000 and 43 000
+#: (``docs/parameters.md``); the cutover takes the low end because a
+#: wrong guess towards numpy costs <= 1.3x of milliseconds and a wrong
+#: guess towards python 3-4x of seconds.
+NUMPY_MIN_PROBE_WORK = 32_768
 
 
 @dataclass(frozen=True)
@@ -124,6 +134,20 @@ class IndexProfile:
         if self.mean_list_length <= 0.0:
             return 1.0
         return self.max_list_length / self.mean_list_length
+
+    @property
+    def probe_work(self) -> float:
+        """Postings scanned when every posting's own list is probed once.
+
+        ``total_postings * mean_list_length``: how many postings there
+        are to probe with, times how long a list one probe hands the
+        kernels -- the self-join's select work and, through the
+        candidates it surfaces, its similarity batches.  (A lower bound
+        of the exact sum of squared list lengths, tight for uniform
+        lists, so hot tokens only ever push a real workload further
+        above the cutover than this says.)
+        """
+        return self.total_postings * self.mean_list_length
 
     def to_dict(self) -> dict:
         """JSON-serialisable summary (plan reports, service metadata)."""
@@ -325,8 +349,14 @@ def choose_backend(
 
     With *measured* timings covering at least two available backends
     (``SILKMOTH_COST_PROFILE``), the measured-fastest one wins
-    outright; the fixed :data:`NUMPY_MIN_SETS` threshold is only the
-    fallback guess for machines that never ran the harness.
+    outright.  Otherwise one size rule decides: numpy when the index's
+    :attr:`~IndexProfile.probe_work` reaches
+    :data:`NUMPY_MIN_PROBE_WORK`, python below it -- the fallback guess
+    for machines that never ran the harness.  The numpy kernels gate
+    themselves per call (``edit_batch_min_tasks``,
+    ``select_min_postings``, ``packed_min_cells``), so this rule only
+    has to keep collections whose every batch would fall under those
+    gates off the array path.
     """
     backends = available_backends()
     if measured is not None:
@@ -350,10 +380,20 @@ def choose_backend(
             )
     if "numpy" not in backends:
         return "python", "numpy not installed"
-    if profile is not None and profile.live_sets < NUMPY_MIN_SETS:
+    if profile is None:
+        return "numpy", "numpy installed; no index statistics to size against"
+    work = (
+        f"probe work {profile.probe_work:,.0f} ({profile.total_postings} "
+        f"postings x mean list {profile.mean_list_length:.1f})"
+    )
+    if profile.probe_work < NUMPY_MIN_PROBE_WORK:
         return (
             "python",
-            f"{profile.live_sets} live sets < {NUMPY_MIN_SETS}: "
-            "kernel dispatch overhead would exceed vectorisation gains",
+            f"{work} < {NUMPY_MIN_PROBE_WORK:,}: probes hand the kernels "
+            "batches too short to repay array dispatch",
         )
-    return "numpy", "numpy installed and workload large enough to vectorise"
+    return (
+        "numpy",
+        f"{work} >= {NUMPY_MIN_PROBE_WORK:,}: probes hand the kernels "
+        "batches long enough to vectorise",
+    )

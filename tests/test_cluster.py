@@ -23,6 +23,7 @@ from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
 from repro.service import SilkMothService
 from strategies import (
+    clustered_edit_sets,
     collections,
     edit_configs,
     string_collections,
@@ -305,6 +306,65 @@ def test_cluster_run_stats_aggregate_funnel():
         assert cluster.run_stats.matches >= 1
         assert cluster.last_pass.merged.matches >= 1
         assert cluster.last_pass.shards_total == 2
+
+
+def _funnel(stats):
+    return (
+        stats.passes,
+        stats.initial_candidates,
+        stats.after_check,
+        stats.after_nn,
+        stats.verified,
+        stats.matches,
+    )
+
+
+@pytest.mark.skipif(
+    "numpy" not in available_backends(), reason="numpy not installed"
+)
+def test_dense_shards_plan_numpy_and_stay_identical(monkeypatch):
+    """Small dense shards get the batched kernels; nothing else changes.
+
+    36 sets per shard is under the old set-count cutover, but their
+    posting lists are long, so the planner's probe-work rule hands
+    every shard the numpy backend -- with pairs, scores and funnel
+    equal to the single node and to the same cluster pinned to python.
+    """
+    from repro.core.config import SilkMothConfig
+    from repro.sim.functions import SimilarityKind
+
+    monkeypatch.delenv("SILKMOTH_BACKEND", raising=False)
+    monkeypatch.delenv("SILKMOTH_COST_PROFILE", raising=False)
+    config = SilkMothConfig(
+        similarity=SimilarityKind.EDS, delta=0.5, alpha=0.6
+    )
+    sets = clustered_edit_sets(
+        seed=3, clusters=24, sets_per_cluster=3, strings=6
+    )
+    engine = SilkMoth(
+        SetCollection.from_strings(
+            sets, kind=config.similarity, q=config.effective_q
+        ),
+        config,
+    )
+    expected = engine.discover()
+    runs = [
+        (config, "inline", "numpy"),
+        (config, "process", "numpy"),
+        (replace(config, backend="python"), "inline", "python"),
+    ]
+    for run_config, transport, backend in runs:
+        with SilkMothCluster.from_sets(
+            sets, run_config, shards=2, transport=transport
+        ) as cluster:
+            decisions = [info["decision"] for info in cluster.shard_infos()]
+            assert [d["backend"] for d in decisions] == [backend] * 2
+            assert cluster.discover() == expected
+            assert _funnel(cluster.run_stats) == _funnel(engine.stats)
+            if run_config.backend is None:
+                # `cluster info` says why, not only what.
+                report = cluster.plan_report()
+                assert report.count("backend auto-selected: probe work") == 2
 
 
 def test_shard_count_knob_resolution(monkeypatch):

@@ -9,6 +9,8 @@ error mirroring, and clean shutdown.
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.cluster import (
@@ -200,3 +202,72 @@ def test_kill_is_abrupt_and_normalizes_use_after_kill(transport):
     with pytest.raises(ShardTransportError):
         endpoint.collect()
     endpoint.close()  # close after kill stays a no-op
+
+
+# ----------------------------------------------------------------------
+# Two-phase construction: start every worker, then await every ready
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("transport", REMOTE_TRANSPORTS)
+def test_await_ready_raises_the_workers_construction_error(transport):
+    """Start returns at once; the construction error is await_ready's."""
+    # recover=True without a wal_dir makes ShardHost raise in the worker.
+    endpoint = make_transport(transport, CONFIG, recover=True)
+    process = endpoint._process
+    try:
+        with pytest.raises(ShardTransportError, match="failed to start"):
+            endpoint.await_ready()
+    finally:
+        endpoint.close()
+    assert not process.is_alive()
+
+
+@pytest.mark.parametrize("transport", REMOTE_TRANSPORTS)
+def test_cluster_constructor_raises_worker_construction_errors(
+    transport, tmp_path
+):
+    """A failed worker surfaces from from_sets, not from the first query."""
+    not_a_directory = tmp_path / "wal"
+    not_a_directory.write_text("a file where the WAL base should be")
+    before = set(multiprocessing.active_children())
+    with pytest.raises(ShardTransportError, match="failed to start"):
+        SilkMothCluster.from_sets(
+            DATA, CONFIG, shards=2, transport=transport,
+            wal_dir=not_a_directory,
+        )
+    assert set(multiprocessing.active_children()) <= before
+
+
+def test_failed_construction_closes_the_workers_already_started(monkeypatch):
+    """Shard k failing to start must not orphan shards 0..k-1."""
+    from repro.cluster import coordinator
+
+    calls = []
+
+    def second_shard_fails(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError("no room for shard 1")
+        return make_transport(*args, **kwargs)
+
+    monkeypatch.setattr(coordinator, "make_transport", second_shard_fails)
+    before = set(multiprocessing.active_children())
+    with pytest.raises(MemoryError, match="no room for shard 1"):
+        SilkMothCluster.from_sets(
+            DATA, CONFIG, shards=3, transport="process"
+        )
+    assert len(calls) == 2
+    assert set(multiprocessing.active_children()) <= before
+
+
+@pytest.mark.parametrize("transport", REMOTE_TRANSPORTS)
+def test_constructor_returns_only_after_every_replica_is_ready(transport):
+    """No construction reply is left for the first command to trip on."""
+    with SilkMothCluster.from_sets(
+        DATA, CONFIG, shards=2, replicas=2, transport=transport
+    ) as cluster:
+        endpoints = [t for replicas in cluster._shards for t in replicas]
+        assert len(endpoints) == 4
+        for endpoint in endpoints:
+            assert endpoint._ready
+            assert not endpoint._conn.poll(0)  # nothing unread on the wire
+            assert endpoint.request("ping") == "pong"

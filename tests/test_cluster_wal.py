@@ -132,22 +132,28 @@ def test_save_records_wal_positions_and_load_recovers(tmp_path):
         loaded.close()
 
 
-def test_load_with_wal_falls_back_when_log_ran_ahead(tmp_path):
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_load_with_wal_falls_back_when_log_ran_ahead(tmp_path, transport):
     manifest = tmp_path / "cluster.json"
-    with _cluster(tmp_path, replicas=1) as cluster:
+    with _cluster(tmp_path, replicas=1, transport=transport) as cluster:
+        expected = cluster.search(BROAD_REFERENCE)
         cluster.save(manifest)
-        cluster.add_set(["mutation after the save"])
-        expected_without = None  # closed without saving the add
+        cluster.add_set(["mutation after the save"])  # never saved
 
     loaded = SilkMothCluster.load(
-        manifest, CONFIG, replicas=1, wal_dir=tmp_path / "wal"
+        manifest,
+        CONFIG,
+        replicas=1,
+        transport=transport,
+        wal_dir=tmp_path / "wal",
     )
     try:
         # The shard that took the unsaved add diverges from the
-        # manifest; the manifest wins and the divergence is counted.
+        # manifest; the manifest wins and the divergence is counted
+        # (the other shard came back from its log, started alongside).
         assert loaded.wal_revive_fallbacks == 1
         assert len(loaded) == len(DATA)
-        assert expected_without is None
+        assert loaded.search(BROAD_REFERENCE) == expected
     finally:
         loaded.close()
 

@@ -2,8 +2,8 @@
 
 The ROADMAP's "calibrate from measured timings" item, minimal version:
 when ``SILKMOTH_COST_PROFILE`` points at a perf-trajectory file, the
-cost model must prefer the measured-fastest backend over the fixed
-``NUMPY_MIN_SETS`` constant -- and must keep every exactness property
+cost model must prefer the measured-fastest backend over its fixed
+probe-work cutover -- and must keep every exactness property
 untouched (the backend never changes results, only speed).
 """
 

@@ -353,3 +353,99 @@ def test_replicated_cluster_info_reports_health():
         assert cluster.replica_health() == [[True, True], [True, True]]
         assert cluster.lost_shards() == []
         assert cluster.revive() == 0  # nothing to do on a healthy cluster
+
+
+# ----------------------------------------------------------------------
+# Construction: every replica starts before the first one is awaited
+# ----------------------------------------------------------------------
+@pytest.fixture
+def handshake_log(monkeypatch):
+    """Record the order of worker starts and first ready-awaits."""
+    from repro.cluster.transport import ProcessTransport
+
+    log = []
+    start, await_ready = ProcessTransport._start, ProcessTransport.await_ready
+
+    def logged_start(self, *args, **kwargs):
+        log.append("start")
+        start(self, *args, **kwargs)
+
+    def logged_await(self):
+        if not self._ready:
+            log.append("await")
+        await_ready(self)
+
+    monkeypatch.setattr(ProcessTransport, "_start", logged_start)
+    monkeypatch.setattr(ProcessTransport, "await_ready", logged_await)
+    return log
+
+
+def test_replicas_and_revivals_are_built_concurrently(handshake_log):
+    """2 shards x 2 replicas: four starts, then four awaits -- under a
+    fault plan too, and again for the replicas revive() brings back."""
+    plan = FaultPlan([FaultEvent(kind="kill_shard", shard=1, after=1)])
+    with _oracle_for(DATA, CONFIG) as oracle, SilkMothCluster.from_sets(
+        DATA,
+        CONFIG,
+        shards=2,
+        replicas=2,
+        transport="process",
+        fault_plan=plan,
+        backoff=0.0,
+    ) as cluster:
+        assert handshake_log == ["start"] * 4 + ["await"] * 4
+        del handshake_log[:]
+        cluster.search(BROAD_REFERENCE)  # the plan kills replica (1, 0)
+        cluster._shards[1][1].kill()
+        cluster._shards[0][0].kill()
+        with pytest.raises(ClusterDegradedError):
+            cluster.discover()
+        assert cluster.replica_health() == [[False, True], [False, False]]
+        assert cluster.revive() == 3
+        assert handshake_log == ["start"] * 3 + ["await"] * 3
+        assert cluster.replica_health() == [[True, True], [True, True]]
+        assert cluster.discover() == oracle.discover()
+
+
+@pytest.mark.skipif(
+    "numpy" not in available_backends(), reason="numpy not installed"
+)
+def test_numpy_backend_workers_fail_over_exactly(monkeypatch):
+    """Killing a worker that runs the batched kernels is still invisible.
+
+    Dense shards of 18 sets get the numpy backend from the planner
+    (nothing pinned); a replica of each shard dies mid-discovery and
+    the rows still equal the single node's, scores included.
+    """
+    from repro.sim.functions import SimilarityKind
+    from strategies import clustered_edit_sets
+
+    monkeypatch.delenv("SILKMOTH_BACKEND", raising=False)
+    monkeypatch.delenv("SILKMOTH_COST_PROFILE", raising=False)
+    config = SilkMothConfig(
+        similarity=SimilarityKind.EDS, delta=0.5, alpha=0.6
+    )
+    sets = clustered_edit_sets(
+        seed=11, clusters=12, sets_per_cluster=3, strings=6
+    )
+    plan = FaultPlan(
+        [
+            FaultEvent(kind="kill_shard", shard=0, command="search", after=5),
+            FaultEvent(kind="hang", shard=1, command="search", after=9),
+        ]
+    )
+    with _oracle_for(sets, config) as oracle, SilkMothCluster.from_sets(
+        sets,
+        config,
+        shards=2,
+        replicas=2,
+        transport="process",
+        fault_plan=plan,
+        backoff=0.0,
+    ) as cluster:
+        backends = [i["decision"]["backend"] for i in cluster.shard_infos()]
+        assert backends == ["numpy", "numpy"]
+        assert cluster.discover() == oracle.discover()
+        assert len(plan.fired_events()) == 2
+        assert cluster.stats.failovers >= 2
+        assert cluster.lost_shards() == []
