@@ -37,23 +37,36 @@ def big_columns():
     return collection, references[: max(5, scaled(10))]
 
 
+#: Interleaved NOREDUCTION / REDUCTION rounds per theta; each side keeps
+#: its best round, so one scheduling hiccup on a shared box cannot
+#: decide a comparison whose margin is under 10 %.
+ROUNDS = 3
+
+
 @pytest.fixture(scope="module")
 def fig7_results(big_columns):
     collection, references = big_columns
     times = {"NOREDUCTION": [], "REDUCTION": []}
     matches = {"NOREDUCTION": [], "REDUCTION": []}
     for delta in THETAS:
-        for label, reduction in (("NOREDUCTION", False), ("REDUCTION", True)):
-            config = SilkMothConfig(
-                metric=Relatedness.CONTAINMENT,
-                delta=delta,
-                alpha=0.0,
-                scheme="dichotomy",
-                reduction=reduction,
-            )
-            result = run_search(collection, config, references, label)
-            times[label].append(result.seconds)
-            matches[label].append(result.matches)
+        best = {}
+        found = {}
+        for _ in range(ROUNDS):
+            for label, reduction in (("NOREDUCTION", False), ("REDUCTION", True)):
+                config = SilkMothConfig(
+                    metric=Relatedness.CONTAINMENT,
+                    delta=delta,
+                    alpha=0.0,
+                    scheme="dichotomy",
+                    reduction=reduction,
+                )
+                result = run_search(collection, config, references, label)
+                best[label] = min(best.get(label, result.seconds), result.seconds)
+                found.setdefault(label, set()).add(result.matches)
+        for label in times:
+            times[label].append(best[label])
+            (count,) = found[label]  # every round found the same matches
+            matches[label].append(count)
     return times, matches
 
 
@@ -70,8 +83,14 @@ def test_fig7_series(fig7_results):
 
 def test_fig7_reduction_is_faster_overall(fig7_results):
     times, _ = fig7_results
+    reduced, plain = sum(times["REDUCTION"]), sum(times["NOREDUCTION"])
+    print(
+        f"\nfig7 sweep totals: NOREDUCTION {plain:.3f}s, REDUCTION "
+        f"{reduced:.3f}s, ratio {reduced / plain:.3f} "
+        f"(best of {ROUNDS} interleaved rounds per theta)"
+    )
     # Wall-clock can be noisy per point; require the sweep total to win.
-    assert sum(times["REDUCTION"]) < sum(times["NOREDUCTION"])
+    assert reduced < plain
 
 
 def test_fig7_benchmark_reduction(big_columns, benchmark):

@@ -36,7 +36,9 @@ from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_left
 from contextlib import nullcontext
+from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -78,7 +80,7 @@ from repro.obs.instrument import (
     observe_transport_error,
 )
 from repro.obs.trace import current_context, ingest, span
-from repro.pipeline.driver import keep_discovery_pair
+from repro.pipeline.driver import discovery_floor, keep_discovery_pair
 from repro.planner.cost import IndexProfile, merge_profiles
 from repro.service.batch import plan_batch
 from repro.service.cache import (
@@ -1115,9 +1117,18 @@ class SilkMothCluster:
         ]
 
     def _search_cold(
-        self, elements: Sequence[str], skip_gid: "int | None" = None
+        self,
+        elements: Sequence[str],
+        skip_gid: "int | None" = None,
+        first_locals: "Sequence[int] | None" = None,
     ) -> tuple[list[SearchResult], ClusterPassStats]:
-        """Route, fan out, merge: one uncached cluster search pass."""
+        """Route, fan out, merge: one uncached cluster search pass.
+
+        *skip_gid* and *first_locals* are :meth:`discover`'s: the
+        member set to skip and, per shard, the local id its pass starts
+        at (the reference's candidate floor in that shard's numbering).
+        A shard whose table ends below its floor is not routed.
+        """
         self._ensure_open()
         if len(elements) == 0:
             # The single-node engine answers an empty reference without
@@ -1136,6 +1147,14 @@ class SilkMothCluster:
             else:
                 # Broadcast mode never consults the probe; skip hashing.
                 selected = list(range(self.n_shards))
+            if first_locals is None:
+                first_locals = [0] * self.n_shards
+            else:
+                selected = [
+                    k
+                    for k in selected
+                    if first_locals[k] < len(self._shard_to_global[k])
+                ]
             query_span.set_attr("routed", len(selected))
             skip_shard, skip_local = None, None
             if skip_gid is not None and self.is_live(skip_gid):
@@ -1146,7 +1165,12 @@ class SilkMothCluster:
             # even across worker processes.
             trace_ctx = current_context()
             payloads = [
-                (payload, skip_local if k == skip_shard else None, trace_ctx)
+                (
+                    payload,
+                    skip_local if k == skip_shard else None,
+                    first_locals[k],
+                    trace_ctx,
+                )
                 for k in selected
             ]
             replies = self._fanout_read(
@@ -1304,14 +1328,44 @@ class SilkMothCluster:
         ordering) to :meth:`repro.SilkMoth.discover` on the same data.
         Bypasses the query cache: member-set passes carry self-skip
         semantics that external queries must never inherit.
+
+        Under the symmetric SET-SIMILARITY metric a reference's pass
+        probes only the sets after it, as on a single node
+        (:func:`~repro.pipeline.driver.discovery_floor`).  The floor is
+        a global id and shards number their sets locally, so each
+        routed shard is sent the first local id that can hold a global
+        id at or above it: one bisect over the running maximum of the
+        shard's local -> global table.  Every local id below that maps
+        to a global id under the floor, so the cut is always sound; it
+        is also tight while the table ascends, which :meth:`rebalance`
+        ends (it appends an old global id to the lightest shard) --
+        from then on a shard may surface a few sets from under the
+        floor, and the pair rule on the merged rows, which the floor
+        only anticipates, drops them.  A reference with no global id at
+        or above its floor (the last one) runs no pass at all.
         """
         symmetric = self.config.metric is Relatedness.SIMILARITY
         output: list[DiscoveryResult] = []
         with span("cluster.discover", live_sets=len(self)):
+            running_max = [
+                list(accumulate(table, max)) for table in self._shard_to_global
+            ]
             for gid in range(len(self._placement)):
                 if gid in self._deleted:
                     continue
-                results, _ = self._search_cold(self._raw[gid], skip_gid=gid)
+                floor = discovery_floor(
+                    gid, self_mode=True, symmetric=symmetric
+                )
+                if floor >= len(self._placement):
+                    continue
+                first_locals = None
+                if floor:
+                    first_locals = [
+                        bisect_left(running, floor) for running in running_max
+                    ]
+                results, _ = self._search_cold(
+                    self._raw[gid], skip_gid=gid, first_locals=first_locals
+                )
                 for result in results:
                     if keep_discovery_pair(
                         gid, result.set_id, self_mode=True, symmetric=symmetric

@@ -135,6 +135,7 @@ class ShardHost:
         self,
         elements: Sequence[str],
         skip_local: int | None,
+        first_local: int = 0,
         trace_ctx: "tuple[str, str] | None" = None,
     ):
         """One search pass; returns (results, PassStats, trace spans).
@@ -143,7 +144,12 @@ class ShardHost:
         -- token ids unknown to this shard resolve to ephemeral
         negative ids that match nothing, which is exactly the semantics
         of "this shard does not contain that token".  *skip_local*
-        excludes one local set (the reference itself, in discovery).
+        excludes one local set (the reference itself, in discovery) and
+        *first_local* every local id below it: the coordinator's
+        translation of a symmetric discovery pass's candidate floor
+        into this shard's numbering (0 = no floor).  Both are plain
+        local ids, identical on every replica of the shard, so a
+        failover retry re-sends the same payload.
 
         *trace_ctx* is the coordinator's ``(trace_id, span_id)``
         context; when present, the pass is traced here and the new
@@ -156,7 +162,7 @@ class ShardHost:
             with span("shard.search", live_sets=service.collection.live_count):
                 reference = service.collection.query_set(elements)
                 results, stats = service.engine.search_with_stats(
-                    reference, skip_set=skip_local
+                    reference, skip_set=skip_local, first_set=first_local
                 )
         service.stats.record_pass(stats)
         return results, stats, spans

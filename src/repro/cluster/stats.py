@@ -63,7 +63,9 @@ class ClusterPassStats:
     shards_total: int = 0
     #: Shards the router actually queried.
     shards_routed: int = 0
-    #: Shards skipped by the summary intersection (provably empty).
+    #: Shards not queried: skipped by the summary intersection
+    #: (provably empty) or, in symmetric self-discovery, holding
+    #: nothing at or above the reference's candidate floor.
     shards_skipped: int = 0
     #: Shard-summed funnel counters and stage timings.
     merged: PassStats = field(default_factory=PassStats)
@@ -94,7 +96,7 @@ class ClusterStats(ServiceStats):
 
     #: Sum of shards queried across every fanned-out query.
     shards_routed_total: int = 0
-    #: Sum of shards skipped by summary routing.
+    #: Sum of shards skipped by summary routing or a discovery floor.
     shards_skipped_total: int = 0
     #: Queries that had to touch every shard (no routing win).
     broadcasts: int = 0

@@ -119,13 +119,18 @@ class SilkMoth:
         return record
 
     def plan(
-        self, reference: SetRecord, skip_set: int | None = None
+        self,
+        reference: SetRecord,
+        skip_set: int | None = None,
+        first_set: int = 0,
     ) -> QueryPlan:
         """The staged :class:`QueryPlan` one search pass will execute.
 
         The plan carries the engine's planner decision;
         ``plan(...).describe()`` renders the same report as ``silkmoth
-        explain``.
+        explain``.  *skip_set* excludes one set id and *first_set*
+        every id below it (the discovery drivers' self-skip and
+        candidate floor, :mod:`repro.pipeline.driver`).
         """
         return QueryPlan.build(
             reference=reference,
@@ -135,6 +140,7 @@ class SilkMoth:
             scheme=self.scheme,
             backend=self.backend,
             skip_set=skip_set,
+            first_set=first_set,
             decision=self.decision,
             memo=self.memo,
         )
@@ -160,21 +166,35 @@ class SilkMoth:
         return format_decision(self.decision, self.config)
 
     def search(
-        self, reference: SetRecord, skip_set: int | None = None
+        self,
+        reference: SetRecord,
+        skip_set: int | None = None,
+        first_set: int = 0,
     ) -> list[SearchResult]:
-        """All sets S related to *reference*: one search pass of Figure 1."""
-        results, _ = self.search_with_stats(reference, skip_set=skip_set)
+        """All sets S related to *reference*: one search pass of Figure 1.
+
+        The pass considers the live sets with id >= *first_set* other
+        than *skip_set*; both default to "the whole collection".
+        """
+        results, _ = self.search_with_stats(
+            reference, skip_set=skip_set, first_set=first_set
+        )
         return results
 
     def search_with_stats(
-        self, reference: SetRecord, skip_set: int | None = None
+        self,
+        reference: SetRecord,
+        skip_set: int | None = None,
+        first_set: int = 0,
     ) -> tuple[list[SearchResult], PassStats]:
         """:meth:`search` plus the pass's funnel counters."""
         if len(reference) == 0:
             return [], PassStats(
                 backend=self.backend.name, scheme=self.scheme.name
             )
-        results, stats = self.plan(reference, skip_set=skip_set).execute()
+        results, stats = self.plan(
+            reference, skip_set=skip_set, first_set=first_set
+        ).execute()
         self.stats.add(stats)
         return results, stats
 
@@ -184,10 +204,11 @@ class SilkMoth:
         """RELATED SET DISCOVERY: all related pairs R x S.
 
         With ``references=None`` (self-discovery, R = S) each unordered
-        pair is reported once under SET-SIMILARITY (which is symmetric)
-        and both directions are searched under SET-CONTAINMENT; self
-        pairs are always excluded.  The pair rules are shared with the
-        parallel and partitioned drivers via
+        pair is reported once under SET-SIMILARITY (which is symmetric:
+        a reference's pass probes only the sets after it) and both
+        directions are searched under SET-CONTAINMENT; self pairs are
+        always excluded.  The pair rules are shared with the parallel
+        and partitioned drivers via
         :func:`repro.pipeline.driver.search_rows`.
         """
         self_mode = references is None

@@ -76,7 +76,15 @@ def _search_chunk(reference_ids: list[int]) -> list[tuple[int, int, float, float
 
 
 def _chunk(ids: list[int], n_chunks: int) -> list[list[int]]:
-    """Split *ids* into at most *n_chunks* contiguous chunks."""
+    """Split *ids* into at most *n_chunks* contiguous chunks.
+
+    In symmetric self-discovery a reference probes only the sets after
+    it, so the chunks get cheaper from first to last (busy time 3:1 on
+    800 sets in 8 chunks).  ``pool.map`` hands them out in that order
+    to whichever worker is free -- longest first -- which keeps two
+    workers within 2 % of an even split; dealing the ids strided was
+    measured and gains nothing (CHANGES.md, PR 19).
+    """
     n_chunks = max(1, min(n_chunks, len(ids)))
     size, remainder = divmod(len(ids), n_chunks)
     chunks = []

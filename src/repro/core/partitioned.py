@@ -6,8 +6,10 @@ implements the natural shard-at-a-time strategy: split the searched
 collection S into partitions, and for each partition build its index,
 run every reference's search pass against it, then discard the index
 before moving on.  Peak memory holds one partition's index instead of
-all of S's, at the cost of running `len(partitions)` search passes per
-reference.
+all of S's, at the cost of running up to `len(partitions)` search
+passes per reference -- about half of that in symmetric self-discovery,
+where a reference probes only the sets after it and a partition lying
+wholly at or below it gets no pass at all.
 
 Correctness is immediate: relatedness of (R, S) depends only on R and
 S, so searching each S-shard independently and concatenating results
@@ -93,9 +95,9 @@ def partitioned_discover(
         )
         engine = SilkMoth(shard, config)
         for reference in reference_collection:
-            # The shared pipeline driver skips the self pair within the
-            # shard holding the reference (by local id) and applies the
-            # symmetric-pair dedup on global ids.
+            # The shared pipeline driver translates the reference's
+            # self-skip / candidate floor into this shard's local ids
+            # and runs no pass when the shard lies wholly below it.
             rows.extend(
                 search_rows(
                     engine,

@@ -23,6 +23,9 @@ class PassStats:
     after_check: int = 0
     after_nn: int = 0
     verified: int = 0
+    #: Related sets the pass found.  A symmetric self-discovery pass
+    #: probes only the sets after its reference, so over a run these
+    #: add up to exactly the reported pairs.
     matches: int = 0
     #: Compute backend that executed the pass ("python" / "numpy").
     backend: str = ""

@@ -31,7 +31,15 @@ Two interchangeable kernels drive the probe:
     gated keys with no per-posting tuple, set or dict traffic.
     Self-match, tombstone and size gates are applied inside the merge
     at run level -- once per candidate set -- and skipped entirely when
-    no gate applies.  The merged keys themselves are scored against
+    no gate applies.  A pass's candidate floor (``first_set``, set by
+    symmetric self-discovery) is not one of those gates: keys ascend by
+    set id, so each run is cut with one ``bisect_left`` *before* the
+    merge and the postings below the floor are never read, merged,
+    counted or masked.  The cut is a slice -- a copy of the suffix, not
+    a view -- because a buffer export over a posting array would make
+    the next :meth:`~repro.index.inverted.InvertedIndex.add_record`
+    raise ``BufferError`` for as long as anything (a traceback, say)
+    kept it alive.  The merged keys themselves are scored against
     the index's forward column
     (:meth:`~repro.index.inverted.InvertedIndex.posting_elements`):
     token kinds by the backend's
@@ -63,6 +71,8 @@ results.
 from __future__ import annotations
 
 import os
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import repeat
 from operator import attrgetter, rshift
@@ -162,6 +172,7 @@ def select_columns(
     backend: ComputeBackend | None = None,
     memo: SimilarityMemo | None = None,
     pass_stats: PassStats | None = None,
+    first_set: int = 0,
 ) -> SelectColumns:
     """Algorithm 1's probe, as the columns of a candidate batch.
 
@@ -182,6 +193,10 @@ def select_columns(
         Optional per-pass stats the packed kernel reports its
         select-funnel counters on (postings scanned, distinct pairs,
         size-gate drops); the reference kernel leaves them untouched.
+    first_set:
+        Candidate floor: only sets with id >= *first_set* are probed
+        (symmetric self-discovery; 0 probes the whole index).  The
+        funnel counters cover only what was read above it.
 
     Returns
     -------
@@ -207,6 +222,7 @@ def select_columns(
                 skip_set,
                 backend,
                 memo,
+                first_set,
             )
             bounds = signature.element_bounds
             infos = [candidates[set_id] for set_id in sorted(candidates)]
@@ -228,6 +244,7 @@ def select_columns(
             memo,
             pass_stats,
             sp,
+            first_set,
         )
 
 
@@ -247,8 +264,9 @@ def select_and_check(
 ) -> list[CandidateInfo]:
     """Algorithm 1, one :class:`CandidateInfo` row per candidate.
 
-    The row-API wrapper around :func:`select_columns` (same parameters)
-    for explain-style callers, baselines and tests; the pipeline
+    The row-API wrapper around :func:`select_columns` (same parameters,
+    minus the discovery-only candidate floor) for explain-style
+    callers, baselines and tests; the pipeline
     consumes the columns directly.  With *apply_check* the candidates
     whose estimate cannot reach *theta* are pruned; without it they are
     only gathered (the NOFILTER configurations of Figure 6), still
@@ -285,6 +303,17 @@ def select_and_check(
     ]
 
 
+def _from_floor(run: array, floor_key: int) -> array:
+    """The part of one ascending posting *run* at or above *floor_key*.
+
+    The run itself when nothing lies below the floor, otherwise a
+    *copy* of the suffix: one bisect and one memcpy per run, and
+    nothing that pins the index's array (see the module docstring).
+    """
+    cut = bisect_left(run, floor_key)
+    return run[cut:] if cut else run
+
+
 def _gather_packed(
     reference: SetRecord,
     signature: Signature,
@@ -297,19 +326,30 @@ def _gather_packed(
     memo: SimilarityMemo | None,
     pass_stats: PassStats | None,
     sp,
+    first_set: int = 0,
 ) -> SelectColumns:
     """The columnar probe: merged key runs in, batch columns out.
 
     Surfaces the same candidates with the same witnessed maps as
     :func:`_gather_reference` -- same pair sets, same scores, same
     witness order -- without an object per surfaced set: per reference
-    element the backend merges the posting runs, scores the merged keys
-    against the index's forward column, and only the pairs that beat
-    the element's bound are ever touched again.
+    element the backend merges the posting runs (each cut at the
+    *first_set* floor first, :func:`_from_floor`), scores the merged
+    keys against the index's forward column, and only the pairs that
+    beat the element's bound are ever touched again.
     """
     bounds = signature.element_bounds
     token_based = phi.kind.is_token_based
     deleted = collection.deleted_ids
+    posting_keys = index.posting_keys
+    floor_key = first_set << PACK_SHIFT
+    if first_set:
+        # Decided once per pass: an unfloored probe reads the index's
+        # runs exactly as before.
+
+        def posting_keys(token: int) -> array:
+            return _from_floor(index.posting_keys(token), floor_key)
+
     # Hoisted no-op fast path: a fully open size window (what the
     # pipeline passes when the size filter is disabled) is no gate at
     # all, so normalise it away here rather than comparing every
@@ -345,7 +385,7 @@ def _gather_packed(
         probe = reference.elements[i]
         # This element's posting runs, shortest first so short lists
         # seed the merge and prune the accumulated run early.
-        runs = [run for run in map(index.posting_keys, tokens) if len(run)]
+        runs = [run for run in map(posting_keys, tokens) if len(run)]
         if not runs:
             continue
         runs.sort(key=len)
@@ -405,6 +445,8 @@ def _gather_packed(
     ]
     if empty_ref:
         empty_keys = index.empty_posting_keys()
+        if first_set:
+            empty_keys = _from_floor(empty_keys, floor_key)
         if len(empty_keys):
             top = phi.threshold(1.0)
             kept, n_scanned, n_distinct, n_drops = (
@@ -460,13 +502,15 @@ def _gather_reference(
     skip_set: int | None,
     backend: ComputeBackend,
     memo: SimilarityMemo | None,
+    first_set: int = 0,
 ) -> dict[int, CandidateInfo]:
     """The original per-posting probe, kept verbatim as the oracle.
 
     Walks :class:`~repro.index.inverted.Posting` tuples with per-pair
     set/dict bookkeeping exactly as the pre-columnar implementation
     did; ``tests/test_select_kernel.py`` pins the packed kernel to its
-    output bit-for-bit.
+    output bit-for-bit.  The *first_set* floor is one more per-posting
+    test here, beside the self-skip it generalises.
     """
     bounds = signature.element_bounds
     token_based = phi.kind.is_token_based
@@ -500,7 +544,7 @@ def _gather_reference(
         pairs: list[tuple[int, int]] = []
         for token in tokens:
             for set_id, element_index in index.postings(token):
-                if set_id == skip_set or set_id in deleted:
+                if set_id < first_set or set_id == skip_set or set_id in deleted:
                     continue
                 key = (set_id, element_index)
                 if key in seen_i:
@@ -557,7 +601,7 @@ def _gather_reference(
     if empty_ref:
         witness = phi.threshold(1.0)
         for set_id, _ in index.empty_postings():
-            if set_id == skip_set or set_id in deleted:
+            if set_id < first_set or set_id == skip_set or set_id in deleted:
                 continue
             if not passes_size_gate(set_id):
                 continue

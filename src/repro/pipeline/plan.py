@@ -87,6 +87,14 @@ class QueryPlan:
     size_range: tuple[float, float]
     skip_set: int | None
     stages: tuple[Stage, ...]
+    #: Candidate floor: the pass considers only the live sets with
+    #: id >= ``first_set`` (0 = the whole collection).  Set by
+    #: symmetric self-discovery alone
+    #: (:func:`repro.pipeline.driver.discovery_floor`) and honoured
+    #: where candidates are born -- the select stage's posting runs
+    #: and its full scan -- so every later stage only ever sees
+    #: surfaced ids.
+    first_set: int = 0
     decision: PlannerDecision | None = None
     #: Cross-stage element-pair similarity memo (edit kinds only;
     #: ``None`` disables memoization for the pass).
@@ -104,6 +112,7 @@ class QueryPlan:
         skip_set: int | None = None,
         decision: PlannerDecision | None = None,
         memo: SimilarityMemo | None = None,
+        first_set: int = 0,
     ) -> "QueryPlan":
         """Assemble the stage sequence for one reference under *config*.
 
@@ -115,7 +124,9 @@ class QueryPlan:
         ``config.scheme``.  *memo* is the engine's cross-stage
         similarity cache; ``None`` builds a fresh one per plan for the
         edit kinds (sized by the config knob) so even direct callers
-        get within-pass reuse.
+        get within-pass reuse.  *skip_set* and *first_set* narrow the
+        candidates to the live sets with id >= *first_set* other than
+        *skip_set*.
         """
         if decision is None:
             decision = plan_query(
@@ -145,6 +156,7 @@ class QueryPlan:
             theta=config.delta * len(reference),
             size_range=size_range(config, len(reference)),
             skip_set=skip_set,
+            first_set=first_set,
             decision=decision,
             memo=memo,
             stages=(

@@ -89,7 +89,8 @@ class CandidateSelectStage(Stage):
     """Probe the index with the signature and build the candidate batch.
 
     Without a signature this degrades to scanning every live set,
-    size-gated through the backend's vectorised mask.
+    size-gated through the backend's vectorised mask.  Either way only
+    sets at or above the plan's ``first_set`` floor become candidates.
     """
 
     name = "select"
@@ -104,6 +105,7 @@ class CandidateSelectStage(Stage):
                 record
                 for record in plan.collection.iter_live()
                 if record.set_id != plan.skip_set
+                and record.set_id >= plan.first_set
             ]
             keep = plan.backend.size_filter_indices(
                 [len(record) for record in records], lo, hi
@@ -125,6 +127,7 @@ class CandidateSelectStage(Stage):
             plan.collection,
             size_range=plan.size_range,
             skip_set=plan.skip_set,
+            first_set=plan.first_set,
             backend=plan.backend,
             memo=plan.memo,
             pass_stats=stats,

@@ -128,11 +128,13 @@ class TestMetricsFromTraffic:
         total_passes = sum(
             child.value for _, child in passes.series()
         )
-        assert total_passes == len(DATA)
+        # Symmetric self-discovery: every reference but the last (which
+        # has no set after it) runs a pass.
+        assert total_passes == len(DATA) - 1
         funnel = registry.get("silkmoth_candidates_total")
         assert funnel.value(stage="initial") >= funnel.value(stage="verified")
         hist = registry.get("silkmoth_pass_seconds")
-        assert sum(child.count for _, child in hist.series()) == len(DATA)
+        assert sum(child.count for _, child in hist.series()) == len(DATA) - 1
 
     def test_cluster_traffic_feeds_routing_families(self):
         registry = reset_registry()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.config import SilkMothConfig
+from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
 from repro.core.stats import PassStats, RunStats
@@ -47,7 +47,16 @@ class TestEngineStatsIntegration:
         collection = SetCollection.from_strings(sets)
         engine = SilkMoth(collection, SilkMothConfig(delta=0.7))
         engine.discover()
-        assert engine.stats.passes == 3
+        # Under the symmetric metric a reference probes only the sets
+        # after it, so the last one runs no pass ...
+        assert engine.stats.passes == 2
+        # ... and SET-CONTAINMENT, which is directional, runs them all.
+        containment = SilkMoth(
+            collection,
+            SilkMothConfig(delta=0.7, metric=Relatedness.CONTAINMENT),
+        )
+        containment.discover()
+        assert containment.stats.passes == 3
 
     def test_per_pass_funnel_monotone(self):
         sets = [["x y", "z w"], ["x y", "z q"], ["p p"], ["x y"]]
@@ -63,10 +72,10 @@ class TestEngineStatsIntegration:
             )
 
     def test_matches_equals_results(self):
-        sets = [["a b"], ["a b"], ["a c"]]
+        sets = [["a b"], ["a b"], ["a b c"]]
         collection = SetCollection.from_strings(sets)
         engine = SilkMoth(collection, SilkMothConfig(delta=0.5))
         results = engine.discover()
-        # Each unordered similarity pair is searched from both sides but
-        # reported once; the per-pass matches count both directions.
-        assert engine.stats.matches >= len(results)
+        assert len(results) == 3
+        assert engine.stats.matches == len(results)
+        assert [p.matches for p in engine.stats.per_pass] == [2, 1]
