@@ -50,19 +50,6 @@ def iter_token_pairs(
 _INDEX_TOKENS = attrgetter("index_tokens")
 
 
-def posting_token_sets(
-    elements: Mapping[int, ElementRecord], keys: Sequence[int]
-) -> list[frozenset[int]]:
-    """The ``index_tokens`` of the elements *keys* address, in key order.
-
-    *elements* is the index's forward column
-    (:meth:`repro.index.inverted.InvertedIndex.posting_elements`); the
-    gather is two chained C-level ``map`` passes -- no Python frame per
-    key -- and returns the records' own frozensets.
-    """
-    return list(map(_INDEX_TOKENS, map(elements.__getitem__, keys)))
-
-
 def fill_weight_matrix(
     reference: SetRecord,
     candidate: SetRecord,
@@ -263,29 +250,31 @@ class ComputeBackend(abc.ABC):
     def indexed_token_similarities(
         self,
         probe: frozenset[int],
-        elements: Mapping[int, ElementRecord],
+        elements: Mapping[int, ElementRecord] | Sequence[ElementRecord],
         keys: Sequence[int],
         phi: SimilarityFunction,
-    ):
-        """``phi_alpha(probe, element)`` per packed posting key.
+    ) -> list[float]:
+        """``phi_alpha(probe, elements[key])`` per key of an indexed table.
 
-        Candidate selection's scoring kernel: *keys* are merged posting
-        keys and *elements* the index's forward column from key to
-        element record.  Entry k equals
+        Candidate selection's scoring kernel: *elements* is the index's
+        content table and *keys* the merged ids of the distinct
+        contents one reference element's signature tokens reach (any
+        int-indexable table of records does: the forward column keyed
+        by packed posting key, say).  Entry k equals
         ``phi.tokens(probe, elements[keys[k]].index_tokens)`` bit for
-        bit; the intersection and size counts are taken by C-level
-        ``map`` passes over the gathered frozensets and only the
-        closed-form arithmetic differs per backend
-        (:meth:`~repro.sim.functions.SimilarityFunction.tokens_from_counts`
-        here, one array expression on numpy).  The result is the
-        backend's vector type -- a list here, an ndarray on numpy --
-        which :meth:`witnesses` consumes.
+        bit; the gather, the intersection and the size counts are
+        C-level ``map`` passes over the records' own frozensets -- no
+        Python frame per key -- and the closed form is
+        :meth:`~repro.sim.functions.SimilarityFunction.tokens_from_counts`.
+        One implementation serves every backend: a call scores a few
+        to a few dozen contents, where the scalar ``map`` beats an
+        array expression (measurements: CHANGES.md, PR 20).
         """
         if phi.kind.is_edit_based:
             raise ValueError(
                 "indexed_token_similarities requires a token-based kind"
             )
-        targets = posting_token_sets(elements, keys)
+        targets = list(map(_INDEX_TOKENS, map(elements.__getitem__, keys)))
         return list(
             map(
                 phi.tokens_from_counts,
@@ -296,16 +285,13 @@ class ComputeBackend(abc.ABC):
         )
 
     def witnesses(
-        self, scores, bound: float
+        self, scores: Sequence[float], bound: float
     ) -> Tuple[list[int], list[float]]:
         """Positions k with ``scores[k] > bound``, and those scores.
 
         The check filter's per-element witness test (Algorithm 1):
         only the pairs whose similarity beats the signature bound are
-        ever recorded.  *scores* is a list or this backend's vector
-        type; both results are plain lists, positions ascending.  The
-        default is one scan; the numpy backend answers for its own
-        arrays with one vector compare.
+        ever recorded.  Positions ascend.
         """
         hits = [k for k, score in enumerate(scores) if score > bound]
         return hits, [scores[k] for k in hits]

@@ -6,20 +6,20 @@ kernels vectorise the arithmetic the pipeline runs per candidate batch:
 size and threshold masks, the check-filter bound aggregation, the
 token-similarity formulas, and the Hungarian solve's inner column scan.
 
-Candidate selection's token scoring
-(:meth:`NumpyBackend.indexed_token_similarities`) gathers its targets
-off the index's forward column and counts intersections on the
-records' own frozensets with C-level ``map`` passes; only the closed
-form runs as an array expression.  Large token-kind weight matrices
-additionally avoid per-pair set operations: element token sets are
-packed into int64 arrays once per set (:mod:`repro.backends.packed`)
-and intersection sizes come from one membership scan per row.  All
-paths apply the identical closed-form formulas.
+Candidate selection's token scoring and witness test
+(``indexed_token_similarities`` / ``witnesses``) are deliberately *not*
+overridden: select scores a handful of distinct contents per call, and
+at that size the inherited scalar ``map`` beats lifting the counts into
+arrays.  Large token-kind weight matrices avoid per-pair set
+operations: element token sets are packed into int64 arrays once per
+set (:mod:`repro.backends.packed`) and intersection sizes come from one
+membership scan per row.  All paths apply the identical closed-form
+formulas.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -30,12 +30,11 @@ from repro.backends.base import (
     fill_weight_matrix,
     iter_token_pairs,
     lookup_edit_grid,
-    posting_token_sets,
 )
 from repro.backends.packed import PackedTokenStore, intersection_counts, probe_array
 from repro.backends.select import merge_distinct_postings_python
 from repro.core.constants import EPSILON
-from repro.core.records import ElementRecord, SetCollection, SetRecord
+from repro.core.records import SetCollection, SetRecord
 from repro.index.inverted import PACK_SHIFT
 from repro.matching.hungarian import hungarian_max_weight_numpy
 from repro.sim.functions import SimilarityFunction, SimilarityKind
@@ -460,41 +459,6 @@ class NumpyBackend(ComputeBackend):
         results equal the scalar functions bit for bit.
         """
         return _token_scores(probe, targets, phi).tolist()
-
-    def indexed_token_similarities(
-        self,
-        probe: frozenset[int],
-        elements: Mapping[int, ElementRecord],
-        keys: Sequence[int],
-        phi: SimilarityFunction,
-    ) -> np.ndarray:
-        """``phi_alpha(probe, element)`` per packed posting key, as an ndarray.
-
-        The targets are gathered off the forward column by the same
-        C-level ``map`` passes as the default's; the scores are
-        :meth:`token_similarities`' array expression, left unconverted
-        for :meth:`witnesses`.
-        """
-        if phi.kind.is_edit_based:
-            raise ValueError(
-                "indexed_token_similarities requires a token-based kind"
-            )
-        return _token_scores(probe, posting_token_sets(elements, keys), phi)
-
-    def witnesses(self, scores, bound: float) -> Tuple[list[int], list[float]]:
-        """Positions and values of the scores above *bound*.
-
-        One vector compare for this backend's own arrays (token
-        kinds); a list (the edit kinds' values) takes the default
-        scan, which converting it first would not beat.
-        """
-        if not isinstance(scores, np.ndarray):
-            return super().witnesses(scores, bound)
-        hits = np.flatnonzero(scores > bound)
-        if not hits.size:
-            # The common case: most probes witness nothing.
-            return [], []
-        return hits.tolist(), scores[hits].tolist()
 
     # -- verification kernels ------------------------------------------
     def weight_matrix(

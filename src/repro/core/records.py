@@ -13,6 +13,13 @@ edit-similarity verification) and two tokenised views:
 A :class:`SetCollection` owns a shared :class:`Vocabulary` and a
 :class:`Tokenizer` so that a reference collection R and a searched
 collection S can be tokenised consistently.
+
+Records are *shared*: column data repeats its values, so a collection
+keeps an element dictionary (text -> the one immutable
+:class:`ElementRecord` every occurrence of that text holds) and
+tokenises each distinct text once.  Two elements of one collection are
+the same object exactly when their texts are equal; a set that lists a
+text twice still has two positions.
 """
 
 from __future__ import annotations
@@ -41,6 +48,11 @@ class ElementRecord:
     length:
         The element "size" the paper's formulas use: number of word
         tokens under Jaccard, string length under edit similarity.
+
+    For the token kinds ``signature_tokens`` *is* ``index_tokens`` (one
+    frozenset) and ``length`` its size.  Records are immutable and
+    shared by every occurrence of their text in a collection
+    (:meth:`SetCollection.make_element`).
     """
 
     text: str
@@ -83,12 +95,19 @@ class SetCollection(Sequence):
     code that never mutates sees no tombstones and behaves exactly as
     before; the online service (:mod:`repro.service`) relies on
     :meth:`remove_set` / :meth:`replace_set` for mutability.
+
+    The element dictionary grows with the distinct texts ever added and
+    with nothing else: tombstoned records already live as long as the
+    collection, and query references (:meth:`query_set`) read it
+    without writing.
     """
 
     def __init__(self, tokenizer: Tokenizer, vocabulary: Vocabulary | None = None):
         self.tokenizer = tokenizer
         self.vocabulary = vocabulary if vocabulary is not None else Vocabulary()
         self._sets: list[SetRecord] = []
+        # Element dictionary: text -> the record all its occurrences share.
+        self._records: dict[str, ElementRecord] = {}
         self._deleted: set[int] = set()
         self._deleted_frozen: frozenset[int] = frozenset()
 
@@ -122,8 +141,12 @@ class SetCollection(Sequence):
         Unlike :meth:`add_set`, the record is not appended and unseen
         tokens are NOT interned: they get ephemeral negative ids
         (shared across the record's elements), so serving arbitrary
-        query traffic cannot grow this collection's vocabulary.  The
-        record's ``set_id`` is -1: it does not address this collection.
+        query traffic cannot grow this collection's vocabulary -- or
+        its element dictionary: a text the collection knows reuses the
+        stored record (every token of it is interned, so that record is
+        field for field what tokenising it here would build), an
+        unknown one is tokenised and forgotten.  The record's
+        ``set_id`` is -1: it does not address this collection.
         """
         ephemeral: dict[str, int] = {}
         return SetRecord(
@@ -140,31 +163,38 @@ class SetCollection(Sequence):
         intern: bool = True,
         ephemeral: dict[str, int] | None = None,
     ) -> ElementRecord:
-        """Tokenise a single element string against this collection's vocabulary.
+        """The record of one element string under this collection's vocabulary.
 
+        A text the collection already holds returns the stored record
+        -- the same object -- without tokenising; a new text is
+        tokenised and, when interning, stored for its next occurrence.
         With ``intern=False``, unseen tokens get ephemeral negative ids
-        instead of growing the vocabulary -- for query-side references
-        that are discarded after one search pass.  *ephemeral* carries
-        the shared unseen-token mapping across one record's elements.
+        instead of growing the vocabulary, and the record is not
+        stored -- for query-side references that are discarded after
+        one search pass.  *ephemeral* carries the shared unseen-token
+        mapping across one record's elements.
         """
+        record = self._records.get(text)
+        if record is not None:
+            return record
         if intern:
             to_ids = self.vocabulary.intern_all
         else:
             def to_ids(tokens):
                 return self.vocabulary.resolve_all(tokens, ephemeral)
-        index_tokens = to_ids(self.tokenizer.index_tokens(text))
+        index_tokens = frozenset(to_ids(self.tokenizer.index_tokens(text)))
         if self.tokenizer.kind.is_token_based:
             signature_tokens = index_tokens
-            length = len(set(index_tokens))
+            length = len(index_tokens)
         else:
-            signature_tokens = to_ids(self.tokenizer.signature_tokens(text))
+            signature_tokens = frozenset(
+                to_ids(self.tokenizer.signature_tokens(text))
+            )
             length = len(text)
-        return ElementRecord(
-            text=text,
-            index_tokens=frozenset(index_tokens),
-            signature_tokens=frozenset(signature_tokens),
-            length=length,
-        )
+        record = ElementRecord(text, index_tokens, signature_tokens, length)
+        if intern:
+            self._records[text] = record
+        return record
 
     # -- mutation -------------------------------------------------------
     def remove_set(self, set_id: int) -> SetRecord:
@@ -229,7 +259,9 @@ class SetCollection(Sequence):
         """An empty collection sharing this one's tokenizer and vocabulary.
 
         Use this to tokenise a reference collection R consistently with a
-        searched collection S.
+        searched collection S.  The sibling starts its own (empty)
+        element dictionary: its records equal this collection's for
+        equal texts but are not the same objects.
         """
         return SetCollection(self.tokenizer, self.vocabulary)
 

@@ -41,11 +41,16 @@ class PassStats:
     sim_cache_hits: int = 0
     sim_cache_misses: int = 0
     #: Select-funnel counters reported by the packed selection kernel
-    #: (:mod:`repro.filters.check`): raw posting keys scanned across
-    #: all probes, distinct (set, element) pairs after the merge dedup
-    #: (their ratio is the dedup ratio), and how many distinct pairs
-    #: the size gate alone dropped.  All stay 0 under the reference
-    #: kernel and on full-scan passes.
+    #: (:mod:`repro.filters.check`): what it read, scored and dropped
+    #: by size.  Edit kinds count per posting key -- keys scanned
+    #: across all probes, distinct (set, element) pairs after the merge
+    #: dedup, distinct pairs the size gate alone dropped.  Token kinds
+    #: probe distinct contents -- content-list entries read, distinct
+    #: (reference element, content) pairs scored, candidate *sets* the
+    #: size window dropped in the pass.  The empty-element phase adds
+    #: per posting key on both.  Scanned / distinct is the dedup
+    #: ratio; all stay 0 under the reference kernel and on full-scan
+    #: passes (docs/observability.md, "The select-funnel counters").
     select_postings_scanned: int = 0
     select_distinct_pairs: int = 0
     select_size_gate_drops: int = 0

@@ -21,8 +21,11 @@ explain-style callers, baselines and tests.
 Two interchangeable kernels drive the probe:
 
 ``packed`` (the default)
-    The columnar index-traversal kernel.  Per reference element it
-    gathers the signature tokens' packed posting arrays
+    The columnar index-traversal kernel.  Which level of the index it
+    probes follows from the similarity kind.
+
+    *Edit kinds* probe the occurrence postings.  Per reference element
+    the kernel gathers the signature tokens' packed posting arrays
     (:meth:`~repro.index.inverted.InvertedIndex.posting_keys`), hands
     them -- shortest first -- to the compute backend's
     :meth:`~repro.backends.base.ComputeBackend.merge_distinct_postings`
@@ -39,19 +42,32 @@ Two interchangeable kernels drive the probe:
     a view -- because a buffer export over a posting array would make
     the next :meth:`~repro.index.inverted.InvertedIndex.add_record`
     raise ``BufferError`` for as long as anything (a traceback, say)
-    kept it alive.  The merged keys themselves are scored against
-    the index's forward column
-    (:meth:`~repro.index.inverted.InvertedIndex.posting_elements`):
-    token kinds by the backend's
-    :meth:`~repro.backends.base.ComputeBackend.indexed_token_similarities`,
-    edit kinds as one query-wide ``edit_values`` batch over the
-    column's texts.  As in Algorithm 1, a surfaced set costs almost
+    kept it alive.  The merged keys' texts come off the index's forward
+    column
+    (:meth:`~repro.index.inverted.InvertedIndex.posting_elements`) and
+    are scored as one query-wide ``edit_values`` batch.
+
+    *Token kinds* probe distinct contents.  A token-kind score depends
+    on an element's token set alone, and column data repeats its
+    values, so the index lists each distinct token set once
+    (:meth:`~repro.index.inverted.InvertedIndex.content_ids`) with the
+    sets it occurs in.  Per reference element the kernel unions the
+    signature tokens' content-id runs, drops the contents whose last
+    occurrence lies below the floor, scores each remaining content
+    once -- the backend's
+    :meth:`~repro.backends.base.ComputeBackend.indexed_token_similarities`
+    over the content table -- and expands only the witnesses to their
+    sets.  Every merged content's sets are surfaced; the floor,
+    self-match, tombstone and size gates run once per surfaced *set*
+    at the end of the probe.
+
+    Either way, as in Algorithm 1, a surfaced set costs almost
     nothing until it proves interesting: only the pairs the backend's
     :meth:`~repro.backends.base.ComputeBackend.witnesses` reports
     above ``u_i`` get a ``best`` entry; every other candidate is just
-    its id (the distinct ``key >> 32`` of the merged runs), its size
-    off :meth:`~repro.index.inverted.InvertedIndex.set_sizes` and a
-    zero gain.
+    its id, its size off
+    :meth:`~repro.index.inverted.InvertedIndex.set_sizes` and a zero
+    gain.
 
 ``reference``
     The original per-posting loop, kept verbatim as the executable
@@ -60,12 +76,14 @@ Two interchangeable kernels drive the probe:
     and as an escape hatch (``SILKMOTH_SELECT_KERNEL=reference``); its
     per-candidate infos are columnarised on the way out.
 
-Both kernels evaluate ``phi_alpha`` over identical pair sets and record
-witnessed maxima in the same (reference-element, then empty-element)
-phase order, so the columns -- including ``best``-map insertion order,
-which downstream float summation observes, and the gains summed in
-that order -- are bit-identical.  The choice affects speed only, never
-results.
+Both kernels record, per (reference element, candidate set), the
+maximum of the same ``phi_alpha`` values -- the packed token probe
+computes each distinct content's value once where the reference loop
+computes it per occurrence -- in the same (reference-element, then
+empty-element) phase order, so the columns -- including ``best``-map
+insertion order, which downstream float summation observes, and the
+gains summed in that order -- are bit-identical.  The choice affects
+speed only, never results.
 """
 
 from __future__ import annotations
@@ -192,7 +210,9 @@ def select_columns(
     pass_stats:
         Optional per-pass stats the packed kernel reports its
         select-funnel counters on (postings scanned, distinct pairs,
-        size-gate drops); the reference kernel leaves them untouched.
+        size-gate drops: per posting key for the edit kinds, per
+        distinct content and per set for the token kinds); the
+        reference kernel leaves them untouched.
     first_set:
         Candidate floor: only sets with id >= *first_set* are probed
         (symmetric self-discovery; 0 probes the whole index).  The
@@ -328,109 +348,39 @@ def _gather_packed(
     sp,
     first_set: int = 0,
 ) -> SelectColumns:
-    """The columnar probe: merged key runs in, batch columns out.
+    """The columnar probe: index runs in, batch columns out.
 
     Surfaces the same candidates with the same witnessed maps as
     :func:`_gather_reference` -- same pair sets, same scores, same
-    witness order -- without an object per surfaced set: per reference
-    element the backend merges the posting runs (each cut at the
-    *first_set* floor first, :func:`_from_floor`), scores the merged
-    keys against the index's forward column, and only the pairs that
-    beat the element's bound are ever touched again.
+    witness order -- without an object per surfaced set.  Token kinds
+    probe the index's content table (:func:`_probe_contents`), edit
+    kinds its occurrence postings and forward column
+    (:func:`_probe_postings`); the empty-element phase and the column
+    assembly are common.
     """
     bounds = signature.element_bounds
-    token_based = phi.kind.is_token_based
-    deleted = collection.deleted_ids
-    posting_keys = index.posting_keys
-    floor_key = first_set << PACK_SHIFT
-    if first_set:
-        # Decided once per pass: an unfloored probe reads the index's
-        # runs exactly as before.
-
-        def posting_keys(token: int) -> array:
-            return _from_floor(index.posting_keys(token), floor_key)
-
     # Hoisted no-op fast path: a fully open size window (what the
     # pipeline passes when the size filter is disabled) is no gate at
     # all, so normalise it away here rather than comparing every
-    # candidate against +/-inf inside the merge.
+    # candidate against +/-inf.
     if size_range is not None and size_range[0] == float(
         "-inf"
     ) and size_range[1] == float("inf"):
         size_range = None
+    deleted = collection.deleted_ids
     sizes = index.set_sizes()
-    elements = index.posting_elements()
-    memoized = memo is not None and memo.enabled
-    scanned = distinct = size_drops = 0
-    #: Every surfaced set id; the witnessed maps of the few that have one.
-    surfaced: set[int] = set()
+    gates = (first_set, skip_set, deleted, sizes, size_range)
+    #: The witnessed maps of the few surfaced sets that have one.
     best_of: dict[int, dict[int, float]] = {}
-
-    def witness(i: int, kept, scores) -> None:
-        """Record element *i*'s exact NN value per set, where it beats u_i."""
-        positions, values = backend.witnesses(scores, bounds[i])
-        for position, score in zip(positions, values):
-            best = best_of.setdefault(kept[position] >> PACK_SHIFT, {})
-            if score > best.get(i, 0.0):
-                best[i] = score
-
-    # Edit kinds: per-element probes are merged first and their scoring
-    # deferred, so one backend.edit_values batch covers the whole query
-    # (the numpy backend runs its lane-parallel Myers kernel across it).
-    deferred: list[tuple] = []
-
-    for i, tokens in enumerate(signature.per_element):
-        if not tokens:
-            continue
-        probe = reference.elements[i]
-        # This element's posting runs, shortest first so short lists
-        # seed the merge and prune the accumulated run early.
-        runs = [run for run in map(posting_keys, tokens) if len(run)]
-        if not runs:
-            continue
-        runs.sort(key=len)
-        kept, n_scanned, n_distinct, n_drops = backend.merge_distinct_postings(
-            runs, skip_set, deleted, sizes, size_range
+    #: Every surfaced set id, gated; then the three funnel counters.
+    if phi.kind.is_token_based:
+        surfaced, scanned, distinct, size_drops = _probe_contents(
+            reference, signature, index, phi, gates, backend, best_of
         )
-        scanned += n_scanned
-        distinct += n_distinct
-        size_drops += n_drops
-        if not len(kept):
-            continue
-        surfaced.update(map(rshift, kept, repeat(PACK_SHIFT)))
-        if token_based:
-            witness(
-                i,
-                kept,
-                backend.indexed_token_similarities(
-                    probe.index_tokens, elements, kept, phi
-                ),
-            )
-        else:
-            # Each distinct candidate text is scored once per reference
-            # element -- duplicated texts share the value (the
-            # similarity is a pure function of the two strings).
-            texts = list(map(_TEXT, map(elements.__getitem__, kept)))
-            deferred.append(
-                (i, probe.text, kept, texts, list(dict.fromkeys(texts)))
-            )
-
-    if deferred:
-        # One floored-phi task per (reference element, distinct text);
-        # the bound lets the banded scalar path bail out early and caps
-        # the vector path's certified-rejection band.
-        tasks = [
-            (text, other, bounds[i])
-            for i, text, _, _, distinct_texts in deferred
-            for other in distinct_texts
-        ]
-        values = backend.edit_values(phi, tasks, memo if memoized else None)
-        pos = 0
-        for i, _, kept, texts, distinct_texts in deferred:
-            end = pos + len(distinct_texts)
-            score_of = dict(zip(distinct_texts, values[pos:end]))
-            pos = end
-            witness(i, kept, list(map(score_of.__getitem__, texts)))
+    else:
+        surfaced, scanned, distinct, size_drops = _probe_postings(
+            reference, signature, index, phi, gates, backend, memo, best_of
+        )
 
     # Empty-after-tokenisation reference elements score similarity 1
     # against any empty candidate element, yet neither side carries a
@@ -446,7 +396,7 @@ def _gather_packed(
     if empty_ref:
         empty_keys = index.empty_posting_keys()
         if first_set:
-            empty_keys = _from_floor(empty_keys, floor_key)
+            empty_keys = _from_floor(empty_keys, first_set << PACK_SHIFT)
         if len(empty_keys):
             top = phi.threshold(1.0)
             kept, n_scanned, n_distinct, n_drops = (
@@ -490,6 +440,182 @@ def _gather_packed(
         list(map(gain_of.get, set_ids, repeat(0.0))),
         [best_of.get(set_id) or {} for set_id in set_ids],
     )
+
+
+def _probe_contents(
+    reference: SetRecord,
+    signature: Signature,
+    index: InvertedIndex,
+    phi: SimilarityFunction,
+    gates: tuple,
+    backend: ComputeBackend,
+    best_of: dict[int, dict[int, float]],
+) -> tuple[set[int], int, int, int]:
+    """The token-kind probe, over distinct contents instead of occurrences.
+
+    Per reference element: merge the signature tokens' content-id runs
+    (:meth:`~repro.index.inverted.InvertedIndex.content_ids`), drop the
+    contents whose *last* occurrence lies below the *first_set* floor,
+    score each remaining content once --
+    :meth:`~repro.backends.base.ComputeBackend.indexed_token_similarities`
+    over the content table's records -- and expand only the witnesses
+    to the sets they occur in (from the floor on), into *best_of*.
+    Every merged content's sets are surfaced, by one C-level
+    ``set.update``.  The floor, self-match, tombstone and size-window
+    gates then run once per surfaced *set*; the columns are read off
+    the gated ids, so a dropped set's witnessed map in *best_of* is
+    never looked at again.
+
+    A witnessed maximum does not depend on the order its candidates
+    are visited in, and a content's score is the closed form on the
+    same three sizes as any of its occurrences', so the maps equal the
+    per-occurrence probe's bit for bit.
+
+    Returns the gated set ids and the funnel counters: content-list
+    entries read, distinct (reference element, content) pairs scored,
+    sets the size window dropped.
+    """
+    first_set, skip_set, deleted, sizes, size_range = gates
+    bounds = signature.element_bounds
+    content_ids = index.content_ids
+    records = index.content_records()
+    sets_of = index.content_sets().__getitem__
+    scanned = distinct = 0
+    surfaced: set[int] = set()
+    for i, tokens in enumerate(signature.per_element):
+        if not tokens:
+            continue
+        runs = [run for run in map(content_ids, tokens) if run]
+        if not runs:
+            continue
+        scanned += sum(map(len, runs))
+        contents = runs[0] if len(runs) == 1 else list(set().union(*runs))
+        if first_set:
+            # Occurrence arrays ascend: the last entry decides.
+            contents = [c for c in contents if sets_of(c)[-1] >= first_set]
+            if not contents:
+                continue
+        distinct += len(contents)
+        surfaced.update(*map(sets_of, contents))
+        positions, values = backend.witnesses(
+            backend.indexed_token_similarities(
+                reference.elements[i].index_tokens, records, contents, phi
+            ),
+            bounds[i],
+        )
+        for position, score in zip(positions, values):
+            sets = sets_of(contents[position])
+            if first_set:
+                sets = sets[bisect_left(sets, first_set):]
+            for set_id in sets:
+                best = best_of.setdefault(set_id, {})
+                if score > best.get(i, 0.0):
+                    best[i] = score
+
+    if first_set:
+        surfaced = {set_id for set_id in surfaced if set_id >= first_set}
+    surfaced.discard(skip_set)
+    if deleted:
+        surfaced = surfaced - deleted
+    size_drops = 0
+    if size_range is not None:
+        lo, hi = size_range
+        sized = {set_id for set_id in surfaced if lo <= sizes[set_id] <= hi}
+        size_drops = len(surfaced) - len(sized)
+        surfaced = sized
+    return surfaced, scanned, distinct, size_drops
+
+
+def _probe_postings(
+    reference: SetRecord,
+    signature: Signature,
+    index: InvertedIndex,
+    phi: SimilarityFunction,
+    gates: tuple,
+    backend: ComputeBackend,
+    memo: SimilarityMemo | None,
+    best_of: dict[int, dict[int, float]],
+) -> tuple[set[int], int, int, int]:
+    """The edit-kind probe, over the occurrence postings.
+
+    Per reference element the backend merges the signature tokens'
+    posting runs (each cut at the *first_set* floor first,
+    :func:`_from_floor`) and gates them at run level; the merged keys'
+    texts come off the index's forward column, and their scoring is
+    deferred so that one ``backend.edit_values`` batch covers the whole
+    query (the numpy backend runs its lane-parallel Myers kernel across
+    it).  Only the pairs that beat the element's bound reach *best_of*.
+
+    Returns the surfaced set ids and the funnel counters, per posting
+    key: postings scanned, distinct gated keys merged, keys the size
+    window dropped.
+    """
+    first_set, skip_set, deleted, sizes, size_range = gates
+    bounds = signature.element_bounds
+    posting_keys = index.posting_keys
+    if first_set:
+        # Decided once per pass: an unfloored probe reads the index's
+        # runs exactly as before.
+        floor_key = first_set << PACK_SHIFT
+
+        def posting_keys(token: int) -> array:
+            return _from_floor(index.posting_keys(token), floor_key)
+
+    elements = index.posting_elements()
+    scanned = distinct = size_drops = 0
+    surfaced: set[int] = set()
+    deferred: list[tuple] = []
+    for i, tokens in enumerate(signature.per_element):
+        if not tokens:
+            continue
+        # This element's posting runs, shortest first so short lists
+        # seed the merge and prune the accumulated run early.
+        runs = [run for run in map(posting_keys, tokens) if len(run)]
+        if not runs:
+            continue
+        runs.sort(key=len)
+        kept, n_scanned, n_distinct, n_drops = backend.merge_distinct_postings(
+            runs, skip_set, deleted, sizes, size_range
+        )
+        scanned += n_scanned
+        distinct += n_distinct
+        size_drops += n_drops
+        if not len(kept):
+            continue
+        surfaced.update(map(rshift, kept, repeat(PACK_SHIFT)))
+        # Each distinct candidate text is scored once per reference
+        # element -- duplicated texts share the value (the similarity
+        # is a pure function of the two strings).
+        texts = list(map(_TEXT, map(elements.__getitem__, kept)))
+        deferred.append(
+            (i, reference.elements[i].text, kept, texts, list(dict.fromkeys(texts)))
+        )
+
+    if deferred:
+        # One floored-phi task per (reference element, distinct text);
+        # the bound lets the banded scalar path bail out early and caps
+        # the vector path's certified-rejection band.
+        tasks = [
+            (text, other, bounds[i])
+            for i, text, _, _, distinct_texts in deferred
+            for other in distinct_texts
+        ]
+        memoized = memo is not None and memo.enabled
+        values = backend.edit_values(phi, tasks, memo if memoized else None)
+        pos = 0
+        for i, _, kept, texts, distinct_texts in deferred:
+            end = pos + len(distinct_texts)
+            score_of = dict(zip(distinct_texts, values[pos:end]))
+            pos = end
+            # Element i's exact NN value per set, where it beats u_i.
+            positions, scores = backend.witnesses(
+                list(map(score_of.__getitem__, texts)), bounds[i]
+            )
+            for position, score in zip(positions, scores):
+                best = best_of.setdefault(kept[position] >> PACK_SHIFT, {})
+                if score > best.get(i, 0.0):
+                    best[i] = score
+    return surfaced, scanned, distinct, size_drops
 
 
 def _gather_reference(

@@ -22,16 +22,36 @@ invariant of the tuple era carries over unchanged.  :meth:`postings`
 still materialises :class:`Posting` tuples for callers that want the
 row view; the hot paths never do.
 
-Beside the posting lists the index keeps one *forward column*: packed
-posting key -> the :class:`~repro.core.records.ElementRecord` it
-addresses (:meth:`InvertedIndex.posting_elements`).  Candidate
-selection scores every merged key against that element's tokens or
-text, and one ``dict`` probe per key -- driven by a C-level ``map`` --
-replaces the ``collection[set_id].elements[j]`` dereference.  The
-column shares the records' own objects (no copies), is filled by
+Beside these *occurrence postings* the index keeps one second level for
+candidate selection, and which one follows from the collection's
+tokenizer kind alone:
+
+* **Token kinds: the content table.**  Column data repeats its values,
+  and a token-kind score depends on an element's token set only, so
+  selection probes *distinct contents* instead of occurrences.  Every
+  distinct non-empty ``index_tokens`` gets a dense content id in
+  first-seen order; the table maps token -> ascending content ids
+  (:meth:`InvertedIndex.content_ids`), content id -> a representative
+  :class:`~repro.core.records.ElementRecord`
+  (:meth:`~InvertedIndex.content_records`) and content id -> the
+  ascending distinct set ids it occurs in
+  (:meth:`~InvertedIndex.content_sets`).  Content ids mean something
+  only between two mutations of the index: :meth:`~InvertedIndex.compact`
+  renumbers them.
+* **Edit kinds: the forward column**, packed posting key -> the
+  :class:`~repro.core.records.ElementRecord` it addresses
+  (:meth:`InvertedIndex.posting_elements`): one ``dict`` probe per
+  merged key -- driven by a C-level ``map`` -- replaces the
+  ``collection[set_id].elements[j]`` dereference.  (A content list is
+  ordered by *first* occurrence, so a candidate floor cannot cut it
+  with a bisect; the edit probe, which already scores each distinct
+  text once per call, keeps the floored occurrence runs.)
+
+Both share the records' own objects (no copies), are filled by
 :meth:`~InvertedIndex.add_record` and pruned by
-:meth:`~InvertedIndex.compact`, so it always holds exactly the keys
-the posting lists (and the empty-element list) hold.
+:meth:`~InvertedIndex.compact`.  Everything else -- the NN filter, the
+signature costs, the planner's profile, the reference select kernel --
+reads the occurrence postings, which are the same for both kinds.
 
 Mutability: removals are *lazy*.  Tombstoning a set leaves its postings
 in place (candidate selection skips them via the collection's tombstone
@@ -98,8 +118,15 @@ class InvertedIndex:
         # the size-gate input the selection kernel reads as a flat
         # column instead of dereferencing collection records per set.
         self._sizes: array = array("q")
-        # Forward column: packed posting key -> the element's record.
+        # The second level candidate selection reads (module docstring):
+        # the content table for token kinds, the forward column (packed
+        # posting key -> the element's record) for edit kinds.
+        self._token_based = collection.tokenizer.kind.is_token_based
         self._elements: dict[int, ElementRecord] = {}
+        self._content_of: dict[frozenset[int], int] = {}
+        self._content_lists: dict[int, array] = {}
+        self._content_records: list[ElementRecord] = []
+        self._content_sets: list[array] = []
         self._max_set_id = -1
         self._live_postings = 0
         self._dead_postings = 0
@@ -120,7 +147,9 @@ class InvertedIndex:
         Postings normally stay sorted because records are appended to
         the collection in set-id order; if a caller ever indexes records
         out of order, the touched lists are re-sorted so the
-        binary-search invariant can't silently break.
+        binary-search invariant can't silently break.  The second level
+        follows: each element enters the forward column (edit kinds) or
+        the content table (token kinds, :meth:`_add_content`).
         """
         set_id = record.set_id
         if not 0 <= set_id <= MAX_SET_ID:
@@ -131,22 +160,29 @@ class InvertedIndex:
         in_order = set_id > self._max_set_id
         base = set_id << PACK_SHIFT
         touched: set[int] = set()
+        token_based = self._token_based
         elements = self._elements
+        added = 0
         for element_index, element in enumerate(record.elements):
             key = base | element_index
-            elements[key] = element
-            if not element.index_tokens:
+            tokens = element.index_tokens
+            if not token_based:
+                elements[key] = element
+            if not tokens:
                 self._empty.append(key)
-                self._live_postings += 1
+                added += 1
                 continue
-            for token in element.index_tokens:
+            for token in tokens:
                 postings = lists.get(token)
                 if postings is None:
                     postings = lists[token] = array("q")
                 postings.append(key)
-                self._live_postings += 1
-                if not in_order:
-                    touched.add(token)
+            added += len(tokens)
+            if not in_order:
+                touched.update(tokens)
+            if token_based:
+                self._add_content(element, set_id, in_order)
+        self._live_postings += added
         for token in touched:
             lists[token] = array("q", sorted(lists[token]))
         if not in_order:
@@ -156,6 +192,47 @@ class InvertedIndex:
             sizes.extend([0] * (set_id + 1 - len(sizes)))
         sizes[set_id] = len(record.elements)
         self._max_set_id = max(self._max_set_id, set_id)
+
+    def _add_content(
+        self, element: ElementRecord, set_id: int, in_order: bool
+    ) -> None:
+        """Note one occurrence of a non-empty element in the content table.
+
+        A known content only gains *set_id* in its occurrence array:
+        appended in the usual ascending case, bisected into place when
+        the record arrives out of order, and never twice (a set may
+        hold a content at several positions).
+        """
+        content = self._content_of.get(element.index_tokens)
+        if content is None:
+            self._new_content(element, array("q", (set_id,)))
+            return
+        sets = self._content_sets[content]
+        if in_order:
+            if sets[-1] != set_id:
+                sets.append(set_id)
+        else:
+            at = bisect_left(sets, set_id)
+            if at == len(sets) or sets[at] != set_id:
+                sets.insert(at, set_id)
+
+    def _new_content(self, element: ElementRecord, sets: array) -> None:
+        """List *element*'s token set as the next content, occurring in *sets*.
+
+        The new id is larger than every id listed so far, so the token
+        -> content lists ascend by construction, whatever order the
+        sets arrive in.
+        """
+        tokens = element.index_tokens
+        self._content_of[tokens] = content = len(self._content_records)
+        self._content_records.append(element)
+        self._content_sets.append(sets)
+        lists = self._content_lists
+        for token in tokens:
+            contents = lists.get(token)
+            if contents is None:
+                contents = lists[token] = array("q")
+            contents.append(content)
 
     def note_removed(self, record: SetRecord) -> None:
         """Account for a tombstoned record's now-dead postings.
@@ -183,7 +260,9 @@ class InvertedIndex:
 
         Returns the number of postings removed.  Posting-list order is
         preserved (filtering a sorted array keeps it sorted), so every
-        index invariant survives.
+        index invariant survives.  The second level follows: the
+        forward column loses the dropped keys, the content table the
+        dead occurrences and every content left without one.
         """
         deleted = self.collection.deleted_ids
         if not deleted or not self._dead_postings:
@@ -209,7 +288,9 @@ class InvertedIndex:
             )
             removed += len(self._empty) - len(kept_empty)
             self._empty = kept_empty
-        if removed:
+        if removed and self._token_based:
+            self._compact_contents(deleted)
+        elif removed:
             self._elements = {
                 key: element
                 for key, element in self._elements.items()
@@ -218,6 +299,25 @@ class InvertedIndex:
         self._dead_postings = 0
         self._compactions += 1
         return removed
+
+    def _compact_contents(self, deleted: frozenset) -> None:
+        """Rebuild the content table without the *deleted* sets.
+
+        Surviving contents keep their relative order and are renumbered
+        densely, so the token -> content lists ascend again; nothing
+        outside the index holds a content id across calls.
+        """
+        stored = zip(self._content_records, self._content_sets)
+        self._content_of = {}
+        self._content_lists = {}
+        self._content_records = []
+        self._content_sets = []
+        for element, sets in stored:
+            if not deleted.isdisjoint(sets):
+                sets = array("q", (s for s in sets if s not in deleted))
+                if not sets:
+                    continue
+            self._new_content(element, sets)
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -308,13 +408,44 @@ class InvertedIndex:
     def posting_elements(self) -> dict[int, ElementRecord]:
         """Packed posting key -> element record (shared, do not mutate).
 
-        The forward column candidate selection gathers its scoring
-        targets from: one entry per stored element, holding the
+        The forward column edit-kind candidate selection gathers its
+        scoring targets from: one entry per stored element, holding the
         collection's own :class:`~repro.core.records.ElementRecord`.
         Like the posting lists it keeps tombstoned sets' entries until
-        :meth:`compact`.
+        :meth:`compact`.  Empty for a token-kind collection, whose
+        selection reads the content table instead.
         """
         return self._elements
+
+    def content_ids(self, token: int) -> array:
+        """Ascending ids of the distinct contents holding *token* (shared).
+
+        The content table's probe side (token kinds; always empty for
+        an edit-kind collection): where :meth:`posting_keys` lists every
+        occurrence of *token*, this lists each distinct ``index_tokens``
+        containing it once.  A content whose every set is tombstoned
+        stays listed until :meth:`compact`.
+        """
+        contents = self._content_lists.get(token)
+        return contents if contents is not None else _EMPTY_KEYS
+
+    def content_records(self) -> list[ElementRecord]:
+        """Content id -> a record with that content (shared, do not mutate).
+
+        The representative is the first occurrence indexed; only its
+        ``index_tokens`` mean anything for the content (two texts may
+        tokenise to one content).
+        """
+        return self._content_records
+
+    def content_sets(self) -> list[array]:
+        """Content id -> ascending distinct set ids holding it (shared).
+
+        A set appears once however many of its positions hold the
+        content; tombstoned sets stay listed until :meth:`compact`, so
+        readers gate the ids exactly as they gate posting keys.
+        """
+        return self._content_sets
 
     def tokens(self) -> Iterable[int]:
         """The indexed token ids (one per posting list), unordered."""

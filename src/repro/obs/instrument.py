@@ -89,18 +89,21 @@ class _Handles:
         )
         self.select_postings_scanned = registry.register(
             "silkmoth_select_postings_scanned_total",
-            "Raw posting keys scanned by the packed selection kernel.",
+            "Index-list entries the packed selection kernel read "
+            "(posting keys; content-list entries for token kinds).",
             "counter",
         )
         self.select_distinct_pairs = registry.register(
             "silkmoth_select_distinct_pairs_total",
-            "Distinct (set, element) pairs left after the selection "
-            "merge dedup (scanned / distinct is the dedup ratio).",
+            "Distinct pairs the selection kernel scored after its merge "
+            "dedup: per posting key, per distinct content for token kinds "
+            "(scanned / distinct is the dedup ratio).",
             "counter",
         )
         self.select_size_gate_drops = registry.register(
             "silkmoth_select_size_gate_drops_total",
-            "Distinct selection pairs dropped by the size gate alone.",
+            "What the size gate alone dropped in selection: merged "
+            "posting keys, candidate sets for token kinds.",
             "counter",
         )
         self.shards_routed = registry.register(

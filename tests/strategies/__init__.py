@@ -73,6 +73,34 @@ def collections(
     return st.lists(token_sets(), min_size=min_sets, max_size=max_sets)
 
 
+@st.composite
+def duplicated_collections(
+    draw, min_sets: int = 2, max_sets: int = 7, max_pool: int = 5
+) -> tuple[list[list[str]], list[str]]:
+    """``(sets, reference)`` whose elements repeat, as column data does.
+
+    Every set draws from one small pool of element texts, so the same
+    content recurs inside a set, across sets and in the reference
+    (:func:`collections` rarely repeats anything).  The pool may hold
+    the empty element and two texts with one token set (``"ash bay"``
+    / ``"bay ash"``); the reference mixes pool members with texts the
+    collection never saw.
+    """
+    pool = draw(st.lists(elements(), min_size=2, max_size=max_pool, unique=True))
+    member = st.sampled_from(pool)
+    sets = draw(
+        st.lists(
+            st.lists(member, min_size=0, max_size=5),
+            min_size=min_sets,
+            max_size=max_sets,
+        )
+    )
+    reference = draw(
+        st.lists(st.one_of(member, member, elements()), min_size=1, max_size=4)
+    )
+    return sets, reference
+
+
 def token_configs(**overrides) -> st.SearchStrategy[SilkMothConfig]:
     """Configurations across both metrics, all token kinds and schemes."""
     return st.builds(

@@ -100,12 +100,10 @@ def _oracle_nn_search(
             seen.update(_elements_in_set(index, token, set_id))
         if not seen:
             return best
-        # Re-keyed (PR 15): packed keys against the index's forward column.
+        # Re-keyed (PR 20): element positions against the candidate's own
+        # element tuple (a token-kind index has no forward column).
         scores = backend.indexed_token_similarities(
-            element.index_tokens,
-            index.posting_elements(),
-            [pack_posting(set_id, j) for j in sorted(seen)],
-            phi,
+            element.index_tokens, candidate_record.elements, sorted(seen), phi
         )
         top = float(max(scores))
         return top if top > best else best

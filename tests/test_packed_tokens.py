@@ -1,12 +1,12 @@
 """Index-backed token kernels: identity with the frozenset reference.
 
-The numpy backend's ``indexed_token_similarities`` (scores per packed
-posting key, gathered off the index's forward column) and its packed
-token weight matrix must be bit-identical to the pure-Python backend
-on the same inputs -- including empty elements, empty probes,
-ephemeral (negative) query token ids, and reduction residual records
-(which must *not* take the packed fast path because their set ids
-alias live records).
+``indexed_token_similarities`` (scores per content id, gathered off the
+index's content table; one implementation shared by both backends) and
+the numpy backend's packed token weight matrix must be bit-identical
+to the scalar similarity functions on the same inputs -- including
+empty probes, ephemeral (negative) query token ids, and reduction
+residual records (which must *not* take the packed fast path because
+their set ids alias live records).
 """
 
 import random
@@ -15,7 +15,7 @@ import pytest
 
 from repro.backends import get_backend, numpy_available
 from repro.core.records import SetCollection
-from repro.index.inverted import InvertedIndex, pack_posting
+from repro.index.inverted import InvertedIndex
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 
 pytestmark = pytest.mark.skipif(
@@ -70,13 +70,17 @@ def test_indexed_similarities_match_python_backend(kind, alpha):
     phi = SimilarityFunction(kind=kind, alpha=alpha)
     python = get_backend("python")
     numpy = get_backend("numpy")
-    elements = InvertedIndex(collection).posting_elements()
-    keys = [
-        pack_posting(set_id, j)
-        for set_id in range(len(collection))
-        for j in range(len(collection[set_id]))
-    ]
-    rng.shuffle(keys)
+    # One implementation, inherited: the numpy override is gone.
+    assert "indexed_token_similarities" not in vars(type(numpy))
+    assert "witnesses" not in vars(type(numpy))
+    index = InvertedIndex(collection)
+    contents = index.content_records()
+    # Every distinct non-empty token set of the collection, once.
+    assert sorted(map(sorted, (c.index_tokens for c in contents))) == sorted(
+        map(sorted, {e.index_tokens for r in collection for e in r if e.index_tokens})
+    )
+    ids = list(range(len(contents)))
+    rng.shuffle(ids)
     probes = [
         collection[0].elements[0].index_tokens,
         frozenset(),
@@ -84,12 +88,20 @@ def test_indexed_similarities_match_python_backend(kind, alpha):
         collection.query_set(["aa zz unseen", ""]).elements[0].index_tokens,
     ]
     for probe in probes:
-        expected = [phi.tokens(probe, elements[key].index_tokens) for key in keys]
-        assert python.indexed_token_similarities(probe, elements, keys, phi) == expected
-        got = numpy.indexed_token_similarities(probe, elements, keys, phi)
-        assert got.tolist() == expected
-        # The witness kernel reads either vector type.
-        assert numpy.witnesses(got, 0.25) == python.witnesses(expected, 0.25)
+        expected = [phi.tokens(probe, contents[c].index_tokens) for c in ids]
+        for backend in (python, numpy):
+            got = backend.indexed_token_similarities(probe, contents, ids, phi)
+            assert got == expected
+            assert all(type(score) is float for score in got)
+            assert backend.witnesses(got, 0.25) == (
+                [k for k, score in enumerate(expected) if score > 0.25],
+                [score for score in expected if score > 0.25],
+            )
+        # A posting array works as the key column too (no list needed).
+        some = index.content_ids(next(iter(index.tokens())))
+        assert python.indexed_token_similarities(probe, contents, some, phi) == [
+            phi.tokens(probe, contents[c].index_tokens) for c in some
+        ]
 
 
 @pytest.mark.parametrize("kind", TOKEN_KINDS)

@@ -6,9 +6,14 @@ import pytest
 
 from repro.core.config import SilkMothConfig
 from repro.core.records import SetCollection
-from repro.index.inverted import PACK_MASK, PACK_SHIFT, InvertedIndex, pack_posting
+from repro.index.inverted import InvertedIndex, pack_posting
 from repro.service import SilkMothService
 from repro.sim.functions import SimilarityKind
+from strategies.checks import (
+    assert_content_table_consistent,
+    assert_forward_column_consistent,
+    assert_index_pickles,
+)
 
 
 @pytest.fixture
@@ -197,22 +202,6 @@ class TestIndexMutability:
         assert index.compact() == 2                  # set2: "a" + "h"
 
 
-def _stored_keys(index):
-    """Every packed key some posting list (or the empty list) holds."""
-    keys = set(index.empty_posting_keys())
-    for token in index.tokens():
-        keys.update(index.posting_keys(token))
-    return keys
-
-
-def _assert_forward_column_consistent(index, collection):
-    column = index.posting_elements()
-    assert set(column) == _stored_keys(index)
-    for key, element in column.items():
-        # The collection's own record, not a copy.
-        assert element is collection[key >> PACK_SHIFT].elements[key & PACK_MASK]
-
-
 def _live_keys(collection):
     return {
         pack_posting(record.set_id, j)
@@ -222,9 +211,35 @@ def _live_keys(collection):
 
 
 class TestForwardColumn:
-    """The key -> element column lives and dies with the postings."""
+    """Select's second index level lives and dies with the postings.
+
+    An edit-kind index keeps the key -> element forward column; the
+    subclass below runs the same four cases over a token-kind index,
+    which keeps the content table instead.
+    """
 
     WORDS = ["aa", "bb", "cc", "dd", "ee", "ff", "gg"]
+    CONFIG = SilkMothConfig(similarity=SimilarityKind.EDS, delta=0.5, alpha=0.8)
+
+    @staticmethod
+    def _assert_consistent(index, collection):
+        assert_forward_column_consistent(index, collection)
+
+    @staticmethod
+    def _assert_only_live(index, collection):
+        assert set(index.posting_elements()) == _live_keys(collection)
+
+    @staticmethod
+    def _second_level(index):
+        return index.posting_elements()
+
+    def _collection(self, sets, vocabulary=None):
+        return SetCollection.from_strings(
+            sets,
+            kind=self.CONFIG.similarity,
+            q=self.CONFIG.effective_q,
+            vocabulary=vocabulary,
+        )
 
     def _elements(self, rng):
         # 0 words -> an empty-after-tokenisation element.
@@ -244,15 +259,14 @@ class TestForwardColumn:
                 service.update_set(rng.choice(live), self._elements(rng))
             else:
                 service.remove_set(rng.choice(live))
-            _assert_forward_column_consistent(service.index, service.collection)
+            self._assert_consistent(service.index, service.collection)
 
     @pytest.mark.parametrize("wal", [False, True])
     def test_column_tracks_service_mutations(self, tmp_path, wal):
-        config = SilkMothConfig(delta=0.5)
         rng = random.Random(1503)
         service = SilkMothService(
-            config,
-            SetCollection.from_strings([self._elements(rng) for _ in range(8)]),
+            self.CONFIG,
+            self._collection([self._elements(rng) for _ in range(8)]),
             wal_dir=tmp_path / "log" if wal else False,
             # Low enough that the stream compacts on its own, too.
             compact_dead_fraction=0.3,
@@ -262,47 +276,66 @@ class TestForwardColumn:
         # One more tombstone, so the explicit compaction has work.
         service.remove_set(service.live_set_ids()[0])
         service.compact()
-        assert set(service.index.posting_elements()) == _live_keys(
-            service.collection
-        )
+        self._assert_consistent(service.index, service.collection)
+        self._assert_only_live(service.index, service.collection)
         rebuilt = InvertedIndex(service.collection)
         rebuilt.compact()
-        assert rebuilt.posting_elements() == service.index.posting_elements()
-        # The column is derived state: the logical-state digest of this
-        # seeded stream is the one the parent commit computes.
+        assert self._second_level(rebuilt) == self._second_level(service.index)
+        # The second level is derived state: the logical-state digest of
+        # this seeded stream is the one the parent commit computes.
         fingerprint = service.state_fingerprint()
         assert fingerprint == "5fc7bfabeadcb4ee90367eee98e86b29"
         if wal:
             service.close()
-            recovered = SilkMothService.recover(tmp_path / "log", config)
+            recovered = SilkMothService.recover(tmp_path / "log", self.CONFIG)
             try:
                 assert recovered.state_fingerprint() == fingerprint
-                _assert_forward_column_consistent(
-                    recovered.index, recovered.collection
-                )
+                self._assert_consistent(recovered.index, recovered.collection)
                 recovered.compact()
-                assert set(recovered.index.posting_elements()) == _live_keys(
-                    recovered.collection
-                )
+                self._assert_only_live(recovered.index, recovered.collection)
             finally:
                 recovered.close()
 
     def test_out_of_order_add_record(self):
-        collection = SetCollection.from_strings(
-            [["a b", ""], ["b c"], ["a c", "", "d"]]
+        collection = self._collection(
+            [["a b", "", "a b"], ["b c"], ["a c", "", "d"], ["b c", "a b"]]
         )
         in_order = InvertedIndex(collection)
-        empty = SetCollection.from_strings([], vocabulary=collection.vocabulary)
+        empty = self._collection([], vocabulary=collection.vocabulary)
         shuffled = InvertedIndex(empty)
-        for set_id in (2, 0, 1):
+        for set_id in (2, 0, 3, 1):
             shuffled.add_record(collection[set_id])
-        assert shuffled.posting_elements() == in_order.posting_elements()
-        assert set(shuffled.posting_elements()) == _stored_keys(shuffled)
+            self._assert_consistent(shuffled, collection)
+        for token in in_order.tokens():
+            assert shuffled.posting_keys(token) == in_order.posting_keys(token)
+        assert self._second_level(shuffled) == self._second_level(in_order)
 
     def test_column_pickles_with_the_index(self):
-        import pickle
+        collection = self._collection([["a b", ""], ["b c", "a b"]])
+        assert_index_pickles(InvertedIndex(collection))
 
-        collection = SetCollection.from_strings([["a b", ""], ["b c"]])
-        index = pickle.loads(pickle.dumps(InvertedIndex(collection)))
-        # References survive: the copy's column shares its collection's records.
-        _assert_forward_column_consistent(index, index.collection)
+
+class TestContentTable(TestForwardColumn):
+    """The same four cases over a token-kind index and its content table."""
+
+    CONFIG = SilkMothConfig(delta=0.5)
+
+    @staticmethod
+    def _assert_consistent(index, collection):
+        assert_content_table_consistent(index, collection)
+
+    @staticmethod
+    def _assert_only_live(index, collection):
+        assert collection.deleted_ids.isdisjoint(
+            set().union(*index.content_sets())
+        )
+        assert all(len(sets) for sets in index.content_sets())
+
+    @staticmethod
+    def _second_level(index):
+        # Content ids are first-seen order, which differs between an
+        # incrementally built and a rebuilt index: compare by content.
+        return {
+            record.index_tokens: list(sets)
+            for record, sets in zip(index.content_records(), index.content_sets())
+        }

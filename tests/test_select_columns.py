@@ -6,10 +6,12 @@ column to what the original loop (``_gather_reference``, kept verbatim
 in ``src/``) produces for the same probe: ``set_ids``, ``sizes`` and
 ``gains`` bit for bit, ``best`` including the maps' insertion order
 (downstream float summation observes it), plus the three select-funnel
-counters against a brute-force count -- for every similarity kind, on
-both backends, under self-match skips, tombstones before and after
-compaction, every size-window shape, empty and duplicate elements, and
-member as well as ``query_set`` references.
+counters against a first-principles count (per posting key for the
+edit kinds, per distinct content for the token kinds) -- for every
+similarity kind, on both backends, under self-match skips, candidate
+floors, tombstones before and after compaction, every size-window
+shape, empty and duplicate elements, and member as well as
+``query_set`` references.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import available_backends, get_backend
@@ -25,12 +27,10 @@ from repro.baselines.brute_force import brute_force_discover
 from repro.core.config import SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
-from repro.core.stats import PassStats
 from repro.filters import check
-from repro.index.inverted import PACK_SHIFT, InvertedIndex
+from repro.index.inverted import InvertedIndex
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 from repro.sim.memo import SimilarityMemo
-from repro.signatures import get_scheme
 from repro.signatures.base import Signature
 from strategies import (
     EDIT_KINDS,
@@ -39,6 +39,11 @@ from strategies import (
     string_collections,
     string_sets,
     token_sets,
+)
+from strategies.checks import (
+    WINDOWS,
+    assert_columns_match_the_oracle,
+    select_probe,
 )
 
 BACKENDS = [
@@ -57,11 +62,6 @@ _SETTINGS = settings(
     # Short strings admit a weighted signature only at high thetas.
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
-
-INF = float("inf")
-#: None, fully open (normalised away), closed, half-open, empty.
-WINDOWS = (None, (-INF, INF), (1.0, 3.0), (2.0, INF), (4.0, 2.0))
-
 
 @pytest.fixture(autouse=True)
 def force_vector_kernels():
@@ -83,100 +83,6 @@ def force_vector_kernels():
         backend.select_min_postings, backend.edit_batch_min_tasks = saved
 
 
-def _expected_funnel(signature, index, collection, window, skip, reference):
-    """The select-funnel counts, by brute force over the posting lists."""
-    if window == (-INF, INF):
-        window = None
-    deleted = collection.deleted_ids
-    probes = [
-        [list(index.posting_keys(token)) for token in tokens]
-        for tokens in signature.per_element
-    ]
-    if any(not e.index_tokens for e in reference.elements):
-        probes.append([list(index.empty_posting_keys())])
-    scanned = distinct = drops = 0
-    for runs in probes:
-        scanned += sum(map(len, runs))
-        merged = set().union(*runs)
-        distinct += len(merged)
-        for key in merged:
-            set_id = key >> PACK_SHIFT
-            if set_id == skip or set_id in deleted or window is None:
-                continue
-            if not window[0] <= len(collection[set_id]) <= window[1]:
-                drops += 1
-    return scanned, distinct, drops
-
-
-def _assert_columns_match_the_oracle(
-    reference, signature, index, phi, collection, window, skip, backend, memos
-):
-    packed_memo, oracle_memo = memos
-    stats = PassStats()
-    set_ids, sizes, gains, best = check._gather_packed(
-        reference, signature, index, phi, collection, window, skip,
-        backend, packed_memo, stats, None,
-    )
-    candidates = check._gather_reference(
-        reference, signature, index, phi, collection, window, skip,
-        backend, oracle_memo,
-    )
-    bounds = signature.element_bounds
-    assert set_ids == sorted(candidates)
-    assert sizes == [len(collection[set_id]) for set_id in set_ids]
-    # Bit for bit: == on floats, no tolerance.
-    assert gains == [candidates[set_id].gain(bounds) for set_id in set_ids]
-    assert [list(witnessed.items()) for witnessed in best] == [
-        list(candidates[set_id].best.items()) for set_id in set_ids
-    ]
-    assert all(type(score) is float for w in best for score in w.values())
-    # The NN filter fills the maps in place: no two rows may share one.
-    assert len({id(witnessed) for witnessed in best}) == len(best)
-    assert (
-        stats.select_postings_scanned,
-        stats.select_distinct_pairs,
-        stats.select_size_gate_drops,
-    ) == _expected_funnel(signature, index, collection, window, skip, reference)
-
-
-def _probe(
-    sets, reference_elements, member, kind, alpha, delta, slack, dead, compacted, q=1
-):
-    """Collection, index (tombstoned, maybe compacted), reference, signature.
-
-    *slack* lowers every element bound of the generated signature: the
-    kernels' identity does not depend on the bounds being tight, and
-    looser ones let more pairs -- and the empty-element phase, whose
-    bound the schemes put at 1.0 -- record a witness.
-    """
-    collection = SetCollection.from_strings(sets, kind=kind, q=q)
-    index = InvertedIndex(collection)
-    if member is not None:
-        member %= len(collection)
-        reference = collection[member]
-    else:
-        # Ephemeral negative ids for unseen tokens, set_id -1.
-        reference = collection.query_set(reference_elements)
-    for set_id in sorted({d % len(collection) for d in dead} - {member}):
-        index.note_removed(collection.remove_set(set_id))
-    if compacted:
-        index.compact()
-    phi = SimilarityFunction(kind, alpha)
-    assume(len(reference))
-    signature = get_scheme("weighted").generate(
-        reference, delta * len(reference), phi, index
-    )
-    # No signature: the pipeline full-scans and never probes.
-    assume(signature is not None)
-    signature = replace(
-        signature,
-        element_bounds=tuple(
-            max(0.0, bound - slack) for bound in signature.element_bounds
-        ),
-    )
-    return collection, index, reference, phi, signature
-
-
 @pytest.mark.parametrize("backend_name", BACKENDS)
 class TestColumnsMatchTheOracle:
     @_SETTINGS
@@ -192,19 +98,20 @@ class TestColumnsMatchTheOracle:
         dead=st.frozensets(st.integers(min_value=0, max_value=6), max_size=2),
         compacted=st.booleans(),
         window=st.sampled_from(WINDOWS),
+        floor=st.sampled_from((0, 0, 1, 3)),
     )
     def test_token_kinds(
         self, backend_name, sets, reference_elements, member, skip_self,
-        kind, alpha, delta, slack, dead, compacted, window,
+        kind, alpha, delta, slack, dead, compacted, window, floor,
     ):
-        collection, index, reference, phi, signature = _probe(
+        collection, index, reference, phi, signature, stored = select_probe(
             sets, reference_elements, member, kind, alpha, delta, slack, dead,
             compacted,
         )
         skip = reference.set_id if member is not None and skip_self else None
-        _assert_columns_match_the_oracle(
+        assert_columns_match_the_oracle(
             reference, signature, index, phi, collection, window, skip,
-            get_backend(backend_name), (None, None),
+            get_backend(backend_name), (None, None), stored, floor,
         )
 
     @_SETTINGS
@@ -221,12 +128,13 @@ class TestColumnsMatchTheOracle:
         dead=st.frozensets(st.integers(min_value=0, max_value=5), max_size=2),
         compacted=st.booleans(),
         window=st.sampled_from(WINDOWS),
+        floor=st.sampled_from((0, 0, 1, 3)),
     )
     def test_edit_kinds(
         self, backend_name, sets, reference_elements, member, kind, alpha,
-        delta, slack, q, memoized, dead, compacted, window,
+        delta, slack, q, memoized, dead, compacted, window, floor,
     ):
-        collection, index, reference, phi, signature = _probe(
+        collection, index, reference, phi, signature, stored = select_probe(
             sets, reference_elements, member, kind, alpha, delta, slack, dead,
             compacted, q,
         )
@@ -235,10 +143,10 @@ class TestColumnsMatchTheOracle:
             if memoized
             else (None, None)
         )
-        _assert_columns_match_the_oracle(
+        assert_columns_match_the_oracle(
             reference, signature, index, phi, collection, window,
             reference.set_id if member is not None else None,
-            get_backend(backend_name), memos,
+            get_backend(backend_name), memos, stored, floor,
         )
 
 
