@@ -1,12 +1,12 @@
 """Compute backends: pure Python vs numpy on a verify-heavy funnel.
 
 The backend layer only pays off where the pipeline actually crunches
-numbers: check-filter aggregation over wide candidate batches and the
-Hungarian solves of verification.  This bench builds a low-delta schema
-matching discovery (low thresholds keep many candidates alive into
-verification), runs it once per available backend, asserts the outputs
-are identical, and prints the speedup series.  Skips the comparison
-when numpy is not installed.
+numbers: check-filter aggregation over wide candidate batches
+(verification runs the same sparse solve on every backend).  This bench
+builds a low-delta schema matching discovery (low thresholds keep many
+candidates alive into verification), runs it once per available
+backend, asserts the outputs are identical, and prints the speedup
+series.  Skips the comparison when numpy is not installed.
 """
 
 import time

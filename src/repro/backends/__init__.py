@@ -16,12 +16,10 @@ Selection order (first hit wins):
 2. the ``SILKMOTH_BACKEND`` environment variable,
 3. auto: ``numpy`` when importable, else ``python``.
 
-Instances are cached per name, and that singleton identity is
-load-bearing: the numpy backend owns per-collection packed-token
-stores (released by the service on compaction through the same
-instance) plus process-wide kernel-dispatch knobs (``packed_enabled``,
-``packed_min_cells``).  Results never depend on
-any of that state -- only which (equally exact) kernel runs.
+Instances are cached per name: the numpy backend carries process-wide
+kernel-dispatch thresholds (``select_min_postings``,
+``edit_batch_min_tasks``).  Results never depend on them -- only which
+(equally exact) kernel runs.
 """
 
 from __future__ import annotations

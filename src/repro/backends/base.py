@@ -1,4 +1,4 @@
-"""The compute-backend interface and shared sparse-matrix helpers.
+"""The compute-backend interface and the shared edit-grid helpers.
 
 A :class:`ComputeBackend` supplies the numeric kernels the staged query
 pipeline (:mod:`repro.pipeline`) is built on: columnar filtering of
@@ -8,75 +8,27 @@ filters hold the *logic* (which candidates to compare, when to stop);
 backends hold the *arithmetic*, so swapping pure Python for numpy (or,
 later, anything else) cannot change results -- only speed.
 
-Weight matrices are intentionally opaque: the Python backend uses lists
-of lists, the numpy backend an ndarray, and only the backend that built
-a matrix consumes it (via :meth:`ComputeBackend.assignment_score`).
+Weight matrices are intentionally opaque: callers read them through
+:meth:`ComputeBackend.matrix_entry` and solve them through
+:meth:`ComputeBackend.assignment_score`.  Every backend builds the
+sparse rows of :mod:`repro.matching.sparse` and solves them there, so
+verification is one code path; a backend only decides how the edit
+grid behind them is computed.
 """
 
 from __future__ import annotations
 
 import abc
-from collections import defaultdict
 from itertools import repeat
 from operator import attrgetter
-from typing import Callable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.backends.select import merge_distinct_postings_python
 from repro.core.records import ElementRecord, SetCollection, SetRecord
 from repro.sim.functions import SimilarityFunction
 from repro.sim.memo import SimilarityMemo
 
-
-def iter_token_pairs(
-    reference: SetRecord, candidate: SetRecord
-) -> Iterator[tuple[int, frozenset[int], set[int]]]:
-    """Yield ``(i, r_tokens, touched columns)`` for token-sharing pairs.
-
-    Every token-based kind scores 0 on a pair of elements without a
-    common token, so a backend filling a weight matrix only needs the
-    pairs this yields; all other entries stay 0.
-    """
-    by_token: defaultdict[int, list[int]] = defaultdict(list)
-    for j, s in enumerate(candidate.elements):
-        for token in s.index_tokens:
-            by_token[token].append(j)
-    for i, r in enumerate(reference.elements):
-        touched: set[int] = set()
-        for token in r.index_tokens:
-            touched.update(by_token.get(token, ()))
-        yield i, r.index_tokens, touched
-
-
 _INDEX_TOKENS = attrgetter("index_tokens")
-
-
-def fill_weight_matrix(
-    reference: SetRecord,
-    candidate: SetRecord,
-    phi: SimilarityFunction,
-    set_entry: Callable[[int, int, float], None],
-) -> None:
-    """Write every non-zero token-kind weight through *set_entry*.
-
-    Shared by all backends so the token-sharing sparsity logic exists
-    once.  Edit kinds never come here: their matrices are columns of
-    :meth:`ComputeBackend.edit_grid`.
-    """
-    # Two elements without a common token score 0 -- except the
-    # degenerate empty/empty pair, which every token kind defines
-    # as similarity 1 and the index can never surface.
-    empty_cols = [
-        j for j, s in enumerate(candidate.elements) if not s.index_tokens
-    ]
-    empty_weight = phi.threshold(1.0)
-    for i, r_tokens, touched in iter_token_pairs(reference, candidate):
-        for j in touched:
-            set_entry(
-                i, j, phi.tokens(r_tokens, candidate.elements[j].index_tokens)
-            )
-        if not r_tokens and empty_weight > 0.0:
-            for j in empty_cols:
-                set_entry(i, j, empty_weight)
 
 
 def lookup_edit_grid(
@@ -222,13 +174,14 @@ class ComputeBackend(abc.ABC):
         This is the one way an edit-kind weight matrix gets built:
         verification asks for one grid per pass (patterns = the
         reference's elements, texts = the distinct element texts of all
-        survivors) and gathers each candidate's matrix from it with
-        :meth:`matrix_columns`; :meth:`weight_matrix` asks for the grid
-        of a single candidate.  *memo* is consulted first and receives
-        what had to be computed, so the cross-stage cache means what it
-        always did; only how its misses are computed is up to the
-        backend (scalar calls here, Myers lanes on numpy).  The result
-        has the backend's matrix type.
+        survivors) and takes each candidate's matrix from its positive
+        cells (:meth:`grid_columns`); :meth:`weight_matrix` asks for
+        the grid of a single candidate.  *memo* is consulted first and
+        receives what had to be computed, so the cross-stage cache
+        means what it always did; only how its misses are computed is
+        up to the backend (scalar calls here, Myers lanes on numpy).
+        The result is the backend's own grid type (lists of lists
+        here, an ndarray on numpy).
         """
         rows, _ = lookup_edit_grid(patterns, texts, memo)
         fill_edit_grid(phi, patterns, texts, rows, memo)
@@ -299,7 +252,6 @@ class ComputeBackend(abc.ABC):
     # ------------------------------------------------------------------
     # Verification kernels
     # ------------------------------------------------------------------
-    @abc.abstractmethod
     def weight_matrix(
         self,
         reference: SetRecord,
@@ -310,32 +262,54 @@ class ComputeBackend(abc.ABC):
     ):
         """Pairwise ``phi_alpha`` weight matrix (backend-opaque type).
 
-        Edit kinds return :meth:`edit_grid` of the two sets' element
-        texts (*memo* as there); *collection* (token kinds) lets a
-        backend use precomputed packed token arrays when *candidate*
-        is one of its live records.
+        The sparse rows of :mod:`repro.matching.sparse`: token kinds
+        count them off the candidate's tokens, edit kinds take the
+        positive cells of :meth:`edit_grid` over the two sets' element
+        texts (*memo* as there).  *collection* is the candidate's
+        collection when the caller has one; nothing here reads it.
         """
+        # Imported here: repro.matching's own modules import this package.
+        from repro.matching.sparse import column_rows, token_rows
 
-    def release_packed_sets(self, collection: SetCollection, set_ids) -> None:
-        """Drop any precomputed per-set state for *set_ids*.
+        if phi.kind.is_token_based:
+            return token_rows(reference, candidate, phi)
+        grid = self.edit_grid(
+            phi,
+            [r.text for r in reference.elements],
+            [s.text for s in candidate.elements],
+            memo,
+        )
+        return column_rows(len(reference), self.grid_columns(grid))
 
-        Called by owners that physically compact tombstoned sets away
-        (e.g. the service's index compaction), so backend-side caches
-        cannot grow with lifetime mutations.  No-op for backends
-        without per-set state.
+    def grid_columns(self, grid) -> list[list[tuple[int, float]]]:
+        """Per column of an :meth:`edit_grid`, its positive cells.
+
+        Each column is a list of ``(row, weight)`` in ascending row
+        order -- what :func:`repro.matching.sparse.column_rows` turns
+        into a candidate's weight matrix.
         """
+        return [
+            [(i, weight) for i, weight in enumerate(column) if weight > 0.0]
+            for column in zip(*grid)
+        ]
 
-    @abc.abstractmethod
     def assignment_score(self, matrix) -> float:
         """Maximum-weight bipartite matching score of a weight matrix."""
+        from repro.matching.hungarian import matching_total
+        from repro.matching.sparse import sparse_assignment
 
-    @abc.abstractmethod
+        return matching_total(sparse_assignment(matrix))
+
     def matrix_entry(self, matrix, i: int, j: int) -> float:
         """Read one entry of a matrix built by :meth:`weight_matrix`."""
+        return matrix[i].get(j, 0.0)
 
-    @abc.abstractmethod
     def matrix_columns(self, matrix, columns: Sequence[int]):
         """The matrix whose j-th column is column ``columns[j]`` of *matrix*."""
+        return [
+            {j: row[c] for j, c in enumerate(columns) if c in row}
+            for row in matrix
+        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

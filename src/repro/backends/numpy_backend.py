@@ -4,39 +4,28 @@ Importing this module requires numpy (the registry imports it lazily
 and falls back to the Python backend when the import fails).  The
 kernels vectorise the arithmetic the pipeline runs per candidate batch:
 size and threshold masks, the check-filter bound aggregation, the
-token-similarity formulas, and the Hungarian solve's inner column scan.
+token-similarity formulas, the selection merge and the edit kernels.
 
 Candidate selection's token scoring and witness test
-(``indexed_token_similarities`` / ``witnesses``) are deliberately *not*
-overridden: select scores a handful of distinct contents per call, and
-at that size the inherited scalar ``map`` beats lifting the counts into
-arrays.  Large token-kind weight matrices avoid per-pair set
-operations: element token sets are packed into int64 arrays once per
-set (:mod:`repro.backends.packed`) and intersection sizes come from one
-membership scan per row.  All paths apply the identical closed-form
-formulas.
+(``indexed_token_similarities`` / ``witnesses``) and verification
+(``weight_matrix`` / ``assignment_score``) are deliberately *not*
+overridden: select scores a handful of distinct contents per call and
+verification solves a few small components of a sparse matrix, and at
+those sizes the inherited scalar code beats lifting the work into
+arrays.  Verification's one array step here is :meth:`grid_columns`,
+which lists the positive cells of an ndarray edit grid.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence, Tuple
-from weakref import WeakKeyDictionary
 
 import numpy as np
 
-from repro.backends.base import (
-    ComputeBackend,
-    fill_edit_grid,
-    fill_weight_matrix,
-    iter_token_pairs,
-    lookup_edit_grid,
-)
-from repro.backends.packed import PackedTokenStore, intersection_counts, probe_array
+from repro.backends.base import ComputeBackend, fill_edit_grid, lookup_edit_grid
 from repro.backends.select import merge_distinct_postings_python
 from repro.core.constants import EPSILON
-from repro.core.records import SetCollection, SetRecord
 from repro.index.inverted import PACK_SHIFT
-from repro.matching.hungarian import hungarian_max_weight_numpy
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 
 
@@ -49,9 +38,8 @@ def _formula_scores(
 ) -> np.ndarray:
     """Closed-form ``phi_alpha`` scores from intersection counts.
 
-    Shared by the frozenset and packed-array kernels so both apply the
-    exact same array expressions (bit-identical to the scalar
-    functions in :mod:`repro.sim.functions`).
+    The same operations on the same integers as the scalar functions
+    in :mod:`repro.sim.functions`, so the floats are bit-identical.
     """
     if probe_size == 0.0:
         # Matches the scalar functions: sim(empty, empty) == 1.0.
@@ -118,21 +106,6 @@ class NumpyBackend(ComputeBackend):
     name = "numpy"
 
     def __init__(self) -> None:
-        #: Packed token arrays per served collection (weak: dropping a
-        #: collection releases its arrays with it).
-        self._packed: WeakKeyDictionary = WeakKeyDictionary()
-        #: When False every batched kernel falls back to its scalar
-        #: predecessor: the packed token weight matrix to the shared
-        #: sparse fill, the selection merge to the pure-Python one,
-        #: and both edit kernels (select's :meth:`edit_values` batch and
-        #: verify's :meth:`edit_grid`) to one banded call per pair.  The
-        #: perf-trajectory harness flips this for its A/B.
-        self.packed_enabled = True
-        #: Minimum cells of a dense token weight matrix before the
-        #: packed-array row kernel dispatches; below it the shared
-        #: scalar sparse fill is faster (the per-row array gather
-        #: cannot amortise).  Tests set this to 0 to force coverage.
-        self.packed_min_cells = 4096
         #: Minimum postings scanned per probe before the vectorised
         #: selection merge dispatches; smaller probes take the shared
         #: pure-Python galloping merge, whose constant factors win
@@ -145,20 +118,6 @@ class NumpyBackend(ComputeBackend):
         #: ~20 array dispatches per text character however few lanes
         #: it has (measurements: docs/parameters.md).
         self.edit_batch_min_tasks = 64
-
-    def _store(self, collection: SetCollection) -> PackedTokenStore:
-        """The packed-token store for *collection* (created on first use)."""
-        store = self._packed.get(collection)
-        if store is None:
-            store = PackedTokenStore()
-            self._packed[collection] = store
-        return store
-
-    def release_packed_sets(self, collection: SetCollection, set_ids) -> None:
-        """Drop packed arrays for tombstoned *set_ids* of *collection*."""
-        store = self._packed.get(collection)
-        if store is not None:
-            store.drop_sets(set_ids)
 
     # -- columnar kernels ----------------------------------------------
     def size_filter_indices(
@@ -205,7 +164,7 @@ class NumpyBackend(ComputeBackend):
         implementation.
         """
         scanned = sum(len(run) for run in key_arrays)
-        if not self.packed_enabled or scanned < self.select_min_postings:
+        if scanned < self.select_min_postings:
             return merge_distinct_postings_python(
                 key_arrays, skip_set, deleted, sizes, size_range
             )
@@ -259,11 +218,7 @@ class NumpyBackend(ComputeBackend):
         values are unaffected because the similarity is a pure function
         of the strings.
         """
-        if (
-            not self.packed_enabled
-            or not tasks
-            or len(tasks) < self.edit_batch_min_tasks
-        ):
+        if not tasks or len(tasks) < self.edit_batch_min_tasks:
             return super().edit_values(phi, tasks, memo=memo)
         xs, ys, floors = zip(*tasks)
         patterns = list(dict.fromkeys(xs))
@@ -297,11 +252,7 @@ class NumpyBackend(ComputeBackend):
         is still unknown after that takes the default's scalar fill.
         """
         rows, unknown = lookup_edit_grid(patterns, texts, memo)
-        if (
-            self.packed_enabled
-            and unknown >= self.edit_batch_min_tasks
-            and phi.alpha > 0.0
-        ):
+        if unknown >= self.edit_batch_min_tasks and phi.alpha > 0.0:
             # None (unknown) converts to nan; no phi value is nan.
             unknown_at = np.isnan(
                 np.array(rows, dtype=np.float64).reshape(len(patterns), len(texts))
@@ -461,95 +412,13 @@ class NumpyBackend(ComputeBackend):
         return _token_scores(probe, targets, phi).tolist()
 
     # -- verification kernels ------------------------------------------
-    def weight_matrix(
-        self,
-        reference: SetRecord,
-        candidate: SetRecord,
-        phi: SimilarityFunction,
-        memo=None,
-        collection: SetCollection | None = None,
-    ) -> np.ndarray:
-        """Dense ndarray weight matrix (sparse fill, zeros elsewhere).
-
-        Token kinds with an addressable candidate (*collection* given
-        and ``candidate`` is its live record -- not a reduction
-        residual) and at least :attr:`packed_min_cells` cells run the
-        packed-array row kernel; everything else falls back to the
-        shared scalar sparse fill, which measurement shows is faster
-        for element-scale matrices.
-        """
-        if phi.kind.is_edit_based:
-            return self.edit_grid(
-                phi,
-                [r.text for r in reference.elements],
-                [s.text for s in candidate.elements],
-                memo,
-            )
-        matrix = np.zeros((len(reference), len(candidate)))
-        if (
-            self.packed_enabled
-            and phi.kind.is_token_based
-            and len(reference) * len(candidate) >= self.packed_min_cells
-            and collection is not None
-            and 0 <= candidate.set_id < len(collection)
-            and collection[candidate.set_id] is candidate
+    def grid_columns(self, grid: np.ndarray) -> list[list[tuple[int, float]]]:
+        """Per column of an ndarray edit grid, its positive cells."""
+        columns: list[list[tuple[int, float]]] = [[] for _ in range(grid.shape[1])]
+        by_column = grid.T
+        cols, rows = np.nonzero(by_column)
+        for j, i, weight in zip(
+            cols.tolist(), rows.tolist(), by_column[cols, rows].tolist()
         ):
-            self._fill_token_matrix_packed(
-                matrix, reference, candidate, phi, collection
-            )
-            return matrix
-
-        def set_entry(i: int, j: int, weight: float) -> None:
-            matrix[i, j] = weight
-
-        fill_weight_matrix(reference, candidate, phi, set_entry)
-        return matrix
-
-    def _fill_token_matrix_packed(
-        self,
-        matrix: np.ndarray,
-        reference: SetRecord,
-        candidate: SetRecord,
-        phi: SimilarityFunction,
-        collection: SetCollection,
-    ) -> None:
-        """Token-kind weight rows from packed arrays (one scan per row).
-
-        Mirrors the token branch of
-        :func:`repro.backends.base.fill_weight_matrix` -- same
-        token-sharing sparsity, same empty/empty handling -- with the
-        per-pair set intersections replaced by packed membership scans.
-        """
-        arrays, sizes = self._store(collection).element_arrays(
-            collection, candidate.set_id
-        )
-        empty_cols = np.flatnonzero(sizes == 0.0)
-        empty_weight = phi.threshold(1.0)
-        for i, r_tokens, touched in iter_token_pairs(reference, candidate):
-            if touched:
-                cols = sorted(touched)
-                selected_sizes = sizes[cols]
-                inter = intersection_counts(
-                    [arrays[j] for j in cols],
-                    selected_sizes,
-                    probe_array(r_tokens),
-                )
-                matrix[i, cols] = _formula_scores(
-                    phi.kind, float(len(r_tokens)), selected_sizes, inter, phi.alpha
-                )
-            if not r_tokens and empty_weight > 0.0 and empty_cols.size:
-                matrix[i, empty_cols] = empty_weight
-
-    def assignment_score(self, matrix: np.ndarray) -> float:
-        """Maximum-weight assignment via the numpy Hungarian solve."""
-        if matrix.size == 0:
-            return 0.0
-        return hungarian_max_weight_numpy(matrix)
-
-    def matrix_entry(self, matrix: np.ndarray, i: int, j: int) -> float:
-        """``matrix[i, j]`` as a Python float."""
-        return float(matrix[i, j])
-
-    def matrix_columns(self, matrix: np.ndarray, columns: Sequence[int]) -> np.ndarray:
-        """A copy of the selected columns, in the given order."""
-        return matrix.take(columns, axis=1)
+            columns[j].append((i, weight))
+        return columns

@@ -45,7 +45,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.backends import available_backends, get_backend
+from repro.backends import available_backends
 from repro.core.config import SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
@@ -111,12 +111,9 @@ def edit_workload(scale: float = 1.0) -> tuple[list[list[str]], SilkMothConfig]:
 def token_workload(scale: float = 1.0) -> tuple[list[list[str]], SilkMothConfig]:
     """The pinned token-similarity (Jaccard) discovery workload.
 
-    Guards the no-regression side of the trajectory.  On the numpy
-    backend the baseline runs the frozenset token kernels and the
-    optimized run the packed-array kernels, so a packed-path slowdown
-    would show as a sub-1.0 speedup; on the pure-Python backend both
-    modes run the same (unchanged) token path and the entry is a
-    stability guard against regressions from the surrounding plumbing.
+    Guards the no-regression side of the trajectory: both modes run
+    the same token similarity code, so the entry is a stability guard
+    against regressions from the surrounding plumbing.
     """
     rng = random.Random(20170902)
     vocabulary = [f"w{i}" for i in range(int(120 * scale) + 40)]
@@ -155,13 +152,12 @@ def _time_search(
     """Run every-reference search under one mode; returns measurements.
 
     *optimized* selects the shipping configuration (Myers kernel,
-    pair memo, packed token arrays, packed select kernel); the baseline
-    forces every pre-overhaul path: the classic DP kernel, the memo
-    disabled, the per-posting ``reference`` select kernel, and -- on
-    backends that have one, i.e. numpy -- the frozenset token kernels
-    instead of the packed arrays.  *select_kernel* overrides the
-    mode-implied selection kernel (the select A/B measures optimized
-    mode under ``reference`` vs ``packed``).  Index build is excluded
+    pair memo, packed select kernel); the baseline forces the
+    pre-overhaul scalar paths: the classic DP kernel, the memo disabled
+    and the per-posting ``reference`` select kernel.  *select_kernel*
+    overrides the mode-implied selection kernel (the select A/B
+    measures optimized mode under ``reference`` vs ``packed``).  Index
+    build is excluded
     (paper Section 8.2 convention for SEARCH).  The run executes
     *repeats* times on fresh engines, keeping the best wall clock
     (standard noise suppression) and the first run's counters (they
@@ -178,10 +174,6 @@ def _time_search(
     collection = SetCollection.from_strings(
         sets, kind=mode_config.similarity, q=mode_config.effective_q
     )
-    backend_instance = get_backend(backend)
-    packed_before = getattr(backend_instance, "packed_enabled", None)
-    if packed_before is not None:
-        backend_instance.packed_enabled = optimized
     if select_kernel is None:
         select_kernel = "packed" if optimized else "reference"
     previous_select = use_select_kernel(select_kernel)
@@ -202,8 +194,6 @@ def _time_search(
     finally:
         use_kernel(previous)
         use_select_kernel(previous_select)
-        if packed_before is not None:
-            backend_instance.packed_enabled = packed_before
     lookups = stats.sim_cache_hits + stats.sim_cache_misses
     return {
         "seconds": elapsed,

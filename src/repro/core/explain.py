@@ -24,7 +24,7 @@ from repro.core.engine import SilkMoth
 from repro.core.results import relatedness_value
 from repro.core.records import SetRecord
 from repro.filters.nearest_neighbor import _no_share_cap, nn_search
-from repro.matching.assignment import AlignedPair, matching_alignment
+from repro.matching.assignment import AlignedPair, scored_alignment
 
 
 @dataclass(frozen=True)
@@ -136,8 +136,9 @@ def explain(
         if "check" in survives and nn_estimate >= theta - EPSILON:
             survives.append("nn")
 
-    alignment = matching_alignment(reference, candidate, phi, backend=engine.backend)
-    score = sum(pair.weight for pair in alignment)
+    score, alignment = scored_alignment(
+        reference, candidate, phi, backend=engine.backend
+    )
     value = relatedness_value(
         config.metric, score, len(reference), len(candidate)
     )

@@ -2,9 +2,11 @@
 
 The relatedness score ``|R ~cap~ S|`` is the weight of a maximum
 bipartite matching between the elements of R and S, with edge weights
-from ``phi_alpha``.  We implement the Hungarian algorithm from scratch
-(:func:`hungarian_max_weight`) and keep a scipy-backed twin
-(:func:`scipy_max_weight`) purely for cross-checking in tests.
+from ``phi_alpha``.  Weight matrices are sparse rows and
+:mod:`repro.matching.sparse` solves only their ambiguous components; the
+dense solver those go to is the Hungarian algorithm implemented from
+scratch (:func:`hungarian_max_weight`), with a scipy-backed twin
+(:func:`scipy_max_weight`) kept purely for cross-checking in tests.
 
 :mod:`repro.matching.reduction` implements the triangle-inequality
 reduction of Section 5.3: identical elements can be matched greedily

@@ -2,21 +2,23 @@
 
 Verification only needs the matching *score*, but applications usually
 want to know which element aligned with which (e.g. which Address row
-explains each Location row in Table 1).  The solvers of
-:mod:`repro.matching.hungarian` already compute the argmax assignment
-(zero-weight pairs dropped: they contribute nothing and are an artifact
-of padding); this module turns it into :class:`AlignedPair` records.
+explains each Location row in Table 1).  The score is formed from the
+matched triples of :func:`repro.matching.sparse.sparse_assignment`
+(zero-weight pairs never appear: they contribute nothing); this module
+turns the same triples into :class:`AlignedPair` records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.backends import get_backend
+from repro.backends.base import ComputeBackend
 from repro.core.records import SetRecord
-from repro.matching.hungarian import max_weight_assignment
+from repro.matching.hungarian import matching_total
 from repro.matching.score import build_weight_matrix
+from repro.matching.sparse import sparse_assignment
 from repro.sim.functions import SimilarityFunction
+from repro.sim.memo import SimilarityMemo
 
 
 @dataclass(frozen=True)
@@ -32,30 +34,46 @@ class AlignedPair:
     weight: float
 
 
+def scored_alignment(
+    reference: SetRecord,
+    candidate: SetRecord,
+    phi: SimilarityFunction,
+    backend: ComputeBackend | None = None,
+    memo: SimilarityMemo | None = None,
+    collection=None,
+) -> tuple[float, list[AlignedPair]]:
+    """The matching score and the element pairs behind it.
+
+    Both come from one set of triples: the score is
+    :func:`repro.matching.score.matching_score` on the same inputs to
+    the last bit, the pairs are sorted by reference then candidate
+    index.  Arguments as for ``matching_score``.
+    """
+    if len(reference) == 0 or len(candidate) == 0:
+        return 0.0, []
+    triples = sparse_assignment(
+        build_weight_matrix(
+            reference, candidate, phi, backend=backend, memo=memo, collection=collection
+        )
+    )
+    return matching_total(triples), [
+        AlignedPair(reference_index=i, candidate_index=j, weight=weight)
+        for i, j, weight in sorted(triples)
+    ]
+
+
 def matching_alignment(
     reference: SetRecord,
     candidate: SetRecord,
     phi: SimilarityFunction,
-    backend=None,
+    backend: ComputeBackend | None = None,
+    memo: SimilarityMemo | None = None,
+    collection=None,
 ) -> list[AlignedPair]:
     """The maximum matching between two sets as explicit element pairs.
 
-    The sum of the returned weights equals
-    :func:`repro.matching.score.matching_score` on the same inputs.
-    *backend* is the compute backend for the weight matrix; ``None``
-    resolves the process default.
+    The pair half of :func:`scored_alignment`.
     """
-    if len(reference) == 0 or len(candidate) == 0:
-        return []
-    if backend is None:
-        backend = get_backend()
-    weights = build_weight_matrix(reference, candidate, phi, backend=backend)
-    _, pairs = max_weight_assignment(weights)
-    return [
-        AlignedPair(
-            reference_index=i,
-            candidate_index=j,
-            weight=backend.matrix_entry(weights, i, j),
-        )
-        for i, j in pairs
-    ]
+    return scored_alignment(
+        reference, candidate, phi, backend=backend, memo=memo, collection=collection
+    )[1]

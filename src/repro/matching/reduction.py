@@ -90,9 +90,6 @@ def reduced_matching_score(
     )
     if backend is None:
         backend = get_backend()
-    # The residual candidate is a fresh record, never the collection's
-    # own (the packed-array fast path correctly ignores it), but the
-    # threading keeps the call sites uniform.
     weights = build_weight_matrix(
         residual_reference,
         residual_candidate,

@@ -3,9 +3,10 @@
 The weight matrix between two sets is almost always sparse: under
 Jaccard, two elements with no common token have similarity exactly 0;
 under an edit kind with ``alpha > 0``, any pair whose banded Levenshtein
-cannot clear ``alpha`` contributes 0.  Token kinds fill only the
-token-sharing pairs (:func:`repro.backends.base.fill_weight_matrix`);
-edit kinds take columns of the backend's
+cannot clear ``alpha`` contributes 0.  So a weight matrix is its sparse
+rows (:mod:`repro.matching.sparse`): token kinds count them off one
+token -> columns map of the candidate; edit kinds take the positive
+cells of the backend's
 :meth:`~repro.backends.base.ComputeBackend.edit_grid` -- one grid for
 the survivors of a verification pass (:func:`edit_weight_matrices`), or
 the grid of a single candidate through ``backend.weight_matrix``.
@@ -18,6 +19,7 @@ from typing import Iterator, Sequence
 from repro.backends import get_backend
 from repro.backends.base import ComputeBackend
 from repro.core.records import SetRecord
+from repro.matching.sparse import column_rows
 from repro.sim.functions import SimilarityFunction
 from repro.sim.memo import SimilarityMemo
 
@@ -32,12 +34,10 @@ def build_weight_matrix(
 ):
     """Pairwise ``phi_alpha`` weights between the elements of two sets.
 
-    The matrix type is backend-specific (ndarray under numpy, lists of
-    lists under pure Python); read entries through
-    ``backend.matrix_entry`` when backend-neutral access is needed.
-    *memo* serves edit-kind pairs from the cross-stage cache;
-    *collection* lets backends use packed token arrays when *candidate*
-    is one of its live records.
+    The matrix is the backend's opaque type (sparse rows); read entries
+    through ``backend.matrix_entry``.  *memo* serves edit-kind pairs
+    from the cross-stage cache; *collection* is the candidate's
+    collection when the caller has one.
     """
     if backend is None:
         backend = get_backend()
@@ -63,9 +63,10 @@ def edit_weight_matrices(
 
     The backend scores the reference's elements against the *distinct*
     element texts of up to :data:`GRID_CANDIDATES` candidates in one
-    ``edit_grid`` call; each candidate's matrix is a column gather of
-    that grid (cells are pure functions of the two strings, so sharing
-    them changes no float).
+    ``edit_grid`` call and lists the positive cells of each text's
+    column once; a candidate's matrix is those lists, one per element
+    (cells are pure functions of the two strings, so sharing them
+    changes no float).
     """
     patterns = [element.text for element in reference.elements]
     for start in range(0, len(candidates), GRID_CANDIDATES):
@@ -76,10 +77,10 @@ def edit_weight_matrices(
             )
         )
         grid = backend.edit_grid(phi, patterns, texts, memo)
-        column = dict(zip(texts, range(len(texts))))
+        cells = dict(zip(texts, backend.grid_columns(grid)))
         for candidate in block:
-            yield backend.matrix_columns(
-                grid, [column[element.text] for element in candidate.elements]
+            yield column_rows(
+                len(patterns), [cells[element.text] for element in candidate.elements]
             )
 
 

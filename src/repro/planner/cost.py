@@ -354,7 +354,7 @@ def choose_backend(
     :data:`NUMPY_MIN_PROBE_WORK`, python below it -- the fallback guess
     for machines that never ran the harness.  The numpy kernels gate
     themselves per call (``edit_batch_min_tasks``,
-    ``select_min_postings``, ``packed_min_cells``), so this rule only
+    ``select_min_postings``), so this rule only
     has to keep collections whose every batch would fall under those
     gates off the array path.
     """

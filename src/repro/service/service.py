@@ -277,14 +277,6 @@ class SilkMothService:
         if removed:
             self.stats.compactions += 1
             observe_mutation("compact")
-            # Backend-side per-set caches (the numpy packed-token
-            # store) shed the tombstoned sets too, or they would grow
-            # with lifetime mutations.  Ask the backend that served so
-            # far -- it owns the store -- before re-planning possibly
-            # swaps it out.
-            self.engine.backend.release_packed_sets(
-                self.collection, self.collection.deleted_ids
-            )
             self.engine.replan()
             self._planned_live_sets = self.collection.live_count
             if self.engine.memo is not None:

@@ -141,6 +141,33 @@ def edit_configs(**overrides) -> st.SearchStrategy[SilkMothConfig]:
     )
 
 
+#: Weights that collide: element similarities are ratios of small
+#: integers, so equal row maxima and equal-score matchings are common.
+TIE_WEIGHTS = (1.0, 1 / 2, 1 / 3, 2 / 3, 3 / 7, 1 / 4, 3 / 5)
+
+
+@st.composite
+def tie_heavy_matrices(draw, max_side: int = 5) -> list[list[float]]:
+    """A sparse non-negative weight matrix drawn to be tie-heavy.
+
+    Half the cells are 0 (so all-zero rows, columns and matrices are
+    common), the rest come from :data:`TIE_WEIGHTS`; rows and columns
+    are duplicated, and the shape is anything from 1 x m and n x 1 to
+    square.
+    """
+    n = draw(st.integers(1, max_side))
+    m = draw(st.integers(1, max_side))
+    cell = st.one_of(st.just(0.0), st.sampled_from(TIE_WEIGHTS))
+    matrix = [draw(st.lists(cell, min_size=m, max_size=m)) for _ in range(n)]
+    row, col = st.integers(0, n - 1), st.integers(0, m - 1)
+    for target, source in draw(st.lists(st.tuples(row, row), max_size=2)):
+        matrix[target] = list(matrix[source])
+    for target, source in draw(st.lists(st.tuples(col, col), max_size=2)):
+        for line in matrix:
+            line[target] = line[source]
+    return matrix
+
+
 def string_sets(
     min_elements: int = 0, max_elements: int = 3
 ) -> st.SearchStrategy[list[str]]:

@@ -4,83 +4,43 @@ import random
 
 import pytest
 
-np = pytest.importorskip("numpy")
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
+from repro.backends import available_backends, get_backend
 from repro.core.records import SetCollection
-from repro.matching.assignment import (
-    matching_alignment,
-    max_weight_assignment,
-)
-from repro.matching.hungarian import (
-    hungarian_max_weight,
-    max_weight_assignment_python,
-)
+from repro.matching.assignment import matching_alignment, scored_alignment
+from repro.matching.hungarian import hungarian_assignment, matching_total
 from repro.matching.score import matching_score
+from repro.matching.sparse import sparse_assignment
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 
 
-class TestMaxWeightAssignment:
+class TestHungarianAssignment:
     def test_identity_matrix(self):
-        score, pairs = max_weight_assignment(np.eye(3))
-        assert score == pytest.approx(3.0)
-        assert pairs == [(0, 0), (1, 1), (2, 2)]
+        identity = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        assert hungarian_assignment(identity) == [(0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0)]
 
-    def test_rectangular_wide(self):
-        weights = np.array([[0.0, 0.9, 0.1]])
-        score, pairs = max_weight_assignment(weights)
-        assert score == pytest.approx(0.9)
-        assert pairs == [(0, 1)]
-
-    def test_rectangular_tall(self):
-        weights = np.array([[0.0], [0.9], [0.1]])
-        score, pairs = max_weight_assignment(weights)
-        assert score == pytest.approx(0.9)
-        assert pairs == [(1, 0)]
+    def test_rectangular(self):
+        assert hungarian_assignment([[0.0, 0.9, 0.1]]) == [(0, 1, 0.9)]
+        assert hungarian_assignment([[0.0], [0.9], [0.1]]) == [(1, 0, 0.9)]
 
     def test_zero_pairs_omitted(self):
-        weights = np.array([[1.0, 0.0], [0.0, 0.0]])
-        score, pairs = max_weight_assignment(weights)
-        assert score == pytest.approx(1.0)
-        assert pairs == [(0, 0)]
+        assert hungarian_assignment([[1.0, 0.0], [0.0, 0.0]]) == [(0, 0, 1.0)]
+        assert hungarian_assignment([]) == []
 
-    def test_empty(self):
-        assert max_weight_assignment(np.zeros((0, 3))) == (0.0, [])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            max_weight_assignment(np.array([[-1.0]]))
-
-    def test_pairs_are_a_matching(self):
-        rng = np.random.default_rng(7)
-        for _ in range(25):
-            n, m = rng.integers(1, 8, size=2)
-            weights = rng.random((n, m))
-            _, pairs = max_weight_assignment(weights)
-            rows = [i for i, _ in pairs]
-            cols = [j for _, j in pairs]
-            assert len(rows) == len(set(rows))
-            assert len(cols) == len(set(cols))
-
-    @given(st.integers(min_value=0, max_value=2**32 - 1))
-    @settings(max_examples=40, deadline=None)
-    def test_score_matches_hungarian(self, seed):
+    def test_triples_are_a_matching_in_original_coordinates(self):
         # Sparse on purpose: all-zero rows and columns are pruned before
-        # the solve, and the pairs must come back in original coordinates.
-        rng = np.random.default_rng(seed)
-        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
-        weights = rng.random((n, m)) * (rng.random((n, m)) < 0.6)
-        weights[rng.random(n) < 0.3, :] = 0.0
-        weights[:, rng.random(m) < 0.3] = 0.0
-        score, pairs = max_weight_assignment(weights)
-        assert score == hungarian_max_weight(weights)
-        assert score == pytest.approx(max_weight_assignment_python(weights)[0])
-        assert score == pytest.approx(
-            sum(weights[i, j] for i, j in pairs)
-        )
-        assert all(weights[i, j] > 0.0 for i, j in pairs)
-        assert len({i for i, _ in pairs}) == len({j for _, j in pairs}) == len(pairs)
+        # the solve, and tall matrices are solved transposed.
+        rng = random.Random(7)
+        for _ in range(40):
+            n, m = rng.randint(1, 7), rng.randint(1, 7)
+            weights = [
+                [rng.random() if rng.random() < 0.6 else 0.0 for _ in range(m)]
+                for _ in range(n)
+            ]
+            weights[rng.randrange(n)] = [0.0] * m
+            triples = hungarian_assignment(weights)
+            assert all(w > 0.0 and w == weights[i][j] for i, j, w in triples)
+            assert len({i for i, _, _ in triples}) == len(triples)
+            assert len({j for _, j, _ in triples}) == len(triples)
 
 
 class TestMatchingAlignment:
@@ -109,16 +69,10 @@ class TestMatchingAlignment:
     def test_weights_sum_to_matching_score(self, address_pair):
         reference, candidate = address_pair
         phi = SimilarityFunction(SimilarityKind.JACCARD)
-        alignment = matching_alignment(reference, candidate, phi)
-        total = sum(pair.weight for pair in alignment)
-        assert total == pytest.approx(matching_score(reference, candidate, phi))
-
-    def test_each_reference_aligned_once(self, address_pair):
-        reference, candidate = address_pair
-        phi = SimilarityFunction(SimilarityKind.JACCARD)
-        alignment = matching_alignment(reference, candidate, phi)
-        ref_indices = [pair.reference_index for pair in alignment]
-        assert len(ref_indices) == len(set(ref_indices))
+        score, alignment = scored_alignment(reference, candidate, phi)
+        assert score == matching_score(reference, candidate, phi)
+        assert alignment == matching_alignment(reference, candidate, phi)
+        assert sum(pair.weight for pair in alignment) == pytest.approx(score)
 
     def test_paper_example_alignment(self, address_pair):
         # Example 1's structure: rows align 1-1, 2-2, 3-3.  (The prose
@@ -153,18 +107,25 @@ class TestMatchingAlignment:
         )
         reference = collection.sibling().add_set(["silkmoth", "watching"])
         phi = SimilarityFunction(SimilarityKind.EDS)
-        alignment = matching_alignment(reference, collection[0], phi)
-        total = sum(pair.weight for pair in alignment)
-        assert total == pytest.approx(
-            matching_score(reference, collection[0], phi)
-        )
+        score, alignment = scored_alignment(reference, collection[0], phi)
+        assert score == matching_score(reference, collection[0], phi)
         identical = [p for p in alignment if p.weight == pytest.approx(1.0)]
         assert len(identical) == 1
 
-    def test_random_consistency_with_score(self):
+    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("kind", (SimilarityKind.JACCARD, SimilarityKind.EDS))
+    def test_alignment_is_the_triples_behind_the_score(self, backend_name, kind):
+        calls = []
+
+        class Spy(type(get_backend(backend_name))):
+            def weight_matrix(self, *args, **kwargs):
+                calls.append(kwargs)
+                return super().weight_matrix(*args, **kwargs)
+
+        backend = Spy()
         rng = random.Random(8)
         vocab = [f"w{i}" for i in range(10)]
-        phi = SimilarityFunction(SimilarityKind.JACCARD)
+        phi = SimilarityFunction(kind, 0.2)
         for _ in range(30):
             sets = [
                 [
@@ -173,9 +134,16 @@ class TestMatchingAlignment:
                 ]
                 for _ in range(2)
             ]
-            collection = SetCollection.from_strings(sets)
-            alignment = matching_alignment(collection[0], collection[1], phi)
-            total = sum(pair.weight for pair in alignment)
-            assert total == pytest.approx(
-                matching_score(collection[0], collection[1], phi)
+            collection = SetCollection.from_strings(sets, kind=kind)
+            reference, candidate = collection[0], collection[1]
+            score, alignment = scored_alignment(
+                reference, candidate, phi, backend=backend, collection=collection
             )
+            # The backend it was given built the matrix, arguments threaded.
+            assert calls.pop() == {"memo": None, "collection": collection}
+            triples = sparse_assignment(backend.weight_matrix(reference, candidate, phi))
+            assert [
+                (p.reference_index, p.candidate_index, p.weight) for p in alignment
+            ] == sorted(triples)
+            assert score == matching_total(triples)
+            assert score == matching_score(reference, candidate, phi, backend=backend)

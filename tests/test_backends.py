@@ -154,32 +154,3 @@ class TestKernelEquivalence:
         got = self.np_backend.token_similarities(probe, targets, phi)
         expected = self.py.token_similarities(probe, targets, phi)
         assert got == pytest.approx(expected, abs=1e-12)
-
-    @given(
-        left=st.lists(
-            st.lists(st.sampled_from("abcdef"), max_size=3).map(" ".join),
-            min_size=1,
-            max_size=4,
-        ),
-        right=st.lists(
-            st.lists(st.sampled_from("abcdef"), max_size=3).map(" ".join),
-            min_size=1,
-            max_size=4,
-        ),
-        alpha=st.sampled_from((0.0, 0.4)),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_weight_matrix_and_score(self, left, right, alpha):
-        collection = SetCollection.from_strings([left, right])
-        phi = SimilarityFunction(kind=SimilarityKind.JACCARD, alpha=alpha)
-        reference, candidate = collection[0], collection[1]
-        py_matrix = self.py.weight_matrix(reference, candidate, phi)
-        np_matrix = self.np_backend.weight_matrix(reference, candidate, phi)
-        for i in range(len(reference)):
-            for j in range(len(candidate)):
-                assert self.py.matrix_entry(py_matrix, i, j) == pytest.approx(
-                    self.np_backend.matrix_entry(np_matrix, i, j), abs=1e-12
-                )
-        assert self.py.assignment_score(py_matrix) == pytest.approx(
-            self.np_backend.assignment_score(np_matrix), abs=1e-9
-        )

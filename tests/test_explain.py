@@ -56,8 +56,8 @@ class TestExplainConsistency:
         reference = engine.collection[0]
         for r in engine.search(reference, skip_set=0):
             result = explain(engine, reference, r.set_id)
-            assert result.score == pytest.approx(r.score)
-            assert result.relatedness == pytest.approx(r.relatedness)
+            assert result.score == r.score
+            assert result.relatedness == r.relatedness
 
     def test_estimates_dominate_score(self, engine):
         # Both filter estimates are upper bounds on the true score.

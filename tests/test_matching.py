@@ -1,64 +1,71 @@
-"""Unit and property tests for the Hungarian matcher and the reduction."""
+"""Unit and property tests for the matcher, the sparse solve and the reduction."""
+
+import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-np = pytest.importorskip("numpy")
-
+from repro.backends import available_backends, get_backend
+from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
-from repro.matching.hungarian import hungarian_max_weight, scipy_max_weight
+from repro.matching import sparse
+from repro.matching.hungarian import (
+    hungarian_max_weight,
+    matching_total,
+    scipy_max_weight,
+)
 from repro.matching.reduction import reduced_matching_score
 from repro.matching.score import build_weight_matrix, matching_score
+from repro.matching.sparse import sparse_assignment
 from repro.sim.functions import SimilarityFunction, SimilarityKind
+from repro.workloads import inclusion_dependency, schema_matching, string_matching
+from strategies import TOKEN_KINDS, duplicated_collections, tie_heavy_matrices
+
+try:
+    import scipy
+except ImportError:
+    scipy = None
 
 
 class TestHungarian:
-    def test_empty(self):
-        assert hungarian_max_weight(np.zeros((0, 3))) == 0.0
-        assert hungarian_max_weight(np.zeros((3, 0))) == 0.0
-
-    def test_single_cell(self):
-        assert hungarian_max_weight(np.array([[0.7]])) == pytest.approx(0.7)
+    def test_empty_and_single_cell(self):
+        assert hungarian_max_weight([]) == 0.0
+        assert hungarian_max_weight([[], [], []]) == 0.0
+        assert hungarian_max_weight([[0.7]]) == 0.7
 
     def test_square_identity(self):
-        w = np.eye(3)
-        assert hungarian_max_weight(w) == pytest.approx(3.0)
+        w = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+        assert hungarian_max_weight(w) == 3.0
 
     def test_must_choose_off_diagonal(self):
-        w = np.array([[0.9, 1.0], [1.0, 0.9]])
-        assert hungarian_max_weight(w) == pytest.approx(2.0)
+        assert hungarian_max_weight([[0.9, 1.0], [1.0, 0.9]]) == 2.0
 
     def test_greedy_is_suboptimal(self):
         # Greedy would take 1.0 then 0.0; optimal is 0.9 + 0.8.
-        w = np.array([[1.0, 0.9], [0.8, 0.0]])
-        assert hungarian_max_weight(w) == pytest.approx(1.7)
+        assert hungarian_max_weight([[1.0, 0.9], [0.8, 0.0]]) == pytest.approx(1.7)
 
-    def test_rectangular_wide(self):
-        w = np.array([[0.2, 0.9, 0.1]])
-        assert hungarian_max_weight(w) == pytest.approx(0.9)
-
-    def test_rectangular_tall(self):
-        w = np.array([[0.2], [0.9], [0.1]])
-        assert hungarian_max_weight(w) == pytest.approx(0.9)
+    def test_rectangular(self):
+        assert hungarian_max_weight([[0.2, 0.9, 0.1]]) == 0.9
+        assert hungarian_max_weight([[0.2], [0.9], [0.1]]) == 0.9
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            hungarian_max_weight(np.array([[-0.1]]))
+            hungarian_max_weight([[-0.1]])
 
     def test_rejects_1d(self):
         with pytest.raises(ValueError):
-            hungarian_max_weight(np.array([1.0, 2.0]))
+            hungarian_max_weight([1.0, 2.0])
 
     def test_paper_example2_score(self):
         # Example 2: |R ~cap~ S4| = 0.8 + 1 + 0.429 = 2.229 (approx).
-        w = np.array(
-            [
-                [0.8, 0.0, 2 / 8],
-                [0.0, 1.0, 3 / 7],
-                [1 / 8, 3 / 7, 3 / 7],
-            ]
-        )
+        w = [
+            [0.8, 0.0, 2 / 8],
+            [0.0, 1.0, 3 / 7],
+            [1 / 8, 3 / 7, 3 / 7],
+        ]
         assert hungarian_max_weight(w) == pytest.approx(0.8 + 1.0 + 3 / 7)
 
     @given(
@@ -69,13 +76,182 @@ class TestHungarian:
     @settings(max_examples=60, deadline=None)
     def test_matches_scipy_on_random_matrices(self, n, m, seed):
         pytest.importorskip("scipy")
-        rng = np.random.default_rng(seed)
-        w = rng.random((n, m))
+        rng = random.Random(seed)
+        w = [[rng.random() for _ in range(m)] for _ in range(n)]
         assert hungarian_max_weight(w) == pytest.approx(scipy_max_weight(w))
 
     def test_duplicate_weights(self):
-        w = np.full((4, 4), 0.5)
-        assert hungarian_max_weight(w) == pytest.approx(2.0)
+        assert hungarian_max_weight([[0.5] * 4] * 4) == 2.0
+
+
+def _sparse(matrix):
+    return [{j: w for j, w in enumerate(row) if w > 0.0} for row in matrix]
+
+
+def _optimum(matrix):
+    """Exact maximum matching weight and how many matchings attain it."""
+    best, count = Fraction(0), 0
+
+    def extend(i, used, total):
+        nonlocal best, count
+        if i == len(matrix):
+            if total > best:
+                best, count = total, 1
+            elif total == best:
+                count += 1
+            return
+        extend(i + 1, used, total)
+        for j, w in enumerate(matrix[i]):
+            if w > 0.0 and j not in used:
+                extend(i + 1, used | {j}, total + Fraction(w))
+
+    extend(0, frozenset(), Fraction(0))
+    return best, count
+
+
+@pytest.fixture
+def dense_solves(monkeypatch):
+    """Shapes of the components the sparse solve hands to the dense solver."""
+    shapes = []
+    solver = sparse.hungarian_assignment
+
+    def spy(dense):
+        shapes.append((len(dense), len(dense[0])))
+        return solver(dense)
+
+    monkeypatch.setattr(sparse, "hungarian_assignment", spy)
+    return shapes
+
+
+class TestSparseAssignment:
+    @given(tie_heavy_matrices())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_dense_solve(self, matrix):
+        triples = sparse_assignment(_sparse(matrix))
+        score = matching_total(triples)
+        # The triples are a matching over positive cells.
+        assert len({i for i, _, _ in triples}) == len(triples)
+        assert len({j for _, j, _ in triples}) == len(triples)
+        assert all(w > 0.0 and w == matrix[i][j] for i, j, w in triples)
+        best, optimal_matchings = _optimum(matrix)
+        dense = hungarian_max_weight(matrix)
+        assert score == pytest.approx(float(best), abs=1e-9)
+        assert score == pytest.approx(dense, abs=1e-9)
+        if optimal_matchings == 1:
+            assert score == dense
+        if scipy is not None:
+            assert score == pytest.approx(scipy_max_weight(matrix), abs=1e-9)
+
+    def test_distinct_row_maxima_are_the_matching(self, dense_solves):
+        rows = _sparse([[0.5, 1.0, 0.0], [0.0, 0.0, 0.0], [2 / 3, 1 / 3, 0.0]])
+        assert sparse_assignment(rows) == [(2, 0, 2 / 3), (0, 1, 1.0)]
+        assert sparse_assignment(_sparse([[0.0] * 3] * 2)) == []
+        assert sparse_assignment([]) == []
+        assert dense_solves == []
+
+    def test_components_are_answered_on_their_own(self, dense_solves):
+        # Rows 0-2 collide on column 0 (a star: the best row takes it);
+        # rows 3-4 form a second component whose maxima do not collide.
+        matrix = [
+            [0.5, 0.0, 0.0],
+            [1.0, 0.0, 0.0],
+            [0.5, 0.0, 0.0],
+            [0.0, 1 / 3, 1.0],
+            [0.0, 3 / 7, 0.0],
+        ]
+        assert sparse_assignment(_sparse(matrix)) == [
+            (1, 0, 1.0),
+            (3, 2, 1.0),
+            (4, 1, 3 / 7),
+        ]
+        assert dense_solves == []
+
+    def test_only_the_colliding_component_is_solved(self, dense_solves):
+        # Greedy takes 1.0 then nothing; the optimum is 0.9 + 0.8.
+        matrix = [[1.0, 0.9, 0.0], [0.8, 0.0, 0.0], [0.0, 0.0, 0.5]]
+        triples = sparse_assignment(_sparse(matrix))
+        assert triples == [(1, 0, 0.8), (0, 1, 0.9), (2, 2, 0.5)]
+        assert dense_solves == [(2, 2)]
+        assert matching_total(triples) == hungarian_max_weight(matrix)
+
+    def test_more_rows_than_columns_sums_by_row(self):
+        matrix = [[0.0, 1 / 3], [3 / 7, 1 / 3], [3 / 5, 0.0], [0.0, 0.0]]
+        triples = sparse_assignment(_sparse(matrix))
+        assert triples == [(0, 1, 1 / 3), (2, 0, 3 / 5)]
+        assert matching_total(triples) == hungarian_max_weight(matrix)
+
+    def test_one_component_spanning_the_matrix(self, dense_solves):
+        rng = random.Random(40)
+        matrix = [[rng.random() for _ in range(40)] for _ in range(40)]
+        score = matching_total(sparse_assignment(_sparse(matrix)))
+        assert dense_solves == [(40, 40)]
+        assert score == hungarian_max_weight(matrix)
+        # The same shape from sets: every element shares the token "z".
+        phi = SimilarityFunction(SimilarityKind.JACCARD)
+        words = "abcdefgh"
+        sets = [
+            [f"z {' '.join(rng.sample(words, rng.randint(1, 4)))}" for _ in range(9)]
+            for _ in range(2)
+        ]
+        collection = SetCollection.from_strings(sets)
+        assert matching_score(collection[0], collection[1], phi) == (
+            hungarian_max_weight(_dense(collection[0], collection[1], phi))
+        )
+        assert dense_solves[1:] == [(9, 9)]
+
+
+def _dense(reference, candidate, phi):
+    if phi.kind.is_token_based:
+        cell = lambda r, s: phi.tokens(r.index_tokens, s.index_tokens)
+    else:
+        cell = lambda r, s: phi.edit_at_least(r.text, s.text, 0.0)
+    return [[cell(r, s) for s in candidate.elements] for r in reference.elements]
+
+
+class TestWeightRows:
+    @pytest.mark.parametrize("kind", TOKEN_KINDS)
+    @pytest.mark.parametrize("alpha", (0.0, 0.4))
+    @given(duplicated_collections())
+    @settings(max_examples=25, deadline=None)
+    def test_token_rows_are_the_positive_cells(self, kind, alpha, drawn):
+        sets, reference = drawn
+        collection = SetCollection.from_strings(sets, kind=kind)
+        query = collection.query_set(reference + [""])
+        phi = SimilarityFunction(kind, alpha)
+        for candidate in collection:
+            expected = _sparse(_dense(query, candidate, phi))
+            for backend in map(get_backend, available_backends()):
+                assert backend.weight_matrix(query, candidate, phi) == expected
+
+    def test_backends_agree_on_a_large_token_matrix(self):
+        rng = random.Random(17)
+        words = [f"w{k}" for k in range(30)]
+        sets = [
+            [" ".join(rng.sample(words, rng.randint(0, 4))) for _ in range(70)]
+            for _ in range(2)
+        ]
+        collection = SetCollection.from_strings(sets)
+        phi = SimilarityFunction(SimilarityKind.JACCARD, 0.3)
+        expected = _sparse(_dense(collection[0], collection[1], phi))
+        for backend in map(get_backend, available_backends()):
+            assert backend.weight_matrix(collection[0], collection[1], phi) == expected
+
+    @pytest.mark.parametrize(
+        "generate", (string_matching, schema_matching, inclusion_dependency)
+    )
+    def test_engine_scores_are_the_dense_solve(self, generate):
+        # The repo benchmark's inputs at smoke size; no reduction, whose
+        # score is a count plus the solve of the residual.
+        workload = generate(n_sets=40, seed=20170901)
+        config = replace(workload.config, reduction=False)
+        collection = SetCollection.from_strings(
+            workload.sets, kind=config.similarity, q=config.effective_q
+        )
+        rows = SilkMoth(collection, config).discover()
+        assert rows
+        for row in rows:
+            dense = _dense(collection[row.reference_id], collection[row.set_id], config.phi)
+            assert row.score == hungarian_max_weight(dense)
 
 
 def _jaccard_sets(*sets):
@@ -98,8 +274,9 @@ class TestMatchingScore:
             [["cat"], ["cut"]], kind=SimilarityKind.NEDS, q=2
         )
         phi = SimilarityFunction(SimilarityKind.NEDS)
-        w = np.asarray(build_weight_matrix(collection[0], collection[1], phi))
-        assert w[0, 0] == pytest.approx(2 / 3)
+        assert build_weight_matrix(collection[0], collection[1], phi) == [
+            {0: pytest.approx(2 / 3)}
+        ]
 
     def test_alpha_zeroes_weak_edges(self):
         collection = _jaccard_sets(["a b c d"], ["a x y z"])

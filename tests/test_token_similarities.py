@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import available_backends, get_backend
 from repro.core.records import SetCollection
+from repro.index.inverted import InvertedIndex
 from repro.sim.functions import (
     SimilarityFunction,
     SimilarityKind,
@@ -258,3 +260,42 @@ def test_property_symmetry_and_range(data, kind):
         assert sim == pytest.approx(_token_sim(kind, y, x))
         if x == y:
             assert sim == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", TOKEN_KINDS)
+@pytest.mark.parametrize("alpha", [0.0, 0.4])
+def test_indexed_similarities_are_the_scalar_formulas(kind, alpha):
+    # Select's scoring kernel, gathered off the index's content table:
+    # one implementation, inherited by every backend.
+    rng = random.Random(13)
+    words = ["aa", "bb", "cc", "dd", "ee", "ff"]
+    sets = [
+        [
+            " ".join(rng.choice(words) for _ in range(rng.randint(0, 4)))
+            for _ in range(rng.randint(1, 5))
+        ]
+        for _ in range(12)
+    ]
+    collection = SetCollection.from_strings(sets, kind=kind)
+    phi = SimilarityFunction(kind=kind, alpha=alpha)
+    index = InvertedIndex(collection)
+    contents = index.content_records()
+    ids = list(range(len(contents)))
+    rng.shuffle(ids)
+    probes = [
+        collection[0].elements[0].index_tokens,
+        frozenset(),
+        # Ephemeral ids from a non-interned query reference.
+        collection.query_set(["aa zz unseen", ""]).elements[0].index_tokens,
+    ]
+    for probe in probes:
+        expected = [phi.tokens(probe, contents[c].index_tokens) for c in ids]
+        for backend in map(get_backend, available_backends()):
+            assert "indexed_token_similarities" not in vars(type(backend))
+            got = backend.indexed_token_similarities(probe, contents, ids, phi)
+            assert got == expected
+            assert all(type(score) is float for score in got)
+            assert backend.witnesses(got, 0.25) == (
+                [k for k, score in enumerate(expected) if score > 0.25],
+                [score for score in expected if score > 0.25],
+            )
