@@ -4,7 +4,7 @@ The slow-query log and the latency sketches sit on the hot query path,
 so they carry the same two contracts as tracing:
 
 * **Bit-identity** -- capturing every pass (``SILKMOTH_SLOWLOG_MS=0``)
-  changes nothing about results, on either compute backend.  Asserted
+  changes nothing about results.  Asserted
   exactly (ids, scores and relatedness values compare equal).
 * **Cheap always** -- below the threshold the hook is one float
   comparison; capture-everything targets <5% wall-clock overhead on
@@ -15,9 +15,6 @@ so they carry the same two contracts as tracing:
 
 import time
 
-import pytest
-
-from repro.backends import available_backends
 from repro.bench.trajectory import edit_workload
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
@@ -25,13 +22,11 @@ from repro.obs.diag import get_slowlog, reset_slowlog, set_slowlog_ms
 from repro.obs.sketch import reset_sketch_registry
 
 
-def _search_all(sets, config, backend):
-    from dataclasses import replace
-
+def _search_all(sets, config):
     collection = SetCollection.from_strings(
         sets, kind=config.similarity, q=config.effective_q
     )
-    engine = SilkMoth(collection, replace(config, backend=backend))
+    engine = SilkMoth(collection, config)
     started = time.perf_counter()
     rows = []
     for record in collection.iter_live():
@@ -42,16 +37,15 @@ def _search_all(sets, config, backend):
     return rows, time.perf_counter() - started
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_diagnostics_are_bit_identical_and_cheap(backend):
+def test_diagnostics_are_bit_identical_and_cheap():
     sets, config = edit_workload(scale=0.3)
     reset_slowlog()
     reset_sketch_registry()
     try:
         set_slowlog_ms(-1.0)  # capture disabled entirely
-        rows_off, seconds_off = _search_all(sets, config, backend)
+        rows_off, seconds_off = _search_all(sets, config)
         set_slowlog_ms(0.0)  # capture every single pass
-        rows_on, seconds_on = _search_all(sets, config, backend)
+        rows_on, seconds_on = _search_all(sets, config)
         captured = len(get_slowlog())
     finally:
         set_slowlog_ms(None)
@@ -63,7 +57,7 @@ def test_diagnostics_are_bit_identical_and_cheap(backend):
     assert captured > 0, "capture-everything mode logged nothing"
     ratio = seconds_on / seconds_off if seconds_off > 0 else 1.0
     print(
-        f"\ndiag overhead [{backend}]: off {seconds_off:.3f}s, "
+        f"\ndiag overhead: off {seconds_off:.3f}s, "
         f"on {seconds_on:.3f}s, {captured} entry(ies), "
         f"ratio {ratio:.3f} (target < 1.05)"
     )

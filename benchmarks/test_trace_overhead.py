@@ -3,7 +3,7 @@
 Two contracts from the telemetry subsystem's design:
 
 * **Bit-identity** -- enabling ``SILKMOTH_TRACE`` changes nothing about
-  results, on either compute backend.  Asserted exactly (ids, scores
+  results.  Asserted exactly (ids, scores
   and relatedness values compare equal).
 * **Cheap when disabled, affordable when enabled** -- the disabled path
   is a single shared no-op object (no allocation); the enabled path
@@ -15,22 +15,17 @@ Two contracts from the telemetry subsystem's design:
 
 import time
 
-import pytest
-
-from repro.backends import available_backends
 from repro.bench.trajectory import edit_workload
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
 from repro.obs.trace import get_tracer, set_trace_enabled
 
 
-def _search_all(sets, config, backend):
-    from dataclasses import replace
-
+def _search_all(sets, config):
     collection = SetCollection.from_strings(
         sets, kind=config.similarity, q=config.effective_q
     )
-    engine = SilkMoth(collection, replace(config, backend=backend))
+    engine = SilkMoth(collection, config)
     started = time.perf_counter()
     rows = []
     for record in collection.iter_live():
@@ -46,17 +41,16 @@ def _search_all(sets, config, backend):
 ROUNDS = 3
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_tracing_is_bit_identical_and_cheap(backend):
+def test_tracing_is_bit_identical_and_cheap():
     sets, config = edit_workload(scale=0.3)
     get_tracer().drain()
     off, on = [], []
     try:
         for _ in range(ROUNDS):
             set_trace_enabled(False)
-            off.append(_search_all(sets, config, backend))
+            off.append(_search_all(sets, config))
             set_trace_enabled(True)
-            on.append(_search_all(sets, config, backend))
+            on.append(_search_all(sets, config))
             get_tracer().drain()
     finally:
         set_trace_enabled(None)
@@ -69,7 +63,7 @@ def test_tracing_is_bit_identical_and_cheap(backend):
     seconds_on = min(seconds for _, seconds in on)
     ratio = seconds_on / seconds_off if seconds_off > 0 else 1.0
     print(
-        f"\ntrace overhead [{backend}]: off {seconds_off:.3f}s, "
+        f"\ntrace overhead: off {seconds_off:.3f}s, "
         f"on {seconds_on:.3f}s, ratio {ratio:.3f} (target < 1.05; "
         f"best of {ROUNDS} interleaved rounds)"
     )

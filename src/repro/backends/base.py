@@ -1,106 +1,67 @@
-"""The compute-backend interface and the shared edit-grid helpers.
+"""The compute backend.
 
 A :class:`ComputeBackend` supplies the numeric kernels the staged query
-pipeline (:mod:`repro.pipeline`) is built on: columnar filtering of
-candidate batches, batched element-similarity evaluation, and the
+pipeline (:mod:`repro.pipeline`) is built on: the candidate-selection
+posting merge, batched element-similarity evaluation, and the
 maximum-weight-matching solve used by verification.  The pipeline and
 filters hold the *logic* (which candidates to compare, when to stop);
-backends hold the *arithmetic*, so swapping pure Python for numpy (or,
-later, anything else) cannot change results -- only speed.
+the backend holds the *arithmetic*.
+
+There is one backend.  Its kernels are scalar Python except on long
+batches of two shapes -- a posting merge scanning at least
+:attr:`ComputeBackend.select_min_postings` keys, an edit batch of at
+least :attr:`ComputeBackend.edit_batch_min_tasks` pairs -- which go to
+:mod:`repro.backends.numpy_kernels` when numpy is installed.  Either
+path returns the same keys and floats bit for bit, so the gates decide
+speed only.
 
 Weight matrices are intentionally opaque: callers read them through
 :meth:`ComputeBackend.matrix_entry` and solve them through
-:meth:`ComputeBackend.assignment_score`.  Every backend builds the
-sparse rows of :mod:`repro.matching.sparse` and solves them there, so
-verification is one code path; a backend only decides how the edit
-grid behind them is computed.
+:meth:`ComputeBackend.assignment_score`.  They are the sparse rows of
+:mod:`repro.matching.sparse`, so verification is one code path.
 """
 
 from __future__ import annotations
 
-import abc
 from itertools import repeat
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.backends.select import merge_distinct_postings_python
-from repro.core.records import ElementRecord, SetCollection, SetRecord
+from repro.core.records import ElementRecord, SetRecord
 from repro.sim.functions import SimilarityFunction
 from repro.sim.memo import SimilarityMemo
+
+try:
+    import repro.backends.numpy_kernels as numpy_kernels
+except ImportError:  # numpy is optional: every kernel has a scalar path
+    numpy_kernels = None
 
 _INDEX_TOKENS = attrgetter("index_tokens")
 
 
-def lookup_edit_grid(
-    patterns: Sequence[str],
-    texts: Sequence[str],
-    memo: SimilarityMemo | None,
-) -> tuple[list[list], int]:
-    """Memo-first rows of an edit grid and how many cells are unknown.
-
-    ``rows[i][j]`` is the memoised ``phi_alpha(patterns[i], texts[j])``
-    or ``None`` where the memo holds nothing (everywhere, without an
-    enabled memo).
-    """
-    if memo is None or not memo.enabled:
-        return [[None] * len(texts) for _ in patterns], len(patterns) * len(texts)
-    rows = [memo.lookup(x, texts) for x in patterns]
-    return rows, sum(row.count(None) for row in rows)
-
-
-def fill_edit_grid(
-    phi: SimilarityFunction,
-    patterns: Sequence[str],
-    texts: Sequence[str],
-    rows: list[list],
-    memo: SimilarityMemo | None,
-) -> None:
-    """Compute the ``None`` cells of *rows* one scalar call at a time.
-
-    Each becomes ``phi.edit_at_least(x, y, 0.0)`` -- the banded
-    Levenshtein bails out as soon as a pair provably scores below
-    alpha -- and is stored in *memo* for later passes.
-    """
-    store = memo.store if memo is not None and memo.enabled else None
-    for x, row in zip(patterns, rows):
-        if None not in row:
-            continue
-        for j, value in enumerate(row):
-            if value is None:
-                row[j] = value = phi.edit_at_least(x, texts[j], 0.0)
-                if store is not None:
-                    store(x, texts[j], value)
-
-
-class ComputeBackend(abc.ABC):
+class ComputeBackend:
     """Numeric kernels behind the staged pipeline.
 
-    Implementations must be *exact* drop-ins for one another: the
-    pipeline's property tests assert identical results across backends
-    on identical inputs.
+    The two class attributes below gate the numpy kernels by batch size
+    (measurements: ``docs/parameters.md``, "Array kernels"); results
+    never depend on them, only which (equally exact) path runs.
     """
 
-    #: Registry name (``SilkMothConfig.backend`` / ``SILKMOTH_BACKEND``).
-    name: str = "abstract"
+    #: Registry name (:func:`repro.backends.get_backend`).
+    name: str = "default"
 
-    # ------------------------------------------------------------------
-    # Columnar candidate-batch kernels
-    # ------------------------------------------------------------------
-    @abc.abstractmethod
-    def size_filter_indices(
-        self, sizes: Sequence[int], lo: float, hi: float
-    ) -> list[int]:
-        """Indices k with ``lo <= sizes[k] <= hi``."""
+    #: Minimum posting keys one merge scans before the numpy sorted-run
+    #: merge runs; smaller probes take the pure-Python galloping merge,
+    #: whose constant factors win before array lifting can amortise.
+    select_min_postings: int = 64
 
-    @abc.abstractmethod
-    def threshold_indices(
-        self, values: Sequence[float], cutoff: float
-    ) -> list[int]:
-        """Indices k with ``values[k] >= cutoff``."""
-
-    @abc.abstractmethod
-    def add_scalar(self, scalar: float, values: Sequence[float]) -> list[float]:
-        """Elementwise ``scalar + values`` (check-filter bound aggregation)."""
+    #: Minimum number of pairs to score before the lane-parallel Myers
+    #: kernel runs -- tasks of an :meth:`edit_values` batch, cells of an
+    #: :meth:`edit_grid` the memo does not hold.  Below it the scalar
+    #: banded path wins: a lane batch costs a fixed ~20 array dispatches
+    #: per text character however few lanes it has.
+    edit_batch_min_tasks: int = 64
 
     # ------------------------------------------------------------------
     # Index-traversal kernels
@@ -124,11 +85,16 @@ class ComputeBackend(abc.ABC):
         select-funnel accounting ``(postings_scanned, distinct_pairs,
         size_gate_drops)``.
 
-        The default is the shared pure-Python galloping merge
-        (:mod:`repro.backends.select`); the numpy backend substitutes a
-        vectorised sorted-run path.  Implementations must return
-        identical keys and counts for identical inputs.
+        The pure-Python galloping merge (:mod:`repro.backends.select`)
+        runs unless the probe scans :attr:`select_min_postings` keys and
+        numpy is installed; both return identical keys and counts.
         """
+        if numpy_kernels is not None:
+            scanned = sum(len(run) for run in key_arrays)
+            if scanned >= self.select_min_postings:
+                return numpy_kernels.merge_distinct_postings(
+                    key_arrays, skip_set, deleted, sizes, size_range, scanned
+                )
         return merge_distinct_postings_python(
             key_arrays, skip_set, deleted, sizes, size_range
         )
@@ -147,13 +113,19 @@ class ComputeBackend(abc.ABC):
         Edit kinds only; each entry has the exact semantics of
         :meth:`repro.sim.memo.SimilarityMemo.edit_value` (memo enabled)
         or :meth:`repro.sim.functions.SimilarityFunction.edit_at_least`
-        -- a pure function of the two strings and the floor, so backends
-        may batch or reorder the underlying distance computations freely
-        (the numpy backend runs a lane-parallel Myers kernel) without
-        changing a single returned float.  Whether the cross-stage memo
-        is consulted/populated is a backend throughput decision; it can
-        shift cache hit counters, never values.
+        -- a pure function of the two strings and the floor, so a batch
+        of :attr:`edit_batch_min_tasks` or more runs the lane-parallel
+        Myers kernel (:func:`repro.backends.numpy_kernels.edit_values`)
+        without changing a single returned float.  That path bypasses
+        the cross-stage memo, which can shift its hit counters, never
+        values.
         """
+        if numpy_kernels is not None and tasks and (
+            len(tasks) >= self.edit_batch_min_tasks
+        ):
+            return numpy_kernels.edit_values(
+                phi, tasks, memo, self.edit_batch_min_tasks
+            )
         if memo is not None and memo.enabled:
             return [
                 memo.edit_value(phi, x, y, floor) for x, y, floor in tasks
@@ -166,8 +138,8 @@ class ComputeBackend(abc.ABC):
         patterns: Sequence[str],
         texts: Sequence[str],
         memo: SimilarityMemo | None = None,
-    ):
-        """The ``len(patterns) x len(texts)`` matrix of ``phi_alpha`` values.
+    ) -> list[list[float]]:
+        """The ``len(patterns) x len(texts)`` rows of ``phi_alpha`` values.
 
         Edit kinds only; every cell equals
         ``phi.edit_at_least(patterns[i], texts[j], 0.0)`` bit for bit.
@@ -178,16 +150,50 @@ class ComputeBackend(abc.ABC):
         cells (:meth:`grid_columns`); :meth:`weight_matrix` asks for
         the grid of a single candidate.  *memo* is consulted first and
         receives what had to be computed, so the cross-stage cache
-        means what it always did; only how its misses are computed is
-        up to the backend (scalar calls here, Myers lanes on numpy).
-        The result is the backend's own grid type (lists of lists
-        here, an ndarray on numpy).
+        means what it always did.  When at least
+        :attr:`edit_batch_min_tasks` cells are unknown (and alpha is
+        positive, without which no cell has a band) they are offered to
+        the Myers lanes in one batch; whatever is still unknown after
+        that is computed one banded ``phi.edit_at_least(x, y, 0.0)``
+        call at a time.
         """
-        rows, _ = lookup_edit_grid(patterns, texts, memo)
-        fill_edit_grid(phi, patterns, texts, rows, memo)
+        memoized = memo is not None and memo.enabled
+        if memoized:
+            rows = [memo.lookup(x, texts) for x in patterns]
+            unknown = sum(row.count(None) for row in rows)
+        else:
+            rows = [[None] * len(texts) for _ in patterns]
+            unknown = len(patterns) * len(texts)
+        if (
+            numpy_kernels is not None
+            and unknown >= self.edit_batch_min_tasks
+            and phi.alpha > 0.0
+        ):
+            numpy_kernels.fill_grid_lanes(
+                phi, patterns, texts, rows, memo, self.edit_batch_min_tasks
+            )
+        for x, row in zip(patterns, rows):
+            if None not in row:
+                continue
+            for j, value in enumerate(row):
+                if value is None:
+                    row[j] = value = phi.edit_at_least(x, texts[j], 0.0)
+                    if memoized:
+                        memo.store(x, texts[j], value)
         return rows
 
-    @abc.abstractmethod
+    def grid_columns(self, grid) -> list[list[tuple[int, float]]]:
+        """Per column of an :meth:`edit_grid`, its positive cells.
+
+        Each column is a list of ``(row, weight)`` in ascending row
+        order -- what :func:`repro.matching.sparse.column_rows` turns
+        into a candidate's weight matrix.
+        """
+        return [
+            [(i, weight) for i, weight in enumerate(column) if weight > 0.0]
+            for column in zip(*grid)
+        ]
+
     def token_similarities(
         self,
         probe: frozenset[int],
@@ -199,6 +205,7 @@ class ComputeBackend(abc.ABC):
         Token-based kinds only; semantics identical to
         :meth:`repro.sim.functions.SimilarityFunction.tokens` per entry.
         """
+        return [phi.tokens(probe, target) for target in targets]
 
     def indexed_token_similarities(
         self,
@@ -219,9 +226,8 @@ class ComputeBackend(abc.ABC):
         C-level ``map`` passes over the records' own frozensets -- no
         Python frame per key -- and the closed form is
         :meth:`~repro.sim.functions.SimilarityFunction.tokens_from_counts`.
-        One implementation serves every backend: a call scores a few
-        to a few dozen contents, where the scalar ``map`` beats an
-        array expression (measurements: CHANGES.md, PR 20).
+        A call scores a few to a few dozen contents, where the scalar
+        ``map`` beats an array expression.
         """
         if phi.kind.is_edit_based:
             raise ValueError(
@@ -237,18 +243,6 @@ class ComputeBackend(abc.ABC):
             )
         )
 
-    def witnesses(
-        self, scores: Sequence[float], bound: float
-    ) -> Tuple[list[int], list[float]]:
-        """Positions k with ``scores[k] > bound``, and those scores.
-
-        The check filter's per-element witness test (Algorithm 1):
-        only the pairs whose similarity beats the signature bound are
-        ever recorded.  Positions ascend.
-        """
-        hits = [k for k, score in enumerate(scores) if score > bound]
-        return hits, [scores[k] for k in hits]
-
     # ------------------------------------------------------------------
     # Verification kernels
     # ------------------------------------------------------------------
@@ -258,15 +252,13 @@ class ComputeBackend(abc.ABC):
         candidate: SetRecord,
         phi: SimilarityFunction,
         memo: SimilarityMemo | None = None,
-        collection: SetCollection | None = None,
     ):
-        """Pairwise ``phi_alpha`` weight matrix (backend-opaque type).
+        """Pairwise ``phi_alpha`` weight matrix (opaque type).
 
         The sparse rows of :mod:`repro.matching.sparse`: token kinds
         count them off the candidate's tokens, edit kinds take the
         positive cells of :meth:`edit_grid` over the two sets' element
-        texts (*memo* as there).  *collection* is the candidate's
-        collection when the caller has one; nothing here reads it.
+        texts (*memo* as there).
         """
         # Imported here: repro.matching's own modules import this package.
         from repro.matching.sparse import column_rows, token_rows
@@ -281,18 +273,6 @@ class ComputeBackend(abc.ABC):
         )
         return column_rows(len(reference), self.grid_columns(grid))
 
-    def grid_columns(self, grid) -> list[list[tuple[int, float]]]:
-        """Per column of an :meth:`edit_grid`, its positive cells.
-
-        Each column is a list of ``(row, weight)`` in ascending row
-        order -- what :func:`repro.matching.sparse.column_rows` turns
-        into a candidate's weight matrix.
-        """
-        return [
-            [(i, weight) for i, weight in enumerate(column) if weight > 0.0]
-            for column in zip(*grid)
-        ]
-
     def assignment_score(self, matrix) -> float:
         """Maximum-weight bipartite matching score of a weight matrix."""
         from repro.matching.hungarian import matching_total
@@ -303,13 +283,6 @@ class ComputeBackend(abc.ABC):
     def matrix_entry(self, matrix, i: int, j: int) -> float:
         """Read one entry of a matrix built by :meth:`weight_matrix`."""
         return matrix[i].get(j, 0.0)
-
-    def matrix_columns(self, matrix, columns: Sequence[int]):
-        """The matrix whose j-th column is column ``columns[j]`` of *matrix*."""
-        return [
-            {j: row[c] for j, c in enumerate(columns) if c in row}
-            for row in matrix
-        ]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<{type(self).__name__} {self.name!r}>"

@@ -7,9 +7,10 @@ probes.  The index stores each posting list as a sorted array of packed
 int64 keys (:mod:`repro.index.inverted`), so deduplication is a merge
 of sorted unique runs -- no per-posting tuples, sets or dict probes.
 
-This module holds the pure-Python half of that kernel, used directly by
-:class:`~repro.backends.python_backend.PythonBackend` and as the
-small-batch fallback of the numpy backend:
+This module holds the pure-Python half of that kernel, which
+:class:`~repro.backends.base.ComputeBackend` runs on every probe too
+short for (or without) the numpy merge of
+:mod:`repro.backends.numpy_kernels`:
 
 :func:`merge_sorted_unique`
     Count-then-filter k-way merge.  Lists are folded shortest-first
@@ -29,8 +30,8 @@ small-batch fallback of the numpy backend:
     gate applies at all the input is returned untouched.
 
 Both functions are exact by construction: they only reorder and
-deduplicate probe work, never scores, so every backend that routes
-selection through them returns bit-identical candidates.
+deduplicate probe work, never scores, so selection returns
+bit-identical candidates on either path.
 """
 
 from __future__ import annotations
@@ -165,8 +166,8 @@ def merge_distinct_postings_python(
     """The full pure-Python selection merge: dedup then gate.
 
     Returns ``(kept_keys, postings_scanned, distinct_pairs,
-    size_gate_drops)`` -- the select-funnel accounting every backend
-    reports identically.
+    size_gate_drops)`` -- the select-funnel accounting both merge paths
+    report identically.
     """
     scanned = sum(len(run) for run in key_arrays)
     merged = merge_sorted_unique(key_arrays)

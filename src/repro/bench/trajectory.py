@@ -15,11 +15,9 @@ and a token-based discovery -- twice each:
     the shipping configuration.
 
 The result (written as ``BENCH_<tag>.json``) records wall-clock per
-mode, the speedup, the funnel counters, the memo hit rate, and a
-per-backend ``calibration`` section the query planner's cost model can
-consume instead of its fixed constants (see
-:func:`repro.planner.cost.load_measured_costs`).  Committing one file
-per PR turns "faster" into a reviewable trajectory.
+mode, the speedup, the funnel counters and the memo hit rate.
+Committing one file per PR turns "faster" into a reviewable
+trajectory.
 
 A third pinned workload, ``cluster_discover``, measures *scale-out*
 rather than kernels: full self-discovery on the verification-heavy
@@ -45,7 +43,6 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from repro.backends import available_backends
 from repro.core.config import SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
@@ -144,7 +141,6 @@ def token_workload(scale: float = 1.0) -> tuple[list[list[str]], SilkMothConfig]
 def _time_search(
     sets: list[list[str]],
     config: SilkMothConfig,
-    backend: str,
     optimized: bool,
     repeats: int = 2,
     select_kernel: "str | None" = None,
@@ -167,9 +163,7 @@ def _time_search(
     # SILKMOTH_SIM_CACHE environment variable, letting an inherited
     # env value silently change what "optimized" means.
     mode_config = replace(
-        config,
-        backend=backend,
-        sim_cache_size=DEFAULT_SIM_CACHE_SIZE if optimized else 0,
+        config, sim_cache_size=DEFAULT_SIM_CACHE_SIZE if optimized else 0
     )
     collection = SetCollection.from_strings(
         sets, kind=mode_config.similarity, q=mode_config.effective_q
@@ -322,7 +316,6 @@ def _time_single_discover(
         "sim_cache_hit_rate": round(stats.sim_cache_hits / lookups, 4)
         if lookups
         else 0.0,
-        "backend": engine.decision.backend,
     }
 
 
@@ -355,9 +348,7 @@ def cluster_entry(scale: float = 1.0, worker_counts: tuple = ()) -> dict:
                 f"{entry['matches']} != {baseline['matches']} matches"
             )
         best = entry  # worker counts ascend; keep the largest
-    backend = baseline.pop("backend")
     return {
-        "backend": backend,
         "baseline": baseline,
         "optimized": best,
         "workers": per_workers,
@@ -370,10 +361,9 @@ def cluster_entry(scale: float = 1.0, worker_counts: tuple = ()) -> dict:
 def _workload_entry(
     sets: list[list[str]],
     config: SilkMothConfig,
-    backend: str,
     repeats: int = 2,
 ) -> dict:
-    """Baseline-vs-optimized measurements for one (workload, backend).
+    """Baseline-vs-optimized measurements for one workload.
 
     Besides the classic baseline/optimized pair, the entry carries a
     ``select_kernel`` A/B isolating the candidate-selection kernel:
@@ -383,12 +373,11 @@ def _workload_entry(
     exactness-pinned); the A/B raises otherwise rather than committing
     a divergent measurement.
     """
-    baseline = _time_search(sets, config, backend, optimized=False, repeats=repeats)
-    optimized = _time_search(sets, config, backend, optimized=True, repeats=repeats)
+    baseline = _time_search(sets, config, optimized=False, repeats=repeats)
+    optimized = _time_search(sets, config, optimized=True, repeats=repeats)
     reference_select = _time_search(
         sets,
         config,
-        backend,
         optimized=True,
         repeats=repeats,
         select_kernel="reference",
@@ -410,7 +399,6 @@ def _workload_entry(
         else float("inf")
     )
     return {
-        "backend": backend,
         "baseline": baseline,
         "optimized": optimized,
         "speedup": round(speedup, 3),
@@ -430,23 +418,13 @@ def _workload_entry(
     }
 
 
-def run_trajectory(
-    scale: float = 1.0, backends: tuple = (), workloads: tuple = ()
-) -> dict:
+def run_trajectory(scale: float = 1.0, workloads: tuple = ()) -> dict:
     """Execute the pinned workloads and assemble the trajectory payload.
 
-    *backends* names exactly which backends run; the default (empty)
-    is every available backend.  An explicit selection is honoured as
-    given -- timing only the numpy backend is a valid use.
     *workloads* restricts which of :data:`KNOWN_WORKLOADS` run (the
     default, empty, is all of them) -- e.g. CI's bench smoke times the
-    select-dominated ``edit_verify`` alone.  The ``calibration``
-    section summarises optimized wall-clock per backend over whichever
-    kernel workloads ran, for the planner's measured cost model (it
-    needs at least two backends to carry comparative signal).
+    select-dominated ``edit_verify`` alone.
     """
-    if not backends:
-        backends = available_backends()
     if not workloads:
         workloads = KNOWN_WORKLOADS
     unknown = sorted(set(workloads) - set(KNOWN_WORKLOADS))
@@ -455,42 +433,16 @@ def run_trajectory(
             f"unknown workload(s) {', '.join(unknown)}; "
             f"known: {', '.join(KNOWN_WORKLOADS)}"
         )
-    run_edit = "edit_verify" in workloads
-    run_token = "token_discover" in workloads
-    if run_edit:
-        edit_sets, edit_config = edit_workload(scale)
-    if run_token:
-        token_sets, token_config = token_workload(scale)
     entries: dict = {}
-    calibration_backends: dict = {}
-    for backend in backends:
-        optimized_runs = []
-        suffix = "" if backend == "python" else f"_{backend}"
-        if run_edit:
-            edit_entry = _workload_entry(edit_sets, edit_config, backend)
-            entries[f"edit_verify{suffix}"] = edit_entry
-            optimized_runs.append(edit_entry["optimized"])
-        if run_token:
-            # The token workload is two orders of magnitude cheaper, so
-            # it takes more repeats to push best-of-N noise below the
-            # regression signal it guards.
-            token_entry = _workload_entry(
-                token_sets, token_config, backend, repeats=7
-            )
-            entries[f"token_discover{suffix}"] = token_entry
-            optimized_runs.append(token_entry["optimized"])
-        if optimized_runs:
-            calibration_backends[backend] = {
-                "seconds": round(
-                    sum(run["seconds"] for run in optimized_runs), 6
-                ),
-                "stage_seconds": _merge_stage_seconds(
-                    *(run["stage_seconds"] for run in optimized_runs)
-                ),
-            }
-    # Scale-out entry: one measurement series, not per backend (worker
-    # shards plan their own backends), and excluded from calibration
-    # (process fan-out wall clock is not a backend-speed signal).
+    if "edit_verify" in workloads:
+        entries["edit_verify"] = _workload_entry(*edit_workload(scale))
+    if "token_discover" in workloads:
+        # The token workload is two orders of magnitude cheaper, so it
+        # takes more repeats to push best-of-N noise below the
+        # regression signal it guards.
+        entries["token_discover"] = _workload_entry(
+            *token_workload(scale), repeats=7
+        )
     if "cluster_discover" in workloads:
         entries["cluster_discover"] = cluster_entry(scale)
     import multiprocessing
@@ -507,14 +459,6 @@ def run_trajectory(
         "hostname": _hostname(),
         "scale": scale,
         "workloads": entries,
-        "calibration": {
-            "workloads": [
-                name
-                for name in ("edit_verify", "token_discover")
-                if name in workloads
-            ],
-            "backends": calibration_backends,
-        },
     }
 
 
@@ -552,20 +496,9 @@ def _hostname() -> str:
         return "unknown"
 
 
-def _merge_stage_seconds(*timings: dict) -> dict:
-    """Sum per-stage second maps (used for the calibration summary)."""
-    merged: dict = {}
-    for timing in timings:
-        for name, seconds in timing.items():
-            merged[name] = round(merged.get(name, 0.0) + seconds, 6)
-    return merged
-
-
-def write_trajectory(
-    path, scale: float = 1.0, backends: tuple = (), workloads: tuple = ()
-) -> dict:
+def write_trajectory(path, scale: float = 1.0, workloads: tuple = ()) -> dict:
     """Run :func:`run_trajectory` and write the payload to *path* as JSON."""
-    payload = run_trajectory(scale=scale, backends=backends, workloads=workloads)
+    payload = run_trajectory(scale=scale, workloads=workloads)
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return payload
 
@@ -576,7 +509,7 @@ def format_trajectory(payload: dict) -> str:
     for name, entry in sorted(payload["workloads"].items()):
         optimized = entry["optimized"]
         line = (
-            f"{name:24s} [{entry['backend']}] "
+            f"{name:24s} "
             f"baseline {entry['baseline']['seconds']:.3f}s -> "
             f"optimized {optimized['seconds']:.3f}s "
             f"({entry['speedup']:.2f}x); "

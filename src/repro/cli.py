@@ -10,7 +10,7 @@ works on real files without writing any Python:
 * ``silkmoth stats data.csv --format csv-columns`` prints the Table 3
   style dataset profile without running any search.
 * ``silkmoth explain titles.txt --reference 0`` prints the planner's
-  query plan (scheme, backend, q validity, fallback decision); add
+  query plan (scheme, q validity, fallback decision); add
   ``--candidate N`` to also trace one pair through the pipeline.
 * ``silkmoth service snapshot|query|info`` drives the online serving
   layer: build a mutable service snapshot, serve batched reference
@@ -52,7 +52,6 @@ import sys
 import time
 from pathlib import Path
 
-from repro.backends import KNOWN_BACKENDS
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
@@ -109,7 +108,6 @@ def build_config(args: argparse.Namespace) -> SilkMothConfig:
         check_filter=not args.no_check_filter,
         nn_filter=not args.no_nn_filter,
         reduction=not args.no_reduction,
-        backend=None if args.backend == "auto" else args.backend,
     )
 
 
@@ -176,15 +174,6 @@ def _add_config_options(parser: argparse.ArgumentParser) -> None:
         "--no-reduction",
         action="store_true",
         help="disable reduction-based verification",
-    )
-    parser.add_argument(
-        "--backend",
-        choices=("auto",) + KNOWN_BACKENDS,
-        default="auto",
-        help=(
-            "compute backend for the pipeline kernels (default: auto -- "
-            "SILKMOTH_BACKEND env var, then numpy when installed)"
-        ),
     )
 
 
@@ -384,8 +373,8 @@ def cmd_service_snapshot(args: argparse.Namespace) -> int:
     The snapshot stores raw sets plus tombstones; the serving process
     rebuilds the inverted index on load and re-plans against its own
     statistics, so the planner metadata recorded here is config-only
-    (validity and fallback facts are exact; ``scheme="auto"`` and
-    backend choices are finalised at serving time) and flagged
+    (validity and fallback facts are exact; a ``scheme="auto"``
+    choice is finalised at serving time) and flagged
     ``planned_without_index``.
     """
     from repro.io.persistence import save_service_snapshot
@@ -475,7 +464,7 @@ def cmd_service_info(args: argparse.Namespace) -> int:
         print(f"generation:   {metadata.get('generation', 0)}")
         planner = metadata.get("planner")
         if isinstance(planner, dict):
-            for key in ("scheme", "backend", "q", "full_scan"):
+            for key in ("scheme", "q", "full_scan"):
                 if key in planner:
                     print(f"planner.{key}: {planner[key]}")
         stats = metadata.get("stats")

@@ -5,8 +5,8 @@ append-only global id space, the placement table mapping each global id
 to ``(shard, local id)``, the raw element texts (its directory), the
 per-shard routing summaries, the cluster-level query cache and the
 lifetime stats.  Shards own everything else -- each one is a full
-single-node engine (collection, inverted index, backend, sim memo,
-planner decision) behind a :mod:`~repro.cluster.transport`.
+single-node engine (collection, inverted index, sim memo, planner
+decision) behind a :mod:`~repro.cluster.transport`.
 
 A query runs in four steps:
 
@@ -42,7 +42,6 @@ from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence
 
-from repro.backends import get_backend
 from repro.cluster.routing import (
     ReferenceProbe,
     ShardSummary,
@@ -70,7 +69,6 @@ from repro.io.persistence import (
     save_shard_snapshot,
 )
 from repro.io.wal import resolve_wal_dir, wal_directory_in_use
-from repro.obs.autocal import AutoCalibrator
 from repro.obs.diag import get_slowlog, observe_slow_cluster_query, slowlog_ms
 from repro.obs.sketch import get_sketch_registry, merge_payloads, quantile_summary
 from repro.obs.instrument import (
@@ -216,15 +214,6 @@ class SilkMothCluster:
         Cluster-level query cache size (0 disables caching).
     compact_dead_fraction:
         Per-shard auto-compaction threshold (as in the service).
-    autocal_interval:
-        Cold fan-outs between auto-calibration samples (``None`` reads
-        ``SILKMOTH_AUTOCAL_INTERVAL``; 0 disables).  When a sample
-        fires, every shard re-plans against the cluster's live
-        per-backend timings (see :meth:`_autocalibrate`).
-    autocal_export_path:
-        Optional file each sample also (atomically) writes a
-        ``SILKMOTH_COST_PROFILE``-compatible profile to, with the
-        per-shard index profiles merged in.
     replicas:
         Transport endpoints per logical shard, each holding identical
         state; ``None`` defers to ``SILKMOTH_REPLICAS`` and then 1.
@@ -258,8 +247,6 @@ class SilkMothCluster:
         summary_bits: "int | None" = None,
         cache_capacity: int = 1024,
         compact_dead_fraction: float = 0.25,
-        autocal_interval: "int | None" = None,
-        autocal_export_path: "str | Path | None" = None,
         replicas: "int | None" = None,
         deadline: "float | None" = None,
         backoff: "float | None" = None,
@@ -275,8 +262,6 @@ class SilkMothCluster:
             cache_capacity,
             compact_dead_fraction,
             shard_states=[((), ()) for _ in range(n_shards)],
-            autocal_interval=autocal_interval,
-            autocal_export_path=autocal_export_path,
             replicas=replicas,
             deadline=deadline,
             backoff=backoff,
@@ -293,8 +278,6 @@ class SilkMothCluster:
         cache_capacity: int,
         compact_dead_fraction: float,
         shard_states: list,
-        autocal_interval: "int | None" = None,
-        autocal_export_path: "str | Path | None" = None,
         replicas: "int | None" = None,
         deadline: "float | None" = None,
         backoff: "float | None" = None,
@@ -332,10 +315,6 @@ class SilkMothCluster:
         #: From-disk replica rebuilds that failed verification and fell
         #: back to coordinator state (observability for the tests).
         self.wal_revive_fallbacks = 0
-        # Resolve the compute backend here, once, before any worker
-        # exists: forked workers inherit the loaded singleton instead of
-        # each importing the numpy kernels inside its own construction.
-        get_backend(config.backend)
         self._summaries: list[ShardSummary] = []
 
         def build_summaries() -> None:
@@ -384,11 +363,6 @@ class SilkMothCluster:
         self.generation = 0
         self.cache = LRUQueryCache(cache_capacity)
         self.stats = ClusterStats()
-        #: Cluster-level auto-calibration sampler; the export (which
-        #: merges per-shard index profiles) is coordinator work, so the
-        #: sampler itself holds no export path.
-        self.autocal = AutoCalibrator(autocal_interval, None)
-        self._autocal_export_path = autocal_export_path
         #: Funnel aggregate over merged cluster passes (engine parity).
         self.run_stats = RunStats()
         #: The most recent query's fan-out verdict (observability).
@@ -418,8 +392,6 @@ class SilkMothCluster:
         summary_bits = resolve_summary_bits(kwargs.pop("summary_bits", None))
         cache_capacity = kwargs.pop("cache_capacity", 1024)
         compact_dead_fraction = kwargs.pop("compact_dead_fraction", 0.25)
-        autocal_interval = kwargs.pop("autocal_interval", None)
-        autocal_export_path = kwargs.pop("autocal_export_path", None)
         replicas = kwargs.pop("replicas", None)
         deadline = kwargs.pop("deadline", None)
         backoff = kwargs.pop("backoff", None)
@@ -444,8 +416,6 @@ class SilkMothCluster:
             cache_capacity,
             compact_dead_fraction,
             shard_states=[(shard_sets[k], ()) for k in range(n_shards)],
-            autocal_interval=autocal_interval,
-            autocal_export_path=autocal_export_path,
             replicas=replicas,
             deadline=deadline,
             backoff=backoff,
@@ -1203,58 +1173,7 @@ class SilkMothCluster:
             failovers=self.stats.failovers - failovers_before,
             lost_shards=self.lost_shards(),
         )
-        self._autocalibrate()
         return merged_results, cluster_pass
-
-    def _autocalibrate(self) -> None:
-        """Tick the sampler; broadcast a re-plan when it fires.
-
-        The coordinator's :class:`~repro.cluster.stats.ClusterStats`
-        accumulates every shard's per-backend pass timings, so the
-        derived :class:`~repro.planner.cost.MeasuredCosts` reflects
-        cluster-wide traffic; each shard then re-plans against those
-        shared timings and its *own* index profile.  When an export
-        path is configured the profile is also written to disk with the
-        per-shard index profiles merged via
-        :func:`~repro.planner.cost.merge_profiles`.
-        """
-        costs = self.autocal.observe(self.stats)
-        if costs is None:
-            return
-        shards = list(range(self.n_shards))
-        with span("planner.autocal_replan", shards=self.n_shards):
-            # Best-effort broadcast: a re-plan must never turn a query
-            # that already answered into a degraded failure, so lost
-            # shards are simply skipped (they re-plan on revive).
-            self._fanout_read(
-                "replan",
-                [(costs.backend_seconds,) for _ in shards],
-                shards,
-                allow_lost=True,
-            )
-        if self._autocal_export_path is not None:
-            self.export_cost_profile(self._autocal_export_path)
-
-    def export_cost_profile(self, path: "str | Path") -> dict:
-        """Write live cluster timings as planner calibration.
-
-        :meth:`ServiceStats.export_cost_profile` over the cluster's
-        lifetime stats, plus an ``index_profile`` section merging every
-        shard's :class:`~repro.planner.cost.IndexProfile` through
-        :func:`~repro.planner.cost.merge_profiles` -- the cluster-wide
-        workload view alongside the cluster-wide timings.
-        """
-        profiles = []
-        for entry in self.shard_infos():
-            profile = entry.get("decision", {}).get("profile")
-            if isinstance(profile, dict):
-                profiles.append(IndexProfile.from_dict(profile))
-        extra = (
-            {"index_profile": merge_profiles(profiles).to_dict()}
-            if profiles
-            else None
-        )
-        return self.stats.export_cost_profile(path, extra=extra)
 
     def search(self, elements: Sequence[str]) -> list[SearchResult]:
         """All live sets related to the raw reference *elements*.
@@ -1512,7 +1431,8 @@ class SilkMothCluster:
         """Human-readable per-shard planner summary (``cluster info``).
 
         Each shard line ends with the planner's own reason for the
-        shard's backend, so "why is this shard on python" needs no
+        shard's scheme (shards plan against their own index slice), so
+        "why does this shard sign differently" needs no
         :meth:`shard_infos` dig.
         """
         lines = [
@@ -1526,21 +1446,20 @@ class SilkMothCluster:
         ]
         for k, entry in enumerate(self.shard_infos()):
             decision = entry.get("decision", {})
-            backend = decision.get("backend", "?")
+            scheme = decision.get("scheme", "?")
             why = next(
                 (
-                    reason.removeprefix(f"backend={backend} ")
+                    reason.removeprefix(f"scheme={scheme} ")
                     for reason in decision.get("reasons", ())
-                    if reason.startswith("backend=")
+                    if reason.startswith("scheme=")
                 ),
                 "unknown",
             )
             lines.append(
                 f"  shard {k}: {entry.get('live_sets', 0)} live set(s), "
-                f"scheme={decision.get('scheme', '?')}, "
-                f"backend={backend}, "
+                f"scheme={scheme}, "
                 f"full_scan={decision.get('full_scan', '?')}; "
-                f"backend {why}"
+                f"scheme {why}"
             )
         return "\n".join(lines)
 

@@ -7,16 +7,11 @@ small command vocabulary the transports speak.  Every shard therefore
 inherits the service's exactness-under-mutation story wholesale:
 tombstoned local sets, lazy posting deletion, threshold compaction and
 per-shard re-planning against the shard's own
-:class:`~repro.planner.cost.IndexProfile`.
-
-That profile is the shard's slice, not the cluster's, and the planner's
-backend rule reads posting lists rather than set count
-(:data:`~repro.planner.cost.NUMPY_MIN_PROBE_WORK`): a shard of a few
-dozen dense sets plans the same batched numpy kernels the single node
-would, a shard of sparse ones stays on python.  A worker process does
-not import those kernels itself -- the coordinator resolves the backend
-before it forks (see :mod:`repro.cluster.transport`), so constructing a
-host costs tokenise + index + plan and nothing else.
+:class:`~repro.planner.cost.IndexProfile` (the shard's slice, not the
+cluster's).  A worker process does not import the numpy kernels itself
+-- the coordinator loaded them with :mod:`repro.backends` before it
+forked (see :mod:`repro.cluster.transport`), so constructing a host
+costs tokenise + index + plan and nothing else.
 
 Local ids are shard-private and append-only (never reused); the
 coordinator owns the global numbering and the mapping between the two.
@@ -34,10 +29,8 @@ from repro.cluster.routing import token_hash
 from repro.core.config import SilkMothConfig
 from repro.core.records import SetCollection
 from repro.io.wal import reset_wal_directory
-from repro.obs.autocal import AUTOCAL_SOURCE
 from repro.obs.sketch import get_sketch_registry
 from repro.obs.trace import collect_remote, span
-from repro.planner.cost import MeasuredCosts
 from repro.service.service import SilkMothService
 from repro.tokenize.tokenizers import Tokenizer
 
@@ -191,22 +184,6 @@ class ShardHost:
     def _cmd_wal(self) -> "dict | None":
         """This shard's current WAL position (``None`` = WAL disabled)."""
         return self.service.wal_position()
-
-    def _cmd_replan(self, backend_seconds: dict) -> str:
-        """Re-plan this shard against cluster-measured backend timings.
-
-        *backend_seconds* maps backend name -> mean seconds per pass,
-        as derived by the coordinator's auto-calibration sampler from
-        shard-summed live traffic.  The shard re-plans against its own
-        :class:`~repro.planner.cost.IndexProfile` (per-shard statistics
-        stay exact); only the measured costs are shared.  Returns the
-        re-planned backend name.
-        """
-        costs = MeasuredCosts(
-            backend_seconds=dict(backend_seconds), source=AUTOCAL_SOURCE
-        )
-        decision = self.service.engine.replan(measured=costs)
-        return decision.backend
 
     def _cmd_summary(self) -> tuple[list[int], bool]:
         """Inventory the live sets' token hashes (+ empty-element flag).

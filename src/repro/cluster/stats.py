@@ -6,9 +6,7 @@ Each routed shard runs one ordinary pipeline pass and returns its
 shards, plus how many shards the router touched versus skipped.
 :class:`ClusterStats` extends the service-lifetime counters with the
 routing totals, so a long-lived cluster reports hit rates, latency
-*and* fan-out efficiency from one object (and inherits
-:meth:`~repro.service.stats.ServiceStats.export_cost_profile`, since
-shard passes feed the same per-backend stage timings).
+*and* fan-out efficiency from one object.
 """
 
 from __future__ import annotations
@@ -23,18 +21,15 @@ from repro.service.stats import ServiceStats
 def merge_pass_stats(per_shard: list[PassStats]) -> PassStats:
     """Sum shard passes into one cluster-level :class:`PassStats`.
 
-    Counters and stage timings add; the backend/scheme labels keep the
-    unique value when every shard agrees and read ``"mixed"`` otherwise
+    Counters and stage timings add; the scheme label keeps the unique
+    value when every shard agrees and reads ``"mixed"`` otherwise
     (shards plan independently, so e.g. a small shard may pick the
-    pure-Python backend while a big one picks numpy).
+    exhaustive scheme while a big one picks dichotomy).
     """
     merged = PassStats()
-    backends = {stats.backend for stats in per_shard if stats.backend}
     schemes = {stats.scheme for stats in per_shard if stats.scheme}
-    merged.backend = backends.pop() if len(backends) == 1 else "mixed"
     merged.scheme = schemes.pop() if len(schemes) == 1 else "mixed"
     if not per_shard:
-        merged.backend = ""
         merged.scheme = ""
     for stats in per_shard:
         merged.signature_tokens += stats.signature_tokens

@@ -5,7 +5,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 
-from repro.backends import KNOWN_BACKENDS
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 from repro.signatures import SCHEME_NAMES
 from repro.tokenize.tokenizers import max_q_for_alpha
@@ -54,11 +53,6 @@ class SilkMothConfig:
         SET-SIMILARITY compares only similar-size sets; containment
         needs ``|S| >= delta |R|``).  Toggleable for ablation only --
         the gate is always sound.
-    backend:
-        Compute backend name (``"python"`` or ``"numpy"``).  ``None``
-        defers to the ``SILKMOTH_BACKEND`` environment variable and
-        then auto-selects (numpy when installed).  The backend affects
-        speed only, never results.
     sim_cache_size:
         Capacity (in element pairs) of the cross-stage similarity memo
         (:mod:`repro.sim.memo`) used under the edit kinds.  ``None``
@@ -77,7 +71,6 @@ class SilkMothConfig:
     nn_filter: bool = True
     reduction: bool = True
     size_filter: bool = True
-    backend: str | None = None
     sim_cache_size: int | None = None
 
     def __post_init__(self) -> None:
@@ -91,11 +84,6 @@ class SilkMothConfig:
             raise ValueError(
                 f"scheme must be 'auto' or one of {SCHEME_NAMES}, "
                 f"got {self.scheme!r}"
-            )
-        if self.backend is not None and self.backend not in KNOWN_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {KNOWN_BACKENDS} or None, "
-                f"got {self.backend!r}"
             )
         if self.sim_cache_size is not None and self.sim_cache_size < 0:
             raise ValueError(

@@ -10,12 +10,12 @@ Sections 5.1-5.2 that the filters only drop provably unrelated sets).
 Since the staged-pipeline refactor the engine is a thin driver: every
 pass is a :class:`repro.pipeline.QueryPlan` (signature ->
 candidate-select -> check -> nn-filter -> verify) executed on the
-configured compute backend.  The process-pool, partitioned and service
+compute backend.  The process-pool, partitioned and service
 drivers build the very same plans, so there is exactly one query path.
 
 Every engine is planner-gated: construction runs
 :func:`repro.planner.plan_query` once, which resolves ``scheme="auto"``
-and an unset backend from index statistics and -- crucially for
+from index statistics and -- crucially for
 exactness -- detects configurations whose signature scheme cannot
 certify Lemma 1 (edit similarity with an out-of-constraint gram
 length) and routes those passes through an exact full scan instead of
@@ -54,8 +54,7 @@ class SilkMoth:
         The searched collection S.  Its vocabulary is shared with any
         reference collection built through :meth:`reference_collection`.
     config:
-        Thresholds, metric, scheme, compute backend and optimisation
-        toggles.
+        Thresholds, metric, scheme and optimisation toggles.
     """
 
     def __init__(
@@ -85,7 +84,7 @@ class SilkMoth:
         self.index = index if index is not None else InvertedIndex(collection)
         self.decision: PlannerDecision = plan_query(config, self.index)
         self.scheme = get_scheme(self.decision.scheme)
-        self.backend = get_backend(self.decision.backend)
+        self.backend = get_backend()
         #: Cross-stage element-pair similarity memo (edit kinds only):
         #: shared by every pass this engine runs, so exact phi values
         #: computed by the check/NN filters are reused by verification
@@ -145,20 +144,15 @@ class SilkMoth:
             memo=self.memo,
         )
 
-    def replan(self, measured=None) -> PlannerDecision:
+    def replan(self) -> PlannerDecision:
         """Recompute the planner decision from current index statistics.
 
         Useful after heavy mutation (the service calls this when it
         compacts): validity never changes -- it is parameter arithmetic
-        -- but the cost model's scheme/backend choices may.  *measured*
-        optionally supplies live per-backend timings (a
-        :class:`~repro.planner.cost.MeasuredCosts`) so the
-        auto-calibration sampler can override the heuristics without
-        any ``SILKMOTH_COST_PROFILE`` file.
+        -- but the cost model's scheme choice may.
         """
-        self.decision = plan_query(self.config, self.index, measured=measured)
+        self.decision = plan_query(self.config, self.index)
         self.scheme = get_scheme(self.decision.scheme)
-        self.backend = get_backend(self.decision.backend)
         return self.decision
 
     def plan_report(self) -> str:
@@ -189,9 +183,7 @@ class SilkMoth:
     ) -> tuple[list[SearchResult], PassStats]:
         """:meth:`search` plus the pass's funnel counters."""
         if len(reference) == 0:
-            return [], PassStats(
-                backend=self.backend.name, scheme=self.scheme.name
-            )
+            return [], PassStats(scheme=self.scheme.name)
         results, stats = self.plan(
             reference, skip_set=skip_set, first_set=first_set
         ).execute()

@@ -4,7 +4,7 @@ The evaluation reasons about candidate counts at each pipeline stage
 (signature probe, check filter, NN filter, verification), so the engine
 records them for every search pass and aggregates across a discovery
 run.  Since the staged-pipeline refactor each pass also carries
-wall-clock time per stage and the compute backend that ran it.
+wall-clock time per stage.
 Benchmarks print these alongside overall wall-clock times.
 """
 
@@ -27,8 +27,6 @@ class PassStats:
     #: probes only the sets after its reference, so over a run these
     #: add up to exactly the reported pairs.
     matches: int = 0
-    #: Compute backend that executed the pass ("python" / "numpy").
-    backend: str = ""
     #: Signature scheme the plan resolved to ("" before execution).
     scheme: str = ""
     #: Non-empty when the query planner routed this pass through the

@@ -30,7 +30,7 @@ Two interchangeable kernels drive the probe:
     them -- shortest first -- to the compute backend's
     :meth:`~repro.backends.base.ComputeBackend.merge_distinct_postings`
     (a galloping sorted-run merge in pure Python, ``numpy.unique`` over
-    ``int64`` views on the numpy backend), and receives the distinct
+    ``int64`` views on long probes), and receives the distinct
     gated keys with no per-posting tuple, set or dict traffic.
     Self-match, tombstone and size gates are applied inside the merge
     at run level -- once per candidate set -- and skipped entirely when
@@ -62,10 +62,9 @@ Two interchangeable kernels drive the probe:
     at the end of the probe.
 
     Either way, as in Algorithm 1, a surfaced set costs almost
-    nothing until it proves interesting: only the pairs the backend's
-    :meth:`~repro.backends.base.ComputeBackend.witnesses` reports
-    above ``u_i`` get a ``best`` entry; every other candidate is just
-    its id, its size off
+    nothing until it proves interesting: only the pairs whose score
+    beats ``u_i`` (the witnesses) get a ``best`` entry; every other
+    candidate is just its id, its size off
     :meth:`~repro.index.inverted.InvertedIndex.set_sizes` and a zero
     gain.
 
@@ -203,7 +202,7 @@ def select_columns(
         Set id to exclude (self-matches in discovery mode).
     backend:
         Compute backend for the posting merge and the batched
-        similarity evaluation; ``None`` resolves the process default.
+        similarity evaluation; ``None`` resolves the process-wide one.
     memo:
         Cross-stage similarity memo for the edit kinds (``None``
         computes every pair).
@@ -225,12 +224,12 @@ def select_columns(
     signature residual (``sum_i best_i - u_i``) and its witnessed map.
     The check filter proper -- ``residual + gain >= theta`` -- is left
     to the caller (:class:`~repro.pipeline.stages.CheckFilterStage`
-    runs it as one backend kernel; :func:`select_and_check` per row).
+    runs it over the columns; :func:`select_and_check` per row).
     """
     if backend is None:
         backend = get_backend()
     kernel = _select_kernel
-    with span("select.kernel", kernel=kernel, backend=backend.name) as sp:
+    with span("select.kernel", kernel=kernel) as sp:
         if kernel == "reference":
             candidates = _gather_reference(
                 reference,
@@ -497,14 +496,15 @@ def _probe_contents(
                 continue
         distinct += len(contents)
         surfaced.update(*map(sets_of, contents))
-        positions, values = backend.witnesses(
-            backend.indexed_token_similarities(
-                reference.elements[i].index_tokens, records, contents, phi
-            ),
-            bounds[i],
+        scores = backend.indexed_token_similarities(
+            reference.elements[i].index_tokens, records, contents, phi
         )
-        for position, score in zip(positions, values):
-            sets = sets_of(contents[position])
+        # Only the pairs that beat the signature bound are witnesses.
+        bound = bounds[i]
+        for content, score in zip(contents, scores):
+            if score <= bound:
+                continue
+            sets = sets_of(content)
             if first_set:
                 sets = sets[bisect_left(sets, first_set):]
             for set_id in sets:
@@ -543,8 +543,7 @@ def _probe_postings(
     :func:`_from_floor`) and gates them at run level; the merged keys'
     texts come off the index's forward column, and their scoring is
     deferred so that one ``backend.edit_values`` batch covers the whole
-    query (the numpy backend runs its lane-parallel Myers kernel across
-    it).  Only the pairs that beat the element's bound reach *best_of*.
+    query (long enough, it runs the lane-parallel Myers kernel).  Only the pairs that beat the element's bound reach *best_of*.
 
     Returns the surfaced set ids and the funnel counters, per posting
     key: postings scanned, distinct gated keys merged, keys the size
@@ -608,11 +607,11 @@ def _probe_postings(
             score_of = dict(zip(distinct_texts, values[pos:end]))
             pos = end
             # Element i's exact NN value per set, where it beats u_i.
-            positions, scores = backend.witnesses(
-                list(map(score_of.__getitem__, texts)), bounds[i]
-            )
-            for position, score in zip(positions, scores):
-                best = best_of.setdefault(kept[position] >> PACK_SHIFT, {})
+            bound = bounds[i]
+            for key, score in zip(kept, map(score_of.__getitem__, texts)):
+                if score <= bound:
+                    continue
+                best = best_of.setdefault(key >> PACK_SHIFT, {})
                 if score > best.get(i, 0.0):
                     best[i] = score
     return surfaced, scanned, distinct, size_drops

@@ -15,7 +15,7 @@ keys, ``(set_id << 32) | element_index`` (:data:`PACK_SHIFT`).  Packing
 keeps the lists columnar -- no per-posting tuple objects -- so the
 candidate-selection kernel (:mod:`repro.backends.select`) can merge,
 deduplicate and mask postings as flat integer runs, and the numpy
-backend can view a list as an ``int64`` ndarray without copying
+merge can view a list as an ``int64`` ndarray without copying
 (``numpy.frombuffer``).  Sorting packed keys orders postings exactly
 like sorting ``(set_id, element_index)`` tuples, so every binary-search
 invariant of the tuple era carries over unchanged.  :meth:`postings`

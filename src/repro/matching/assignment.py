@@ -40,7 +40,6 @@ def scored_alignment(
     phi: SimilarityFunction,
     backend: ComputeBackend | None = None,
     memo: SimilarityMemo | None = None,
-    collection=None,
 ) -> tuple[float, list[AlignedPair]]:
     """The matching score and the element pairs behind it.
 
@@ -52,9 +51,7 @@ def scored_alignment(
     if len(reference) == 0 or len(candidate) == 0:
         return 0.0, []
     triples = sparse_assignment(
-        build_weight_matrix(
-            reference, candidate, phi, backend=backend, memo=memo, collection=collection
-        )
+        build_weight_matrix(reference, candidate, phi, backend=backend, memo=memo)
     )
     return matching_total(triples), [
         AlignedPair(reference_index=i, candidate_index=j, weight=weight)
@@ -68,12 +65,11 @@ def matching_alignment(
     phi: SimilarityFunction,
     backend: ComputeBackend | None = None,
     memo: SimilarityMemo | None = None,
-    collection=None,
 ) -> list[AlignedPair]:
     """The maximum matching between two sets as explicit element pairs.
 
     The pair half of :func:`scored_alignment`.
     """
     return scored_alignment(
-        reference, candidate, phi, backend=backend, memo=memo, collection=collection
+        reference, candidate, phi, backend=backend, memo=memo
     )[1]

@@ -41,7 +41,6 @@ def reduced_matching_score(
     phi: SimilarityFunction,
     backend: ComputeBackend | None = None,
     memo: SimilarityMemo | None = None,
-    collection=None,
 ) -> float:
     """Maximum matching score computed with the identical-element reduction.
 
@@ -91,11 +90,6 @@ def reduced_matching_score(
     if backend is None:
         backend = get_backend()
     weights = build_weight_matrix(
-        residual_reference,
-        residual_candidate,
-        phi,
-        backend=backend,
-        memo=memo,
-        collection=collection,
+        residual_reference, residual_candidate, phi, backend=backend, memo=memo
     )
     return float(matched) + backend.assignment_score(weights)

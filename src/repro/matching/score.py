@@ -30,20 +30,16 @@ def build_weight_matrix(
     phi: SimilarityFunction,
     backend: ComputeBackend | None = None,
     memo: SimilarityMemo | None = None,
-    collection=None,
 ):
     """Pairwise ``phi_alpha`` weights between the elements of two sets.
 
     The matrix is the backend's opaque type (sparse rows); read entries
     through ``backend.matrix_entry``.  *memo* serves edit-kind pairs
-    from the cross-stage cache; *collection* is the candidate's
-    collection when the caller has one.
+    from the cross-stage cache.
     """
     if backend is None:
         backend = get_backend()
-    return backend.weight_matrix(
-        reference, candidate, phi, memo=memo, collection=collection
-    )
+    return backend.weight_matrix(reference, candidate, phi, memo=memo)
 
 
 #: Candidates per grid.  Bounds the transient ``|R| x distinct texts``
@@ -90,7 +86,6 @@ def matching_score(
     phi: SimilarityFunction,
     backend: ComputeBackend | None = None,
     memo: SimilarityMemo | None = None,
-    collection=None,
     weights=None,
 ) -> float:
     """The maximum matching score ``|R ~cap~ S|`` without any reduction.
@@ -103,7 +98,5 @@ def matching_score(
     if backend is None:
         backend = get_backend()
     if weights is None:
-        weights = backend.weight_matrix(
-            reference, candidate, phi, memo=memo, collection=collection
-        )
+        weights = backend.weight_matrix(reference, candidate, phi, memo=memo)
     return backend.assignment_score(weights)

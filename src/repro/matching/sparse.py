@@ -32,7 +32,9 @@ from repro.core.records import SetRecord
 from repro.matching.hungarian import Triple, hungarian_assignment
 from repro.sim.functions import SimilarityFunction
 
-#: Sparse rows: per row, its positive cells as ``{column: weight}``.
+#: Sparse rows: per row, its positive cells as ``{column: weight}``, in
+#: ascending column order -- so a row's pick among equal weights is its
+#: lowest column, and the matching a function of the weights alone.
 SparseRows = list[dict[int, float]]
 
 _ROW = itemgetter(0)
@@ -76,6 +78,10 @@ def token_rows(
         for token in tokens:
             found += lookup(token, ())
         size = len(tokens)
+        # Ascending columns, like every sparse row: the order the tokens
+        # came in depends on their ids, which differ between a cluster's
+        # shards.  (``found`` is a chain of ascending runs: a cheap sort.)
+        found.sort()
         row = {}
         for j, shared in Counter(found).items():
             weight = score(size, sizes[j], shared)

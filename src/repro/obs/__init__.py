@@ -1,4 +1,4 @@
-"""Unified telemetry: spans, metrics, sketches, diagnostics, autocal.
+"""Unified telemetry: spans, metrics, sketches and diagnostics.
 
 ``repro.obs`` is the cross-cutting observability layer the staged
 pipeline, planner, service and cluster all report into:
@@ -18,13 +18,9 @@ pipeline, planner, service and cluster all report into:
   over both registries (``silkmoth stats --metrics``);
 * :mod:`repro.obs.instrument` -- the bridge folding the existing
   ``PassStats``/``ServiceStats``/``ClusterPassStats`` hot paths into
-  registry updates;
-* :mod:`repro.obs.autocal` -- the in-service sampler that closes the
-  calibration loop by feeding live backend timings back into
-  ``replan()`` (``SILKMOTH_AUTOCAL_INTERVAL``).
+  registry updates.
 """
 
-from .autocal import AutoCalibrator, resolve_autocal_interval
 from .diag import (
     SlowQueryLog,
     format_health,
@@ -75,7 +71,6 @@ from .trace import (
 )
 
 __all__ = [
-    "AutoCalibrator",
     "MetricsRegistry",
     "QuantileSketch",
     "SketchFamily",
@@ -103,7 +98,6 @@ __all__ = [
     "reset_registry",
     "reset_sketch_registry",
     "reset_slowlog",
-    "resolve_autocal_interval",
     "resolve_buckets",
     "resolve_sketch_alpha",
     "resolve_slowlog_capacity",

@@ -225,7 +225,6 @@ def observe_slow_pass(stats, decision, reference_size: int) -> None:
     entry = _base_entry("pass", seconds)
     entry.update(
         {
-            "backend": stats.backend,
             "scheme": stats.scheme,
             "fallback_reason": stats.fallback_reason,
             "reference_size": reference_size,
@@ -252,7 +251,7 @@ def observe_slow_cluster_query(
     Called from the coordinator's cold-search path with the fan-out's
     wall seconds, its ``ClusterPassStats``, the failovers that fired
     during this query, and any shards currently lost.  The merged
-    funnel plus a per-shard breakdown (backend, seconds, matches) ride
+    funnel plus a per-shard breakdown (scheme, seconds, matches) ride
     along, so a slow fan-out names its straggler.
     """
     threshold = slowlog_ms()
@@ -262,7 +261,6 @@ def observe_slow_cluster_query(
     entry = _base_entry("cluster_query", seconds)
     entry.update(
         {
-            "backend": merged.backend,
             "scheme": merged.scheme,
             "fallback_reason": merged.fallback_reason,
             "shards": {
@@ -273,7 +271,6 @@ def observe_slow_cluster_query(
             "per_shard": [
                 {
                     "shard": shard,
-                    "backend": stats.backend,
                     "scheme": stats.scheme,
                     "seconds": sum(stats.stage_seconds.values()),
                     "matches": stats.matches,
@@ -313,7 +310,7 @@ def format_slowlog(
     """Render slowlog entries as indented text, slowest first.
 
     *top* truncates to the N slowest entries.  Each entry prints its
-    header (kind, duration, backend/scheme, trace id), the planner
+    header (kind, duration, scheme, trace id), the planner
     decision with its reasons, the funnel counters, and per-stage (or
     per-shard) seconds.
     """
@@ -328,7 +325,6 @@ def format_slowlog(
         lines.append(
             f"{entry.get('kind', '?')}  "
             f"{_format_seconds(entry.get('seconds'))}  "
-            f"backend={entry.get('backend') or '?'} "
             f"scheme={entry.get('scheme') or '?'}"
             + (f" trace={trace_id}" if trace_id else "")
         )
@@ -337,7 +333,6 @@ def format_slowlog(
             lines.append(
                 "  planner: "
                 f"scheme={planner.get('scheme')} ({planner.get('scheme_source')}), "
-                f"backend={planner.get('backend')} ({planner.get('backend_source')}), "
                 f"full_scan={planner.get('full_scan')}"
             )
             for reason in planner.get("reasons", ()):
@@ -366,7 +361,7 @@ def format_slowlog(
                 lines.append(
                     f"    shard {shard.get('shard')}: "
                     f"{_format_seconds(shard.get('seconds'))} "
-                    f"backend={shard.get('backend')} "
+                    f"scheme={shard.get('scheme')} "
                     f"matches={shard.get('matches')}"
                 )
         stage_seconds = entry.get("stage_seconds")

@@ -54,9 +54,9 @@ class _Handles:
         )
         self.passes = registry.register(
             "silkmoth_passes_total",
-            "Cold pipeline passes by backend and scheme.",
+            "Cold pipeline passes by scheme.",
             "counter",
-            ("backend", "scheme"),
+            ("scheme",),
         )
         self.stage_seconds = registry.register(
             "silkmoth_stage_seconds_total",
@@ -68,7 +68,6 @@ class _Handles:
             "silkmoth_pass_seconds",
             "Wall seconds of one cold pipeline pass.",
             "histogram",
-            ("backend",),
         )
         self.candidates = registry.register(
             "silkmoth_candidates_total",
@@ -153,11 +152,6 @@ class _Handles:
             "Operations that failed because a shard lost every replica.",
             "counter",
         )
-        self.autocal_exports = registry.register(
-            "silkmoth_autocal_exports_total",
-            "Cost profiles derived by the auto-calibration sampler.",
-            "counter",
-        )
         self.wal_appends = registry.register(
             "silkmoth_wal_appends_total",
             "Write-ahead-log records appended, by mutation op.",
@@ -208,7 +202,6 @@ class _SketchHandles:
         self.pass_latency = registry.register(
             "silkmoth_pass_latency_quantile",
             "Whole-pass pipeline latency quantiles (seconds).",
-            ("backend",),
         )
 
 
@@ -237,16 +230,16 @@ def sketch_handles() -> _SketchHandles:
 def observe_pass(stats) -> None:
     """Fold one cold-pass ``PassStats`` into the registry."""
     h = handles()
-    h.passes.inc(backend=stats.backend or "unknown", scheme=stats.scheme or "unknown")
+    h.passes.inc(scheme=stats.scheme or "unknown")
     total = 0.0
     for stage, seconds in stats.stage_seconds.items():
         h.stage_seconds.inc(seconds, stage=stage)
         total += seconds
-    h.pass_seconds.observe(total, backend=stats.backend or "unknown")
+    h.pass_seconds.observe(total)
     sk = sketch_handles()
     for stage, seconds in stats.stage_seconds.items():
         sk.stage_latency.record(seconds, stage=stage)
-    sk.pass_latency.record(total, backend=stats.backend or "unknown")
+    sk.pass_latency.record(total)
     for label, attr in _FUNNEL_STAGES:
         h.candidates.inc(getattr(stats, attr), stage=label)
     if stats.full_scan:
@@ -307,11 +300,6 @@ def observe_replica_death() -> None:
 def observe_degraded() -> None:
     """Record one operation lost to a fully-dead shard."""
     handles().degraded_queries.inc()
-
-
-def observe_autocal_export() -> None:
-    """Record one auto-calibration profile derivation."""
-    handles().autocal_exports.inc()
 
 
 def observe_wal_append(op: str, nbytes: int) -> None:

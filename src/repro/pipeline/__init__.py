@@ -9,7 +9,7 @@ once per (reference, config) -- executing a fixed sequence of
 Stages hand each other a columnar
 :class:`~repro.pipeline.batch.CandidateBatch` (parallel arrays of set
 ids, sizes, bound estimates and witnessed similarities) and run their
-arithmetic on a pluggable :mod:`repro.backends` compute backend.  Every
+kernels on the :mod:`repro.backends` compute backend.  Every
 driver -- ``SilkMoth.search``, :mod:`repro.core.parallel`,
 :mod:`repro.core.partitioned`, :mod:`repro.service.batch` -- routes
 through this package; :mod:`repro.pipeline.driver` additionally owns

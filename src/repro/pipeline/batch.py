@@ -5,10 +5,8 @@ ids, cardinalities, witnessed-similarity maps and score upper bounds --
 instead of per-candidate objects.  The select stage does not convert
 into this form: the index probe
 (:func:`repro.filters.check.select_columns`) emits the columns and the
-stage installs them.  The numeric columns are plain lists at rest;
-compute backends lift them into their preferred representation (numpy
-arrays, etc.) per kernel call, so the batch type itself stays
-backend-neutral and picklable.
+stage installs them.  The numeric columns are plain lists, so the
+batch type stays picklable.
 """
 
 from __future__ import annotations

@@ -118,8 +118,9 @@ class QueryPlan:
 
         *decision* is the planner verdict governing the pass; the
         engine passes its own (computed once per engine), while direct
-        callers get one planned on the spot.  *scheme* and *backend*
-        default to the decision's choices; a caller-supplied scheme is
+        callers get one planned on the spot.  *scheme* defaults to the
+        decision's choice and *backend* to the process-wide one
+        (:func:`repro.backends.get_backend`); a caller-supplied scheme is
         planned for (and exactness-gated) by its own name, never by
         ``config.scheme``.  *memo* is the engine's cross-stage
         similarity cache; ``None`` builds a fresh one per plan for the
@@ -142,7 +143,7 @@ class QueryPlan:
         if scheme is None:
             scheme = get_scheme(decision.scheme)
         if backend is None:
-            backend = get_backend(decision.backend)
+            backend = get_backend()
         if memo is None and config.similarity.is_edit_based:
             memo = SimilarityMemo(resolve_sim_cache_size(config.sim_cache_size))
         return cls(
@@ -180,7 +181,7 @@ class QueryPlan:
 
     def execute(self) -> tuple[list[SearchResult], PassStats]:
         """Run the pass; returns results and its funnel/timing stats."""
-        stats = PassStats(backend=self.backend.name, scheme=self.scheme.name)
+        stats = PassStats(scheme=self.scheme.name)
         if self.decision is not None and self.decision.full_scan:
             stats.fallback_reason = self.decision.fallback_reason
         if len(self.reference) == 0:
@@ -190,9 +191,7 @@ class QueryPlan:
         misses_before = memo.misses if memo is not None else 0
         state = PipelineState()
         timings = stats.stage_seconds
-        with span(
-            "pipeline.pass", backend=stats.backend, scheme=stats.scheme
-        ) as pass_span:
+        with span("pipeline.pass", scheme=stats.scheme) as pass_span:
             for stage in self.stages:
                 started = time.perf_counter()
                 with span(f"stage.{stage.name}"):

@@ -10,7 +10,7 @@ configuration.
 
 Stage order is fixed (signature -> select -> check -> nn -> verify);
 what varies per :class:`~repro.pipeline.plan.QueryPlan` is which
-filters are enabled and which compute backend executes the kernels.
+filters are enabled.
 """
 
 from __future__ import annotations
@@ -89,7 +89,7 @@ class CandidateSelectStage(Stage):
     """Probe the index with the signature and build the candidate batch.
 
     Without a signature this degrades to scanning every live set,
-    size-gated through the backend's vectorised mask.  Either way only
+    size-gated.  Either way only
     sets at or above the plan's ``first_set`` floor become candidates.
     """
 
@@ -106,16 +106,14 @@ class CandidateSelectStage(Stage):
                 for record in plan.collection.iter_live()
                 if record.set_id != plan.skip_set
                 and record.set_id >= plan.first_set
+                and lo <= len(record) <= hi
             ]
-            keep = plan.backend.size_filter_indices(
-                [len(record) for record in records], lo, hi
-            )
             state.batch = CandidateBatch(
-                set_ids=[records[k].set_id for k in keep],
-                sizes=[len(records[k]) for k in keep],
-                gains=[0.0] * len(keep),
-                estimates=[float("inf")] * len(keep),
-                best=[{} for _ in keep],
+                set_ids=[record.set_id for record in records],
+                sizes=[len(record) for record in records],
+                gains=[0.0] * len(records),
+                estimates=[float("inf")] * len(records),
+                best=[{} for _ in records],
             )
             stats.initial_candidates = len(state.batch)
             return
@@ -147,7 +145,7 @@ class CheckFilterStage(Stage):
 
     Each candidate's score upper bound is the signature residual plus
     its witnessed gain; both the aggregation and the theta comparison
-    run as one backend kernel over the batch columns.
+    run over the batch columns.
     """
 
     name = "check"
@@ -159,10 +157,9 @@ class CheckFilterStage(Stage):
         """Prune the batch against theta by residual + witnessed gains."""
         if self.enabled and not state.full_scan and len(state.batch):
             residual = sum(state.signature.element_bounds)
-            estimates = plan.backend.add_scalar(residual, state.batch.gains)
-            keep = plan.backend.threshold_indices(
-                estimates, plan.theta - EPSILON
-            )
+            cutoff = plan.theta - EPSILON
+            estimates = [residual + gain for gain in state.batch.gains]
+            keep = [k for k, bound in enumerate(estimates) if bound >= cutoff]
             state.batch = state.batch.take(keep)
             state.batch.estimates = [estimates[k] for k in keep]
         stats.after_check = len(state.batch)
@@ -201,8 +198,7 @@ class VerifyStage(Stage):
 
     Uses reduction-based verification (Section 5.3) where it is sound;
     otherwise edit kinds get all survivors' weight matrices from one
-    backend similarity grid per pass.  The Hungarian solve runs on the
-    plan's compute backend either way.
+    backend similarity grid per pass.
     """
 
     name = "verify"
@@ -233,7 +229,6 @@ class VerifyStage(Stage):
                     plan.phi,
                     backend=plan.backend,
                     memo=plan.memo,
-                    collection=plan.collection,
                 )
             else:
                 score = matching_score(
@@ -242,7 +237,6 @@ class VerifyStage(Stage):
                     plan.phi,
                     backend=plan.backend,
                     memo=plan.memo,
-                    collection=plan.collection,
                     weights=weights,
                 )
             value = relatedness_value(

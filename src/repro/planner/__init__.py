@@ -8,7 +8,7 @@ SilkMothConfig` and an executable :class:`~repro.pipeline.QueryPlan`:
   constraint ``q < alpha / (1 - alpha)`` and the sharper per-kind caps
   that decide when the prefix-style schemes stop being exact;
 * :mod:`repro.planner.cost` profiles the inverted index and chooses a
-  signature scheme and compute backend per workload;
+  signature scheme per workload;
 * :mod:`repro.planner.planner` combines both into one immutable
   :class:`PlannerDecision`, including the exact full-scan fallback for
   configurations whose signatures cannot certify Lemma 1;
@@ -18,7 +18,7 @@ SilkMothConfig` and an executable :class:`~repro.pipeline.QueryPlan`:
 See ``docs/parameters.md`` for the user-facing rules.
 """
 
-from repro.planner.cost import IndexProfile, choose_backend, choose_scheme
+from repro.planner.cost import IndexProfile, choose_scheme
 from repro.planner.planner import AUTO_SCHEME, PlannerDecision, plan_query
 from repro.planner.report import format_decision, format_stage_list
 from repro.planner.validity import (
@@ -38,7 +38,6 @@ __all__ = [
     "IndexProfile",
     "PREFIX_SCHEMES",
     "PlannerDecision",
-    "choose_backend",
     "choose_scheme",
     "format_decision",
     "format_stage_list",

@@ -1,43 +1,24 @@
 """Workload statistics and the planner's cost model.
 
 The planner's exactness decisions (:mod:`repro.planner.validity`) are
-pure parameter arithmetic; its *performance* decisions -- which
-signature scheme to run and which compute backend to run it on -- come
-from the indexed workload itself.  :class:`IndexProfile` summarises the
-inverted index in O(distinct tokens); the ``choose_*`` functions turn a
-profile into a (choice, reason) pair the plan report can show verbatim.
+pure parameter arithmetic; its one *performance* decision -- which
+signature scheme to run -- comes from the indexed workload itself.
+:class:`IndexProfile` summarises the inverted index in O(distinct
+tokens); :func:`choose_scheme` turns a profile into a (choice, reason)
+pair the plan report can show verbatim.
 
 The heuristics are deliberately coarse: they pick between options that
 are all exact, so a wrong guess costs only speed.  The scheme
 thresholds mirror what the benchmark suite measures
-(``benchmarks/test_fig5_*``, ``benchmarks/test_planner_overhead.py``);
-the backend cutover (:data:`NUMPY_MIN_PROBE_WORK`) sits in the gap of
-the crossover table in ``docs/parameters.md``, measured with
-``discover()`` pinned to each backend on dense and sparse collections
-of 6 to 512 sets.
-
-Measured costs beat fixed constants when available: point
-``SILKMOTH_COST_PROFILE`` at a perf-trajectory file written by
-``tools/bench_trajectory.py`` (its ``calibration`` section records
-wall-clock per backend on the pinned workloads) and
-:func:`choose_backend` will prefer the backend that was actually
-fastest on this machine over the probe-work guess.
+(``benchmarks/test_fig5_*``, ``benchmarks/test_planner_overhead.py``).
 """
 
 from __future__ import annotations
 
-import json
-import os
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-from repro.backends import available_backends
 from repro.core.config import SilkMothConfig
 from repro.index.inverted import InvertedIndex
-
-#: Environment variable naming a perf-trajectory JSON whose
-#: ``calibration`` section supplies measured per-backend timings.
-MEASURED_COSTS_ENV_VAR = "SILKMOTH_COST_PROFILE"
 
 #: Below this many live sets the exhaustive (optimal) signature search
 #: is affordable and its candidate savings dominate; the scheme's own
@@ -48,18 +29,6 @@ EXHAUSTIVE_MAX_SETS = 32
 #: weighted signature by the sim-thresh budget (skyline) beats plain
 #: dichotomy: very hot tokens make whole-element saturation too eager.
 SKYLINE_SKEW = 8.0
-
-#: Below this much :attr:`IndexProfile.probe_work` the batches an index
-#: probe hands the numpy kernels stay under the kernels' own per-call
-#: gates, so every call pays array lifting and dispatch and then runs
-#: the scalar path anyway; auto-selection stays with the pure-Python
-#: backend.  Set count does not predict that (36 dense sets vectorise
-#: 3x, 128 sparse ones lose 20 %); posting-list length times posting
-#: count does.  The measured crossover lies between 30 000 and 43 000
-#: (``docs/parameters.md``); the cutover takes the low end because a
-#: wrong guess towards numpy costs <= 1.3x of milliseconds and a wrong
-#: guess towards python 3-4x of seconds.
-NUMPY_MIN_PROBE_WORK = 32_768
 
 
 @dataclass(frozen=True)
@@ -135,20 +104,6 @@ class IndexProfile:
             return 1.0
         return self.max_list_length / self.mean_list_length
 
-    @property
-    def probe_work(self) -> float:
-        """Postings scanned when every posting's own list is probed once.
-
-        ``total_postings * mean_list_length``: how many postings there
-        are to probe with, times how long a list one probe hands the
-        kernels -- the self-join's select work and, through the
-        candidates it surfaces, its similarity batches.  (A lower bound
-        of the exact sum of squared list lengths, tight for uniform
-        lists, so hot tokens only ever push a real workload further
-        above the cutover than this says.)
-        """
-        return self.total_postings * self.mean_list_length
-
     def to_dict(self) -> dict:
         """JSON-serialisable summary (plan reports, service metadata)."""
         return {
@@ -188,123 +143,6 @@ def merge_profiles(profiles: "list[IndexProfile]") -> IndexProfile:
     )
 
 
-@dataclass(frozen=True)
-class MeasuredCosts:
-    """Per-backend wall-clock measurements from the trajectory harness.
-
-    Attributes
-    ----------
-    backend_seconds:
-        Backend name -> optimized wall-clock seconds on the pinned
-        calibration workloads (see :mod:`repro.bench.trajectory`).
-    source:
-        Path of the profile file, echoed into plan reasons.
-    stage_seconds:
-        Optional backend name -> ``{stage: seconds}`` breakdown of the
-        same measurement (the trajectory harness and the service's
-        live calibration both record it), letting the planner see
-        *where* a backend spends -- e.g. the candidate-selection share
-        the packed select kernel targets.  Empty when the profile
-        predates per-stage accounting.
-    """
-
-    backend_seconds: dict
-    source: str
-    stage_seconds: dict = field(default_factory=dict)
-
-    def stage_share(self, backend: str, stage: str) -> "float | None":
-        """Fraction of *backend*'s measured time spent in *stage*.
-
-        ``None`` when the profile carries no per-stage breakdown for
-        that backend (or the breakdown sums to zero).
-        """
-        stages = self.stage_seconds.get(backend)
-        if not stages:
-            return None
-        total = sum(stages.values())
-        if total <= 0.0:
-            return None
-        return stages.get(stage, 0.0) / total
-
-    def fastest_backend(self, candidates: tuple) -> "str | None":
-        """The measured-fastest backend among *candidates*.
-
-        Requires measurements for at least two candidates -- a single
-        timing carries no comparative signal -- and returns ``None``
-        otherwise.
-        """
-        measured = [
-            (self.backend_seconds[name], name)
-            for name in candidates
-            if name in self.backend_seconds
-        ]
-        if len(measured) < 2:
-            return None
-        return min(measured)[1]
-
-
-#: Cache of parsed profiles keyed by (path, mtime_ns): planning happens
-#: once per engine, but services re-plan on compaction and must not
-#: re-read an unchanged file each time.
-_measured_cache: dict = {}
-
-
-def load_measured_costs(path: "str | None" = None) -> "MeasuredCosts | None":
-    """Parse a perf-trajectory file into :class:`MeasuredCosts`.
-
-    *path* defaults to the ``SILKMOTH_COST_PROFILE`` environment
-    variable; returns ``None`` when unset.  A named-but-unreadable or
-    malformed profile raises -- a deliberately configured calibration
-    must not be silently ignored.
-    """
-    if path is None:
-        path = os.environ.get(MEASURED_COSTS_ENV_VAR) or None
-    if path is None:
-        return None
-    try:
-        mtime = Path(path).stat().st_mtime_ns
-    except OSError as exc:
-        raise ValueError(
-            f"cannot read cost profile {path!r} "
-            f"(from {MEASURED_COSTS_ENV_VAR}): {exc}"
-        ) from exc
-    key = (path, mtime)
-    cached = _measured_cache.get(key)
-    if cached is not None:
-        return cached
-    payload = json.loads(Path(path).read_text())
-    backends = payload.get("calibration", {}).get("backends", {})
-    seconds = {}
-    stage_seconds = {}
-    for name, entry in backends.items():
-        if not isinstance(entry, dict):
-            continue
-        value = entry.get("seconds")
-        if isinstance(value, (int, float)) and value >= 0:
-            seconds[name] = float(value)
-        stages = entry.get("stage_seconds")
-        if isinstance(stages, dict):
-            parsed = {
-                str(stage): float(sec)
-                for stage, sec in stages.items()
-                if isinstance(sec, (int, float))
-                and not isinstance(sec, bool)
-                and sec >= 0
-            }
-            if parsed:
-                stage_seconds[name] = parsed
-    if not seconds:
-        raise ValueError(
-            f"cost profile {path!r} has no calibration.backends timings"
-        )
-    costs = MeasuredCosts(
-        backend_seconds=seconds, source=path, stage_seconds=stage_seconds
-    )
-    _measured_cache.clear()
-    _measured_cache[key] = costs
-    return costs
-
-
 def choose_scheme(
     config: SilkMothConfig, profile: IndexProfile | None
 ) -> tuple[str, str]:
@@ -334,66 +172,4 @@ def choose_scheme(
     return (
         "dichotomy",
         "dichotomy dominates on balanced workloads (paper Section 8.3)",
-    )
-
-
-def choose_backend(
-    profile: IndexProfile | None,
-    measured: MeasuredCosts | None = None,
-) -> tuple[str, str]:
-    """Resolve an unspecified backend from measurements, then heuristics.
-
-    Returns ``(backend_name, reason)``.  Only consulted after the
-    explicit config value and the ``SILKMOTH_BACKEND`` environment
-    variable (both of which win); results never depend on the backend.
-
-    With *measured* timings covering at least two available backends
-    (``SILKMOTH_COST_PROFILE``), the measured-fastest one wins
-    outright.  Otherwise one size rule decides: numpy when the index's
-    :attr:`~IndexProfile.probe_work` reaches
-    :data:`NUMPY_MIN_PROBE_WORK`, python below it -- the fallback guess
-    for machines that never ran the harness.  The numpy kernels gate
-    themselves per call (``edit_batch_min_tasks``,
-    ``select_min_postings``), so this rule only
-    has to keep collections whose every batch would fall under those
-    gates off the array path.
-    """
-    backends = available_backends()
-    if measured is not None:
-        fastest = measured.fastest_backend(backends)
-        if fastest is not None:
-            timings = ", ".join(
-                f"{name} {measured.backend_seconds[name]:.3f}s"
-                for name in backends
-                if name in measured.backend_seconds
-            )
-            select_share = measured.stage_share(fastest, "select")
-            share_note = (
-                f"; select is {select_share:.0%} of its pipeline"
-                if select_share is not None
-                else ""
-            )
-            return (
-                fastest,
-                f"measured fastest on this machine ({timings}; "
-                f"{measured.source}){share_note}",
-            )
-    if "numpy" not in backends:
-        return "python", "numpy not installed"
-    if profile is None:
-        return "numpy", "numpy installed; no index statistics to size against"
-    work = (
-        f"probe work {profile.probe_work:,.0f} ({profile.total_postings} "
-        f"postings x mean list {profile.mean_list_length:.1f})"
-    )
-    if profile.probe_work < NUMPY_MIN_PROBE_WORK:
-        return (
-            "python",
-            f"{work} < {NUMPY_MIN_PROBE_WORK:,}: probes hand the kernels "
-            "batches too short to repay array dispatch",
-        )
-    return (
-        "numpy",
-        f"{work} >= {NUMPY_MIN_PROBE_WORK:,}: probes hand the kernels "
-        "batches long enough to vectorise",
     )

@@ -14,8 +14,6 @@ is turned into the concrete choices a pass will run with:
    argument does not hold for these parameters, the plan routes the
    pass through the exact full-scan fallback instead of silently
    dropping related sets (the pre-planner latent bug).
-4. **Compute backend** -- explicit config value, then the
-   ``SILKMOTH_BACKEND`` environment variable, then the cost model.
 
 The resulting :class:`PlannerDecision` is immutable and threaded into
 :class:`repro.pipeline.QueryPlan`, :class:`repro.core.stats.PassStats`,
@@ -27,20 +25,12 @@ governs all four.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
-from repro.backends import BACKEND_ENV_VAR, KNOWN_BACKENDS
 from repro.core.config import SilkMothConfig
 from repro.index.inverted import InvertedIndex
 from repro.obs.trace import span
-from repro.planner.cost import (
-    IndexProfile,
-    MeasuredCosts,
-    choose_backend,
-    choose_scheme,
-    load_measured_costs,
-)
+from repro.planner.cost import IndexProfile, choose_scheme
 from repro.planner.validity import (
     max_prefix_valid_q,
     no_share_similarity_cap,
@@ -64,10 +54,6 @@ class PlannerDecision:
         Resolved signature scheme registry name.
     scheme_source:
         ``"config"`` (user pinned it) or ``"auto"`` (cost model).
-    backend:
-        Resolved compute backend name.
-    backend_source:
-        ``"config"``, ``"env"`` or ``"auto"``.
     q:
         Effective gram length (1 for the token kinds).
     q_source:
@@ -92,8 +78,6 @@ class PlannerDecision:
 
     scheme: str
     scheme_source: str
-    backend: str
-    backend_source: str
     q: int
     q_source: str
     q_constraint_ok: bool
@@ -117,8 +101,6 @@ class PlannerDecision:
         payload = {
             "scheme": self.scheme,
             "scheme_source": self.scheme_source,
-            "backend": self.backend,
-            "backend_source": self.backend_source,
             "q": self.q,
             "q_source": self.q_source,
             "q_constraint_ok": self.q_constraint_ok,
@@ -135,7 +117,6 @@ def plan_query(
     config: SilkMothConfig,
     index: InvertedIndex | None = None,
     scheme_override: str | None = None,
-    measured: MeasuredCosts | None = None,
 ) -> PlannerDecision:
     """Validate *config* and resolve its open choices into a decision.
 
@@ -149,21 +130,15 @@ def plan_query(
     :meth:`repro.pipeline.QueryPlan.build` a concrete scheme instance,
     so the exactness gate always judges the scheme that will actually
     run.
-
-    *measured* supplies per-backend timings directly -- the
-    auto-calibration sampler's in-memory path (see
-    :mod:`repro.obs.autocal`).  When ``None``, the
-    ``SILKMOTH_COST_PROFILE`` file (if any) is consulted as before.
     """
     with span("planner.plan"):
-        return _plan_query(config, index, scheme_override, measured)
+        return _plan_query(config, index, scheme_override)
 
 
 def _plan_query(
     config: SilkMothConfig,
     index: InvertedIndex | None,
     scheme_override: str | None,
-    measured: MeasuredCosts | None,
 ) -> PlannerDecision:
     reasons: list[str] = []
     kind = config.similarity
@@ -227,34 +202,9 @@ def _plan_query(
             "scheme='auto' to keep signatures)"
         )
 
-    # 5. Compute backend.
-    if config.backend is not None:
-        backend, backend_source = config.backend, "config"
-        reasons.append(f"backend={backend} pinned by configuration")
-    else:
-        env_backend = os.environ.get(BACKEND_ENV_VAR) or None
-        if env_backend is not None:
-            if env_backend not in KNOWN_BACKENDS:
-                # Same failure get_backend() raises: a deliberately set
-                # but misspelled variable must not be silently ignored.
-                raise ValueError(
-                    f"unknown compute backend {env_backend!r} in "
-                    f"{BACKEND_ENV_VAR}; known: {', '.join(KNOWN_BACKENDS)}"
-                )
-            backend, backend_source = env_backend, "env"
-            reasons.append(f"backend={backend} from {BACKEND_ENV_VAR}")
-        else:
-            if measured is None:
-                measured = load_measured_costs()
-            backend, why = choose_backend(profile, measured)
-            backend_source = "auto"
-            reasons.append(f"backend={backend} auto-selected: {why}")
-
     return PlannerDecision(
         scheme=scheme,
         scheme_source=scheme_source,
-        backend=backend,
-        backend_source=backend_source,
         q=q,
         q_source=q_source,
         q_constraint_ok=constraint_ok,

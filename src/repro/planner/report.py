@@ -41,10 +41,6 @@ def format_decision(
         + ("provably exact" if decision.signature_valid else "NOT provable")
     )
     lines.append(
-        f"  compute backend         : {decision.backend} "
-        f"({decision.backend_source})"
-    )
-    lines.append(
         "  candidate selection     : "
         + ("exact FULL SCAN (fallback)" if decision.full_scan else "signature probe")
     )
@@ -76,7 +72,7 @@ def format_stage_list(decision: PlannerDecision, config: SilkMothConfig) -> str:
     nn = "nn        : " + ("on" if config.nn_filter else "off (disabled)")
     if decision.full_scan:
         nn = "nn        : no-op (full scan)"
-    verify = f"verify    : exact matching on {decision.backend}"
+    verify = "verify    : exact maximum matching"
     return "\n".join(
         "  " + line for line in (signature, select, check, nn, verify)
     )

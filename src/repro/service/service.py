@@ -52,7 +52,6 @@ from repro.io.wal import (
     resolve_wal_dir,
     wal_directory_in_use,
 )
-from repro.obs.autocal import AutoCalibrator
 from repro.obs.diag import get_slowlog, slowlog_ms
 from repro.obs.instrument import observe_mutation, observe_wal_recovery
 from repro.obs.sketch import quantile_summary
@@ -87,15 +86,6 @@ class SilkMothService:
     compact_dead_fraction:
         Compact the inverted index whenever at least this fraction of
         its postings belongs to tombstoned sets.
-    autocal_interval:
-        Cold passes between auto-calibration samples (``None`` reads
-        ``SILKMOTH_AUTOCAL_INTERVAL``; 0 disables).  When a sample
-        fires, the engine re-plans against the live per-backend
-        timings -- the calibration loop closed in-process (see
-        :mod:`repro.obs.autocal`).
-    autocal_export_path:
-        Optional file each auto-calibration sample also (atomically)
-        writes a ``SILKMOTH_COST_PROFILE``-compatible profile to.
     wal_dir:
         Directory for the write-ahead log (``None`` reads
         ``SILKMOTH_WAL_DIR``; unset disables durability; ``False``
@@ -114,8 +104,6 @@ class SilkMothService:
         *,
         cache_capacity: int = 1024,
         compact_dead_fraction: float = 0.25,
-        autocal_interval: int | None = None,
-        autocal_export_path: str | Path | None = None,
         wal_dir: str | Path | bool | None = None,
         wal_fsync: bool | None = None,
         wal_segment_bytes: int | None = None,
@@ -132,7 +120,6 @@ class SilkMothService:
         self.engine = SilkMoth(collection, config)
         self.cache = LRUQueryCache(cache_capacity)
         self.stats = ServiceStats()
-        self.autocal = AutoCalibrator(autocal_interval, autocal_export_path)
         self.compact_dead_fraction = compact_dead_fraction
         #: Bumped by every mutation; cached entries from older
         #: generations are never served.
@@ -208,7 +195,7 @@ class SilkMothService:
         trigger: whenever the live-set count has grown past
         :data:`REPLAN_GROWTH_FACTOR` times the count the current
         decision was computed at.  Exactness never depends on this --
-        only the cost model's scheme/backend choices do.
+        only the cost model's scheme choice does.
         """
         live = self.collection.live_count
         threshold = max(1, self._planned_live_sets) * REPLAN_GROWTH_FACTOR
@@ -311,25 +298,8 @@ class SilkMothService:
     def _search_cold(self, elements: Sequence[str]) -> list[SearchResult]:
         reference = self._make_reference(elements)
         results, pass_stats = self.engine.search_with_stats(reference)
-        # Besides the memo counters this accumulates per-stage /
-        # per-backend wall clock, which export_cost_profile() can turn
-        # into planner calibration.
         self.stats.record_pass(pass_stats)
-        self._autocalibrate()
         return results
-
-    def _autocalibrate(self) -> None:
-        """Tick the auto-calibration sampler; re-plan when it fires.
-
-        Closes the calibration loop without ``SILKMOTH_COST_PROFILE``:
-        the sampler derives live per-backend timings from
-        :attr:`stats` and the engine re-plans against them directly.
-        """
-        costs = self.autocal.observe(self.stats)
-        if costs is not None:
-            with span("planner.autocal_replan"):
-                self.engine.replan(measured=costs)
-            self._planned_live_sets = self.collection.live_count
 
     def search(self, elements: Sequence[str]) -> list[SearchResult]:
         """All live sets related to the raw reference *elements*.
@@ -614,8 +584,6 @@ class SilkMothService:
         *,
         cache_capacity: int = 1024,
         compact_dead_fraction: float = 0.25,
-        autocal_interval: int | None = None,
-        autocal_export_path: str | Path | None = None,
         wal_fsync: bool | None = None,
         wal_segment_bytes: int | None = None,
         checkpoint: bool = True,
@@ -641,8 +609,6 @@ class SilkMothService:
                 collection,
                 cache_capacity=cache_capacity,
                 compact_dead_fraction=compact_dead_fraction,
-                autocal_interval=autocal_interval,
-                autocal_export_path=autocal_export_path,
             )
             service._restore_metadata(metadata)
             service._wal_replaying = True

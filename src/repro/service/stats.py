@@ -8,29 +8,15 @@ and per-query wall-clock latency.  A cache hit increments ``queries``
 and ``cache_hits`` but adds nothing to the engine's ``RunStats`` --
 which is exactly how tests assert that hot references skip the
 signature/filter/verify pipeline entirely.
-
-Live traffic doubles as planner calibration: every cold pass's
-per-stage wall clock is accumulated per compute backend
-(:meth:`ServiceStats.record_pass`), and
-:meth:`ServiceStats.export_cost_profile` writes the totals as a
-``SILKMOTH_COST_PROFILE``-compatible file -- the first cut of feeding
-served traffic back into re-planning without an offline harness run
-(see :func:`repro.planner.cost.load_measured_costs`).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from collections import deque
 from dataclasses import dataclass, field
 
 from repro.core.stats import PassStats
-from repro.io.persistence import atomic_write_text
 from repro.obs.instrument import observe_query
-
-#: Schema identifier written by :meth:`ServiceStats.export_cost_profile`.
-COST_PROFILE_SCHEMA = "silkmoth-cost-profile/1"
 
 #: How many recent per-query latencies the sliding window keeps.  The
 #: lifetime totals are tracked separately, so the window can stay small
@@ -80,10 +66,6 @@ class ServiceStats:
     #: Per-stage pipeline seconds accumulated across cold passes
     #: (keys as in :attr:`repro.core.stats.PassStats.stage_seconds`).
     stage_seconds: dict = field(default_factory=dict)
-    #: Per-backend pass accounting: backend name ->
-    #: ``{"seconds": total, "passes": count}`` -- the raw material of
-    #: :meth:`export_cost_profile`.
-    backend_seconds: dict = field(default_factory=dict)
     #: Sliding window of the most recent per-query latencies; bounded so
     #: a long-lived service's memory does not grow with traffic.
     query_latencies: deque = field(
@@ -130,29 +112,15 @@ class ServiceStats:
     def record_pass(self, pass_stats: PassStats) -> None:
         """Fold one cold pipeline pass's :class:`PassStats` in.
 
-        Accumulates the similarity-memo counters, the per-stage wall
-        clock, and the per-backend totals that
-        :meth:`export_cost_profile` turns into planner calibration.
+        Accumulates the similarity-memo counters and the per-stage wall
+        clock.
         """
         self.sim_cache_hits += pass_stats.sim_cache_hits
         self.sim_cache_misses += pass_stats.sim_cache_misses
-        pass_seconds = 0.0
         for name, seconds in pass_stats.stage_seconds.items():
             self.stage_seconds[name] = (
                 self.stage_seconds.get(name, 0.0) + seconds
             )
-            pass_seconds += seconds
-        if pass_stats.backend:
-            entry = self.backend_seconds.setdefault(
-                pass_stats.backend, {"seconds": 0.0, "passes": 0}
-            )
-            entry["seconds"] += pass_seconds
-            entry["passes"] += 1
-            # Per-backend stage breakdown: lets calibration see where a
-            # backend spends (e.g. the select share), not just totals.
-            stages = entry.setdefault("stage_seconds", {})
-            for name, seconds in pass_stats.stage_seconds.items():
-                stages[name] = stages.get(name, 0.0) + seconds
 
     def cache_summary(self) -> dict:
         """Cache and traffic counters in the ``silkmoth-health/1`` shape.
@@ -167,70 +135,6 @@ class ServiceStats:
             "sim_hit_rate": round(self.sim_cache_hit_rate, 4),
         }
 
-    def export_cost_profile(
-        self, path: "str | os.PathLike", extra: "dict | None" = None
-    ) -> dict:
-        """Write accumulated live timings as planner calibration.
-
-        The output parses through
-        :func:`repro.planner.cost.load_measured_costs`, i.e. it can be
-        pointed at by ``SILKMOTH_COST_PROFILE`` exactly like a
-        ``tools/bench_trajectory.py`` file.  Each backend's ``seconds``
-        entry is the *mean per pass* -- lifetime totals would compare
-        traffic volume, not speed, when a service re-planned between
-        backends.  A profile from a single backend loads fine but
-        carries no comparative signal (the planner needs measurements
-        for at least two backends to override its heuristics).
-
-        The write is atomic (temp file + ``os.replace``): a crash
-        mid-export can never leave a truncated profile for
-        ``SILKMOTH_COST_PROFILE`` (or the auto-calibration loop) to
-        choke on.  *extra* merges additional top-level sections into
-        the payload (the cluster adds its merged index profile).
-
-        Raises
-        ------
-        ValueError
-            If no cold pass has been recorded yet -- an empty
-            calibration file must not exist.
-        """
-        if not self.backend_seconds:
-            raise ValueError(
-                "no pipeline passes recorded; serve at least one cold "
-                "query before exporting a cost profile"
-            )
-        backends = {}
-        for name, entry in sorted(self.backend_seconds.items()):
-            backends[name] = {
-                "seconds": round(entry["seconds"] / entry["passes"], 6),
-                "seconds_total": round(entry["seconds"], 6),
-                "passes": entry["passes"],
-                "stage_seconds": {
-                    stage: round(seconds / entry["passes"], 6)
-                    for stage, seconds in sorted(
-                        entry.get("stage_seconds", {}).items()
-                    )
-                },
-            }
-        payload = {
-            "schema": COST_PROFILE_SCHEMA,
-            "source": "live-service-traffic",
-            "calibration": {
-                "workloads": ["live_service_traffic"],
-                "backends": backends,
-            },
-            "stage_seconds": {
-                name: round(seconds, 6)
-                for name, seconds in sorted(self.stage_seconds.items())
-            },
-        }
-        if extra:
-            payload.update(extra)
-        atomic_write_text(
-            path, json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        )
-        return payload
-
     def to_dict(self) -> dict:
         """JSON-serialisable summary (service snapshot metadata / CLI)."""
         payload = {name: getattr(self, name) for name in _COUNTER_FIELDS}
@@ -242,10 +146,6 @@ class ServiceStats:
         payload["stage_seconds"] = {
             name: seconds for name, seconds in sorted(self.stage_seconds.items())
         }
-        payload["backend_seconds"] = {
-            name: dict(entry)
-            for name, entry in sorted(self.backend_seconds.items())
-        }
         return payload
 
     @classmethod
@@ -253,7 +153,9 @@ class ServiceStats:
         """Rebuild lifetime counters from :meth:`to_dict` output.
 
         The latency window is not persisted (it is a recent-traffic
-        view), but the lifetime totals and means survive.
+        view), but the lifetime totals and means survive.  Keys this
+        version does not know -- ``backend_seconds`` in payloads written
+        before the compute backends became one -- are ignored.
         """
         stats = cls()
         for name in _COUNTER_FIELDS:
@@ -271,31 +173,4 @@ class ServiceStats:
                 if isinstance(seconds, (int, float))
                 and not isinstance(seconds, bool)
             }
-        backends = payload.get("backend_seconds")
-        if isinstance(backends, dict):
-            for name, entry in backends.items():
-                if not isinstance(entry, dict):
-                    continue
-                seconds = entry.get("seconds", 0.0)
-                passes = entry.get("passes", 0)
-                if (
-                    isinstance(seconds, (int, float))
-                    and not isinstance(seconds, bool)
-                    and isinstance(passes, int)
-                    and not isinstance(passes, bool)
-                    and passes > 0
-                ):
-                    restored = {
-                        "seconds": float(seconds),
-                        "passes": passes,
-                    }
-                    stages = entry.get("stage_seconds")
-                    if isinstance(stages, dict):
-                        restored["stage_seconds"] = {
-                            str(stage): float(sec)
-                            for stage, sec in stages.items()
-                            if isinstance(sec, (int, float))
-                            and not isinstance(sec, bool)
-                        }
-                    stats.backend_seconds[str(name)] = restored
         return stats

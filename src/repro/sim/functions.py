@@ -209,8 +209,8 @@ class SimilarityFunction:
         """Largest edit distance whose similarity can still reach *cutoff*.
 
         The inverse of the kind's similarity formula, shared by the
-        scalar banded path (:meth:`edit_at_least`) and the backends'
-        batched edit kernels so both certify rejections with the exact
+        scalar banded path (:meth:`edit_at_least`) and the batched
+        Myers kernel (:mod:`repro.backends.numpy_kernels`) so both certify rejections with the exact
         same limit.
         """
         # The EPSILON guard keeps float noise from truncating a
@@ -229,7 +229,7 @@ class SimilarityFunction:
         """The floored ``phi_alpha`` given an exact edit *distance*.
 
         The closing arithmetic of :meth:`edit_at_least`, factored out so
-        backends that obtain the distance through a batched kernel apply
+        a kernel that obtains the distance in a batch can apply
         the identical formula (and thus return bit-identical floats).
         """
         if self.kind is SimilarityKind.EDS:
@@ -242,9 +242,8 @@ class SimilarityFunction:
         """``phi_alpha`` of two token sets given ``|x|``, ``|y|``, ``|x & y|``.
 
         The token kinds' closed forms without the sets themselves: the
-        same operations on the same integers as :meth:`tokens` (and as
-        the numpy backend's ``_formula_scores``), so the float is
-        bit-identical.  Lets a caller that counted the intersection
+        same operations on the same integers as :meth:`tokens`, so the
+        float is bit-identical.  Lets a caller that counted the intersection
         elsewhere -- the NN filter counts it off the posting lists --
         skip the set intersection.
         """

@@ -7,12 +7,13 @@ reuse across the stages that evaluate ``phi_alpha`` on element pairs,
 across all candidates of a pass and across queries of a long-lived
 :class:`~repro.service.SilkMothService`.
 
-Who fills it depends on the compute backend.  The NN filter always
-goes through :meth:`SimilarityMemo.edit_value` (compute on miss).  On
-the python backend so does selection, and verification then mostly
-hits.  On numpy, selection scores its pairs in one lane batch that
-bypasses the memo, so verification starts colder (measured hit ratio
-0.20 on the benchmark's ``verify_eds``, 0.70 on ``discover_eds``); it
+Who fills it depends on batch size.  The NN filter always goes
+through :meth:`SimilarityMemo.edit_value` (compute on miss).  So does
+selection when its query-wide batch is short; a long one is scored in
+one lane batch that bypasses the memo (``edit_batch_min_tasks``,
+:mod:`repro.backends.base`), so verification starts colder (measured
+hit ratio 0.20 on the benchmark's ``verify_eds``, 0.70 on
+``discover_eds``).  Verification
 reads a pass's whole similarity grid with :meth:`SimilarityMemo.lookup`
 (never computes), computes the unknown cells in one batch and hands
 them back with :meth:`SimilarityMemo.store` -- the hits it does get are

@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from repro.backends import available_backends, get_backend
+from repro.backends import get_backend
 from repro.core.records import SetCollection
 from repro.matching.assignment import matching_alignment, scored_alignment
 from repro.matching.hungarian import hungarian_assignment, matching_total
 from repro.matching.score import matching_score
 from repro.matching.sparse import sparse_assignment
 from repro.sim.functions import SimilarityFunction, SimilarityKind
+from strategies.kernels import KERNEL_MODES, kernel_mode
 
 
 class TestHungarianAssignment:
@@ -112,38 +113,39 @@ class TestMatchingAlignment:
         identical = [p for p in alignment if p.weight == pytest.approx(1.0)]
         assert len(identical) == 1
 
-    @pytest.mark.parametrize("backend_name", available_backends())
+    @pytest.mark.parametrize("kernels", KERNEL_MODES)
     @pytest.mark.parametrize("kind", (SimilarityKind.JACCARD, SimilarityKind.EDS))
-    def test_alignment_is_the_triples_behind_the_score(self, backend_name, kind):
-        calls = []
+    def test_alignment_is_the_triples_behind_the_score(self, kernels, kind):
+        with kernel_mode(kernels):
+            calls = []
 
-        class Spy(type(get_backend(backend_name))):
-            def weight_matrix(self, *args, **kwargs):
-                calls.append(kwargs)
-                return super().weight_matrix(*args, **kwargs)
+            class Spy(type(get_backend())):
+                def weight_matrix(self, *args, **kwargs):
+                    calls.append(kwargs)
+                    return super().weight_matrix(*args, **kwargs)
 
-        backend = Spy()
-        rng = random.Random(8)
-        vocab = [f"w{i}" for i in range(10)]
-        phi = SimilarityFunction(kind, 0.2)
-        for _ in range(30):
-            sets = [
-                [
-                    " ".join(rng.sample(vocab, rng.randint(1, 4)))
-                    for _ in range(rng.randint(1, 5))
+            backend = Spy()
+            rng = random.Random(8)
+            vocab = [f"w{i}" for i in range(10)]
+            phi = SimilarityFunction(kind, 0.2)
+            for _ in range(30):
+                sets = [
+                    [
+                        " ".join(rng.sample(vocab, rng.randint(1, 4)))
+                        for _ in range(rng.randint(1, 5))
+                    ]
+                    for _ in range(2)
                 ]
-                for _ in range(2)
-            ]
-            collection = SetCollection.from_strings(sets, kind=kind)
-            reference, candidate = collection[0], collection[1]
-            score, alignment = scored_alignment(
-                reference, candidate, phi, backend=backend, collection=collection
-            )
-            # The backend it was given built the matrix, arguments threaded.
-            assert calls.pop() == {"memo": None, "collection": collection}
-            triples = sparse_assignment(backend.weight_matrix(reference, candidate, phi))
-            assert [
-                (p.reference_index, p.candidate_index, p.weight) for p in alignment
-            ] == sorted(triples)
-            assert score == matching_total(triples)
-            assert score == matching_score(reference, candidate, phi, backend=backend)
+                collection = SetCollection.from_strings(sets, kind=kind)
+                reference, candidate = collection[0], collection[1]
+                score, alignment = scored_alignment(
+                    reference, candidate, phi, backend=backend
+                )
+                # The backend it was given built the matrix, arguments threaded.
+                assert calls.pop() == {"memo": None}
+                triples = sparse_assignment(backend.weight_matrix(reference, candidate, phi))
+                assert [
+                    (p.reference_index, p.candidate_index, p.weight) for p in alignment
+                ] == sorted(triples)
+                assert score == matching_total(triples)
+                assert score == matching_score(reference, candidate, phi, backend=backend)

@@ -1,156 +1,252 @@
-"""Compute-backend selection rules and kernel equivalence."""
+"""The one compute backend: registry, kernel gates, and life without numpy."""
+
+import os
+import subprocess
+import sys
+import textwrap
+from array import array
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.backends as backends
-from repro.backends import (
-    BACKEND_ENV_VAR,
-    KNOWN_BACKENDS,
-    available_backends,
-    get_backend,
-    numpy_available,
-)
-from repro.backends.python_backend import PythonBackend
+from repro.backends import ComputeBackend, available_backends, base, get_backend
+from repro.backends.select import merge_distinct_postings_python
 from repro.core.config import SilkMothConfig
 from repro.core.engine import SilkMoth
-from repro.core.records import SetCollection
+from repro.core.records import ElementRecord, SetCollection
+from repro.core.stats import PassStats
+from repro.index.inverted import pack_posting
 from repro.sim.functions import SimilarityFunction, SimilarityKind
+from repro.sim.memo import SimilarityMemo
 
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="numpy not installed"
-)
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-class TestSelection:
-    def test_explicit_python(self):
-        assert get_backend("python").name == "python"
-
-    def test_python_always_available(self):
-        assert "python" in available_backends()
-
-    def test_instances_cached(self):
-        assert get_backend("python") is get_backend("python")
+class TestRegistry:
+    def test_one_backend(self):
+        assert get_backend() is get_backend()
+        assert [get_backend(name) for name in available_backends()] == [
+            get_backend()
+        ]
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown compute backend"):
             get_backend("fortran")
 
-    def test_env_var_forces_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "python")
-        assert get_backend().name == "python"
-
-    def test_env_var_invalid_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "cuda")
-        with pytest.raises(ValueError, match="unknown compute backend"):
-            get_backend()
-
-    def test_explicit_name_beats_env_var(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV_VAR, "numpy")
-        assert get_backend("python").name == "python"
-
-    @needs_numpy
-    def test_auto_prefers_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert get_backend().name == "numpy"
-
-    def test_auto_falls_back_without_numpy(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        monkeypatch.setattr(backends, "numpy_available", lambda: False)
-        assert get_backend().name == "python"
-
-    def test_missing_numpy_explicit_request_raises(self, monkeypatch):
-        def fail_load(name):
-            raise RuntimeError("the numpy compute backend was requested")
-
-        monkeypatch.setattr(backends, "_load", fail_load)
-        monkeypatch.setitem(backends._INSTANCES, "numpy", None)
-        backends._INSTANCES.pop("numpy")
-        with pytest.raises(RuntimeError, match="numpy compute backend"):
-            get_backend("numpy")
-
-    def test_config_validates_backend_name(self):
-        with pytest.raises(ValueError, match="backend"):
-            SilkMothConfig(backend="gpu")
-
-    def test_engine_uses_config_backend(self):
+    def test_engine_uses_it(self):
         collection = SetCollection.from_strings([["a b"]])
-        engine = SilkMoth(collection, SilkMothConfig(backend="python"))
-        assert engine.backend.name == "python"
+        assert SilkMoth(collection, SilkMothConfig()).backend is get_backend()
 
-    def test_pass_stats_record_backend(self):
-        collection = SetCollection.from_strings([["a b"], ["a b"]])
-        engine = SilkMoth(collection, SilkMothConfig(backend="python"))
-        _, stats = engine.search_with_stats(collection[0], skip_set=0)
-        assert stats.backend == "python"
+    def test_no_backend_knob_left(self):
+        assert "backend" not in {f.name for f in fields(SilkMothConfig)}
+        assert "backend" not in {f.name for f in fields(PassStats)}
+        with pytest.raises(TypeError):
+            SilkMothConfig(backend="python")
+
+    def test_kernels_load_exactly_when_numpy_does(self):
+        try:
+            import numpy  # noqa: F401
+        except ImportError:
+            assert base.numpy_kernels is None
+        else:
+            assert base.numpy_kernels is not None
 
 
 def _token_set_strategy():
     return st.frozensets(st.integers(min_value=0, max_value=9), max_size=6)
 
 
-@needs_numpy
-class TestKernelEquivalence:
-    """The numpy backend must be an exact drop-in for the Python one."""
-
-    def setup_method(self):
-        from repro.backends.numpy_backend import NumpyBackend
-
-        self.py = PythonBackend()
-        self.np_backend = NumpyBackend()
-
-    @given(
-        sizes=st.lists(st.integers(min_value=0, max_value=30), max_size=12),
-        lo=st.integers(min_value=-1, max_value=15),
-        hi=st.integers(min_value=-1, max_value=35),
+@given(
+    probe=_token_set_strategy(),
+    targets=st.lists(_token_set_strategy(), max_size=8),
+    kind=st.sampled_from(
+        (
+            SimilarityKind.JACCARD,
+            SimilarityKind.DICE,
+            SimilarityKind.COSINE,
+            SimilarityKind.OVERLAP,
+        )
+    ),
+    alpha=st.sampled_from((0.0, 0.3, 0.7)),
+)
+@settings(max_examples=120, deadline=None)
+def test_token_kernels_agree(probe, targets, kind, alpha):
+    """The per-target scorer and the indexed (closed-form) one agree."""
+    phi = SimilarityFunction(kind=kind, alpha=alpha)
+    backend = get_backend()
+    table = [
+        ElementRecord(text="", signature_tokens=t, index_tokens=t, length=len(t))
+        for t in targets
+    ]
+    expected = [phi.tokens(probe, target) for target in targets]
+    assert backend.token_similarities(probe, targets, phi) == expected
+    assert (
+        backend.indexed_token_similarities(
+            probe, table, range(len(targets)), phi
+        )
+        == expected
     )
-    @settings(max_examples=50, deadline=None)
-    def test_size_filter(self, sizes, lo, hi):
-        assert self.py.size_filter_indices(
-            sizes, lo, hi
-        ) == self.np_backend.size_filter_indices(sizes, lo, hi)
 
-    @given(
-        values=st.lists(
-            st.floats(min_value=0, max_value=10, allow_nan=False), max_size=12
-        ),
-        cutoff=st.floats(min_value=0, max_value=10, allow_nan=False),
+
+def _merge_case(size):
+    """Two sorted posting runs scanning *size* keys in all."""
+    runs = [
+        array("q", [pack_posting(s, 0) for s in range(0, size, 2)]),
+        array("q", [pack_posting(s, 1) for s in range(1, size, 2)]),
+    ]
+    args = (runs, None, frozenset({3}), array("q", range(size)), (2.0, 40.0))
+    return (
+        "merge_distinct_postings",
+        lambda backend: backend.merge_distinct_postings(*args),
+        lambda: merge_distinct_postings_python(*args),
     )
-    @settings(max_examples=50, deadline=None)
-    def test_threshold(self, values, cutoff):
-        assert self.py.threshold_indices(
-            values, cutoff
-        ) == self.np_backend.threshold_indices(values, cutoff)
 
-    @given(
-        scalar=st.floats(min_value=0, max_value=10, allow_nan=False),
-        values=st.lists(
-            st.floats(min_value=-5, max_value=5, allow_nan=False), max_size=12
-        ),
+
+def _edit_values_case(size):
+    tasks = [(f"ab{i % 7}x", f"ab{i % 5}xy", 0.2 * (i % 4)) for i in range(size)]
+    return (
+        "edit_values",
+        lambda backend: backend.edit_values(EDIT_PHI, tasks),
+        lambda: [EDIT_PHI.edit_at_least(x, y, f) for x, y, f in tasks],
     )
-    @settings(max_examples=50, deadline=None)
-    def test_add_scalar(self, scalar, values):
-        got = self.np_backend.add_scalar(scalar, values)
-        expected = self.py.add_scalar(scalar, values)
-        assert got == pytest.approx(expected, abs=1e-12)
 
-    @given(
-        probe=_token_set_strategy(),
-        targets=st.lists(_token_set_strategy(), max_size=8),
-        kind=st.sampled_from(
-            (
-                SimilarityKind.JACCARD,
-                SimilarityKind.DICE,
-                SimilarityKind.COSINE,
-                SimilarityKind.OVERLAP,
+
+def _grid_shape(size):
+    """A (patterns, texts) shape of *size* cells: 7 x 9 or 8 x 8."""
+    return (7, 9) if size == 63 else (8, 8)
+
+
+def _edit_grid_case(size):
+    rows, columns = _grid_shape(size)
+    patterns = [f"moth{i}" * (1 + i % 2) for i in range(rows)]
+    texts = [f"mot{j}h" for j in range(columns)]
+    return (
+        "fill_grid_lanes",
+        lambda backend: backend.edit_grid(EDIT_PHI, patterns, texts),
+        lambda: [[EDIT_PHI.edit_at_least(x, y, 0.0) for y in texts] for x in patterns],
+    )
+
+
+EDIT_PHI = SimilarityFunction(SimilarityKind.EDS, 0.5)
+GATE_CASES = {
+    "merge": _merge_case,
+    "edit_values": _edit_values_case,
+    "edit_grid": _edit_grid_case,
+}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Names of the numpy kernels called, in order (numpy required)."""
+    if base.numpy_kernels is None:
+        pytest.skip("numpy not installed")
+    calls = []
+    for name in ("merge_distinct_postings", "edit_values", "fill_grid_lanes"):
+        kernel = getattr(base.numpy_kernels, name)
+
+        def spy(*args, _kernel=kernel, _name=name, **kwargs):
+            calls.append(_name)
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(base.numpy_kernels, name, spy)
+    return calls
+
+
+class TestGates:
+    """The batch size alone decides the path; both paths agree."""
+
+    def test_default_gates(self):
+        assert ComputeBackend.select_min_postings == 64
+        assert ComputeBackend.edit_batch_min_tasks == 64
+
+    @pytest.mark.parametrize("size", [63, 64], ids=["below", "at"])
+    @pytest.mark.parametrize("case", sorted(GATE_CASES))
+    def test_the_gate_picks_the_path(self, kernel_calls, case, size):
+        kernel, run, scalar = GATE_CASES[case](size)
+        got = run(get_backend())
+        assert kernel_calls == ([kernel] if size == 64 else [])
+        if case == "merge":
+            got = (list(got[0]),) + tuple(got[1:])
+            expected = scalar()
+            assert got == (list(expected[0]),) + tuple(expected[1:])
+        else:
+            assert got == scalar()
+
+    def test_a_grid_without_a_band_never_reaches_the_lanes(self, kernel_calls):
+        phi = SimilarityFunction(SimilarityKind.EDS, 0.0)
+        patterns, texts = ["moth"] * 8, [f"mot{j}h" for j in range(8)]
+        assert get_backend().edit_grid(phi, patterns, texts) == [
+            [phi.edit_at_least(x, y, 0.0) for y in texts] for x in patterns
+        ]
+        assert kernel_calls == []
+
+    def test_memoised_cells_do_not_count_towards_the_gate(self, kernel_calls):
+        patterns = [f"moth{i}" for i in range(8)]
+        texts = [f"mot{j}h" for j in range(8)]
+        memo = SimilarityMemo(capacity=128)
+        memo.store(patterns[0], texts[0], EDIT_PHI.edit_at_least(patterns[0], texts[0], 0.0))
+        expected = [[EDIT_PHI.edit_at_least(x, y, 0.0) for y in texts] for x in patterns]
+        assert get_backend().edit_grid(EDIT_PHI, patterns, texts, memo) == expected
+        assert kernel_calls == []  # 63 unknown cells
+        assert get_backend().edit_grid(EDIT_PHI, patterns, texts) == expected
+        assert kernel_calls == ["fill_grid_lanes"]  # 64 without the memo
+
+
+def test_runs_without_numpy():
+    """With numpy unimportable, ``import repro`` works and stays exact."""
+    script = textwrap.dedent(
+        """
+        import sys
+
+        class Block:
+            def find_spec(self, name, path=None, target=None):
+                if name.split(".")[0] in ("numpy", "scipy"):
+                    raise ImportError(f"{name} blocked")
+                return None
+
+        sys.meta_path.insert(0, Block())
+
+        import repro
+        from repro import (
+            SetCollection, SilkMoth, SilkMothConfig, SimilarityKind,
+            brute_force_discover,
+        )
+        from repro.backends import base
+
+        assert base.numpy_kernels is None
+        assert "numpy" not in sys.modules
+
+        def pairs(rows):
+            return sorted((r.reference_id, r.set_id) for r in rows)
+
+        words = ["alpha beta", "beta gamma", "gamma delta", "delta alpha"]
+        texts = ["silkmoth paper", "silkmoth papers", "silk moth", "moth"]
+        cases = [
+            (SilkMothConfig(similarity=SimilarityKind.JACCARD, delta=0.5),
+             [[words[(i + j) % 4] for j in range(1 + i % 3)] for i in range(40)]),
+            (SilkMothConfig(similarity=SimilarityKind.EDS, delta=0.5, alpha=0.6),
+             [[texts[(i + j) % 4] + "x" * (i % 2) for j in range(1 + i % 3)]
+              for i in range(40)]),
+        ]
+        for config, sets in cases:
+            collection = SetCollection.from_strings(
+                sets, kind=config.similarity, q=config.effective_q
             )
-        ),
-        alpha=st.sampled_from((0.0, 0.3, 0.7)),
+            got = pairs(SilkMoth(collection, config).discover())
+            assert got, config
+            assert got == pairs(brute_force_discover(collection, config)), config
+        print("ok")
+        """
     )
-    @settings(max_examples=120, deadline=None)
-    def test_token_similarities(self, probe, targets, kind, alpha):
-        phi = SimilarityFunction(kind=kind, alpha=alpha)
-        got = self.np_backend.token_similarities(probe, targets, phi)
-        expected = self.py.token_similarities(probe, targets, phi)
-        assert got == pytest.approx(expected, abs=1e-12)
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "ok"

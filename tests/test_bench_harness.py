@@ -1,24 +1,29 @@
 """Tests for the benchmark harness and reporting helpers."""
 
 import importlib
+import inspect
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from repro.backends import available_backends, get_backend
+from repro.backends import ComputeBackend, available_backends, get_backend
 from repro.bench.harness import run_discovery, run_search, run_workload
 from repro.bench.reporting import format_series
 from repro.bench.trajectory import (
+    KNOWN_WORKLOADS,
     SCHEMA,
     format_trajectory,
     run_trajectory,
     write_trajectory,
 )
 from repro.core.config import Relatedness, SilkMothConfig
+from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
+from repro.sim.functions import SimilarityKind
 from repro.workloads.applications import inclusion_dependency, schema_matching
+from strategies.kernels import KERNEL_MODES, kernel_mode
 
 
 class TestHarness:
@@ -57,10 +62,9 @@ class TestHarness:
 
 class TestTrajectory:
     def test_tiny_run_produces_well_formed_payload(self):
-        payload = run_trajectory(scale=0.05, backends=("python",))
+        payload = run_trajectory(scale=0.05)
         assert payload["schema"] == SCHEMA
         edit = payload["workloads"]["edit_verify"]
-        assert edit["backend"] == "python"
         assert edit["baseline"]["seconds"] > 0
         assert edit["optimized"]["seconds"] > 0
         # Identical results across modes: the kernels change speed only.
@@ -71,10 +75,11 @@ class TestTrajectory:
         assert edit["optimized"]["sim_cache_hits"] > 0
         token = payload["workloads"]["token_discover"]
         assert token["baseline"]["matches"] == token["optimized"]["matches"]
-        assert payload["calibration"]["backends"]["python"]["seconds"] > 0
+        assert set(payload["workloads"]) == set(KNOWN_WORKLOADS)
+        assert "calibration" not in payload
 
     def test_tiny_run_includes_sharded_discovery_entry(self):
-        payload = run_trajectory(scale=0.05, backends=("python",))
+        payload = run_trajectory(scale=0.05)
         entry = payload["workloads"]["cluster_discover"]
         # Exactness pin: the cluster found the same related pairs.
         assert entry["optimized"]["matches"] == entry["baseline"]["matches"]
@@ -92,7 +97,7 @@ class TestTrajectory:
         assert "workers:" in format_trajectory(payload)
 
     def test_payload_stamps_provenance(self):
-        payload = run_trajectory(scale=0.05, backends=("python",))
+        payload = run_trajectory(scale=0.05)
         # The machine/code stamps sit next to cpus so two committed
         # trajectory points are attributable; both degrade to
         # "unknown" rather than failing off-git or off-network.
@@ -101,12 +106,12 @@ class TestTrajectory:
 
     def test_write_trajectory_round_trips(self, tmp_path):
         path = tmp_path / "BENCH_test.json"
-        payload = write_trajectory(path, scale=0.05, backends=("python",))
+        payload = write_trajectory(path, scale=0.05)
         on_disk = json.loads(path.read_text())
         assert on_disk["schema"] == payload["schema"]
         assert "edit_verify" in on_disk["workloads"]
         assert "cluster_discover" in on_disk["workloads"]
-        assert "python" in format_trajectory(on_disk)
+        assert "edit_verify" in format_trajectory(on_disk)
 
 
 class TestReporting:
@@ -168,3 +173,49 @@ class TestTracerWrapPoints:
             if not any(attribute in vars(cls) for cls in type(backend).__mro__)
         ]
         assert not missing, f"tracer backend points missing in src/: {missing}"
+
+    @pytest.mark.parametrize("kernels", KERNEL_MODES)
+    @pytest.mark.parametrize(
+        "kind", [SimilarityKind.JACCARD, SimilarityKind.EDS], ids=["token", "edit"]
+    )
+    def test_installed_tracer_times_the_backend_and_undoes_itself(
+        self, tracer, kind, kernels
+    ):
+        """A traced round in small: the same rows, backend spans, no residue."""
+        if kind.is_token_based:
+            words = ["ash bay", "bay elm", "elm fir", "fir oak", "oak ash"]
+            sets = [[words[(i + j) % 5] for j in range(1 + i % 3)] for i in range(24)]
+        else:
+            texts = ["silkmoth paper", "silkmoth papers", "silk moth", "moth"]
+            sets = [
+                [texts[(i + j) % 4] + "x" * (i % 2) for j in range(1 + i % 3)]
+                for i in range(24)
+            ]
+        config = SilkMothConfig(similarity=kind, delta=0.5, alpha=0.6)
+
+        def discover():
+            collection = SetCollection.from_strings(
+                sets, kind=kind, q=config.effective_q
+            )
+            return SilkMoth(collection, config).discover()
+
+        methods = [attribute for attribute, _, _ in tracer.BACKEND_POINTS]
+        before = {name: inspect.getattr_static(ComputeBackend, name) for name in methods}
+        with kernel_mode(kernels):
+            expected = discover()
+            with tracer.Tracer().installed() as traced:
+                got = discover()
+        assert got == expected and got
+        names = {span[0] for span in traced.spans}
+        # Token kinds score distinct contents and count sparse rows; edit
+        # kinds merge posting runs, batch their NN scores and verify
+        # from one grid per pass.
+        assert {"core.discover", "backends.assignment"} | (
+            {"backends.token_sims", "backends.weight_matrix"}
+            if kind.is_token_based
+            else {"backends.merge_postings", "backends.edit_values"}
+        ) <= names
+        if kind.is_edit_based:
+            assert traced.counts["backends.edit_values"] > 0
+        after = {name: inspect.getattr_static(ComputeBackend, name) for name in methods}
+        assert after == before

@@ -39,7 +39,6 @@ def _payload(speedup=5.0, matches=10, scanned=500):
         "scale": 1.0,
         "workloads": {
             "edit_verify": {
-                "backend": "python",
                 "baseline": {"matches": matches, "verified": 40,
                              "seconds": 1.0},
                 "optimized": {

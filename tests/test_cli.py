@@ -65,6 +65,26 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["search", str(titles)])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["discover"],
+            ["search", "--reference", "0"],
+            ["explain", "--reference", "0"],
+            ["selfcheck"],
+            ["stats"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_there_is_no_backend_option(self, titles, argv, capsys):
+        """One compute backend: no subcommand takes ``--backend`` any more."""
+        command = [argv[0], str(titles), *argv[1:]]
+        build_parser().parse_args(command)
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--backend", "numpy"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend" in capsys.readouterr().err
+
 
 class TestLoadSets:
     def test_text(self, titles):

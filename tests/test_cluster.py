@@ -3,22 +3,23 @@
 The tentpole claim in test form: a :class:`repro.SilkMothCluster` is
 observably identical to the single-node engine/service on the same
 data -- for any dataset, configuration and shard count, under search,
-discovery *and* arbitrary mutation sequences, on every compute
-backend.  Scores are compared exactly (not approximately): shard
-passes run the very same pipeline kernels on the very same element
-pairs, so even the floats must agree bit for bit.
+discovery *and* arbitrary mutation sequences, with the numpy kernels
+taking every batch and with none of them.  Scores are compared exactly
+(not approximately): shard passes run the very same pipeline kernels on
+the very same element pairs, so even the floats must agree bit for bit.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import replace
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends
 from repro.cluster import SilkMothCluster
+from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
 from repro.service import SilkMothService
@@ -31,16 +32,7 @@ from strategies import (
     token_configs,
     token_sets,
 )
-
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=()
-        if name in available_backends()
-        else pytest.mark.skip(reason=f"{name} backend unavailable"),
-    )
-    for name in ("python", "numpy")
-]
+from strategies.kernels import KERNEL_MODES, kernel_mode
 
 _SETTINGS = settings(
     max_examples=25,
@@ -67,7 +59,7 @@ def _assert_cluster_matches_engine(sets, reference_elements, config, shards):
     ]
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
 @given(
     sets=collections(min_sets=1, max_sets=7),
     reference=token_sets(),
@@ -76,15 +68,14 @@ def _assert_cluster_matches_engine(sets, reference_elements, config, shards):
 )
 @_SETTINGS
 def test_cluster_search_identity_token_kinds(
-    backend_name, sets, reference, config, shards
+    kernels, sets, reference, config, shards
 ):
     """Token-kind cluster search == single-node search, bit for bit."""
-    _assert_cluster_matches_engine(
-        sets, reference, replace(config, backend=backend_name), shards
-    )
+    with kernel_mode(kernels):
+        _assert_cluster_matches_engine(sets, reference, config, shards)
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
 @given(
     sets=string_collections(min_sets=1, max_sets=5),
     reference=string_sets(),
@@ -93,43 +84,56 @@ def test_cluster_search_identity_token_kinds(
 )
 @_SETTINGS
 def test_cluster_search_identity_edit_kinds(
-    backend_name, sets, reference, config, shards
+    kernels, sets, reference, config, shards
 ):
     """Edit-kind cluster search == single-node search, for every q.
 
     Out-of-constraint q values are included: routing then degrades to
     broadcast (no pair certificate) and must still be exact.
     """
-    _assert_cluster_matches_engine(
-        sets, reference, replace(config, backend=backend_name), shards
-    )
+    with kernel_mode(kernels):
+        _assert_cluster_matches_engine(sets, reference, config, shards)
 
 
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
 @given(
     sets=collections(min_sets=1, max_sets=7),
     config=token_configs(),
     shards=st.integers(min_value=1, max_value=4),
 )
+# Tied weights (two equal candidate elements) under shard-local token
+# ids: the sparse rows' column order decides the pick, not the ids.
+@example(
+    sets=[
+        ["bay ivy", "bay oak ash", "ash"],
+        ["ash elm fir", "ash elm fir", "ash elm ivy", "elm fir oak"],
+    ],
+    config=SilkMothConfig(
+        metric=Relatedness.CONTAINMENT, delta=0.25, alpha=0.0, scheme="weighted"
+    ),
+    shards=2,
+)
 @_SETTINGS
-def test_cluster_discovery_identity(sets, config, shards):
+def test_cluster_discovery_identity(kernels, sets, config, shards):
     """Cluster self-discovery == engine self-discovery (rows + order)."""
-    collection = SetCollection.from_strings(
-        sets, kind=config.similarity, q=config.effective_q
-    )
-    expected = SilkMoth(collection, config).discover()
-    with SilkMothCluster.from_sets(sets, config, shards=shards) as cluster:
-        got = cluster.discover()
-    assert got == expected
+    with kernel_mode(kernels):
+        _assert_cluster_discovers_as_the_engine(sets, config, shards)
 
 
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
 @given(
     sets=string_collections(min_sets=1, max_sets=4),
     config=edit_configs(),
     shards=st.integers(min_value=1, max_value=3),
 )
 @_SETTINGS
-def test_cluster_discovery_identity_edit_kinds(sets, config, shards):
+def test_cluster_discovery_identity_edit_kinds(kernels, sets, config, shards):
     """Edit-kind cluster discovery == engine discovery, for every q."""
+    with kernel_mode(kernels):
+        _assert_cluster_discovers_as_the_engine(sets, config, shards)
+
+
+def _assert_cluster_discovers_as_the_engine(sets, config, shards):
     collection = SetCollection.from_strings(
         sets, kind=config.similarity, q=config.effective_q
     )
@@ -171,7 +175,7 @@ def _apply_mutations(target, mutations):
                 target.update_set(live[step[1] % len(live)], step[2])
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
 @given(
     sets=collections(min_sets=1, max_sets=5),
     mutations=_mutations,
@@ -181,10 +185,15 @@ def _apply_mutations(target, mutations):
 )
 @_SETTINGS
 def test_cluster_identity_under_mutation(
-    backend_name, sets, mutations, reference, config, shards
+    kernels, sets, mutations, reference, config, shards
 ):
     """Same mutation program => same ids and same answers as the service."""
-    config = replace(config, backend=backend_name, scheme="dichotomy")
+    with kernel_mode(kernels):
+        _assert_identity_under_mutation(sets, mutations, reference, config, shards)
+
+
+def _assert_identity_under_mutation(sets, mutations, reference, config, shards):
+    config = replace(config, scheme="dichotomy")
     service = SilkMothService(config)
     for elements in sets:
         service.add_set(elements)
@@ -319,22 +328,17 @@ def _funnel(stats):
     )
 
 
-@pytest.mark.skipif(
-    "numpy" not in available_backends(), reason="numpy not installed"
-)
-def test_dense_shards_plan_numpy_and_stay_identical(monkeypatch):
-    """Small dense shards get the batched kernels; nothing else changes.
+def test_dense_shards_stay_identical():
+    """Small dense shards hand the kernels long batches; nothing changes.
 
-    36 sets per shard is under the old set-count cutover, but their
-    posting lists are long, so the planner's probe-work rule hands
-    every shard the numpy backend -- with pairs, scores and funnel
-    equal to the single node and to the same cluster pinned to python.
+    36 sets per shard, but long posting lists: the shards' merges and
+    edit batches clear the numpy kernels' gates, in-process and in
+    worker processes, and pairs, scores and funnel equal the single
+    node's and those of the same cluster with the kernels off.
     """
     from repro.core.config import SilkMothConfig
     from repro.sim.functions import SimilarityKind
 
-    monkeypatch.delenv("SILKMOTH_BACKEND", raising=False)
-    monkeypatch.delenv("SILKMOTH_COST_PROFILE", raising=False)
     config = SilkMothConfig(
         similarity=SimilarityKind.EDS, delta=0.5, alpha=0.6
     )
@@ -348,23 +352,18 @@ def test_dense_shards_plan_numpy_and_stay_identical(monkeypatch):
         config,
     )
     expected = engine.discover()
-    runs = [
-        (config, "inline", "numpy"),
-        (config, "process", "numpy"),
-        (replace(config, backend="python"), "inline", "python"),
-    ]
-    for run_config, transport, backend in runs:
-        with SilkMothCluster.from_sets(
-            sets, run_config, shards=2, transport=transport
-        ) as cluster:
-            decisions = [info["decision"] for info in cluster.shard_infos()]
-            assert [d["backend"] for d in decisions] == [backend] * 2
-            assert cluster.discover() == expected
-            assert _funnel(cluster.run_stats) == _funnel(engine.stats)
-            if run_config.backend is None:
+    for transport, kernels in (
+        ("inline", None), ("process", None), ("inline", "off")
+    ):
+        with kernel_mode(kernels) if kernels else nullcontext():
+            with SilkMothCluster.from_sets(
+                sets, config, shards=2, transport=transport
+            ) as cluster:
+                assert cluster.discover() == expected
+                assert _funnel(cluster.run_stats) == _funnel(engine.stats)
                 # `cluster info` says why, not only what.
                 report = cluster.plan_report()
-                assert report.count("backend auto-selected: probe work") == 2
+                assert report.count("; scheme pinned by configuration") == 2
 
 
 def test_shard_count_knob_resolution(monkeypatch):

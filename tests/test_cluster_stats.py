@@ -16,8 +16,8 @@ from repro.core.config import SilkMothConfig
 from repro.core.stats import PassStats
 
 
-def _pass(backend="python", scheme="dichotomy", **counters) -> PassStats:
-    stats = PassStats(backend=backend, scheme=scheme)
+def _pass(scheme="dichotomy", **counters) -> PassStats:
+    stats = PassStats(scheme=scheme)
     for name, value in counters.items():
         setattr(stats, name, value)
     return stats
@@ -54,14 +54,13 @@ class TestMergePassStats:
         assert merged.matches == 3
         assert merged.sim_cache_hits == 10
         assert merged.sim_cache_misses == 3
-        assert merged.backend == "python"
         assert merged.scheme == "dichotomy"
 
     def test_disagreeing_labels_read_mixed(self):
         merged = merge_pass_stats(
-            [_pass(backend="python"), _pass(backend="numpy")]
+            [_pass(scheme="exhaustive"), _pass(scheme="dichotomy")]
         )
-        assert merged.backend == "mixed"
+        assert merged.scheme == "mixed"
 
     def test_stage_seconds_add(self):
         a = _pass()
@@ -74,7 +73,7 @@ class TestMergePassStats:
 
     def test_empty_merge_is_blank(self):
         merged = merge_pass_stats([])
-        assert merged.backend == "" and merged.scheme == ""
+        assert merged.scheme == ""
         assert merged.initial_candidates == 0
 
 

@@ -140,7 +140,7 @@ def test_slow_cluster_query_names_shards():
     assert shards["routed"] + shards["skipped"] == 2
     assert len(entry["per_shard"]) == shards["routed"]
     for row in entry["per_shard"]:
-        assert {"shard", "backend", "seconds", "matches"} <= set(row)
+        assert {"shard", "scheme", "seconds", "matches"} <= set(row)
     assert entry["failovers"] == 0
     assert entry["lost_shards"] == []
     assert "initial_candidates" in entry["funnel"]

@@ -3,9 +3,9 @@
 ``ComputeBackend.edit_grid`` is the one way an edit-kind weight matrix
 gets built: verification asks for one grid per pass, single-candidate
 callers for the grid of one candidate.  Every cell must equal
-``phi.edit_at_least(x, y, 0.0)`` exactly, on both backends, whatever
-the memo holds and whichever path (scalar calls or Myers lanes)
-computed it.  The classes below follow the boundary and encoding bug
+``phi.edit_at_least(x, y, 0.0)`` exactly, with the numpy kernels on and
+off, whatever the memo holds and whichever path (scalar calls or Myers
+lanes) computed it.  The classes below follow the boundary and encoding bug
 classes that vectorised kernels invite: the one-word pattern limit,
 empty strings, non-ASCII text on either side, NUL (the lane buffer's
 padding byte), duplicates, and cache state changing mid-batch.
@@ -13,13 +13,11 @@ padding byte), duplicates, and cache state changing mid-batch.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends, get_backend
+from repro.backends import base, get_backend
 from repro.baselines.brute_force import brute_force_search
 from repro.core.config import SilkMothConfig
 from repro.core.engine import SilkMoth
@@ -29,16 +27,11 @@ from repro.matching.score import edit_weight_matrices, matching_score
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 from repro.sim.memo import SimilarityMemo
 from strategies import EDIT_KINDS, clustered_edit_sets, edit_grid_strings
+from strategies.kernels import KERNEL_MODES, kernel_mode
 
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=()
-        if name in available_backends()
-        else pytest.mark.skip(reason=f"{name} backend unavailable"),
-    )
-    for name in ("python", "numpy")
-]
+needs_kernels = pytest.mark.skipif(
+    base.numpy_kernels is None, reason="numpy not installed"
+)
 
 ALPHAS = (0.0, 0.2, 0.6, 0.8, 1.0)
 FLOORS = (0.0, 0.3, 0.7, 1.0)
@@ -48,19 +41,6 @@ _SETTINGS = settings(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-
-
-def _fresh_backend(name: str, min_tasks: "int | None"):
-    """A private backend instance (the registry's singleton stays untouched)."""
-    backend = type(get_backend(name))()
-    if min_tasks is not None and hasattr(backend, "edit_batch_min_tasks"):
-        backend.edit_batch_min_tasks = min_tasks
-    return backend
-
-
-def _cells(backend, grid, rows: int, cols: int) -> list[list[float]]:
-    """An ``edit_grid`` (lists or ndarray) as lists of floats."""
-    return [[float(grid[i][j]) for j in range(cols)] for i in range(rows)]
 
 
 def _entries(backend, matrix, rows: int, cols: int) -> list[list[float]]:
@@ -83,36 +63,39 @@ _MEMOS = {
 }
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.fixture(params=KERNEL_MODES)
+def kernels(request):
+    """The suite's axis: every batch in lanes, or none."""
+    with kernel_mode(request.param):
+        yield request.param
+
+
 class TestGridEqualsScalar:
+    @pytest.mark.parametrize("mode", KERNEL_MODES)
     @_SETTINGS
     @given(
         strings=edit_grid_strings(),
         kind=st.sampled_from(EDIT_KINDS),
         alpha=st.sampled_from(ALPHAS),
-        min_tasks=st.sampled_from((0, None)),
         memo_state=st.sampled_from(sorted(_MEMOS)),
     )
-    def test_every_cell(
-        self, backend_name, strings, kind, alpha, min_tasks, memo_state
-    ):
+    def test_every_cell(self, mode, strings, kind, alpha, memo_state):
         patterns, texts = strings
         phi = SimilarityFunction(kind, alpha)
-        backend = _fresh_backend(backend_name, min_tasks)
         memo = _MEMOS[memo_state]()
         expected = _scalar(phi, patterns, texts)
-        for _ in range(2):  # the second grid is served by whatever was stored
-            grid = backend.edit_grid(phi, patterns, texts, memo)
-            assert _cells(backend, grid, len(patterns), len(texts)) == expected
+        with kernel_mode(mode):
+            for _ in range(2):  # the second grid is served by what was stored
+                grid = get_backend().edit_grid(phi, patterns, texts, memo)
+                assert grid == expected
         if memo_state == "evicting":
             assert len(memo) <= 1
 
     @pytest.mark.parametrize("kind", EDIT_KINDS)
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("length", (0, 1, 63, 64, 65))
-    def test_pattern_length_boundaries(self, backend_name, kind, alpha, length):
+    def test_pattern_length_boundaries(self, kernels, kind, alpha, length):
         phi = SimilarityFunction(kind, alpha)
-        backend = _fresh_backend(backend_name, 0)
         pattern = ("ab" * 33)[:length]
         texts = [
             pattern,
@@ -126,23 +109,20 @@ class TestGridEqualsScalar:
             pattern,  # duplicate text (two candidates sharing an element)
         ]
         patterns = [pattern, pattern + "\0", "é" + pattern]
-        grid = backend.edit_grid(phi, patterns, texts)
-        assert _cells(backend, grid, len(patterns), len(texts)) == _scalar(
-            phi, patterns, texts
-        )
+        grid = get_backend().edit_grid(phi, patterns, texts)
+        assert grid == _scalar(phi, patterns, texts)
 
-    def test_empty_sides(self, backend_name):
+    def test_empty_sides(self, kernels):
         phi = SimilarityFunction(SimilarityKind.EDS, 0.6)
-        backend = _fresh_backend(backend_name, 0)
-        assert _cells(backend, backend.edit_grid(phi, [], ["a"]), 0, 1) == []
-        assert _cells(backend, backend.edit_grid(phi, ["a", "b"], []), 2, 0) == [
-            [],
-            [],
-        ]
+        backend = get_backend()
+        assert backend.edit_grid(phi, [], ["a"]) == []
+        assert backend.edit_grid(phi, ["a", "b"], []) == [[], []]
+        assert backend.grid_columns([]) == []
+        assert backend.grid_columns([[], []]) == []
 
-    def test_weight_matrix_is_the_single_candidate_grid(self, backend_name):
+    def test_weight_matrix_is_the_single_candidate_grid(self, kernels):
         phi = SimilarityFunction(SimilarityKind.NEDS, 0.5)
-        backend = _fresh_backend(backend_name, 0)
+        backend = get_backend()
         collection = SetCollection.from_strings(
             [["kitten", "mitten", ""], ["sitting", "kitten", "fitting", "é"]],
             kind=SimilarityKind.NEDS,
@@ -153,19 +133,15 @@ class TestGridEqualsScalar:
         patterns = [element.text for element in reference.elements]
         expected = _scalar(phi, patterns, texts)
         assert _entries(backend, matrix, 3, 4) == expected
-        picked = backend.matrix_columns(matrix, [3, 0])
-        assert _entries(backend, picked, 3, 2) == [[r[3], r[0]] for r in expected]
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestGridAndMemo:
-    def test_grid_leaves_the_memo_as_per_pair_calls_would(self, backend_name):
+    def test_grid_leaves_the_memo_as_per_pair_calls_would(self, kernels):
         phi = SimilarityFunction(SimilarityKind.EDS, 0.5)
         patterns = ["kitten", "sitting", "mitten"]
         texts = ["kitten", "bitten", "sitting", "fitting", "x" * 70, "né"]
-        backend = _fresh_backend(backend_name, 0)
         memo = SimilarityMemo(4096)
-        backend.edit_grid(phi, patterns, texts, memo)
+        get_backend().edit_grid(phi, patterns, texts, memo)
         reference = SimilarityMemo(4096)
         for x in patterns:
             for y in texts:
@@ -180,18 +156,18 @@ class TestGridAndMemo:
                     )
         assert memo.misses == misses  # every pair was stored
 
-    def test_second_pass_is_all_hits(self, backend_name):
+    def test_second_pass_is_all_hits(self, kernels):
         phi = SimilarityFunction(SimilarityKind.EDS, 0.5)
         patterns = ["kitten", "sitting"]
         texts = [f"kitte{c}" for c in "abcdefgh"] * 5
-        backend = _fresh_backend(backend_name, 0)
+        backend = get_backend()
         memo = SimilarityMemo(4096)
         first = backend.edit_grid(phi, patterns, texts, memo)
         hits, misses = memo.hits, memo.misses
         second = backend.edit_grid(phi, patterns, texts, memo)
         assert memo.misses == misses
         assert memo.hits == hits + len(patterns) * len(texts)
-        assert _cells(backend, first, 2, 40) == _cells(backend, second, 2, 40)
+        assert first == second
 
 
 class TestLookupAndStore:
@@ -249,23 +225,20 @@ class TestLookupAndStore:
         assert memo.edit_value(phi, "left", "right", 0.8) == 0.0
 
 
+@needs_kernels
 class TestDispatch:
     """``edit_batch_min_tasks`` counts the cells the memo does not hold."""
 
     def _spied(self, monkeypatch):
-        pytest.importorskip("numpy")
-        from repro.backends.numpy_backend import NumpyBackend
-
-        backend = NumpyBackend()
         calls: list[int] = []
-        lanes = backend._edit_lanes
+        lanes = base.numpy_kernels.edit_lanes
 
-        def spy(phi, patterns, texts, pi, ti, floors):
+        def spy(phi, patterns, texts, pi, ti, floors, min_lanes):
             calls.append(len(pi))
-            return lanes(phi, patterns, texts, pi, ti, floors)
+            return lanes(phi, patterns, texts, pi, ti, floors, min_lanes)
 
-        monkeypatch.setattr(backend, "_edit_lanes", spy)
-        return backend, calls
+        monkeypatch.setattr(base.numpy_kernels, "edit_lanes", spy)
+        return get_backend(), calls
 
     def test_unknown_cells_decide(self, monkeypatch):
         backend, calls = self._spied(monkeypatch)
@@ -293,7 +266,7 @@ class TestDispatch:
         memo = SimilarityMemo(4096)
         grid = backend.edit_grid(phi, patterns, texts, memo)
         assert calls == [140]
-        assert grid.tolist() == _scalar(phi, patterns, texts)
+        assert grid == _scalar(phi, patterns, texts)
         assert len(memo) == 140  # every pair was stored, by whichever path
 
     def test_alpha_zero_stays_scalar(self, monkeypatch):
@@ -303,18 +276,17 @@ class TestDispatch:
         assert calls == []
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestPassMatrices:
     @pytest.mark.parametrize("block", (512, 2))
     def test_one_grid_equals_per_candidate_matrices(
-        self, monkeypatch, backend_name, block
+        self, monkeypatch, kernels, block
     ):
         monkeypatch.setattr(score, "GRID_CANDIDATES", block)
         phi = SimilarityFunction(SimilarityKind.EDS, 0.6)
         sets = clustered_edit_sets(seed=5, clusters=2, sets_per_cluster=4)
         sets[3] = sets[1] + [""]  # duplicate texts across candidates
         collection = SetCollection.from_strings(sets, kind=SimilarityKind.EDS)
-        backend = _fresh_backend(backend_name, 0)
+        backend = get_backend()
         reference = collection[0]
         candidates = [collection[k] for k in range(1, len(sets))]
         memo = SimilarityMemo(4096)
@@ -352,8 +324,9 @@ _FUNNEL = (
 )
 
 
+@needs_kernels
 class TestEngineIdentity:
-    """``discover()``: python == numpy == brute force, scores included."""
+    """``discover()``: kernels at their gates == kernels off == brute force."""
 
     @pytest.mark.parametrize(
         "alpha, reduction, lanes",
@@ -362,41 +335,37 @@ class TestEngineIdentity:
     )
     @pytest.mark.parametrize("kind", EDIT_KINDS)
     def test_clustered_edit_sets(self, monkeypatch, kind, alpha, reduction, lanes):
-        pytest.importorskip("numpy")
-        from repro.backends.numpy_backend import NumpyBackend
-
         grid_batches: list[int] = []
-        edit_lanes = NumpyBackend._edit_lanes
+        edit_lanes = base.numpy_kernels.edit_lanes
 
-        def spy(self, phi, patterns, texts, pi, ti, floors):
+        def spy(phi, patterns, texts, pi, ti, floors, min_lanes):
             if isinstance(floors, float):  # the grid's single floor
                 grid_batches.append(len(pi))
-            return edit_lanes(self, phi, patterns, texts, pi, ti, floors)
+            return edit_lanes(phi, patterns, texts, pi, ti, floors, min_lanes)
 
-        monkeypatch.setattr(NumpyBackend, "_edit_lanes", spy)
+        monkeypatch.setattr(base.numpy_kernels, "edit_lanes", spy)
         sets = clustered_edit_sets(seed=9, clusters=4, sets_per_cluster=4)
-        base = SilkMothConfig(
+        config = SilkMothConfig(
             similarity=kind, delta=0.5, alpha=alpha, reduction=reduction
         )
-        runs = {
-            name: _discover(sets, replace(base, backend=name))
-            for name in ("python", "numpy")
-        }
-        collection, engine, rows = runs["numpy"]
-        assert rows == runs["python"][2]
+        with kernel_mode("off"):
+            _, scalar_engine, scalar_rows = _discover(sets, config)
+        assert not grid_batches
+        collection, engine, rows = _discover(sets, config)
+        assert rows == scalar_rows
         assert rows, "the clustered sets must produce related pairs"
         assert bool(grid_batches) == lanes
         for field in _FUNNEL:
             assert getattr(engine.stats, field) == getattr(
-                runs["python"][1].stats, field
+                scalar_engine.stats, field
             ), field
-        for mine, other in zip(engine.stats.per_pass, runs["python"][1].stats.per_pass):
+        for mine, other in zip(engine.stats.per_pass, scalar_engine.stats.per_pass):
             assert (mine.verified, mine.matches) == (other.verified, other.matches)
         # Against the oracle: same pairs, same scores.
         expected = []
         for reference in collection.iter_live():
             for result in brute_force_search(
-                reference, collection, base, skip_set=reference.set_id
+                reference, collection, config, skip_set=reference.set_id
             ):
                 if result.set_id > reference.set_id:
                     expected.append(

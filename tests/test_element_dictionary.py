@@ -16,7 +16,7 @@ in place of the occurrence postings.  Neither may change a result:
   (``strategies.duplicated_collections``) under floors, self-skips,
   size windows, tombstones before and after ``compact`` and an index
   filled out of order; engine rows equal brute force with the check and
-  NN filters on and off, on both backends;
+  NN filters on and off, with the numpy kernels on and off;
 * **lifecycle** -- the content table's invariants hold after every
   mutation of a service churn that crosses several compactions, through
   snapshot and WAL-recover round trips, pickling, ``parallel_discover``
@@ -35,7 +35,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends, get_backend
+from repro.backends import get_backend
 from repro.baselines.brute_force import brute_force_discover, brute_force_search
 from repro.cluster import SilkMothCluster
 from repro.core.config import Relatedness, SilkMothConfig
@@ -58,16 +58,7 @@ from strategies.checks import (
     assert_records_shared,
     select_probe,
 )
-
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=()
-        if name in available_backends()
-        else pytest.mark.skip(reason=f"{name} backend unavailable"),
-    )
-    for name in ("python", "numpy")
-]
+from strategies.kernels import KERNEL_MODES, kernel_mode
 
 _SETTINGS = settings(
     max_examples=80,
@@ -295,8 +286,8 @@ class TestSharedRecords:
 # ----------------------------------------------------------------------
 # Select: columns against the per-occurrence oracle
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestContentSelect:
+    @pytest.mark.parametrize("kernels", KERNEL_MODES)
     @_SETTINGS
     @given(
         data=duplicated_collections(),
@@ -313,74 +304,80 @@ class TestContentSelect:
         shuffle=st.one_of(st.none(), st.integers(min_value=0, max_value=99)),
     )
     def test_columns_match_the_per_occurrence_oracle(
-        self, backend_name, data, member, skip_self, kind, alpha, delta, slack,
+        self, kernels, data, member, skip_self, kind, alpha, delta, slack,
         dead, compacted, window, floor, shuffle,
     ):
-        sets, reference_elements = data
-        collection, index, reference, phi, signature, stored = select_probe(
-            sets, reference_elements, member, kind, alpha, delta, slack, dead,
-            compacted, shuffle=shuffle,
-        )
-        skip = reference.set_id if member is not None and skip_self else None
-        assert_columns_match_the_oracle(
-            reference, signature, index, phi, collection, window, skip,
-            get_backend(backend_name), (None, None), stored, floor,
-        )
-
-    def test_the_floor_reads_the_last_occurrence(self, backend_name):
-        # "ash bay" first occurs in set 0, below the floor, and again in
-        # set 3 above it: the content must still be scored for set 3.
-        collection = SetCollection.from_strings(
-            [["ash bay"], ["elm"], ["ivy"], ["ash bay", "elm"]]
-        )
-        index = InvertedIndex(collection)
-        phi = SimilarityFunction(SimilarityKind.JACCARD, 0.0)
-        reference = collection[0]
-        signature = get_scheme("weighted").generate(reference, 0.5, phi, index)
-        set_ids, _, _, best = check._gather_packed(
-            reference, signature, index, phi, collection, None, 0,
-            get_backend(backend_name), None, None, None, 2,
-        )
-        assert set_ids == [3] and best == [{0: 1.0}]
-
-    def test_gated_sets_leave_no_row_behind(self, backend_name):
-        # Sets 1 (self), 2 (tombstoned), 3 (outside the window) and 0
-        # (under the floor) all share the witnessed content with set 4:
-        # the witness is expanded to every one of them before the gates
-        # run, and only set 4's row may carry it.  Set 3 is reached a
-        # second time through the empty-element phase, which gates it
-        # again.
-        collection = SetCollection.from_strings(
-            [["ash bay"], ["ash bay", ""], ["ash bay"],
-             ["ash bay", "", "elm", "ivy"], ["ash bay", ""], ["", "elm"]]
-        )
-        index = InvertedIndex(collection)
-        index.note_removed(collection.remove_set(2))
-        phi = SimilarityFunction(SimilarityKind.JACCARD, 0.0)
-        reference = collection[1]
-        # By hand: the schemes bound an empty element by 1.0, which
-        # nothing beats, and the empty phase is what is under test.
-        per_element = (frozenset({collection.vocabulary.id_of("ash")}), frozenset())
-        signature = Signature(per_element[0], per_element, (0.5, 0.5), "by-hand")
-        stats_of = {}
-        for window in ((1.0, 2.0), None):
-            stats = stats_of[window] = check.PassStats()
-            set_ids, sizes, gains, best = check._gather_packed(
-                reference, signature, index, phi, collection, window, 1,
-                get_backend(backend_name), None, stats, None, 1,
+        with kernel_mode(kernels):
+            sets, reference_elements = data
+            collection, index, reference, phi, signature, stored = select_probe(
+                sets, reference_elements, member, kind, alpha, delta, slack, dead,
+                compacted, shuffle=shuffle,
             )
-            if window is None:
-                assert set_ids == [3, 4, 5]
-                assert best == [{0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0}, {1: 1.0}]
-            else:
-                assert set_ids == [4, 5] and sizes == [2, 2]
-                assert best == [{0: 1.0, 1: 1.0}, {1: 1.0}]
-                assert gains == [1.0, 0.5]
-        # One set dropped by the window in the token probe, one of its
-        # keys again in the empty-element phase.
-        assert stats_of[(1.0, 2.0)].select_size_gate_drops == 2
-        assert stats_of[None].select_size_gate_drops == 0
+            skip = reference.set_id if member is not None and skip_self else None
+            assert_columns_match_the_oracle(
+                reference, signature, index, phi, collection, window, skip,
+                get_backend(), (None, None), stored, floor,
+            )
 
+    @pytest.mark.parametrize("kernels", KERNEL_MODES)
+    def test_the_floor_reads_the_last_occurrence(self, kernels):
+        with kernel_mode(kernels):
+            # "ash bay" first occurs in set 0, below the floor, and again in
+            # set 3 above it: the content must still be scored for set 3.
+            collection = SetCollection.from_strings(
+                [["ash bay"], ["elm"], ["ivy"], ["ash bay", "elm"]]
+            )
+            index = InvertedIndex(collection)
+            phi = SimilarityFunction(SimilarityKind.JACCARD, 0.0)
+            reference = collection[0]
+            signature = get_scheme("weighted").generate(reference, 0.5, phi, index)
+            set_ids, _, _, best = check._gather_packed(
+                reference, signature, index, phi, collection, None, 0,
+                get_backend(), None, None, None, 2,
+            )
+            assert set_ids == [3] and best == [{0: 1.0}]
+
+    @pytest.mark.parametrize("kernels", KERNEL_MODES)
+    def test_gated_sets_leave_no_row_behind(self, kernels):
+        with kernel_mode(kernels):
+            # Sets 1 (self), 2 (tombstoned), 3 (outside the window) and 0
+            # (under the floor) all share the witnessed content with set 4:
+            # the witness is expanded to every one of them before the gates
+            # run, and only set 4's row may carry it.  Set 3 is reached a
+            # second time through the empty-element phase, which gates it
+            # again.
+            collection = SetCollection.from_strings(
+                [["ash bay"], ["ash bay", ""], ["ash bay"],
+                 ["ash bay", "", "elm", "ivy"], ["ash bay", ""], ["", "elm"]]
+            )
+            index = InvertedIndex(collection)
+            index.note_removed(collection.remove_set(2))
+            phi = SimilarityFunction(SimilarityKind.JACCARD, 0.0)
+            reference = collection[1]
+            # By hand: the schemes bound an empty element by 1.0, which
+            # nothing beats, and the empty phase is what is under test.
+            per_element = (frozenset({collection.vocabulary.id_of("ash")}), frozenset())
+            signature = Signature(per_element[0], per_element, (0.5, 0.5), "by-hand")
+            stats_of = {}
+            for window in ((1.0, 2.0), None):
+                stats = stats_of[window] = check.PassStats()
+                set_ids, sizes, gains, best = check._gather_packed(
+                    reference, signature, index, phi, collection, window, 1,
+                    get_backend(), None, stats, None, 1,
+                )
+                if window is None:
+                    assert set_ids == [3, 4, 5]
+                    assert best == [{0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0}, {1: 1.0}]
+                else:
+                    assert set_ids == [4, 5] and sizes == [2, 2]
+                    assert best == [{0: 1.0, 1: 1.0}, {1: 1.0}]
+                    assert gains == [1.0, 0.5]
+            # One set dropped by the window in the token probe, one of its
+            # keys again in the empty-element phase.
+            assert stats_of[(1.0, 2.0)].select_size_gate_drops == 2
+            assert stats_of[None].select_size_gate_drops == 0
+
+    @pytest.mark.parametrize("kernels", KERNEL_MODES)
     @_SETTINGS
     @given(
         data=duplicated_collections(min_sets=3, max_sets=8),
@@ -392,41 +389,41 @@ class TestContentSelect:
         compacted=st.booleans(),
     )
     def test_rows_equal_brute_force_with_filters_on_and_off(
-        self, backend_name, data, metric, kind, alpha, delta, dead, compacted
+        self, kernels, data, metric, kind, alpha, delta, dead, compacted
     ):
-        sets, reference_elements = data
-        base = SilkMothConfig(
-            metric=metric, similarity=kind, alpha=alpha, delta=delta,
-            backend=backend_name,
-        )
-        answers = []
-        for check_filter, nn_filter in (
-            (True, True), (True, False), (False, True), (False, False)
-        ):
-            config = replace(base, check_filter=check_filter, nn_filter=nn_filter)
-            collection = SetCollection.from_strings(sets, kind=kind)
-            engine = SilkMoth(collection, config)
-            for set_id in sorted({d % len(sets) for d in dead}):
-                engine.index.note_removed(collection.remove_set(set_id))
-            if compacted:
-                engine.index.compact()
-            reference = collection.query_set(reference_elements)
-            searched = _result_rows(engine.search(reference))
-            expected = brute_force_search(reference, collection, config)
-            assert [row[0] for row in searched] == [r.set_id for r in expected]
-            assert [row[1] for row in searched] == pytest.approx(
-                [r.score for r in expected]
+        with kernel_mode(kernels):
+            sets, reference_elements = data
+            base = SilkMothConfig(
+                metric=metric, similarity=kind, alpha=alpha, delta=delta
             )
-            discovered = engine.discover()
-            assert [(r.reference_id, r.set_id) for r in discovered] == [
-                (r.reference_id, r.set_id)
-                for r in brute_force_discover(collection, config)
-            ]
-            answers.append(
-                (searched, [(r.reference_id, r.set_id, r.score) for r in discovered])
-            )
-        # The filters prune; they never change a row.
-        assert all(answer == answers[0] for answer in answers)
+            answers = []
+            for check_filter, nn_filter in (
+                (True, True), (True, False), (False, True), (False, False)
+            ):
+                config = replace(base, check_filter=check_filter, nn_filter=nn_filter)
+                collection = SetCollection.from_strings(sets, kind=kind)
+                engine = SilkMoth(collection, config)
+                for set_id in sorted({d % len(sets) for d in dead}):
+                    engine.index.note_removed(collection.remove_set(set_id))
+                if compacted:
+                    engine.index.compact()
+                reference = collection.query_set(reference_elements)
+                searched = _result_rows(engine.search(reference))
+                expected = brute_force_search(reference, collection, config)
+                assert [row[0] for row in searched] == [r.set_id for r in expected]
+                assert [row[1] for row in searched] == pytest.approx(
+                    [r.score for r in expected]
+                )
+                discovered = engine.discover()
+                assert [(r.reference_id, r.set_id) for r in discovered] == [
+                    (r.reference_id, r.set_id)
+                    for r in brute_force_discover(collection, config)
+                ]
+                answers.append(
+                    (searched, [(r.reference_id, r.set_id, r.score) for r in discovered])
+                )
+            # The filters prune; they never change a row.
+            assert all(answer == answers[0] for answer in answers)
 
 
 # ----------------------------------------------------------------------
@@ -448,54 +445,55 @@ def _assert_service_exact(service, references):
         assert [r.score for r in got] == pytest.approx([r.score for r in expected])
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
 @pytest.mark.parametrize("wal", [False, True], ids=["snapshot", "wal"])
-def test_service_churn_across_compactions(backend_name, wal, tmp_path):
+def test_service_churn_across_compactions(kernels, wal, tmp_path):
     """add / remove / update through >= 2 compactions, then a round trip."""
-    config = replace(COLUMN_CONFIG, backend=backend_name)
-    rng = random.Random(2003)
-    service = SilkMothService(
-        config,
-        SetCollection.from_strings([_churn_elements(rng) for _ in range(10)]),
-        wal_dir=tmp_path / "log" if wal else False,
-        compact_dead_fraction=0.2,
-        cache_capacity=0,
-    )
-    references = [_churn_elements(rng) for _ in range(4)] + [["ash bay", "zzz"]]
-    for step in range(70):
-        live = service.live_set_ids()
-        op = rng.random()
-        if op < 0.35 or len(live) < 4:
-            service.add_set(_churn_elements(rng))
-        elif op < 0.7:
-            service.update_set(rng.choice(live), _churn_elements(rng))
+    with kernel_mode(kernels):
+        config = COLUMN_CONFIG
+        rng = random.Random(2003)
+        service = SilkMothService(
+            config,
+            SetCollection.from_strings([_churn_elements(rng) for _ in range(10)]),
+            wal_dir=tmp_path / "log" if wal else False,
+            compact_dead_fraction=0.2,
+            cache_capacity=0,
+        )
+        references = [_churn_elements(rng) for _ in range(4)] + [["ash bay", "zzz"]]
+        for step in range(70):
+            live = service.live_set_ids()
+            op = rng.random()
+            if op < 0.35 or len(live) < 4:
+                service.add_set(_churn_elements(rng))
+            elif op < 0.7:
+                service.update_set(rng.choice(live), _churn_elements(rng))
+            else:
+                service.remove_set(rng.choice(live))
+            assert_content_table_consistent(service.index, service.collection)
+            assert_records_shared(service.collection)
+            if step % 7 == 0:
+                _assert_service_exact(service, references)
+        assert service.stats.compactions >= 2
+        _assert_service_exact(service, references)
+        answers = [_result_rows(service.search(r)) for r in references]
+        fingerprint = service.state_fingerprint()
+        if wal:
+            service.close()
+            restored = SilkMothService.recover(tmp_path / "log", config)
         else:
-            service.remove_set(rng.choice(live))
-        assert_content_table_consistent(service.index, service.collection)
-        assert_records_shared(service.collection)
-        if step % 7 == 0:
-            _assert_service_exact(service, references)
-    assert service.stats.compactions >= 2
-    _assert_service_exact(service, references)
-    answers = [_result_rows(service.search(r)) for r in references]
-    fingerprint = service.state_fingerprint()
-    if wal:
-        service.close()
-        restored = SilkMothService.recover(tmp_path / "log", config)
-    else:
-        service.save(tmp_path / "service.json")
-        restored = SilkMothService.load(tmp_path / "service.json", config)
-    try:
-        assert restored.state_fingerprint() == fingerprint
-        assert_content_table_consistent(restored.index, restored.collection)
-        assert_records_shared(restored.collection)
-        assert [_result_rows(restored.search(r)) for r in references] == answers
-        restored.update_set(restored.live_set_ids()[0], ["ash bay", "elm", "elm"])
-        restored.compact()
-        assert_content_table_consistent(restored.index, restored.collection)
-        _assert_service_exact(restored, references)
-    finally:
-        restored.close()
+            service.save(tmp_path / "service.json")
+            restored = SilkMothService.load(tmp_path / "service.json", config)
+        try:
+            assert restored.state_fingerprint() == fingerprint
+            assert_content_table_consistent(restored.index, restored.collection)
+            assert_records_shared(restored.collection)
+            assert [_result_rows(restored.search(r)) for r in references] == answers
+            restored.update_set(restored.live_set_ids()[0], ["ash bay", "elm", "elm"])
+            restored.compact()
+            assert_content_table_consistent(restored.index, restored.collection)
+            _assert_service_exact(restored, references)
+        finally:
+            restored.close()
 
 
 def test_parallel_discover_workers_keep_sharing():

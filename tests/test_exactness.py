@@ -3,6 +3,9 @@
 For random inputs and every combination of metric x similarity x scheme
 x filter toggles, the engine must return exactly the same related pairs
 as the brute-force oracle (the paper's central correctness claim).
+Every case runs twice: with the numpy kernels taking every posting
+merge and edit batch, and with none of them (``strategies.kernels``) --
+inputs this small never reach the kernels' default gates.
 """
 
 import random
@@ -17,6 +20,7 @@ from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
 from repro.sim.functions import SimilarityKind
 from repro.signatures import SCHEME_NAMES
+from strategies.kernels import kernel_axis  # noqa: F401 (autouse axis)
 
 
 def _random_jaccard_sets(rng, n_sets, vocab_size=10, max_elements=4, max_words=4):

@@ -23,7 +23,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends, get_backend
+from repro.backends import get_backend
 from repro.core.records import SetCollection
 from repro.filters.check import CandidateInfo
 from repro.filters.nearest_neighbor import (
@@ -45,16 +45,6 @@ from strategies import (
     string_sets,
     token_sets,
 )
-
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=()
-        if name in available_backends()
-        else pytest.mark.skip(reason=f"{name} backend unavailable"),
-    )
-    for name in ("python", "numpy")
-]
 
 ALPHAS = (0.0, 0.5, 0.8)
 
@@ -271,11 +261,10 @@ def _assert_identical(case, backend=None, capacity=None):
 
 
 class TestIdentityWithThePerCandidateLoop:
-    @pytest.mark.parametrize("backend", BACKENDS)
     @_SETTINGS
     @given(case=filter_cases(TOKEN_KINDS, collections(), token_sets()))
-    def test_token_kinds(self, backend, case):
-        _assert_identical(case, backend=get_backend(backend))
+    def test_token_kinds(self, case):
+        _assert_identical(case)
 
     @pytest.mark.parametrize("capacity", MEMOS)
     @_SETTINGS

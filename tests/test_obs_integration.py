@@ -19,6 +19,7 @@ from repro.core.config import SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
 from repro.obs import get_registry, reset_registry, to_prometheus_text
+from repro.obs.sketch import reset_sketch_registry
 from repro.obs.trace import get_tracer, set_trace_enabled
 
 DATA = [
@@ -62,7 +63,7 @@ class TestSingleNodeTrace:
             "stage.nn",
             "stage.verify",
         }
-        assert pass_span["attrs"]["backend"]
+        assert pass_span["attrs"]["scheme"]
         assert "matches" in pass_span["attrs"]
 
 
@@ -135,6 +136,26 @@ class TestMetricsFromTraffic:
         assert funnel.value(stage="initial") >= funnel.value(stage="verified")
         hist = registry.get("silkmoth_pass_seconds")
         assert sum(child.count for _, child in hist.series()) == len(DATA) - 1
+
+    @pytest.mark.parametrize(
+        "family",
+        [
+            "silkmoth_passes_total",
+            "silkmoth_pass_seconds",
+            "silkmoth_pass_latency_quantile",
+        ],
+    )
+    def test_pass_families_carry_no_backend_label(self, family):
+        """One compute backend: a ``backend`` label would be a constant."""
+        registry = reset_registry()
+        sketches = reset_sketch_registry()
+        SilkMoth(SetCollection.from_strings(DATA), SilkMothConfig(delta=0.3)).discover()
+        metric = registry.get(family) or sketches.get(family)
+        assert metric.series(), "discovery traffic reaches the family"
+        assert "backend" not in metric.label_names
+        assert metric.label_names == (
+            ("scheme",) if family == "silkmoth_passes_total" else ()
+        )
 
     def test_cluster_traffic_feeds_routing_families(self):
         registry = reset_registry()

@@ -44,7 +44,7 @@ class TestDisabled:
 
     def test_disabled_span_is_the_shared_noop(self):
         set_trace_enabled(False)
-        ctx_a = span("pipeline.pass", backend="python")
+        ctx_a = span("pipeline.pass", scheme="dichotomy")
         ctx_b = span("stage.verify")
         # Zero-allocation contract: every disabled call returns the
         # same singleton object.
@@ -63,7 +63,7 @@ class TestEnabled:
         set_trace_enabled(True)
         with span("service.query") as outer:
             outer.set_attr("cache", "miss")
-            with span("pipeline.pass", backend="python"):
+            with span("pipeline.pass", scheme="dichotomy"):
                 pass
         spans = get_tracer().drain()
         assert [s["name"] for s in spans] == ["pipeline.pass", "service.query"]
@@ -72,7 +72,7 @@ class TestEnabled:
         assert inner["parent_id"] == outer_span["span_id"]
         assert outer_span["parent_id"] is None
         assert outer_span["attrs"]["cache"] == "miss"
-        assert inner["attrs"]["backend"] == "python"
+        assert inner["attrs"]["scheme"] == "dichotomy"
         assert inner["wall_seconds"] >= 0
         assert inner["cpu_seconds"] >= 0
 

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.backends import get_backend
 from repro.baselines.brute_force import brute_force_discover
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
@@ -13,6 +12,7 @@ from repro.core.partitioned import partitioned_discover
 from repro.core.records import SetCollection
 from repro.pipeline import CandidateBatch, QueryPlan, size_range
 from repro.service import SilkMothService
+from strategies.kernels import LOADED_KERNEL_MODES, kernel_mode
 
 SETS = [
     ["a b c", "d e"],
@@ -41,7 +41,7 @@ class TestQueryPlan:
         assert [r.set_id for r in results] == [
             r.set_id for r in engine.search(engine.collection[0], skip_set=0)
         ]
-        assert stats.backend == plan.backend.name
+        assert stats.scheme == plan.scheme.name
 
     def test_execute_records_stage_timings(self):
         engine = _engine()
@@ -175,14 +175,15 @@ class TestCrossDriverIdentity:
             for mine, oracle in zip(batch, expected):
                 assert mine.score == pytest.approx(oracle.score)
 
-    def test_backends_agree_across_drivers(self):
+    def test_kernel_modes_agree_across_drivers(self):
         rows = {}
-        for backend in ("python", get_backend().name):
-            config = SilkMothConfig(delta=0.4, backend=backend)
-            rows[backend] = [
-                (p.reference_id, p.set_id, round(p.score, 9))
-                for p in parallel_discover(SETS, config, processes=1)
-            ]
+        config = SilkMothConfig(delta=0.4)
+        for mode in LOADED_KERNEL_MODES:
+            with kernel_mode(mode):
+                rows[mode] = [
+                    (p.reference_id, p.set_id, p.score)
+                    for p in parallel_discover(SETS, config, processes=1)
+                ]
         first, *rest = rows.values()
         for other in rest:
             assert other == first

@@ -2,18 +2,15 @@
 
 The core claim of the paper (and of the refactor) in one property: for
 *any* collection, reference and configuration, the pipeline returns
-exactly the brute-force related sets -- on every compute backend.  The
-numpy cases skip automatically when numpy is not installed.
+exactly the brute-force related sets -- with the numpy kernels taking
+every batch and with none of them.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.backends import available_backends
 from repro.baselines.brute_force import brute_force_search
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
@@ -25,16 +22,7 @@ from strategies import (
     token_configs,
     token_sets,
 )
-
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=()
-        if name in available_backends()
-        else pytest.mark.skip(reason=f"{name} backend unavailable"),
-    )
-    for name in ("python", "numpy")
-]
+from strategies.kernels import kernel_axis  # noqa: F401 (autouse axis)
 
 _SETTINGS = settings(
     max_examples=40,
@@ -57,14 +45,11 @@ def _assert_exact(sets, reference_elements, config) -> None:
         assert mine.relatedness == pytest.approx(oracle.relatedness, abs=1e-9)
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestPipelineExactness:
     @_SETTINGS
     @given(sets=collections(), reference=token_sets(), config=token_configs())
-    def test_token_kinds_match_brute_force(
-        self, backend_name, sets, reference, config
-    ):
-        _assert_exact(sets, reference, replace(config, backend=backend_name))
+    def test_token_kinds_match_brute_force(self, sets, reference, config):
+        _assert_exact(sets, reference, config)
 
     @_SETTINGS
     @given(
@@ -72,7 +57,5 @@ class TestPipelineExactness:
         reference=string_sets(),
         config=edit_configs(),
     )
-    def test_edit_kinds_match_brute_force(
-        self, backend_name, sets, reference, config
-    ):
-        _assert_exact(sets, reference, replace(config, backend=backend_name))
+    def test_edit_kinds_match_brute_force(self, sets, reference, config):
+        _assert_exact(sets, reference, config)

@@ -16,7 +16,6 @@ import dataclasses
 
 import pytest
 
-from repro.backends import available_backends
 from repro.baselines.brute_force import brute_force_search
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
@@ -28,12 +27,10 @@ from repro.pipeline.stages import (
     SignatureStage,
     VerifyStage,
 )
-from repro.cluster.shard import ShardHost
 from repro.planner import (
     BOUND_SCHEMES,
     PREFIX_SCHEMES,
     IndexProfile,
-    choose_backend,
     max_prefix_valid_q,
     no_share_similarity_cap,
     plan_query,
@@ -42,25 +39,9 @@ from repro.planner import (
     scheme_family,
     signature_scheme_valid,
 )
-from repro.planner.cost import (
-    MEASURED_COSTS_ENV_VAR,
-    NUMPY_MIN_PROBE_WORK,
-    MeasuredCosts,
-)
 from repro.service import SilkMothService
 from repro.sim.functions import SimilarityKind
-from repro.workloads import schema_matching, string_matching
-from strategies import clustered_edit_sets
-
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=()
-        if name in available_backends()
-        else pytest.mark.skip(reason=f"{name} backend unavailable"),
-    )
-    for name in ("python", "numpy")
-]
+from strategies.kernels import KERNEL_MODES, kernel_mode
 
 
 # ----------------------------------------------------------------------
@@ -170,7 +151,7 @@ REGRESSIONS = [
 ]
 
 
-def _build(sets, metric, kind, scheme, delta, alpha, q, backend=None):
+def _build(sets, metric, kind, scheme, delta, alpha, q):
     config = SilkMothConfig(
         metric=metric,
         similarity=kind,
@@ -178,40 +159,38 @@ def _build(sets, metric, kind, scheme, delta, alpha, q, backend=None):
         alpha=alpha,
         q=q,
         scheme=scheme,
-        backend=backend,
     )
     collection = SetCollection.from_strings(sets, kind=kind, q=q)
     return SilkMoth(collection, config), config
 
 
 class TestRegression:
-    @pytest.mark.parametrize("backend_name", BACKENDS)
+    @pytest.mark.parametrize("kernels", KERNEL_MODES)
     @pytest.mark.parametrize(
         "sets,metric,kind,scheme,delta,alpha,q", REGRESSIONS
     )
     def test_out_of_constraint_q_matches_brute_force(
-        self, backend_name, sets, metric, kind, scheme, delta, alpha, q
+        self, kernels, sets, metric, kind, scheme, delta, alpha, q
     ):
-        engine, config = _build(
-            sets, metric, kind, scheme, delta, alpha, q, backend=backend_name
-        )
-        reference = engine.collection[0]
-        got, stats = engine.search_with_stats(reference, skip_set=0)
-        expected = brute_force_search(
-            reference, engine.collection, config, skip_set=0
-        )
-        assert sorted(r.set_id for r in got) == sorted(
-            r.set_id for r in expected
-        )
-        # ... and the fallback decision is visible everywhere.
-        assert engine.decision.full_scan
-        assert not engine.decision.signature_valid
-        assert stats.full_scan
-        assert "full-scan fallback" in stats.fallback_reason
-        assert engine.stats.planner_fallbacks == 1
-        report = engine.plan(reference, skip_set=0).describe()
-        assert "FULL SCAN" in report
-        assert "NOT provable" in report
+        with kernel_mode(kernels):
+            engine, config = _build(sets, metric, kind, scheme, delta, alpha, q)
+            reference = engine.collection[0]
+            got, stats = engine.search_with_stats(reference, skip_set=0)
+            expected = brute_force_search(
+                reference, engine.collection, config, skip_set=0
+            )
+            assert sorted(r.set_id for r in got) == sorted(
+                r.set_id for r in expected
+            )
+            # ... and the fallback decision is visible everywhere.
+            assert engine.decision.full_scan
+            assert not engine.decision.signature_valid
+            assert stats.full_scan
+            assert "full-scan fallback" in stats.fallback_reason
+            assert engine.stats.planner_fallbacks == 1
+            report = engine.plan(reference, skip_set=0).describe()
+            assert "FULL SCAN" in report
+            assert "NOT provable" in report
 
     @pytest.mark.parametrize(
         "sets,metric,kind,scheme,delta,alpha,q", REGRESSIONS
@@ -378,34 +357,16 @@ class TestPlannerDecision:
         assert engine.decision.scheme == "exhaustive"
         assert engine.scheme.name == "exhaustive"
 
-    def test_config_backend_beats_cost_model(self):
-        collection = SetCollection.from_strings([["a b"], ["a c"]])
-        engine = SilkMoth(
-            collection, SilkMothConfig(scheme="auto", backend="python")
-        )
-        assert engine.decision.backend == "python"
-        assert engine.decision.backend_source == "config"
-
-    def test_env_var_beats_cost_model(self, monkeypatch):
-        monkeypatch.setenv("SILKMOTH_BACKEND", "python")
-        decision = plan_query(SilkMothConfig())
-        assert decision.backend == "python"
-        assert decision.backend_source == "env"
-
-    def test_invalid_env_var_rejected(self, monkeypatch):
-        # A deliberately set but misspelled variable must fail loudly,
-        # matching get_backend()'s behaviour -- not fall through to auto.
-        monkeypatch.setenv("SILKMOTH_BACKEND", "nunpy")
-        with pytest.raises(ValueError, match="unknown compute backend"):
-            plan_query(SilkMothConfig())
-
     def test_to_dict_roundtrips_key_fields(self):
         collection = SetCollection.from_strings([["a b"], ["a c"]])
         engine = SilkMoth(collection, SilkMothConfig(scheme="auto"))
         payload = engine.decision.to_dict()
-        for key in ("scheme", "backend", "q", "full_scan", "reasons", "profile"):
+        for key in ("scheme", "q", "full_scan", "reasons", "profile"):
             assert key in payload
         assert payload["profile"]["live_sets"] == 2
+        # The compute backend is no planner decision.
+        assert not any("backend" in key for key in payload)
+        assert not any("backend" in reason for reason in payload["reasons"])
 
     def test_invalid_scheme_name_rejected_by_config(self):
         with pytest.raises(ValueError, match="scheme"):
@@ -432,170 +393,6 @@ class TestPlannerDecision:
         assert decision.profile.live_sets == 42
         assert decision.scheme == "dichotomy"
         assert engine.scheme.name == "dichotomy"
-
-
-# ----------------------------------------------------------------------
-# Backend cutover
-# ----------------------------------------------------------------------
-_DENSE_CONFIG = SilkMothConfig(
-    similarity=SimilarityKind.EDS, delta=0.5, alpha=0.6
-)
-
-
-def _dense(n_sets: int):
-    """Clusters of 3 near-duplicate string sets: long posting lists."""
-    return (
-        clustered_edit_sets(
-            seed=3, clusters=n_sets // 3, sets_per_cluster=3, strings=6
-        ),
-        _DENSE_CONFIG,
-    )
-
-
-def _titles(n_sets: int):
-    workload = string_matching(n_sets=n_sets, seed=5)
-    return workload.sets, workload.config
-
-
-def _schemas(n_sets: int):
-    workload = schema_matching(n_sets=n_sets, seed=5)
-    return workload.sets, workload.config
-
-
-def _indexed(build, n_sets: int) -> IndexProfile:
-    sets, config = build(n_sets)
-    collection = SetCollection.from_strings(
-        sets, kind=config.similarity, q=config.effective_q
-    )
-    return IndexProfile.from_index(SilkMoth(collection, config).index)
-
-
-def _recorded(live_sets, elements, tokens, postings, max_list) -> IndexProfile:
-    return IndexProfile(
-        live_sets=live_sets,
-        total_elements=elements,
-        distinct_tokens=tokens,
-        total_postings=postings,
-        mean_list_length=postings / tokens,
-        max_list_length=max_list,
-    )
-
-
-#: One table for the auto backend: (label, profile, expected).  Set
-#: count decides nothing -- 36 dense sets vectorise, 128 sparse ones do
-#: not; see the crossover table in docs/parameters.md.
-_CUTOVER_TABLE = [
-    ("dense 6 sets", lambda: _indexed(_dense, 6), "python"),
-    ("dense 12 sets", lambda: _indexed(_dense, 12), "python"),
-    ("dense 36 sets", lambda: _indexed(_dense, 36), "numpy"),
-    ("dense 72 sets", lambda: _indexed(_dense, 72), "numpy"),
-    ("titles 8 sets", lambda: _indexed(_titles, 8), "python"),
-    ("titles 32 sets", lambda: _indexed(_titles, 32), "python"),
-    ("titles 128 sets", lambda: _indexed(_titles, 128), "python"),
-    ("schemas 8 sets", lambda: _indexed(_schemas, 8), "python"),
-    ("schemas 32 sets", lambda: _indexed(_schemas, 32), "python"),
-    ("schemas 128 sets", lambda: _indexed(_schemas, 128), "python"),
-    # What the benchmark's workloads recorded (benchmarks/e2e, seed 7):
-    # the five single-node ones, one cluster_discover shard, and one
-    # shard of its smoke size.
-    ("discover_eds", lambda: _recorded(800, 7200, 5369, 44019, 887), "numpy"),
-    (
-        "discover_jaccard",
-        lambda: _recorded(1000, 3000, 660, 27973, 2589),
-        "numpy",
-    ),
-    ("verify_eds", lambda: _recorded(72, 432, 27, 7326, 314), "numpy"),
-    (
-        "serve_search",
-        lambda: _recorded(2000, 43989, 1336, 87956, 13413),
-        "numpy",
-    ),
-    (
-        "serve_mixed_wal",
-        lambda: _recorded(200, 4422, 1012, 8844, 1390),
-        "numpy",
-    ),
-    ("36-set shard", lambda: _recorded(36, 216, 27, 3644, 160), "numpy"),
-    ("6-set shard", lambda: _recorded(6, 36, 27, 602, 30), "python"),
-]
-
-
-class TestBackendCutover:
-    @pytest.mark.parametrize(
-        "build, expected",
-        [pytest.param(b, e, id=label) for label, b, e in _CUTOVER_TABLE],
-    )
-    def test_auto_backend_follows_probe_work(
-        self, monkeypatch, build, expected
-    ):
-        # The decision is a name; numpy itself is never loaded, so the
-        # table holds on the numpy-less CI legs too.
-        monkeypatch.setattr("repro.backends.numpy_available", lambda: True)
-        profile = build()
-        backend, reason = choose_backend(profile)
-        assert backend == expected
-        # The reason names the observable, its value and the cutover.
-        assert f"probe work {profile.probe_work:,.0f}" in reason
-        assert f"{NUMPY_MIN_PROBE_WORK:,}" in reason
-        assert (profile.probe_work >= NUMPY_MIN_PROBE_WORK) == (
-            expected == "numpy"
-        )
-
-    @pytest.mark.parametrize(
-        "build",
-        [pytest.param(b, id=label) for label, b, _ in _CUTOVER_TABLE],
-    )
-    def test_numpy_absent_means_python_everywhere(self, monkeypatch, build):
-        monkeypatch.setattr("repro.backends.numpy_available", lambda: False)
-        assert choose_backend(build()) == ("python", "numpy not installed")
-
-    def test_no_profile_defaults_to_numpy(self, monkeypatch):
-        monkeypatch.setattr("repro.backends.numpy_available", lambda: True)
-        backend, reason = choose_backend(None)
-        assert backend == "numpy" and "no index statistics" in reason
-
-    def test_measured_costs_beat_the_rule_both_ways(self, monkeypatch):
-        monkeypatch.setattr("repro.backends.numpy_available", lambda: True)
-        dense = _recorded(72, 432, 27, 7326, 314)
-        sparse = _indexed(_titles, 8)
-        for profile, fastest in ((dense, "python"), (sparse, "numpy")):
-            slowest = "numpy" if fastest == "python" else "python"
-            costs = MeasuredCosts(
-                backend_seconds={fastest: 0.1, slowest: 0.9}, source="m.json"
-            )
-            assert choose_backend(profile)[0] == slowest
-            backend, reason = choose_backend(profile, costs)
-            assert backend == fastest and "measured fastest" in reason
-
-    @pytest.mark.skipif(
-        "numpy" not in available_backends(), reason="numpy not installed"
-    )
-    def test_cost_profile_and_shard_replan_override_a_dense_shard(
-        self, tmp_path, monkeypatch
-    ):
-        monkeypatch.delenv("SILKMOTH_BACKEND", raising=False)
-        monkeypatch.delenv(MEASURED_COSTS_ENV_VAR, raising=False)
-        sets, config = _dense(36)
-        host = ShardHost(config, sets)
-        try:
-            assert host.service.decision.backend == "numpy"
-            assert host.handle(
-                "replan", ({"python": 0.1, "numpy": 0.9},)
-            ) == "python"
-        finally:
-            host.close()
-        path = tmp_path / "bench.json"
-        path.write_text(
-            '{"calibration": {"backends": {"python": {"seconds": 0.1}, '
-            '"numpy": {"seconds": 0.9}}}}'
-        )
-        monkeypatch.setenv(MEASURED_COSTS_ENV_VAR, str(path))
-        collection = SetCollection.from_strings(
-            sets, kind=config.similarity, q=config.effective_q
-        )
-        decision = SilkMoth(collection, config).decision
-        assert decision.backend == "python"
-        assert any("measured fastest" in r for r in decision.reasons)
 
 
 # ----------------------------------------------------------------------

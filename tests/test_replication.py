@@ -19,7 +19,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends
+from repro.backends import base
 from repro.cluster import (
     BACKOFF_ENV_VAR,
     DEADLINE_ENV_VAR,
@@ -34,16 +34,7 @@ from repro.cluster import (
 )
 from repro.core.config import SilkMothConfig
 from strategies import collections, token_configs, token_sets
-
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=()
-        if name in available_backends()
-        else pytest.mark.skip(reason=f"{name} backend unavailable"),
-    )
-    for name in ("python", "numpy")
-]
+from strategies.kernels import KERNEL_MODES, kernel_mode
 
 _SETTINGS = settings(
     max_examples=20,
@@ -125,7 +116,7 @@ def _mirror_mutations(cluster, service, mutations):
             service.update_set(target, step[2])
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
 @given(
     sets=collections(min_sets=2, max_sets=6),
     mutations=_mutations,
@@ -140,7 +131,7 @@ def _mirror_mutations(cluster, service, mutations):
 )
 @_SETTINGS
 def test_single_replica_kill_is_invisible(
-    backend_name, sets, mutations, reference, config, shards, victim
+    kernels, sets, mutations, reference, config, shards, victim
 ):
     """R=2: killing any one replica mid-program changes no answer.
 
@@ -149,26 +140,27 @@ def test_single_replica_kill_is_invisible(
     and the final id space must stay bit-identical to the single-node
     oracle, because the sibling replica holds the same state.
     """
-    config = replace(config, backend=backend_name, scheme="dichotomy")
-    shard, replica, after = victim
-    plan = FaultPlan(
-        [
-            FaultEvent(
-                kind="kill_shard",
-                shard=shard % shards,
-                replica=replica,
-                after=after,
-            )
-        ]
-    )
-    with _oracle_for(sets, config) as service, SilkMothCluster.from_sets(
-        sets, config, shards=shards, replicas=2, fault_plan=plan, backoff=0.0
-    ) as cluster:
-        _mirror_mutations(cluster, service, mutations)
-        assert cluster.lost_shards() == []
-        assert cluster.live_set_ids() == service.live_set_ids()
-        assert cluster.search(reference) == service.search(reference)
-        assert cluster.discover() == service.discover()
+    with kernel_mode(kernels):
+        config = replace(config, scheme="dichotomy")
+        shard, replica, after = victim
+        plan = FaultPlan(
+            [
+                FaultEvent(
+                    kind="kill_shard",
+                    shard=shard % shards,
+                    replica=replica,
+                    after=after,
+                )
+            ]
+        )
+        with _oracle_for(sets, config) as service, SilkMothCluster.from_sets(
+            sets, config, shards=shards, replicas=2, fault_plan=plan, backoff=0.0
+        ) as cluster:
+            _mirror_mutations(cluster, service, mutations)
+            assert cluster.lost_shards() == []
+            assert cluster.live_set_ids() == service.live_set_ids()
+            assert cluster.search(reference) == service.search(reference)
+            assert cluster.discover() == service.discover()
 
 
 def test_failover_retries_on_next_replica():
@@ -407,21 +399,17 @@ def test_replicas_and_revivals_are_built_concurrently(handshake_log):
         assert cluster.discover() == oracle.discover()
 
 
-@pytest.mark.skipif(
-    "numpy" not in available_backends(), reason="numpy not installed"
-)
-def test_numpy_backend_workers_fail_over_exactly(monkeypatch):
+@pytest.mark.skipif(base.numpy_kernels is None, reason="numpy not installed")
+def test_kernel_workers_fail_over_exactly():
     """Killing a worker that runs the batched kernels is still invisible.
 
-    Dense shards of 18 sets get the numpy backend from the planner
-    (nothing pinned); a replica of each shard dies mid-discovery and
-    the rows still equal the single node's, scores included.
+    Dense shards of 18 sets hand the workers' numpy kernels long
+    batches; a replica of each shard dies mid-discovery and the rows
+    still equal the single node's, scores included.
     """
     from repro.sim.functions import SimilarityKind
     from strategies import clustered_edit_sets
 
-    monkeypatch.delenv("SILKMOTH_BACKEND", raising=False)
-    monkeypatch.delenv("SILKMOTH_COST_PROFILE", raising=False)
     config = SilkMothConfig(
         similarity=SimilarityKind.EDS, delta=0.5, alpha=0.6
     )
@@ -443,8 +431,6 @@ def test_numpy_backend_workers_fail_over_exactly(monkeypatch):
         fault_plan=plan,
         backoff=0.0,
     ) as cluster:
-        backends = [i["decision"]["backend"] for i in cluster.shard_infos()]
-        assert backends == ["numpy", "numpy"]
         assert cluster.discover() == oracle.discover()
         assert len(plan.fired_events()) == 2
         assert cluster.stats.failovers >= 2

@@ -8,21 +8,21 @@ in ``src/``) produces for the same probe: ``set_ids``, ``sizes`` and
 (downstream float summation observes it), plus the three select-funnel
 counters against a first-principles count (per posting key for the
 edit kinds, per distinct content for the token kinds) -- for every
-similarity kind, on both backends, under self-match skips, candidate
-floors, tombstones before and after compaction, every size-window
-shape, empty and duplicate elements, and member as well as
+similarity kind, with the numpy kernels on and off, under self-match
+skips, candidate floors, tombstones before and after compaction, every
+size-window shape, empty and duplicate elements, and member as well as
 ``query_set`` references.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends, get_backend
+from repro.backends import get_backend
 from repro.baselines.brute_force import brute_force_discover
 from repro.core.config import SilkMothConfig
 from repro.core.engine import SilkMoth
@@ -45,16 +45,7 @@ from strategies.checks import (
     assert_columns_match_the_oracle,
     select_probe,
 )
-
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=()
-        if name in available_backends()
-        else pytest.mark.skip(reason=f"{name} backend unavailable"),
-    )
-    for name in ("python", "numpy")
-]
+from strategies.kernels import KERNEL_MODES, LOADED_KERNEL_MODES, kernel_mode
 
 _SETTINGS = settings(
     max_examples=60,
@@ -63,28 +54,12 @@ _SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
 )
 
-@pytest.fixture(autouse=True)
-def force_vector_kernels():
-    """Run the numpy backend's array kernels on these tiny inputs too.
 
-    Its dispatch thresholds send probes this small down the shared
-    pure-Python paths, which the ``python`` parametrisation already
-    covers.
-    """
-    if "numpy" not in available_backends():
-        yield
-        return
-    backend = get_backend("numpy")
-    saved = (backend.select_min_postings, backend.edit_batch_min_tasks)
-    backend.select_min_postings = backend.edit_batch_min_tasks = 0
-    try:
-        yield
-    finally:
-        backend.select_min_postings, backend.edit_batch_min_tasks = saved
-
-
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
 class TestColumnsMatchTheOracle:
+    """Probes this small only reach the numpy kernels with the gates at 0,
+    so every case runs with them on and off."""
+
     @_SETTINGS
     @given(
         sets=collections(min_sets=2, max_sets=7),
@@ -101,7 +76,7 @@ class TestColumnsMatchTheOracle:
         floor=st.sampled_from((0, 0, 1, 3)),
     )
     def test_token_kinds(
-        self, backend_name, sets, reference_elements, member, skip_self,
+        self, kernels, sets, reference_elements, member, skip_self,
         kind, alpha, delta, slack, dead, compacted, window, floor,
     ):
         collection, index, reference, phi, signature, stored = select_probe(
@@ -109,10 +84,11 @@ class TestColumnsMatchTheOracle:
             compacted,
         )
         skip = reference.set_id if member is not None and skip_self else None
-        assert_columns_match_the_oracle(
-            reference, signature, index, phi, collection, window, skip,
-            get_backend(backend_name), (None, None), stored, floor,
-        )
+        with kernel_mode(kernels):
+            assert_columns_match_the_oracle(
+                reference, signature, index, phi, collection, window, skip,
+                get_backend(), (None, None), stored, floor,
+            )
 
     @_SETTINGS
     @given(
@@ -131,7 +107,7 @@ class TestColumnsMatchTheOracle:
         floor=st.sampled_from((0, 0, 1, 3)),
     )
     def test_edit_kinds(
-        self, backend_name, sets, reference_elements, member, kind, alpha,
+        self, kernels, sets, reference_elements, member, kind, alpha,
         delta, slack, q, memoized, dead, compacted, window, floor,
     ):
         collection, index, reference, phi, signature, stored = select_probe(
@@ -143,11 +119,12 @@ class TestColumnsMatchTheOracle:
             if memoized
             else (None, None)
         )
-        assert_columns_match_the_oracle(
-            reference, signature, index, phi, collection, window,
-            reference.set_id if member is not None else None,
-            get_backend(backend_name), memos, stored, floor,
-        )
+        with kernel_mode(kernels):
+            assert_columns_match_the_oracle(
+                reference, signature, index, phi, collection, window,
+                reference.set_id if member is not None else None,
+                get_backend(), memos, stored, floor,
+            )
 
 
 def test_a_set_witnessed_by_several_elements_keeps_element_order():
@@ -173,11 +150,12 @@ def test_a_set_witnessed_by_several_elements_keeps_element_order():
     signature = Signature(
         frozenset().union(*per_element), per_element, bounds, "by-hand"
     )
-    for name in available_backends():
-        set_ids, sizes, gains, best = check._gather_packed(
-            reference, signature, index, phi, collection, None, 0,
-            get_backend(name), None, None, None,
-        )
+    for kernels in LOADED_KERNEL_MODES:
+        with kernel_mode(kernels):
+            set_ids, sizes, gains, best = check._gather_packed(
+                reference, signature, index, phi, collection, None, 0,
+                get_backend(), None, None, None,
+            )
         # Set 3 shares a token but stays under the bound: surfaced, no witness.
         assert set_ids == [1, 2, 3] and sizes == [3, 2, 1]
         assert [list(w.items()) for w in best] == [
@@ -186,11 +164,8 @@ def test_a_set_witnessed_by_several_elements_keeps_element_order():
         assert gains == [((0.0 + (1.0 - 0.3)) + (1.0 - 0.3)) + (1.0 - 0.5), 0.5, 0.0]
 
 
-def test_engine_python_numpy_and_brute_force_agree():
-    if "numpy" not in available_backends():
-        pytest.skip("numpy backend unavailable")
-    import random
-
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
+def test_engine_and_brute_force_agree(kernels):
     rng = random.Random(15)
     words = ["ash", "bay", "elm", "fir", "ivy", "oak", "sky", "yew", "zed"]
     sets = [
@@ -201,16 +176,9 @@ def test_engine_python_numpy_and_brute_force_agree():
         for _ in range(40)
     ]
     config = SilkMothConfig(similarity=SimilarityKind.JACCARD, delta=0.6)
-    runs = {}
-    for name in ("python", "numpy"):
-        engine = SilkMoth(
-            SetCollection.from_strings(sets), replace(config, backend=name)
-        )
-        pairs = [(p.reference_id, p.set_id, p.score) for p in engine.discover()]
-        runs[name] = (pairs, replace(engine.stats, stage_seconds={}, per_pass=[]))
-    assert runs["python"] == runs["numpy"]
-    assert runs["python"][1].select_distinct_pairs > 0
+    with kernel_mode(kernels):
+        engine = SilkMoth(SetCollection.from_strings(sets), config)
+        pairs = [(p.reference_id, p.set_id) for p in engine.discover()]
+    assert engine.stats.select_distinct_pairs > 0
     oracle = brute_force_discover(SetCollection.from_strings(sets), config)
-    assert [pair[:2] for pair in runs["python"][0]] == [
-        (p.reference_id, p.set_id) for p in oracle
-    ]
+    assert pairs == [(p.reference_id, p.set_id) for p in oracle]

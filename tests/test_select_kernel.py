@@ -5,22 +5,21 @@ The columnar candidate-selection kernel (:mod:`repro.filters.check`,
 per-posting loop (``reference``) on *any* input: same candidate set
 ids, same witnessed ``best`` maps -- including dict insertion order,
 which downstream float summation observes -- under tombstones, empty
-elements, self-match skips and every size-gate shape, on every
-backend.  These suites pin that, plus the packed building blocks:
-the posting-merge kernels, the run-level gates, and the numpy
-backend's lane-parallel Myers batch scorer.
+elements, self-match skips and every size-gate shape, with the numpy
+kernels on and off.  These suites pin that, plus the packed building
+blocks: the posting-merge kernels, the run-level gates, and the
+lane-parallel Myers batch scorer.
 """
 
 from __future__ import annotations
 
 from array import array
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends, get_backend
+from repro.backends import get_backend
 from repro.backends.select import (
     gate_keys,
     merge_distinct_postings_python,
@@ -48,16 +47,7 @@ from strategies import (
     token_configs,
     token_sets,
 )
-
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=()
-        if name in available_backends()
-        else pytest.mark.skip(reason=f"{name} backend unavailable"),
-    )
-    for name in ("python", "numpy")
-]
+from strategies.kernels import KERNEL_MODES, kernel_mode
 
 _SETTINGS = settings(
     max_examples=40,
@@ -153,6 +143,7 @@ class TestMergeKernels:
         merged = list(merge_sorted_unique([rest, dominant]))
         assert merged == sorted(set(dominant) | set(rest))
 
+    @pytest.mark.parametrize("kernels", KERNEL_MODES)
     @_SETTINGS
     @given(
         runs=_runs_strategy(),
@@ -162,19 +153,17 @@ class TestMergeKernels:
             (None, (0.0, 2.0), (2.0, 99.0), (5.0, 4.0), (-float("inf"), float("inf")))
         ),
     )
-    def test_python_and_numpy_merges_agree(self, runs, skip, dead, window):
-        pytest.importorskip("numpy")
-        from repro.backends.numpy_backend import NumpyBackend
-
+    def test_backend_merge_equals_the_python_merge(
+        self, kernels, runs, skip, dead, window
+    ):
         sizes = array("q", [(i * 7) % 5 for i in range(8)])
         reference = merge_distinct_postings_python(
             runs, skip, frozenset(dead), sizes, window
         )
-        vectorised = NumpyBackend()
-        vectorised.select_min_postings = 0
-        got = vectorised.merge_distinct_postings(
-            runs, skip, frozenset(dead), sizes, window
-        )
+        with kernel_mode(kernels):
+            got = get_backend().merge_distinct_postings(
+                runs, skip, frozenset(dead), sizes, window
+            )
         assert list(got[0]) == list(reference[0])
         assert got[1:] == reference[1:]
 
@@ -226,9 +215,10 @@ class TestPackedIndex:
 
 
 # ----------------------------------------------------------------------
-# The numpy lane-parallel Myers batch scorer
+# The lane-parallel Myers batch scorer
 # ----------------------------------------------------------------------
 class TestEditValuesBatch:
+    @pytest.mark.parametrize("kernels", KERNEL_MODES)
     @_SETTINGS
     @given(
         kind=st.sampled_from((SimilarityKind.EDS, SimilarityKind.NEDS)),
@@ -243,14 +233,10 @@ class TestEditValuesBatch:
             max_size=30,
         ),
     )
-    def test_batch_equals_scalar(self, kind, alpha, tasks):
-        pytest.importorskip("numpy")
-        from repro.backends.numpy_backend import NumpyBackend
-
+    def test_batch_equals_scalar(self, kernels, kind, alpha, tasks):
         phi = SimilarityFunction(kind, alpha)
-        backend = NumpyBackend()
-        backend.edit_batch_min_tasks = 0
-        got = backend.edit_values(phi, tasks)
+        with kernel_mode(kernels):
+            got = get_backend().edit_values(phi, tasks)
         expected = [phi.edit_at_least(x, y, floor) for x, y, floor in tasks]
         assert got == expected
 
@@ -258,21 +244,18 @@ class TestEditValuesBatch:
         phi = SimilarityFunction(SimilarityKind.EDS, 0.5)
         memo = SimilarityMemo(capacity=16)
         tasks = [("abc", "abd", 0.0), ("abc", "abd", 0.0), ("a", "b", 0.6)]
-        values = get_backend("python").edit_values(phi, tasks, memo=memo)
+        with kernel_mode("off"):
+            values = get_backend().edit_values(phi, tasks, memo=memo)
         assert values == [phi.edit_at_least(x, y, f) for x, y, f in tasks]
         assert memo.hits >= 1  # the repeated task was served by the memo
 
-    def test_long_patterns_fall_back(self):
-        pytest.importorskip("numpy")
-        from repro.backends.numpy_backend import NumpyBackend
-
+    @pytest.mark.parametrize("kernels", KERNEL_MODES)
+    def test_long_patterns_fall_back(self, kernels):
         phi = SimilarityFunction(SimilarityKind.NEDS, 0.4)
-        backend = NumpyBackend()
-        backend.edit_batch_min_tasks = 0
         tasks = [("x" * 200, "x" * 199 + "y", 0.0), ("", "abc", 0.0)]
-        assert backend.edit_values(phi, tasks) == [
-            phi.edit_at_least(x, y, f) for x, y, f in tasks
-        ]
+        with kernel_mode(kernels):
+            values = get_backend().edit_values(phi, tasks)
+        assert values == [phi.edit_at_least(x, y, f) for x, y, f in tasks]
 
 
 # ----------------------------------------------------------------------
@@ -287,7 +270,7 @@ def _select_fixture(sets, reference_elements, kind, alpha, theta):
     return reference, collection, index, phi, signature
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
 class TestPackedMatchesReference:
     @_SETTINGS
     @given(
@@ -302,7 +285,8 @@ class TestPackedMatchesReference:
         apply_check=st.booleans(),
     )
     def test_token_kind_infos_identical(
-        self, backend_name, sets, reference, alpha, tombstone, skip, window, apply_check
+        self, kernels, sets, reference, alpha, tombstone, skip, window,
+        apply_check,
     ):
         fixture = _select_fixture(
             sets, reference, SimilarityKind.JACCARD, alpha, theta=1.1
@@ -314,17 +298,17 @@ class TestPackedMatchesReference:
         if tombstone and len(sets) > 1:
             dead = collection.remove_set(len(sets) - 1)
             index.note_removed(dead)
-        backend = get_backend(backend_name)
         kwargs = dict(
             apply_check=apply_check,
             size_range=window,
             skip_set=skip,
-            backend=backend,
+            backend=get_backend(),
         )
         args = (reference_record, signature, index, phi, 1.1, collection)
-        assert _infos_under("packed", *args, **kwargs) == _infos_under(
-            "reference", *args, **kwargs
-        )
+        with kernel_mode(kernels):
+            assert _infos_under("packed", *args, **kwargs) == _infos_under(
+                "reference", *args, **kwargs
+            )
 
     @_SETTINGS
     @given(
@@ -336,7 +320,7 @@ class TestPackedMatchesReference:
         window=st.sampled_from((None, (1.0, 3.0))),
     )
     def test_edit_kind_infos_identical(
-        self, backend_name, sets, reference, kind, alpha, memoized, window
+        self, kernels, sets, reference, kind, alpha, memoized, window
     ):
         collection = SetCollection.from_strings(sets, kind=kind, q=2)
         reference_record = collection.sibling().add_set(reference)
@@ -346,32 +330,31 @@ class TestPackedMatchesReference:
             reference_record, 1.1, phi, index
         )
         assume(signature is not None)
-        backend = get_backend(backend_name)
         results = []
         for kernel in ("packed", "reference"):
             memo = SimilarityMemo(capacity=64) if memoized else None
-            results.append(
-                _infos_under(
-                    kernel,
-                    reference_record,
-                    signature,
-                    index,
-                    phi,
-                    1.1,
-                    collection,
-                    apply_check=False,
-                    size_range=window,
-                    backend=backend,
-                    memo=memo,
+            with kernel_mode(kernels):
+                results.append(
+                    _infos_under(
+                        kernel,
+                        reference_record,
+                        signature,
+                        index,
+                        phi,
+                        1.1,
+                        collection,
+                        apply_check=False,
+                        size_range=window,
+                        backend=get_backend(),
+                        memo=memo,
+                    )
                 )
-            )
         assert results[0] == results[1]
 
 
 # ----------------------------------------------------------------------
 # Whole-engine equality (kernel choice is invisible end to end)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestEngineEquality:
     def _search_all(self, sets, config):
         collection = SetCollection.from_strings(
@@ -383,31 +366,33 @@ class TestEngineEquality:
             for record in collection.iter_live()
         ]
 
+    @pytest.mark.parametrize("kernels", KERNEL_MODES)
     @_SETTINGS
     @given(sets=collections(min_sets=1, max_sets=5), config=token_configs())
-    def test_token_kinds(self, backend_name, sets, config):
-        config = replace(config, backend=backend_name)
-        previous = use_select_kernel("packed")
-        try:
-            packed = self._search_all(sets, config)
-            use_select_kernel("reference")
-            reference = self._search_all(sets, config)
-        finally:
-            use_select_kernel(previous)
-        assert packed == reference
+    def test_token_kinds(self, kernels, sets, config):
+        with kernel_mode(kernels):
+            previous = use_select_kernel("packed")
+            try:
+                packed = self._search_all(sets, config)
+                use_select_kernel("reference")
+                reference = self._search_all(sets, config)
+            finally:
+                use_select_kernel(previous)
+            assert packed == reference
 
+    @pytest.mark.parametrize("kernels", KERNEL_MODES)
     @_SETTINGS
     @given(sets=string_collections(min_sets=1, max_sets=4), config=edit_configs())
-    def test_edit_kinds(self, backend_name, sets, config):
-        config = replace(config, backend=backend_name)
-        previous = use_select_kernel("packed")
-        try:
-            packed = self._search_all(sets, config)
-            use_select_kernel("reference")
-            reference = self._search_all(sets, config)
-        finally:
-            use_select_kernel(previous)
-        assert packed == reference
+    def test_edit_kinds(self, kernels, sets, config):
+        with kernel_mode(kernels):
+            previous = use_select_kernel("packed")
+            try:
+                packed = self._search_all(sets, config)
+                use_select_kernel("reference")
+                reference = self._search_all(sets, config)
+            finally:
+                use_select_kernel(previous)
+            assert packed == reference
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,7 @@ within ``alpha`` relative error of the true rank value, and merging is
 *exact* -- associative, commutative, and equal to one sketch that
 recorded everything.  Hypothesis pins both, and the cluster tests pin
 the consequence users see: the coordinator's merged quantiles equal
-the union of the shard recordings, over worker processes and on every
-backend.
+the union of the shard recordings, over worker processes.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends
 from repro.cluster import SilkMothCluster
 from repro.core.config import SilkMothConfig
 from repro.obs.sketch import (
@@ -32,16 +30,6 @@ from repro.obs.sketch import (
     resolve_sketch_alpha,
     set_sketch_alpha,
 )
-
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=()
-        if name in available_backends()
-        else pytest.mark.skip(reason=f"{name} backend unavailable"),
-    )
-    for name in ("python", "numpy")
-]
 
 DATA = [
     ["ash bay", "elm fir"],
@@ -208,8 +196,7 @@ def _sketch_counts(registry):
     }
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_cluster_merge_equals_union_over_process_transport(backend_name):
+def test_cluster_merge_equals_union_over_process_transport():
     """Coordinator-merged sketches equal the union of shard recordings.
 
     The same query runs on an inline cluster (single process: the
@@ -218,7 +205,7 @@ def test_cluster_merge_equals_union_over_process_transport(backend_name):
     worker processes).  The merged per-stage/per-pass counts must be
     identical -- the submit/collect fold loses nothing.
     """
-    config = SilkMothConfig(delta=0.3, backend=backend_name)
+    config = SilkMothConfig(delta=0.3)
     with SilkMothCluster.from_sets(DATA, config, shards=2) as cluster:
         cluster.search(["ash bay"])
         cluster.discover()

@@ -11,7 +11,7 @@ else.  This suite pins that from three sides:
   through the public API (``search(ref, skip_set=id)``), the mirrored
   half dropped afterwards by ``keep_discovery_pair``, which is what
   every driver did before the floor existed -- as full rows, in order,
-  bit for bit, across backends, similarity kinds, filter toggles, the
+  bit for bit, across similarity kinds, filter toggles, the
   full-scan fallback, tombstones, compaction, empty elements and an
   index filled out of order;
 * every driver agrees (serial, process pool, partitioned, cluster over
@@ -35,7 +35,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends, get_backend
+from repro.backends import get_backend
 from repro.baselines.brute_force import brute_force_discover
 from repro.cluster import FaultEvent, FaultPlan, SilkMothCluster
 from repro.core.config import Relatedness, SilkMothConfig
@@ -55,16 +55,7 @@ from repro.service import SilkMothService
 from repro.signatures import get_scheme
 from repro.sim.functions import SimilarityKind
 from strategies import SCHEMES, collections, string_collections
-
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=()
-        if name in available_backends()
-        else pytest.mark.skip(reason=f"{name} backend unavailable"),
-    )
-    for name in ("python", "numpy")
-]
+from strategies.kernels import KERNEL_MODES, kernel_mode
 
 _SETTINGS = settings(
     max_examples=30,
@@ -171,25 +162,25 @@ def _configs(kinds, **fixed):
 # ----------------------------------------------------------------------
 # The property: rows == both-sides oracle == brute force
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
 class TestRowsAreUnchanged:
     @_SETTINGS
     @given(
         sets=collections(min_sets=1, max_sets=8),
         config=_configs((SimilarityKind.JACCARD, SimilarityKind.DICE)),
     )
-    def test_token_kinds(self, backend_name, sets, config):
-        config = replace(config, backend=backend_name)
-        _assert_exact(SilkMoth(_collection(sets, config), config))
+    def test_token_kinds(self, kernels, sets, config):
+        with kernel_mode(kernels):
+            _assert_exact(SilkMoth(_collection(sets, config), config))
 
     @_SETTINGS
     @given(
         sets=string_collections(min_sets=1, max_sets=6),
         config=_configs((SimilarityKind.EDS, SimilarityKind.NEDS)),
     )
-    def test_edit_kinds(self, backend_name, sets, config):
-        config = replace(config, backend=backend_name)
-        _assert_exact(SilkMoth(_collection(sets, config), config))
+    def test_edit_kinds(self, kernels, sets, config):
+        with kernel_mode(kernels):
+            _assert_exact(SilkMoth(_collection(sets, config), config))
 
     @_SETTINGS
     @given(
@@ -197,8 +188,13 @@ class TestRowsAreUnchanged:
         kind=st.sampled_from((SimilarityKind.EDS, SimilarityKind.NEDS)),
         size_filter=st.booleans(),
     )
-    def test_full_scan_fallback(self, backend_name, sets, kind, size_filter):
+    def test_full_scan_fallback(self, kernels, sets, kind, size_filter):
         """alpha=0.5, q=2 under a prefix scheme: the planner's full scan."""
+        with kernel_mode(kernels):
+            self._full_scan_fallback(sets, kind, size_filter)
+
+    @staticmethod
+    def _full_scan_fallback(sets, kind, size_filter):
         config = SilkMothConfig(
             similarity=kind,
             delta=0.4,
@@ -206,7 +202,6 @@ class TestRowsAreUnchanged:
             q=2,
             scheme="unweighted",
             size_filter=size_filter,
-            backend=backend_name,
         )
         engine = SilkMoth(_collection(sets, config), config)
         assert engine.decision.full_scan
@@ -224,9 +219,13 @@ class TestRowsAreUnchanged:
         data=st.data(),
     )
     def test_tombstones_before_and_after_compact(
-        self, backend_name, sets, config, data
+        self, kernels, sets, config, data
     ):
-        config = replace(config, backend=backend_name)
+        with kernel_mode(kernels):
+            self._tombstones_before_and_after_compact(sets, config, data)
+
+    @staticmethod
+    def _tombstones_before_and_after_compact(sets, config, data):
         collection = _collection(sets, config)
         engine = SilkMoth(collection, config)
         dead = data.draw(
@@ -251,9 +250,13 @@ class TestRowsAreUnchanged:
         config=_configs((SimilarityKind.JACCARD, SimilarityKind.DICE)),
         seed=st.integers(min_value=0, max_value=999),
     )
-    def test_index_filled_out_of_order(self, backend_name, sets, config, seed):
+    def test_index_filled_out_of_order(self, kernels, sets, config, seed):
         """``add_record`` in shuffled id order re-sorts the runs it cuts."""
-        config = replace(config, backend=backend_name)
+        with kernel_mode(kernels):
+            self._index_filled_out_of_order(sets, config, seed)
+
+    @staticmethod
+    def _index_filled_out_of_order(sets, config, seed):
         collection = _collection([], config)
         index = InvertedIndex(collection)
         for elements in sets:
@@ -267,12 +270,17 @@ class TestRowsAreUnchanged:
         assert _assert_exact(shuffled) == _rows(in_order.discover())
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_empty_after_tokenisation_elements(backend_name):
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
+def test_empty_after_tokenisation_elements(kernels):
     """Empty elements meet through the empty-element postings, floored."""
+    with kernel_mode(kernels):
+        _empty_after_tokenisation_elements()
+
+
+def _empty_after_tokenisation_elements():
     sets = [["", "ash"], ["ash", ""], ["", ""], ["ash bay"], ["", "ash"], [""]]
     for alpha in (0.0, 0.5):
-        config = SilkMothConfig(delta=0.5, alpha=alpha, backend=backend_name)
+        config = SilkMothConfig(delta=0.5, alpha=alpha)
         rows = _assert_exact(SilkMoth(_collection(sets, config), config))
         assert (0, 4, 2.0, 1.0) in rows and (2, 5) in [r[:2] for r in rows]
 
@@ -280,7 +288,7 @@ def test_empty_after_tokenisation_elements(backend_name):
 # ----------------------------------------------------------------------
 # The reference select kernel honours the same floor
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
 @_SETTINGS
 @given(
     sets=collections(min_sets=2, max_sets=7),
@@ -288,8 +296,15 @@ def test_empty_after_tokenisation_elements(backend_name):
     tombstone=st.booleans(),
 )
 def test_reference_kernel_matches_packed_under_a_floor(
-    backend_name, sets, first_set, tombstone
+    kernels, sets, first_set, tombstone
 ):
+    with kernel_mode(kernels):
+        _reference_kernel_matches_packed_under_a_floor(
+            sets, first_set, tombstone
+        )
+
+
+def _reference_kernel_matches_packed_under_a_floor(sets, first_set, tombstone):
     collection = SetCollection.from_strings(sets)
     index = InvertedIndex(collection)
     reference = collection[0]
@@ -309,7 +324,7 @@ def test_reference_kernel_matches_packed_under_a_floor(
                 index,
                 phi,
                 collection,
-                backend=get_backend(backend_name),
+                backend=get_backend(),
                 first_set=first_set,
             )
         finally:
@@ -318,8 +333,7 @@ def test_reference_kernel_matches_packed_under_a_floor(
     set_ids = columns["packed"][0]
     assert all(set_id >= first_set for set_id in set_ids)
     unfloored = select_columns(
-        reference, signature, index, phi, collection,
-        backend=get_backend(backend_name),
+        reference, signature, index, phi, collection, backend=get_backend()
     )
     assert set_ids == [s for s in unfloored[0] if s >= first_set]
 
@@ -533,9 +547,14 @@ def test_cluster_floor_is_a_global_id_on_a_rebalanced_shard():
 # ----------------------------------------------------------------------
 # Edges
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("backend_name", BACKENDS)
-def test_edges(backend_name, monkeypatch):
-    config = replace(WORD_CONFIG, backend=backend_name)
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
+def test_edges(kernels, monkeypatch):
+    with kernel_mode(kernels):
+        _edges(monkeypatch)
+
+
+def _edges(monkeypatch):
+    config = WORD_CONFIG
     single = SilkMoth(_collection(WORD_SETS[:1], config), config)
     assert single.discover() == [] and single.stats.passes == 0
 
@@ -666,7 +685,8 @@ class _BrokenPhi:
     Select reads ``phi.kind`` before the posting merge and everything
     else (``alpha``, ``tokens_from_counts``, ``edit_at_least``,
     ``threshold``) after it, so a pass under this stub raises with the
-    floored runs already cut, merged and -- on numpy -- viewed.
+    floored runs already cut, merged and -- with the kernels on --
+    viewed as ndarrays.
     """
 
     def __init__(self, kind):
@@ -676,11 +696,16 @@ class _BrokenPhi:
         raise RuntimeError(f"phi stub: {name}")
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
 @pytest.mark.parametrize(
     "kind", [SimilarityKind.JACCARD, SimilarityKind.EDS], ids=["token", "edit"]
 )
-def test_index_accepts_writes_after_a_floored_pass(backend_name, kind):
+def test_index_accepts_writes_after_a_floored_pass(kernels, kind):
+    with kernel_mode(kernels):
+        _writes_after_a_floored_pass(kind)
+
+
+def _writes_after_a_floored_pass(kind):
     sets = (
         WORD_SETS
         if kind is SimilarityKind.JACCARD
@@ -688,11 +713,9 @@ def test_index_accepts_writes_after_a_floored_pass(backend_name, kind):
               ["ivysky"], ["ashbay", "elmfir"], ["ashbay"]]
     )
     config = (
-        replace(WORD_CONFIG, backend=backend_name)
+        WORD_CONFIG
         if kind.is_token_based
-        else SilkMothConfig(
-            similarity=kind, delta=0.5, alpha=0.6, backend=backend_name
-        )
+        else SilkMothConfig(similarity=kind, delta=0.5, alpha=0.6)
     )
     engine = SilkMoth(_collection(sets, config), config)
     _assert_exact(engine)

@@ -10,7 +10,7 @@ crash interrupts, :meth:`SilkMothService.recover` must land
 bit-identical -- by :meth:`~repro.service.SilkMothService
 .state_fingerprint` -- to the single-node oracle *before* or *after*
 the interrupted mutation, never a third state.  Programs are
-Hypothesis-generated and swept on both backends.
+Hypothesis-generated.
 
 When ``SILKMOTH_RECOVERY_REPORT`` names a file, every recovery the
 sweep performs appends one JSON line describing the crash and the
@@ -30,7 +30,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import available_backends
 from repro.cluster import ClusterDegradedError, SilkMothCluster
 from repro.cluster.faults import (
     CRASH_ENV_VAR,
@@ -46,16 +45,6 @@ from strategies import token_sets
 
 #: Recovery-report artifact path (the CI crash-smoke leg sets this).
 REPORT_ENV_VAR = "SILKMOTH_RECOVERY_REPORT"
-
-BACKENDS = [
-    pytest.param(
-        name,
-        marks=()
-        if name in available_backends()
-        else pytest.mark.skip(reason=f"{name} backend unavailable"),
-    )
-    for name in ("python", "numpy")
-]
 
 _SETTINGS = settings(
     max_examples=5,
@@ -130,12 +119,9 @@ def _oracle_fingerprints(config, program) -> "list[str]":
     return states
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @given(program=_programs)
 @_SETTINGS
-def test_crash_point_sweep_recovers_pre_or_post_state(
-    backend_name, program
-):
+def test_crash_point_sweep_recovers_pre_or_post_state(program):
     """Every (crash point, hit count) lands on an oracle prefix state.
 
     For each named crash point, the hit count is deepened until the
@@ -144,7 +130,7 @@ def test_crash_point_sweep_recovers_pre_or_post_state(
     asserts the recovered fingerprint is the oracle's state either
     before or after the interrupted step -- never anything else.
     """
-    config = replace(CONFIG, backend=backend_name, scheme="dichotomy")
+    config = replace(CONFIG, scheme="dichotomy")
     states = _oracle_fingerprints(config, program)
     with tempfile.TemporaryDirectory() as root:
         for point in WAL_CRASH_POINTS:
@@ -184,7 +170,6 @@ def test_crash_point_sweep_recovers_pre_or_post_state(
                 _report_recovery(
                     {
                         "harness": "crash_point",
-                        "backend": backend_name,
                         "point": point,
                         "after": after,
                         "crashed_step": crashed_step,
@@ -202,10 +187,9 @@ def test_crash_point_sweep_recovers_pre_or_post_state(
                 recovered.close()
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @given(program=_programs)
 @_SETTINGS
-def test_torn_append_sweep_recovers_prefix_state(backend_name, program):
+def test_torn_append_sweep_recovers_prefix_state(program):
     """Truncating the log at/inside every record boundary stays exact.
 
     The log is cut at every byte offset that matters -- each record
@@ -214,7 +198,7 @@ def test_torn_append_sweep_recovers_prefix_state(backend_name, program):
     surviving complete records; a mid-record cut drops only the torn
     record.
     """
-    config = replace(CONFIG, backend=backend_name, scheme="dichotomy")
+    config = replace(CONFIG, scheme="dichotomy")
     states = _oracle_fingerprints(config, program)
     with tempfile.TemporaryDirectory() as root:
         wal_dir = Path(root) / "wal"
@@ -263,7 +247,6 @@ def test_torn_append_sweep_recovers_prefix_state(backend_name, program):
             _report_recovery(
                 {
                     "harness": "torn_append",
-                    "backend": backend_name,
                     "cut": cut,
                     "surviving_mutations": surviving,
                     "torn_tail": report.torn_tail,

@@ -51,15 +51,6 @@ def main(argv=None) -> int:
         ),
     )
     parser.add_argument(
-        "--backend",
-        action="append",
-        default=None,
-        help=(
-            "run only this backend (repeatable; default: all available; "
-            "note the planner's calibration needs at least two)"
-        ),
-    )
-    parser.add_argument(
         "--workload",
         action="append",
         default=None,
@@ -74,7 +65,6 @@ def main(argv=None) -> int:
     payload = write_trajectory(
         args.output,
         scale=args.scale,
-        backends=tuple(args.backend) if args.backend else (),
         workloads=tuple(args.workload) if args.workload else (),
     )
     if payload.get("cpus", 0) == 1:
