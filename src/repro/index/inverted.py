@@ -65,7 +65,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from repro.core.records import ElementRecord, SetCollection, SetRecord
 
@@ -352,9 +352,25 @@ class InvertedIndex:
         return keys if keys is not None else _EMPTY_KEYS
 
     def list_length(self, token: int) -> int:
-        """``|I[t]|`` -- the cost of a token in signature selection."""
+        """``|I[t]|`` -- the cost of a token in signature selection.
+
+        A token the index does not hold (an ephemeral query token)
+        costs 0; tombstoned sets count until :meth:`compact`.
+        """
         postings = self._lists.get(token)
         return len(postings) if postings else 0
+
+    def posting_lists(self) -> Mapping[int, array]:
+        """Token id -> its packed posting array (shared, do not mutate).
+
+        The list-length view for the one loop that costs every token of
+        every reference (``rank_tokens``): ``len(posting_lists().get(t,
+        ()))`` equals :meth:`list_length` with one dict probe and no
+        method call.  The mapping is the index's own and stays current
+        across :meth:`add_record` and :meth:`compact`, so nothing
+        derived from it needs invalidating.
+        """
+        return self._lists
 
     def keys_in_sets(self, token: int, set_ids: Sequence[int]) -> list[int]:
         """Packed keys of *token*'s postings inside the ascending *set_ids*.

@@ -23,7 +23,19 @@ Schemes implemented (all selectable by name through
                       the sim-thresh element budget.
 ``dichotomy``         Section 6.4 -- greedy that saturates whole
                       elements once the sim-thresh budget is reached.
+``exhaustive``        Problem 3 / Theorem 2 ablation -- the optimal
+                      weighted signature by branch and bound, greedy
+                      beyond a token cap.
+``random``            Ablation floor -- random token order, same
+                      stopping rule as the weighted greedy.
 ====================  =====================================================
+
+Every scheme reads its per-element bounds from the per-shape tables of
+:mod:`repro.signatures.weights`.  Token costs are
+:meth:`~repro.index.inverted.InvertedIndex.list_length`; the ranking
+that costs every token of a reference reads the same lengths through
+the index's :meth:`~repro.index.inverted.InvertedIndex.posting_lists`
+view.
 """
 
 from repro.signatures.base import Signature, SignatureScheme

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.core.records import SetRecord
 from repro.index.inverted import InvertedIndex
@@ -43,6 +44,12 @@ class Signature:
 
     def __len__(self) -> int:
         return len(self.tokens)
+
+
+def cheapest(tokens: Iterable[int], index: InvertedIndex, count: int) -> frozenset[int]:
+    """The *count* tokens with the shortest inverted lists (ties by id)."""
+    ranked = sorted(tokens, key=lambda t: (index.list_length(t), t))
+    return frozenset(ranked[:count])
 
 
 class SignatureScheme(abc.ABC):

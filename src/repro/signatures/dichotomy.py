@@ -15,7 +15,7 @@ from repro.core.records import SetRecord
 from repro.index.inverted import InvertedIndex
 from repro.sim.functions import SimilarityFunction
 from repro.signatures.base import Signature, SignatureScheme
-from repro.signatures.weighted import WeightedScheme, rank_tokens
+from repro.signatures.weighted import greedy_signature, rank_tokens
 from repro.signatures.weights import weights_for
 
 
@@ -32,61 +32,42 @@ class DichotomyScheme(SignatureScheme):
         index: InvertedIndex,
     ) -> Signature | None:
         """Greedy selection that saturates whole elements (Section 6.4)."""
-        if phi.alpha <= 0.0:
-            # Identical to the weighted scheme when no alpha budget exists.
-            base = WeightedScheme().generate(reference, theta, phi, index)
-            if base is None:
-                return None
-            return Signature(
-                tokens=base.tokens,
-                per_element=base.per_element,
-                element_bounds=base.element_bounds,
-                scheme=self.name,
-            )
-
         weights = weights_for(reference, phi)
         ranked, occurrences = rank_tokens(reference, index, weights)
+        if phi.alpha <= 0.0:
+            # Identical to the weighted scheme when no alpha budget exists.
+            return greedy_signature(ranked, occurrences, weights, theta, self.name)
 
         n = len(reference)
         selected_counts = [0] * n
-        saturated = [False] * n
         per_element: list[set[int]] = [set() for _ in range(n)]
-        residual = sum(w.bound(0) for w in weights)
+        residual = sum(w.bounds[0] for w in weights)
 
         for token in ranked:
             if residual < theta:
                 break
-            useful = False
             for i in occurrences[token]:
-                if saturated[i]:
-                    continue
-                useful = True
-                residual -= weights[i].marginal(selected_counts[i])
-                selected_counts[i] += 1
+                w = weights[i]
+                count = selected_counts[i]
+                if count >= w.budget:
+                    continue  # saturated: no further tokens from it
+                residual -= w.marginals[count]
+                count = selected_counts[i] = count + 1
                 per_element[i].add(token)
-                if weights[i].saturated(selected_counts[i]):
+                if count >= w.budget:
                     # The rest of the element's weight disappears: any
                     # element missing all budget tokens is below alpha.
-                    saturated[i] = True
-                    residual -= weights[i].bound(selected_counts[i])
-            if not useful:
-                continue
+                    residual -= w.bounds[count]
 
         if residual >= theta:
             return None
 
-        chosen: set[int] = set()
-        for tokens in per_element:
-            chosen |= tokens
-        bounds = tuple(
-            0.0
-            if saturated[i]
-            else weights[i].effective_bound(selected_counts[i], phi.alpha)
-            for i in range(n)
-        )
+        # A saturated element's effective bound is 0.
         return Signature(
-            tokens=frozenset(chosen),
+            tokens=frozenset().union(*per_element),
             per_element=tuple(frozenset(s) for s in per_element),
-            element_bounds=bounds,
+            element_bounds=tuple(
+                w.effective[count] for w, count in zip(weights, selected_counts)
+            ),
             scheme=self.name,
         )

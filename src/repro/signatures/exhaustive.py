@@ -24,7 +24,7 @@ from repro.core.records import SetRecord
 from repro.index.inverted import InvertedIndex
 from repro.sim.functions import SimilarityFunction
 from repro.signatures.base import Signature, SignatureScheme
-from repro.signatures.weighted import WeightedScheme, rank_tokens
+from repro.signatures.weighted import greedy_signature, rank_tokens
 from repro.signatures.weights import weights_for
 
 
@@ -59,27 +59,18 @@ class ExhaustiveScheme(SignatureScheme):
         """Branch-and-bound over token subsets; greedy beyond the cap."""
         weights = weights_for(reference, phi)
         ranked, occurrences = rank_tokens(reference, index, weights)
-        if len(ranked) > self.max_tokens:
-            base = WeightedScheme().generate(reference, theta, phi, index)
-            if base is None:
-                return None
-            return Signature(
-                tokens=base.tokens,
-                per_element=base.per_element,
-                element_bounds=base.element_bounds,
-                scheme=self.name,
-            )
-
-        greedy = WeightedScheme().generate(reference, theta, phi, index)
-        if greedy is None:
-            return None  # not even all tokens certify the bound
+        greedy = greedy_signature(ranked, occurrences, weights, theta, self.name)
+        if greedy is None or len(ranked) > self.max_tokens:
+            # Not even all tokens certify the bound, or the search space
+            # is too large: the greedy answer stands.
+            return greedy
 
         n = len(reference)
         tokens = ranked  # cheap tokens first helps pruning
         costs = [index.list_length(token) for token in tokens]
         best_cost = signature_cost(greedy, index)
         best_selection: list[int] | None = None
-        initial_residual = sum(w.bound(0) for w in weights)
+        initial_residual = sum(w.bounds[0] for w in weights)
 
         selected_counts = [0] * n
         chosen: list[int] = []
@@ -101,7 +92,7 @@ class ExhaustiveScheme(SignatureScheme):
             token = tokens[pos]
             delta = 0.0
             for i in occurrences[token]:
-                delta += weights[i].marginal(selected_counts[i])
+                delta += weights[i].marginals[selected_counts[i]]
                 selected_counts[i] += 1
             chosen.append(token)
             descend(pos + 1, cost_so_far + costs[pos], residual - delta)
@@ -114,7 +105,7 @@ class ExhaustiveScheme(SignatureScheme):
             counts_copy = list(selected_counts)
             for later in tokens[pos + 1 :]:
                 for i in occurrences[later]:
-                    remaining += weights[i].marginal(counts_copy[i])
+                    remaining += weights[i].marginals[counts_copy[i]]
                     counts_copy[i] += 1
             if residual - remaining < theta:
                 descend(pos + 1, cost_so_far, residual)
@@ -122,34 +113,23 @@ class ExhaustiveScheme(SignatureScheme):
         descend(0, 0, initial_residual)
 
         if best_selection is None:
-            return Signature(
-                tokens=greedy.tokens,
-                per_element=greedy.per_element,
-                element_bounds=greedy.element_bounds,
-                scheme=self.name,
-            )
-        return self._materialise(
-            reference, best_selection, occurrences, weights, phi
-        )
+            return greedy
+        return self._materialise(best_selection, occurrences, weights)
 
-    def _materialise(
-        self, reference, selection, occurrences, weights, phi
-    ) -> Signature:
-        n = len(reference)
+    def _materialise(self, selection, occurrences, weights) -> Signature:
+        n = len(weights)
         per_element: list[set[int]] = [set() for _ in range(n)]
         selected_counts = [0] * n
         for token in selection:
             for i in occurrences[token]:
                 per_element[i].add(token)
                 selected_counts[i] += 1
-        bounds = tuple(
-            weights[i].effective_bound(selected_counts[i], phi.alpha)
-            for i in range(n)
-        )
         return Signature(
             tokens=frozenset(selection),
             per_element=tuple(frozenset(s) for s in per_element),
-            element_bounds=bounds,
+            element_bounds=tuple(
+                w.effective[count] for w, count in zip(weights, selected_counts)
+            ),
             scheme=self.name,
         )
 
@@ -181,34 +161,5 @@ class RandomScheme(SignatureScheme):
         if not ranked:
             return None
         rng = random.Random((self.seed << 20) ^ reference.set_id)
-        order = list(ranked)
-        rng.shuffle(order)
-
-        n = len(reference)
-        selected_counts = [0] * n
-        per_element: list[set[int]] = [set() for _ in range(n)]
-        chosen: set[int] = set()
-        residual = sum(w.bound(0) for w in weights)
-
-        for token in order:
-            if residual < theta:
-                break
-            for i in occurrences[token]:
-                residual -= weights[i].marginal(selected_counts[i])
-                selected_counts[i] += 1
-                per_element[i].add(token)
-            chosen.add(token)
-
-        if residual >= theta:
-            return None
-
-        bounds = tuple(
-            weights[i].effective_bound(selected_counts[i], phi.alpha)
-            for i in range(n)
-        )
-        return Signature(
-            tokens=frozenset(chosen),
-            per_element=tuple(frozenset(s) for s in per_element),
-            element_bounds=bounds,
-            scheme=self.name,
-        )
+        rng.shuffle(ranked)
+        return greedy_signature(ranked, occurrences, weights, theta, self.name)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from repro.core.records import SetRecord
 from repro.index.inverted import InvertedIndex
 from repro.sim.functions import SimilarityFunction
-from repro.signatures.base import Signature, SignatureScheme
-from repro.signatures.weights import NO_BUDGET, weights_for
+from repro.signatures.base import Signature, SignatureScheme, cheapest
+from repro.signatures.weights import weights_for
 
 
 class SimThreshScheme(SignatureScheme):
@@ -35,25 +35,17 @@ class SimThreshScheme(SignatureScheme):
             # would be required; there is no useful sim-thresh signature.
             return None
 
-        weights = weights_for(reference, phi)
         per_element: list[frozenset[int]] = []
-        for i, element in enumerate(reference.elements):
-            budget = weights[i].budget
-            if budget == NO_BUDGET or budget > weights[i].n_tokens:
-                return None  # element cannot be covered; scheme is empty
-            cheapest = sorted(
-                element.signature_tokens,
-                key=lambda t: (index.list_length(t), t),
-            )[:budget]
-            per_element.append(frozenset(cheapest))
+        for w, element in zip(weights_for(reference, phi), reference.elements):
+            if w.budget > w.n_tokens:
+                # The element cannot be covered (``NO_BUDGET`` included,
+                # for an empty element): the scheme is empty.
+                return None
+            per_element.append(cheapest(element.signature_tokens, index, w.budget))
 
-        chosen: set[int] = set()
-        for tokens in per_element:
-            chosen |= tokens
-        bounds = tuple(0.0 for _ in per_element)  # every element saturated
         return Signature(
-            tokens=frozenset(chosen),
+            tokens=frozenset().union(*per_element),
             per_element=tuple(per_element),
-            element_bounds=bounds,
+            element_bounds=(0.0,) * len(per_element),  # every element saturated
             scheme=self.name,
         )

@@ -13,8 +13,8 @@ from __future__ import annotations
 from repro.core.records import SetRecord
 from repro.index.inverted import InvertedIndex
 from repro.sim.functions import SimilarityFunction
-from repro.signatures.base import Signature, SignatureScheme
-from repro.signatures.weighted import WeightedScheme
+from repro.signatures.base import Signature, SignatureScheme, cheapest
+from repro.signatures.weighted import greedy_signature, rank_tokens
 from repro.signatures.weights import weights_for
 
 
@@ -22,9 +22,6 @@ class SkylineScheme(SignatureScheme):
     """Weighted greedy, post-trimmed by the per-element alpha budget."""
 
     name = "skyline"
-
-    def __init__(self) -> None:
-        self._weighted = WeightedScheme()
 
     def generate(
         self,
@@ -34,36 +31,25 @@ class SkylineScheme(SignatureScheme):
         index: InvertedIndex,
     ) -> Signature | None:
         """Weighted signature post-trimmed to the sim-thresh budgets."""
-        base = self._weighted.generate(reference, theta, phi, index)
-        if base is None:
-            return None
-        if phi.alpha <= 0.0:
-            # The scheme degenerates to the weighted scheme at alpha = 0.
-            return Signature(
-                tokens=base.tokens,
-                per_element=base.per_element,
-                element_bounds=base.element_bounds,
-                scheme=self.name,
-            )
-
         weights = weights_for(reference, phi)
+        ranked, occurrences = rank_tokens(reference, index, weights)
+        base = greedy_signature(ranked, occurrences, weights, theta, self.name)
+        if base is None or phi.alpha <= 0.0:
+            # The scheme degenerates to the weighted scheme at alpha = 0.
+            return base
+
         per_element: list[frozenset[int]] = []
         bounds: list[float] = []
-        for i, k_i in enumerate(base.per_element):
-            budget = weights[i].budget
-            if len(k_i) >= budget:
-                trimmed = sorted(k_i, key=lambda t: (index.list_length(t), t))
-                per_element.append(frozenset(trimmed[:budget]))
+        for w, k_i in zip(weights, base.per_element):
+            if len(k_i) >= w.budget:
+                per_element.append(cheapest(k_i, index, w.budget))
                 bounds.append(0.0)  # saturated: non-matchers fall below alpha
             else:
                 per_element.append(k_i)
-                bounds.append(weights[i].effective_bound(len(k_i), phi.alpha))
+                bounds.append(w.effective[len(k_i)])
 
-        chosen: set[int] = set()
-        for tokens in per_element:
-            chosen |= tokens
         return Signature(
-            tokens=frozenset(chosen),
+            tokens=frozenset().union(*per_element),
             per_element=tuple(per_element),
             element_bounds=tuple(bounds),
             scheme=self.name,

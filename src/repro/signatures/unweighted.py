@@ -21,7 +21,7 @@ from collections import defaultdict
 from repro.core.records import SetRecord
 from repro.index.inverted import InvertedIndex
 from repro.sim.functions import SimilarityFunction
-from repro.signatures.base import Signature, SignatureScheme
+from repro.signatures.base import Signature, SignatureScheme, cheapest
 from repro.signatures.weights import weights_for
 
 
@@ -65,9 +65,7 @@ class UnweightedScheme(SignatureScheme):
         # Remove whole tokens, most expensive first, while the occurrence
         # budget allows; a token only leaves the flattened signature if
         # all its occurrences are removed.
-        by_cost = sorted(
-            occurrences, key=lambda t: (-index.list_length(t), t)
-        )
+        by_cost = sorted(occurrences, key=lambda t: (-index.list_length(t), t))
         removed: set[int] = set()
         budget = removable
         for token in by_cost:
@@ -87,22 +85,15 @@ class UnweightedScheme(SignatureScheme):
 
         if self.use_sim_thresh and phi.alpha > 0.0:
             for i, tokens in enumerate(per_element):
-                budget_i = weights[i].budget
-                if len(tokens) > budget_i:
-                    cheapest = sorted(
-                        tokens, key=lambda t: (index.list_length(t), t)
-                    )[:budget_i]
-                    per_element[i] = set(cheapest)
+                if len(tokens) > weights[i].budget:
+                    per_element[i] = cheapest(tokens, index, weights[i].budget)
 
-        chosen = set().union(*per_element) if per_element else set()
-        bounds = tuple(
-            weights[i].effective_bound(len(per_element[i]), phi.alpha)
-            for i in range(len(reference))
-        )
         return Signature(
-            tokens=frozenset(chosen),
+            tokens=frozenset().union(*per_element),
             per_element=tuple(frozenset(s) for s in per_element),
-            element_bounds=bounds,
+            element_bounds=tuple(
+                w.effective[len(s)] for w, s in zip(weights, per_element)
+            ),
             scheme=self.name,
         )
 

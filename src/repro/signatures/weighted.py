@@ -11,6 +11,7 @@ until the residual bound drops below theta.
 from __future__ import annotations
 
 from collections import defaultdict
+from typing import Iterable
 
 from repro.core.records import SetRecord
 from repro.index.inverted import InvertedIndex
@@ -36,16 +37,58 @@ def rank_tokens(
     for i, element in enumerate(reference.elements):
         for token in element.signature_tokens:
             occurrences[token].append(i)
+    lists = index.posting_lists()  # list_length without a call per token
 
     def sort_key(token: int) -> tuple[float, int]:
-        value = sum(weights[i].marginal(0) for i in occurrences[token])
-        cost = index.list_length(token)
+        value = sum(weights[i].marginals[0] for i in occurrences[token])
         if value <= 0.0:
             return (float("inf"), token)
-        return (cost / value, token)
+        return (len(lists.get(token, ())) / value, token)
 
     ranked = sorted(occurrences, key=sort_key)
     return ranked, occurrences
+
+
+def greedy_signature(
+    order: Iterable[int],
+    occurrences: dict[int, list[int]],
+    weights: list[ElementWeights],
+    theta: float,
+    scheme: str,
+) -> Signature | None:
+    """Select tokens in *order* until the residual bound drops below theta.
+
+    The greedy of Section 4.3 over already-built *weights* and
+    *occurrences* (:func:`rank_tokens`); every token taken lowers each
+    of its elements' bounds by the next marginal.  Returns None when
+    even the full token set cannot certify the bound -- no valid
+    signature exists (Section 7.3) and the caller must full-scan.
+    """
+    n = len(weights)
+    selected_counts = [0] * n
+    per_element: list[set[int]] = [set() for _ in range(n)]
+    chosen: set[int] = set()
+    residual = sum(w.bounds[0] for w in weights)
+
+    for token in order:
+        if residual < theta:
+            break
+        for i in occurrences[token]:
+            residual -= weights[i].marginals[selected_counts[i]]
+            selected_counts[i] += 1
+            per_element[i].add(token)
+        chosen.add(token)
+
+    if residual >= theta:
+        return None
+    return Signature(
+        tokens=frozenset(chosen),
+        per_element=tuple(frozenset(s) for s in per_element),
+        element_bounds=tuple(
+            w.effective[count] for w, count in zip(weights, selected_counts)
+        ),
+        scheme=scheme,
+    )
 
 
 class WeightedScheme(SignatureScheme):
@@ -68,33 +111,4 @@ class WeightedScheme(SignatureScheme):
         """Greedy cost/value token selection until ``residual < theta``."""
         weights = weights_for(reference, phi)
         ranked, occurrences = rank_tokens(reference, index, weights)
-
-        selected_counts = [0] * len(reference)
-        per_element: list[set[int]] = [set() for _ in range(len(reference))]
-        chosen: set[int] = set()
-        residual = sum(w.bound(0) for w in weights)
-
-        for token in ranked:
-            if residual < theta:
-                break
-            for i in occurrences[token]:
-                residual -= weights[i].marginal(selected_counts[i])
-                selected_counts[i] += 1
-                per_element[i].add(token)
-            chosen.add(token)
-
-        if residual >= theta:
-            # Even the full token set cannot certify the bound; no valid
-            # signature exists (Section 7.3).  Caller must full-scan.
-            return None
-
-        bounds = tuple(
-            weights[i].effective_bound(selected_counts[i], phi.alpha)
-            for i in range(len(reference))
-        )
-        return Signature(
-            tokens=frozenset(chosen),
-            per_element=tuple(frozenset(s) for s in per_element),
-            element_bounds=bounds,
-            scheme=self.name,
-        )
+        return greedy_signature(ranked, occurrences, weights, theta, self.name)

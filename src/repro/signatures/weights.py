@@ -35,15 +35,25 @@ budget implies the bound), but only Jaccard's is also tight (Lemma 2);
 for the other token kinds the adversarial set of Lemma 2 does not
 achieve the bound exactly, so the scheme is valid-but-not-complete,
 which exactness does not require.
+
+Per-shape tables: all of the above depends on an element only through
+its *shape* ``(phi.kind, phi.alpha, |r_i|, number of signature
+tokens)``.  So :func:`weights_for` hands out one shared
+:class:`ElementWeights` per distinct shape, whose tables hold every
+bound, marginal and alpha-cut bound the greedy can ask for; the schemes
+index them instead of recomputing :meth:`ElementWeights.bound` per
+token occurrence.  Nothing in a table depends on the index, so no
+mutation invalidates one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.core.constants import EPSILON
-from repro.core.records import ElementRecord, SetRecord
+from repro.core.records import SetRecord
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 
 #: Sentinel for "no sim-thresh budget applies" (alpha == 0).
@@ -77,43 +87,69 @@ def _sim_thresh_budget(kind: SimilarityKind, length: int, alpha: float) -> int:
 
 @dataclass(frozen=True)
 class ElementWeights:
-    """Weight bookkeeping for one reference element.
+    """Weight tables for one element shape.
+
+    Built once per shape by :func:`weights_for` and shared by every
+    element of that shape.  The tables are indexed by ``s``, the number
+    of signature tokens selected from the element.
 
     Attributes
     ----------
+    kind, alpha:
+        The similarity kind and element threshold of ``phi``.
     length:
         The paper's ``|r_i|`` (distinct word tokens, or string length).
     n_tokens:
         How many distinct signature tokens the element offers.
     budget:
         The sim-thresh saturation size; ``NO_BUDGET`` when alpha == 0.
+    bounds:
+        ``bounds[s] == bound(s)`` for ``s = 0 .. n_tokens``.
+    marginals:
+        ``marginals[s] == bounds[s] - bounds[s + 1]``, the bound decrease
+        the ``s+1``-th selected token buys, for ``s = 0 .. n_tokens - 1``.
+    effective:
+        The filter-facing bound for ``s = 0 .. n_tokens``: 0 once the
+        element is saturated (``s >= budget``: any non-matching element
+        falls below alpha) or once the raw bound is below alpha (the
+        thresholded similarity is 0 either way), else ``bounds[s]``.
     """
 
     kind: SimilarityKind
+    alpha: float
     length: int
     n_tokens: int
-    budget: int
+    budget: int = field(init=False)
+    bounds: tuple[float, ...] = field(init=False, repr=False)
+    marginals: tuple[float, ...] = field(init=False, repr=False)
+    effective: tuple[float, ...] = field(init=False, repr=False)
 
-    @classmethod
-    def for_element(
-        cls, element: ElementRecord, phi: SimilarityFunction
-    ) -> "ElementWeights":
-        """Derive the weights of one reference element under *phi*."""
-        kind = phi.kind
-        length = element.length
-        n_tokens = len(element.signature_tokens)
-        if phi.alpha <= 0.0 or length == 0:
+    def __post_init__(self) -> None:
+        alpha = self.alpha
+        if alpha <= 0.0 or self.length == 0:
             budget = NO_BUDGET
         else:
-            budget = _sim_thresh_budget(kind, length, phi.alpha)
-        return cls(kind=kind, length=length, n_tokens=n_tokens, budget=budget)
+            budget = _sim_thresh_budget(self.kind, self.length, alpha)
+        bounds = tuple(self.bound(s) for s in range(self.n_tokens + 1))
+        put = object.__setattr__
+        put(self, "budget", budget)
+        put(self, "bounds", bounds)
+        put(self, "marginals", tuple(a - b for a, b in zip(bounds, bounds[1:])))
+        put(
+            self,
+            "effective",
+            tuple(
+                0.0 if s >= budget or raw < alpha else raw
+                for s, raw in enumerate(bounds)
+            ),
+        )
 
-    # ------------------------------------------------------------------
     def bound(self, selected: int) -> float:
         """Upper bound on ``phi(r_i, s)`` with *selected* signature tokens.
 
         Valid for any s sharing none of the selected tokens.  Elements
-        with no tokens at all are unboundable and return 1.0.
+        with no tokens at all are unboundable and return 1.0.  The
+        arithmetic behind :attr:`bounds`; schemes read the table.
         """
         if self.length == 0 or self.n_tokens == 0:
             return 1.0 if selected == 0 else 0.0
@@ -129,29 +165,15 @@ class ElementWeights:
             return 1.0 if selected < self.n_tokens else 0.0
         return self.length / (self.length + selected)
 
-    def marginal(self, selected: int) -> float:
-        """Bound decrease from selecting one more token after *selected*."""
-        return self.bound(selected) - self.bound(selected + 1)
 
-    def saturated(self, selected: int) -> bool:
-        """True once *selected* tokens meet the sim-thresh budget."""
-        return selected >= self.budget
-
-    def effective_bound(self, selected: int, alpha: float) -> float:
-        """The filter-facing bound: saturation and alpha-cut applied.
-
-        If the element is saturated, any non-matching s has similarity
-        below alpha, hence ``phi_alpha = 0``.  Likewise if the raw bound
-        is already below alpha, the thresholded similarity is 0.
-        """
-        if self.saturated(selected):
-            return 0.0
-        raw = self.bound(selected)
-        if raw < alpha:
-            return 0.0
-        return raw
+#: ``(kind, alpha, length, n_tokens)`` -> the shape's shared tables.
+_shape = functools.lru_cache(maxsize=None)(ElementWeights)
 
 
 def weights_for(reference: SetRecord, phi: SimilarityFunction) -> list[ElementWeights]:
-    """ElementWeights for every element of *reference*."""
-    return [ElementWeights.for_element(element, phi) for element in reference.elements]
+    """The shared :class:`ElementWeights` of every element of *reference*."""
+    kind, alpha = phi.kind, phi.alpha
+    return [
+        _shape(kind, alpha, element.length, len(element.signature_tokens))
+        for element in reference.elements
+    ]

@@ -4,13 +4,18 @@ Shared by the suites that mutate an index or pin the select kernel
 (``test_records_and_index``, ``test_select_columns``,
 ``test_element_dictionary``): each helper derives what a structure or a
 counter must hold from the collection's records and the occurrence
-postings alone, then compares.
+postings alone, then compares.  :func:`oracle_signature` is the
+signature schemes' oracle (``test_signatures``): every scheme as
+written before the per-shape tables, recomputing
+:meth:`~repro.signatures.weights.ElementWeights.bound` on every call.
 """
 
 from __future__ import annotations
 
+import math
 import pickle
 import random
+from collections import defaultdict
 from dataclasses import replace
 
 from hypothesis import assume
@@ -19,7 +24,8 @@ from repro.core.records import SetCollection
 from repro.core.stats import PassStats
 from repro.filters import check
 from repro.index.inverted import PACK_MASK, PACK_SHIFT, InvertedIndex
-from repro.signatures import get_scheme
+from repro.signatures import Signature, get_scheme
+from repro.signatures.weights import ElementWeights
 from repro.sim.functions import SimilarityFunction
 
 INF = float("inf")
@@ -277,3 +283,209 @@ def select_probe(
         ),
     )
     return collection, index, reference, phi, signature, stored
+
+
+# -- the signature oracle ---------------------------------------------
+
+
+def _marginal(weights, selected):
+    return weights.bound(selected) - weights.bound(selected + 1)
+
+
+def _effective(weights, selected, alpha):
+    if selected >= weights.budget:
+        return 0.0
+    raw = weights.bound(selected)
+    return 0.0 if raw < alpha else raw
+
+
+def _greedy(order, occurrences, weights, theta, alpha):
+    """Section 4.3's greedy: ``(per_element, bounds)``, or None."""
+    counts = [0] * len(weights)
+    per_element = [set() for _ in weights]
+    residual = sum(w.bound(0) for w in weights)
+    for token in order:
+        if residual < theta:
+            break
+        for i in occurrences[token]:
+            residual -= _marginal(weights[i], counts[i])
+            counts[i] += 1
+            per_element[i].add(token)
+    if residual >= theta:
+        return None
+    return per_element, [_effective(w, c, alpha) for w, c in zip(weights, counts)]
+
+
+def _dichotomy(order, occurrences, weights, theta, alpha):
+    counts = [0] * len(weights)
+    saturated = [False] * len(weights)
+    per_element = [set() for _ in weights]
+    residual = sum(w.bound(0) for w in weights)
+    for token in order:
+        if residual < theta:
+            break
+        for i in occurrences[token]:
+            if saturated[i]:
+                continue
+            residual -= _marginal(weights[i], counts[i])
+            counts[i] += 1
+            per_element[i].add(token)
+            if counts[i] >= weights[i].budget:
+                saturated[i] = True
+                residual -= weights[i].bound(counts[i])
+    if residual >= theta:
+        return None
+    return per_element, [
+        0.0 if saturated[i] else _effective(w, counts[i], alpha)
+        for i, w in enumerate(weights)
+    ]
+
+
+def _exhaustive(order, occurrences, weights, theta, alpha, cost, max_tokens=18):
+    greedy = _greedy(order, occurrences, weights, theta, alpha)
+    if greedy is None or len(order) > max_tokens:
+        return greedy
+    costs = [cost(token) for token in order]
+    best = [sum(map(cost, set().union(*greedy[0]))), None]
+    counts = [0] * len(weights)
+    chosen = []
+
+    def descend(pos, cost_so_far, residual):
+        if residual < theta:
+            if cost_so_far < best[0]:
+                best[:] = [cost_so_far, list(chosen)]
+            return
+        if pos == len(order) or cost_so_far >= best[0]:
+            return
+        token = order[pos]
+        delta = 0.0
+        for i in occurrences[token]:
+            delta += _marginal(weights[i], counts[i])
+            counts[i] += 1
+        chosen.append(token)
+        descend(pos + 1, cost_so_far + costs[pos], residual - delta)
+        chosen.pop()
+        for i in occurrences[token]:
+            counts[i] -= 1
+        remaining = 0.0
+        later_counts = list(counts)
+        for later in order[pos + 1 :]:
+            for i in occurrences[later]:
+                remaining += _marginal(weights[i], later_counts[i])
+                later_counts[i] += 1
+        if residual - remaining < theta:
+            descend(pos + 1, cost_so_far, residual)
+
+    descend(0, 0, sum(w.bound(0) for w in weights))
+    if best[1] is None:
+        return greedy
+    per_element = [set() for _ in weights]
+    for token in best[1]:
+        for i in occurrences[token]:
+            per_element[i].add(token)
+    return per_element, [
+        _effective(w, len(s), alpha) for w, s in zip(weights, per_element)
+    ]
+
+
+def oracle_signature(name, reference, theta, phi, index):
+    """What registered scheme *name* signs, computed the slow way.
+
+    Fresh :class:`ElementWeights` per element (never the shared shape
+    tables; only ``bound`` and ``budget`` are read), ``bound`` called
+    for every bound and marginal, and list lengths read off
+    ``posting_keys``.
+    """
+    alpha = phi.alpha
+    weights = [
+        ElementWeights(phi.kind, alpha, e.length, len(e.signature_tokens))
+        for e in reference.elements
+    ]
+    occurrences = defaultdict(list)
+    for i, element in enumerate(reference.elements):
+        for token in element.signature_tokens:
+            occurrences[token].append(i)
+
+    def cost(token):
+        return len(index.posting_keys(token))
+
+    def cheapest(tokens, count):
+        return set(sorted(tokens, key=lambda t: (cost(t), t))[:count])
+
+    def value(token):
+        return sum(_marginal(weights[i], 0) for i in occurrences[token])
+
+    ranked = sorted(
+        occurrences,
+        key=lambda t: (cost(t) / value(t), t) if value(t) > 0.0 else (INF, t),
+    )
+    if name in ("unweighted", "comb_unweighted"):
+        budget = math.ceil(theta) - 1
+        if budget >= sum(map(len, occurrences.values())):
+            return None
+        removed = set()
+        for token in sorted(occurrences, key=lambda t: (-cost(t), t)):
+            if len(occurrences[token]) <= budget:
+                removed.add(token)
+                budget -= len(occurrences[token])
+            if budget == 0:
+                break
+        per_element = [set(e.signature_tokens) - removed for e in reference.elements]
+        if name == "comb_unweighted" and alpha > 0.0:
+            per_element = [
+                cheapest(s, w.budget) if len(s) > w.budget else s
+                for w, s in zip(weights, per_element)
+            ]
+        result = per_element, [
+            _effective(w, len(s), alpha) for w, s in zip(weights, per_element)
+        ]
+    elif name == "sim_thresh":
+        if alpha <= 0.0 or any(w.budget > w.n_tokens for w in weights):
+            return None
+        per_element = [
+            cheapest(e.signature_tokens, w.budget)
+            for w, e in zip(weights, reference.elements)
+        ]
+        result = per_element, [0.0] * len(weights)
+    elif name == "random":
+        if not ranked:
+            return None
+        random.Random(reference.set_id).shuffle(ranked)
+        result = _greedy(ranked, occurrences, weights, theta, alpha)
+    elif name == "exhaustive":
+        result = _exhaustive(ranked, occurrences, weights, theta, alpha, cost)
+    elif name == "dichotomy" and alpha > 0.0:
+        result = _dichotomy(ranked, occurrences, weights, theta, alpha)
+    else:
+        result = _greedy(ranked, occurrences, weights, theta, alpha)
+        if name == "skyline" and result is not None and alpha > 0.0:
+            per_element, bounds = result
+            for i, w in enumerate(weights):
+                if len(per_element[i]) >= w.budget:
+                    per_element[i] = cheapest(per_element[i], w.budget)
+                    bounds[i] = 0.0
+    if result is None:
+        return None
+    per_element, bounds = result
+    return Signature(
+        tokens=frozenset().union(*per_element),
+        per_element=tuple(frozenset(s) for s in per_element),
+        element_bounds=tuple(bounds),
+        scheme=name,
+    )
+
+
+def assert_signature_matches_the_oracle(name, reference, theta, phi, index):
+    """*name*'s signature equals the oracle's, bounds compared bit for bit."""
+    got = get_scheme(name).generate(reference, theta, phi, index)
+    want = oracle_signature(name, reference, theta, phi, index)
+    if want is None:
+        assert got is None
+        return
+    assert got is not None
+    assert (got.scheme, got.tokens, got.per_element) == (
+        want.scheme, want.tokens, want.per_element,
+    )
+    assert [b.hex() for b in got.element_bounds] == [
+        b.hex() for b in want.element_bounds
+    ]

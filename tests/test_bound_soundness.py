@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core.records import SetCollection
 from repro.sim.functions import SimilarityFunction, SimilarityKind, eds, jaccard, neds
-from repro.signatures.weights import ElementWeights
+from repro.signatures.weights import weights_for
 
 _WORDS = [f"w{i}" for i in range(20)]
 
@@ -129,7 +129,7 @@ class TestEditBounds:
             q=q,
         )
         r = collection[0].elements[0]
-        weights = ElementWeights.for_element(r, phi)
+        weights = weights_for(collection[0], phi)[0]
         chunks = sorted(r.signature_tokens)
         if weights.budget > len(chunks):
             return

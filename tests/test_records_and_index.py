@@ -83,12 +83,15 @@ class TestInvertedIndex:
         index = InvertedIndex(jaccard_collection)
         vocab = jaccard_collection.vocabulary
         # "c" occurs in set0 (two elements) and set1 (one element).
-        assert index.list_length(vocab.id_of("c")) == 3
+        token = vocab.id_of("c")
+        assert index.list_length(token) == 3
+        assert index.posting_lists()[token] is index.posting_keys(token)
 
     def test_unknown_token(self, jaccard_collection):
         index = InvertedIndex(jaccard_collection)
         assert index.postings(10**6) == []
         assert index.list_length(10**6) == 0
+        assert 10**6 not in index.posting_lists()
 
     def test_keys_in_sets(self, jaccard_collection):
         index = InvertedIndex(jaccard_collection)

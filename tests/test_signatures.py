@@ -11,7 +11,9 @@ from repro.index.inverted import InvertedIndex
 from repro.matching.score import matching_score
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 from repro.signatures import SCHEME_NAMES, get_scheme
-from repro.signatures.weights import NO_BUDGET, ElementWeights
+from repro.signatures.weights import NO_BUDGET, ElementWeights, weights_for
+from strategies import collections, string_collections, string_sets, token_sets
+from strategies.checks import assert_signature_matches_the_oracle
 
 
 def _table2():
@@ -33,57 +35,101 @@ def _table2():
     return reference, collection
 
 
+def _first_weights(sets, phi, **kwargs):
+    collection = SetCollection.from_strings(sets, kind=phi.kind, **kwargs)
+    return weights_for(collection[0], phi)[0]
+
+
 class TestElementWeights:
     def test_jaccard_bound(self):
-        w = ElementWeights(SimilarityKind.JACCARD, length=5, n_tokens=5, budget=NO_BUDGET)
+        w = ElementWeights(SimilarityKind.JACCARD, alpha=0.0, length=5, n_tokens=5)
         assert w.bound(0) == 1.0
         assert w.bound(1) == pytest.approx(0.8)
         assert w.bound(5) == 0.0
 
     def test_edit_bound(self):
-        w = ElementWeights(SimilarityKind.EDS, length=10, n_tokens=4, budget=NO_BUDGET)
+        w = ElementWeights(SimilarityKind.EDS, alpha=0.0, length=10, n_tokens=4)
         assert w.bound(0) == 1.0
         assert w.bound(2) == pytest.approx(10 / 12)
 
-    def test_marginal_sums_to_bound_drop(self):
-        w = ElementWeights(SimilarityKind.EDS, length=9, n_tokens=3, budget=NO_BUDGET)
-        drop = sum(w.marginal(i) for i in range(3))
-        assert drop == pytest.approx(w.bound(0) - w.bound(3))
+    def test_marginals_sum_to_bound_drop(self):
+        w = ElementWeights(SimilarityKind.EDS, alpha=0.0, length=9, n_tokens=3)
+        assert len(w.marginals) == 3
+        assert sum(w.marginals) == pytest.approx(w.bounds[0] - w.bounds[3])
+
+    @pytest.mark.parametrize("kind", list(SimilarityKind))
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 0.9])
+    def test_tables_are_the_bound_arithmetic(self, kind, alpha):
+        for length in range(0, 7):
+            for n_tokens in range(0, 7):
+                w = ElementWeights(kind, alpha=alpha, length=length, n_tokens=n_tokens)
+                bounds = [w.bound(s) for s in range(n_tokens + 1)]
+                # Bit for bit: the table entries are the same expressions.
+                assert w.bounds == tuple(bounds)
+                assert w.marginals == tuple(
+                    w.bound(s) - w.bound(s + 1) for s in range(n_tokens)
+                )
+                assert w.effective == tuple(
+                    0.0 if s >= w.budget or raw < alpha else raw
+                    for s, raw in enumerate(bounds)
+                )
 
     def test_jaccard_budget_from_alpha(self):
-        phi = SimilarityFunction(SimilarityKind.JACCARD, alpha=0.7)
-        collection = SetCollection.from_strings([["a b c d e"]])
-        w = ElementWeights.for_element(collection[0].elements[0], phi)
+        w = _first_weights([["a b c d e"]], SimilarityFunction(SimilarityKind.JACCARD, alpha=0.7))
         # floor((1 - 0.7) * 5) + 1 = 2, as in Example 10.
         assert w.budget == 2
 
     def test_edit_budget_from_alpha(self):
-        phi = SimilarityFunction(SimilarityKind.EDS, alpha=0.8)
-        collection = SetCollection.from_strings(
-            [["abcdefghij"]], kind=SimilarityKind.EDS, q=2
+        w = _first_weights(
+            [["abcdefghij"]], SimilarityFunction(SimilarityKind.EDS, alpha=0.8), q=2
         )
-        w = ElementWeights.for_element(collection[0].elements[0], phi)
         # floor(0.2 / 0.8 * 10) + 1 = 3.
         assert w.budget == 3
 
     def test_no_budget_when_alpha_zero(self):
-        phi = SimilarityFunction(SimilarityKind.JACCARD, alpha=0.0)
-        collection = SetCollection.from_strings([["a b"]])
-        w = ElementWeights.for_element(collection[0].elements[0], phi)
+        w = _first_weights([["a b"]], SimilarityFunction(SimilarityKind.JACCARD, alpha=0.0))
         assert w.budget == NO_BUDGET
 
-    def test_effective_bound_alpha_cut(self):
-        w = ElementWeights(SimilarityKind.JACCARD, length=5, n_tokens=5, budget=3)
-        # Raw bound 0.4 < alpha 0.5 -> thresholded similarity must be 0.
-        assert w.effective_bound(3, alpha=0.5) == 0.0
-
-    def test_effective_bound_saturation(self):
-        w = ElementWeights(SimilarityKind.JACCARD, length=5, n_tokens=5, budget=2)
-        assert w.effective_bound(2, alpha=0.1) == 0.0
+    def test_effective_saturation(self):
+        w = ElementWeights(SimilarityKind.JACCARD, alpha=0.5, length=5, n_tokens=5)
+        # Raw bound 0.6 >= alpha 0.5 at two tokens; saturation (budget 3)
+        # zeroes the bound at three, where the raw 0.4 is below alpha too.
+        assert w.budget == 3
+        assert w.effective[2] == 0.6
+        assert w.effective[3] == 0.0
 
     def test_empty_element_bound(self):
-        w = ElementWeights(SimilarityKind.JACCARD, length=0, n_tokens=0, budget=NO_BUDGET)
+        w = ElementWeights(SimilarityKind.JACCARD, alpha=0.5, length=0, n_tokens=0)
         assert w.bound(0) == 1.0
+        assert w.bounds == (1.0,) and w.marginals == ()
+        assert w.budget == NO_BUDGET and w.effective == (1.0,)
+
+    def test_one_table_per_shape(self):
+        phi = SimilarityFunction(SimilarityKind.JACCARD, alpha=0.5)
+        collection = SetCollection.from_strings([["a b c", "d e f", "g h"], ["c b a"]])
+        first = weights_for(collection[0], phi)
+        # Equal shapes share one table, across elements and sets ...
+        assert first[0] is first[1] is weights_for(collection[1], phi)[0]
+        assert first[2] is not first[0]
+        # ... and alpha is part of the shape.
+        other = weights_for(collection[0], SimilarityFunction(SimilarityKind.JACCARD, alpha=0.6))
+        assert other[0] is not first[0]
+
+    def test_registry_grows_by_the_distinct_shapes_only(self):
+        from repro.signatures.weights import _shape
+
+        rng = random.Random(5)
+        # Long edit strings, each length three times: the registry must
+        # grow by the distinct (length, chunk count) pairs, not by elements.
+        texts = ["".join(rng.choice("abcdefgh") for _ in range(n)) for n in range(50, 600, 7)]
+        collection = SetCollection.from_strings([texts * 3], kind=SimilarityKind.EDS, q=3)
+        phi = SimilarityFunction(SimilarityKind.EDS, alpha=0.7731)
+        shapes = {(e.length, len(e.signature_tokens)) for e in collection[0].elements}
+        before = _shape.cache_info().currsize
+        weights = weights_for(collection[0], phi)
+        assert _shape.cache_info().currsize - before == len(shapes)
+        assert len(weights) == 3 * len(texts)
+        assert all(len(w.bounds) == w.n_tokens + 1 for w in weights)
 
 
 class TestSchemeRegistry:
@@ -295,3 +341,86 @@ class TestEditSignatures:
         theta = 0.9 * len(reference)  # 0.9 < 0.9375
         signature = get_scheme("weighted").generate(reference, theta, phi, index)
         assert signature is None
+
+
+#: Element thresholds and theta = delta * |R| fractions the identity
+#: suite signs under: alpha 0 (no budget), mid and high.
+ALPHAS = (0.0, 0.5, 0.9)
+DELTAS = (0.1, 0.3, 0.5, 0.7, 0.85, 1.0)
+
+
+@st.composite
+def signing_cases(draw):
+    """A mutated collection + index, and the references to sign.
+
+    The references are the live sets plus one ``query_set`` holding an
+    unseen token (an ephemeral negative id, list length 0).  Elements
+    may be empty after tokenisation, and edit elements shorter than q
+    offer no chunk at all.
+    """
+    kind = draw(st.sampled_from(list(SimilarityKind)))
+    if kind.is_token_based:
+        q, sets, one_set = 1, collections(min_sets=2), token_sets(0, 3)
+        unseen = "zzz ivy"
+    else:
+        q = draw(st.sampled_from((1, 2, 3)))
+        sets, one_set, unseen = string_collections(min_sets=2), string_sets(), "zyxw"
+    collection = SetCollection.from_strings(draw(sets), kind=kind, q=q)
+    index = InvertedIndex(collection)
+    ops = st.one_of(
+        st.tuples(st.just("add"), one_set),
+        st.tuples(st.just("remove"), st.integers(0, 10)),
+        st.tuples(st.just("update"), st.integers(0, 10), one_set),
+        st.tuples(st.just("compact")),
+    )
+    for op in draw(st.lists(ops, max_size=5)):
+        if op[0] == "add":
+            index.add_record(collection.add_set(op[1]))
+        elif op[0] == "compact":
+            index.compact()
+        elif collection.is_live(op[1] % len(collection)):
+            set_id = op[1] % len(collection)
+            if op[0] == "remove":
+                index.note_removed(collection.remove_set(set_id))
+            else:
+                old, new = collection.replace_set(set_id, op[2])
+                index.note_removed(old)
+                index.add_record(new)
+    query = collection.query_set(draw(one_set) + [unseen])
+    return kind, index, list(collection.iter_live()) + [query]
+
+
+def _assert_every_signature_matches(scheme_name, kind, index, references):
+    for alpha in ALPHAS:
+        phi = SimilarityFunction(kind, alpha)
+        for reference in references:
+            for delta in DELTAS:
+                assert_signature_matches_the_oracle(
+                    scheme_name, reference, delta * len(reference), phi, index
+                )
+
+
+@pytest.mark.parametrize("scheme_name", SCHEME_NAMES)
+class TestSignatureIdentity:
+    """Every scheme signs exactly what it signed when each bound and
+    marginal was recomputed per occurrence (``strategies.checks``)."""
+
+    @given(signing_cases())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_oracle(self, scheme_name, case):
+        _assert_every_signature_matches(scheme_name, *case)
+
+    @pytest.mark.parametrize("kind", list(SimilarityKind))
+    def test_degenerate_elements(self, scheme_name, kind):
+        # Empty elements, edit elements shorter than q = 3 (no chunk),
+        # and one element holding a token no set has.
+        if kind.is_token_based:
+            sets = [["", "ash bay", "bay"], ["ash", "elm fir oak"], ["", ""]]
+            query = ["", "ash zzz", "bay"]
+        else:
+            sets = [["", "ab", "abcdef"], ["abc", "bcdefa"], ["", "a"]]
+            query = ["", "ab", "zyxwvu", "abcd"]
+        collection = SetCollection.from_strings(sets, kind=kind, q=3)
+        index = InvertedIndex(collection)
+        references = list(collection) + [collection.query_set(query)]
+        _assert_every_signature_matches(scheme_name, kind, index, references)

@@ -176,7 +176,7 @@ class TestBoundSoundness:
             selected = rng.randint(0, length)
             remainder = sorted(r)[: length - selected]
             weights = ElementWeights(
-                kind=kind, length=length, n_tokens=length, budget=1 << 60
+                kind=kind, alpha=0.0, length=length, n_tokens=length
             )
             bound = weights.bound(selected)
             # Adversarial s: any subset of the remainder plus fresh tokens.
@@ -197,14 +197,14 @@ class TestBoundSoundness:
 
     @pytest.mark.parametrize("kind", TOKEN_KINDS)
     def test_bound_monotone_nonincreasing(self, kind):
-        weights = ElementWeights(kind=kind, length=8, n_tokens=8, budget=1 << 60)
+        weights = ElementWeights(kind=kind, alpha=0.0, length=8, n_tokens=8)
         bounds = [weights.bound(k) for k in range(9)]
         for a, b in zip(bounds, bounds[1:]):
             assert b <= a + 1e-12
 
     @pytest.mark.parametrize("kind", TOKEN_KINDS)
     def test_full_selection_bound_zero(self, kind):
-        weights = ElementWeights(kind=kind, length=5, n_tokens=5, budget=1 << 60)
+        weights = ElementWeights(kind=kind, alpha=0.0, length=5, n_tokens=5)
         assert weights.bound(5) == 0.0
 
 
