@@ -1,6 +1,6 @@
 """Benchmark harness utilities: run configurations, collect the funnel
-counters, print paper-style series tables, and track the similarity
-hot path's perf trajectory across PRs (:mod:`repro.bench.trajectory`)."""
+counters and print paper-style series tables.  The repository's
+end-to-end benchmark lives in ``benchmarks/e2e/`` (see its README)."""
 
 from repro.bench.harness import (
     BenchResult,
@@ -9,20 +9,12 @@ from repro.bench.harness import (
     run_workload,
 )
 from repro.bench.reporting import format_series, print_series
-from repro.bench.trajectory import (
-    format_trajectory,
-    run_trajectory,
-    write_trajectory,
-)
 
 __all__ = [
     "BenchResult",
     "format_series",
-    "format_trajectory",
     "print_series",
     "run_discovery",
     "run_search",
-    "run_trajectory",
     "run_workload",
-    "write_trajectory",
 ]

@@ -11,8 +11,8 @@ Three implementations of one tiny submit/collect protocol:
 ``process``
     One worker process per shard, connected over a
     :func:`multiprocessing.Pipe`.  Shard passes run truly in parallel
-    (one GIL per worker), which is what the trajectory harness's
-    sharded-discovery workload measures.
+    (one GIL per worker), which is what the end-to-end benchmark's
+    ``cluster_discover`` workload measures.
 
 ``socket``
     One worker process per shard, connected through an authenticated

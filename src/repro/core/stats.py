@@ -47,8 +47,7 @@ class PassStats:
     #: (reference element, content) pairs scored, candidate *sets* the
     #: size window dropped in the pass.  The empty-element phase adds
     #: per posting key on both.  Scanned / distinct is the dedup
-    #: ratio; all stay 0 under the reference kernel and on full-scan
-    #: passes (docs/observability.md, "The select-funnel counters").
+    #: ratio; all stay 0 on full-scan passes (docs/observability.md, "The select-funnel counters").
     select_postings_scanned: int = 0
     select_distinct_pairs: int = 0
     select_size_gate_drops: int = 0

@@ -18,76 +18,67 @@ columns, which the pipeline's select stage installs as is;
 :func:`select_and_check` is the row-per-candidate wrapper for
 explain-style callers, baselines and tests.
 
-Two interchangeable kernels drive the probe:
+The probe is the columnar index-traversal kernel.  Which level of the
+index it probes follows from the similarity kind.
 
-``packed`` (the default)
-    The columnar index-traversal kernel.  Which level of the index it
-    probes follows from the similarity kind.
+*Edit kinds* probe the occurrence postings.  Per reference element
+the kernel gathers the signature tokens' packed posting arrays
+(:meth:`~repro.index.inverted.InvertedIndex.posting_keys`), hands
+them -- shortest first -- to the compute backend's
+:meth:`~repro.backends.base.ComputeBackend.merge_distinct_postings`
+(a galloping sorted-run merge in pure Python, ``numpy.unique`` over
+``int64`` views on long probes), and receives the distinct
+gated keys with no per-posting tuple, set or dict traffic.
+Self-match, tombstone and size gates are applied inside the merge
+at run level -- once per candidate set -- and skipped entirely when
+no gate applies.  A pass's candidate floor (``first_set``, set by
+symmetric self-discovery) is not one of those gates: keys ascend by
+set id, so each run is cut with one ``bisect_left`` *before* the
+merge and the postings below the floor are never read, merged,
+counted or masked.  The cut is a slice -- a copy of the suffix, not
+a view -- because a buffer export over a posting array would make
+the next :meth:`~repro.index.inverted.InvertedIndex.add_record`
+raise ``BufferError`` for as long as anything (a traceback, say)
+kept it alive.  The merged keys' texts come off the index's forward
+column
+(:meth:`~repro.index.inverted.InvertedIndex.posting_elements`) and
+are scored as one query-wide ``edit_values`` batch.
 
-    *Edit kinds* probe the occurrence postings.  Per reference element
-    the kernel gathers the signature tokens' packed posting arrays
-    (:meth:`~repro.index.inverted.InvertedIndex.posting_keys`), hands
-    them -- shortest first -- to the compute backend's
-    :meth:`~repro.backends.base.ComputeBackend.merge_distinct_postings`
-    (a galloping sorted-run merge in pure Python, ``numpy.unique`` over
-    ``int64`` views on long probes), and receives the distinct
-    gated keys with no per-posting tuple, set or dict traffic.
-    Self-match, tombstone and size gates are applied inside the merge
-    at run level -- once per candidate set -- and skipped entirely when
-    no gate applies.  A pass's candidate floor (``first_set``, set by
-    symmetric self-discovery) is not one of those gates: keys ascend by
-    set id, so each run is cut with one ``bisect_left`` *before* the
-    merge and the postings below the floor are never read, merged,
-    counted or masked.  The cut is a slice -- a copy of the suffix, not
-    a view -- because a buffer export over a posting array would make
-    the next :meth:`~repro.index.inverted.InvertedIndex.add_record`
-    raise ``BufferError`` for as long as anything (a traceback, say)
-    kept it alive.  The merged keys' texts come off the index's forward
-    column
-    (:meth:`~repro.index.inverted.InvertedIndex.posting_elements`) and
-    are scored as one query-wide ``edit_values`` batch.
+*Token kinds* probe distinct contents.  A token-kind score depends
+on an element's token set alone, and column data repeats its
+values, so the index lists each distinct token set once
+(:meth:`~repro.index.inverted.InvertedIndex.content_ids`) with the
+sets it occurs in.  Per reference element the kernel unions the
+signature tokens' content-id runs, drops the contents whose last
+occurrence lies below the floor, scores each remaining content
+once -- the backend's
+:meth:`~repro.backends.base.ComputeBackend.indexed_token_similarities`
+over the content table -- and expands only the witnesses to their
+sets.  Every merged content's sets are surfaced; the floor,
+self-match, tombstone and size gates run once per surfaced *set*
+at the end of the probe.
 
-    *Token kinds* probe distinct contents.  A token-kind score depends
-    on an element's token set alone, and column data repeats its
-    values, so the index lists each distinct token set once
-    (:meth:`~repro.index.inverted.InvertedIndex.content_ids`) with the
-    sets it occurs in.  Per reference element the kernel unions the
-    signature tokens' content-id runs, drops the contents whose last
-    occurrence lies below the floor, scores each remaining content
-    once -- the backend's
-    :meth:`~repro.backends.base.ComputeBackend.indexed_token_similarities`
-    over the content table -- and expands only the witnesses to their
-    sets.  Every merged content's sets are surfaced; the floor,
-    self-match, tombstone and size gates run once per surfaced *set*
-    at the end of the probe.
+Either way, as in Algorithm 1, a surfaced set costs almost
+nothing until it proves interesting: only the pairs whose score
+beats ``u_i`` (the witnesses) get a ``best`` entry; every other
+candidate is just its id, its size off
+:meth:`~repro.index.inverted.InvertedIndex.set_sizes` and a zero
+gain.
 
-    Either way, as in Algorithm 1, a surfaced set costs almost
-    nothing until it proves interesting: only the pairs whose score
-    beats ``u_i`` (the witnesses) get a ``best`` entry; every other
-    candidate is just its id, its size off
-    :meth:`~repro.index.inverted.InvertedIndex.set_sizes` and a zero
-    gain.
-
-``reference``
-    The original per-posting loop, kept verbatim as the executable
-    oracle the packed kernel is property-tested against
-    (``tests/test_select_kernel.py``, ``tests/test_select_columns.py``)
-    and as an escape hatch (``SILKMOTH_SELECT_KERNEL=reference``); its
-    per-candidate infos are columnarised on the way out.
-
-Both kernels record, per (reference element, candidate set), the
-maximum of the same ``phi_alpha`` values -- the packed token probe
-computes each distinct content's value once where the reference loop
-computes it per occurrence -- in the same (reference-element, then
-empty-element) phase order, so the columns -- including ``best``-map
-insertion order, which downstream float summation observes, and the
-gains summed in that order -- are bit-identical.  The choice affects
-speed only, never results.
+The original per-posting loop, :func:`_gather_reference`, is kept
+verbatim as the executable oracle the kernel is property-tested
+against (``tests/test_select_kernel.py``, ``tests/test_select_columns.py``).
+Both record, per (reference element, candidate set), the maximum of
+the same ``phi_alpha`` values -- the token probe computes each
+distinct content's value once where the oracle computes it per
+occurrence -- in the same (reference-element, then empty-element)
+phase order, so the columns -- including ``best``-map insertion order,
+which downstream float summation observes, and the gains summed in
+that order -- are bit-identical.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
@@ -105,48 +96,7 @@ from repro.sim.functions import SimilarityFunction
 from repro.sim.memo import SimilarityMemo
 from repro.signatures.base import Signature
 
-#: Environment variable selecting the candidate-selection kernel at
-#: import time (``packed`` is the columnar default, ``reference`` the
-#: original per-posting loop).
-SELECT_KERNEL_ENV_VAR = "SILKMOTH_SELECT_KERNEL"
-
-#: Kernel names accepted by :func:`use_select_kernel` / the environment
-#: variable.
-KNOWN_SELECT_KERNELS = ("packed", "reference")
-
-_select_kernel = "packed"
-
 _TEXT = attrgetter("text")
-
-
-def use_select_kernel(name: str) -> str:
-    """Select the candidate-selection kernel; returns the previous one.
-
-    Exists for the benchmark harness (which measures ``packed`` against
-    ``reference``) and for the property tests that pin their identity;
-    results are identical either way.
-    """
-    global _select_kernel
-    if name not in KNOWN_SELECT_KERNELS:
-        raise ValueError(
-            f"unknown select kernel {name!r}; "
-            f"known: {', '.join(KNOWN_SELECT_KERNELS)}"
-        )
-    previous = _select_kernel
-    _select_kernel = name
-    return previous
-
-
-def active_select_kernel() -> str:
-    """The currently selected candidate-selection kernel name."""
-    return _select_kernel
-
-
-def _init_select_kernel_from_env() -> None:
-    """Adopt ``SILKMOTH_SELECT_KERNEL`` at import (unset keeps packed)."""
-    name = os.environ.get(SELECT_KERNEL_ENV_VAR)
-    if name:
-        use_select_kernel(name)
 
 
 @dataclass
@@ -207,11 +157,10 @@ def select_columns(
         Cross-stage similarity memo for the edit kinds (``None``
         computes every pair).
     pass_stats:
-        Optional per-pass stats the packed kernel reports its
-        select-funnel counters on (postings scanned, distinct pairs,
-        size-gate drops: per posting key for the edit kinds, per
-        distinct content and per set for the token kinds); the
-        reference kernel leaves them untouched.
+        Optional per-pass stats the probe reports its select-funnel
+        counters on (postings scanned, distinct pairs, size-gate
+        drops: per posting key for the edit kinds, per distinct
+        content and per set for the token kinds).
     first_set:
         Candidate floor: only sets with id >= *first_set* are probed
         (symmetric self-discovery; 0 probes the whole index).  The
@@ -228,29 +177,7 @@ def select_columns(
     """
     if backend is None:
         backend = get_backend()
-    kernel = _select_kernel
-    with span("select.kernel", kernel=kernel) as sp:
-        if kernel == "reference":
-            candidates = _gather_reference(
-                reference,
-                signature,
-                index,
-                phi,
-                collection,
-                size_range,
-                skip_set,
-                backend,
-                memo,
-                first_set,
-            )
-            bounds = signature.element_bounds
-            infos = [candidates[set_id] for set_id in sorted(candidates)]
-            return (
-                [info.set_id for info in infos],
-                [len(collection[info.set_id]) for info in infos],
-                [info.gain(bounds) for info in infos],
-                [info.best for info in infos],
-            )
+    with span("select.kernel") as sp:
         return _gather_packed(
             reference,
             signature,
@@ -633,7 +560,7 @@ def _gather_reference(
 
     Walks :class:`~repro.index.inverted.Posting` tuples with per-pair
     set/dict bookkeeping exactly as the pre-columnar implementation
-    did; ``tests/test_select_kernel.py`` pins the packed kernel to its
+    did; ``tests/test_select_kernel.py`` pins the columnar probe to its
     output bit-for-bit.  The *first_set* floor is one more per-posting
     test here, beside the self-skip it generalises.
     """
@@ -740,5 +667,3 @@ def _gather_reference(
 
     return candidates
 
-
-_init_select_kernel_from_env()

@@ -10,7 +10,7 @@ pair the plan report can show verbatim.
 The heuristics are deliberately coarse: they pick between options that
 are all exact, so a wrong guess costs only speed.  The scheme
 thresholds mirror what the benchmark suite measures
-(``benchmarks/test_fig5_*``, ``benchmarks/test_planner_overhead.py``).
+(``benchmarks/test_fig5_*``; ``planner.plan_s`` in ``benchmarks/e2e``).
 """
 
 from __future__ import annotations

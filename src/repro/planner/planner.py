@@ -122,8 +122,8 @@ def plan_query(
 
     Pure with respect to the data: the same (config, index statistics)
     always yields the same decision, and no signature is generated --
-    planning one query costs microseconds (see
-    ``benchmarks/test_planner_overhead.py``).
+    planning one query costs microseconds (``planner.plan_s`` in
+    ``benchmarks/e2e``).
 
     *scheme_override* plans for a scheme other than ``config.scheme``
     (source ``"caller"``) -- used when a caller hands

@@ -9,15 +9,15 @@ functions the paper supports:
 * :func:`eds` -- edit similarity ``1 - 2*LD / (|x| + |y| + LD)``,
 * :func:`neds` -- normalised edit similarity ``1 - LD / max(|x|, |y|)``,
 
-plus :func:`levenshtein` (the underlying edit distance, dispatching to
-the bit-parallel Myers kernel with the classic DP kept as reference --
+plus :func:`levenshtein` (the underlying edit distance, run by the
+bit-parallel Myers kernel with the classic DP kept as reference --
 see :mod:`repro.sim.levenshtein` and :mod:`repro.sim.myers`),
 :class:`SimilarityFunction`, the ``alpha``-thresholded wrapper used
 throughout the engine, and :class:`SimilarityMemo`, the cross-stage
 element-pair similarity cache (:mod:`repro.sim.memo`).
 """
 
-from repro.sim.levenshtein import levenshtein, levenshtein_within, use_kernel
+from repro.sim.levenshtein import levenshtein, levenshtein_within
 from repro.sim.memo import SimilarityMemo, resolve_sim_cache_size
 from repro.sim.myers import myers_distance, myers_within
 from repro.sim.functions import (
@@ -40,5 +40,4 @@ __all__ = [
     "myers_within",
     "neds",
     "resolve_sim_cache_size",
-    "use_kernel",
 ]

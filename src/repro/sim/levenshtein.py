@@ -1,4 +1,4 @@
-"""Levenshtein (edit) distance: fast-path trimming + pluggable kernels.
+"""Levenshtein (edit) distance: fast-path trimming + the Myers kernel.
 
 Two entry points are provided:
 
@@ -11,68 +11,20 @@ Two entry points are provided:
 
 Both apply the cheap fast paths first -- equality, common prefix/suffix
 trimming, the empty-remainder shortcut, and (for the bounded variant)
-the length-difference short-circuit -- and then dispatch to an edit
-*kernel*:
+the length-difference short-circuit -- and then run the bit-parallel
+kernel of :mod:`repro.sim.myers`: ``O(ceil(n/w) * m)`` word operations
+instead of ``O(n * m)`` cell updates, measured 2-30x faster than the
+DP on SilkMoth workloads.
 
-``myers`` (the default)
-    The bit-parallel kernel of :mod:`repro.sim.myers`:
-    ``O(ceil(n/w) * m)`` word operations instead of ``O(n * m)`` cell
-    updates.  Measured 2-30x faster than the DP on SilkMoth workloads.
-``dp``
-    The classic dynamic programs kept in this module
-    (:func:`levenshtein_dp` / :func:`levenshtein_within_dp`) -- the
-    executable reference the bit-parallel kernel is property-tested
-    against, and the baseline the perf-trajectory harness
-    (:mod:`repro.bench.trajectory`) measures speedups from.  Selecting
-    ``dp`` bypasses the new trimming fast paths too: it reproduces the
-    pre-overhaul hot path exactly, so measured speedups are not
-    understated.
-
-Select a kernel process-wide with the ``SILKMOTH_EDIT_KERNEL``
-environment variable (``auto``/``myers``/``dp``) or per-call-site with
-:func:`use_kernel`; the choice affects speed only, never results.
+The classic dynamic programs (:func:`levenshtein_dp` /
+:func:`levenshtein_within_dp`) stay in this module as the executable
+reference the bit-parallel kernel and the entry points are
+property-tested against (``tests/test_myers.py``).
 """
 
 from __future__ import annotations
 
-import os
-
 from repro.sim.myers import myers_distance, myers_within
-
-#: Environment variable selecting the edit-distance kernel at import
-#: time (``auto`` and ``myers`` both mean bit-parallel; ``dp`` forces
-#: the classic dynamic programs).
-EDIT_KERNEL_ENV_VAR = "SILKMOTH_EDIT_KERNEL"
-
-#: Kernel names accepted by :func:`use_kernel` / the environment variable.
-KNOWN_KERNELS = ("auto", "myers", "dp")
-
-_kernel = "auto"
-
-
-def use_kernel(name: str) -> str:
-    """Select the edit-distance kernel; returns the previous selection.
-
-    ``auto`` and ``myers`` run the bit-parallel kernel, ``dp`` the
-    classic dynamic programs.  Exists for the benchmark harness (which
-    measures one against the other) and for tests; results are
-    identical either way.
-    """
-    global _kernel
-    if name not in KNOWN_KERNELS:
-        raise ValueError(
-            f"unknown edit kernel {name!r}; known: {', '.join(KNOWN_KERNELS)}"
-        )
-    previous = _kernel
-    _kernel = name
-    return previous
-
-
-def _init_kernel_from_env() -> None:
-    """Adopt ``SILKMOTH_EDIT_KERNEL`` at import time (unset keeps auto)."""
-    name = os.environ.get(EDIT_KERNEL_ENV_VAR)
-    if name:
-        use_kernel(name)
 
 
 def _trim_affixes(x: str, y: str) -> tuple:
@@ -97,14 +49,9 @@ def levenshtein(x: str, y: str) -> int:
     """Return the minimum number of single-character edits turning *x* into *y*.
 
     Edits are insertion, deletion and substitution, each with unit
-    cost.  Applies the fast paths, then runs the selected kernel on
-    the trimmed remainders.
+    cost.  Applies the fast paths, then runs the Myers kernel on the
+    trimmed remainders.
     """
-    # The dp kernel IS the pre-overhaul implementation, fast paths
-    # included -- dispatching before the new trimming keeps the perf
-    # harness's baseline honest.
-    if _kernel == "dp":
-        return levenshtein_dp(x, y)
     if x == y:
         return 0
     x, y = _trim_affixes(x, y)
@@ -119,10 +66,8 @@ def levenshtein_within(x: str, y: str, bound: int) -> int:
     The fast paths run first: equality, the length-difference
     short-circuit (``| |x| - |y| | > bound`` already certifies the
     overflow), and common prefix/suffix trimming; only then does the
-    selected bounded kernel see the remainders.
+    bounded Myers kernel see the remainders.
     """
-    if _kernel == "dp":
-        return levenshtein_within_dp(x, y, bound)
     if bound < 0:
         return 0 if x == y else bound + 1
     if x == y:
@@ -213,6 +158,3 @@ def levenshtein_within_dp(x: str, y: str, bound: int) -> int:
             return big
         previous = current
     return previous[len_y] if previous[len_y] <= bound else big
-
-
-_init_kernel_from_env()

@@ -80,8 +80,8 @@ class Workload:
         """The planner's decision for this workload's data + config.
 
         Builds the collection and index (the expensive part -- the
-        planning itself is microseconds, see
-        ``benchmarks/test_planner_overhead.py``) and returns the
+        planning itself is microseconds, ``planner.plan_s`` in
+        ``benchmarks/e2e``) and returns the
         :class:`~repro.planner.PlannerDecision` an engine over this
         workload would run with.
         """

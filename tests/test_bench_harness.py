@@ -2,7 +2,6 @@
 
 import importlib
 import inspect
-import json
 import sys
 from pathlib import Path
 
@@ -11,13 +10,6 @@ import pytest
 from repro.backends import ComputeBackend, available_backends, get_backend
 from repro.bench.harness import run_discovery, run_search, run_workload
 from repro.bench.reporting import format_series
-from repro.bench.trajectory import (
-    KNOWN_WORKLOADS,
-    SCHEMA,
-    format_trajectory,
-    run_trajectory,
-    write_trajectory,
-)
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
@@ -58,60 +50,6 @@ class TestHarness:
         workload = inclusion_dependency(n_sets=40, n_references=5)
         result = run_workload(workload)
         assert result.stats.passes == 5
-
-
-class TestTrajectory:
-    def test_tiny_run_produces_well_formed_payload(self):
-        payload = run_trajectory(scale=0.05)
-        assert payload["schema"] == SCHEMA
-        edit = payload["workloads"]["edit_verify"]
-        assert edit["baseline"]["seconds"] > 0
-        assert edit["optimized"]["seconds"] > 0
-        # Identical results across modes: the kernels change speed only.
-        assert edit["baseline"]["matches"] == edit["optimized"]["matches"]
-        assert edit["baseline"]["verified"] == edit["optimized"]["verified"]
-        # The memo only runs in optimized mode, and it must be visible.
-        assert edit["baseline"]["sim_cache_misses"] == 0
-        assert edit["optimized"]["sim_cache_hits"] > 0
-        token = payload["workloads"]["token_discover"]
-        assert token["baseline"]["matches"] == token["optimized"]["matches"]
-        assert set(payload["workloads"]) == set(KNOWN_WORKLOADS)
-        assert "calibration" not in payload
-
-    def test_tiny_run_includes_sharded_discovery_entry(self):
-        payload = run_trajectory(scale=0.05)
-        entry = payload["workloads"]["cluster_discover"]
-        # Exactness pin: the cluster found the same related pairs.
-        assert entry["optimized"]["matches"] == entry["baseline"]["matches"]
-        assert entry["optimized"]["verified"] == entry["baseline"]["verified"]
-        # One wall-clock point per measured worker count, each with its
-        # busiest-shard critical path.
-        assert entry["workers"]
-        for point in entry["workers"].values():
-            assert point["seconds"] > 0
-            assert point["max_shard_seconds"] >= 0
-        assert entry["optimized"]["workers"] == max(
-            int(count) for count in entry["workers"]
-        )
-        assert payload["cpus"] >= 1
-        assert "workers:" in format_trajectory(payload)
-
-    def test_payload_stamps_provenance(self):
-        payload = run_trajectory(scale=0.05)
-        # The machine/code stamps sit next to cpus so two committed
-        # trajectory points are attributable; both degrade to
-        # "unknown" rather than failing off-git or off-network.
-        assert isinstance(payload["git_sha"], str) and payload["git_sha"]
-        assert isinstance(payload["hostname"], str) and payload["hostname"]
-
-    def test_write_trajectory_round_trips(self, tmp_path):
-        path = tmp_path / "BENCH_test.json"
-        payload = write_trajectory(path, scale=0.05)
-        on_disk = json.loads(path.read_text())
-        assert on_disk["schema"] == payload["schema"]
-        assert "edit_verify" in on_disk["workloads"]
-        assert "cluster_discover" in on_disk["workloads"]
-        assert "edit_verify" in format_trajectory(on_disk)
 
 
 class TestReporting:

@@ -114,6 +114,18 @@ def test_slow_pass_captures_plan_provenance():
     assert set(entry["sim_cache"]) == {"hits", "misses"}
 
 
+def test_capture_everything_leaves_results_bit_identical():
+    """Logging every pass changes no id, score or relatedness value."""
+    references = [elements for elements in DATA if any(elements)]
+    set_slowlog_ms(-1.0)  # capture disabled entirely
+    uncaptured = _service().search_many(references)
+    set_slowlog_ms(0.0)  # capture every single pass
+    captured = _service().search_many(references)
+    assert len(get_slowlog()) > 0, "capture-everything mode logged nothing"
+    assert any(uncaptured), "fixture produced no matches"
+    assert captured == uncaptured
+
+
 def test_threshold_gates_capture():
     """Huge thresholds capture nothing; negative disables entirely."""
     set_slowlog_ms(1e9)

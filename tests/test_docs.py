@@ -9,18 +9,23 @@ tier-1 enforces:
   (``tools/check_links.py``);
 * ``docs/parameters.md`` documents every ``SilkMothConfig`` field and
   every signature scheme, so adding a knob without documenting it
-  fails here.
+  fails here;
+* the ``SILKMOTH_*`` variables ``docs/parameters.md`` documents are
+  exactly the ones ``src/`` reads, so neither side can drift.
 """
 
 from __future__ import annotations
 
+import ast
 import dataclasses
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 DOCS = REPO_ROOT / "docs"
+ENV_NAME = re.compile(r"SILKMOTH_[A-Z0-9_]+")
 
 
 def _run_tool(name: str) -> subprocess.CompletedProcess:
@@ -75,6 +80,54 @@ def test_parameters_doc_covers_every_scheme():
         assert f"`{scheme}`" in text, (
             f"scheme {scheme!r} is undocumented in docs/parameters.md"
         )
+
+
+def _env_vars_read_by_src(src: Path = REPO_ROOT / "src") -> set:
+    """Every ``SILKMOTH_*`` name a string constant under *src* spells out whole.
+
+    Each variable is read through a constant holding exactly its name
+    (``WAL_DIR_ENV_VAR = "SILKMOTH_WAL_DIR"``); mentions inside
+    docstrings, comments and help texts do not count.
+    """
+    names = set()
+    for path in src.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and ENV_NAME.fullmatch(node.value)
+            ):
+                names.add(node.value)
+    return names
+
+
+def test_env_scan_counts_reads_not_mentions(tmp_path):
+    """The drift check's scanner: a constant counts, prose does not."""
+    (tmp_path / "knob.py").write_text(
+        '"""Tuned by ``SILKMOTH_DOC_ONLY``."""\n'
+        "# SILKMOTH_COMMENT_ONLY\n"
+        'KNOB_ENV = "SILKMOTH_KNOB"\n'
+        'HELP = "default: SILKMOTH_KNOB, then 3"\n',
+        encoding="utf-8",
+    )
+    assert _env_vars_read_by_src(tmp_path) == {"SILKMOTH_KNOB"}
+    read = _env_vars_read_by_src()
+    assert "SILKMOTH_WAL_DIR" in read
+    assert "SILKMOTH_CHAOS_LOG" not in read  # a docstring mention only
+
+
+def test_parameters_doc_names_exactly_the_env_vars_src_reads():
+    """No documented variable nothing reads, no read variable undocumented."""
+    documented = set(ENV_NAME.findall((DOCS / "parameters.md").read_text()))
+    read = _env_vars_read_by_src()
+    assert not documented - read, (
+        f"docs/parameters.md documents variables src/ never reads: "
+        f"{sorted(documented - read)}"
+    )
+    assert not read - documented, (
+        f"src/ reads variables docs/parameters.md does not name: "
+        f"{sorted(read - documented)}"
+    )
 
 
 def test_parameters_doc_states_the_q_constraint():

@@ -13,12 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.levenshtein import (
-    KNOWN_KERNELS,
     levenshtein,
     levenshtein_dp,
     levenshtein_within,
     levenshtein_within_dp,
-    use_kernel,
 )
 from repro.sim.myers import myers_distance, myers_within
 
@@ -80,22 +78,12 @@ class TestDispatcher:
     @given(_texts, _texts)
     @settings(max_examples=150, deadline=None)
     def test_kernels_agree_through_the_entry_point(self, x, y):
-        previous = use_kernel("dp")
-        try:
-            via_dp = levenshtein(x, y)
-        finally:
-            use_kernel(previous)
-        assert levenshtein(x, y) == via_dp
+        assert levenshtein(x, y) == levenshtein_dp(x, y)
 
     @given(_texts, _texts, _bounds)
     @settings(max_examples=150, deadline=None)
     def test_bounded_kernels_agree_through_the_entry_point(self, x, y, bound):
-        previous = use_kernel("dp")
-        try:
-            via_dp = levenshtein_within(x, y, bound)
-        finally:
-            use_kernel(previous)
-        assert levenshtein_within(x, y, bound) == via_dp
+        assert levenshtein_within(x, y, bound) == levenshtein_within_dp(x, y, bound)
 
     def test_trimming_fast_path_is_distance_neutral(self):
         assert levenshtein("prefix-A-suffix", "prefix-B-suffix") == 1
@@ -104,7 +92,25 @@ class TestDispatcher:
     def test_length_difference_short_circuit(self):
         assert levenshtein_within("a", "abcdefg", 3) == 4
 
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown edit kernel"):
-            use_kernel("gpu")
-        assert "dp" in KNOWN_KERNELS
+
+class TestReference:
+    """The dynamic programs are the oracle, so pin them to known answers."""
+
+    @pytest.mark.parametrize(
+        "x, y, distance",
+        [
+            ("kitten", "sitting", 3),
+            ("flaw", "lawn", 2),
+            ("", "abc", 3),
+            ("é☃𝄞", "☃é𝄞", 2),
+            ("intention", "execution", 5),
+        ],
+    )
+    def test_known_distances(self, x, y, distance):
+        for a, b in ((x, y), (y, x)):
+            assert levenshtein_dp(a, b) == distance
+            assert levenshtein(a, b) == distance
+            # At the distance the bound holds; one below it overflows.
+            assert levenshtein_within_dp(a, b, distance) == distance
+            assert levenshtein_within_dp(a, b, distance - 1) == distance
+            assert levenshtein_within(a, b, distance - 1) == distance

@@ -2,7 +2,8 @@
 
 Covers the zero-cost disabled path, span nesting and attribute
 capture, cross-process context propagation via ``collect_remote`` /
-``ingest``, the JSONL export round-trip and the flame renderer.
+``ingest``, the JSONL export round-trip, the flame renderer, and that
+tracing a search leaves its results bit-identical.
 """
 
 from __future__ import annotations
@@ -11,6 +12,9 @@ import json
 
 import pytest
 
+from repro.core.config import SilkMothConfig
+from repro.core.engine import SilkMoth
+from repro.core.records import SetCollection
 from repro.obs.trace import (
     _NOOP_CTX,
     collect_remote,
@@ -25,6 +29,18 @@ from repro.obs.trace import (
     span,
     trace_enabled,
 )
+from repro.sim.functions import SimilarityKind
+
+#: Clusters of perturbed copies of the same strings: most candidates
+#: survive the filters, so every stage (check, NN, verify) runs.
+EDIT_SETS = [
+    ["silkmoth related sets", "maximum matching", "edit similarity"],
+    ["silkmoth related set", "maximum matchings", "edit similarity"],
+    ["silk moth related sets", "maximum matching", "edit similarty"],
+    ["inverted index probe", "signature tokens", "check filter"],
+    ["inverted index probes", "signature token", "check filters"],
+    ["inverted indx probe", "signature tokens", "nn filter"],
+]
 
 
 @pytest.fixture(autouse=True)
@@ -173,3 +189,28 @@ class TestExport:
         assert "shards=2" in query_line
         indent = len(collect_line) - len(collect_line.lstrip())
         assert indent > len(query_line) - len(query_line.lstrip())
+
+
+class TestExactness:
+    def test_tracing_leaves_search_results_bit_identical(self):
+        config = SilkMothConfig(similarity=SimilarityKind.EDS, delta=0.5, alpha=0.6)
+
+        def search_all():
+            collection = SetCollection.from_strings(
+                EDIT_SETS, kind=config.similarity, q=config.effective_q
+            )
+            engine = SilkMoth(collection, config)
+            return [
+                (record.set_id, r.set_id, r.score, r.relatedness)
+                for record in collection.iter_live()
+                for r in engine.search(record, skip_set=record.set_id)
+            ]
+
+        set_trace_enabled(False)
+        untraced = search_all()
+        set_trace_enabled(True)
+        traced = search_all()
+        assert get_tracer().drain(), "tracing on recorded no spans"
+        assert untraced, "fixture produced no matches"
+        # ids, scores and relatedness values compare equal, no tolerance
+        assert traced == untraced

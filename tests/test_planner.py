@@ -41,6 +41,7 @@ from repro.planner import (
 )
 from repro.service import SilkMothService
 from repro.sim.functions import SimilarityKind
+from repro.workloads.applications import schema_matching, string_matching
 from strategies.kernels import KERNEL_MODES, kernel_mode
 
 
@@ -246,6 +247,26 @@ class TestRegression:
             r.set_id for r in expected
         )
 
+    def test_fallback_returns_what_valid_signatures_return(self):
+        """alpha=0.5, q=2: unweighted falls back, dichotomy signs; same pairs."""
+        workload = string_matching(n_sets=30, alpha=0.5).with_config(
+            delta=0.5, q=2
+        )
+        collection = SetCollection.from_strings(
+            list(workload.sets), kind=SimilarityKind.EDS, q=2
+        )
+        found = {}
+        for scheme in ("unweighted", "dichotomy"):
+            engine = SilkMoth(
+                collection, dataclasses.replace(workload.config, scheme=scheme)
+            )
+            assert engine.decision.full_scan == (scheme == "unweighted")
+            found[scheme] = [
+                (r.reference_id, r.set_id, r.score) for r in engine.discover()
+            ]
+        assert found["unweighted"], "fixture produced no related pairs"
+        assert found["unweighted"] == found["dichotomy"]
+
     def test_caller_supplied_scheme_is_gated_by_its_own_name(self):
         """QueryPlan.build judges the scheme that will actually run.
 
@@ -393,6 +414,16 @@ class TestPlannerDecision:
         assert decision.profile.live_sets == 42
         assert decision.scheme == "dichotomy"
         assert engine.scheme.name == "dichotomy"
+
+    def test_workload_decisions_are_signature_based(self):
+        """Table 3 default workloads never need the fallback."""
+        for workload in (
+            string_matching(n_sets=40),
+            schema_matching(n_sets=40),
+        ):
+            decision = workload.planner_decision()
+            assert decision.signature_valid, workload.name
+            assert not decision.full_scan, workload.name
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """The packed select kernel against the reference oracle, bit for bit.
 
-The columnar candidate-selection kernel (:mod:`repro.filters.check`,
-``packed``) must be observationally identical to the original
-per-posting loop (``reference``) on *any* input: same candidate set
+The columnar candidate-selection kernel (:mod:`repro.filters.check`)
+must be observationally identical to the original per-posting loop
+(``check._gather_reference``) on *any* input: same candidate set
 ids, same witnessed ``best`` maps -- including dict insertion order,
 which downstream float summation observes -- under tombstones, empty
 elements, self-match skips and every size-gate shape, with the numpy
@@ -25,16 +25,11 @@ from repro.backends.select import (
     merge_distinct_postings_python,
     merge_sorted_unique,
 )
+from repro.baselines.brute_force import brute_force_search
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
 from repro.filters import check
-from repro.filters.check import (
-    KNOWN_SELECT_KERNELS,
-    SELECT_KERNEL_ENV_VAR,
-    active_select_kernel,
-    select_and_check,
-    use_select_kernel,
-)
+from repro.filters.check import select_and_check
 from repro.index.inverted import PACK_SHIFT, InvertedIndex, pack_posting
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 from repro.sim.memo import SimilarityMemo
@@ -56,55 +51,30 @@ _SETTINGS = settings(
 )
 
 
-@pytest.fixture
-def packed_kernel():
-    previous = use_select_kernel("packed")
-    yield
-    use_select_kernel(previous)
-
-
-def _infos_under(kernel: str, *args, **kwargs):
-    previous = use_select_kernel(kernel)
-    try:
-        infos = select_and_check(*args, **kwargs)
-    finally:
-        use_select_kernel(previous)
+def _packed_infos(*args, **kwargs):
     # set id, best map AND its insertion order (float summation in
     # ``gain`` observes it).
+    return [
+        (info.set_id, list(info.best.items()))
+        for info in select_and_check(*args, **kwargs)
+    ]
+
+
+def _reference_infos(
+    reference, signature, index, phi, theta, collection, apply_check=True,
+    size_range=None, skip_set=None, backend=None, memo=None,
+):
+    """``select_and_check``'s rows, from the per-posting oracle."""
+    candidates = check._gather_reference(
+        reference, signature, index, phi, collection, size_range, skip_set,
+        backend or get_backend(), memo,
+    )
+    bounds = signature.element_bounds
+    residual = sum(bounds)
+    infos = [candidates[set_id] for set_id in sorted(candidates)]
+    if apply_check:
+        infos = [info for info in infos if residual + info.gain(bounds) >= theta]
     return [(info.set_id, list(info.best.items())) for info in infos]
-
-
-# ----------------------------------------------------------------------
-# Kernel switch plumbing
-# ----------------------------------------------------------------------
-class TestKernelSwitch:
-    def test_default_is_packed(self):
-        assert active_select_kernel() in KNOWN_SELECT_KERNELS
-
-    def test_switch_returns_previous(self):
-        previous = use_select_kernel("reference")
-        try:
-            assert active_select_kernel() == "reference"
-        finally:
-            use_select_kernel(previous)
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError, match="unknown select kernel"):
-            use_select_kernel("turbo")
-
-    def test_env_init(self, monkeypatch):
-        previous = active_select_kernel()
-        monkeypatch.setenv(SELECT_KERNEL_ENV_VAR, "reference")
-        try:
-            check._init_select_kernel_from_env()
-            assert active_select_kernel() == "reference"
-        finally:
-            use_select_kernel(previous)
-
-    def test_env_init_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv(SELECT_KERNEL_ENV_VAR, "bogus")
-        with pytest.raises(ValueError):
-            check._init_select_kernel_from_env()
 
 
 # ----------------------------------------------------------------------
@@ -306,8 +276,8 @@ class TestPackedMatchesReference:
         )
         args = (reference_record, signature, index, phi, 1.1, collection)
         with kernel_mode(kernels):
-            assert _infos_under("packed", *args, **kwargs) == _infos_under(
-                "reference", *args, **kwargs
+            assert _packed_infos(*args, **kwargs) == _reference_infos(
+                *args, **kwargs
             )
 
     @_SETTINGS
@@ -330,19 +300,14 @@ class TestPackedMatchesReference:
             reference_record, 1.1, phi, index
         )
         assume(signature is not None)
+        args = (reference_record, signature, index, phi, 1.1, collection)
         results = []
-        for kernel in ("packed", "reference"):
+        for infos in (_packed_infos, _reference_infos):
             memo = SimilarityMemo(capacity=64) if memoized else None
             with kernel_mode(kernels):
                 results.append(
-                    _infos_under(
-                        kernel,
-                        reference_record,
-                        signature,
-                        index,
-                        phi,
-                        1.1,
-                        collection,
+                    infos(
+                        *args,
                         apply_check=False,
                         size_range=window,
                         backend=get_backend(),
@@ -353,53 +318,46 @@ class TestPackedMatchesReference:
 
 
 # ----------------------------------------------------------------------
-# Whole-engine equality (kernel choice is invisible end to end)
+# Whole-engine equality (the packed probe is invisible end to end)
 # ----------------------------------------------------------------------
 class TestEngineEquality:
-    def _search_all(self, sets, config):
+    def _assert_search_is_exact(self, sets, config):
         collection = SetCollection.from_strings(
             sets, kind=config.similarity, q=config.effective_q
         )
         engine = SilkMoth(collection, config)
-        return [
-            [(r.set_id, r.score) for r in engine.search(record, skip_set=record.set_id)]
-            for record in collection.iter_live()
-        ]
+        for record in collection.iter_live():
+            got = engine.search(record, skip_set=record.set_id)
+            expected = brute_force_search(
+                record, collection, config, skip_set=record.set_id
+            )
+            assert sorted(r.set_id for r in got) == sorted(
+                r.set_id for r in expected
+            )
+            scores = {r.set_id: r.score for r in expected}
+            for result in got:
+                assert result.score == pytest.approx(scores[result.set_id], abs=1e-9)
 
     @pytest.mark.parametrize("kernels", KERNEL_MODES)
     @_SETTINGS
     @given(sets=collections(min_sets=1, max_sets=5), config=token_configs())
     def test_token_kinds(self, kernels, sets, config):
         with kernel_mode(kernels):
-            previous = use_select_kernel("packed")
-            try:
-                packed = self._search_all(sets, config)
-                use_select_kernel("reference")
-                reference = self._search_all(sets, config)
-            finally:
-                use_select_kernel(previous)
-            assert packed == reference
+            self._assert_search_is_exact(sets, config)
 
     @pytest.mark.parametrize("kernels", KERNEL_MODES)
     @_SETTINGS
     @given(sets=string_collections(min_sets=1, max_sets=4), config=edit_configs())
     def test_edit_kinds(self, kernels, sets, config):
         with kernel_mode(kernels):
-            previous = use_select_kernel("packed")
-            try:
-                packed = self._search_all(sets, config)
-                use_select_kernel("reference")
-                reference = self._search_all(sets, config)
-            finally:
-                use_select_kernel(previous)
-            assert packed == reference
+            self._assert_search_is_exact(sets, config)
 
 
 # ----------------------------------------------------------------------
 # Select-funnel accounting
 # ----------------------------------------------------------------------
 class TestFunnelCounters:
-    def test_packed_kernel_reports_funnel(self, packed_kernel):
+    def test_packed_kernel_reports_funnel(self):
         sets = [["a b", "b c"], ["a", "c d"], ["b c", "d"]]
         collection = SetCollection.from_strings(sets)
         engine = SilkMoth(collection, _default_config())
@@ -411,19 +369,6 @@ class TestFunnelCounters:
             engine.stats.select_postings_scanned
             == stats.select_postings_scanned
         )
-
-    def test_reference_kernel_leaves_funnel_untouched(self):
-        sets = [["a b", "b c"], ["a", "c d"], ["b c", "d"]]
-        collection = SetCollection.from_strings(sets)
-        engine = SilkMoth(collection, _default_config())
-        previous = use_select_kernel("reference")
-        try:
-            record = collection[0]
-            _, stats = engine.search_with_stats(record, skip_set=record.set_id)
-        finally:
-            use_select_kernel(previous)
-        assert stats.select_postings_scanned == 0
-        assert stats.select_distinct_pairs == 0
 
 
 def _default_config():

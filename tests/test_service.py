@@ -250,6 +250,17 @@ class TestBatchAPI:
         assert service.engine.stats.passes == passes + 1  # only the cold one
         assert sorted(r.set_id for r in batch[0]) == _brute_ids(service, reference)
 
+    def test_cached_batch_matches_the_cold_batch(self):
+        service, rng = self._seeded_service()
+        base = [_random_set(rng) for _ in range(6)]
+        references = base + base[:3]  # intra-batch duplicates
+        cold = service.search_many(references)
+        passes = service.engine.stats.passes
+        warm = service.search_many(references)
+        assert service.engine.stats.passes == passes  # all hits
+        assert service.stats.cache_hits > 0
+        assert warm == cold
+
     def test_parallel_matches_serial_after_mutations(self):
         service, rng = self._seeded_service()
         service.remove_set(2)

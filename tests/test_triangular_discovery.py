@@ -43,7 +43,7 @@ from repro.core.engine import SilkMoth
 from repro.core.parallel import parallel_discover
 from repro.core.partitioned import partitioned_discover
 from repro.core.records import SetCollection
-from repro.filters.check import select_columns, use_select_kernel
+from repro.filters.check import select_columns
 from repro.index.inverted import MAX_SET_ID, InvertedIndex
 from repro.pipeline.driver import (
     discovery_floor,
@@ -55,6 +55,7 @@ from repro.service import SilkMothService
 from repro.signatures import get_scheme
 from repro.sim.functions import SimilarityKind
 from strategies import SCHEMES, collections, string_collections
+from strategies.checks import assert_columns_match_the_oracle
 from strategies.kernels import KERNEL_MODES, kernel_mode
 
 _SETTINGS = settings(
@@ -286,7 +287,7 @@ def _empty_after_tokenisation_elements():
 
 
 # ----------------------------------------------------------------------
-# The reference select kernel honours the same floor
+# The reference select oracle honours the same floor
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("kernels", KERNEL_MODES)
 @_SETTINGS
@@ -314,40 +315,20 @@ def _reference_kernel_matches_packed_under_a_floor(sets, first_set, tombstone):
         return
     if tombstone:
         index.note_removed(collection.remove_set(len(sets) - 1))
-    columns = {}
-    for kernel in ("packed", "reference"):
-        previous = use_select_kernel(kernel)
-        try:
-            columns[kernel] = select_columns(
-                reference,
-                signature,
-                index,
-                phi,
-                collection,
-                backend=get_backend(),
-                first_set=first_set,
-            )
-        finally:
-            use_select_kernel(previous)
-    assert columns["packed"] == columns["reference"]
-    set_ids = columns["packed"][0]
+    assert_columns_match_the_oracle(
+        reference, signature, index, phi, collection, None, None,
+        get_backend(), (None, None), range(len(sets)), first_set,
+    )
+    packed = select_columns(
+        reference, signature, index, phi, collection,
+        backend=get_backend(), first_set=first_set,
+    )
+    set_ids = packed[0]
     assert all(set_id >= first_set for set_id in set_ids)
     unfloored = select_columns(
         reference, signature, index, phi, collection, backend=get_backend()
     )
     assert set_ids == [s for s in unfloored[0] if s >= first_set]
-
-
-def test_discover_under_the_reference_kernel():
-    previous = use_select_kernel("reference")
-    try:
-        engine = SilkMoth(_collection(WORD_SETS, WORD_CONFIG), WORD_CONFIG)
-        rows = _assert_exact(engine)
-    finally:
-        use_select_kernel(previous)
-    assert rows == _rows(
-        SilkMoth(_collection(WORD_SETS, WORD_CONFIG), WORD_CONFIG).discover()
-    )
 
 
 # ----------------------------------------------------------------------

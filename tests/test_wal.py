@@ -302,20 +302,57 @@ class TestServiceIntegration:
         )
 
     def test_wal_on_equals_wal_off(self, tmp_path):
-        """Acceptance: zero-crash WAL service == WAL-less service."""
+        """Acceptance: zero-crash WAL service == WAL-less service.
+
+        With or without fsync: the log buys durability, never different
+        answers.
+        """
         with_wal = _service(tmp_path)
+        with_fsync = SilkMothService(
+            CONFIG, wal_dir=tmp_path / "wal-fsync", wal_fsync=True
+        )
         without = SilkMothService(CONFIG)
-        for service in (with_wal, without):
+        for service in (with_wal, with_fsync, without):
             service.add_set(["ash bay", "elm"])
             service.add_set(["ash common"])
             service.update_set(0, ["fir oak"])
             service.remove_set(1)
         assert (
-            with_wal.state_fingerprint() == without.state_fingerprint()
+            with_wal.state_fingerprint()
+            == with_fsync.state_fingerprint()
+            == without.state_fingerprint()
         )
         reference = ["fir oak", "ash common"]
-        assert with_wal.search(reference) == without.search(reference)
+        assert (
+            with_wal.search(reference)
+            == with_fsync.search(reference)
+            == without.search(reference)
+        )
         with_wal.close()
+        with_fsync.close()
+
+    def test_full_replay_equals_a_snapshot_load(self, tmp_path):
+        """No checkpoint at all: replaying the whole log lands on the
+        state a snapshot of the same history loads."""
+        logged = _service(tmp_path, compact_dead_fraction=1.0)
+        oracle = SilkMothService(CONFIG, compact_dead_fraction=1.0)
+        for service in (logged, oracle):
+            for i in range(8):
+                service.add_set([f"word{i} common", f"tail{i % 3}"])
+            service.update_set(2, ["fir oak", "tail0"])
+            service.remove_set(5)
+        expected = logged.state_fingerprint()
+        logged.close()
+        oracle.save(tmp_path / "oracle.json")
+        recovered = _recover(tmp_path, checkpoint=False)
+        loaded = SilkMothService.load(tmp_path / "oracle.json", CONFIG)
+        try:
+            assert recovered.wal_recovery.replayed > 0
+            assert recovered.state_fingerprint() == expected
+            assert loaded.state_fingerprint() == expected
+        finally:
+            recovered.close()
+            loaded.close()
 
     def test_invalid_mutations_not_logged(self, tmp_path):
         service = _service(tmp_path)

@@ -1,310 +1,158 @@
 #!/usr/bin/env python3
-"""Gate CI on the committed performance trajectory.
+"""Gate a fresh end-to-end benchmark document against the committed one.
 
-``tools/bench_trajectory.py`` writes ``silkmoth-perf-trajectory/1``
-payloads; the repository commits one per perf-relevant PR
-(``BENCH_pr4.json``, ``BENCH_pr5.json``, ...).  This tool diffs a
-*fresh* smoke payload against those baselines and fails when the fresh
-run regressed, so a PR that quietly loses an optimisation breaks CI
-instead of the trajectory.
+``python3 benchmarks/e2e/run.py --output FILE`` writes the document: an
+``environment`` (``python``, ``nproc``, ...) and one run per workload and
+trace mode, with its ``seed``, contract ``result`` and, untraced, the
+``calibrated`` timing quartiles.  A change that claims a gain or changes
+a count metric commits its document as ``BENCH_pr<N>.json``; the one with
+the highest N is the default committed point.  Exit 1 when FRESH
 
-CI's smoke run uses a small ``--scale``, so absolute seconds are not
-comparable against the committed full-scale numbers.  The gate
-therefore checks *scale-robust* indicators, each with an explicit
-tolerance:
+* has a run that is not ``correct`` or has ``failed > 0``;
+* lacks a ``BENCHMARK.json`` workload in either trace mode;
+* at the committed seed, differs in a per-layer metric whose
+  ``BENCHMARK.json`` unit is ``count`` or ``B`` (these repeat exactly);
+* with the committed ``nproc`` and Python minor, has a ``wall_s`` or
+  ``setup_s`` median worse than its bound *and* an interquartile range
+  disjoint from the committed one, or a ``peak_rss_mb`` beyond its bound.
 
-* **exactness** (hard fail, no tolerance): within the fresh payload,
-  every workload's optimized ``matches``/``verified`` must equal its
-  own baseline pass -- an optimisation that changes results is a
-  correctness bug, not a perf regression;
-* **optimisation machinery** (hard fail): workloads whose committed
-  baseline exercised the packed-selection funnel
-  (``select_postings_scanned > 0``) must still exercise it -- a zero
-  means the kernel silently stopped running;
-* **speedup retention** (tolerance ``--tolerance``, default 0.5): the
-  fresh ``speedup`` must stay above
-  ``max(committed * (1 - tolerance), --min-speedup)`` (min-speedup
-  defaults to 0.8 so marginal ~1.05x wins don't flake under smoke
-  noise).  Workloads whose committed speedup is already below 1.0
-  (e.g. sharding overhead studies) skip this check: there is no win
-  to protect.
+Timings from any other box are printed as unresolved.  Usage::
 
-For each workload the newest committed baseline mentioning it wins
-(files sort by name; later PRs supersede earlier ones).  A JSON diff
-report (``--report``) records every comparison for the CI artifact.
-
-Usage::
-
-    python tools/bench_trajectory.py --scale 0.05 --output BENCH_smoke.json
-    python tools/check_bench_regression.py BENCH_smoke.json \
-        --report bench_regression_report.json
+    python3 benchmarks/e2e/run.py --seconds 0 --output bench_fresh.json
+    python tools/check_bench_regression.py bench_fresh.json [COMMITTED]
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
-#: Payload schema this gate understands.
-SCHEMA = "silkmoth-perf-trajectory/1"
-
-#: Default fraction of the committed speedup the fresh run may lose
-#: before failing (small-scale smoke runs are noisy).
-DEFAULT_TOLERANCE = 0.5
-
-#: Default floor the fresh speedup must clear for workloads whose
-#: committed baseline shows a real (>= 1.0) win.  Below 1.0 on purpose:
-#: marginal wins (committed ~1.05x) wobble under smoke-scale noise and
-#: must not flake CI, while a true regression drops far below 0.8.
-DEFAULT_MIN_SPEEDUP = 0.8
+ROOT = Path(__file__).resolve().parent.parent
+COMMITTED = re.compile(r"BENCH_pr(\d+)\.json")
+#: Per-layer units whose values are exact, so any difference is a change.
+EXACT_UNITS = ("count", "B")
 
 
-def load_payload(path: Path) -> dict:
-    """Read one trajectory payload, validating its schema tag."""
-    with open(path, encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("schema") != SCHEMA:
-        raise ValueError(
-            f"{path}: not a {SCHEMA} payload "
-            f"(schema={payload.get('schema')!r})"
+def latest_committed(root: Path) -> Path | None:
+    """The ``BENCH_pr<N>.json`` under *root* with the highest numeric N."""
+    numbered = [
+        (int(match.group(1)), path)
+        for path in root.glob("BENCH_pr*.json")
+        if (match := COMMITTED.fullmatch(path.name))
+    ]
+    return max(numbered)[1] if numbered else None
+
+
+def _box(document: dict) -> tuple:
+    environment = document["environment"]
+    return environment["nproc"], environment["python"].rsplit(".", 1)[0]
+
+
+def _counts(label: str, run: dict, old: dict, exact: list) -> list:
+    def value(document, name):
+        return document["result"]["metrics"].get(name, {}).get("value")
+
+    return [
+        f"{label}: {name} = {value(run, name)}, committed {value(old, name)}"
+        for name in exact
+        if value(run, name) != value(old, name)
+    ]
+
+
+def _timings(label: str, run: dict, old: dict, bounds: dict) -> list:
+    worse = []
+    for name in ("wall_s", "setup_s"):
+        new, was = run["calibrated"][name], old["calibrated"][name]
+        if new["median"] > was["median"] * (1 + bounds[name]) and new["q1"] > was["q3"]:
+            worse.append(
+                f"{label}: {name} median {new['median']:.4g} > committed "
+                f"{was['median']:.4g} by more than {bounds[name]:.0%}, "
+                f"q1 {new['q1']:.4g} > committed q3 {was['q3']:.4g}"
+            )
+    new = run["result"]["metrics"]["peak_rss_mb"]["value"]
+    was = old["result"]["metrics"]["peak_rss_mb"]["value"]
+    if new > was * (1 + bounds["peak_rss_mb"]):
+        worse.append(
+            f"{label}: peak_rss_mb {new:.1f} > committed {was:.1f} "
+            f"by more than {bounds['peak_rss_mb']:.0%}"
         )
-    return payload
+    return worse
 
 
-def collect_baselines(paths: list) -> dict:
-    """Map workload name -> (baseline file name, workload entry).
-
-    Later files (sorted by name) supersede earlier ones per workload,
-    so the gate always compares against the newest committed claim.
-    """
-    chosen: dict = {}
-    for path in sorted(paths, key=lambda p: p.name):
-        payload = load_payload(path)
-        for name, entry in payload.get("workloads", {}).items():
-            chosen[name] = (path.name, entry)
-    return chosen
-
-
-def check_workload(name: str, fresh: dict, baseline_entry, tolerance: float,
-                   min_speedup: float) -> list:
-    """Compare one fresh workload against its committed baseline.
-
-    Returns a list of check records (dicts with ``check``, ``ok`` and
-    the values compared); the caller folds them into the report and the
-    exit code.
-    """
-    checks = []
-    fresh_base = fresh.get("baseline", {})
-    fresh_opt = fresh.get("optimized", {})
-    for field in ("matches", "verified"):
-        base_value = fresh_base.get(field)
-        opt_value = fresh_opt.get(field)
-        checks.append(
-            {
-                "workload": name,
-                "check": f"exactness:{field}",
-                "ok": base_value == opt_value,
-                "baseline": base_value,
-                "optimized": opt_value,
-                "detail": (
-                    "optimized pass must reproduce the baseline pass "
-                    "bit-for-bit"
-                ),
-            }
-        )
-    if baseline_entry is None:
-        checks.append(
-            {
-                "workload": name,
-                "check": "baseline-present",
-                "ok": True,
-                "detail": "no committed baseline mentions this workload",
-            }
-        )
-        return checks
-    baseline_file, committed = baseline_entry
-    committed_opt = committed.get("optimized", {})
-    if committed_opt.get("select_postings_scanned", 0) > 0:
-        fresh_scanned = fresh_opt.get("select_postings_scanned", 0)
-        checks.append(
-            {
-                "workload": name,
-                "check": "select-funnel-active",
-                "ok": fresh_scanned > 0,
-                "baseline_file": baseline_file,
-                "committed": committed_opt.get("select_postings_scanned"),
-                "fresh": fresh_scanned,
-                "detail": (
-                    "committed baseline exercised the packed-selection "
-                    "kernel; a zero means it silently stopped running"
-                ),
-            }
-        )
-    committed_speedup = committed.get("speedup")
-    fresh_speedup = fresh.get("speedup")
-    if (
-        isinstance(committed_speedup, (int, float))
-        and committed_speedup >= 1.0
-    ):
-        floor = max(committed_speedup * (1.0 - tolerance), min_speedup)
-        checks.append(
-            {
-                "workload": name,
-                "check": "speedup-retained",
-                "ok": (
-                    isinstance(fresh_speedup, (int, float))
-                    and fresh_speedup >= floor
-                ),
-                "baseline_file": baseline_file,
-                "committed": committed_speedup,
-                "fresh": fresh_speedup,
-                "floor": round(floor, 4),
-                "detail": (
-                    f"fresh speedup must stay above "
-                    f"max(committed*(1-{tolerance}), {min_speedup})"
-                ),
-            }
-        )
-    else:
-        checks.append(
-            {
-                "workload": name,
-                "check": "speedup-retained",
-                "ok": True,
-                "baseline_file": baseline_file,
-                "committed": committed_speedup,
-                "fresh": fresh_speedup,
-                "detail": (
-                    "committed speedup below 1.0: no win to protect, "
-                    "check skipped"
-                ),
-            }
-        )
-    return checks
+def check(fresh: dict, committed: dict, spec: dict) -> tuple[list, list]:
+    """``(failures, unresolved)``: one line per finding."""
+    exact = [m["name"] for m in spec["per_layer"] if m["unit"] in EXACT_UNITS]
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
+    same_box = _box(fresh) == _box(committed)
+    fresh_runs = {(r["workload"], r["trace"]): r for r in fresh["runs"]}
+    old_runs = {(r["workload"], r["trace"]): r for r in committed["runs"]}
+    failures, unresolved = [], []
+    for workload in spec["workloads"]:
+        for trace in (0, 1):
+            key = (workload["name"], trace)
+            label = f"{key[0]} --trace {trace}"
+            run, old = fresh_runs.get(key), old_runs.get(key)
+            if run is None:
+                failures.append(f"{label}: missing from the fresh document")
+                continue
+            result = run["result"]
+            if not result["correct"] or result["failed"]:
+                failures.append(
+                    f"{label}: correct={result['correct']} failed={result['failed']}"
+                )
+            if old is None:
+                unresolved.append(f"{label}: not in the committed document")
+            elif trace and run["seed"] != old["seed"]:
+                unresolved.append(
+                    f"{label}: seed {run['seed']} != committed {old['seed']}, "
+                    "counts not compared"
+                )
+            elif trace:
+                failures += _counts(label, run, old, exact)
+            elif same_box:
+                failures += _timings(label, run, old, bounds)
+            else:
+                unresolved.append(
+                    f"{label}: wall_s {result['metrics']['wall_s']['value']:.4g} "
+                    f"(committed {old['result']['metrics']['wall_s']['value']:.4g}) "
+                    f"on nproc/python {_box(fresh)} vs committed {_box(committed)}"
+                )
+    return failures, unresolved
 
 
 def main(argv=None) -> int:
-    """Entry point; exit 0 when the fresh payload holds the trajectory."""
+    """Exit 0 when FRESH holds the committed point, 1 otherwise."""
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("fresh", help="a fresh run.py --output document")
     parser.add_argument(
-        "fresh", help="fresh BENCH payload (e.g. BENCH_smoke.json)"
-    )
-    parser.add_argument(
-        "--baseline",
-        action="append",
-        default=None,
-        help=(
-            "committed baseline payload (repeatable; default: every "
-            "BENCH_*.json next to this repo's tools/ directory, "
-            "excluding the fresh file)"
-        ),
-    )
-    parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=DEFAULT_TOLERANCE,
-        help=(
-            "fraction of the committed speedup the fresh run may lose "
-            f"(default {DEFAULT_TOLERANCE})"
-        ),
-    )
-    parser.add_argument(
-        "--min-speedup",
-        type=float,
-        default=DEFAULT_MIN_SPEEDUP,
-        help=(
-            "absolute speedup floor for workloads with a committed "
-            f"win (default {DEFAULT_MIN_SPEEDUP})"
-        ),
-    )
-    parser.add_argument(
-        "--report",
-        default=None,
-        help="write the full JSON diff report here (CI artifact)",
+        "committed", nargs="?",
+        help="committed document (default: the highest-numbered BENCH_pr<N>.json)",
     )
     args = parser.parse_args(argv)
-
-    fresh_path = Path(args.fresh)
-    try:
-        fresh_payload = load_payload(fresh_path)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.baseline:
-        baseline_paths = [Path(p) for p in args.baseline]
-    else:
-        repo_root = Path(__file__).resolve().parent.parent
-        baseline_paths = [
-            p
-            for p in sorted(repo_root.glob("BENCH_*.json"))
-            if p.resolve() != fresh_path.resolve()
-        ]
-    if not baseline_paths:
-        print("error: no committed BENCH_*.json baselines found", file=sys.stderr)
+    committed_path = Path(args.committed) if args.committed else latest_committed(ROOT)
+    if committed_path is None:
+        print(f"error: no BENCH_pr<N>.json under {ROOT}", file=sys.stderr)
         return 1
     try:
-        baselines = collect_baselines(baseline_paths)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-
-    checks = []
-    for name, entry in sorted(fresh_payload.get("workloads", {}).items()):
-        checks.extend(
-            check_workload(
-                name,
-                entry,
-                baselines.get(name),
-                args.tolerance,
-                args.min_speedup,
-            )
+        fresh, committed, spec = (
+            json.loads(Path(path).read_text(encoding="utf-8"))
+            for path in (args.fresh, committed_path, ROOT / "BENCHMARK.json")
         )
-    if not checks:
-        print("error: fresh payload contains no workloads", file=sys.stderr)
+        failures, unresolved = check(fresh, committed, spec)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        print(f"error: {exc!r}", file=sys.stderr)
         return 1
-
-    failures = [c for c in checks if not c["ok"]]
-    report = {
-        "schema": "silkmoth-bench-regression/1",
-        "fresh": fresh_path.name,
-        "baselines": sorted(p.name for p in baseline_paths),
-        "tolerance": args.tolerance,
-        "min_speedup": args.min_speedup,
-        "checks": checks,
-        "failures": len(failures),
-    }
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    for check in checks:
-        status = "ok  " if check["ok"] else "FAIL"
-        values = ""
-        if "committed" in check:
-            values = (
-                f" committed={check.get('committed')} "
-                f"fresh={check.get('fresh')}"
-            )
-        elif "baseline" in check:
-            values = (
-                f" baseline={check.get('baseline')} "
-                f"optimized={check.get('optimized')}"
-            )
-        print(f"{status} {check['workload']}: {check['check']}{values}")
-    if failures:
-        print(
-            f"{len(failures)} regression check(s) failed against "
-            f"{len(baseline_paths)} baseline file(s)",
-            file=sys.stderr,
-        )
-        return 1
-    print(
-        f"trajectory holds: {len(checks)} check(s) across "
-        f"{len(fresh_payload.get('workloads', {}))} workload(s)"
-    )
-    return 0
+    for line in unresolved:
+        print(f"unresolved {line}")
+    for line in failures:
+        print(f"FAIL {line}")
+    verdict = "regressed" if failures else "holds"
+    print(f"{args.fresh} against {committed_path.name}: {verdict} "
+          f"({len(failures)} failure(s), {len(unresolved)} unresolved)")
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":
