@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.stats import PassStats
+from repro.core.stats import PassStats, fold
 from repro.obs.instrument import observe_routing
 from repro.service.stats import ServiceStats
 
@@ -21,10 +21,13 @@ from repro.service.stats import ServiceStats
 def merge_pass_stats(per_shard: list[PassStats]) -> PassStats:
     """Sum shard passes into one cluster-level :class:`PassStats`.
 
-    Counters and stage timings add; the scheme label keeps the unique
-    value when every shard agrees and reads ``"mixed"`` otherwise
-    (shards plan independently, so e.g. a small shard may pick the
-    exhaustive scheme while a big one picks dichotomy).
+    Every :data:`~repro.core.stats.PASS_COUNTERS` field and the stage
+    timings add (:func:`~repro.core.stats.fold`).  The merged pass is a
+    full scan when any shard's was and keeps the first fallback reason;
+    the scheme label keeps the unique value when every shard agrees and
+    reads ``"mixed"`` otherwise (shards plan independently, so e.g. a
+    small shard may pick the exhaustive scheme while a big one picks
+    dichotomy).
     """
     merged = PassStats()
     schemes = {stats.scheme for stats in per_shard if stats.scheme}
@@ -32,21 +35,10 @@ def merge_pass_stats(per_shard: list[PassStats]) -> PassStats:
     if not per_shard:
         merged.scheme = ""
     for stats in per_shard:
-        merged.signature_tokens += stats.signature_tokens
+        fold(merged, stats)
         merged.full_scan = merged.full_scan or stats.full_scan
-        merged.initial_candidates += stats.initial_candidates
-        merged.after_check += stats.after_check
-        merged.after_nn += stats.after_nn
-        merged.verified += stats.verified
-        merged.matches += stats.matches
-        merged.sim_cache_hits += stats.sim_cache_hits
-        merged.sim_cache_misses += stats.sim_cache_misses
         if stats.fallback_reason and not merged.fallback_reason:
             merged.fallback_reason = stats.fallback_reason
-        for name, seconds in stats.stage_seconds.items():
-            merged.stage_seconds[name] = (
-                merged.stage_seconds.get(name, 0.0) + seconds
-            )
     return merged
 
 
@@ -80,13 +72,21 @@ class ClusterPassStats:
             per_shard=per_shard,
         )
 
+    @property
+    def broadcast(self) -> bool:
+        """Whether the query touched every shard (no routing win)."""
+        return bool(self.shards_total) and (
+            self.shards_routed == self.shards_total
+        )
+
 
 @dataclass
 class ClusterStats(ServiceStats):
     """Lifetime counters for one :class:`~repro.cluster.SilkMothCluster`.
 
     Everything a :class:`~repro.service.stats.ServiceStats` tracks,
-    plus routing efficiency and rebalancing activity.
+    plus routing efficiency and rebalancing activity.  Every int field
+    round-trips through :meth:`to_dict` / :meth:`from_dict`.
     """
 
     #: Sum of shards queried across every fanned-out query.
@@ -110,10 +110,7 @@ class ClusterStats(ServiceStats):
         """Fold one query's fan-out verdict into the lifetime counters."""
         self.shards_routed_total += pass_stats.shards_routed
         self.shards_skipped_total += pass_stats.shards_skipped
-        if pass_stats.shards_total and (
-            pass_stats.shards_routed == pass_stats.shards_total
-        ):
-            self.broadcasts += 1
+        self.broadcasts += pass_stats.broadcast
         observe_routing(pass_stats)
 
     @property
@@ -139,37 +136,5 @@ class ClusterStats(ServiceStats):
     def to_dict(self) -> dict:
         """JSON-serialisable summary (cluster manifests / CLI)."""
         payload = super().to_dict()
-        payload["shards_routed_total"] = self.shards_routed_total
-        payload["shards_skipped_total"] = self.shards_skipped_total
-        payload["broadcasts"] = self.broadcasts
-        payload["rebalance_moves"] = self.rebalance_moves
-        payload["failovers"] = self.failovers
-        payload["replicas_lost"] = self.replicas_lost
-        payload["replicas_revived"] = self.replicas_revived
-        payload["degraded_failures"] = self.degraded_failures
         payload["shard_skip_rate"] = round(self.shard_skip_rate, 4)
         return payload
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "ClusterStats":
-        """Rebuild lifetime counters from :meth:`to_dict` output."""
-        stats = cls()
-        base = ServiceStats.from_dict(payload)
-        for name in base.__dataclass_fields__:
-            if name == "query_latencies":
-                continue
-            setattr(stats, name, getattr(base, name))
-        for name in (
-            "shards_routed_total",
-            "shards_skipped_total",
-            "broadcasts",
-            "rebalance_moves",
-            "failovers",
-            "replicas_lost",
-            "replicas_revived",
-            "degraded_failures",
-        ):
-            value = payload.get(name, 0)
-            if isinstance(value, int) and not isinstance(value, bool):
-                setattr(stats, name, value)
-        return stats

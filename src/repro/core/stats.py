@@ -6,11 +6,21 @@ records them for every search pass and aggregates across a discovery
 run.  Since the staged-pipeline refactor each pass also carries
 wall-clock time per stage.
 Benchmarks print these alongside overall wall-clock times.
+
+:data:`PASS_COUNTERS` declares which ``PassStats`` fields add up across
+passes and shards; :func:`fold` is the one sum every aggregate
+(``RunStats``, the cluster merge) is built from, and the metrics bridge
+and the slowlog read the same tuple.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+#: How many recent passes :attr:`RunStats.per_pass` keeps.  The totals
+#: count every pass, so a long-lived service or cluster keeps the
+#: window small no matter how much traffic it serves.
+PER_PASS_WINDOW = 1024
 
 
 @dataclass
@@ -56,6 +66,37 @@ class PassStats:
     stage_seconds: dict = field(default_factory=dict)
 
 
+#: The additive ``PassStats`` counters, in funnel order: each one sums
+#: across passes and shards.  ``full_scan``, ``scheme`` and
+#: ``fallback_reason`` do not; each aggregate states its own rule.
+PASS_COUNTERS = (
+    "signature_tokens",
+    "initial_candidates",
+    "after_check",
+    "after_nn",
+    "verified",
+    "matches",
+    "sim_cache_hits",
+    "sim_cache_misses",
+    "select_postings_scanned",
+    "select_distinct_pairs",
+    "select_size_gate_drops",
+)
+
+
+def fold(into, stats: PassStats) -> None:
+    """Add one pass's :data:`PASS_COUNTERS` and stage seconds to *into*.
+
+    *into* is a :class:`RunStats`, or a :class:`PassStats` summing
+    shard passes.
+    """
+    for name in PASS_COUNTERS:
+        setattr(into, name, getattr(into, name) + getattr(stats, name))
+    totals = into.stage_seconds
+    for name, seconds in stats.stage_seconds.items():
+        totals[name] = totals.get(name, 0.0) + seconds
+
+
 @dataclass
 class RunStats:
     """Aggregated funnel counters across search passes."""
@@ -77,24 +118,15 @@ class RunStats:
     select_distinct_pairs: int = 0
     select_size_gate_drops: int = 0
     stage_seconds: dict = field(default_factory=dict)
+    #: The most recent :data:`PER_PASS_WINDOW` passes, oldest first.
     per_pass: list = field(default_factory=list, repr=False)
 
     def add(self, stats: PassStats) -> None:
         """Fold one pass into the aggregate."""
         self.passes += 1
-        self.signature_tokens += stats.signature_tokens
-        self.full_scans += int(stats.full_scan)
-        self.planner_fallbacks += int(bool(stats.fallback_reason))
-        self.initial_candidates += stats.initial_candidates
-        self.after_check += stats.after_check
-        self.after_nn += stats.after_nn
-        self.verified += stats.verified
-        self.matches += stats.matches
-        self.sim_cache_hits += stats.sim_cache_hits
-        self.sim_cache_misses += stats.sim_cache_misses
-        self.select_postings_scanned += stats.select_postings_scanned
-        self.select_distinct_pairs += stats.select_distinct_pairs
-        self.select_size_gate_drops += stats.select_size_gate_drops
-        for name, seconds in stats.stage_seconds.items():
-            self.stage_seconds[name] = self.stage_seconds.get(name, 0.0) + seconds
+        self.full_scans += stats.full_scan
+        self.planner_fallbacks += bool(stats.fallback_reason)
+        fold(self, stats)
         self.per_pass.append(stats)
+        if len(self.per_pass) > PER_PASS_WINDOW:
+            del self.per_pass[0]

@@ -6,11 +6,11 @@ pipeline, planner, service and cluster all report into:
 * :mod:`repro.obs.trace` -- per-query span trees (``SILKMOTH_TRACE``),
   propagated across shard processes, exported as JSONL and rendered as
   text flame summaries and self-time hotspot tables;
-* :mod:`repro.obs.metrics` -- the process-wide registry of counters,
-  gauges and histograms (always on);
+* :mod:`repro.obs.metrics` -- the process-wide registry of labelled
+  counters (always on);
 * :mod:`repro.obs.sketch` -- mergeable relative-error quantile
-  sketches (DDSketch-style), folded across shard processes and
-  exposed as Prometheus ``summary`` families;
+  sketches (DDSketch-style), the one latency recorder, folded across
+  shard processes and exposed as Prometheus ``summary`` families;
 * :mod:`repro.obs.diag` -- the bounded slow-query log with full plan
   provenance (``SILKMOTH_SLOWLOG_MS``) and the health-rollup
   renderers behind ``silkmoth slowlog`` / ``silkmoth health``;
@@ -37,12 +37,7 @@ from .diag import (
     slowlog_ms,
 )
 from .export import to_json, to_prometheus_text
-from .metrics import (
-    MetricsRegistry,
-    get_registry,
-    reset_registry,
-    resolve_buckets,
-)
+from .metrics import MetricsRegistry, get_registry, reset_registry
 from .sketch import (
     QuantileSketch,
     SketchFamily,
@@ -98,7 +93,6 @@ __all__ = [
     "reset_registry",
     "reset_sketch_registry",
     "reset_slowlog",
-    "resolve_buckets",
     "resolve_sketch_alpha",
     "resolve_slowlog_capacity",
     "resolve_slowlog_ms",

@@ -35,6 +35,8 @@ from collections import deque
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
+from repro.core.stats import PASS_COUNTERS
+
 from .trace import current_context
 
 SLOWLOG_MS_ENV = "SILKMOTH_SLOWLOG_MS"
@@ -46,18 +48,6 @@ DEFAULT_SLOWLOG_MS = 100.0
 
 #: Default ring-buffer capacity (entries, oldest dropped first).
 DEFAULT_SLOWLOG_CAPACITY = 256
-
-#: Funnel counters copied off ``PassStats`` into every entry.
-_FUNNEL_FIELDS = (
-    "initial_candidates",
-    "after_check",
-    "after_nn",
-    "verified",
-    "matches",
-    "select_postings_scanned",
-    "select_distinct_pairs",
-    "select_size_gate_drops",
-)
 
 _slowlog_ms: Optional[float] = None
 
@@ -200,9 +190,9 @@ def _base_entry(kind: str, seconds: float) -> Dict[str, Any]:
 
 
 def _funnel_of(stats) -> Dict[str, Any]:
-    """The funnel counters of one ``PassStats``-shaped object."""
+    """The ``PASS_COUNTERS`` of one ``PassStats``-shaped object."""
     funnel: Dict[str, Any] = {
-        name: getattr(stats, name, 0) for name in _FUNNEL_FIELDS
+        name: getattr(stats, name, 0) for name in PASS_COUNTERS
     }
     funnel["full_scan"] = bool(getattr(stats, "full_scan", False))
     return funnel
@@ -214,7 +204,7 @@ def observe_slow_pass(stats, decision, reference_size: int) -> None:
     Called from ``QueryPlan.execute`` with the pass's ``PassStats``,
     the governing ``PlannerDecision`` (or ``None``), and the reference
     cardinality.  The pass duration is the sum of its stage seconds --
-    the same number ``silkmoth_pass_seconds`` observes.
+    the same number ``silkmoth_pass_latency_quantile`` records.
     """
     threshold = slowlog_ms()
     if threshold < 0:
@@ -345,7 +335,7 @@ def format_slowlog(
                 "  funnel: "
                 + " ".join(
                     f"{name}={funnel[name]}"
-                    for name in (*_FUNNEL_FIELDS, "full_scan")
+                    for name in (*PASS_COUNTERS, "full_scan")
                     if name in funnel
                 )
             )

@@ -1,11 +1,11 @@
 """Render the metrics and sketch registries as Prometheus text or JSON.
 
 The Prometheus exposition follows the text format version 0.0.4:
-``# HELP`` / ``# TYPE`` headers precede each family's samples,
-histograms emit cumulative ``le``-labelled buckets ending in ``+Inf``
-plus ``_sum`` and ``_count`` series, quantile sketches render as
-``summary`` families (``quantile``-labelled samples plus ``_sum`` and
-``_count``), and label values are escaped.  Families from both
+``# HELP`` / ``# TYPE`` headers precede each family's samples, counter
+families emit one sample per labelled series, quantile sketches render
+as ``summary`` families (``quantile``-labelled samples plus ``_sum``
+and ``_count``), and label values are escaped.  ``counter`` and
+``summary`` are the only two types emitted.  Families from both
 registries are emitted in one globally name-sorted stream and labelled
 children are sorted within each family, so the exposition is
 deterministic and golden-file-diffable.
@@ -50,29 +50,14 @@ def _format_value(value: float) -> str:
 
 
 def _prometheus_family(metric: Metric) -> List[str]:
+    """One counter family: one sample per labelled series."""
     lines = [
         f"# HELP {metric.name} {metric.help}",
-        f"# TYPE {metric.name} {metric.kind}",
+        f"# TYPE {metric.name} counter",
     ]
     for label_values, child in metric.series():
-        if metric.kind == "histogram":
-            cumulative = 0
-            for bound, bucket in zip(metric.buckets, child.bucket_counts):
-                cumulative += bucket
-                labels = _format_labels(
-                    metric.label_names, label_values, {"le": _format_value(bound)}
-                )
-                lines.append(f"{metric.name}_bucket{labels} {cumulative}")
-            labels = _format_labels(
-                metric.label_names, label_values, {"le": "+Inf"}
-            )
-            lines.append(f"{metric.name}_bucket{labels} {child.count}")
-            plain = _format_labels(metric.label_names, label_values)
-            lines.append(f"{metric.name}_sum{plain} {repr(float(child.sum))}")
-            lines.append(f"{metric.name}_count{plain} {child.count}")
-        else:
-            labels = _format_labels(metric.label_names, label_values)
-            lines.append(f"{metric.name}{labels} {_format_value(child.value)}")
+        labels = _format_labels(metric.label_names, label_values)
+        lines.append(f"{metric.name}{labels} {_format_value(child.value)}")
     return lines
 
 
@@ -139,39 +124,29 @@ def to_json(
                 "help": family.help,
                 "kind": "summary",
                 "label_names": list(family.label_names),
-                "series": [],
+                "series": [
+                    {
+                        "labels": list(label_values),
+                        "quantiles": {
+                            format(q, "g"): sketch.quantile(q)
+                            for q in EXPOSED_QUANTILES
+                        },
+                        "sum": sketch.sum,
+                        "count": sketch.count,
+                    }
+                    for label_values, sketch in family.series()
+                ],
             }
-            for label_values, sketch in family.series():
-                series: Dict[str, Any] = {
-                    "labels": list(label_values),
-                    "quantiles": {
-                        format(q, "g"): sketch.quantile(q)
-                        for q in EXPOSED_QUANTILES
-                    },
-                    "sum": sketch.sum,
-                    "count": sketch.count,
-                }
-                entry["series"].append(series)
-            payload["metrics"].append(entry)
-            continue
-        metric = family
-        entry = {
-            "name": metric.name,
-            "help": metric.help,
-            "kind": metric.kind,
-            "label_names": list(metric.label_names),
-            "series": [],
-        }
-        if metric.kind == "histogram":
-            entry["buckets"] = list(metric.buckets)
-        for label_values, child in metric.series():
-            series = {"labels": list(label_values)}
-            if metric.kind == "histogram":
-                series["bucket_counts"] = list(child.bucket_counts)
-                series["sum"] = child.sum
-                series["count"] = child.count
-            else:
-                series["value"] = child.value
-            entry["series"].append(series)
+        else:
+            entry = {
+                "name": family.name,
+                "help": family.help,
+                "kind": "counter",
+                "label_names": list(family.label_names),
+                "series": [
+                    {"labels": list(label_values), "value": child.value}
+                    for label_values, child in family.series()
+                ],
+            }
         payload["metrics"].append(entry)
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -12,12 +12,12 @@ objects into registry updates at the moments they are recorded:
 * :func:`observe_mutation` / :func:`observe_snapshot` /
   :func:`observe_transport_error` from their respective call sites.
 
-Metric handles are resolved lazily and cached against the registry
-instance, so tests that call :func:`repro.obs.metrics.reset_registry`
-get fresh families on the next observation.  The same pattern covers
-the quantile sketches: :func:`observe_query` and :func:`observe_pass`
-also record into the ``silkmoth_*_quantile`` sketch families, cached
-against the sketch registry.
+Counts go to the counter families; every latency goes to exactly one
+``silkmoth_*_quantile`` sketch family, whose summary ``_sum`` /
+``_count`` are the totals.  Handles are resolved lazily and cached
+against the registry instance, so tests that call
+:func:`repro.obs.metrics.reset_registry` (or reset the sketch
+registry) get fresh families on the next observation.
 """
 
 from __future__ import annotations
@@ -27,161 +27,130 @@ from typing import Optional
 from .metrics import MetricsRegistry, get_registry
 from .sketch import SketchRegistry, get_sketch_registry
 
-_FUNNEL_STAGES = (
-    ("initial", "initial_candidates"),
-    ("after_check", "after_check"),
-    ("after_nn", "after_nn"),
-    ("verified", "verified"),
-    ("matches", "matches"),
-)
-
 
 class _Handles:
-    """Metric families registered once per registry instance."""
+    """Counter families registered once per registry instance."""
 
     def __init__(self, registry: MetricsRegistry) -> None:
         self.registry = registry
         self.queries = registry.register(
             "silkmoth_queries_total",
             "Service queries by cache outcome.",
-            "counter",
             ("result",),
-        )
-        self.query_latency = registry.register(
-            "silkmoth_query_latency_seconds",
-            "End-to-end service query latency.",
-            "histogram",
         )
         self.passes = registry.register(
             "silkmoth_passes_total",
             "Cold pipeline passes by scheme.",
-            "counter",
             ("scheme",),
         )
-        self.stage_seconds = registry.register(
-            "silkmoth_stage_seconds_total",
-            "Cumulative wall seconds per pipeline stage.",
-            "counter",
-            ("stage",),
-        )
-        self.pass_seconds = registry.register(
-            "silkmoth_pass_seconds",
-            "Wall seconds of one cold pipeline pass.",
-            "histogram",
-        )
-        self.candidates = registry.register(
+        candidates = registry.register(
             "silkmoth_candidates_total",
             "Candidate-funnel counts by funnel point.",
-            "counter",
             ("stage",),
         )
         self.full_scans = registry.register(
             "silkmoth_full_scans_total",
             "Passes that fell back to a full scan.",
-            "counter",
         )
-        self.sim_cache = registry.register(
+        sim_cache = registry.register(
             "silkmoth_sim_cache_lookups_total",
             "Similarity-kernel memo lookups by outcome.",
-            "counter",
             ("result",),
         )
-        self.select_postings_scanned = registry.register(
+        select_postings_scanned = registry.register(
             "silkmoth_select_postings_scanned_total",
             "Index-list entries the packed selection kernel read "
             "(posting keys; content-list entries for token kinds).",
-            "counter",
         )
-        self.select_distinct_pairs = registry.register(
+        select_distinct_pairs = registry.register(
             "silkmoth_select_distinct_pairs_total",
             "Distinct pairs the selection kernel scored after its merge "
             "dedup: per posting key, per distinct content for token kinds "
             "(scanned / distinct is the dedup ratio).",
-            "counter",
         )
-        self.select_size_gate_drops = registry.register(
+        select_size_gate_drops = registry.register(
             "silkmoth_select_size_gate_drops_total",
             "What the size gate alone dropped in selection: merged "
             "posting keys, candidate sets for token kinds.",
-            "counter",
         )
+        #: ``PassStats`` counter -> (family, labels, whether a zero
+        #: still opens the series).  The funnel points and the select
+        #: counters show from the first pass on, memo lookups once one
+        #: happened.  ``signature_tokens`` has no family.
+        self.pass_counters = {
+            "initial_candidates": (candidates, {"stage": "initial"}, True),
+            "after_check": (candidates, {"stage": "after_check"}, True),
+            "after_nn": (candidates, {"stage": "after_nn"}, True),
+            "verified": (candidates, {"stage": "verified"}, True),
+            "matches": (candidates, {"stage": "matches"}, True),
+            "sim_cache_hits": (sim_cache, {"result": "hit"}, False),
+            "sim_cache_misses": (sim_cache, {"result": "miss"}, False),
+            "select_postings_scanned": (select_postings_scanned, {}, True),
+            "select_distinct_pairs": (select_distinct_pairs, {}, True),
+            "select_size_gate_drops": (select_size_gate_drops, {}, True),
+        }
         self.shards_routed = registry.register(
             "silkmoth_shards_routed_total",
             "Shards actually queried across cluster passes.",
-            "counter",
         )
         self.shards_skipped = registry.register(
             "silkmoth_shards_skipped_total",
             "Shards pruned by signature routing.",
-            "counter",
         )
         self.broadcasts = registry.register(
             "silkmoth_broadcasts_total",
             "Cluster passes that had to fan out to every shard.",
-            "counter",
         )
         self.mutations = registry.register(
             "silkmoth_mutations_total",
             "Index mutations by kind (add/remove/update/compact).",
-            "counter",
             ("kind",),
         )
         self.snapshots = registry.register(
             "silkmoth_snapshot_io_total",
             "Snapshot loads and saves.",
-            "counter",
             ("direction",),
         )
         self.transport_errors = registry.register(
             "silkmoth_transport_errors_total",
             "Shard transport round-trips that raised.",
-            "counter",
         )
         self.failovers = registry.register(
             "silkmoth_failovers_total",
             "Shard requests retried on another replica.",
-            "counter",
         )
         self.replica_deaths = registry.register(
             "silkmoth_replica_deaths_total",
             "Shard replicas marked unhealthy and torn down.",
-            "counter",
         )
         self.degraded_queries = registry.register(
             "silkmoth_degraded_queries_total",
             "Operations that failed because a shard lost every replica.",
-            "counter",
         )
         self.wal_appends = registry.register(
             "silkmoth_wal_appends_total",
             "Write-ahead-log records appended, by mutation op.",
-            "counter",
             ("op",),
         )
         self.wal_bytes = registry.register(
             "silkmoth_wal_bytes_total",
             "Bytes appended to the write-ahead log.",
-            "counter",
         )
         self.wal_checkpoints = registry.register(
             "silkmoth_wal_checkpoints_total",
             "WAL checkpoints taken (snapshot + log truncation).",
-            "counter",
         )
         self.wal_recoveries = registry.register(
             "silkmoth_wal_recoveries_total",
             "Services rebuilt from a checkpoint plus log replay.",
-            "counter",
         )
         self.wal_replayed = registry.register(
             "silkmoth_wal_replayed_records_total",
             "Log records re-applied during WAL recoveries.",
-            "counter",
         )
         self.wal_torn_tails = registry.register(
             "silkmoth_wal_torn_tails_total",
             "Recoveries that dropped one torn trailing record.",
-            "counter",
         )
 
 
@@ -228,36 +197,26 @@ def sketch_handles() -> _SketchHandles:
 
 
 def observe_pass(stats) -> None:
-    """Fold one cold-pass ``PassStats`` into the registry."""
+    """Fold one cold-pass ``PassStats`` into the registries."""
     h = handles()
     h.passes.inc(scheme=stats.scheme or "unknown")
+    sk = sketch_handles()
     total = 0.0
     for stage, seconds in stats.stage_seconds.items():
-        h.stage_seconds.inc(seconds, stage=stage)
-        total += seconds
-    h.pass_seconds.observe(total)
-    sk = sketch_handles()
-    for stage, seconds in stats.stage_seconds.items():
         sk.stage_latency.record(seconds, stage=stage)
+        total += seconds
     sk.pass_latency.record(total)
-    for label, attr in _FUNNEL_STAGES:
-        h.candidates.inc(getattr(stats, attr), stage=label)
+    for name, (family, labels, keep_zero) in h.pass_counters.items():
+        value = getattr(stats, name)
+        if value or keep_zero:
+            family.inc(value, **labels)
     if stats.full_scan:
         h.full_scans.inc()
-    if stats.sim_cache_hits:
-        h.sim_cache.inc(stats.sim_cache_hits, result="hit")
-    if stats.sim_cache_misses:
-        h.sim_cache.inc(stats.sim_cache_misses, result="miss")
-    h.select_postings_scanned.inc(stats.select_postings_scanned)
-    h.select_distinct_pairs.inc(stats.select_distinct_pairs)
-    h.select_size_gate_drops.inc(stats.select_size_gate_drops)
 
 
 def observe_query(latency: float, cache_hit: bool) -> None:
     """Record one service query's latency and cache outcome."""
-    h = handles()
-    h.queries.inc(result="hit" if cache_hit else "miss")
-    h.query_latency.observe(latency)
+    handles().queries.inc(result="hit" if cache_hit else "miss")
     sketch_handles().query_latency.record(latency)
 
 
@@ -266,9 +225,7 @@ def observe_routing(cluster_pass) -> None:
     h = handles()
     h.shards_routed.inc(cluster_pass.shards_routed)
     h.shards_skipped.inc(cluster_pass.shards_skipped)
-    if cluster_pass.shards_total and (
-        cluster_pass.shards_routed == cluster_pass.shards_total
-    ):
+    if cluster_pass.broadcast:
         h.broadcasts.inc()
 
 

@@ -1,103 +1,41 @@
-"""Process-wide metrics registry: counters, gauges, histograms.
+"""Process-wide metrics registry: labelled counters.
 
 Mirrors the Prometheus client data model at the scale this repo
-needs, with zero dependencies: a metric *family* owns a name, a help
+needs, with zero dependencies: a counter *family* owns a name, a help
 string, and children keyed by label values; exporters
 (:mod:`repro.obs.export`) render the registry as Prometheus text
-exposition or JSON.  Metrics are **always on** -- unlike tracing they
-amount to dict lookups and float adds, cheap enough for every hot
-path -- and registration is idempotent so instrumented modules can be
-imported in any order.
+exposition or JSON.  Counters are **always on** -- dict lookups and
+float adds, cheap enough for every hot path -- and registration is
+idempotent so instrumented modules can be imported in any order.
 
-Histogram buckets are fixed at creation; the default latency buckets
-can be overridden with ``SILKMOTH_METRICS_BUCKETS`` (comma-separated
-upper bounds in seconds).
+Counting is the registry's one job.  Latencies are recorded once, in
+the quantile sketches of :mod:`repro.obs.sketch`, whose ``summary``
+exposition carries the ``_sum`` / ``_count`` a histogram would.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Tuple
-
-BUCKETS_ENV = "SILKMOTH_METRICS_BUCKETS"
-
-#: Default histogram upper bounds (seconds), spanning sub-millisecond
-#: in-memory probes up to multi-second cluster scans.
-DEFAULT_BUCKETS = (
-    0.0005,
-    0.001,
-    0.0025,
-    0.005,
-    0.01,
-    0.025,
-    0.05,
-    0.1,
-    0.25,
-    0.5,
-    1.0,
-    2.5,
-    5.0,
-    10.0,
-)
-
-_VALID_KINDS = ("counter", "gauge", "histogram")
-
-
-def resolve_buckets(env: Optional[str] = None) -> Tuple[float, ...]:
-    """Histogram bounds from ``SILKMOTH_METRICS_BUCKETS`` or defaults.
-
-    The env value is comma-separated floats; bounds are sorted and
-    deduplicated.  A malformed value raises ``ValueError`` (fail fast
-    beats silently mis-bucketing every latency).
-    """
-    raw = env if env is not None else os.environ.get(BUCKETS_ENV, "")
-    raw = raw.strip()
-    if not raw:
-        return DEFAULT_BUCKETS
-    try:
-        bounds = sorted({float(part) for part in raw.split(",") if part.strip()})
-    except ValueError:
-        raise ValueError(
-            f"{BUCKETS_ENV} must be comma-separated floats, got {raw!r}"
-        )
-    if not bounds:
-        return DEFAULT_BUCKETS
-    return tuple(bounds)
 
 
 class _Child:
-    """One labelled series inside a metric family."""
+    """One labelled series inside a counter family."""
 
-    __slots__ = ("value", "bucket_counts", "sum", "count")
+    __slots__ = ("value",)
 
-    def __init__(self, buckets: Optional[Tuple[float, ...]] = None) -> None:
+    def __init__(self) -> None:
         self.value = 0.0
-        if buckets is not None:
-            self.bucket_counts = [0] * len(buckets)
-            self.sum = 0.0
-            self.count = 0
 
 
 class Metric:
-    """A named metric family (counter, gauge, or histogram)."""
+    """A named counter family."""
 
     def __init__(
-        self,
-        name: str,
-        help_text: str,
-        kind: str,
-        label_names: Tuple[str, ...] = (),
-        buckets: Optional[Tuple[float, ...]] = None,
+        self, name: str, help_text: str, label_names: Tuple[str, ...] = ()
     ) -> None:
-        if kind not in _VALID_KINDS:
-            raise ValueError(f"unknown metric kind {kind!r}")
         self.name = name
         self.help = help_text
-        self.kind = kind
         self.label_names = tuple(label_names)
-        self.buckets = tuple(buckets) if buckets is not None else None
-        if kind == "histogram" and self.buckets is None:
-            self.buckets = resolve_buckets()
         self._children: Dict[Tuple[str, ...], _Child] = {}
 
     def _child(self, labels: Dict[str, object]) -> _Child:
@@ -109,76 +47,51 @@ class Metric:
         key = tuple(str(labels[n]) for n in self.label_names)
         child = self._children.get(key)
         if child is None:
-            child = _Child(self.buckets if self.kind == "histogram" else None)
+            child = _Child()
             self._children[key] = child
         return child
 
     def inc(self, amount: float = 1.0, **labels: object) -> None:
-        """Add ``amount`` to a counter (must be non-negative)."""
-        if self.kind != "counter":
-            raise ValueError(f"{self.name} is a {self.kind}, not a counter")
+        """Add ``amount`` to one labelled series (must be non-negative)."""
         if amount < 0:
             raise ValueError("counters only go up")
         self._child(labels).value += amount
-
-    def set(self, value: float, **labels: object) -> None:
-        """Set a gauge to ``value``."""
-        if self.kind != "gauge":
-            raise ValueError(f"{self.name} is a {self.kind}, not a gauge")
-        self._child(labels).value = value
-
-    def observe(self, value: float, **labels: object) -> None:
-        """Record one histogram observation."""
-        if self.kind != "histogram":
-            raise ValueError(f"{self.name} is a {self.kind}, not a histogram")
-        child = self._child(labels)
-        child.sum += value
-        child.count += 1
-        # Stored per-bucket (non-cumulative); exporters accumulate.
-        for i, bound in enumerate(self.buckets):
-            if value <= bound:
-                child.bucket_counts[i] += 1
-                break
 
     def series(self) -> List[Tuple[Tuple[str, ...], _Child]]:
         """Stable (label-values, child) pairs for exporters."""
         return sorted(self._children.items())
 
     def value(self, **labels: object) -> float:
-        """Current value of one counter/gauge series (0 if unseen)."""
+        """Current value of one series (0 if unseen)."""
         key = tuple(str(labels[n]) for n in self.label_names)
         child = self._children.get(key)
         return child.value if child is not None else 0.0
 
 
 class MetricsRegistry:
-    """Holds every metric family; registration is idempotent."""
+    """Holds every counter family; registration is idempotent."""
 
     def __init__(self) -> None:
         self._metrics: Dict[str, Metric] = {}
 
     def register(
-        self,
-        name: str,
-        help_text: str,
-        kind: str,
-        label_names: Iterable[str] = (),
-        buckets: Optional[Tuple[float, ...]] = None,
+        self, name: str, help_text: str, label_names: Iterable[str] = ()
     ) -> Metric:
-        """Create (or fetch the existing) metric family called ``name``.
+        """Create (or fetch the existing) counter family called ``name``.
 
-        Re-registering the same name returns the original family so
-        long as the kind matches; a kind clash raises -- two modules
-        fighting over one name is a bug worth failing on.
+        Re-registering returns the original family so long as the
+        label names match; a label clash raises -- two modules
+        disagreeing about a family's shape is a bug worth failing on.
         """
         existing = self._metrics.get(name)
         if existing is not None:
-            if existing.kind != kind:
+            if existing.label_names != tuple(label_names):
                 raise ValueError(
-                    f"metric {name!r} already registered as {existing.kind}"
+                    f"metric {name!r} already registered with labels "
+                    f"{existing.label_names}"
                 )
             return existing
-        metric = Metric(name, help_text, kind, tuple(label_names), buckets)
+        metric = Metric(name, help_text, tuple(label_names))
         self._metrics[name] = metric
         return metric
 

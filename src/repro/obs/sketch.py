@@ -1,8 +1,8 @@
 """Mergeable relative-error quantile sketches (DDSketch-style).
 
-Histograms with fixed bucket bounds answer "how many queries were
-slower than 100 ms?", but a serving deployment asks "what *is* my
-p99?" -- and the honest answer must survive aggregation across shard
+These sketches are the one latency recorder.  A serving deployment
+asks "what *is* my p99?" -- a question fixed histogram buckets cannot
+answer -- and the honest answer must survive aggregation across shard
 processes.  This module provides that primitive: a
 :class:`QuantileSketch` with log-spaced buckets whose quantile
 estimates carry a *relative* error bound of ``alpha`` (default 1%,

@@ -4,46 +4,34 @@
 (candidates per funnel stage, one :class:`PassStats` per executed pass).
 :class:`ServiceStats` counts what the *service* did around it: queries
 served, cache hits and misses, mutations, compactions, invalidations,
-and per-query wall-clock latency.  A cache hit increments ``queries``
+and lifetime query wall-clock seconds.  A cache hit increments ``queries``
 and ``cache_hits`` but adds nothing to the engine's ``RunStats`` --
 which is exactly how tests assert that hot references skip the
-signature/filter/verify pipeline entirely.
+signature/filter/verify pipeline entirely.  Per-query latency
+distributions live in the ``silkmoth_query_latency_quantile`` sketch
+(:mod:`repro.obs.instrument`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from repro.core.stats import PassStats
 from repro.obs.instrument import observe_query
 
-#: How many recent per-query latencies the sliding window keeps.  The
-#: lifetime totals are tracked separately, so the window can stay small
-#: no matter how long the service runs.
-LATENCY_WINDOW = 1024
 
-#: Counter fields that round-trip through snapshot metadata.
-_COUNTER_FIELDS = (
-    "queries",
-    "cache_hits",
-    "cache_misses",
-    "batches",
-    "batch_queries_deduplicated",
-    "adds",
-    "removes",
-    "updates",
-    "compactions",
-    "invalidations",
-    "snapshots_saved",
-    "sim_cache_hits",
-    "sim_cache_misses",
-)
+def _counter_names(stats) -> list:
+    """The int fields of a stats dataclass, in declaration order."""
+    return [f.name for f in fields(stats) if type(f.default) is int]
 
 
 @dataclass
 class ServiceStats:
-    """Lifetime counters for one :class:`repro.service.SilkMothService`."""
+    """Lifetime counters for one :class:`repro.service.SilkMothService`.
+
+    Every int field is a counter that round-trips through
+    :meth:`to_dict` / :meth:`from_dict` (snapshot metadata).
+    """
 
     queries: int = 0
     cache_hits: int = 0
@@ -66,11 +54,6 @@ class ServiceStats:
     #: Per-stage pipeline seconds accumulated across cold passes
     #: (keys as in :attr:`repro.core.stats.PassStats.stage_seconds`).
     stage_seconds: dict = field(default_factory=dict)
-    #: Sliding window of the most recent per-query latencies; bounded so
-    #: a long-lived service's memory does not grow with traffic.
-    query_latencies: deque = field(
-        default_factory=lambda: deque(maxlen=LATENCY_WINDOW), repr=False
-    )
 
     @property
     def mutations(self) -> int:
@@ -89,11 +72,6 @@ class ServiceStats:
         return self.sim_cache_hits / lookups if lookups else 0.0
 
     @property
-    def total_query_seconds(self) -> float:
-        """Lifetime wall-clock seconds across served queries."""
-        return self.query_seconds_total
-
-    @property
     def mean_query_seconds(self) -> float:
         """Mean per-query latency over the service lifetime."""
         return self.query_seconds_total / self.queries if self.queries else 0.0
@@ -106,7 +84,6 @@ class ServiceStats:
         else:
             self.cache_misses += 1
         self.query_seconds_total += latency
-        self.query_latencies.append(latency)
         observe_query(latency, cache_hit)
 
     def record_pass(self, pass_stats: PassStats) -> None:
@@ -137,7 +114,7 @@ class ServiceStats:
 
     def to_dict(self) -> dict:
         """JSON-serialisable summary (service snapshot metadata / CLI)."""
-        payload = {name: getattr(self, name) for name in _COUNTER_FIELDS}
+        payload = {name: getattr(self, name) for name in _counter_names(self)}
         payload["cache_hit_rate"] = round(self.cache_hit_rate, 4)
         payload["sim_cache_hit_rate"] = round(self.sim_cache_hit_rate, 4)
         payload["mutations"] = self.mutations
@@ -152,13 +129,13 @@ class ServiceStats:
     def from_dict(cls, payload: dict) -> "ServiceStats":
         """Rebuild lifetime counters from :meth:`to_dict` output.
 
-        The latency window is not persisted (it is a recent-traffic
-        view), but the lifetime totals and means survive.  Keys this
-        version does not know -- ``backend_seconds`` in payloads written
-        before the compute backends became one -- are ignored.
+        The lifetime totals and means survive; derived rates are
+        recomputed.  Keys this version does not know --
+        ``backend_seconds`` in payloads written before the compute
+        backends became one -- are ignored.
         """
         stats = cls()
-        for name in _COUNTER_FIELDS:
+        for name in _counter_names(stats):
             value = payload.get(name, 0)
             if isinstance(value, int) and not isinstance(value, bool):
                 setattr(stats, name, value)

@@ -8,12 +8,22 @@ live-cluster lifetime counters agree with a query-by-query replay.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from repro.cluster import SilkMothCluster
 from repro.cluster.stats import ClusterPassStats, ClusterStats, merge_pass_stats
 from repro.core.config import SilkMothConfig
 from repro.core.stats import PassStats
+from repro.sim.functions import SimilarityKind
+from strategies import clustered_edit_sets
+
+_SELECT_COUNTERS = (
+    "select_postings_scanned",
+    "select_distinct_pairs",
+    "select_size_gate_drops",
+)
 
 
 def _pass(scheme="dichotomy", **counters) -> PassStats:
@@ -55,6 +65,17 @@ class TestMergePassStats:
         assert merged.sim_cache_hits == 10
         assert merged.sim_cache_misses == 3
         assert merged.scheme == "dichotomy"
+
+    def test_every_int_field_sums_across_shards(self):
+        """No counter is dropped by the merge, the select funnel included."""
+        names = [f.name for f in fields(PassStats) if type(f.default) is int]
+        first = _pass(**{name: 1 + i for i, name in enumerate(names)})
+        second = _pass(**{name: 100 * (1 + i) for i, name in enumerate(names)})
+        merged = merge_pass_stats([first, second])
+        for name in names:
+            assert getattr(merged, name) == (
+                getattr(first, name) + getattr(second, name)
+            ), name
 
     def test_disagreeing_labels_read_mixed(self):
         merged = merge_pass_stats(
@@ -192,3 +213,25 @@ class TestLiveClusterReplay:
             # program (the narrow fruit queries), so the rate is
             # meaningful rather than vacuously zero.
             assert stats.shards_skipped_total > 0
+
+    def test_discovery_select_funnel_is_the_shard_sum(self):
+        """The cluster's run totals carry the shards' select funnel."""
+        config = SilkMothConfig(
+            similarity=SimilarityKind.EDS, delta=0.5, alpha=0.6
+        )
+        sets = clustered_edit_sets(
+            seed=3, clusters=6, sets_per_cluster=3, strings=4
+        )
+        with SilkMothCluster.from_sets(
+            sets, config, shards=2, transport="inline"
+        ) as cluster:
+            cluster.discover()
+            shard_runs = [
+                replicas[0].host.service.engine.stats
+                for replicas in cluster._shards
+            ]
+            for name in _SELECT_COUNTERS:
+                assert getattr(cluster.run_stats, name) == sum(
+                    getattr(run, name) for run in shard_runs
+                ), name
+            assert cluster.run_stats.select_postings_scanned > 0

@@ -18,7 +18,9 @@ from repro.cluster import SilkMothCluster
 from repro.core.config import SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
+from repro.core.stats import PASS_COUNTERS
 from repro.obs import get_registry, reset_registry, to_prometheus_text
+from repro.obs.instrument import handles
 from repro.obs.sketch import reset_sketch_registry
 from repro.obs.trace import get_tracer, set_trace_enabled
 
@@ -121,6 +123,7 @@ class TestClusterTrace:
 class TestMetricsFromTraffic:
     def test_engine_traffic_feeds_the_funnel_and_pass_families(self):
         registry = reset_registry()
+        sketches = reset_sketch_registry()
         collection = SetCollection.from_strings(DATA)
         engine = SilkMoth(collection, SilkMothConfig(delta=0.3))
         engine.discover()
@@ -134,16 +137,31 @@ class TestMetricsFromTraffic:
         assert total_passes == len(DATA) - 1
         funnel = registry.get("silkmoth_candidates_total")
         assert funnel.value(stage="initial") >= funnel.value(stage="verified")
-        hist = registry.get("silkmoth_pass_seconds")
-        assert sum(child.count for _, child in hist.series()) == len(DATA) - 1
+        pass_latency = sketches.get("silkmoth_pass_latency_quantile")
+        assert sum(
+            sketch.count for _, sketch in pass_latency.series()
+        ) == len(DATA) - 1
+
+    def test_stage_sketch_sums_are_the_engine_stage_seconds(self):
+        """One latency recorder: a summary's ``_sum`` is the run's total."""
+        reset_registry()
+        sketches = reset_sketch_registry()
+        engine = SilkMoth(
+            SetCollection.from_strings(DATA), SilkMothConfig(delta=0.3)
+        )
+        engine.discover()
+        family = sketches.get("silkmoth_stage_latency_quantile")
+        sums = {labels[0]: sketch.sum for labels, sketch in family.series()}
+        assert sums and sums == engine.stats.stage_seconds  # bit for bit
+
+    def test_every_pass_counter_but_signature_tokens_has_a_family(self):
+        assert set(handles().pass_counters) == (
+            set(PASS_COUNTERS) - {"signature_tokens"}
+        )
 
     @pytest.mark.parametrize(
         "family",
-        [
-            "silkmoth_passes_total",
-            "silkmoth_pass_seconds",
-            "silkmoth_pass_latency_quantile",
-        ],
+        ["silkmoth_passes_total", "silkmoth_pass_latency_quantile"],
     )
     def test_pass_families_carry_no_backend_label(self, family):
         """One compute backend: a ``backend`` label would be a constant."""

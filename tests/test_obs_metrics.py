@@ -1,12 +1,12 @@
 """Unit tests for the metrics registry and its exporters.
 
-Covers counter/gauge/histogram semantics, label validation, the
-``SILKMOTH_METRICS_BUCKETS`` override, Prometheus text exposition
-(cumulative ``le`` buckets, ``+Inf``, ``_sum`` / ``_count``, label
-escaping), sketch-backed ``summary`` families, the determinism rules
-(name-sorted families, sorted contiguous label sets, monotone
-quantiles) and the JSON exposition -- plus the CI lint tool
-``tools/check_metrics_format.py`` run against real output.
+Covers counter semantics, label validation, Prometheus text exposition
+(label escaping, headers-only empty families), sketch-backed
+``summary`` families, the determinism rules (name-sorted families,
+sorted contiguous label sets, monotone quantiles) and the JSON
+exposition -- plus the CI lint tool ``tools/check_metrics_format.py``
+run against real output, and its refusal of the ``histogram`` and
+``gauge`` types the exporter never emits.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs.export import to_json, to_prometheus_text
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    get_registry,
-    reset_registry,
-    resolve_buckets,
-)
+from repro.obs.metrics import MetricsRegistry, get_registry, reset_registry
 from repro.obs.sketch import SketchRegistry
 
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
@@ -39,22 +33,10 @@ def _load_lint():
     return module
 
 
-class TestBuckets:
-    def test_defaults_when_unset(self):
-        assert resolve_buckets("") == DEFAULT_BUCKETS
-
-    def test_env_override_sorted_and_deduped(self):
-        assert resolve_buckets("1.0,0.1,1.0,10") == (0.1, 1.0, 10.0)
-
-    def test_malformed_raises(self):
-        with pytest.raises(ValueError):
-            resolve_buckets("0.1,fast")
-
-
 class TestRegistry:
     def test_counter_inc_and_value(self):
         registry = MetricsRegistry()
-        metric = registry.register("c_total", "help", "counter", ("kind",))
+        metric = registry.register("c_total", "help", ("kind",))
         metric.inc(kind="add")
         metric.inc(2, kind="add")
         assert metric.value(kind="add") == 3
@@ -62,38 +44,18 @@ class TestRegistry:
 
     def test_counter_rejects_negative_and_wrong_labels(self):
         registry = MetricsRegistry()
-        metric = registry.register("c_total", "help", "counter", ("kind",))
+        metric = registry.register("c_total", "help", ("kind",))
         with pytest.raises(ValueError):
             metric.inc(-1, kind="add")
         with pytest.raises(ValueError):
             metric.inc(other="add")
 
-    def test_gauge_set(self):
+    def test_register_is_idempotent_but_label_clash_raises(self):
         registry = MetricsRegistry()
-        metric = registry.register("g", "help", "gauge")
-        metric.set(7.5)
-        metric.set(2.5)
-        assert metric.value() == 2.5
-
-    def test_histogram_observe_buckets_by_first_bound(self):
-        registry = MetricsRegistry()
-        metric = registry.register(
-            "h", "help", "histogram", buckets=(0.1, 1.0)
-        )
-        metric.observe(0.05)
-        metric.observe(0.5)
-        metric.observe(5.0)  # above every bound: only count/+Inf
-        ((_, child),) = metric.series()
-        assert child.bucket_counts == [1, 1]
-        assert child.count == 3
-        assert child.sum == pytest.approx(5.55)
-
-    def test_register_is_idempotent_but_kind_clash_raises(self):
-        registry = MetricsRegistry()
-        first = registry.register("m", "help", "counter")
-        assert registry.register("m", "other", "counter") is first
+        first = registry.register("m", "help", ("kind",))
+        assert registry.register("m", "other", ("kind",)) is first
         with pytest.raises(ValueError):
-            registry.register("m", "help", "gauge")
+            registry.register("m", "help", ("other",))
 
     def test_reset_swaps_the_process_registry(self):
         before = get_registry()
@@ -108,32 +70,16 @@ class TestRegistry:
 class TestPrometheusText:
     def test_counter_and_label_escaping(self):
         registry = MetricsRegistry()
-        metric = registry.register("c_total", "help text", "counter", ("k",))
+        metric = registry.register("c_total", "help text", ("k",))
         metric.inc(k='with "quote"\nand\\slash')
         text = to_prometheus_text(registry)
         assert "# HELP c_total help text" in text
         assert "# TYPE c_total counter" in text
         assert 'k="with \\"quote\\"\\nand\\\\slash"' in text
 
-    def test_histogram_buckets_are_cumulative_with_inf(self):
-        registry = MetricsRegistry()
-        metric = registry.register(
-            "h_seconds", "help", "histogram", buckets=(0.1, 1.0)
-        )
-        metric.observe(0.05)
-        metric.observe(0.05)
-        metric.observe(0.5)
-        metric.observe(9.0)
-        text = to_prometheus_text(registry)
-        assert 'h_seconds_bucket{le="0.1"} 2' in text
-        assert 'h_seconds_bucket{le="1"} 3' in text
-        assert 'h_seconds_bucket{le="+Inf"} 4' in text
-        assert "h_seconds_count 4" in text
-        assert "h_seconds_sum" in text
-
     def test_empty_family_emits_headers_only(self):
         registry = MetricsRegistry()
-        registry.register("quiet_total", "help", "counter")
+        registry.register("quiet_total", "help")
         text = to_prometheus_text(registry)
         assert "# TYPE quiet_total counter" in text
         assert "\nquiet_total " not in text
@@ -141,48 +87,36 @@ class TestPrometheusText:
     def test_lint_tool_accepts_real_exposition(self):
         lint = _load_lint()
         registry = MetricsRegistry()
-        counter = registry.register("c_total", "help", "counter", ("kind",))
+        counter = registry.register("c_total", "help", ("kind",))
         counter.inc(kind="add")
-        histogram = registry.register(
-            "h_seconds", "help", "histogram", buckets=(0.1, 1.0)
-        )
-        histogram.observe(0.05)
-        histogram.observe(3.0)
+        counter.inc(kind="remove")
+        registry.register("plain_total", "help").inc(2.5)
         assert lint.lint(to_prometheus_text(registry)) == []
 
     def test_lint_tool_rejects_broken_expositions(self):
         lint = _load_lint()
         # Sample without HELP/TYPE.
         assert lint.lint("orphan_total 1\n")
-        # Non-cumulative histogram buckets.
-        broken = (
+        # A negative counter.
+        negative = "# HELP c_total help\n# TYPE c_total counter\nc_total -1\n"
+        assert any("negative" in msg for _, msg in lint.lint(negative))
+
+    def test_lint_tool_rejects_a_histogram_family(self):
+        """Latencies live in the summaries; a histogram is a regression."""
+        histogram = (
             "# HELP h help\n"
             "# TYPE h histogram\n"
-            'h_bucket{le="0.1"} 5\n'
-            'h_bucket{le="1"} 3\n'
-            'h_bucket{le="+Inf"} 5\n'
-            "h_sum 1.0\n"
-            "h_count 5\n"
+            'h_bucket{le="+Inf"} 1\n'
+            "h_sum 0.5\n"
+            "h_count 1\n"
         )
-        assert any("cumulative" in msg for _, msg in lint.lint(broken))
-        # Missing +Inf.
-        no_inf = (
-            "# HELP h help\n"
-            "# TYPE h histogram\n"
-            'h_bucket{le="0.1"} 5\n'
-            "h_sum 1.0\n"
-            "h_count 5\n"
-        )
-        assert any("+Inf" in msg for _, msg in lint.lint(no_inf))
-        # _count disagreeing with the +Inf bucket.
-        drift = (
-            "# HELP h help\n"
-            "# TYPE h histogram\n"
-            'h_bucket{le="+Inf"} 5\n'
-            "h_sum 1.0\n"
-            "h_count 4\n"
-        )
-        assert any("_count" in msg or "!=" in msg for _, msg in lint.lint(drift))
+        problems = [msg for _, msg in _load_lint().lint(histogram)]
+        assert any("TYPE histogram" in msg for msg in problems)
+
+    def test_lint_tool_rejects_a_gauge_family(self):
+        gauge = "# HELP g help\n# TYPE g gauge\ng 2.5\n"
+        problems = [msg for _, msg in _load_lint().lint(gauge)]
+        assert any("TYPE gauge" in msg for msg in problems)
 
 
 class TestSummaryExposition:
@@ -206,15 +140,15 @@ class TestSummaryExposition:
     def test_summary_exposition_passes_lint(self):
         lint = _load_lint()
         registry = MetricsRegistry()
-        registry.register("c_total", "help", "counter").inc()
+        registry.register("c_total", "help").inc()
         text = to_prometheus_text(registry, self._sketches())
         assert lint.lint(text) == []
 
     def test_families_merge_name_sorted(self):
         """Metric and sketch families interleave in one sorted stream."""
         registry = MetricsRegistry()
-        registry.register("zz_total", "help", "counter").inc()
-        registry.register("aa_total", "help", "counter").inc()
+        registry.register("zz_total", "help").inc()
+        registry.register("aa_total", "help").inc()
         text = to_prometheus_text(registry, self._sketches())
         order = [
             line.split()[2]
@@ -292,7 +226,7 @@ class TestDeterminismLint:
     def test_real_full_exposition_is_deterministic(self):
         """Two expositions of the same state are byte-identical."""
         registry = MetricsRegistry()
-        registry.register("c_total", "help", "counter", ("k",)).inc(k="b")
+        registry.register("c_total", "help", ("k",)).inc(k="b")
         registry.get("c_total").inc(k="a")
         sketches = SketchRegistry()
         sketches.register("s_latency", "help", ("stage",)).record(
@@ -307,16 +241,12 @@ class TestDeterminismLint:
 class TestJsonExport:
     def test_document_shape(self):
         registry = MetricsRegistry()
-        counter = registry.register("c_total", "help", "counter", ("kind",))
+        counter = registry.register("c_total", "help", ("kind",))
         counter.inc(kind="add")
-        histogram = registry.register(
-            "h_seconds", "help", "histogram", buckets=(0.1,)
-        )
-        histogram.observe(0.05)
         payload = json.loads(to_json(registry))
         assert payload["schema"] == "silkmoth-metrics/1"
         by_name = {m["name"]: m for m in payload["metrics"]}
-        assert by_name["c_total"]["series"][0]["value"] == 1
-        series = by_name["h_seconds"]["series"][0]
-        assert series["bucket_counts"] == [1]
-        assert series["count"] == 1
+        assert by_name["c_total"]["kind"] == "counter"
+        assert by_name["c_total"]["series"][0] == {
+            "labels": ["add"], "value": 1,
+        }

@@ -13,6 +13,8 @@ import pytest
 
 from repro.baselines.brute_force import brute_force_search
 from repro.core.config import Relatedness, SilkMothConfig
+from repro.core.stats import PER_PASS_WINDOW
+from repro.obs.sketch import reset_sketch_registry
 from repro.service import LRUQueryCache, SilkMothService, reference_fingerprint
 
 
@@ -285,6 +287,7 @@ class TestBatchAPI:
 
 class TestServiceStats:
     def test_counters_and_hit_rate(self):
+        sketches = reset_sketch_registry()
         service = _service()
         service.add_set(["a b"])
         service.search(["a b"])
@@ -296,8 +299,19 @@ class TestServiceStats:
         assert stats.cache_hit_rate == 0.5
         assert stats.adds == 1 and stats.removes == 1
         assert stats.mutations == 2
-        assert len(stats.query_latencies) == 2
+        latency = sketches.get("silkmoth_query_latency_quantile")
+        assert sum(sketch.count for _, sketch in latency.series()) == 2
         assert stats.mean_query_seconds >= 0.0
+
+    def test_pass_history_is_a_window_over_every_pass(self):
+        """A long-lived service keeps the latest passes; totals keep all."""
+        service = _service()
+        service.add_set(["a b"])
+        for i in range(1100):
+            service.search([f"a q{i}"])
+        stats = service.engine.stats
+        assert stats.passes == 1100
+        assert len(stats.per_pass) == PER_PASS_WINDOW == 1024
 
     def test_to_dict_is_json_ready(self):
         import json

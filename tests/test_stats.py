@@ -1,11 +1,13 @@
 """RunStats aggregation and its integration with the engine."""
 
+from dataclasses import fields
+
 import pytest
 
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
-from repro.core.stats import PassStats, RunStats
+from repro.core.stats import PASS_COUNTERS, PER_PASS_WINDOW, PassStats, RunStats
 
 
 class TestRunStatsAggregation:
@@ -25,6 +27,21 @@ class TestRunStatsAggregation:
         assert run.matches == 1
         assert run.full_scans == 1
         assert len(run.per_pass) == 2
+
+    def test_pass_counters_declare_every_int_field(self):
+        """A new int field on PassStats must join the declaration."""
+        ints = tuple(f.name for f in fields(PassStats) if type(f.default) is int)
+        assert PASS_COUNTERS == ints
+        assert set(PASS_COUNTERS) <= {f.name for f in fields(RunStats)}
+
+    def test_per_pass_keeps_the_latest_window(self):
+        run = RunStats()
+        passes = [PassStats(matches=i) for i in range(PER_PASS_WINDOW + 5)]
+        for one_pass in passes:
+            run.add(one_pass)
+        assert run.passes == len(passes)
+        assert run.matches == sum(range(len(passes)))
+        assert run.per_pass == passes[5:]
 
     def test_fresh_stats_zeroed(self):
         run = RunStats()

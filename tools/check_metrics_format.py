@@ -9,11 +9,10 @@ promises:
 
 * metric and label names match the Prometheus naming grammar;
 * every sample is preceded by ``# HELP`` and ``# TYPE`` lines for its
-  family, and the TYPE is one of counter/gauge/histogram/summary;
+  family, and the TYPE is one the exporter emits: ``counter`` or
+  ``summary``.  A ``histogram`` or ``gauge`` family is a problem: the
+  registry only counts, and every latency is a quantile summary;
 * sample values parse as floats and counter samples are non-negative;
-* histogram ``le`` buckets are sorted, cumulative (monotone
-  non-decreasing counts), and end with ``le="+Inf"``;
-* each histogram series' ``_count`` equals its ``+Inf`` bucket;
 * summary ``quantile`` samples are sorted by quantile and their values
   are monotone non-decreasing (a p99 below the p50 is a bug);
 * the exposition is *deterministic*: families first appear in
@@ -29,7 +28,6 @@ Usage::
 
 from __future__ import annotations
 
-import math
 import re
 import sys
 
@@ -42,25 +40,22 @@ SAMPLE_RE = re.compile(r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{.*\})?\s+(\S+)$")
 #: One label pair inside the braces (values are escaped strings).
 LABEL_PAIR_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"')
 
-_TYPES = ("counter", "gauge", "histogram", "summary", "untyped")
-#: Suffixes a histogram family's samples may carry.
-_HISTO_SUFFIXES = ("_bucket", "_sum", "_count")
+#: The TYPEs the exporter emits.
+_TYPES = ("counter", "summary")
 #: Suffixes a summary family's samples may carry (quantile samples use
 #: the bare family name).
 _SUMMARY_SUFFIXES = ("_sum", "_count")
 
 
 def _family_of(sample_name: str, types: dict) -> str:
-    """Map a sample name to its declaring family (histogram/summary
-    suffixes collapse onto the base name)."""
+    """Map a sample name to its declaring family (summary suffixes
+    collapse onto the base name)."""
     if sample_name in types:
         return sample_name
-    for suffix in _HISTO_SUFFIXES:
+    for suffix in _SUMMARY_SUFFIXES:
         if sample_name.endswith(suffix):
             base = sample_name[: -len(suffix)]
-            if types.get(base) == "histogram":
-                return base
-            if types.get(base) == "summary" and suffix in _SUMMARY_SUFFIXES:
+            if types.get(base) == "summary":
                 return base
     return sample_name
 
@@ -70,14 +65,11 @@ def lint(text: str) -> list:
     problems = []
     helps: dict = {}
     types: dict = {}
-    # (family, label-key) -> list of (le, cumulative count) in file order.
-    buckets: dict = {}
-    counts: dict = {}
     # Family name -> line of first appearance (HELP/TYPE/sample), in
     # file order -- the exposition must introduce families name-sorted.
     family_order: dict = {}
     # Family -> consecutive-deduped (lineno, label-values) series keys in
-    # file order (le/quantile excluded) -- must be sorted per family.
+    # file order (quantile excluded) -- must be sorted per family.
     series_order: dict = {}
     # (family, label-key) -> list of (lineno, quantile, value) for
     # summary quantile samples, in file order.
@@ -99,8 +91,17 @@ def lint(text: str) -> list:
             continue
         if line.startswith("# TYPE "):
             parts = line.split()
-            if len(parts) != 4 or parts[3] not in _TYPES:
+            if len(parts) != 4:
                 problems.append((lineno, "malformed TYPE line"))
+                continue
+            if parts[3] not in _TYPES:
+                problems.append(
+                    (
+                        lineno,
+                        f"{parts[2]} has TYPE {parts[3]}; the exporter "
+                        "emits only counter and summary",
+                    )
+                )
                 continue
             if parts[2] in types:
                 problems.append((lineno, f"duplicate TYPE for {parts[2]}"))
@@ -132,7 +133,7 @@ def lint(text: str) -> list:
                         (lineno, f"invalid label name {label_name!r}")
                     )
                 labels[label_name] = label_value
-                if label_name not in ("le", "quantile"):
+                if label_name != "quantile":
                     ordered_values.append(label_value)
         series_key = tuple(ordered_values)
         family_series = series_order.setdefault(family, [])
@@ -146,25 +147,6 @@ def lint(text: str) -> list:
         kind = types.get(family)
         if kind == "counter" and value < 0:
             problems.append((lineno, f"counter {name} is negative"))
-        if kind == "histogram" and name.endswith("_bucket"):
-            le = labels.get("le")
-            if le is None:
-                problems.append((lineno, f"{name} bucket missing le label"))
-                continue
-            bound = math.inf if le == "+Inf" else None
-            if bound is None:
-                try:
-                    bound = float(le)
-                except ValueError:
-                    problems.append((lineno, f"unparseable le bound {le!r}"))
-                    continue
-            key = (family, tuple(sorted(
-                (k, v) for k, v in labels.items() if k != "le"
-            )))
-            buckets.setdefault(key, []).append((lineno, bound, value))
-        if kind == "histogram" and name.endswith("_count"):
-            key = (family, tuple(sorted(labels.items())))
-            counts[key] = (lineno, value)
         if kind == "summary" and name == family and "quantile" in labels:
             try:
                 q = float(labels["quantile"])
@@ -175,34 +157,6 @@ def lint(text: str) -> list:
                 continue
             quantiles.setdefault((family, series_key), []).append(
                 (lineno, q, value)
-            )
-    for (family, label_key), series in buckets.items():
-        bounds = [bound for _, bound, _ in series]
-        values = [value for _, _, value in series]
-        first_line = series[0][0]
-        if bounds != sorted(bounds):
-            problems.append(
-                (first_line, f"{family} buckets not sorted by le bound")
-            )
-        if values != sorted(values):
-            problems.append(
-                (first_line, f"{family} bucket counts not cumulative")
-            )
-        if not bounds or bounds[-1] != math.inf:
-            problems.append(
-                (first_line, f'{family} histogram missing le="+Inf" bucket')
-            )
-            continue
-        count = counts.get((family, label_key))
-        if count is None:
-            problems.append((first_line, f"{family} histogram missing _count"))
-        elif count[1] != values[-1]:
-            problems.append(
-                (
-                    count[0],
-                    f"{family}_count {count[1]:g} != +Inf bucket "
-                    f"{values[-1]:g}",
-                )
             )
     for (family, _), rows in quantiles.items():
         qs = [q for _, q, _ in rows]
