@@ -14,8 +14,9 @@ A query runs in four steps:
    with every shard summary; shards that provably cannot answer are
    skipped (see :mod:`repro.cluster.routing` for the exactness
    argument);
-2. **fan out** -- submit the search to every routed shard, then
-   collect (worker shards compute concurrently);
+2. **fan out** -- submit the search (:meth:`discover`: a block of
+   passes) to every routed shard, then collect (worker shards compute
+   concurrently);
 3. **merge** -- translate shard-local result ids to global ids, sort,
    and sum the shards' :class:`~repro.core.stats.PassStats` into one
    :class:`~repro.cluster.stats.ClusterPassStats`;
@@ -113,6 +114,11 @@ DEFAULT_BACKOFF = 0.05
 #: Hard cap on any single failover backoff sleep (bounded by design).
 MAX_BACKOFF_SECONDS = 0.5
 
+#: Reference passes per discovery request: each routed shard gets one
+#: :data:`BLOCK_COMMAND` request per block; a failover retries it whole.
+DISCOVERY_BLOCK = 8
+BLOCK_COMMAND = "search_block"
+
 #: Internal sentinel: a shard request that found no surviving replica
 #: (distinguishable from a legitimate ``None`` reply).
 _LOST = object()
@@ -180,6 +186,18 @@ def resolve_deadline(deadline: "float | None") -> "float | None":
     if deadline is not None and deadline <= 0:
         return None
     return deadline
+
+
+def request_deadline(
+    deadline: "float | None", command: str, payload: tuple
+) -> "float | None":
+    """Seconds one shard request may take: *deadline* per pass it carries.
+
+    Only a :data:`BLOCK_COMMAND` request carries more than one pass.
+    """
+    if deadline is None or command != BLOCK_COMMAND:
+        return deadline
+    return deadline * len(payload[0])
 
 
 def resolve_backoff(backoff: "float | None") -> float:
@@ -700,7 +718,9 @@ class SilkMothCluster:
                 try:
                     transport = self._shards[shard][replica]
                     transport.submit(command, payload)
-                    return transport.collect(self._deadline)
+                    return transport.collect(
+                        request_deadline(self._deadline, command, payload)
+                    )
                 except Exception:  # noqa: BLE001 - replica is dead, try next
                     observe_transport_error()
                     self._mark_replica_dead(shard, replica)
@@ -717,12 +737,13 @@ class SilkMothCluster:
 
         Submits *command* to each selected shard's primary replica (so
         worker shards compute concurrently), then collects in order
-        under the per-request deadline.  A failed submit or collect
-        marks that replica dead and retries synchronously on the next
-        one via :meth:`_failover_request`.  Shards with no surviving
-        replica either raise :class:`ClusterDegradedError` (default) or
-        yield ``None`` replies (*allow_lost*, for best-effort reads
-        like :meth:`shard_infos`).  *collect_span* wraps the collect
+        under the per-request deadline (:func:`request_deadline`).  A
+        failed submit or collect marks that replica dead and retries
+        synchronously on the next one via :meth:`_failover_request`.
+        Shards with no surviving replica either raise
+        :class:`ClusterDegradedError` (default) or yield ``None``
+        replies (*allow_lost*, for best-effort reads like
+        :meth:`shard_infos`).  *collect_span* wraps the collect
         phase -- and only it -- in a ``cluster.collect`` span: the
         submit phase must stay outside so an inline shard (which
         executes at submit time) parents its spans under the caller's
@@ -747,7 +768,9 @@ class SilkMothCluster:
                 reply = _LOST
                 if replica is not None:
                     try:
-                        reply = self._shards[k][replica].collect(self._deadline)
+                        reply = self._shards[k][replica].collect(
+                            request_deadline(self._deadline, command, payload)
+                        )
                     except Exception:  # noqa: BLE001 - fail over below
                         observe_transport_error()
                         self._mark_replica_dead(k, replica)
@@ -1087,70 +1110,89 @@ class SilkMothCluster:
         ]
 
     def _search_cold(
-        self,
-        elements: Sequence[str],
-        skip_gid: "int | None" = None,
-        first_locals: "Sequence[int] | None" = None,
+        self, elements: Sequence[str]
     ) -> tuple[list[SearchResult], ClusterPassStats]:
-        """Route, fan out, merge: one uncached cluster search pass.
+        """One uncached cluster search pass: a block of one reference."""
+        ((results, cluster_pass),) = self._search_block(
+            [(elements, None, None)], "search"
+        )
+        return results, cluster_pass
 
-        *skip_gid* and *first_locals* are :meth:`discover`'s: the
-        member set to skip and, per shard, the local id its pass starts
-        at (the reference's candidate floor in that shard's numbering).
-        A shard whose table ends below its floor is not routed.
+    def _search_block(
+        self, passes: list, command: str
+    ) -> list[tuple[list[SearchResult], ClusterPassStats]]:
+        """Route, fan out, merge: uncached passes, one request per shard.
+
+        Each pass is ``(elements, skip_gid, first_locals)``: the member
+        set to skip and, per shard, the local id its pass starts at (a
+        discovery floor in that shard's numbering; ``None`` = 0).  A
+        shard whose table ends below its floor is not routed.  Each
+        routed shard gets one *command* request: ``search`` carries a
+        lone pass, :data:`BLOCK_COMMAND` its items in pass order.  Each
+        pass then merges on its own; one ``(results, pass)`` per pass.
         """
         self._ensure_open()
-        if len(elements) == 0:
-            # The single-node engine answers an empty reference without
-            # running any stage; so does the cluster, shard-free.
-            cluster_pass = ClusterPassStats.from_shards(self.n_shards, [])
-            self.stats.record_routing(cluster_pass)
-            self.last_pass = cluster_pass
-            return [], cluster_pass
         started = time.perf_counter()
         failovers_before = self.stats.failovers
-        with span("cluster.query", shards=self.n_shards) as query_span:
-            if self._certificate:
-                with span("cluster.route"):
-                    probe = reference_probe(self._tokenizer, elements)
-                    selected = self._route(probe)
-            else:
-                # Broadcast mode never consults the probe; skip hashing.
-                selected = list(range(self.n_shards))
-            if first_locals is None:
-                first_locals = [0] * self.n_shards
-            else:
-                selected = [
-                    k
-                    for k in selected
-                    if first_locals[k] < len(self._shard_to_global[k])
-                ]
-            query_span.set_attr("routed", len(selected))
-            skip_shard, skip_local = None, None
-            if skip_gid is not None and self.is_live(skip_gid):
-                skip_shard, skip_local = self._placement[skip_gid]
-            payload = tuple(elements)
+        block = command == BLOCK_COMMAND
+        # Per shard: (pass index, shard payload item), in pass order.
+        items: list = [[] for _ in range(self.n_shards)]
+        with span(
+            "cluster.query", shards=self.n_shards, references=len(passes)
+        ) as query_span:
+            for i, (elements, skip_gid, first_locals) in enumerate(passes):
+                if len(elements) == 0:
+                    # The single-node engine answers an empty reference
+                    # without running any stage; so does the cluster.
+                    continue
+                if self._certificate:
+                    with span("cluster.route"):
+                        probe = reference_probe(self._tokenizer, elements)
+                        selected = self._route(probe)
+                else:
+                    # Broadcast mode never consults the probe; skip hashing.
+                    selected = list(range(self.n_shards))
+                if first_locals is None:
+                    first_locals = [0] * self.n_shards
+                else:
+                    selected = [
+                        k
+                        for k in selected
+                        if first_locals[k] < len(self._shard_to_global[k])
+                    ]
+                skip_shard, skip_local = None, None
+                if skip_gid is not None and self.is_live(skip_gid):
+                    skip_shard, skip_local = self._placement[skip_gid]
+                payload = tuple(elements)
+                for k in selected:
+                    skip = skip_local if k == skip_shard else None
+                    items[k].append((i, (payload, skip, first_locals[k])))
+            shards = [k for k in range(self.n_shards) if items[k]]
+            query_span.set_attr("routed", sum(map(len, items)))
             # The shard parents its spans directly under this query
             # span, so a fanned-out pass stays one coherent trace tree
             # even across worker processes.
             trace_ctx = current_context()
             payloads = [
-                (
-                    payload,
-                    skip_local if k == skip_shard else None,
-                    first_locals[k],
-                    trace_ctx,
-                )
-                for k in selected
+                (tuple(item for _, item in items[k]), trace_ctx)
+                if block
+                else items[k][0][1] + (trace_ctx,)
+                for k in shards
             ]
             replies = self._fanout_read(
-                "search", payloads, selected, collect_span=True
+                command, payloads, shards, collect_span=True
             )
-            merged_results: list[SearchResult] = []
-            per_shard: list[tuple[int, object]] = []
-            for k, (results, pass_stats, shard_spans) in zip(selected, replies):
+        per_pass: list = [[] for _ in passes]
+        for k, reply in zip(shards, replies):
+            for (i, _), (results, pass_stats, shard_spans) in zip(
+                items[k], reply if block else [reply]
+            ):
                 ingest(shard_spans)
-                per_shard.append((k, pass_stats))
+                per_pass[i].append((k, results, pass_stats))
+        merged = []
+        for (elements, _, _), shard_replies in zip(passes, per_pass):
+            merged_results: list[SearchResult] = []
+            for k, results, _ in shard_replies:
                 table = self._shard_to_global[k]
                 for result in results:
                     merged_results.append(
@@ -1161,19 +1203,25 @@ class SilkMothCluster:
                         )
                     )
             merged_results.sort(key=lambda result: result.set_id)
-        cluster_pass = ClusterPassStats.from_shards(self.n_shards, per_shard)
-        self.stats.record_routing(cluster_pass)
-        for _, pass_stats in per_shard:
-            self.stats.record_pass(pass_stats)
-        self.run_stats.add(cluster_pass.merged)
-        self.last_pass = cluster_pass
-        observe_slow_cluster_query(
-            time.perf_counter() - started,
-            cluster_pass,
-            failovers=self.stats.failovers - failovers_before,
-            lost_shards=self.lost_shards(),
-        )
-        return merged_results, cluster_pass
+            per_shard = [(k, stats) for k, _, stats in shard_replies]
+            cluster_pass = ClusterPassStats.from_shards(
+                self.n_shards, per_shard
+            )
+            self.stats.record_routing(cluster_pass)
+            self.last_pass = cluster_pass
+            merged.append((merged_results, cluster_pass))
+            if len(elements) == 0:
+                continue
+            for _, pass_stats in per_shard:
+                self.stats.record_pass(pass_stats)
+            self.run_stats.add(cluster_pass.merged)
+            observe_slow_cluster_query(
+                time.perf_counter() - started,
+                cluster_pass,
+                failovers=self.stats.failovers - failovers_before,
+                lost_shards=self.lost_shards(),
+            )
+        return merged
 
     def search(self, elements: Sequence[str]) -> list[SearchResult]:
         """All live sets related to the raw reference *elements*.
@@ -1240,7 +1288,7 @@ class SilkMothCluster:
     def discover(self) -> list[DiscoveryResult]:
         """RELATED SET DISCOVERY over the cluster's own live sets.
 
-        One routed fan-out per live reference, with the shard holding
+        One routed pass per live reference, with the shard holding
         the reference skipping the self pair locally and the shared
         :func:`~repro.pipeline.driver.keep_discovery_pair` rule applied
         to the merged global rows -- output is identical (ids, scores,
@@ -1262,6 +1310,11 @@ class SilkMothCluster:
         floor, and the pair rule on the merged rows, which the floor
         only anticipates, drops them.  A reference with no global id at
         or above its floor (the last one) runs no pass at all.
+
+        Passes travel in blocks of :data:`DISCOVERY_BLOCK`, so the
+        coordinator waits on each routed shard once per block, not once
+        per reference; a failover retries the whole block, floors
+        included, on the next replica.
         """
         symmetric = self.config.metric is Relatedness.SIMILARITY
         output: list[DiscoveryResult] = []
@@ -1269,6 +1322,7 @@ class SilkMothCluster:
             running_max = [
                 list(accumulate(table, max)) for table in self._shard_to_global
             ]
+            passes = []
             for gid in range(len(self._placement)):
                 if gid in self._deleted:
                     continue
@@ -1282,9 +1336,12 @@ class SilkMothCluster:
                     first_locals = [
                         bisect_left(running, floor) for running in running_max
                     ]
-                results, _ = self._search_cold(
-                    self._raw[gid], skip_gid=gid, first_locals=first_locals
-                )
+                passes.append((self._raw[gid], gid, first_locals))
+            answers = []
+            for start in range(0, len(passes), DISCOVERY_BLOCK):
+                block = passes[start:start + DISCOVERY_BLOCK]
+                answers += self._search_block(block, BLOCK_COMMAND)
+            for (_, gid, _), (results, _) in zip(passes, answers):
                 for result in results:
                     if keep_discovery_pair(
                         gid, result.set_id, self_mode=True, symmetric=symmetric

@@ -160,6 +160,14 @@ class ShardHost:
         service.stats.record_pass(stats)
         return results, stats, spans
 
+    def _cmd_search_block(
+        self,
+        items: Sequence[tuple],
+        trace_ctx: "tuple[str, str] | None" = None,
+    ) -> list:
+        """:meth:`_cmd_search` per ``(elements, skip_local, first_local)``."""
+        return [self._cmd_search(*item, trace_ctx) for item in items]
+
     def _cmd_add(self, elements: Sequence[str]) -> int:
         """Append one set; returns its new local id."""
         return self.service.add_set(elements).set_id

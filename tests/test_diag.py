@@ -15,6 +15,7 @@ import pytest
 
 from repro.cluster import ClusterDegradedError, SilkMothCluster
 from repro.cluster.faults import FaultEvent, FaultPlan
+from repro.cluster.stats import ClusterStats
 from repro.core.config import SilkMothConfig
 from repro.obs.diag import (
     DEFAULT_SLOWLOG_CAPACITY,
@@ -156,6 +157,36 @@ def test_slow_cluster_query_names_shards():
     assert entry["failovers"] == 0
     assert entry["lost_shards"] == []
     assert "initial_candidates" in entry["funnel"]
+
+
+def test_discovery_logs_one_cluster_query_per_reference(monkeypatch):
+    """Blocked discovery still logs each reference pass on its own.
+
+    Every pass of the block gets exactly one ``cluster_query`` entry,
+    and each per-shard ``seconds`` is that shard's own summed stage
+    seconds for that reference, not the block's.
+    """
+    shard_passes = []
+    original = ClusterStats.record_pass
+
+    def recording(self, stats):
+        shard_passes.append(stats)
+        return original(self, stats)
+
+    monkeypatch.setattr(ClusterStats, "record_pass", recording)
+    set_slowlog_ms(0.0)
+    with SilkMothCluster.from_sets(DATA, CONFIG, shards=2) as cluster:
+        cluster.discover()
+        passes = cluster.run_stats.passes
+    entries = [
+        e for e in get_slowlog().entries() if e["kind"] == "cluster_query"
+    ]
+    assert passes == 4 and len(entries) == passes
+    rows = [row for entry in entries for row in entry["per_shard"]]
+    assert len(rows) == len(shard_passes) > passes
+    for row, stats in zip(rows, shard_passes):
+        assert row["seconds"] == sum(stats.stage_seconds.values()) > 0
+        assert row["matches"] == stats.matches
 
 
 def test_export_jsonl_round_trip(tmp_path):

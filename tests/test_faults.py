@@ -40,6 +40,7 @@ from repro.cluster import (
     ShardTransportError,
     SilkMothCluster,
 )
+from repro.cluster.coordinator import BLOCK_COMMAND
 from repro.cluster.transport import make_transport
 from repro.core.config import SilkMothConfig
 from strategies import token_sets
@@ -326,6 +327,45 @@ def test_chaos_smoke_fixed_seed_process_transport():
     log_path = os.environ.get("SILKMOTH_CHAOS_LOG")
     if log_path:
         plan.write_log(log_path)
+
+
+#: Seeds whose storm of block-request faults fires inside discover()
+#: and fails over without losing a shard.
+DISCOVERY_STORM_SEEDS = (2, 10)
+
+
+@pytest.mark.parametrize("seed", DISCOVERY_STORM_SEEDS)
+def test_chaos_during_discovery_process_transport(seed):
+    """Faults fired *during* discover() leave the oracle's rows intact.
+
+    :func:`_audit_identity` only discovers after the plan is quiesced,
+    so this storm aims at the discovery block requests alone: workers
+    die, drop replies or stall mid-discovery, each block is retried on
+    the surviving replica, and the rows equal the single node's.
+    """
+    sets = DATA * 6  # 35 reference passes: five blocks
+    plan = FaultPlan.random(
+        seed,
+        shards=2,
+        replicas=2,
+        n_events=4,
+        commands=(BLOCK_COMMAND,),
+        max_after=6,
+    )
+    with _oracle(sets) as oracle, SilkMothCluster.from_sets(
+        sets,
+        CONFIG,
+        shards=2,
+        replicas=2,
+        transport="process",
+        fault_plan=plan,
+        backoff=0.0,
+        deadline=10.0,
+    ) as cluster:
+        assert cluster.discover() == oracle.discover()
+        assert plan.fired_events()
+        assert cluster.stats.failovers >= 1
+        assert cluster.lost_shards() == []
 
 
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))

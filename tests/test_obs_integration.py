@@ -111,6 +111,34 @@ class TestClusterTrace:
             coordinator_pid = query["pid"]
             assert any(s["pid"] != coordinator_pid for s in shard_spans)
 
+    def test_traced_discovery_parents_shard_passes_under_blocks(self):
+        set_trace_enabled(True)
+        sets = DATA * 5  # 19 reference passes: blocks of 8, 8 and 3
+        with SilkMothCluster.from_sets(
+            sets, SilkMothConfig(delta=0.3), shards=2, transport="socket"
+        ) as cluster:
+            cluster.discover()
+            routed = cluster.stats.shards_routed_total
+        spans = get_tracer().drain()
+        set_trace_enabled(None)
+
+        (discover,) = [s for s in spans if s["name"] == "cluster.discover"]
+        queries = {
+            s["span_id"]: s for s in spans if s["name"] == "cluster.query"
+        }
+        assert sorted(q["attrs"]["references"] for q in queries.values()) == [
+            3, 8, 8
+        ]
+        assert all(
+            q["parent_id"] == discover["span_id"] for q in queries.values()
+        )
+        shard_spans = [s for s in spans if s["name"] == "shard.search"]
+        assert len(shard_spans) == routed
+        assert any(s["pid"] != discover["pid"] for s in shard_spans)
+        for shard_span in shard_spans:
+            assert shard_span["trace_id"] == discover["trace_id"]
+            assert shard_span["parent_id"] in queries
+
     def test_tracing_off_ships_no_spans(self):
         set_trace_enabled(False)
         with SilkMothCluster.from_sets(

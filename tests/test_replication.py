@@ -32,6 +32,7 @@ from repro.cluster import (
     resolve_deadline,
     resolve_replica_count,
 )
+from repro.cluster.coordinator import BLOCK_COMMAND, request_deadline
 from repro.core.config import SilkMothConfig
 from strategies import collections, token_configs, token_sets
 from strategies.kernels import KERNEL_MODES, kernel_mode
@@ -336,6 +337,56 @@ def test_replica_knob_resolution(monkeypatch):
         resolve_backoff(-1.0)
 
 
+def test_block_requests_wait_the_deadline_per_pass():
+    """A block request waits the shard deadline times its passes.
+
+    One helper sizes the wait, for the first collect and for the
+    failover retry alike; every other request waits the deadline.
+    """
+    item = (("ash",), None, 0)
+    assert request_deadline(None, BLOCK_COMMAND, ((item,) * 3, None)) is None
+    assert request_deadline(1.5, "search", item + (None,)) == 1.5
+    assert request_deadline(1.5, BLOCK_COMMAND, ((item,) * 3, None)) == 4.5
+    waits = []
+
+    def spy(transport):
+        submit, collect = transport.submit, transport.collect
+        pending = []
+
+        def spy_submit(command, payload):
+            pending.append(len(payload[0]) if command == BLOCK_COMMAND else 0)
+            submit(command, payload)
+
+        def spy_collect(timeout=None):
+            passes = pending.pop(0)
+            if passes:
+                waits.append((passes, timeout))
+            return collect(timeout)
+
+        transport.submit, transport.collect = spy_submit, spy_collect
+
+    plan = FaultPlan(
+        [FaultEvent(kind="drop_reply", shard=0, command=BLOCK_COMMAND)]
+    )
+    with SilkMothCluster.from_sets(
+        DATA * 3,
+        CONFIG,
+        shards=2,
+        replicas=2,
+        fault_plan=plan,
+        backoff=0.0,
+        deadline=1.5,
+    ) as cluster:
+        for replicas in cluster._shards:
+            for transport in replicas:
+                spy(transport)
+        cluster.discover()
+        assert cluster.stats.failovers == 1
+    # Shard 0's first block is collected twice: dropped, then retried.
+    assert waits[0] == waits[1] and waits[0][0] > 1
+    assert all(timeout == 1.5 * passes for passes, timeout in waits)
+
+
 def test_replicated_cluster_info_reports_health():
     """replica_health()/lost_shards() expose the failover state."""
     with SilkMothCluster.from_sets(
@@ -400,12 +451,13 @@ def test_replicas_and_revivals_are_built_concurrently(handshake_log):
 
 
 @pytest.mark.skipif(base.numpy_kernels is None, reason="numpy not installed")
-def test_kernel_workers_fail_over_exactly():
+def test_kernel_workers_fail_over_exactly(monkeypatch):
     """Killing a worker that runs the batched kernels is still invisible.
 
     Dense shards of 18 sets hand the workers' numpy kernels long
-    batches; a replica of each shard dies mid-discovery and the rows
-    still equal the single node's, scores included.
+    batches; a replica of each shard dies mid-discovery, on a later
+    block of references, and the rows still equal the single node's,
+    scores included.  The retried blocks carry their floors.
     """
     from repro.sim.functions import SimilarityKind
     from strategies import clustered_edit_sets
@@ -416,10 +468,20 @@ def test_kernel_workers_fail_over_exactly():
     sets = clustered_edit_sets(
         seed=11, clusters=12, sets_per_cluster=3, strings=6
     )
+    retried = []
+    original = SilkMothCluster._failover_request
+
+    def recording(self, shard, command, payload):
+        retried.extend(first_local for *_, first_local in payload[0])
+        return original(self, shard, command, payload)
+
+    monkeypatch.setattr(SilkMothCluster, "_failover_request", recording)
     plan = FaultPlan(
         [
-            FaultEvent(kind="kill_shard", shard=0, command="search", after=5),
-            FaultEvent(kind="hang", shard=1, command="search", after=9),
+            FaultEvent(
+                kind="kill_shard", shard=0, command=BLOCK_COMMAND, after=2
+            ),
+            FaultEvent(kind="hang", shard=1, command=BLOCK_COMMAND, after=4),
         ]
     )
     with _oracle_for(sets, config) as oracle, SilkMothCluster.from_sets(
@@ -435,3 +497,4 @@ def test_kernel_workers_fail_over_exactly():
         assert len(plan.fired_events()) == 2
         assert cluster.stats.failovers >= 2
         assert cluster.lost_shards() == []
+    assert retried and all(first_local > 0 for first_local in retried)

@@ -38,6 +38,8 @@ from hypothesis import strategies as st
 from repro.backends import get_backend
 from repro.baselines.brute_force import brute_force_discover
 from repro.cluster import FaultEvent, FaultPlan, SilkMothCluster
+from repro.cluster import coordinator
+from repro.cluster.coordinator import BLOCK_COMMAND
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.parallel import parallel_discover
@@ -450,25 +452,31 @@ def test_cluster_discover_through_mutations(transport, replicas, tmp_path):
 
 
 def test_cluster_failover_retry_carries_the_floor(monkeypatch):
-    """A worker killed or hung mid-discovery is retried with its floor.
+    """A worker killed or hung mid-discovery is retried with its floors.
 
-    The floor rides in the request payload as a local id, and replicas
-    of a shard share local ids, so the retry on the next replica is the
+    Floors ride in the block request as local ids, and replicas of a
+    shard share local ids, so the retry on the next replica is the
     same request: rows stay identical to the single node's and no pair
-    is lost or doubled.
+    is lost or doubled.  Blocks of two references put the faults on a
+    later block, where every reference's floor is above local 0 on
+    both shards.
     """
     retried = []
     original = SilkMothCluster._failover_request
 
     def recording(self, shard, command, payload):
-        retried.append((command, payload[2]))  # (.., skip, first_local, ..)
+        items, _ = payload
+        retried.append((command, [first_local for *_, first_local in items]))
         return original(self, shard, command, payload)
 
     monkeypatch.setattr(SilkMothCluster, "_failover_request", recording)
+    monkeypatch.setattr(coordinator, "DISCOVERY_BLOCK", 2)
     plan = FaultPlan(
         [
-            FaultEvent(kind="kill_shard", shard=0, command="search", after=4),
-            FaultEvent(kind="hang", shard=1, command="search", after=6),
+            FaultEvent(
+                kind="kill_shard", shard=0, command=BLOCK_COMMAND, after=2
+            ),
+            FaultEvent(kind="hang", shard=1, command=BLOCK_COMMAND, after=3),
         ]
     )
     with SilkMothCluster.from_sets(
@@ -485,8 +493,44 @@ def test_cluster_failover_retry_carries_the_floor(monkeypatch):
         assert cluster.stats.failovers >= 2 and cluster.lost_shards() == []
         assert cluster.run_stats.matches == len(rows)
     assert rows == _single_node_rows(WORD_SETS, WORD_CONFIG)
-    assert [command for command, _ in retried] == ["search", "search"]
-    assert all(first_local > 0 for _, first_local in retried)
+    assert [command for command, _ in retried] == [BLOCK_COMMAND] * 2
+    assert all(
+        firsts and all(first > 0 for first in firsts) for _, firsts in retried
+    )
+
+
+@pytest.mark.parametrize("block", [1, 2, 8])
+def test_cluster_discovery_routing_totals_at_the_edges(monkeypatch, block):
+    """Hand-computed routing totals, whatever the block size.
+
+    Shard 0 holds gids 0, 2, 4 (tokens ash, bay, elm; gid 2 is the
+    empty set) and shard 1 holds gids 1, 3, 5 (adding oak and yew):
+
+    ====  ======  ==========================  ======  =======  =====
+    gid   floor   shards                      routed  skipped  pass
+    ====  ======  ==========================  ======  =======  =====
+    0     1       both (a broadcast)          2       0        yes
+    1     2       both (a broadcast)          2       0        yes
+    2     3       none: an empty reference    0       2        no
+    3     4       1 (shard 0 lacks oak)       1       1        yes
+    4     5       1 (shard 0 ends at gid 4)   1       1        yes
+    5     6       above every shard: no pass  --      --       no
+    ====  ======  ==========================  ======  =======  =====
+    """
+    monkeypatch.setattr(coordinator, "DISCOVERY_BLOCK", block)
+    twin = ["ash bay", "elm"]
+    sets = [twin, twin, [], ["oak"], twin, ["yew"]]
+    with SilkMothCluster.from_sets(sets, WORD_CONFIG, shards=2) as cluster:
+        rows = _rows(cluster.discover())
+        stats = cluster.stats
+        assert (
+            stats.shards_routed_total,
+            stats.shards_skipped_total,
+            stats.broadcasts,
+            cluster.run_stats.passes,
+        ) == (6, 4, 2, 4)
+    assert rows == _single_node_rows(sets, WORD_CONFIG)
+    assert [row[:2] for row in rows] == [(0, 1), (0, 4), (1, 4)]
 
 
 def test_cluster_floor_is_a_global_id_on_a_rebalanced_shard():
