@@ -69,6 +69,7 @@ from repro.io.writers import (
     write_search_json,
 )
 from repro.io.wal import WalError
+from repro.settings import SETTINGS, help_default, resolve, resolve_all
 from repro.sim.functions import SimilarityKind
 from repro.signatures import SCHEME_NAMES
 
@@ -979,11 +980,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     health.add_argument(
         "--transport",
-        choices=("inline", "process", "socket"),
+        choices=SETTINGS["SILKMOTH_CLUSTER_TRANSPORT"].choices,
         default=None,
         help=(
             "cluster shard transport (default: "
-            "SILKMOTH_CLUSTER_TRANSPORT, then inline)"
+            f"{help_default('SILKMOTH_CLUSTER_TRANSPORT')})"
         ),
     )
     health.add_argument(
@@ -1075,7 +1076,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=int,
         default=None,
-        help="shard count (default: SILKMOTH_SHARDS, then 4)",
+        help=f"shard count (default: {help_default('SILKMOTH_SHARDS')})",
     )
     shard.add_argument(
         "--summary-bits",
@@ -1113,11 +1114,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_options(cluster_query)
     cluster_query.add_argument(
         "--transport",
-        choices=("inline", "process", "socket"),
+        choices=SETTINGS["SILKMOTH_CLUSTER_TRANSPORT"].choices,
         default=None,
         help=(
-            "shard transport (default: SILKMOTH_CLUSTER_TRANSPORT, "
-            "then inline)"
+            "shard transport "
+            f"(default: {help_default('SILKMOTH_CLUSTER_TRANSPORT')})"
         ),
     )
     cluster_query.add_argument(
@@ -1126,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "transport endpoints per shard; reads fail over between "
-            "them (default: SILKMOTH_REPLICAS, then 1)"
+            f"them (default: {help_default('SILKMOTH_REPLICAS')})"
         ),
     )
     cluster_query.add_argument(
@@ -1134,9 +1135,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         help=(
-            "per-request shard deadline in seconds; a missed deadline "
-            "fails the replica over (default: SILKMOTH_SHARD_DEADLINE, "
-            "then disabled)"
+            "per-pass shard deadline in seconds, 0 disables; a missed "
+            "deadline fails the replica over "
+            f"(default: {help_default('SILKMOTH_SHARD_DEADLINE')})"
         ),
     )
     cluster_query.add_argument(
@@ -1145,7 +1146,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help=(
             "base pause in seconds before each failover retry "
-            "(default: SILKMOTH_FAILOVER_BACKOFF, then 0.05)"
+            f"(default: {help_default('SILKMOTH_FAILOVER_BACKOFF')})"
         ),
     )
     cluster_query.add_argument(
@@ -1224,12 +1225,12 @@ def _flush_trace() -> None:
     always leaves a readable JSONL trace behind, viewable with
     ``silkmoth trace out.jsonl``.
     """
-    from repro.obs.trace import export_jsonl, export_path, trace_enabled
+    from repro.obs.trace import export_jsonl, trace_enabled
 
     if not trace_enabled():
         return
-    path = export_path()
-    if path:
+    path = resolve("SILKMOTH_TRACE_EXPORT")
+    if path is not None:
         try:
             export_jsonl(path)
         except OSError as exc:
@@ -1246,12 +1247,12 @@ def _flush_slowlog() -> None:
     appended so a pipeline of commands accumulates entries -- viewable
     with ``silkmoth slowlog``.
     """
-    from repro.obs.diag import get_slowlog, slowlog_export_path, slowlog_ms
+    from repro.obs.diag import get_slowlog, slowlog_ms
 
     if slowlog_ms() < 0:
         return
-    path = slowlog_export_path()
-    if path:
+    path = resolve("SILKMOTH_SLOWLOG_EXPORT")
+    if path is not None:
         try:
             get_slowlog().append_jsonl(path)
         except OSError as exc:
@@ -1262,14 +1263,20 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    settings_valid = False
     try:
+        # A malformed SILKMOTH_* variable fails here, before any work;
+        # the exit-time flushes read settings, so they need it valid.
+        resolve_all()
+        settings_valid = True
         return args.func(args)
     except (ValueError, OSError, WalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
-        _flush_trace()
-        _flush_slowlog()
+        if settings_valid:
+            _flush_trace()
+            _flush_slowlog()
 
 
 if __name__ == "__main__":

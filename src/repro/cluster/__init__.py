@@ -25,23 +25,8 @@ Layout:
   rebalancing and failover counters.
 """
 
-from repro.cluster.coordinator import (
-    BACKOFF_ENV_VAR,
-    DEADLINE_ENV_VAR,
-    DEFAULT_BACKOFF,
-    DEFAULT_REPLICAS,
-    DEFAULT_SHARDS,
-    REPLICAS_ENV_VAR,
-    SHARDS_ENV_VAR,
-    ClusterDegradedError,
-    SilkMothCluster,
-    resolve_backoff,
-    resolve_deadline,
-    resolve_replica_count,
-    resolve_shard_count,
-)
+from repro.cluster.coordinator import ClusterDegradedError, SilkMothCluster
 from repro.cluster.faults import (
-    CRASH_ENV_VAR,
     FAULT_KINDS,
     WAL_CRASH_POINTS,
     CrashInjected,
@@ -53,7 +38,6 @@ from repro.cluster.faults import (
     crash_point,
 )
 from repro.cluster.routing import (
-    SUMMARY_BITS_ENV_VAR,
     ReferenceProbe,
     ShardSummary,
     reference_probe,
@@ -63,25 +47,13 @@ from repro.cluster.routing import (
 from repro.cluster.stats import ClusterPassStats, ClusterStats
 from repro.cluster.transport import (
     KNOWN_TRANSPORTS,
-    TRANSPORT_ENV_VAR,
     ShardTimeoutError,
     ShardTransportError,
-    resolve_transport_name,
 )
 
 __all__ = [
-    "BACKOFF_ENV_VAR",
-    "CRASH_ENV_VAR",
-    "DEADLINE_ENV_VAR",
-    "DEFAULT_BACKOFF",
-    "DEFAULT_REPLICAS",
-    "DEFAULT_SHARDS",
     "FAULT_KINDS",
     "KNOWN_TRANSPORTS",
-    "REPLICAS_ENV_VAR",
-    "SHARDS_ENV_VAR",
-    "SUMMARY_BITS_ENV_VAR",
-    "TRANSPORT_ENV_VAR",
     "WAL_CRASH_POINTS",
     "ClusterDegradedError",
     "ClusterPassStats",
@@ -99,11 +71,6 @@ __all__ = [
     "ShardTransportError",
     "SilkMothCluster",
     "reference_probe",
-    "resolve_backoff",
-    "resolve_deadline",
-    "resolve_replica_count",
-    "resolve_shard_count",
-    "resolve_transport_name",
     "routing_certificate_holds",
     "token_hash",
 ]

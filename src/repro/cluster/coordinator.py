@@ -35,7 +35,6 @@ rebuilt tight from the shards' live token inventories.
 
 from __future__ import annotations
 
-import os
 import time
 from bisect import bisect_left
 from contextlib import nullcontext
@@ -49,7 +48,6 @@ from repro.cluster.routing import (
     element_token_hashes,
     make_token_summary,
     reference_probe,
-    resolve_summary_bits,
     routing_certificate_holds,
 )
 from repro.cluster.faults import FaultPlan, FaultyTransport
@@ -58,7 +56,6 @@ from repro.cluster.transport import (
     ShardTransport,
     ShardTransportError,
     make_transport,
-    resolve_transport_name,
 )
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.results import DiscoveryResult, SearchResult
@@ -69,7 +66,7 @@ from repro.io.persistence import (
     save_cluster_manifest,
     save_shard_snapshot,
 )
-from repro.io.wal import resolve_wal_dir, wal_directory_in_use
+from repro.io.wal import wal_directory_in_use
 from repro.obs.diag import get_slowlog, observe_slow_cluster_query, slowlog_ms
 from repro.obs.sketch import get_sketch_registry, merge_payloads, quantile_summary
 from repro.obs.instrument import (
@@ -82,6 +79,7 @@ from repro.obs.trace import current_context, ingest, span
 from repro.pipeline.driver import discovery_floor, keep_discovery_pair
 from repro.planner.cost import IndexProfile, merge_profiles
 from repro.service.batch import plan_batch
+from repro.settings import resolve
 from repro.service.cache import (
     LRUQueryCache,
     config_fingerprint,
@@ -89,27 +87,6 @@ from repro.service.cache import (
 )
 from repro.sim.functions import SimilarityKind
 from repro.tokenize.tokenizers import Tokenizer
-
-#: Environment variable supplying the default shard count.
-SHARDS_ENV_VAR = "SILKMOTH_SHARDS"
-
-#: Shard count when neither the constructor nor the env var names one.
-DEFAULT_SHARDS = 4
-
-#: Environment variable supplying the default replicas per shard.
-REPLICAS_ENV_VAR = "SILKMOTH_REPLICAS"
-
-#: Replicas per shard when neither constructor nor env var names one.
-DEFAULT_REPLICAS = 1
-
-#: Environment variable supplying the per-request shard deadline.
-DEADLINE_ENV_VAR = "SILKMOTH_SHARD_DEADLINE"
-
-#: Environment variable supplying the failover backoff base.
-BACKOFF_ENV_VAR = "SILKMOTH_FAILOVER_BACKOFF"
-
-#: Failover backoff base (seconds) when nothing names one.
-DEFAULT_BACKOFF = 0.05
 
 #: Hard cap on any single failover backoff sleep (bounded by design).
 MAX_BACKOFF_SECONDS = 0.5
@@ -154,40 +131,6 @@ class ClusterDegradedError(ShardTransportError):
         )
 
 
-def resolve_shard_count(shards: "int | None") -> int:
-    """Resolve the shard-count knob: explicit value, env var, default."""
-    if shards is None:
-        raw = os.environ.get(SHARDS_ENV_VAR) or None
-        shards = int(raw) if raw is not None else DEFAULT_SHARDS
-    if shards < 1:
-        raise ValueError(f"a cluster needs >= 1 shard, got {shards}")
-    return shards
-
-
-def resolve_replica_count(replicas: "int | None") -> int:
-    """Resolve the replica knob: explicit value, env var, default (1)."""
-    if replicas is None:
-        raw = os.environ.get(REPLICAS_ENV_VAR) or None
-        replicas = int(raw) if raw is not None else DEFAULT_REPLICAS
-    if replicas < 1:
-        raise ValueError(f"a shard needs >= 1 replica, got {replicas}")
-    return replicas
-
-
-def resolve_deadline(deadline: "float | None") -> "float | None":
-    """Resolve the per-request deadline: explicit, env var, disabled.
-
-    ``None`` (or ``0``) disables the deadline entirely -- collects
-    block until the shard answers, matching pre-replication behaviour.
-    """
-    if deadline is None:
-        raw = os.environ.get(DEADLINE_ENV_VAR) or None
-        deadline = float(raw) if raw is not None else None
-    if deadline is not None and deadline <= 0:
-        return None
-    return deadline
-
-
 def request_deadline(
     deadline: "float | None", command: str, payload: tuple
 ) -> "float | None":
@@ -200,16 +143,6 @@ def request_deadline(
     return deadline * len(payload[0])
 
 
-def resolve_backoff(backoff: "float | None") -> float:
-    """Resolve the failover backoff base: explicit, env var, default."""
-    if backoff is None:
-        raw = os.environ.get(BACKOFF_ENV_VAR) or None
-        backoff = float(raw) if raw is not None else DEFAULT_BACKOFF
-    if backoff < 0:
-        raise ValueError(f"backoff must be >= 0, got {backoff}")
-    return backoff
-
-
 class SilkMothCluster:
     """Related-set search/discovery/serving over N sharded engines.
 
@@ -219,8 +152,7 @@ class SilkMothCluster:
         Engine configuration, shared by every shard (results cached
         under its fingerprint, exactly like the single-node service).
     shards:
-        Shard count; ``None`` defers to ``SILKMOTH_SHARDS`` and then
-        :data:`DEFAULT_SHARDS`.
+        Shard count; ``None`` defers to ``SILKMOTH_SHARDS`` and then 4.
     transport:
         ``"inline"``, ``"process"`` or ``"socket"``; ``None`` defers to
         ``SILKMOTH_CLUSTER_TRANSPORT`` and then ``"inline"``.
@@ -238,13 +170,12 @@ class SilkMothCluster:
         Reads go to one replica (with failover), mutations to all.
     deadline:
         Per-request shard deadline in seconds; a reply missing the
-        deadline fails the replica over.  ``None``/``0`` disables
-        (defers to ``SILKMOTH_SHARD_DEADLINE``).
+        deadline fails the replica over.  ``None`` defers to
+        ``SILKMOTH_SHARD_DEADLINE``; ``0`` or less disables.
     backoff:
         Base of the exponential pause before each failover attempt,
         capped at :data:`MAX_BACKOFF_SECONDS`; ``None`` defers to
-        ``SILKMOTH_FAILOVER_BACKOFF`` and then
-        :data:`DEFAULT_BACKOFF`.
+        ``SILKMOTH_FAILOVER_BACKOFF`` and then 0.05.
     fault_plan:
         Test-only :class:`~repro.cluster.faults.FaultPlan`; wraps every
         replica in a fault-injecting transport.
@@ -271,15 +202,14 @@ class SilkMothCluster:
         fault_plan: "FaultPlan | None" = None,
         wal_dir: "str | Path | None" = None,
     ):
-        n_shards = resolve_shard_count(shards)
         self._init_common(
             config,
-            n_shards,
-            resolve_transport_name(transport),
-            resolve_summary_bits(summary_bits),
-            cache_capacity,
-            compact_dead_fraction,
-            shard_states=[((), ()) for _ in range(n_shards)],
+            lambda n_shards: [((), ())] * n_shards,
+            shards=shards,
+            transport=transport,
+            summary_bits=summary_bits,
+            cache_capacity=cache_capacity,
+            compact_dead_fraction=compact_dead_fraction,
             replicas=replicas,
             deadline=deadline,
             backoff=backoff,
@@ -290,12 +220,13 @@ class SilkMothCluster:
     def _init_common(
         self,
         config: SilkMothConfig,
-        n_shards: int,
-        transport_name: str,
-        summary_bits: int,
-        cache_capacity: int,
-        compact_dead_fraction: float,
-        shard_states: list,
+        place: "Callable[[int], list]",
+        *,
+        shards: "int | None" = None,
+        transport: "str | None" = None,
+        summary_bits: "int | None" = None,
+        cache_capacity: int = 1024,
+        compact_dead_fraction: float = 0.25,
         replicas: "int | None" = None,
         deadline: "float | None" = None,
         backoff: "float | None" = None,
@@ -305,31 +236,41 @@ class SilkMothCluster:
     ) -> None:
         """Shared constructor body (``__init__``, ``from_sets``, ``load``).
 
-        *shard_states* is one ``(raw_sets, deleted_local_ids)`` pair per
-        shard; summaries are built here from the live sets' tokens,
-        while the shard workers construct (:meth:`_spawn_replicas`).
-        Each logical shard gets *replicas* transport endpoints holding
-        identical state; *fault_plan* (tests only) wraps every endpoint
-        in a :class:`~repro.cluster.faults.FaultyTransport`.  With
+        Keyword arguments are the constructor's; every setting is
+        resolved here, before any worker starts.  *place* maps the
+        resolved shard count to one ``(raw_sets, deleted_local_ids)``
+        pair per shard; summaries are built here from the live sets'
+        tokens while the shard workers construct
+        (:meth:`_spawn_replicas`).  Each logical shard gets *replicas*
+        transport endpoints holding identical state; *fault_plan*
+        (tests only) wraps every endpoint in a
+        :class:`~repro.cluster.faults.FaultyTransport`.  With
         *recover_from_wal* (the :meth:`load` path), replicas whose WAL
         directory holds a log are rebuilt from disk and verified
-        against *shard_states* before being trusted.  Every replica has
+        against the placed state before being trusted.  Every replica has
         answered ready when this returns, and a construction error
         raises from here with every started worker closed.
         """
+        n_shards = resolve("SILKMOTH_SHARDS", shards)
+        self._transport_name = resolve(
+            "SILKMOTH_CLUSTER_TRANSPORT", transport
+        )
+        self._summary_bits = resolve(
+            "SILKMOTH_SHARD_SUMMARY_BITS", summary_bits
+        )
+        self._replica_count = resolve("SILKMOTH_REPLICAS", replicas)
+        deadline = resolve("SILKMOTH_SHARD_DEADLINE", deadline)
+        self._deadline = deadline if deadline > 0 else None
+        self._backoff = resolve("SILKMOTH_FAILOVER_BACKOFF", backoff)
+        #: Base directory for per-replica WALs (None = no durability).
+        self._wal_dir = resolve("SILKMOTH_WAL_DIR", wal_dir)
+        shard_states = place(n_shards)
         self.config = config
         self._tokenizer = Tokenizer(
             kind=config.similarity, q=config.effective_q
         )
-        self._transport_name = transport_name
-        self._summary_bits = summary_bits
         self._compact_dead_fraction = compact_dead_fraction
-        self._replica_count = resolve_replica_count(replicas)
-        self._deadline = resolve_deadline(deadline)
-        self._backoff = resolve_backoff(backoff)
         self._fault_plan = fault_plan
-        #: Base directory for per-replica WALs (None = no durability).
-        self._wal_dir = resolve_wal_dir(wal_dir)
         #: From-disk replica rebuilds that failed verification and fell
         #: back to coordinator state (observability for the tests).
         self.wal_revive_fallbacks = 0
@@ -337,7 +278,7 @@ class SilkMothCluster:
 
         def build_summaries() -> None:
             for raw_sets, deleted in shard_states:
-                summary = ShardSummary(make_token_summary(summary_bits))
+                summary = ShardSummary(make_token_summary(self._summary_bits))
                 dead = set(deleted)
                 for local_id, elements in enumerate(raw_sets):
                     if local_id in dead:
@@ -405,41 +346,19 @@ class SilkMothCluster:
         per set, but ships each shard its whole slice in one transport
         handshake.  Keyword arguments are the constructor's.
         """
-        n_shards = resolve_shard_count(kwargs.pop("shards", None))
-        transport_name = resolve_transport_name(kwargs.pop("transport", None))
-        summary_bits = resolve_summary_bits(kwargs.pop("summary_bits", None))
-        cache_capacity = kwargs.pop("cache_capacity", 1024)
-        compact_dead_fraction = kwargs.pop("compact_dead_fraction", 0.25)
-        replicas = kwargs.pop("replicas", None)
-        deadline = kwargs.pop("deadline", None)
-        backoff = kwargs.pop("backoff", None)
-        fault_plan = kwargs.pop("fault_plan", None)
-        wal_dir = kwargs.pop("wal_dir", None)
-        if kwargs:
-            # Validate BEFORE spawning: a typoed keyword must not leak
-            # unreachable (hence unclosable) worker processes.
-            raise TypeError(f"unexpected arguments: {sorted(kwargs)}")
-        shard_sets: list[list[Sequence[str]]] = [[] for _ in range(n_shards)]
         placement: list[tuple[int, int]] = []
-        for gid, elements in enumerate(sets):
-            shard = gid % n_shards
-            placement.append((shard, len(shard_sets[shard])))
-            shard_sets[shard].append(tuple(elements))
+
+        def place(n_shards: int) -> list:
+            shard_sets: list[list[Sequence[str]]] = [[] for _ in range(n_shards)]
+            for gid, elements in enumerate(sets):
+                shard = gid % n_shards
+                placement.append((shard, len(shard_sets[shard])))
+                shard_sets[shard].append(tuple(elements))
+            return [(shard_sets[k], ()) for k in range(n_shards)]
+
         cluster = cls.__new__(cls)
-        cluster._init_common(
-            config,
-            n_shards,
-            transport_name,
-            summary_bits,
-            cache_capacity,
-            compact_dead_fraction,
-            shard_states=[(shard_sets[k], ()) for k in range(n_shards)],
-            replicas=replicas,
-            deadline=deadline,
-            backoff=backoff,
-            fault_plan=fault_plan,
-            wal_dir=wal_dir,
-        )
+        # An unknown keyword fails binding here, before any worker spawns.
+        cluster._init_common(config, place, **kwargs)
         cluster._placement = placement
         cluster._raw = [tuple(elements) for elements in sets]
         for gid, (shard, local) in enumerate(placement):
@@ -1677,22 +1596,22 @@ class SilkMothCluster:
         cluster = cls.__new__(cls)
         cluster._init_common(
             config,
-            len(shard_states),
-            resolve_transport_name(transport),
-            resolve_summary_bits(
+            lambda n_shards: shard_states,
+            shards=len(shard_states),
+            transport=transport,
+            summary_bits=(
                 summary_bits
                 if summary_bits is not None
                 else meta.get("summary_bits", 0)
             ),
-            cache_capacity,
-            compact_dead_fraction,
-            shard_states=shard_states,
+            cache_capacity=cache_capacity,
+            compact_dead_fraction=compact_dead_fraction,
             replicas=replicas,
             deadline=deadline,
             backoff=backoff,
             fault_plan=fault_plan,
             wal_dir=wal_dir,
-            recover_from_wal=resolve_wal_dir(wal_dir) is not None,
+            recover_from_wal=True,
         )
         cluster._placement = [
             (int(pair[0]), int(pair[1])) for pair in placement_raw

@@ -53,14 +53,12 @@ from repro.cluster.transport import (
     ShardTransportError,
 )
 from repro.io.crash import (  # noqa: F401 - chaos-harness re-exports
-    CRASH_ENV_VAR,
     CrashInjected,
     CrashPlan,
     clear_crash_plan,
     crash_at,
     crash_point,
     install_crash_plan,
-    parse_crash_spec,
 )
 from repro.io.wal import (  # noqa: F401 - chaos-harness re-exports
     WAL_CRASH_POINTS,

@@ -38,18 +38,12 @@ to *extra* shards, which costs speed, never exactness).
 from __future__ import annotations
 
 import hashlib
-import os
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from repro.core.config import SilkMothConfig
 from repro.planner.validity import prefix_scheme_valid
 from repro.tokenize.tokenizers import Tokenizer
-
-#: Environment variable sizing the per-shard token summary: ``0`` (the
-#: default) keeps the exact token-hash set; a positive value caps each
-#: summary at that many Bloom-filter bits.
-SUMMARY_BITS_ENV_VAR = "SILKMOTH_SHARD_SUMMARY_BITS"
 
 #: Hash functions per Bloom summary (classic small-k choice; with the
 #: summary sized generously the false-positive rate stays low, and a
@@ -66,22 +60,6 @@ def token_hash(token: str) -> int:
     """
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "big")
-
-
-def resolve_summary_bits(summary_bits: int | None) -> int:
-    """Resolve the summary sizing knob: explicit value, env var, exact.
-
-    ``0`` means the exact token-hash set; a positive value selects a
-    Bloom filter with that many bits per shard.
-    """
-    if summary_bits is None:
-        raw = os.environ.get(SUMMARY_BITS_ENV_VAR) or None
-        summary_bits = int(raw) if raw is not None else 0
-    if summary_bits < 0:
-        raise ValueError(
-            f"shard summary bits must be >= 0, got {summary_bits}"
-        )
-    return summary_bits
 
 
 class ExactTokenSummary:

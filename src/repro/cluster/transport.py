@@ -59,12 +59,10 @@ from repro.cluster.shard import ShardHost
 from repro.core.config import SilkMothConfig
 from repro.io.crash import CrashInjected
 from repro.obs.sketch import get_sketch_registry
-
-#: Environment variable naming the default transport.
-TRANSPORT_ENV_VAR = "SILKMOTH_CLUSTER_TRANSPORT"
+from repro.settings import SETTINGS
 
 #: Recognised transport names.
-KNOWN_TRANSPORTS = ("inline", "process", "socket")
+KNOWN_TRANSPORTS = SETTINGS["SILKMOTH_CLUSTER_TRANSPORT"].choices
 
 
 class ShardTransportError(RuntimeError):
@@ -96,18 +94,6 @@ class ShardTimeoutError(ShardTransportError):
     exactly that: a timed-out replica is marked unhealthy and the
     request fails over to the next replica.
     """
-
-
-def resolve_transport_name(name: str | None) -> str:
-    """Resolve the transport knob: explicit value, env var, inline."""
-    if name is None:
-        name = os.environ.get(TRANSPORT_ENV_VAR) or "inline"
-    if name not in KNOWN_TRANSPORTS:
-        raise ValueError(
-            f"unknown cluster transport {name!r}; known: "
-            f"{', '.join(KNOWN_TRANSPORTS)}"
-        )
-    return name
 
 
 class ShardTransport(abc.ABC):

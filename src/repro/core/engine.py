@@ -41,8 +41,9 @@ from repro.pipeline.driver import search_rows
 from repro.pipeline.plan import QueryPlan
 from repro.planner.planner import PlannerDecision, plan_query
 from repro.planner.report import format_decision
+from repro.settings import resolve
 from repro.signatures import get_scheme
-from repro.sim.memo import SimilarityMemo, resolve_sim_cache_size
+from repro.sim.memo import SimilarityMemo
 
 
 class SilkMoth:
@@ -89,11 +90,11 @@ class SilkMoth:
         #: shared by every pass this engine runs, so exact phi values
         #: computed by the check/NN filters are reused by verification
         #: and by later queries.  ``None`` for the token kinds.
-        self.memo: SimilarityMemo | None = (
-            SimilarityMemo(resolve_sim_cache_size(config.sim_cache_size))
-            if config.similarity.is_edit_based
-            else None
-        )
+        self.memo: SimilarityMemo | None = None
+        if config.similarity.is_edit_based:
+            self.memo = SimilarityMemo(
+                resolve("SILKMOTH_SIM_CACHE", config.sim_cache_size)
+            )
         self.stats = RunStats()
 
     # ------------------------------------------------------------------

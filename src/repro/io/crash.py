@@ -26,12 +26,9 @@ transport-level fault plans.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 
-#: Environment variable naming a crash point (``name`` or ``name:N``
-#: to fire on the N-th hit).  Inherited by shard worker processes.
-CRASH_ENV_VAR = "SILKMOTH_CRASH_AT"
+from repro.settings import resolve
 
 
 class CrashInjected(RuntimeError):
@@ -74,18 +71,6 @@ _active_plan: "CrashPlan | None" = None
 _env_hits: "dict[str, int]" = {}
 
 
-def parse_crash_spec(spec: str) -> "tuple[str, int]":
-    """Split a ``name`` / ``name:N`` spec into (point, after)."""
-    point, _, count = spec.partition(":")
-    point = point.strip()
-    if not point:
-        raise ValueError(f"empty crash point in spec {spec!r}")
-    after = int(count) if count.strip() else 1
-    if after < 1:
-        raise ValueError(f"crash count must be >= 1 in spec {spec!r}")
-    return point, after
-
-
 def install_crash_plan(plan: "CrashPlan | None") -> None:
     """Install ``plan`` process-wide (None disarms in-process plans)."""
     global _active_plan
@@ -102,17 +87,18 @@ def crash_point(name: str) -> None:
     """Raise :class:`CrashInjected` when ``name`` is armed, else no-op.
 
     An installed :class:`CrashPlan` takes precedence over the
-    ``SILKMOTH_CRASH_AT`` environment variable; with neither armed
-    this is a cheap dictionary miss on the hot path.
+    ``SILKMOTH_CRASH_AT`` environment variable, which is read on every
+    call (worker processes inherit it and tests flip it mid-process);
+    with neither armed this is a cheap environment miss.
     """
     if _active_plan is not None:
         if _active_plan.on_point(name):
             raise CrashInjected(name, _active_plan.seen)
         return
-    spec = os.environ.get(CRASH_ENV_VAR)
-    if not spec:
+    spec = resolve("SILKMOTH_CRASH_AT")
+    if spec is None:
         return
-    point, after = parse_crash_spec(spec)
+    point, after = spec
     if point != name:
         return
     hits = _env_hits.get(name, 0) + 1

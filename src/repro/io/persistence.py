@@ -77,6 +77,7 @@ from pathlib import Path
 from repro.core.records import SetCollection
 from repro.obs.instrument import observe_snapshot
 from repro.obs.trace import span
+from repro.settings import resolve
 from repro.sim.functions import SimilarityKind
 
 class SnapshotError(ValueError):
@@ -120,26 +121,6 @@ SHARD_FORMAT_VERSION = 3
 CLUSTER_FORMAT_NAME = "silkmoth-cluster"
 #: Cluster manifest schema version.
 CLUSTER_FORMAT_VERSION = 1
-#: Environment variable gating fsync on durable writes ("0"/"false"/
-#: "no"/"off" disable it; anything else, or unset, leaves it on).
-FSYNC_ENV_VAR = "SILKMOTH_FSYNC"
-
-
-def resolve_fsync(fsync: "bool | None" = None) -> bool:
-    """Resolve the fsync policy: explicit argument, else ``SILKMOTH_FSYNC``.
-
-    Defaults to **on**: atomic rename alone survives a process crash
-    but not a power cut (the rename can reach disk before the data).
-    Tests and throwaway runs can switch it off for speed.
-    """
-    if fsync is not None:
-        return bool(fsync)
-    raw = os.environ.get(FSYNC_ENV_VAR)
-    if raw is None:
-        return True
-    return raw.strip().lower() not in ("0", "false", "no", "off", "")
-
-
 def fsync_directory(path: str | os.PathLike) -> None:
     """Best-effort fsync of a directory entry (no-op where unsupported).
 
@@ -172,14 +153,14 @@ def atomic_write_text(
     by snapshot writes and cost-profile exports.
 
     Unless fsync is disabled (*fsync* argument, else ``SILKMOTH_FSYNC``,
-    see :func:`resolve_fsync`) the temp file is fsynced before the
-    rename and the parent directory after it, closing the power-cut
-    hole where the rename reaches disk before the data and a reboot
-    reveals an empty or partial file under the final name.
+    default on) the temp file is fsynced before the rename and the
+    parent directory after it, closing the power-cut hole where the
+    rename reaches disk before the data and a reboot reveals an empty
+    or partial file under the final name.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-    do_fsync = resolve_fsync(fsync)
+    do_fsync = resolve("SILKMOTH_FSYNC", fsync)
     try:
         with open(tmp, "w", encoding="utf-8") as handle:
             handle.write(text)

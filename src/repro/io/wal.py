@@ -53,16 +53,11 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.io.crash import crash_point
-from repro.io.persistence import fsync_directory, resolve_fsync
+from repro.io.persistence import fsync_directory
 from repro.obs.instrument import observe_wal_append, observe_wal_checkpoint
 from repro.obs.trace import span
+from repro.settings import resolve
 
-#: Environment variable enabling the WAL (a directory path).
-WAL_DIR_ENV_VAR = "SILKMOTH_WAL_DIR"
-#: Environment variable sizing segments before rotation (bytes).
-SEGMENT_BYTES_ENV_VAR = "SILKMOTH_WAL_SEGMENT_BYTES"
-#: Default segment rotation threshold.
-DEFAULT_SEGMENT_BYTES = 1 << 20
 #: File name of the checkpoint snapshot inside a WAL directory.
 CHECKPOINT_NAME = "checkpoint.json"
 #: Mutation operations a WAL record may carry.
@@ -129,35 +124,6 @@ class RecoveryReport:
             "segments": self.segments,
             "torn_tail": self.torn_tail,
         }
-
-
-def resolve_wal_dir(
-    wal_dir: "str | os.PathLike | bool | None" = None,
-) -> "Path | None":
-    """Resolve the WAL directory: explicit argument, else ``SILKMOTH_WAL_DIR``.
-
-    Returns ``None`` when the WAL is disabled: no argument and no (or
-    empty) environment variable.  Passing ``False`` disables the WAL
-    *explicitly*, ignoring the environment -- the cluster uses this for
-    shard replicas so several services can never accidentally share the
-    one directory the variable names.
-    """
-    if wal_dir is False:
-        return None
-    if wal_dir is None:
-        wal_dir = os.environ.get(WAL_DIR_ENV_VAR) or None
-    return None if wal_dir is None else Path(wal_dir)
-
-
-def resolve_segment_bytes(segment_bytes: "int | None" = None) -> int:
-    """Resolve the rotation threshold: argument, env var, or default."""
-    if segment_bytes is None:
-        raw = os.environ.get(SEGMENT_BYTES_ENV_VAR)
-        segment_bytes = int(raw) if raw else DEFAULT_SEGMENT_BYTES
-    segment_bytes = int(segment_bytes)
-    if segment_bytes < 1:
-        raise ValueError(f"segment_bytes must be >= 1, got {segment_bytes}")
-    return segment_bytes
 
 
 def encode_record(record: WalRecord) -> bytes:
@@ -337,8 +303,10 @@ class WriteAheadLog:
     ):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.segment_bytes = resolve_segment_bytes(segment_bytes)
-        self.fsync = resolve_fsync(fsync)
+        self.segment_bytes = resolve(
+            "SILKMOTH_WAL_SEGMENT_BYTES", segment_bytes
+        )
+        self.fsync = resolve("SILKMOTH_FSYNC", fsync)
         self.appended = 0
         self._handle = None
         existing = list_segments(self.directory)

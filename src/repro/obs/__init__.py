@@ -30,10 +30,7 @@ from .diag import (
     observe_slow_cluster_query,
     observe_slow_pass,
     reset_slowlog,
-    resolve_slowlog_capacity,
-    resolve_slowlog_ms,
     set_slowlog_ms,
-    slowlog_export_path,
     slowlog_ms,
 )
 from .export import to_json, to_prometheus_text
@@ -46,7 +43,6 @@ from .sketch import (
     merge_payloads,
     quantile_summary,
     reset_sketch_registry,
-    resolve_sketch_alpha,
     set_sketch_alpha,
     sketch_alpha,
 )
@@ -93,14 +89,10 @@ __all__ = [
     "reset_registry",
     "reset_sketch_registry",
     "reset_slowlog",
-    "resolve_sketch_alpha",
-    "resolve_slowlog_capacity",
-    "resolve_slowlog_ms",
     "set_sketch_alpha",
     "set_slowlog_ms",
     "set_trace_enabled",
     "sketch_alpha",
-    "slowlog_export_path",
     "slowlog_ms",
     "span",
     "to_json",

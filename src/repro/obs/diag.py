@@ -29,93 +29,40 @@ service and cluster themselves, with only the formatting helpers here.
 from __future__ import annotations
 
 import json
-import os
 import time
 from collections import deque
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.stats import PASS_COUNTERS
+from repro.settings import resolve
 
 from .trace import current_context
 
-SLOWLOG_MS_ENV = "SILKMOTH_SLOWLOG_MS"
-SLOWLOG_CAPACITY_ENV = "SILKMOTH_SLOWLOG_CAPACITY"
-SLOWLOG_EXPORT_ENV = "SILKMOTH_SLOWLOG_EXPORT"
-
-#: Default slow-query threshold in milliseconds.
-DEFAULT_SLOWLOG_MS = 100.0
-
-#: Default ring-buffer capacity (entries, oldest dropped first).
-DEFAULT_SLOWLOG_CAPACITY = 256
-
 _slowlog_ms: Optional[float] = None
-
-
-def resolve_slowlog_ms(env: Optional[str] = None) -> float:
-    """Slow-query threshold from ``SILKMOTH_SLOWLOG_MS`` or default.
-
-    ``0`` captures every pass; a negative value disables capture.  A
-    malformed value raises ``ValueError``.
-    """
-    raw = env if env is not None else os.environ.get(SLOWLOG_MS_ENV, "")
-    raw = raw.strip()
-    if not raw:
-        return DEFAULT_SLOWLOG_MS
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"{SLOWLOG_MS_ENV} must be a float, got {raw!r}")
 
 
 def slowlog_ms() -> float:
     """The cached process-wide threshold (env read once)."""
     global _slowlog_ms
     if _slowlog_ms is None:
-        _slowlog_ms = resolve_slowlog_ms()
+        _slowlog_ms = resolve("SILKMOTH_SLOWLOG_MS")
     return _slowlog_ms
 
 
 def set_slowlog_ms(value: Optional[float]) -> None:
     """Force the threshold, or ``None`` to re-read the environment."""
     global _slowlog_ms
-    _slowlog_ms = None if value is None else float(value)
-
-
-def resolve_slowlog_capacity(env: Optional[str] = None) -> int:
-    """Ring capacity from ``SILKMOTH_SLOWLOG_CAPACITY`` or default."""
-    raw = env if env is not None else os.environ.get(SLOWLOG_CAPACITY_ENV, "")
-    raw = raw.strip()
-    if not raw:
-        return DEFAULT_SLOWLOG_CAPACITY
-    try:
-        capacity = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{SLOWLOG_CAPACITY_ENV} must be an integer, got {raw!r}"
-        )
-    if capacity < 1:
-        raise ValueError(
-            f"{SLOWLOG_CAPACITY_ENV} must be >= 1, got {capacity}"
-        )
-    return capacity
-
-
-def slowlog_export_path() -> Optional[str]:
-    """The ``SILKMOTH_SLOWLOG_EXPORT`` destination, if configured."""
-    value = os.environ.get(SLOWLOG_EXPORT_ENV, "").strip()
-    return value or None
+    if value is not None:
+        value = resolve("SILKMOTH_SLOWLOG_MS", value)
+    _slowlog_ms = value
 
 
 class SlowQueryLog:
     """A bounded ring of slow-query provenance entries."""
 
     def __init__(self, capacity: Optional[int] = None) -> None:
-        self.capacity = (
-            resolve_slowlog_capacity() if capacity is None else capacity
-        )
-        if self.capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {self.capacity}")
+        self.capacity = resolve("SILKMOTH_SLOWLOG_CAPACITY", capacity)
         self._entries: deque = deque(maxlen=self.capacity)
 
     def add(self, entry: Dict[str, Any]) -> None:
@@ -162,11 +109,14 @@ class SlowQueryLog:
         return len(entries)
 
 
-_SLOWLOG = SlowQueryLog()
+_SLOWLOG: Optional[SlowQueryLog] = None
 
 
 def get_slowlog() -> SlowQueryLog:
-    """The process-wide slow-query log."""
+    """The process-wide slow-query log, built on first use."""
+    global _SLOWLOG
+    if _SLOWLOG is None:
+        _SLOWLOG = SlowQueryLog()
     return _SLOWLOG
 
 
@@ -227,7 +177,7 @@ def observe_slow_pass(stats, decision, reference_size: int) -> None:
             },
         }
     )
-    _SLOWLOG.add(entry)
+    get_slowlog().add(entry)
 
 
 def observe_slow_cluster_query(
@@ -273,7 +223,7 @@ def observe_slow_cluster_query(
             "stage_seconds": dict(merged.stage_seconds),
         }
     )
-    _SLOWLOG.add(entry)
+    get_slowlog().add(entry)
 
 
 def load_slowlog_jsonl(path) -> List[Dict[str, Any]]:

@@ -32,10 +32,7 @@ import math
 import os
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-SKETCH_ALPHA_ENV = "SILKMOTH_SKETCH_ALPHA"
-
-#: Default relative-error bound for quantile estimates (1%).
-DEFAULT_SKETCH_ALPHA = 0.01
+from repro.settings import resolve
 
 #: Values at or below this are indistinguishable from zero at any
 #: useful latency resolution and share the dedicated zero bucket.
@@ -48,41 +45,19 @@ EXPOSED_QUANTILES = (0.5, 0.9, 0.99, 0.999)
 _sketch_alpha: Optional[float] = None
 
 
-def resolve_sketch_alpha(env: Optional[str] = None) -> float:
-    """Relative-error bound from ``SILKMOTH_SKETCH_ALPHA`` or default.
-
-    Must lie strictly between 0 and 1; a malformed or out-of-range
-    value raises ``ValueError`` (fail fast beats silently recording
-    every latency into meaningless buckets).
-    """
-    raw = env if env is not None else os.environ.get(SKETCH_ALPHA_ENV, "")
-    raw = raw.strip()
-    if not raw:
-        return DEFAULT_SKETCH_ALPHA
-    try:
-        alpha = float(raw)
-    except ValueError:
-        raise ValueError(f"{SKETCH_ALPHA_ENV} must be a float, got {raw!r}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(
-            f"{SKETCH_ALPHA_ENV} must be in (0, 1), got {alpha!r}"
-        )
-    return alpha
-
-
 def sketch_alpha() -> float:
     """The cached process-wide sketch alpha (env read once)."""
     global _sketch_alpha
     if _sketch_alpha is None:
-        _sketch_alpha = resolve_sketch_alpha()
+        _sketch_alpha = resolve("SILKMOTH_SKETCH_ALPHA")
     return _sketch_alpha
 
 
 def set_sketch_alpha(value: Optional[float]) -> None:
     """Force the process alpha, or ``None`` to re-read the environment."""
     global _sketch_alpha
-    if value is not None and not 0.0 < value < 1.0:
-        raise ValueError(f"sketch alpha must be in (0, 1), got {value!r}")
+    if value is not None:
+        value = resolve("SILKMOTH_SKETCH_ALPHA", value)
     _sketch_alpha = value
 
 

@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
-TRACE_ENV = "SILKMOTH_TRACE"
-TRACE_EXPORT_ENV = "SILKMOTH_TRACE_EXPORT"
+from repro.settings import resolve
 
 #: Bounded span buffer size; old spans are dropped, never grown without
 #: limit, so a long-running service cannot leak memory through tracing.
@@ -159,15 +158,11 @@ _TRACER = Tracer()
 _trace_enabled: Optional[bool] = None
 
 
-def _env_truthy(value: str) -> bool:
-    return value.strip().lower() not in ("", "0", "false", "no", "off")
-
-
 def trace_enabled() -> bool:
     """Whether tracing is on (``SILKMOTH_TRACE``, default off)."""
     global _trace_enabled
     if _trace_enabled is None:
-        _trace_enabled = _env_truthy(os.environ.get(TRACE_ENV, "0"))
+        _trace_enabled = resolve("SILKMOTH_TRACE")
     return _trace_enabled
 
 
@@ -285,12 +280,6 @@ def export_jsonl(path) -> int:
     lines = "".join(json.dumps(s, sort_keys=True) + "\n" for s in spans)
     Path(path).write_text(lines, encoding="utf-8")
     return len(spans)
-
-
-def export_path() -> Optional[str]:
-    """The ``SILKMOTH_TRACE_EXPORT`` destination, if configured."""
-    value = os.environ.get(TRACE_EXPORT_ENV, "").strip()
-    return value or None
 
 
 def load_jsonl(path) -> List[Dict[str, Any]]:

@@ -44,8 +44,9 @@ from repro.pipeline.stages import (
     Stage,
     VerifyStage,
 )
+from repro.settings import resolve
 from repro.sim.functions import SimilarityFunction
-from repro.sim.memo import SimilarityMemo, resolve_sim_cache_size
+from repro.sim.memo import SimilarityMemo
 from repro.signatures import get_scheme
 from repro.signatures.base import SignatureScheme
 
@@ -145,7 +146,9 @@ class QueryPlan:
         if backend is None:
             backend = get_backend()
         if memo is None and config.similarity.is_edit_based:
-            memo = SimilarityMemo(resolve_sim_cache_size(config.sim_cache_size))
+            memo = SimilarityMemo(
+                resolve("SILKMOTH_SIM_CACHE", config.sim_cache_size)
+            )
         return cls(
             reference=reference,
             config=config,

@@ -49,7 +49,6 @@ from repro.io.wal import (
     WalRecord,
     WriteAheadLog,
     recover_state,
-    resolve_wal_dir,
     wal_directory_in_use,
 )
 from repro.obs.diag import get_slowlog, slowlog_ms
@@ -63,6 +62,7 @@ from repro.service.cache import (
     reference_fingerprint,
 )
 from repro.service.stats import ServiceStats
+from repro.settings import resolve
 from repro.tokenize.tokenizers import Tokenizer
 
 #: Re-plan (cost model only) once the live-set count grows to this
@@ -133,7 +133,7 @@ class SilkMothService:
         #: What :meth:`recover` found, for the service it rebuilt.
         self.wal_recovery: RecoveryReport | None = None
         self._wal_replaying = False
-        wal_dir = resolve_wal_dir(wal_dir)
+        wal_dir = resolve("SILKMOTH_WAL_DIR", wal_dir)
         if wal_dir is not None:
             self._attach_wal(
                 wal_dir, wal_fsync, wal_segment_bytes, fresh=True
@@ -455,9 +455,10 @@ class SilkMothService:
             collection,
             cache_capacity=cache_capacity,
             compact_dead_fraction=compact_dead_fraction,
+            wal_dir=False,
         )
         service._restore_metadata(metadata)
-        wal_dir = resolve_wal_dir(wal_dir)
+        wal_dir = resolve("SILKMOTH_WAL_DIR", wal_dir)
         if wal_dir is not None:
             # Attach only after the generation is restored, so the base
             # checkpoint and subsequent record seqs line up.
@@ -609,6 +610,7 @@ class SilkMothService:
                 collection,
                 cache_capacity=cache_capacity,
                 compact_dead_fraction=compact_dead_fraction,
+                wal_dir=False,
             )
             service._restore_metadata(metadata)
             service._wal_replaying = True

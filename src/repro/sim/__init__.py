@@ -18,7 +18,7 @@ element-pair similarity cache (:mod:`repro.sim.memo`).
 """
 
 from repro.sim.levenshtein import levenshtein, levenshtein_within
-from repro.sim.memo import SimilarityMemo, resolve_sim_cache_size
+from repro.sim.memo import SimilarityMemo
 from repro.sim.myers import myers_distance, myers_within
 from repro.sim.functions import (
     SimilarityFunction,
@@ -39,5 +39,4 @@ __all__ = [
     "myers_distance",
     "myers_within",
     "neds",
-    "resolve_sim_cache_size",
 ]

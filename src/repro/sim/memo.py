@@ -36,8 +36,8 @@ also what makes staleness trivially impossible to reintroduce as the
 keying evolves.
 
 Sizing: ``SilkMothConfig.sim_cache_size`` pairs, defaulting to the
-``SILKMOTH_SIM_CACHE`` environment variable and then
-:data:`DEFAULT_SIM_CACHE_SIZE`; ``0`` disables memoization entirely.
+``SILKMOTH_SIM_CACHE`` environment variable and then 65536 (see
+:mod:`repro.settings`); ``0`` disables memoization entirely.
 
 Trade-off to know when sizing: a miss computes the *canonical*
 (floor-free, alpha-banded) value so it can serve every later floor --
@@ -50,47 +50,9 @@ the bounded one-shot behaviour.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict
 
 from repro.sim.functions import SimilarityFunction
-
-#: Environment variable consulted when ``SilkMothConfig.sim_cache_size``
-#: is left unset; holds the maximum number of cached pairs.
-SIM_CACHE_ENV_VAR = "SILKMOTH_SIM_CACHE"
-
-#: Cached pairs when neither the config knob nor the environment
-#: variable names a size.  At two interned texts plus one float per
-#: pair this stays a few megabytes even when full.
-DEFAULT_SIM_CACHE_SIZE = 65536
-
-
-def resolve_sim_cache_size(configured: "int | None") -> int:
-    """Pair capacity from the config knob, the environment, or the default.
-
-    Raises
-    ------
-    ValueError
-        If the environment variable is set but not a non-negative
-        integer (a deliberately set but broken value must not be
-        silently ignored).
-    """
-    if configured is not None:
-        return configured
-    raw = os.environ.get(SIM_CACHE_ENV_VAR)
-    if raw is None or raw == "":
-        return DEFAULT_SIM_CACHE_SIZE
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(
-            f"{SIM_CACHE_ENV_VAR} must be a non-negative integer, got {raw!r}"
-        ) from exc
-    if value < 0:
-        raise ValueError(
-            f"{SIM_CACHE_ENV_VAR} must be a non-negative integer, got {raw!r}"
-        )
-    return value
 
 
 class SimilarityMemo:

@@ -368,15 +368,15 @@ def test_dense_shards_stay_identical():
 
 def test_shard_count_knob_resolution(monkeypatch):
     """SILKMOTH_SHARDS supplies the default shard count."""
-    from repro.cluster.coordinator import resolve_shard_count
+    from repro.settings import resolve
 
     monkeypatch.delenv("SILKMOTH_SHARDS", raising=False)
-    assert resolve_shard_count(None) == 4
-    assert resolve_shard_count(2) == 2
+    assert resolve("SILKMOTH_SHARDS", None) == 4
+    assert resolve("SILKMOTH_SHARDS", 2) == 2
     monkeypatch.setenv("SILKMOTH_SHARDS", "7")
-    assert resolve_shard_count(None) == 7
+    assert resolve("SILKMOTH_SHARDS", None) == 7
     with pytest.raises(ValueError):
-        resolve_shard_count(0)
+        resolve("SILKMOTH_SHARDS", 0)
 
 
 def test_from_sets_rejects_unknown_kwargs_before_spawning():

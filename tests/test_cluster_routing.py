@@ -29,10 +29,10 @@ from repro.cluster.routing import (
     element_token_hashes,
     make_token_summary,
     reference_probe,
-    resolve_summary_bits,
     token_hash,
 )
 from repro.core.config import SilkMothConfig
+from repro.settings import resolve
 from repro.core.records import SetCollection
 from repro.sim.functions import SimilarityKind
 from repro.tokenize.tokenizers import Tokenizer
@@ -212,12 +212,12 @@ def test_summary_rebuild_tightens_after_compaction():
 def test_summary_bits_knob_resolution(monkeypatch):
     """SILKMOTH_SHARD_SUMMARY_BITS sizes summaries; 0 means exact."""
     monkeypatch.delenv("SILKMOTH_SHARD_SUMMARY_BITS", raising=False)
-    assert resolve_summary_bits(None) == 0
-    assert resolve_summary_bits(128) == 128
+    assert resolve("SILKMOTH_SHARD_SUMMARY_BITS", None) == 0
+    assert resolve("SILKMOTH_SHARD_SUMMARY_BITS", 128) == 128
     monkeypatch.setenv("SILKMOTH_SHARD_SUMMARY_BITS", "512")
-    assert resolve_summary_bits(None) == 512
+    assert resolve("SILKMOTH_SHARD_SUMMARY_BITS", None) == 512
     with pytest.raises(ValueError):
-        resolve_summary_bits(-1)
+        resolve("SILKMOTH_SHARD_SUMMARY_BITS", -1)
     assert make_token_summary(0).kind == "exact"
     assert make_token_summary(512).kind == "bloom"
     with pytest.raises(ValueError):

@@ -18,12 +18,9 @@ from repro.cluster import (
     ShardTransportError,
     SilkMothCluster,
 )
-from repro.cluster.transport import (
-    KNOWN_TRANSPORTS,
-    make_transport,
-    resolve_transport_name,
-)
+from repro.cluster.transport import KNOWN_TRANSPORTS, make_transport
 from repro.core.config import SilkMothConfig
+from repro.settings import resolve
 
 REMOTE_TRANSPORTS = ("process", "socket")
 
@@ -118,12 +115,12 @@ def test_collect_without_submit_raises(transport):
 def test_transport_knob_resolution(monkeypatch):
     """SILKMOTH_CLUSTER_TRANSPORT names the default transport."""
     monkeypatch.delenv("SILKMOTH_CLUSTER_TRANSPORT", raising=False)
-    assert resolve_transport_name(None) == "inline"
-    assert resolve_transport_name("socket") == "socket"
+    assert resolve("SILKMOTH_CLUSTER_TRANSPORT", None) == "inline"
+    assert resolve("SILKMOTH_CLUSTER_TRANSPORT", "socket") == "socket"
     monkeypatch.setenv("SILKMOTH_CLUSTER_TRANSPORT", "process")
-    assert resolve_transport_name(None) == "process"
+    assert resolve("SILKMOTH_CLUSTER_TRANSPORT", None) == "process"
     with pytest.raises(ValueError):
-        resolve_transport_name("carrier-pigeon")
+        resolve("SILKMOTH_CLUSTER_TRANSPORT", "carrier-pigeon")
     with pytest.raises(ValueError):
         make_transport("carrier-pigeon", CONFIG)
     assert set(KNOWN_TRANSPORTS) == {"inline", "process", "socket"}

@@ -20,7 +20,7 @@ import pytest
 from repro.cluster import SilkMothCluster
 from repro.core.config import SilkMothConfig
 from repro.io.persistence import load_cluster_manifest
-from repro.io.wal import WAL_DIR_ENV_VAR, wal_directory_in_use
+from repro.io.wal import wal_directory_in_use
 
 CONFIG = SilkMothConfig(delta=0.3)
 
@@ -39,7 +39,7 @@ BROAD_REFERENCE = ["ash bay common", "oak sky common"]
 @pytest.fixture(autouse=True)
 def _no_fsync(monkeypatch):
     monkeypatch.setenv("SILKMOTH_FSYNC", "0")
-    monkeypatch.delenv(WAL_DIR_ENV_VAR, raising=False)
+    monkeypatch.delenv("SILKMOTH_WAL_DIR", raising=False)
 
 
 def _cluster(tmp_path, **kwargs):
@@ -62,7 +62,7 @@ def test_each_replica_logs_to_its_own_directory(tmp_path):
 
 
 def test_env_var_opt_in(tmp_path, monkeypatch):
-    monkeypatch.setenv(WAL_DIR_ENV_VAR, str(tmp_path / "env-wal"))
+    monkeypatch.setenv("SILKMOTH_WAL_DIR", str(tmp_path / "env-wal"))
     with SilkMothCluster.from_sets(
         DATA, CONFIG, shards=2, replicas=1
     ) as cluster:

@@ -18,20 +18,17 @@ from repro.cluster.faults import FaultEvent, FaultPlan
 from repro.cluster.stats import ClusterStats
 from repro.core.config import SilkMothConfig
 from repro.obs.diag import (
-    DEFAULT_SLOWLOG_CAPACITY,
-    DEFAULT_SLOWLOG_MS,
     SlowQueryLog,
     format_health,
     format_slowlog,
     get_slowlog,
     load_slowlog_jsonl,
     reset_slowlog,
-    resolve_slowlog_capacity,
-    resolve_slowlog_ms,
     set_slowlog_ms,
 )
 from repro.obs.sketch import reset_sketch_registry
 from repro.service import SilkMothService
+from repro.settings import resolve
 
 DATA = [
     ["ash bay", "elm fir"],
@@ -65,22 +62,22 @@ def _service(**kwargs):
 
 def test_resolve_slowlog_ms():
     """Env parsing: default, explicit, zero/negative, malformed."""
-    assert resolve_slowlog_ms("") == DEFAULT_SLOWLOG_MS
-    assert resolve_slowlog_ms("250") == 250.0
-    assert resolve_slowlog_ms("0") == 0.0
-    assert resolve_slowlog_ms("-1") == -1.0
+    assert resolve("SILKMOTH_SLOWLOG_MS", "") == 100.0
+    assert resolve("SILKMOTH_SLOWLOG_MS", "250") == 250.0
+    assert resolve("SILKMOTH_SLOWLOG_MS", "0") == 0.0
+    assert resolve("SILKMOTH_SLOWLOG_MS", "-1") == -1.0
     with pytest.raises(ValueError):
-        resolve_slowlog_ms("fast")
+        resolve("SILKMOTH_SLOWLOG_MS", "fast")
 
 
 def test_resolve_slowlog_capacity():
     """Capacity parsing rejects non-integers and values below one."""
-    assert resolve_slowlog_capacity("") == DEFAULT_SLOWLOG_CAPACITY
-    assert resolve_slowlog_capacity("8") == 8
+    assert resolve("SILKMOTH_SLOWLOG_CAPACITY", "") == 256
+    assert resolve("SILKMOTH_SLOWLOG_CAPACITY", "8") == 8
     with pytest.raises(ValueError):
-        resolve_slowlog_capacity("0")
+        resolve("SILKMOTH_SLOWLOG_CAPACITY", "0")
     with pytest.raises(ValueError):
-        resolve_slowlog_capacity("many")
+        resolve("SILKMOTH_SLOWLOG_CAPACITY", "many")
 
 
 def test_ring_buffer_is_bounded():

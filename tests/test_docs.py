@@ -11,7 +11,8 @@ tier-1 enforces:
   every signature scheme, so adding a knob without documenting it
   fails here;
 * the ``SILKMOTH_*`` variables ``docs/parameters.md`` documents are
-  exactly the ones ``src/`` reads, so neither side can drift.
+  exactly the ones :mod:`repro.settings` declares, with the declared
+  defaults, and no other module reads one from the environment.
 """
 
 from __future__ import annotations
@@ -82,52 +83,169 @@ def test_parameters_doc_covers_every_scheme():
         )
 
 
-def _env_vars_read_by_src(src: Path = REPO_ROOT / "src") -> set:
-    """Every ``SILKMOTH_*`` name a string constant under *src* spells out whole.
+_ENVIRON_NAMES = ("environ", "getenv")
 
-    Each variable is read through a constant holding exactly its name
-    (``WAL_DIR_ENV_VAR = "SILKMOTH_WAL_DIR"``); mentions inside
-    docstrings, comments and help texts do not count.
+
+def _touches_environ(node: ast.AST) -> bool:
+    """Whether *node* is ``os.environ`` / ``os.getenv`` (or a bare name)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr in _ENVIRON_NAMES
+    return isinstance(node, ast.Name) and node.id in _ENVIRON_NAMES
+
+
+def _environ_reads(tree: ast.Module) -> set:
+    """``SILKMOTH_*`` names *tree* looks up in the environment directly.
+
+    Catches ``os.environ.get(K)``, ``os.getenv(K)``, ``os.environ[K]``
+    and ``K in os.environ``, where ``K`` is the literal name or a
+    module-level constant holding it.  Passing the name to
+    :func:`repro.settings.resolve`, or spelling it in prose, is not a
+    read.
     """
-    names = set()
-    for path in src.rglob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and ENV_NAME.fullmatch(node.value)
+    constants = {
+        target.id: node.value.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, str)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+
+    def key_name(key):
+        if isinstance(key, ast.Name):
+            return constants.get(key.id)
+        if isinstance(key, ast.Constant) and isinstance(key.value, str):
+            return key.value
+        return None
+
+    keys = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and node.args:
+            func = node.func
+            if _touches_environ(func) or (
+                isinstance(func, ast.Attribute) and _touches_environ(func.value)
             ):
-                names.add(node.value)
-    return names
+                keys.append(node.args[0])
+        elif isinstance(node, ast.Subscript) and _touches_environ(node.value):
+            keys.append(node.slice)
+        elif isinstance(node, ast.Compare) and any(
+            _touches_environ(c) for c in node.comparators
+        ):
+            keys.append(node.left)
+    return {
+        name
+        for name in map(key_name, keys)
+        if name is not None and ENV_NAME.fullmatch(name)
+    }
+
+
+def _modules_reading_env(src: Path = REPO_ROOT / "src") -> dict:
+    """Module path (relative to *src*) -> the ``SILKMOTH_*`` names it reads."""
+    reads = {}
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = _environ_reads(tree)
+        if names:
+            reads[path.relative_to(src).as_posix()] = names
+    return reads
 
 
 def test_env_scan_counts_reads_not_mentions(tmp_path):
-    """The drift check's scanner: a constant counts, prose does not."""
+    """The drift check's scanner: a lookup counts, prose does not."""
     (tmp_path / "knob.py").write_text(
         '"""Tuned by ``SILKMOTH_DOC_ONLY``."""\n'
-        "# SILKMOTH_COMMENT_ONLY\n"
+        "import os\n"
+        "from os import environ\n"
+        "# os.environ.get('SILKMOTH_COMMENT_ONLY')\n"
         'KNOB_ENV = "SILKMOTH_KNOB"\n'
-        'HELP = "default: SILKMOTH_KNOB, then 3"\n',
+        'HELP = "default: SILKMOTH_HELP, then 3"\n'
+        "a = os.environ.get(KNOB_ENV)\n"
+        'b = os.getenv("SILKMOTH_GETENV", "1")\n'
+        'c = os.environ["SILKMOTH_ITEM"]\n'
+        'd = "SILKMOTH_MEMBER" in os.environ\n'
+        'e = environ.get("SILKMOTH_BARE")\n'
+        'f = resolve("SILKMOTH_RESOLVED")\n'
+        'g = os.environ.get("HOME")\n',
         encoding="utf-8",
     )
-    assert _env_vars_read_by_src(tmp_path) == {"SILKMOTH_KNOB"}
-    read = _env_vars_read_by_src()
-    assert "SILKMOTH_WAL_DIR" in read
-    assert "SILKMOTH_CHAOS_LOG" not in read  # a docstring mention only
+    assert _modules_reading_env(tmp_path) == {
+        "knob.py": {
+            "SILKMOTH_KNOB",
+            "SILKMOTH_GETENV",
+            "SILKMOTH_ITEM",
+            "SILKMOTH_MEMBER",
+            "SILKMOTH_BARE",
+        }
+    }
 
 
-def test_parameters_doc_names_exactly_the_env_vars_src_reads():
-    """No documented variable nothing reads, no read variable undocumented."""
+def test_only_the_settings_module_reads_silkmoth_variables():
+    """Every ``SILKMOTH_*`` read goes through :mod:`repro.settings`,
+    and every name spelled out whole in ``src/`` is a declared one."""
+    from repro.settings import SETTINGS
+
+    reads = _modules_reading_env()
+    reads.pop("repro/settings.py", None)
+    assert not reads, f"read around repro.settings: {reads}"
+    spelled = {
+        node.value
+        for path in (REPO_ROOT / "src").rglob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and ENV_NAME.fullmatch(node.value)
+    }
+    assert spelled <= set(SETTINGS), sorted(spelled - set(SETTINGS))
+
+
+def _documented_defaults() -> dict:
+    """``SILKMOTH_*`` name -> Default cell of its docs/parameters.md row.
+
+    Looks at every table with an ``Environment variable`` and a
+    ``Default`` column.
+    """
+    rows = {}
+    columns = None
+    for line in (DOCS / "parameters.md").read_text().splitlines():
+        if not line.startswith("|"):
+            columns = None
+            continue
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if columns is None:
+            columns = cells
+            continue
+        if "Environment variable" not in columns or "Default" not in columns:
+            continue
+        names = ENV_NAME.findall(cells[columns.index("Environment variable")])
+        for name in names:
+            assert name not in rows, f"{name} has two rows in parameters.md"
+            rows[name] = cells[columns.index("Default")].strip("`")
+    return rows
+
+
+def test_parameters_doc_names_exactly_the_declared_variables():
+    """No documented variable undeclared, no declared variable undocumented."""
+    from repro.settings import SETTINGS
+
     documented = set(ENV_NAME.findall((DOCS / "parameters.md").read_text()))
-    read = _env_vars_read_by_src()
-    assert not documented - read, (
-        f"docs/parameters.md documents variables src/ never reads: "
-        f"{sorted(documented - read)}"
+    assert documented == set(SETTINGS), (
+        f"only documented: {sorted(documented - set(SETTINGS))}; "
+        f"only declared: {sorted(set(SETTINGS) - documented)}"
     )
-    assert not read - documented, (
-        f"src/ reads variables docs/parameters.md does not name: "
-        f"{sorted(read - documented)}"
-    )
+
+
+def test_parameters_doc_shows_each_declared_default():
+    """Each variable's table row shows the default it is declared with."""
+    from repro.settings import SETTINGS
+
+    rows = _documented_defaults()
+    assert set(rows) == set(SETTINGS)
+    for name, shown in rows.items():
+        assert shown == SETTINGS[name].shown_default, (
+            f"docs/parameters.md shows {name} defaulting to {shown!r}, "
+            f"declared {SETTINGS[name].shown_default!r}"
+        )
 
 
 def test_parameters_doc_states_the_q_constraint():

@@ -390,28 +390,28 @@ class TestDurableWrites:
     """
 
     def test_resolve_fsync_argument_beats_environment(self, monkeypatch):
-        from repro.io.persistence import resolve_fsync
+        from repro.settings import resolve
 
         monkeypatch.setenv("SILKMOTH_FSYNC", "0")
-        assert resolve_fsync(True) is True
+        assert resolve("SILKMOTH_FSYNC", True) is True
         monkeypatch.setenv("SILKMOTH_FSYNC", "1")
-        assert resolve_fsync(False) is False
+        assert resolve("SILKMOTH_FSYNC", False) is False
 
     def test_resolve_fsync_defaults_on(self, monkeypatch):
-        from repro.io.persistence import resolve_fsync
+        from repro.settings import resolve
 
         monkeypatch.delenv("SILKMOTH_FSYNC", raising=False)
-        assert resolve_fsync() is True
+        assert resolve("SILKMOTH_FSYNC") is True
         # Unrecognised values keep the safe default too.
         monkeypatch.setenv("SILKMOTH_FSYNC", "definitely")
-        assert resolve_fsync() is True
+        assert resolve("SILKMOTH_FSYNC") is True
 
     @pytest.mark.parametrize("value", ["0", "false", "no", "off", "", " No "])
     def test_resolve_fsync_off_switches(self, monkeypatch, value):
-        from repro.io.persistence import resolve_fsync
+        from repro.settings import resolve
 
         monkeypatch.setenv("SILKMOTH_FSYNC", value)
-        assert resolve_fsync() is False
+        assert resolve("SILKMOTH_FSYNC") is False
 
     def test_write_leaves_no_temp_file(self, tmp_path):
         from repro.io.persistence import atomic_write_text

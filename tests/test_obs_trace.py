@@ -9,6 +9,7 @@ tracing a search leaves its results bit-identical.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -20,7 +21,6 @@ from repro.obs.trace import (
     collect_remote,
     current_context,
     export_jsonl,
-    export_path,
     format_flame,
     get_tracer,
     ingest,
@@ -29,6 +29,7 @@ from repro.obs.trace import (
     span,
     trace_enabled,
 )
+from repro.settings import resolve
 from repro.sim.functions import SimilarityKind
 
 #: Clusters of perturbed copies of the same strings: most candidates
@@ -172,9 +173,9 @@ class TestExport:
 
     def test_export_path_reads_env(self, monkeypatch):
         monkeypatch.delenv("SILKMOTH_TRACE_EXPORT", raising=False)
-        assert export_path() is None
+        assert resolve("SILKMOTH_TRACE_EXPORT") is None
         monkeypatch.setenv("SILKMOTH_TRACE_EXPORT", "/tmp/t.jsonl")
-        assert export_path() == "/tmp/t.jsonl"
+        assert resolve("SILKMOTH_TRACE_EXPORT") == Path("/tmp/t.jsonl")
 
     def test_format_flame_indents_children(self):
         set_trace_enabled(True)

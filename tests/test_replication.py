@@ -21,19 +21,14 @@ from hypothesis import strategies as st
 
 from repro.backends import base
 from repro.cluster import (
-    BACKOFF_ENV_VAR,
-    DEADLINE_ENV_VAR,
-    REPLICAS_ENV_VAR,
     ClusterDegradedError,
     FaultEvent,
     FaultPlan,
     SilkMothCluster,
-    resolve_backoff,
-    resolve_deadline,
-    resolve_replica_count,
 )
 from repro.cluster.coordinator import BLOCK_COMMAND, request_deadline
 from repro.core.config import SilkMothConfig
+from repro.settings import resolve
 from strategies import collections, token_configs, token_sets
 from strategies.kernels import KERNEL_MODES, kernel_mode
 
@@ -314,27 +309,69 @@ def test_replicated_snapshot_round_trip(tmp_path):
         loaded.close()
 
 
+def _resolved_deadline(deadline):
+    """The deadline a cluster built with *deadline* enforces."""
+    with SilkMothCluster(CONFIG, shards=1, deadline=deadline) as cluster:
+        return cluster._deadline
+
+
 def test_replica_knob_resolution(monkeypatch):
     """SILKMOTH_REPLICAS / deadline / backoff env knobs resolve."""
-    monkeypatch.delenv(REPLICAS_ENV_VAR, raising=False)
-    monkeypatch.delenv(DEADLINE_ENV_VAR, raising=False)
-    monkeypatch.delenv(BACKOFF_ENV_VAR, raising=False)
-    assert resolve_replica_count(None) == 1
-    assert resolve_replica_count(3) == 3
-    assert resolve_deadline(None) is None
-    assert resolve_deadline(0) is None
-    assert resolve_deadline(2.5) == 2.5
-    assert resolve_backoff(None) == 0.05
-    monkeypatch.setenv(REPLICAS_ENV_VAR, "2")
-    monkeypatch.setenv(DEADLINE_ENV_VAR, "1.5")
-    monkeypatch.setenv(BACKOFF_ENV_VAR, "0.01")
-    assert resolve_replica_count(None) == 2
-    assert resolve_deadline(None) == 1.5
-    assert resolve_backoff(None) == 0.01
+    monkeypatch.delenv("SILKMOTH_REPLICAS", raising=False)
+    monkeypatch.delenv("SILKMOTH_SHARD_DEADLINE", raising=False)
+    monkeypatch.delenv("SILKMOTH_FAILOVER_BACKOFF", raising=False)
+    assert resolve("SILKMOTH_REPLICAS", None) == 1
+    assert resolve("SILKMOTH_REPLICAS", 3) == 3
+    assert _resolved_deadline(None) is None
+    assert _resolved_deadline(0) is None
+    assert _resolved_deadline(2.5) == 2.5
+    assert resolve("SILKMOTH_FAILOVER_BACKOFF", None) == 0.05
+    monkeypatch.setenv("SILKMOTH_REPLICAS", "2")
+    monkeypatch.setenv("SILKMOTH_SHARD_DEADLINE", "1.5")
+    monkeypatch.setenv("SILKMOTH_FAILOVER_BACKOFF", "0.01")
+    assert resolve("SILKMOTH_REPLICAS", None) == 2
+    assert _resolved_deadline(None) == 1.5
+    assert resolve("SILKMOTH_FAILOVER_BACKOFF", None) == 0.01
     with pytest.raises(ValueError):
-        resolve_replica_count(0)
+        resolve("SILKMOTH_REPLICAS", 0)
     with pytest.raises(ValueError):
-        resolve_backoff(-1.0)
+        resolve("SILKMOTH_FAILOVER_BACKOFF", -1.0)
+
+
+@pytest.mark.parametrize("source", ["argument", "environment"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "name, keyword",
+    [
+        ("SILKMOTH_SHARD_DEADLINE", "deadline"),
+        ("SILKMOTH_FAILOVER_BACKOFF", "backoff"),
+    ],
+)
+def test_non_finite_timing_is_rejected_before_spawning(
+    monkeypatch, name, keyword, value, source
+):
+    """A NaN or infinite deadline/backoff fails construction, naming it.
+
+    ``Connection.poll`` raises on a NaN timeout, so a NaN deadline used
+    to mark every worker replica dead and fail the first search on a
+    healthy cluster with ``ClusterDegradedError``; a NaN backoff
+    silently meant "no pause".  Both are now refused before any worker
+    starts.
+    """
+    monkeypatch.delenv(name, raising=False)
+    kwargs = {}
+    if source == "argument":
+        kwargs[keyword] = float(value)
+    else:
+        monkeypatch.setenv(name, value)
+    with pytest.raises(ValueError, match=name):
+        cluster = SilkMothCluster.from_sets(
+            DATA, CONFIG, shards=2, transport="process", **kwargs
+        )
+        try:
+            cluster.search(BROAD_REFERENCE)
+        finally:
+            cluster.close()
 
 
 def test_block_requests_wait_the_deadline_per_pass():

@@ -19,12 +19,10 @@ from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
 from repro.service import SilkMothService
 from repro.sim.functions import SimilarityFunction, SimilarityKind
-from repro.sim.memo import (
-    DEFAULT_SIM_CACHE_SIZE,
-    SIM_CACHE_ENV_VAR,
-    SimilarityMemo,
-    resolve_sim_cache_size,
-)
+from repro.settings import resolve
+from repro.sim.memo import SimilarityMemo
+
+SIM_CACHE_ENV_VAR = "SILKMOTH_SIM_CACHE"
 
 _PHI = SimilarityFunction(kind=SimilarityKind.EDS, alpha=0.4)
 
@@ -32,22 +30,22 @@ _PHI = SimilarityFunction(kind=SimilarityKind.EDS, alpha=0.4)
 class TestResolveSize:
     def test_explicit_value_wins(self, monkeypatch):
         monkeypatch.setenv(SIM_CACHE_ENV_VAR, "10")
-        assert resolve_sim_cache_size(7) == 7
-        assert resolve_sim_cache_size(0) == 0
+        assert resolve(SIM_CACHE_ENV_VAR, 7) == 7
+        assert resolve(SIM_CACHE_ENV_VAR, 0) == 0
 
     def test_env_var_consulted(self, monkeypatch):
         monkeypatch.setenv(SIM_CACHE_ENV_VAR, "123")
-        assert resolve_sim_cache_size(None) == 123
+        assert resolve(SIM_CACHE_ENV_VAR, None) == 123
 
     def test_default_when_unset(self, monkeypatch):
         monkeypatch.delenv(SIM_CACHE_ENV_VAR, raising=False)
-        assert resolve_sim_cache_size(None) == DEFAULT_SIM_CACHE_SIZE
+        assert resolve(SIM_CACHE_ENV_VAR, None) == 65536
 
     @pytest.mark.parametrize("raw", ["-1", "lots", "1.5"])
     def test_broken_env_var_raises(self, monkeypatch, raw):
         monkeypatch.setenv(SIM_CACHE_ENV_VAR, raw)
         with pytest.raises(ValueError, match=SIM_CACHE_ENV_VAR):
-            resolve_sim_cache_size(None)
+            resolve(SIM_CACHE_ENV_VAR, None)
 
     def test_config_knob_validation(self):
         with pytest.raises(ValueError, match="sim_cache_size"):

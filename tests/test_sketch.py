@@ -20,16 +20,15 @@ from hypothesis import strategies as st
 from repro.cluster import SilkMothCluster
 from repro.core.config import SilkMothConfig
 from repro.obs.sketch import (
-    DEFAULT_SKETCH_ALPHA,
     QuantileSketch,
     SketchRegistry,
     get_sketch_registry,
     merge_payloads,
     quantile_summary,
     reset_sketch_registry,
-    resolve_sketch_alpha,
     set_sketch_alpha,
 )
+from repro.settings import resolve
 
 DATA = [
     ["ash bay", "elm fir"],
@@ -138,12 +137,12 @@ def test_negative_values_rejected():
 
 def test_resolve_sketch_alpha():
     """Env parsing: default, explicit value, and malformed values."""
-    assert resolve_sketch_alpha("") == DEFAULT_SKETCH_ALPHA
-    assert resolve_sketch_alpha("0.05") == 0.05
+    assert resolve("SILKMOTH_SKETCH_ALPHA", "") == 0.01
+    assert resolve("SILKMOTH_SKETCH_ALPHA", "0.05") == 0.05
     with pytest.raises(ValueError):
-        resolve_sketch_alpha("nope")
+        resolve("SILKMOTH_SKETCH_ALPHA", "nope")
     with pytest.raises(ValueError):
-        resolve_sketch_alpha("1.5")
+        resolve("SILKMOTH_SKETCH_ALPHA", "1.5")
 
 
 def test_registry_label_clash_raises():

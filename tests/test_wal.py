@@ -22,9 +22,6 @@ import pytest
 from repro.cli import main
 from repro.core.config import SilkMothConfig
 from repro.io.wal import (
-    DEFAULT_SEGMENT_BYTES,
-    SEGMENT_BYTES_ENV_VAR,
-    WAL_DIR_ENV_VAR,
     RecoveryReport,
     WalCorruptionError,
     WalError,
@@ -37,12 +34,11 @@ from repro.io.wal import (
     read_wal_records,
     recover_state,
     reset_wal_directory,
-    resolve_segment_bytes,
-    resolve_wal_dir,
     segment_record_offsets,
     wal_directory_in_use,
 )
 from repro.service import SilkMothService
+from repro.settings import resolve
 from repro.sim.functions import SimilarityKind
 
 CONFIG = SilkMothConfig(similarity=SimilarityKind.JACCARD, delta=0.5)
@@ -108,25 +104,25 @@ class TestCodec:
 
 class TestResolvers:
     def test_wal_dir_argument_env_and_false(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(WAL_DIR_ENV_VAR, raising=False)
-        assert resolve_wal_dir(None) is None
-        assert resolve_wal_dir(tmp_path) == Path(tmp_path)
-        monkeypatch.setenv(WAL_DIR_ENV_VAR, str(tmp_path / "env"))
-        assert resolve_wal_dir(None) == tmp_path / "env"
+        monkeypatch.delenv("SILKMOTH_WAL_DIR", raising=False)
+        assert resolve("SILKMOTH_WAL_DIR", None) is None
+        assert resolve("SILKMOTH_WAL_DIR", tmp_path) == Path(tmp_path)
+        monkeypatch.setenv("SILKMOTH_WAL_DIR", str(tmp_path / "env"))
+        assert resolve("SILKMOTH_WAL_DIR", None) == tmp_path / "env"
         # False disables *explicitly*, ignoring the environment: shard
         # replicas must never share the env-named directory.
-        assert resolve_wal_dir(False) is None
-        monkeypatch.setenv(WAL_DIR_ENV_VAR, "")
-        assert resolve_wal_dir(None) is None
+        assert resolve("SILKMOTH_WAL_DIR", False) is None
+        monkeypatch.setenv("SILKMOTH_WAL_DIR", "")
+        assert resolve("SILKMOTH_WAL_DIR", None) is None
 
     def test_segment_bytes(self, monkeypatch):
-        monkeypatch.delenv(SEGMENT_BYTES_ENV_VAR, raising=False)
-        assert resolve_segment_bytes(None) == DEFAULT_SEGMENT_BYTES
-        assert resolve_segment_bytes(4096) == 4096
-        monkeypatch.setenv(SEGMENT_BYTES_ENV_VAR, "512")
-        assert resolve_segment_bytes(None) == 512
+        monkeypatch.delenv("SILKMOTH_WAL_SEGMENT_BYTES", raising=False)
+        assert resolve("SILKMOTH_WAL_SEGMENT_BYTES", None) == 1 << 20
+        assert resolve("SILKMOTH_WAL_SEGMENT_BYTES", 4096) == 4096
+        monkeypatch.setenv("SILKMOTH_WAL_SEGMENT_BYTES", "512")
+        assert resolve("SILKMOTH_WAL_SEGMENT_BYTES", None) == 512
         with pytest.raises(ValueError):
-            resolve_segment_bytes(0)
+            resolve("SILKMOTH_WAL_SEGMENT_BYTES", 0)
 
 
 class TestWriteAheadLog:
@@ -241,10 +237,10 @@ class TestTornTail:
 
 class TestServiceIntegration:
     def test_opt_in_via_kwarg_and_env(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(WAL_DIR_ENV_VAR, raising=False)
+        monkeypatch.delenv("SILKMOTH_WAL_DIR", raising=False)
         plain = SilkMothService(CONFIG)
         assert plain.wal is None and plain.wal_position() is None
-        monkeypatch.setenv(WAL_DIR_ENV_VAR, str(tmp_path / "env-wal"))
+        monkeypatch.setenv("SILKMOTH_WAL_DIR", str(tmp_path / "env-wal"))
         monkeypatch.setenv("SILKMOTH_FSYNC", "0")
         via_env = SilkMothService(CONFIG)
         assert via_env.wal is not None
@@ -254,6 +250,32 @@ class TestServiceIntegration:
         # rather than running un-logged.
         with pytest.raises(WalError, match="closed"):
             via_env.add_set(["late write"])
+
+    def test_load_and_recover_with_the_env_directory_set(
+        self, tmp_path, monkeypatch
+    ):
+        """The services load() and recover() build internally ignore
+        SILKMOTH_WAL_DIR; only the resolved target directory is used.
+
+        They used to attach a fresh log to the env directory first and
+        then fail on it ("already holds a log").
+        """
+        monkeypatch.setenv("SILKMOTH_FSYNC", "0")
+        service = _service(tmp_path)
+        service.add_set(["ash bay", "elm"])
+        service.save(tmp_path / "snap.json")
+        expected = service.search(["ash bay", "elm"])
+        service.close()
+        monkeypatch.setenv("SILKMOTH_WAL_DIR", str(tmp_path / "env-wal"))
+        loaded = SilkMothService.load(tmp_path / "snap.json", CONFIG)
+        assert loaded.wal.directory == tmp_path / "env-wal"
+        assert loaded.search(["ash bay", "elm"]) == expected
+        loaded.close()
+        monkeypatch.setenv("SILKMOTH_WAL_DIR", str(tmp_path / "wal"))
+        recovered = _recover(tmp_path)
+        assert recovered.wal.directory == tmp_path / "wal"
+        assert recovered.search(["ash bay", "elm"]) == expected
+        recovered.close()
 
     def test_mutations_recover_bit_identically(self, tmp_path):
         service = _service(tmp_path)

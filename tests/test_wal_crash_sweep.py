@@ -32,7 +32,6 @@ from hypothesis import strategies as st
 
 from repro.cluster import ClusterDegradedError, SilkMothCluster
 from repro.cluster.faults import (
-    CRASH_ENV_VAR,
     WAL_CRASH_POINTS,
     CrashInjected,
     crash_at,
@@ -276,7 +275,7 @@ def test_process_worker_crash_then_disk_revive(tmp_path, monkeypatch, point):
     # Arm before construction: worker processes inherit the variable.
     # Construction itself never appends (initial sets load through the
     # collection, not the mutation path), so workers come up healthy.
-    monkeypatch.setenv(CRASH_ENV_VAR, point)
+    monkeypatch.setenv("SILKMOTH_CRASH_AT", point)
     cluster = SilkMothCluster.from_sets(
         DATA,
         CONFIG,
@@ -293,7 +292,7 @@ def test_process_worker_crash_then_disk_revive(tmp_path, monkeypatch, point):
         # Nothing committed: the id space still holds the set.
         assert cluster.is_live(0)
         assert cluster.lost_shards() != []
-        monkeypatch.delenv(CRASH_ENV_VAR)  # revived workers stay alive
+        monkeypatch.delenv("SILKMOTH_CRASH_AT")  # revived workers stay alive
         revived = cluster.revive(from_disk=True)
         assert revived >= 1
         expected_fallbacks = 1 if point == "wal.append.after_write" else 0
