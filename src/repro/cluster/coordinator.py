@@ -14,14 +14,16 @@ A query runs in four steps:
    with every shard summary; shards that provably cannot answer are
    skipped (see :mod:`repro.cluster.routing` for the exactness
    argument);
-2. **fan out** -- submit the search (:meth:`discover`: a block of
-   passes) to every routed shard, then collect (worker shards compute
-   concurrently);
+2. **fan out** -- submit one ``search`` request carrying the block's
+   passes (one for a lone :meth:`search`, up to :data:`PASS_BLOCK` for
+   a batch or :meth:`discover`) to every routed shard, then collect
+   (worker shards compute concurrently);
 3. **merge** -- translate shard-local result ids to global ids, sort,
    and sum the shards' :class:`~repro.core.stats.PassStats` into one
    :class:`~repro.cluster.stats.ClusterPassStats`;
-4. **cache** -- memoise under the cluster-wide write generation,
-   exactly like the single-node service.
+4. **cache** -- memoise under the cluster-wide write generation: the
+   cache, ``search`` and ``search_many`` are the single-node service's
+   own (:class:`~repro.service.batch.QueryFront`).
 
 Mutations mirror :class:`repro.service.SilkMothService` semantics on
 the global id space -- ``add`` appends a fresh global id,
@@ -78,23 +80,19 @@ from repro.obs.instrument import (
 from repro.obs.trace import current_context, ingest, span
 from repro.pipeline.driver import discovery_floor, keep_discovery_pair
 from repro.planner.cost import IndexProfile, merge_profiles
-from repro.service.batch import plan_batch
+from repro.service.batch import QueryFront
+from repro.service.cache import LRUQueryCache, config_fingerprint
 from repro.settings import resolve
-from repro.service.cache import (
-    LRUQueryCache,
-    config_fingerprint,
-    reference_fingerprint,
-)
 from repro.sim.functions import SimilarityKind
 from repro.tokenize.tokenizers import Tokenizer
 
 #: Hard cap on any single failover backoff sleep (bounded by design).
 MAX_BACKOFF_SECONDS = 0.5
 
-#: Reference passes per discovery request: each routed shard gets one
-#: :data:`BLOCK_COMMAND` request per block; a failover retries it whole.
-DISCOVERY_BLOCK = 8
-BLOCK_COMMAND = "search_block"
+#: Reference passes per ``search`` request, in a serving batch and in
+#: discovery alike: each routed shard gets one request per block; a
+#: failover retries it whole.
+PASS_BLOCK = 8
 
 #: Internal sentinel: a shard request that found no surviving replica
 #: (distinguishable from a legitimate ``None`` reply).
@@ -136,14 +134,15 @@ def request_deadline(
 ) -> "float | None":
     """Seconds one shard request may take: *deadline* per pass it carries.
 
-    Only a :data:`BLOCK_COMMAND` request carries more than one pass.
+    A ``search`` request carries its passes as ``payload[0]``; every
+    other command is one unit of work.
     """
-    if deadline is None or command != BLOCK_COMMAND:
+    if deadline is None or command != "search":
         return deadline
     return deadline * len(payload[0])
 
 
-class SilkMothCluster:
+class SilkMothCluster(QueryFront):
     """Related-set search/discovery/serving over N sharded engines.
 
     Parameters
@@ -1028,17 +1027,23 @@ class SilkMothCluster:
             if summary.may_answer(probe)
         ]
 
-    def _search_cold(
-        self, elements: Sequence[str]
-    ) -> tuple[list[SearchResult], ClusterPassStats]:
-        """One uncached cluster search pass: a block of one reference."""
-        ((results, cluster_pass),) = self._search_block(
-            [(elements, None, None)], "search"
-        )
-        return results, cluster_pass
+    def _block_size(self, processes: "int | None") -> int:
+        """A serving batch travels in discovery's blocks."""
+        return PASS_BLOCK
+
+    def _run_cold(
+        self, references: Sequence[Sequence[str]], processes: "int | None"
+    ) -> list[list[SearchResult]]:
+        """Uncached cluster passes for a block of external references."""
+        return [
+            results
+            for results, _ in self._search_block(
+                [(elements, None, None) for elements in references]
+            )
+        ]
 
     def _search_block(
-        self, passes: list, command: str
+        self, passes: list
     ) -> list[tuple[list[SearchResult], ClusterPassStats]]:
         """Route, fan out, merge: uncached passes, one request per shard.
 
@@ -1046,14 +1051,16 @@ class SilkMothCluster:
         set to skip and, per shard, the local id its pass starts at (a
         discovery floor in that shard's numbering; ``None`` = 0).  A
         shard whose table ends below its floor is not routed.  Each
-        routed shard gets one *command* request: ``search`` carries a
-        lone pass, :data:`BLOCK_COMMAND` its items in pass order.  Each
-        pass then merges on its own; one ``(results, pass)`` per pass.
+        routed shard gets one ``search`` request carrying its
+        ``(elements, skip_local, first_local)`` items in pass order.
+        Each pass then merges on its own; one ``(results, pass)`` per
+        pass.  The slowlog charges each pass an equal share of the
+        block's wall clock, and the block's failovers to its first
+        logged pass only.
         """
         self._ensure_open()
         started = time.perf_counter()
         failovers_before = self.stats.failovers
-        block = command == BLOCK_COMMAND
         # Per shard: (pass index, shard payload item), in pass order.
         items: list = [[] for _ in range(self.n_shards)]
         with span(
@@ -1094,17 +1101,17 @@ class SilkMothCluster:
             trace_ctx = current_context()
             payloads = [
                 (tuple(item for _, item in items[k]), trace_ctx)
-                if block
-                else items[k][0][1] + (trace_ctx,)
                 for k in shards
             ]
             replies = self._fanout_read(
-                command, payloads, shards, collect_span=True
+                "search", payloads, shards, collect_span=True
             )
+        share = (time.perf_counter() - started) / len(passes)
+        failovers = self.stats.failovers - failovers_before
         per_pass: list = [[] for _ in passes]
         for k, reply in zip(shards, replies):
             for (i, _), (results, pass_stats, shard_spans) in zip(
-                items[k], reply if block else [reply]
+                items[k], reply
             ):
                 ingest(shard_spans)
                 per_pass[i].append((k, results, pass_stats))
@@ -1135,74 +1142,13 @@ class SilkMothCluster:
                 self.stats.record_pass(pass_stats)
             self.run_stats.add(cluster_pass.merged)
             observe_slow_cluster_query(
-                time.perf_counter() - started,
+                share,
                 cluster_pass,
-                failovers=self.stats.failovers - failovers_before,
+                failovers=failovers,
                 lost_shards=self.lost_shards(),
             )
+            failovers = 0
         return merged
-
-    def search(self, elements: Sequence[str]) -> list[SearchResult]:
-        """All live sets related to the raw reference *elements*.
-
-        Semantics, caching and result ordering match
-        :meth:`repro.service.SilkMothService.search`; set ids are
-        global ids.
-        """
-        with span("service.query") as query_span:
-            key = (reference_fingerprint(elements), self._config_fp)
-            started = time.perf_counter()
-            with span("cache.probe"):
-                cached = self.cache.get(key, self.generation)
-            if cached is not None:
-                query_span.set_attr("cache", "hit")
-                self.stats.record_query(time.perf_counter() - started, True)
-                return list(cached)
-            query_span.set_attr("cache", "miss")
-            results, _ = self._search_cold(elements)
-            self.cache.put(key, self.generation, tuple(results))
-            self.stats.record_query(time.perf_counter() - started, False)
-            return results
-
-    def search_many(
-        self, references: Sequence[Sequence[str]]
-    ) -> list[list[SearchResult]]:
-        """Answer a batch of references; one result list per input.
-
-        Intra-batch duplicates collapse onto one computation and cached
-        references skip the fan-out, as in the single-node service; the
-        cold remainder runs one fan-out each (parallelism comes from
-        the shards, not an extra coordinator-side pool).
-        """
-        self.stats.batches += 1
-        plan = plan_batch(references)
-        self.stats.batch_queries_deduplicated += plan.duplicates
-        answers: dict[str, tuple[SearchResult, ...]] = {}
-        for fingerprint, elements in plan.unique.items():
-            started = time.perf_counter()
-            cached = self.cache.get(
-                (fingerprint, self._config_fp), self.generation
-            )
-            if cached is not None:
-                answers[fingerprint] = cached
-                self.stats.record_query(time.perf_counter() - started, True)
-                continue
-            results, _ = self._search_cold(elements)
-            answers[fingerprint] = tuple(results)
-            self.cache.put(
-                (fingerprint, self._config_fp),
-                self.generation,
-                answers[fingerprint],
-            )
-            self.stats.record_query(time.perf_counter() - started, False)
-        output: list[list[SearchResult]] = []
-        emitted: set[str] = set()
-        for fingerprint in plan.fingerprints:
-            if fingerprint in emitted:
-                self.stats.record_query(0.0, True)
-            emitted.add(fingerprint)
-            output.append(list(answers[fingerprint]))
-        return output
 
     def discover(self) -> list[DiscoveryResult]:
         """RELATED SET DISCOVERY over the cluster's own live sets.
@@ -1230,7 +1176,7 @@ class SilkMothCluster:
         only anticipates, drops them.  A reference with no global id at
         or above its floor (the last one) runs no pass at all.
 
-        Passes travel in blocks of :data:`DISCOVERY_BLOCK`, so the
+        Passes travel in blocks of :data:`PASS_BLOCK`, so the
         coordinator waits on each routed shard once per block, not once
         per reference; a failover retries the whole block, floors
         included, on the next replica.
@@ -1257,9 +1203,10 @@ class SilkMothCluster:
                     ]
                 passes.append((self._raw[gid], gid, first_locals))
             answers = []
-            for start in range(0, len(passes), DISCOVERY_BLOCK):
-                block = passes[start:start + DISCOVERY_BLOCK]
-                answers += self._search_block(block, BLOCK_COMMAND)
+            for start in range(0, len(passes), PASS_BLOCK):
+                answers += self._search_block(
+                    passes[start:start + PASS_BLOCK]
+                )
             for (_, gid, _), (results, _) in zip(passes, answers):
                 for result in results:
                     if keep_discovery_pair(

@@ -126,14 +126,13 @@ class ShardHost:
 
     def _cmd_search(
         self,
-        elements: Sequence[str],
-        skip_local: int | None,
-        first_local: int = 0,
+        items: Sequence[tuple],
         trace_ctx: "tuple[str, str] | None" = None,
-    ):
-        """One search pass; returns (results, PassStats, trace spans).
+    ) -> list:
+        """One search pass per ``(elements, skip_local, first_local)``
+        item, in order; returns (results, PassStats, trace spans) each.
 
-        The reference is tokenised through the non-interning query path
+        A reference is tokenised through the non-interning query path
         -- token ids unknown to this shard resolve to ephemeral
         negative ids that match nothing, which is exactly the semantics
         of "this shard does not contain that token".  *skip_local*
@@ -145,28 +144,25 @@ class ShardHost:
         failover retry re-sends the same payload.
 
         *trace_ctx* is the coordinator's ``(trace_id, span_id)``
-        context; when present, the pass is traced here and the new
+        context; when present, each pass is traced here and the new
         spans -- parented under the coordinator's query span -- ride
         back in the reply for the coordinator to ingest, so a cluster
         query yields one cross-process trace tree.
         """
         service = self.service
-        with collect_remote(trace_ctx) as spans:
-            with span("shard.search", live_sets=service.collection.live_count):
-                reference = service.collection.query_set(elements)
-                results, stats = service.engine.search_with_stats(
-                    reference, skip_set=skip_local, first_set=first_local
-                )
-        service.stats.record_pass(stats)
-        return results, stats, spans
-
-    def _cmd_search_block(
-        self,
-        items: Sequence[tuple],
-        trace_ctx: "tuple[str, str] | None" = None,
-    ) -> list:
-        """:meth:`_cmd_search` per ``(elements, skip_local, first_local)``."""
-        return [self._cmd_search(*item, trace_ctx) for item in items]
+        replies = []
+        for elements, skip_local, first_local in items:
+            with collect_remote(trace_ctx) as spans:
+                with span(
+                    "shard.search", live_sets=service.collection.live_count
+                ):
+                    reference = service.collection.query_set(elements)
+                    results, stats = service.engine.search_with_stats(
+                        reference, skip_set=skip_local, first_set=first_local
+                    )
+            service.stats.record_pass(stats)
+            replies.append((results, stats, spans))
+        return replies
 
     def _cmd_add(self, elements: Sequence[str]) -> int:
         """Append one set; returns its new local id."""

@@ -13,7 +13,8 @@ not drowned by pickling.
 
 The output is deterministic and identical to
 :meth:`repro.SilkMoth.discover` (sorted the same way), regardless of
-process count or chunking.
+process count or chunking.  :func:`parallel_search` runs the same pool
+for plain search passes (the service's ``search_many(processes>1)``).
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ import multiprocessing
 from typing import Sequence
 
 from repro.core.config import SilkMothConfig
-from repro.core.engine import DiscoveryResult, SilkMoth
+from repro.core.engine import DiscoveryResult, SearchResult, SilkMoth
 from repro.core.records import SetCollection
+from repro.core.stats import PassStats
 from repro.pipeline.driver import search_rows
 
 #: Per-process state installed by the pool initializer.
@@ -75,6 +77,18 @@ def _search_chunk(reference_ids: list[int]) -> list[tuple[int, int, float, float
     return rows
 
 
+def _pass_chunk(
+    reference_ids: list[int],
+) -> list[tuple[list[SearchResult], PassStats]]:
+    """One worker task: a search pass, with its stats, per reference id."""
+    engine: SilkMoth = _WORKER["engine"]
+    references = _WORKER["references"]
+    return [
+        engine.search_with_stats(references[reference_id])
+        for reference_id in reference_ids
+    ]
+
+
 def _chunk(ids: list[int], n_chunks: int) -> list[list[int]]:
     """Split *ids* into at most *n_chunks* contiguous chunks.
 
@@ -94,6 +108,43 @@ def _chunk(ids: list[int], n_chunks: int) -> list[list[int]]:
         chunks.append(ids[start:end])
         start = end
     return chunks
+
+
+def _map_references(
+    task,
+    sets: Sequence[Sequence[str]],
+    config: SilkMothConfig,
+    reference_sets: Sequence[Sequence[str]] | None,
+    processes: int | None,
+    chunks_per_process: int,
+) -> list:
+    """Run the worker *task* over every reference id; outputs in id order.
+
+    One process, or a single reference, runs *task* in this process.
+    """
+    if processes is None:
+        processes = multiprocessing.cpu_count()
+    n_references = len(reference_sets) if reference_sets is not None else len(sets)
+    if n_references == 0:
+        return []
+    payload_sets = tuple(map(tuple, sets))
+    payload_refs = (
+        tuple(map(tuple, reference_sets)) if reference_sets is not None else None
+    )
+    reference_ids = list(range(n_references))
+    if processes <= 1 or n_references <= 1:
+        _init_worker(payload_sets, config, payload_refs)
+        try:
+            return task(reference_ids)
+        finally:
+            _WORKER.clear()
+    chunks = _chunk(reference_ids, processes * chunks_per_process)
+    with multiprocessing.Pool(
+        processes=processes,
+        initializer=_init_worker,
+        initargs=(payload_sets, config, payload_refs),
+    ) as pool:
+        return [item for chunk in pool.map(task, chunks) for item in chunk]
 
 
 def parallel_discover(
@@ -126,33 +177,9 @@ def parallel_discover(
     DiscoveryResults sorted by (reference_id, set_id) -- the same
     ordering the serial engine produces.
     """
-    if processes is None:
-        processes = multiprocessing.cpu_count()
-    n_references = len(reference_sets) if reference_sets is not None else len(sets)
-    if n_references == 0:
-        return []
-
-    reference_ids = list(range(n_references))
-    if processes <= 1 or n_references == 1:
-        _init_worker(tuple(map(tuple, sets)), config,
-                     tuple(map(tuple, reference_sets)) if reference_sets is not None else None)
-        try:
-            rows = _search_chunk(reference_ids)
-        finally:
-            _WORKER.clear()
-    else:
-        payload_sets = tuple(map(tuple, sets))
-        payload_refs = (
-            tuple(map(tuple, reference_sets)) if reference_sets is not None else None
-        )
-        chunks = _chunk(reference_ids, processes * chunks_per_process)
-        with multiprocessing.Pool(
-            processes=processes,
-            initializer=_init_worker,
-            initargs=(payload_sets, config, payload_refs),
-        ) as pool:
-            rows = [row for chunk in pool.map(_search_chunk, chunks) for row in chunk]
-
+    rows = _map_references(
+        _search_chunk, sets, config, reference_sets, processes, chunks_per_process
+    )
     rows.sort(key=lambda row: (row[0], row[1]))
     return [
         DiscoveryResult(
@@ -163,3 +190,14 @@ def parallel_discover(
         )
         for reference_id, set_id, score, relatedness in rows
     ]
+
+
+def parallel_search(
+    sets: Sequence[Sequence[str]],
+    config: SilkMothConfig,
+    reference_sets: Sequence[Sequence[str]],
+    processes: int | None = None,
+) -> list[tuple[list[SearchResult], PassStats]]:
+    """Per reference, in order: :meth:`repro.SilkMoth.search_with_stats`
+    of one pass, run across a process pool."""
+    return _map_references(_pass_chunk, sets, config, reference_sets, processes, 4)

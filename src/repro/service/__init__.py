@@ -5,7 +5,10 @@ sets can be added, removed and updated between queries (tombstones +
 lazy index cleanup keep every answer exact), repeated references are
 served from an LRU query cache with write-generation invalidation,
 batches deduplicate and fan out across processes, and the whole service
-round-trips through version-2 snapshots.
+round-trips through version-2 snapshots.  ``search``, ``search_many``
+and the cache logic live in :class:`repro.service.batch.QueryFront`,
+which :class:`repro.cluster.SilkMothCluster` shares: each server only
+supplies how an uncached pass runs.
 
 Quickstart::
 

@@ -1,62 +1,136 @@
-"""Batch scheduling: deduplication and parallel fan-out helpers.
+"""The query front: ``search``, ``search_many`` and the result cache, once.
 
 (Not to be confused with :mod:`repro.planner`, which decides *how* a
-single pass runs; this module decides *which* references in a batch
-need a pass at all.)
+single pass runs; this module decides *which* references need a pass
+at all.)
 
-``search_many`` answers a batch of references in three buckets: exact
-duplicates within the batch collapse onto one computation, previously
-seen references come straight from the cache, and the remaining cold
-references fan out through :func:`repro.core.parallel.parallel_discover`
-(or run serially for small batches).  Either way every cold reference
-executes one :class:`repro.pipeline.QueryPlan` -- the same staged
-pipeline the serial engine runs -- so batch answers are exactly the
-serial engine's.  This module holds the pure planning/remapping pieces
-so the service itself stays readable.
+:class:`QueryFront` is what :class:`repro.service.SilkMothService` and
+:class:`repro.cluster.SilkMothCluster` share: the cache key, the
+write-generation-gated cache probe, intra-batch deduplication and the
+:class:`~repro.service.stats.ServiceStats` accounting.  A batch's
+duplicates collapse onto one computation, references cached since the
+last mutation come from the cache, and the cold remainder goes to the
+subclass's *cold runner* in blocks, each reference charged an equal
+share of its block's wall clock.  The service's runner is an engine
+pass per reference (or, for ``processes > 1``, the whole remainder
+through :func:`parallel_cold_search`); the cluster's sends blocks of
+:data:`repro.cluster.coordinator.PASS_BLOCK` references to its shards.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import time
+from dataclasses import replace
 from typing import Sequence
 
 from repro.core.config import SilkMothConfig
 from repro.core.engine import SearchResult
-from repro.core.parallel import parallel_discover
+from repro.core.parallel import parallel_search
 from repro.core.records import SetCollection
+from repro.core.stats import PassStats
+from repro.obs.trace import span
 from repro.service.cache import reference_fingerprint
 
 
-@dataclass
-class BatchPlan:
-    """How one batch of references will be answered.
+class QueryFront:
+    """``search`` / ``search_many`` over a generation-gated result cache.
 
-    Attributes
-    ----------
-    fingerprints:
-        One reference fingerprint per input position.
-    unique:
-        Fingerprint -> the first raw reference carrying it.
-    duplicates:
-        How many input positions repeated an earlier fingerprint.
+    A subclass provides ``cache``, ``generation`` (bumped by every
+    mutation), ``stats``, ``_config_fp`` and the two hooks below.
     """
 
-    fingerprints: list[str] = field(default_factory=list)
-    unique: dict[str, Sequence[str]] = field(default_factory=dict)
-    duplicates: int = 0
+    def _block_size(self, processes: int | None) -> int | None:
+        """Cold references per :meth:`_run_cold` call (``None`` = all)."""
+        raise NotImplementedError
 
+    def _run_cold(
+        self, references: Sequence[Sequence[str]], processes: int | None
+    ) -> list[list[SearchResult]]:
+        """Uncached passes: one result list per raw reference, in order."""
+        raise NotImplementedError
 
-def plan_batch(references: Sequence[Sequence[str]]) -> BatchPlan:
-    """Fingerprint the batch and collapse intra-batch duplicates."""
-    plan = BatchPlan()
-    for elements in references:
-        fingerprint = reference_fingerprint(elements)
-        plan.fingerprints.append(fingerprint)
-        if fingerprint in plan.unique:
-            plan.duplicates += 1
-        else:
-            plan.unique[fingerprint] = elements
-    return plan
+    def search(self, elements: Sequence[str]) -> list[SearchResult]:
+        """All live sets related to the raw reference *elements*.
+
+        Served from the cache when this reference (under this config)
+        was answered since the last mutation; otherwise one pass runs
+        and the answer is cached.  Set ids are the server's own.
+        """
+        with span("service.query") as query_span:
+            key = (reference_fingerprint(elements), self._config_fp)
+            started = time.perf_counter()
+            with span("cache.probe"):
+                cached = self.cache.get(key, self.generation)
+            if cached is not None:
+                query_span.set_attr("cache", "hit")
+                self.stats.record_query(time.perf_counter() - started, True)
+                return list(cached)
+            query_span.set_attr("cache", "miss")
+            (results,) = self._run_cold([elements], None)
+            self.cache.put(key, self.generation, tuple(results))
+            self.stats.record_query(time.perf_counter() - started, False)
+            return results
+
+    def search_many(
+        self,
+        references: Sequence[Sequence[str]],
+        processes: int | None = None,
+    ) -> list[list[SearchResult]]:
+        """Answer a batch of references; one result list per input.
+
+        Exact duplicates within the batch are computed once; references
+        cached since the last mutation are served without a pass; the
+        cold remainder runs in blocks through the cold runner.
+        *processes* > 1 fans a single node's cold references out
+        across a process pool; a cluster's parallelism comes from its
+        shards, so it ignores *processes*.
+        """
+        self.stats.batches += 1
+        fingerprints = [reference_fingerprint(elements) for elements in references]
+        unique: dict[str, Sequence[str]] = {}
+        for fingerprint, elements in zip(fingerprints, references):
+            unique.setdefault(fingerprint, elements)
+        self.stats.batch_queries_deduplicated += len(references) - len(unique)
+
+        answers: dict[str, tuple[SearchResult, ...]] = {}
+        cold: list[tuple[str, Sequence[str]]] = []
+        for fingerprint, elements in unique.items():
+            started = time.perf_counter()
+            cached = self.cache.get(
+                (fingerprint, self._config_fp), self.generation
+            )
+            if cached is not None:
+                answers[fingerprint] = cached
+                self.stats.record_query(time.perf_counter() - started, True)
+            else:
+                cold.append((fingerprint, elements))
+
+        size = self._block_size(processes) or max(1, len(cold))
+        for start in range(0, len(cold), size):
+            block = cold[start:start + size]
+            started = time.perf_counter()
+            block_results = self._run_cold(
+                [elements for _, elements in block], processes
+            )
+            share = (time.perf_counter() - started) / len(block)
+            for (fingerprint, _), results in zip(block, block_results):
+                answers[fingerprint] = tuple(results)
+                self.cache.put(
+                    (fingerprint, self._config_fp),
+                    self.generation,
+                    answers[fingerprint],
+                )
+                self.stats.record_query(share, False)
+
+        output: list[list[SearchResult]] = []
+        emitted: set[str] = set()
+        for fingerprint in fingerprints:
+            if fingerprint in emitted:
+                # Duplicate position: served from the batch's own answer.
+                self.stats.record_query(0.0, True)
+            emitted.add(fingerprint)
+            output.append(list(answers[fingerprint]))
+        return output
 
 
 def parallel_cold_search(
@@ -64,35 +138,24 @@ def parallel_cold_search(
     config: SilkMothConfig,
     cold_references: Sequence[Sequence[str]],
     processes: int | None,
-) -> list[list[SearchResult]]:
-    """Run the cold references through the process-pool machinery.
+) -> list[tuple[list[SearchResult], PassStats]]:
+    """One pass per cold reference through the process pool.
 
     The workers rebuild the collection from its *live* raw sets (the
     pool protocol ships raw strings, not records), so tombstoned ids
     are compacted away in the workers; the id map translates worker
-    set ids back to the service's stable ids.  Results per reference
-    are sorted by set id, matching the serial engine's ordering.
+    set ids back to the service's stable ids.  Each reference comes
+    back with its results and its pass's ``PassStats``.
     """
     live_records = list(collection.iter_live())
     live_sets = [
         [element.text for element in record.elements] for record in live_records
     ]
     id_map = [record.set_id for record in live_records]
-    results: list[list[SearchResult]] = [[] for _ in cold_references]
-    if not live_sets:
-        return results
-    rows = parallel_discover(
-        live_sets,
-        config,
-        reference_sets=[list(elements) for elements in cold_references],
-        processes=processes,
+    answered = parallel_search(
+        live_sets, config, [list(e) for e in cold_references], processes
     )
-    for row in rows:
-        results[row.reference_id].append(
-            SearchResult(
-                set_id=id_map[row.set_id],
-                score=row.score,
-                relatedness=row.relatedness,
-            )
-        )
-    return results
+    return [
+        ([replace(r, set_id=id_map[r.set_id]) for r in results], pass_stats)
+        for results, pass_stats in answered
+    ]

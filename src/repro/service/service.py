@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from pathlib import Path
 from typing import Sequence
 
@@ -55,12 +54,8 @@ from repro.obs.diag import get_slowlog, slowlog_ms
 from repro.obs.instrument import observe_mutation, observe_wal_recovery
 from repro.obs.sketch import quantile_summary
 from repro.obs.trace import span
-from repro.service.batch import parallel_cold_search, plan_batch
-from repro.service.cache import (
-    LRUQueryCache,
-    config_fingerprint,
-    reference_fingerprint,
-)
+from repro.service.batch import QueryFront, parallel_cold_search
+from repro.service.cache import LRUQueryCache, config_fingerprint
 from repro.service.stats import ServiceStats
 from repro.settings import resolve
 from repro.tokenize.tokenizers import Tokenizer
@@ -70,7 +65,7 @@ from repro.tokenize.tokenizers import Tokenizer
 REPLAN_GROWTH_FACTOR = 2
 
 
-class SilkMothService:
+class SilkMothService(QueryFront):
     """A query-serving, mutable wrapper around one SilkMoth engine.
 
     Parameters
@@ -286,110 +281,41 @@ class SilkMothService:
         """Human-readable planner report for the serving configuration."""
         return self.engine.plan_report()
 
-    # -- queries --------------------------------------------------------
-    def _make_reference(self, elements: Sequence[str]) -> SetRecord:
-        """Tokenise a raw reference consistently with the served data.
+    # -- queries (search / search_many: QueryFront) ---------------------
+    def _block_size(self, processes: int | None) -> int | None:
+        """Serially each reference is its own block (its own latency);
+        the process pool takes the whole cold remainder at once."""
+        return None if processes is not None and processes > 1 else 1
 
-        Uses the non-interning path: a long-lived service must not grow
-        its vocabulary with every unseen query token.
-        """
-        return self.collection.query_set(elements)
-
-    def _search_cold(self, elements: Sequence[str]) -> list[SearchResult]:
-        reference = self._make_reference(elements)
-        results, pass_stats = self.engine.search_with_stats(reference)
-        self.stats.record_pass(pass_stats)
-        return results
-
-    def search(self, elements: Sequence[str]) -> list[SearchResult]:
-        """All live sets related to the raw reference *elements*.
-
-        Served from the cache when this reference (under this config)
-        was answered since the last mutation; otherwise one full
-        pipeline pass runs and the answer is cached.
-        """
-        with span("service.query") as query_span:
-            key = (reference_fingerprint(elements), self._config_fp)
-            started = time.perf_counter()
-            with span("cache.probe"):
-                cached = self.cache.get(key, self.generation)
-            if cached is not None:
-                query_span.set_attr("cache", "hit")
-                self.stats.record_query(time.perf_counter() - started, True)
-                return list(cached)
-            query_span.set_attr("cache", "miss")
-            results = self._search_cold(elements)
-            self.cache.put(key, self.generation, tuple(results))
-            self.stats.record_query(time.perf_counter() - started, False)
-            return results
-
-    def search_many(
-        self,
-        references: Sequence[Sequence[str]],
-        processes: int | None = None,
+    def _run_cold(
+        self, references: Sequence[Sequence[str]], processes: int | None
     ) -> list[list[SearchResult]]:
-        """Answer a batch of references; one result list per input.
+        """One engine pass per reference, in-process or in the pool.
 
-        Exact duplicates within the batch are computed once; references
-        cached since the last mutation are served without touching the
-        pipeline; the cold remainder runs serially by default or fans
-        out across *processes* workers through
-        :mod:`repro.core.parallel` when ``processes > 1``.
+        Either way each pass's :class:`~repro.core.stats.PassStats` is
+        folded into :attr:`stats` and the engine's run stats, the
+        latter by the engine itself in-process and here for a pass a
+        pool worker ran (an empty reference runs no pass).
         """
-        self.stats.batches += 1
-        plan = plan_batch(references)
-        self.stats.batch_queries_deduplicated += plan.duplicates
-
-        answers: dict[str, tuple[SearchResult, ...]] = {}
-        cold: list[tuple[str, Sequence[str]]] = []
-        for fingerprint, elements in plan.unique.items():
-            started = time.perf_counter()
-            cached = self.cache.get(
-                (fingerprint, self._config_fp), self.generation
+        if processes is not None and processes > 1:
+            answered = parallel_cold_search(
+                self.collection, self.config, references, processes
             )
-            if cached is not None:
-                answers[fingerprint] = cached
-                self.stats.record_query(time.perf_counter() - started, True)
-            else:
-                cold.append((fingerprint, elements))
-
-        if cold and processes is not None and processes > 1:
-            started = time.perf_counter()
-            cold_results = parallel_cold_search(
-                self.collection,
-                self.config,
-                [elements for _, elements in cold],
-                processes,
-            )
-            # Pool latency is shared: attribute an equal slice per query.
-            share = (time.perf_counter() - started) / len(cold)
-            for (fingerprint, _), results in zip(cold, cold_results):
-                answers[fingerprint] = tuple(results)
-                self.cache.put(
-                    (fingerprint, self._config_fp),
-                    self.generation,
-                    answers[fingerprint],
-                )
-                self.stats.record_query(share, False)
+            for elements, (_, pass_stats) in zip(references, answered):
+                if len(elements):
+                    self.engine.stats.add(pass_stats)
         else:
-            for fingerprint, elements in cold:
-                started = time.perf_counter()
-                results = tuple(self._search_cold(elements))
-                answers[fingerprint] = results
-                self.cache.put(
-                    (fingerprint, self._config_fp), self.generation, results
+            # The non-interning query path: a long-lived service must
+            # not grow its vocabulary with every unseen query token.
+            answered = [
+                self.engine.search_with_stats(
+                    self.collection.query_set(elements)
                 )
-                self.stats.record_query(time.perf_counter() - started, False)
-
-        output: list[list[SearchResult]] = []
-        emitted: set[str] = set()
-        for fingerprint in plan.fingerprints:
-            if fingerprint in emitted:
-                # Duplicate position: served from the batch's own answer.
-                self.stats.record_query(0.0, True)
-            emitted.add(fingerprint)
-            output.append(list(answers[fingerprint]))
-        return output
+                for elements in references
+            ]
+        for _, pass_stats in answered:
+            self.stats.record_pass(pass_stats)
+        return [results for results, _ in answered]
 
     # -- snapshots ------------------------------------------------------
     def _snapshot_metadata(self) -> dict:

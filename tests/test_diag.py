@@ -11,9 +11,12 @@ shard loses all replicas.
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from repro.cluster import ClusterDegradedError, SilkMothCluster
+from repro.cluster.coordinator import PASS_BLOCK
 from repro.cluster.faults import FaultEvent, FaultPlan
 from repro.cluster.stats import ClusterStats
 from repro.core.config import SilkMothConfig
@@ -184,6 +187,40 @@ def test_discovery_logs_one_cluster_query_per_reference(monkeypatch):
     for row, stats in zip(rows, shard_passes):
         assert row["seconds"] == sum(stats.stage_seconds.values()) > 0
         assert row["matches"] == stats.matches
+
+
+def test_cluster_slowlog_splits_a_block_wall_across_its_passes():
+    """Blocked passes share their block's wall; failovers count once.
+
+    Each ``cluster_query`` entry of a block carries an equal share of
+    the block's wall clock, so the entries' seconds sum to no more than
+    the ``discover()`` or ``search_many()`` that logged them, and a
+    block's failover is charged to one of its passes, not to each.
+    """
+    set_slowlog_ms(0.0)
+    sets = DATA * 8
+    references = [[f"{word} ash", "bay elm"] for word in "abcdefghijk"]
+
+    def logged(run):
+        ring = reset_slowlog()
+        started = time.perf_counter()
+        run()
+        wall = time.perf_counter() - started
+        entries = [e for e in ring.entries() if e["kind"] == "cluster_query"]
+        assert len(entries) < ring.capacity
+        return entries, wall
+
+    plan = FaultPlan([FaultEvent(kind="drop_reply", shard=0, command="search")])
+    with SilkMothCluster.from_sets(
+        sets, CONFIG, shards=2, replicas=2, fault_plan=plan, backoff=0.0
+    ) as cluster:
+        entries, wall = logged(cluster.discover)
+        assert len(entries) == cluster.run_stats.passes > PASS_BLOCK
+        assert sum(e["seconds"] for e in entries) <= wall
+        assert sum(e["failovers"] for e in entries) == 1
+        entries, wall = logged(lambda: cluster.search_many(references))
+        assert len(entries) == len(references) > PASS_BLOCK
+        assert sum(e["seconds"] for e in entries) <= wall
 
 
 def test_export_jsonl_round_trip(tmp_path):

@@ -40,7 +40,6 @@ from repro.cluster import (
     ShardTransportError,
     SilkMothCluster,
 )
-from repro.cluster.coordinator import BLOCK_COMMAND
 from repro.cluster.transport import make_transport
 from repro.core.config import SilkMothConfig
 from strategies import token_sets
@@ -349,7 +348,7 @@ def test_chaos_during_discovery_process_transport(seed):
         shards=2,
         replicas=2,
         n_events=4,
-        commands=(BLOCK_COMMAND,),
+        commands=("search",),
         max_after=6,
     )
     with _oracle(sets) as oracle, SilkMothCluster.from_sets(

@@ -1,0 +1,124 @@
+"""The shared query front: one ``search``/``search_many`` for both servers.
+
+:class:`repro.service.SilkMothService` and
+:class:`repro.cluster.SilkMothCluster` answer queries through the same
+:class:`repro.service.batch.QueryFront`, so the same program -- mutations,
+a batch with intra-batch duplicates, cache hits, more cold references
+than one block holds -- must give the same answers (equal to brute
+force) and the same serving counters on both.  On the cluster a cold
+batch travels in blocks: ``ceil(N / PASS_BLOCK)`` ``search`` requests
+per routed shard, not one per reference.
+"""
+
+from __future__ import annotations
+
+import math
+
+import pytest
+
+from repro.baselines.brute_force import brute_force_search
+from repro.cluster import SilkMothCluster
+from repro.cluster.coordinator import PASS_BLOCK
+from repro.core.config import SilkMothConfig
+from repro.service import SilkMothService
+
+CONFIG = SilkMothConfig(delta=0.3)
+
+WORDS = ["ash", "bay", "elm", "fir", "oak", "sky", "yew", "ivy"]
+
+DATA = [
+    [f"{WORDS[i % 8]} {WORDS[(i * 3 + 1) % 8]}", f"{WORDS[(i + 2) % 8]} common"]
+    for i in range(16)
+]
+
+#: More distinct cold references than one block holds.
+COLD = [DATA[i] + [WORDS[i // 8]] for i in range(PASS_BLOCK + 5)]
+
+#: The serving counters both fronts must agree on.
+COUNTERS = (
+    "queries",
+    "cache_hits",
+    "cache_misses",
+    "batches",
+    "batch_queries_deduplicated",
+    "invalidations",
+)
+
+
+def _brute_ids(service: SilkMothService, elements) -> list:
+    reference = service.collection.query_set(elements)
+    found = brute_force_search(reference, service.collection, CONFIG)
+    return sorted(r.set_id for r in found)
+
+
+def _program(server) -> list:
+    """Mutate, then search and batch; every answer as (id, score) rows.
+
+    On the service, every answer is also checked against brute force
+    over the live sets at the moment it was given.
+    """
+    answers = []
+
+    def ask(references, rows_list):
+        if isinstance(server, SilkMothService):
+            for elements, rows in zip(references, rows_list):
+                assert [r.set_id for r in rows] == _brute_ids(server, elements)
+        answers.extend(rows_list)
+
+    server.remove_set(3)
+    server.update_set(5, ["ash bay", "oak common"])
+    server.add_set(["elm sky", "fir common"])
+    ask([COLD[0]], [server.search(COLD[0])])
+    ask([COLD[0]], [server.search(COLD[0])])  # a cache hit
+    batch = [COLD[1], COLD[0], *COLD[2:], COLD[2], list(reversed(COLD[3]))]
+    ask(batch, server.search_many(batch))  # hits, duplicates, > 1 block
+    ask(batch[:4], server.search_many(batch[:4]))  # all cached now
+    server.remove_set(0)
+    ask(COLD[:3], server.search_many(COLD[:3]))  # cold again after a write
+    return [[(r.set_id, r.score) for r in rows] for rows in answers]
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_service_and_cluster_share_one_front(transport):
+    """Same program, same answers (brute force's), same counters."""
+    service = SilkMothService(CONFIG)
+    for elements in DATA:
+        service.add_set(elements)
+    expected = _program(service)
+    with SilkMothCluster.from_sets(
+        DATA, CONFIG, shards=3, transport=transport
+    ) as cluster:
+        assert _program(cluster) == expected
+        for name in COUNTERS:
+            assert getattr(cluster.stats, name) == getattr(service.stats, name)
+    assert service.stats.cache_hits > 0
+    assert service.stats.batch_queries_deduplicated == 2
+
+
+def test_cold_batch_costs_one_search_request_per_block_per_shard():
+    """N cold references: ceil(N / PASS_BLOCK) requests per routed shard."""
+    requests = []
+
+    def count(transport, shard):
+        submit = transport.submit
+
+        def counting_submit(command, payload):
+            if command == "search":
+                requests.append((shard, len(payload[0])))
+            submit(command, payload)
+
+        transport.submit = counting_submit
+
+    with SilkMothCluster.from_sets(DATA, CONFIG, shards=2) as cluster:
+        for shard, replicas in enumerate(cluster._shards):
+            for transport in replicas:
+                count(transport, shard)
+        cluster.search_many(COLD)
+        assert cluster.stats.shards_routed_total == 2 * len(COLD)
+        blocks = math.ceil(len(COLD) / PASS_BLOCK)
+        for shard in (0, 1):
+            sizes = [n for k, n in requests if k == shard]
+            assert len(sizes) == blocks and sum(sizes) == len(COLD)
+        del requests[:]
+        cluster.search(["ash oak", "bay common"])
+        assert sorted(requests) == [(0, 1), (1, 1)]

@@ -26,7 +26,7 @@ from repro.cluster import (
     FaultPlan,
     SilkMothCluster,
 )
-from repro.cluster.coordinator import BLOCK_COMMAND, request_deadline
+from repro.cluster.coordinator import request_deadline
 from repro.core.config import SilkMothConfig
 from repro.settings import resolve
 from strategies import collections, token_configs, token_sets
@@ -374,16 +374,18 @@ def test_non_finite_timing_is_rejected_before_spawning(
             cluster.close()
 
 
-def test_block_requests_wait_the_deadline_per_pass():
-    """A block request waits the shard deadline times its passes.
+def test_request_deadline_is_the_deadline_per_pass_carried():
+    """A ``search`` request waits the shard deadline times its passes.
 
-    One helper sizes the wait, for the first collect and for the
-    failover retry alike; every other request waits the deadline.
+    One rule sizes the wait, for the first collect and for the
+    failover retry alike: a lone ``search`` carries one pass, a block
+    up to :data:`PASS_BLOCK`; every other command waits the deadline.
     """
     item = (("ash",), None, 0)
-    assert request_deadline(None, BLOCK_COMMAND, ((item,) * 3, None)) is None
-    assert request_deadline(1.5, "search", item + (None,)) == 1.5
-    assert request_deadline(1.5, BLOCK_COMMAND, ((item,) * 3, None)) == 4.5
+    assert request_deadline(None, "search", ((item,) * 3, None)) is None
+    assert request_deadline(1.5, "search", ((item,), None)) == 1.5
+    assert request_deadline(1.5, "search", ((item,) * 3, None)) == 4.5
+    assert request_deadline(1.5, "add", (("ash",),)) == 1.5
     waits = []
 
     def spy(transport):
@@ -391,7 +393,7 @@ def test_block_requests_wait_the_deadline_per_pass():
         pending = []
 
         def spy_submit(command, payload):
-            pending.append(len(payload[0]) if command == BLOCK_COMMAND else 0)
+            pending.append(len(payload[0]) if command == "search" else 0)
             submit(command, payload)
 
         def spy_collect(timeout=None):
@@ -403,7 +405,7 @@ def test_block_requests_wait_the_deadline_per_pass():
         transport.submit, transport.collect = spy_submit, spy_collect
 
     plan = FaultPlan(
-        [FaultEvent(kind="drop_reply", shard=0, command=BLOCK_COMMAND)]
+        [FaultEvent(kind="drop_reply", shard=0, command="search")]
     )
     with SilkMothCluster.from_sets(
         DATA * 3,
@@ -419,8 +421,10 @@ def test_block_requests_wait_the_deadline_per_pass():
                 spy(transport)
         cluster.discover()
         assert cluster.stats.failovers == 1
-    # Shard 0's first block is collected twice: dropped, then retried.
-    assert waits[0] == waits[1] and waits[0][0] > 1
+        # Shard 0's first block is collected twice: dropped, then retried.
+        assert waits[0] == waits[1] and waits[0][0] > 1
+        cluster.search(BROAD_REFERENCE)
+        assert waits[-1] == (1, 1.5)
     assert all(timeout == 1.5 * passes for passes, timeout in waits)
 
 
@@ -516,9 +520,9 @@ def test_kernel_workers_fail_over_exactly(monkeypatch):
     plan = FaultPlan(
         [
             FaultEvent(
-                kind="kill_shard", shard=0, command=BLOCK_COMMAND, after=2
+                kind="kill_shard", shard=0, command="search", after=2
             ),
-            FaultEvent(kind="hang", shard=1, command=BLOCK_COMMAND, after=4),
+            FaultEvent(kind="hang", shard=1, command="search", after=4),
         ]
     )
     with _oracle_for(sets, config) as oracle, SilkMothCluster.from_sets(

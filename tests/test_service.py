@@ -279,6 +279,11 @@ class TestBatchAPI:
         assert [
             [(r.set_id, round(r.score, 9)) for r in row] for row in parallel
         ] == [[(r.set_id, round(r.score, 9)) for r in row] for row in serial]
+        # The pool's passes are accounted exactly like in-process ones.
+        assert service.engine.stats.passes == fresh.engine.stats.passes == 5
+        assert set(service.stats.stage_seconds) == set(
+            fresh.stats.stage_seconds
+        ) != set()
 
     def test_empty_batch(self):
         service, _ = self._seeded_service()

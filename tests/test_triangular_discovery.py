@@ -39,7 +39,6 @@ from repro.backends import get_backend
 from repro.baselines.brute_force import brute_force_discover
 from repro.cluster import FaultEvent, FaultPlan, SilkMothCluster
 from repro.cluster import coordinator
-from repro.cluster.coordinator import BLOCK_COMMAND
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.parallel import parallel_discover
@@ -470,13 +469,13 @@ def test_cluster_failover_retry_carries_the_floor(monkeypatch):
         return original(self, shard, command, payload)
 
     monkeypatch.setattr(SilkMothCluster, "_failover_request", recording)
-    monkeypatch.setattr(coordinator, "DISCOVERY_BLOCK", 2)
+    monkeypatch.setattr(coordinator, "PASS_BLOCK", 2)
     plan = FaultPlan(
         [
             FaultEvent(
-                kind="kill_shard", shard=0, command=BLOCK_COMMAND, after=2
+                kind="kill_shard", shard=0, command="search", after=2
             ),
-            FaultEvent(kind="hang", shard=1, command=BLOCK_COMMAND, after=3),
+            FaultEvent(kind="hang", shard=1, command="search", after=3),
         ]
     )
     with SilkMothCluster.from_sets(
@@ -493,7 +492,7 @@ def test_cluster_failover_retry_carries_the_floor(monkeypatch):
         assert cluster.stats.failovers >= 2 and cluster.lost_shards() == []
         assert cluster.run_stats.matches == len(rows)
     assert rows == _single_node_rows(WORD_SETS, WORD_CONFIG)
-    assert [command for command, _ in retried] == [BLOCK_COMMAND] * 2
+    assert [command for command, _ in retried] == ["search"] * 2
     assert all(
         firsts and all(first > 0 for first in firsts) for _, firsts in retried
     )
@@ -517,7 +516,7 @@ def test_cluster_discovery_routing_totals_at_the_edges(monkeypatch, block):
     5     6       above every shard: no pass  --      --       no
     ====  ======  ==========================  ======  =======  =====
     """
-    monkeypatch.setattr(coordinator, "DISCOVERY_BLOCK", block)
+    monkeypatch.setattr(coordinator, "PASS_BLOCK", block)
     twin = ["ash bay", "elm"]
     sets = [twin, twin, [], ["oak"], twin, ["yew"]]
     with SilkMothCluster.from_sets(sets, WORD_CONFIG, shards=2) as cluster:
