@@ -38,9 +38,7 @@ rebuilt tight from the shards' live token inventories.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left
 from contextlib import nullcontext
-from itertools import accumulate
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -78,7 +76,7 @@ from repro.obs.instrument import (
     observe_transport_error,
 )
 from repro.obs.trace import current_context, ingest, span
-from repro.pipeline.driver import discovery_floor, keep_discovery_pair
+from repro.pipeline.driver import LocalIds, Pass, run_discovery, search_passes
 from repro.planner.cost import IndexProfile, merge_profiles
 from repro.service.batch import QueryFront
 from repro.service.cache import LRUQueryCache, config_fingerprint
@@ -1038,27 +1036,33 @@ class SilkMothCluster(QueryFront):
         return [
             results
             for results, _ in self._search_block(
-                [(elements, None, None) for elements in references]
+                search_passes(len(references)), references
             )
         ]
 
     def _search_block(
-        self, passes: list
+        self,
+        passes: Sequence[Pass],
+        references: Sequence[Sequence[str]],
+        shard_ids: "list[LocalIds] | None" = None,
     ) -> list[tuple[list[SearchResult], ClusterPassStats]]:
-        """Route, fan out, merge: uncached passes, one request per shard.
+        """The cluster runner's block: route, fan out, merge.
 
-        Each pass is ``(elements, skip_gid, first_locals)``: the member
-        set to skip and, per shard, the local id its pass starts at (a
-        discovery floor in that shard's numbering; ``None`` = 0).  A
-        shard whose table ends below its floor is not routed.  Each
-        routed shard gets one ``search`` request carrying its
-        ``(elements, skip_local, first_local)`` items in pass order.
+        Each ``(reference_id, skip, floor)`` pass (global ids; the
+        reference is ``references[reference_id]``) is translated into
+        every routed shard's local ids through *shard_ids*, the shards'
+        :class:`~repro.pipeline.driver.LocalIds` (built here when not
+        given); a shard with nothing at or above the floor is not
+        routed.  Each routed shard gets one ``search`` request carrying
+        its ``(elements, skip_local, first_local)`` items in pass order.
         Each pass then merges on its own; one ``(results, pass)`` per
         pass.  The slowlog charges each pass an equal share of the
         block's wall clock, and the block's failovers to its first
         logged pass only.
         """
         self._ensure_open()
+        if shard_ids is None:
+            shard_ids = [LocalIds(table) for table in self._shard_to_global]
         started = time.perf_counter()
         failovers_before = self.stats.failovers
         # Per shard: (pass index, shard payload item), in pass order.
@@ -1066,7 +1070,8 @@ class SilkMothCluster(QueryFront):
         with span(
             "cluster.query", shards=self.n_shards, references=len(passes)
         ) as query_span:
-            for i, (elements, skip_gid, first_locals) in enumerate(passes):
+            for i, (reference_id, skip, floor) in enumerate(passes):
+                elements = references[reference_id]
                 if len(elements) == 0:
                     # The single-node engine answers an empty reference
                     # without running any stage; so does the cluster.
@@ -1078,21 +1083,11 @@ class SilkMothCluster(QueryFront):
                 else:
                     # Broadcast mode never consults the probe; skip hashing.
                     selected = list(range(self.n_shards))
-                if first_locals is None:
-                    first_locals = [0] * self.n_shards
-                else:
-                    selected = [
-                        k
-                        for k in selected
-                        if first_locals[k] < len(self._shard_to_global[k])
-                    ]
-                skip_shard, skip_local = None, None
-                if skip_gid is not None and self.is_live(skip_gid):
-                    skip_shard, skip_local = self._placement[skip_gid]
                 payload = tuple(elements)
                 for k in selected:
-                    skip = skip_local if k == skip_shard else None
-                    items[k].append((i, (payload, skip, first_locals[k])))
+                    local = shard_ids[k].local_pass(skip, floor)
+                    if local is not None:
+                        items[k].append((i, (payload, *local)))
             shards = [k for k in range(self.n_shards) if items[k]]
             query_span.set_attr("routed", sum(map(len, items)))
             # The shard parents its spans directly under this query
@@ -1116,18 +1111,10 @@ class SilkMothCluster(QueryFront):
                 ingest(shard_spans)
                 per_pass[i].append((k, results, pass_stats))
         merged = []
-        for (elements, _, _), shard_replies in zip(passes, per_pass):
+        for (reference_id, _, _), shard_replies in zip(passes, per_pass):
             merged_results: list[SearchResult] = []
             for k, results, _ in shard_replies:
-                table = self._shard_to_global[k]
-                for result in results:
-                    merged_results.append(
-                        SearchResult(
-                            set_id=table[result.set_id],
-                            score=result.score,
-                            relatedness=result.relatedness,
-                        )
-                    )
+                merged_results += shard_ids[k].to_global(results)
             merged_results.sort(key=lambda result: result.set_id)
             per_shard = [(k, stats) for k, _, stats in shard_replies]
             cluster_pass = ClusterPassStats.from_shards(
@@ -1136,7 +1123,7 @@ class SilkMothCluster(QueryFront):
             self.stats.record_routing(cluster_pass)
             self.last_pass = cluster_pass
             merged.append((merged_results, cluster_pass))
-            if len(elements) == 0:
+            if len(references[reference_id]) == 0:
                 continue
             for _, pass_stats in per_shard:
                 self.stats.record_pass(pass_stats)
@@ -1153,74 +1140,39 @@ class SilkMothCluster(QueryFront):
     def discover(self) -> list[DiscoveryResult]:
         """RELATED SET DISCOVERY over the cluster's own live sets.
 
-        One routed pass per live reference, with the shard holding
-        the reference skipping the self pair locally and the shared
-        :func:`~repro.pipeline.driver.keep_discovery_pair` rule applied
-        to the merged global rows -- output is identical (ids, scores,
-        ordering) to :meth:`repro.SilkMoth.discover` on the same data.
-        Bypasses the query cache: member-set passes carry self-skip
-        semantics that external queries must never inherit.
-
-        Under the symmetric SET-SIMILARITY metric a reference's pass
-        probes only the sets after it, as on a single node
-        (:func:`~repro.pipeline.driver.discovery_floor`).  The floor is
-        a global id and shards number their sets locally, so each
-        routed shard is sent the first local id that can hold a global
-        id at or above it: one bisect over the running maximum of the
-        shard's local -> global table.  Every local id below that maps
-        to a global id under the floor, so the cut is always sound; it
-        is also tight while the table ascends, which :meth:`rebalance`
-        ends (it appends an old global id to the lightest shard) --
-        from then on a shard may surface a few sets from under the
-        floor, and the pair rule on the merged rows, which the floor
-        only anticipates, drops them.  A reference with no global id at
-        or above its floor (the last one) runs no pass at all.
-
-        Passes travel in blocks of :data:`PASS_BLOCK`, so the
-        coordinator waits on each routed shard once per block, not once
-        per reference; a failover retries the whole block, floors
-        included, on the next replica.
+        The one schedule of :func:`repro.pipeline.driver.run_discovery`
+        over the cluster runner: the live references' passes travel in
+        blocks of :data:`PASS_BLOCK`, so the coordinator waits on each
+        routed shard once per block, not once per reference; a failover
+        retries the whole block, floors included, on the next replica.
+        The shard holding a reference skips the self pair locally, each
+        shard starts at its own translation of the global floor
+        (:class:`~repro.pipeline.driver.LocalIds`, which stays sound
+        once :meth:`rebalance` disorders a table) and the pair rule
+        applies to the merged global rows -- output is identical (ids,
+        scores, ordering) to :meth:`repro.SilkMoth.discover` on the
+        same data.  Bypasses the query cache: member-set passes carry
+        self-skip semantics that external queries must never inherit.
         """
-        symmetric = self.config.metric is Relatedness.SIMILARITY
-        output: list[DiscoveryResult] = []
-        with span("cluster.discover", live_sets=len(self)):
-            running_max = [
-                list(accumulate(table, max)) for table in self._shard_to_global
-            ]
-            passes = []
-            for gid in range(len(self._placement)):
-                if gid in self._deleted:
-                    continue
-                floor = discovery_floor(
-                    gid, self_mode=True, symmetric=symmetric
-                )
-                if floor >= len(self._placement):
-                    continue
-                first_locals = None
-                if floor:
-                    first_locals = [
-                        bisect_left(running, floor) for running in running_max
-                    ]
-                passes.append((self._raw[gid], gid, first_locals))
+        shard_ids = [LocalIds(table) for table in self._shard_to_global]
+
+        def run_blocks(passes):
+            """The cluster runner: the passes in blocks of PASS_BLOCK."""
             answers = []
             for start in range(0, len(passes), PASS_BLOCK):
                 answers += self._search_block(
-                    passes[start:start + PASS_BLOCK]
+                    passes[start:start + PASS_BLOCK], self._raw, shard_ids
                 )
-            for (_, gid, _), (results, _) in zip(passes, answers):
-                for result in results:
-                    if keep_discovery_pair(
-                        gid, result.set_id, self_mode=True, symmetric=symmetric
-                    ):
-                        output.append(
-                            DiscoveryResult(
-                                reference_id=gid,
-                                set_id=result.set_id,
-                                score=result.score,
-                                relatedness=result.relatedness,
-                            )
-                        )
-        return output
+            return answers
+
+        with span("cluster.discover", live_sets=len(self)):
+            return run_discovery(
+                run_blocks,
+                self.live_set_ids(),
+                n_sets=len(self._placement),
+                self_mode=True,
+                symmetric=self.config.metric is Relatedness.SIMILARITY,
+            )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -10,8 +10,11 @@ Sections 5.1-5.2 that the filters only drop provably unrelated sets).
 Since the staged-pipeline refactor the engine is a thin driver: every
 pass is a :class:`repro.pipeline.QueryPlan` (signature ->
 candidate-select -> check -> nn-filter -> verify) executed on the
-compute backend.  The process-pool, partitioned and service
-drivers build the very same plans, so there is exactly one query path.
+compute backend.  :meth:`run_passes` is the *engine runner* of
+:mod:`repro.pipeline.driver`: discovery here is that module's one
+schedule over it, as is each partition of partitioned discovery and the
+service's serial cold path; the process pool runs it inside its
+workers, so there is exactly one query path.
 
 Every engine is planner-gated: construction runs
 :func:`repro.planner.plan_query` once, which resolves ``scheme="auto"``
@@ -27,7 +30,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from repro.backends import get_backend
-from repro.core.config import SilkMothConfig
+from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.constants import EPSILON  # noqa: F401  (re-export: legacy import site)
 from repro.core.records import SetCollection, SetRecord
 from repro.core.results import (  # noqa: F401  (re-exports: legacy import sites)
@@ -37,7 +40,7 @@ from repro.core.results import (  # noqa: F401  (re-exports: legacy import sites
 )
 from repro.core.stats import PassStats, RunStats
 from repro.index.inverted import InvertedIndex
-from repro.pipeline.driver import search_rows
+from repro.pipeline.driver import LocalIds, Pass, run_discovery
 from repro.pipeline.plan import QueryPlan
 from repro.planner.planner import PlannerDecision, plan_query
 from repro.planner.report import format_decision
@@ -191,6 +194,29 @@ class SilkMoth:
         self.stats.add(stats)
         return results, stats
 
+    def run_passes(
+        self,
+        passes: Sequence[Pass],
+        references: Sequence[SetRecord],
+        ids: LocalIds | None = None,
+    ) -> list[tuple[list[SearchResult], PassStats | None]]:
+        """The engine runner: each ``(reference_id, skip, floor)`` pass in
+        turn on ``references[reference_id]``, through *ids* (this
+        engine's set ids -> the global ones; default the identity)."""
+        if ids is None:
+            ids = LocalIds(range(len(self.collection)))
+        answers: list[tuple[list[SearchResult], PassStats | None]] = []
+        for reference_id, skip, floor in passes:
+            local = ids.local_pass(skip, floor)
+            if local is None:
+                answers.append(([], None))
+                continue
+            results, stats = self.search_with_stats(
+                references[reference_id], skip_set=local[0], first_set=local[1]
+            )
+            answers.append((ids.to_global(results), stats))
+        return answers
+
     def discover(
         self, references: SetCollection | None = None
     ) -> list[DiscoveryResult]:
@@ -200,16 +226,19 @@ class SilkMoth:
         pair is reported once under SET-SIMILARITY (which is symmetric:
         a reference's pass probes only the sets after it) and both
         directions are searched under SET-CONTAINMENT; self pairs are
-        always excluded.  The pair rules are shared with the parallel
-        and partitioned drivers via
-        :func:`repro.pipeline.driver.search_rows`.
+        always excluded.  External *references* must come from
+        :meth:`reference_collection` (else ``ValueError``).  This is
+        :func:`repro.pipeline.driver.run_discovery` over
+        :meth:`run_passes`.
         """
         self_mode = references is None
         refs = self.collection if self_mode else references
-        output: list[DiscoveryResult] = []
-        for reference in refs.iter_live():
-            for row in search_rows(
-                self, reference, reference.set_id, self_mode=self_mode
-            ):
-                output.append(DiscoveryResult(*row))
-        return output
+        return run_discovery(
+            lambda passes: self.run_passes(passes, refs),
+            [reference.set_id for reference in refs.iter_live()],
+            n_sets=len(self.collection),
+            self_mode=self_mode,
+            symmetric=self.config.metric is Relatedness.SIMILARITY,
+            references=None if self_mode else refs,
+            searched=self.collection,
+        )

@@ -4,12 +4,15 @@ Section 3 assumes "both the data and the inverted index can fit in
 memory" and leaves external memory as future work.  This module
 implements the natural shard-at-a-time strategy: split the searched
 collection S into partitions, and for each partition build its index,
-run every reference's search pass against it, then discard the index
-before moving on.  Peak memory holds one partition's index instead of
-all of S's, at the cost of running up to `len(partitions)` search
-passes per reference -- about half of that in symmetric self-discovery,
-where a reference probes only the sets after it and a partition lying
-wholly at or below it gets no pass at all.
+run the engine runner (:meth:`repro.SilkMoth.run_passes`) over the
+whole discovery schedule against it, then discard the index before
+moving on.  Peak memory holds one partition's index instead of all of
+S's, at the cost of running up to `len(partitions)` search passes per
+reference -- about half of that in symmetric self-discovery, where a
+reference probes only the sets after it and a partition lying wholly
+at or below it gets no pass at all.  The driver is the one schedule of
+:mod:`repro.pipeline.driver` over that per-partition runner; a
+partition's local ids are a contiguous range of the global ones.
 
 Correctness is immediate: relatedness of (R, S) depends only on R and
 S, so searching each S-shard independently and concatenating results
@@ -23,10 +26,10 @@ from __future__ import annotations
 import math
 from typing import Iterator, Sequence
 
-from repro.core.config import SilkMothConfig
+from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import DiscoveryResult, SilkMoth
 from repro.core.records import SetCollection
-from repro.pipeline.driver import search_rows
+from repro.pipeline.driver import LocalIds, run_discovery
 from repro.tokenize.vocabulary import Vocabulary
 
 
@@ -73,50 +76,40 @@ def partitioned_discover(
         partition_size = max(1, math.ceil(math.sqrt(n)))
 
     self_mode = reference_sets is None
-    references_raw = sets if self_mode else reference_sets
 
-    # One shared vocabulary keeps token ids consistent across shards so
-    # reference tokenisation happens once.
+    # One shared vocabulary keeps token ids consistent across partitions
+    # so reference tokenisation happens once.
     vocabulary = Vocabulary()
-    reference_collection = SetCollection.from_strings(
-        references_raw,
+    references = SetCollection.from_strings(
+        sets if self_mode else reference_sets,
         kind=config.similarity,
         q=config.effective_q,
         vocabulary=vocabulary,
     )
 
-    rows: list[tuple[int, int, float, float]] = []
-    for offset, chunk in iter_partitions(sets, partition_size):
-        shard = SetCollection.from_strings(
-            chunk,
-            kind=config.similarity,
-            q=config.effective_q,
-            vocabulary=vocabulary,
-        )
-        engine = SilkMoth(shard, config)
-        for reference in reference_collection:
-            # The shared pipeline driver translates the reference's
-            # self-skip / candidate floor into this shard's local ids
-            # and runs no pass when the shard lies wholly below it.
-            rows.extend(
-                search_rows(
-                    engine,
-                    reference,
-                    reference.set_id,
-                    self_mode=self_mode,
-                    id_offset=offset,
-                )
+    def run_partitions(passes):
+        """The engine runner once per partition, answers concatenated."""
+        answers = [[] for _ in passes]
+        for offset, chunk in iter_partitions(sets, partition_size):
+            partition = SetCollection.from_strings(
+                chunk,
+                kind=config.similarity,
+                q=config.effective_q,
+                vocabulary=vocabulary,
             )
-        # `engine` and `shard` go out of scope here: only one shard's
-        # index is ever alive.
+            ids = LocalIds(range(offset, offset + len(chunk)))
+            for answer, (results, _) in zip(
+                answers, SilkMoth(partition, config).run_passes(passes, references, ids)
+            ):
+                answer += results
+            # The engine, and with it the partition's index, is dropped
+            # here: only one partition's index is ever alive.
+        return [(results, None) for results in answers]
 
-    rows.sort(key=lambda row: (row[0], row[1]))
-    return [
-        DiscoveryResult(
-            reference_id=reference_id,
-            set_id=set_id,
-            score=score,
-            relatedness=relatedness,
-        )
-        for reference_id, set_id, score, relatedness in rows
-    ]
+    return run_discovery(
+        run_partitions,
+        range(len(references)),
+        n_sets=n,
+        self_mode=self_mode,
+        symmetric=config.metric is Relatedness.SIMILARITY,
+    )

@@ -9,15 +9,16 @@ once per (reference, config) -- executing a fixed sequence of
 Stages hand each other a columnar
 :class:`~repro.pipeline.batch.CandidateBatch` (parallel arrays of set
 ids, sizes, bound estimates and witnessed similarities) and run their
-kernels on the :mod:`repro.backends` compute backend.  Every
-driver -- ``SilkMoth.search``, :mod:`repro.core.parallel`,
-:mod:`repro.core.partitioned`, :mod:`repro.service.batch` -- routes
-through this package; :mod:`repro.pipeline.driver` additionally owns
-the discovery-mode dedup semantics they share.
+kernels on the :mod:`repro.backends` compute backend.  Every driver
+is *schedule + runner*: :mod:`repro.pipeline.driver` owns the one
+discovery schedule and its pair rules, and every pass runner -- the
+engine's ``SilkMoth.run_passes``, the pool's
+:func:`repro.core.parallel.run_pool`, the cluster's shard blocks --
+runs these plans.
 """
 
 from repro.pipeline.batch import CandidateBatch
-from repro.pipeline.driver import search_rows
+from repro.pipeline.driver import run_discovery
 from repro.pipeline.plan import QueryPlan, size_range
 from repro.pipeline.stages import (
     CandidateSelectStage,
@@ -39,6 +40,6 @@ __all__ = [
     "SignatureStage",
     "Stage",
     "VerifyStage",
-    "search_rows",
+    "run_discovery",
     "size_range",
 ]

@@ -18,9 +18,9 @@ is turned into the concrete choices a pass will run with:
 The resulting :class:`PlannerDecision` is immutable and threaded into
 :class:`repro.pipeline.QueryPlan`, :class:`repro.core.stats.PassStats`,
 the service snapshot metadata, and the ``silkmoth explain`` report --
-every driver (serial, process-pool, partitioned, service) builds its
-engines through :class:`repro.core.engine.SilkMoth`, so one decision
-governs all four.
+every driver (serial, process-pool, partitioned, service, cluster
+shard) is a schedule over a pass runner whose passes run on a
+:class:`repro.core.engine.SilkMoth`, so one decision governs them all.
 """
 
 from __future__ import annotations

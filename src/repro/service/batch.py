@@ -11,23 +11,19 @@ write-generation-gated cache probe, intra-batch deduplication and the
 duplicates collapse onto one computation, references cached since the
 last mutation come from the cache, and the cold remainder goes to the
 subclass's *cold runner* in blocks, each reference charged an equal
-share of its block's wall clock.  The service's runner is an engine
-pass per reference (or, for ``processes > 1``, the whole remainder
-through :func:`parallel_cold_search`); the cluster's sends blocks of
+share of its block's wall clock.  The cold runner is one of the pass
+runners of :mod:`repro.pipeline.driver`: the service's is the engine
+runner, one reference per block (or, for ``processes > 1``, the pool
+runner over the whole remainder); the cluster's sends blocks of
 :data:`repro.cluster.coordinator.PASS_BLOCK` references to its shards.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
 from typing import Sequence
 
-from repro.core.config import SilkMothConfig
 from repro.core.engine import SearchResult
-from repro.core.parallel import parallel_search
-from repro.core.records import SetCollection
-from repro.core.stats import PassStats
 from repro.obs.trace import span
 from repro.service.cache import reference_fingerprint
 
@@ -131,31 +127,3 @@ class QueryFront:
             emitted.add(fingerprint)
             output.append(list(answers[fingerprint]))
         return output
-
-
-def parallel_cold_search(
-    collection: SetCollection,
-    config: SilkMothConfig,
-    cold_references: Sequence[Sequence[str]],
-    processes: int | None,
-) -> list[tuple[list[SearchResult], PassStats]]:
-    """One pass per cold reference through the process pool.
-
-    The workers rebuild the collection from its *live* raw sets (the
-    pool protocol ships raw strings, not records), so tombstoned ids
-    are compacted away in the workers; the id map translates worker
-    set ids back to the service's stable ids.  Each reference comes
-    back with its results and its pass's ``PassStats``.
-    """
-    live_records = list(collection.iter_live())
-    live_sets = [
-        [element.text for element in record.elements] for record in live_records
-    ]
-    id_map = [record.set_id for record in live_records]
-    answered = parallel_search(
-        live_sets, config, [list(e) for e in cold_references], processes
-    )
-    return [
-        ([replace(r, set_id=id_map[r.set_id]) for r in results], pass_stats)
-        for results, pass_stats in answered
-    ]

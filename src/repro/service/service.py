@@ -40,6 +40,7 @@ from typing import Sequence
 
 from repro.core.config import SilkMothConfig
 from repro.core.engine import SearchResult, SilkMoth
+from repro.core.parallel import run_pool
 from repro.core.records import SetCollection, SetRecord
 from repro.io.persistence import load_service_snapshot, save_service_snapshot
 from repro.io.wal import (
@@ -54,7 +55,8 @@ from repro.obs.diag import get_slowlog, slowlog_ms
 from repro.obs.instrument import observe_mutation, observe_wal_recovery
 from repro.obs.sketch import quantile_summary
 from repro.obs.trace import span
-from repro.service.batch import QueryFront, parallel_cold_search
+from repro.pipeline.driver import search_passes
+from repro.service.batch import QueryFront
 from repro.service.cache import LRUQueryCache, config_fingerprint
 from repro.service.stats import ServiceStats
 from repro.settings import resolve
@@ -290,16 +292,26 @@ class SilkMothService(QueryFront):
     def _run_cold(
         self, references: Sequence[Sequence[str]], processes: int | None
     ) -> list[list[SearchResult]]:
-        """One engine pass per reference, in-process or in the pool.
+        """One search pass per reference: the engine runner in-process,
+        or the pool runner over the live sets.
 
         Either way each pass's :class:`~repro.core.stats.PassStats` is
         folded into :attr:`stats` and the engine's run stats, the
         latter by the engine itself in-process and here for a pass a
         pool worker ran (an empty reference runs no pass).
         """
+        passes = search_passes(len(references))
         if processes is not None and processes > 1:
-            answered = parallel_cold_search(
-                self.collection, self.config, references, processes
+            # The workers rebuild the collection from its live raw sets,
+            # so their set ids are positions in the live-id table.
+            live = list(self.collection.iter_live())
+            answered = run_pool(
+                passes,
+                [[element.text for element in record.elements] for record in live],
+                self.config,
+                references,
+                processes,
+                table=[record.set_id for record in live],
             )
             for elements, (_, pass_stats) in zip(references, answered):
                 if len(elements):
@@ -307,12 +319,9 @@ class SilkMothService(QueryFront):
         else:
             # The non-interning query path: a long-lived service must
             # not grow its vocabulary with every unseen query token.
-            answered = [
-                self.engine.search_with_stats(
-                    self.collection.query_set(elements)
-                )
-                for elements in references
-            ]
+            answered = self.engine.run_passes(
+                passes, [self.collection.query_set(e) for e in references]
+            )
         for _, pass_stats in answered:
             self.stats.record_pass(pass_stats)
         return [results for results, _ in answered]

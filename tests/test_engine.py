@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.baselines.fastjoin import FastJoinBaseline
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth, relatedness_value
 from repro.core.records import SetCollection
@@ -128,6 +129,41 @@ class TestDiscoveryMode:
         assert len(keys) == len(set(keys))
         for r, s in keys:
             assert r < s
+
+    def test_external_references_must_share_the_vocabulary(self):
+        # Token ids are compared, so references tokenised apart from the
+        # engine's collection would silently find the wrong pairs (brute
+        # force compares ids too, so the oracle would agree with them).
+        sets = [
+            ["apple pie", "banana split"],
+            ["cherry tart", "date loaf"],
+            ["apple pie", "banana split", "kiwi"],
+        ]
+        refs = [["kiwi", "cherry tart", "date loaf"], ["apple pie", "banana split"]]
+        engine = SilkMoth(SetCollection.from_strings(sets), SilkMothConfig(delta=0.5))
+        pairs = engine.discover(engine.reference_collection(refs))
+        assert [(p.reference_id, p.set_id) for p in pairs] == [
+            (0, 1),
+            (1, 0),
+            (1, 2),
+        ]
+        for foreign in (
+            SetCollection.from_strings(refs),
+            SetCollection.from_strings(refs, kind=SimilarityKind.EDS, q=2),
+        ):
+            with pytest.raises(ValueError, match="reference_collection"):
+                engine.discover(foreign)
+
+        eds = SilkMothConfig(similarity=SimilarityKind.EDS, delta=0.5, alpha=0.5, q=2)
+        fastjoin = FastJoinBaseline(
+            SetCollection.from_strings(sets, kind=SimilarityKind.EDS, q=2), eds
+        )
+        for foreign in (
+            SetCollection.from_strings(refs, kind=SimilarityKind.EDS, q=2),
+            SetCollection.from_strings(refs),
+        ):
+            with pytest.raises(ValueError, match="reference_collection"):
+                fastjoin.discover(foreign)
 
     def test_cross_collection_discovery(self):
         R, collection = _table2_collection()

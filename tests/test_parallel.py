@@ -101,11 +101,3 @@ class TestParallelEqualsSerial:
     def test_empty_input(self):
         config = SilkMothConfig(delta=0.7)
         assert parallel_discover([], config, processes=2) == []
-
-    def test_chunking_granularity_irrelevant(self):
-        rng = random.Random(35)
-        sets = _random_sets(rng, 15)
-        config = SilkMothConfig(delta=0.6)
-        a = parallel_discover(sets, config, processes=2, chunks_per_process=1)
-        b = parallel_discover(sets, config, processes=2, chunks_per_process=8)
-        assert _keys(a) == _keys(b)

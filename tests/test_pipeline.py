@@ -5,12 +5,13 @@ import math
 import pytest
 
 from repro.baselines.brute_force import brute_force_discover
+from repro.cluster import SilkMothCluster
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.parallel import parallel_discover
 from repro.core.partitioned import partitioned_discover
 from repro.core.records import SetCollection
-from repro.pipeline import CandidateBatch, QueryPlan, size_range
+from repro.pipeline import CandidateBatch, QueryPlan, driver, size_range
 from repro.service import SilkMothService
 from strategies.kernels import LOADED_KERNEL_MODES, kernel_mode
 
@@ -21,6 +22,9 @@ SETS = [
     ["x y", "z w"],
     ["a b c", "d e"],
 ]
+
+#: External references for the drivers that take them.
+REFS = [["a b c", "d e", "q"], ["x y"], ["d f", "a b c"]]
 
 STAGE_NAMES = ("signature", "select", "check", "nn", "verify")
 
@@ -141,7 +145,7 @@ class TestCrossDriverIdentity:
     """Every driver must return the same rows on the same workload."""
 
     @pytest.mark.parametrize("metric", list(Relatedness))
-    def test_all_drivers_agree(self, metric):
+    def test_all_drivers_agree(self, metric, monkeypatch):
         config = SilkMothConfig(metric=metric, delta=0.4)
         collection = SetCollection.from_strings(SETS)
         serial = SilkMoth(collection, config).discover()
@@ -154,13 +158,57 @@ class TestCrossDriverIdentity:
         assert [(p.reference_id, p.set_id) for p in oracle] == rows
         assert [p.score for p in oracle] == scores
 
-        fanned = parallel_discover(SETS, config, processes=2)
-        assert [(p.reference_id, p.set_id) for p in fanned] == rows
-        assert [p.score for p in fanned] == scores
+        engine = SilkMoth(SetCollection.from_strings(SETS), config)
+        references = engine.reference_collection(REFS)
+        external = brute_force_discover(engine.collection, config, references)
+        external_rows = [(p.reference_id, p.set_id) for p in external]
+        external_scores = [pytest.approx(p.score) for p in external]
+        assert external_rows
 
-        sharded = partitioned_discover(SETS, config, partition_size=2)
-        assert [(p.reference_id, p.set_id) for p in sharded] == rows
-        assert [p.score for p in sharded] == scores
+        # Every driver is the one schedule over its own runner: record
+        # the pass list each one scheduled.
+        scheduled = []
+        schedule = driver.discovery_passes
+
+        def spy(*args, **kwargs):
+            scheduled.append(schedule(*args, **kwargs))
+            return scheduled[-1]
+
+        monkeypatch.setattr(driver, "discovery_passes", spy)
+        runs = [engine.discover(), engine.discover(references)]
+        for processes in (1, 2):
+            runs.append(parallel_discover(SETS, config, processes=processes))
+            runs.append(
+                parallel_discover(
+                    SETS, config, reference_sets=REFS, processes=processes
+                )
+            )
+        for size in (1, 3, len(SETS)):
+            runs.append(partitioned_discover(SETS, config, partition_size=size))
+            runs.append(
+                partitioned_discover(
+                    SETS, config, partition_size=size, reference_sets=REFS
+                )
+            )
+        with SilkMothCluster.from_sets(
+            SETS, config, shards=2, transport="inline"
+        ) as cluster:
+            runs.append(cluster.discover())
+
+        # Self-discovery runs at even positions, external ones at odd.
+        for got in runs[::2]:
+            assert [(p.reference_id, p.set_id) for p in got] == rows
+            assert [p.score for p in got] == scores
+        for got in runs[1::2]:
+            assert [(p.reference_id, p.set_id) for p in got] == external_rows
+            assert [p.score for p in got] == external_scores
+        n = len(SETS)
+        if metric is Relatedness.SIMILARITY:
+            self_passes = [(r, r, r + 1) for r in range(n - 1)]
+        else:
+            self_passes = [(r, r, 0) for r in range(n)]
+        assert scheduled[::2] == [self_passes] * 7
+        assert scheduled[1::2] == [[(r, None, 0) for r in range(len(REFS))]] * 6
 
     def test_service_batch_matches_serial_search(self):
         config = SilkMothConfig(delta=0.4)

@@ -47,9 +47,10 @@ from repro.core.records import SetCollection
 from repro.filters.check import select_columns
 from repro.index.inverted import MAX_SET_ID, InvertedIndex
 from repro.pipeline.driver import (
+    LocalIds,
     discovery_floor,
+    discovery_passes,
     keep_discovery_pair,
-    search_rows,
 )
 from repro.pipeline.plan import QueryPlan
 from repro.service import SilkMothService
@@ -585,17 +586,27 @@ def _edges(monkeypatch):
     engine = SilkMoth(_collection(WORD_SETS, config), config)
     n = len(WORD_SETS)
     last = engine.collection[n - 1]
-    # The last reference has nothing after it: no pass is run at all.
-    assert search_rows(engine, last, n - 1, self_mode=True) == []
+    references = {n - 1: last, n + 4: last, 1: last}
+    # The last reference has nothing after it: no pass is scheduled ...
+    assert discovery_passes(
+        [n - 1], n_sets=n, self_mode=True, symmetric=True
+    ) == []
+    # ... and the engine runner runs none for it either.
+    assert engine.run_passes([(n - 1, n - 1, n)], references) == [([], None)]
     assert engine.stats.passes == 0
-    # ... and in a partition that lies wholly at or below the reference.
-    assert search_rows(engine, last, n + 4, self_mode=True, id_offset=3) == []
+    # ... nor in a partition that lies wholly at or below the reference.
+    below = LocalIds(range(3, 3 + n))
+    assert engine.run_passes([(n + 4, n + 4, n + 5)], references, below) == [
+        ([], None)
+    ]
     assert engine.stats.passes == 0
-    # A partition wholly above the reference is probed from its start.
+    # A partition wholly above the reference is probed from its start,
+    # and its local ids translate back to global ones.
     passes = _spy_passes(monkeypatch)
-    rows = search_rows(engine, last, 1, self_mode=True, id_offset=5)
+    above = LocalIds(range(5, 5 + n))
+    ((results, _),) = engine.run_passes([(1, 1, 2)], references, above)
     assert [first_set for first_set, _ in passes] == [0]
-    assert {row[1] for row in rows} <= set(range(5, 5 + n))
+    assert results and {r.set_id for r in results} <= set(range(5, 5 + n))
 
     reference = engine.collection[0]
     everything = engine.search(reference)
