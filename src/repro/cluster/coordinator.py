@@ -21,9 +21,11 @@ A query runs in four steps:
 3. **merge** -- translate shard-local result ids to global ids, sort,
    and sum the shards' :class:`~repro.core.stats.PassStats` into one
    :class:`~repro.cluster.stats.ClusterPassStats`;
-4. **cache** -- memoise under the cluster-wide write generation: the
-   cache, ``search`` and ``search_many`` are the single-node service's
-   own (:class:`~repro.service.batch.QueryFront`).
+4. **cache** -- memoise the answer: the cache, its write rule,
+   ``search`` and ``search_many`` are the single-node service's own
+   (:class:`~repro.service.batch.QueryFront`).  Shards sign in their
+   own vocabularies, so every cluster answer is uncertified: an add
+   drops them all, a remove only those holding the removed set.
 
 Mutations mirror :class:`repro.service.SilkMothService` semantics on
 the global id space -- ``add`` appends a fresh global id,
@@ -315,7 +317,7 @@ class SilkMothCluster(QueryFront):
         self._shard_live: list[int] = [0] * n_shards
         #: Per shard: shard-local write generation (mutations routed there).
         self._shard_generations: list[int] = [0] * n_shards
-        #: Cluster-wide write generation gating the query cache.
+        #: Cluster-wide write generation (bumped by every mutation).
         self.generation = 0
         self.cache = LRUQueryCache(cache_capacity)
         self.stats = ClusterStats()
@@ -796,11 +798,6 @@ class SilkMothCluster(QueryFront):
     # ------------------------------------------------------------------
     # Mutations
     # ------------------------------------------------------------------
-    def _mutated(self) -> None:
-        self.generation += 1
-        if len(self.cache):
-            self.stats.invalidations += 1
-
     def _pick_shard(self) -> int:
         """Placement policy: the least-loaded *reachable* shard.
 
@@ -857,7 +854,7 @@ class SilkMothCluster(QueryFront):
         shard, local = self._place_new_set(elements)
         gid = self._commit_add(shard, local, elements)
         self.stats.adds += 1
-        self._mutated()
+        self._written(added=())
         return gid
 
     def remove_set(self, set_id: int) -> None:
@@ -877,7 +874,7 @@ class SilkMothCluster(QueryFront):
         self._shard_live[shard] -= 1
         self._shard_generations[shard] += 1
         self.stats.removes += 1
-        self._mutated()
+        self._written(removed=set_id)
 
     def update_set(self, set_id: int, elements: Sequence[str]) -> int:
         """Replace one set's contents; returns its fresh global id.
@@ -903,11 +900,11 @@ class SilkMothCluster(QueryFront):
             shard, local = self._place_new_set(elements)
         except ClusterDegradedError:
             self.stats.removes += 1
-            self._mutated()
+            self._written(removed=set_id)
             raise
         gid = self._commit_add(shard, local, elements)
         self.stats.updates += 1
-        self._mutated()
+        self._written(removed=set_id, added=())
         return gid
 
     def compact(self) -> int:
@@ -916,7 +913,7 @@ class SilkMothCluster(QueryFront):
         Returns the number of postings dropped across shards.  Global
         ids never change -- rebalancing only rewrites the coordinator's
         placement table -- so cached results and stored ids stay
-        meaningful (the query cache is generation-gated anyway).
+        meaningful: no cached answer changes.
         """
         self._ensure_open()
         shards = list(range(self.n_shards))
@@ -1031,10 +1028,11 @@ class SilkMothCluster(QueryFront):
 
     def _run_cold(
         self, references: Sequence[Sequence[str]], processes: "int | None"
-    ) -> list[list[SearchResult]]:
-        """Uncached cluster passes for a block of external references."""
+    ) -> list[tuple[list[SearchResult], None]]:
+        """Uncached cluster passes for a block of external references;
+        every answer uncertified (shards sign in their own vocabularies)."""
         return [
-            results
+            (results, None)
             for results, _ in self._search_block(
                 search_passes(len(references)), references
             )

@@ -76,8 +76,7 @@ class ShardHost:
             if wal_dir is None:
                 raise ValueError("recover=True requires a wal_dir")
             # cache_capacity=0 here and below: result caching happens
-            # once, at the coordinator, keyed by the cluster-wide
-            # write generation.
+            # once, at the coordinator.
             self.service = SilkMothService.recover(
                 wal_dir,
                 config,

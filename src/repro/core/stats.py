@@ -64,6 +64,20 @@ class PassStats:
     #: Wall-clock seconds per stage, keyed by stage name
     #: ("signature", "select", "check", "nn", "verify").
     stage_seconds: dict = field(default_factory=dict)
+    #: A plain SEARCH pass's signature token set (``None``: no
+    #: signature -- a full scan or an empty reference -- or a discovery
+    #: pass): the result cache's certificate
+    #: (:mod:`repro.service.cache`).  Token ids mean something only to
+    #: the collection that signed, so this is no counter: it is never
+    #: folded, exported or pickled.
+    certificate: frozenset | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("certificate", None)
+        return state
 
 
 #: The additive ``PassStats`` counters, in funnel order: each one sums

@@ -338,6 +338,12 @@ def format_health(payload: Dict[str, Any]) -> str:
             f"({cache.get('queries', 0)} query(ies)); "
             f"sim memo {cache.get('sim_hit_rate', 0.0):.0%}"
         )
+        lines.append(
+            "invalidated:  "
+            f"{cache.get('invalidated_uncertified', 0)} uncertified, "
+            f"{cache.get('invalidated_token_hit', 0)} token hit, "
+            f"{cache.get('invalidated_member', 0)} member"
+        )
     wal = payload.get("wal")
     if isinstance(wal, dict):
         lines.append(

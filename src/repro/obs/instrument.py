@@ -9,6 +9,8 @@ objects into registry updates at the moments they are recorded:
 * :func:`observe_pass` from ``QueryPlan.execute`` (one cold pass);
 * :func:`observe_query` from ``ServiceStats.record_query``;
 * :func:`observe_routing` from ``ClusterStats.record_routing``;
+* :func:`observe_invalidations` from ``QueryFront._written`` (one
+  write's dropped cache entries);
 * :func:`observe_mutation` / :func:`observe_snapshot` /
   :func:`observe_transport_error` from their respective call sites.
 
@@ -105,6 +107,12 @@ class _Handles:
             "silkmoth_mutations_total",
             "Index mutations by kind (add/remove/update/compact).",
             ("kind",),
+        )
+        self.invalidations = registry.register(
+            "silkmoth_cache_invalidations_total",
+            "Result-cache entries writes dropped, by reason "
+            "(uncertified/token_hit/member).",
+            ("reason",),
         )
         self.snapshots = registry.register(
             "silkmoth_snapshot_io_total",
@@ -232,6 +240,12 @@ def observe_routing(cluster_pass) -> None:
 def observe_mutation(kind: str) -> None:
     """Record one index mutation (``add``/``remove``/``update``/...)."""
     handles().mutations.inc(kind=kind)
+
+
+def observe_invalidations(reason: str, dropped: int) -> None:
+    """Record *dropped* result-cache entries one write dropped for *reason*."""
+    if dropped:
+        handles().invalidations.inc(dropped, reason=reason)
 
 
 def observe_snapshot(direction: str) -> None:

@@ -203,6 +203,12 @@ class QueryPlan:
                     timings.get(stage.name, 0.0) + time.perf_counter() - started
                 )
             pass_span.set_attr("matches", stats.matches)
+        # Only a plain SEARCH pass's answer is cached, so only it
+        # carries the certificate (a discovery pass's would just sit in
+        # the run stats' window).
+        searched_all = self.skip_set is None and not self.first_set
+        if state.signature is not None and searched_all:
+            stats.certificate = state.signature.tokens
         if memo is not None:
             stats.sim_cache_hits = memo.hits - hits_before
             stats.sim_cache_misses = memo.misses - misses_before

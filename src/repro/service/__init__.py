@@ -3,7 +3,8 @@
 :class:`SilkMothService` wraps the batch engine as a long-lived system:
 sets can be added, removed and updated between queries (tombstones +
 lazy index cleanup keep every answer exact), repeated references are
-served from an LRU query cache with write-generation invalidation,
+served from an LRU query cache whose entries a write drops only when
+it can change them (certified invalidation),
 batches deduplicate and fan out across processes, and the whole service
 round-trips through version-2 snapshots.  ``search``, ``search_many``
 and the cache logic live in :class:`repro.service.batch.QueryFront`,

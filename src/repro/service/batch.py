@@ -6,12 +6,15 @@ at all.)
 
 :class:`QueryFront` is what :class:`repro.service.SilkMothService` and
 :class:`repro.cluster.SilkMothCluster` share: the cache key, the
-write-generation-gated cache probe, intra-batch deduplication and the
-:class:`~repro.service.stats.ServiceStats` accounting.  A batch's
-duplicates collapse onto one computation, references cached since the
-last mutation come from the cache, and the cold remainder goes to the
-subclass's *cold runner* in blocks, each reference charged an equal
-share of its block's wall clock.  The cold runner is one of the pass
+cache probe, intra-batch deduplication, the
+:class:`~repro.service.stats.ServiceStats` accounting and the one write
+rule, :meth:`QueryFront._written`: each write drops exactly the cached
+answers it can change (certified invalidation,
+:mod:`repro.service.cache`).  A batch's duplicates collapse onto one
+computation, references whose answer is still cached come from the
+cache, and the cold remainder goes to the subclass's *cold runner* in
+blocks, each reference charged an equal share of its block's wall
+clock.  The cold runner is one of the pass
 runners of :mod:`repro.pipeline.driver`: the service's is the engine
 runner, one reference per block (or, for ``processes > 1``, the pool
 runner over the whole remainder); the cluster's sends blocks of
@@ -21,18 +24,20 @@ runner over the whole remainder); the cluster's sends blocks of
 from __future__ import annotations
 
 import time
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from repro.core.engine import SearchResult
+from repro.obs.instrument import observe_invalidations
 from repro.obs.trace import span
 from repro.service.cache import reference_fingerprint
 
 
 class QueryFront:
-    """``search`` / ``search_many`` over a generation-gated result cache.
+    """``search`` / ``search_many`` over a certified result cache.
 
     A subclass provides ``cache``, ``generation`` (bumped by every
-    mutation), ``stats``, ``_config_fp`` and the two hooks below.
+    write), ``stats``, ``_config_fp`` and the two hooks below, and
+    reports each write to :meth:`_written`.
     """
 
     def _block_size(self, processes: int | None) -> int | None:
@@ -41,29 +46,66 @@ class QueryFront:
 
     def _run_cold(
         self, references: Sequence[Sequence[str]], processes: int | None
-    ) -> list[list[SearchResult]]:
-        """Uncached passes: one result list per raw reference, in order."""
+    ) -> list[tuple[list[SearchResult], frozenset | None]]:
+        """Uncached passes: one ``(results, certificate)`` per raw
+        reference, in order (:func:`repro.service.cache.certificate`;
+        ``None`` = uncertified)."""
         raise NotImplementedError
+
+    def _cache_put(self, key, results, certificate) -> tuple:
+        """Cache one cold answer; returns it as the cached tuple."""
+        answer = tuple(results)
+        self.cache.put(
+            key, answer, certificate, [result.set_id for result in answer]
+        )
+        return answer
+
+    def _written(
+        self, removed: int | None = None, added: Iterable | None = None
+    ) -> None:
+        """Account one write: bump the generation, then drop exactly
+        the cached answers it can change.
+
+        *removed* is the id of a set the write tombstoned: only the
+        answers holding it change.  *added* are the certificate keys of
+        a set it appended (:func:`repro.service.cache.write_keys`; a
+        server whose entries are all uncertified passes none): every
+        uncertified answer and every answer whose certificate they hit
+        may change.  An update passes both.
+        """
+        self.generation += 1
+        stats = self.stats
+        if removed is not None:
+            member = self.cache.drop_member(removed)
+            stats.invalidated_member += member
+            observe_invalidations("member", member)
+        if added is not None:
+            uncertified, hit = self.cache.drop_hits(added)
+            stats.invalidated_uncertified += uncertified
+            stats.invalidated_token_hit += hit
+            observe_invalidations("uncertified", uncertified)
+            observe_invalidations("token_hit", hit)
 
     def search(self, elements: Sequence[str]) -> list[SearchResult]:
         """All live sets related to the raw reference *elements*.
 
         Served from the cache when this reference (under this config)
-        was answered since the last mutation; otherwise one pass runs
-        and the answer is cached.  Set ids are the server's own.
+        was answered and no write since could change the answer;
+        otherwise one pass runs and the answer is cached.  Set ids are
+        the server's own.
         """
         with span("service.query") as query_span:
             key = (reference_fingerprint(elements), self._config_fp)
             started = time.perf_counter()
             with span("cache.probe"):
-                cached = self.cache.get(key, self.generation)
+                cached = self.cache.get(key)
             if cached is not None:
                 query_span.set_attr("cache", "hit")
                 self.stats.record_query(time.perf_counter() - started, True)
                 return list(cached)
             query_span.set_attr("cache", "miss")
-            (results,) = self._run_cold([elements], None)
-            self.cache.put(key, self.generation, tuple(results))
+            ((results, certificate),) = self._run_cold([elements], None)
+            self._cache_put(key, results, certificate)
             self.stats.record_query(time.perf_counter() - started, False)
             return results
 
@@ -75,7 +117,7 @@ class QueryFront:
         """Answer a batch of references; one result list per input.
 
         Exact duplicates within the batch are computed once; references
-        cached since the last mutation are served without a pass; the
+        whose answer is still cached are served without a pass; the
         cold remainder runs in blocks through the cold runner.
         *processes* > 1 fans a single node's cold references out
         across a process pool; a cluster's parallelism comes from its
@@ -92,9 +134,7 @@ class QueryFront:
         cold: list[tuple[str, Sequence[str]]] = []
         for fingerprint, elements in unique.items():
             started = time.perf_counter()
-            cached = self.cache.get(
-                (fingerprint, self._config_fp), self.generation
-            )
+            cached = self.cache.get((fingerprint, self._config_fp))
             if cached is not None:
                 answers[fingerprint] = cached
                 self.stats.record_query(time.perf_counter() - started, True)
@@ -109,12 +149,11 @@ class QueryFront:
                 [elements for _, elements in block], processes
             )
             share = (time.perf_counter() - started) / len(block)
-            for (fingerprint, _), results in zip(block, block_results):
-                answers[fingerprint] = tuple(results)
-                self.cache.put(
-                    (fingerprint, self._config_fp),
-                    self.generation,
-                    answers[fingerprint],
+            for (fingerprint, _), (results, certificate) in zip(
+                block, block_results
+            ):
+                answers[fingerprint] = self._cache_put(
+                    (fingerprint, self._config_fp), results, certificate
                 )
                 self.stats.record_query(share, False)
 

@@ -1,13 +1,30 @@
-"""The query cache: LRU over (reference fingerprint, config fingerprint).
+"""The query cache: an LRU of search answers, certified by their signatures.
 
 A search result depends only on (a) the multiset of reference element
 strings, (b) the engine configuration, and (c) the logical contents of
 the searched collection.  (a) and (b) are folded into a fingerprint
-key; (c) is handled by *write generations*: every mutation of the
-service bumps a generation counter, and a cached entry is only served
-while its generation matches.  Stale entries are dropped lazily on
-lookup (and wholesale via :meth:`invalidate`), so a mutation costs O(1)
-no matter how full the cache is.
+key.  (c) is handled by *certified invalidation*, applied eagerly at
+each write and resting on the paper's Lemma 1: a set related to R
+shares a token with R's signature, whenever that set was added.
+
+* **remove S** drops only the entries whose answer holds S: removing a
+  set changes no other (reference, set) pair;
+* **add S** drops only the entries whose *certificate* S can hit;
+* **update** is a remove followed by an add.
+
+An entry's certificate (:func:`certificate`) is the signature token set
+of the pass that answered it, plus two marker keys: :data:`EPHEMERAL`
+when the signature holds a query-only token id (``query_set`` gives
+unseen tokens negative ids; an add that grows the vocabulary may give
+one of them a real id, so such an add hits the marker), and
+:data:`EMPTY` when the reference has an element with no token (an
+empty element scores 1 against another empty element with no token in
+common).  :func:`write_keys` lists what an added set can hit.  Entries
+no signature vouches for -- full-scan passes, empty references, pool
+workers' and shards' passes, whose token ids are not the caller's --
+are *uncertified*: any add drops them, a remove outside their answer
+keeps them.  A token -> entries map and a set id -> entries map make a
+write cost its own token and member count, never the cache size.
 
 Fingerprints use SHA-1 over a canonical JSON encoding.  Element order
 within a reference does not affect the exact result set (the matching
@@ -21,9 +38,11 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
+from operator import attrgetter
 from typing import Sequence
 
 from repro.core.config import SilkMothConfig
+from repro.core.records import SetRecord
 
 
 def reference_fingerprint(elements: Sequence[str]) -> str:
@@ -54,16 +73,70 @@ def config_fingerprint(config: SilkMothConfig) -> str:
     return hashlib.sha1(canonical.encode("utf-8")).hexdigest()
 
 
+#: Certificate keys that are not token ids (see the module docstring).
+#: Every uncertified entry is filed under :data:`UNCERTIFIED`, which
+#: every add hits.
+UNCERTIFIED = "uncertified"
+EPHEMERAL = "ephemeral"
+EMPTY = "empty"
+
+
+_index_tokens = attrgetter("index_tokens")
+
+
+def _has_empty_element(record: SetRecord) -> bool:
+    return not all(map(_index_tokens, record.elements))
+
+
+def certificate(
+    signature_tokens: frozenset | None, reference: SetRecord
+) -> frozenset | None:
+    """The certificate of an answer to *reference* (``None``: uncertified).
+
+    *signature_tokens* is the answering pass's
+    :attr:`~repro.core.stats.PassStats.certificate`, in the vocabulary
+    of the collection the cache serves.
+    """
+    if signature_tokens is None:
+        return None
+    keys = signature_tokens
+    if keys and min(keys) < 0:
+        keys = {token for token in keys if token >= 0}
+        keys.add(EPHEMERAL)
+    if _has_empty_element(reference):
+        keys = set(keys)
+        keys.add(EMPTY)
+    return frozenset(keys)
+
+
+def write_keys(record: SetRecord, grew_vocabulary: bool) -> set:
+    """The certificate keys the added set *record* can hit.
+
+    Its index tokens (what a signature probe meets), :data:`EMPTY` for
+    an element with no token, and :data:`EPHEMERAL` when the add grew
+    the vocabulary.
+    """
+    keys = set().union(*map(_index_tokens, record.elements))
+    if _has_empty_element(record):
+        keys.add(EMPTY)
+    if grew_vocabulary:
+        keys.add(EPHEMERAL)
+    return keys
+
+
 class LRUQueryCache:
-    """Bounded LRU of query results with write-generation invalidation."""
+    """Bounded LRU of query answers with certified invalidation."""
 
     def __init__(self, capacity: int = 1024):
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[tuple[str, str], tuple[int, object]] = (
-            OrderedDict()
-        )
+        #: key -> (value, certificate keys, member set ids).
+        self._entries: OrderedDict[tuple[str, str], tuple] = OrderedDict()
+        #: Certificate key -> the cache keys filed under it.
+        self._by_token: dict[object, set] = {}
+        #: Set id -> the cache keys whose answer holds it.
+        self._by_member: dict[int, set] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -71,42 +144,91 @@ class LRUQueryCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: tuple[str, str], generation: int):
-        """The cached value for *key* at *generation*, else ``None``.
+    def get(self, key: tuple[str, str]):
+        """The cached value for *key*, else ``None``.
 
-        An entry cached under an older generation is deleted on sight:
-        the collection has changed since, so the result may be stale.
+        Every entry still cached is current: writes drop the entries
+        they can change as they happen.
         """
         entry = self._entries.get(key)
         if entry is None:
             self.misses += 1
             return None
-        cached_generation, value = entry
-        if cached_generation != generation:
-            del self._entries[key]
-            self.misses += 1
-            return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return value
+        return entry[0]
 
-    def put(self, key: tuple[str, str], generation: int, value) -> None:
-        """Cache *value* for *key* as of *generation* (LRU-evicting)."""
+    def put(
+        self,
+        key: tuple[str, str],
+        value,
+        certificate: frozenset | None = None,
+        members=(),
+    ) -> None:
+        """Cache *value* for *key* (LRU-evicting).
+
+        *certificate* is the entry's :func:`certificate` (``None``:
+        uncertified); *members* are the set ids its answer holds.
+        """
         if self.capacity == 0:
             return
         if key in self._entries:
-            self._entries.move_to_end(key)
-        self._entries[key] = (generation, value)
+            self._drop(key)
+        tokens = (UNCERTIFIED,) if certificate is None else certificate
+        members = frozenset(members)
+        self._entries[key] = (value, tokens, members)
+        for token in tokens:
+            self._by_token.setdefault(token, set()).add(key)
+        for member in members:
+            self._by_member.setdefault(member, set()).add(key)
         while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
+            self._drop(next(iter(self._entries)))
             self.evictions += 1
 
-    def invalidate(self) -> int:
-        """Drop every entry; returns how many were dropped.
+    def _drop(self, key: tuple[str, str]) -> None:
+        """Delete one entry from the LRU and from both maps."""
+        _, tokens, members = self._entries.pop(key)
+        for index, items in (
+            (self._by_token, tokens),
+            (self._by_member, members),
+        ):
+            for item in items:
+                keys = index[item]
+                keys.discard(key)
+                if not keys:
+                    del index[item]
 
-        Generation checks already keep stale entries from being served,
-        so this exists to release memory eagerly after bulk mutations.
+    def _drop_filed(self, index: dict, item) -> int:
+        """Drop every entry *index* files under *item*; how many."""
+        keys = index.get(item)
+        if not keys:
+            return 0
+        keys = list(keys)
+        for key in keys:
+            self._drop(key)
+        return len(keys)
+
+    def drop_member(self, set_id: int) -> int:
+        """A remove of *set_id*: drop the entries whose answer holds it."""
+        return self._drop_filed(self._by_member, set_id)
+
+    def drop_hits(self, tokens) -> tuple[int, int]:
+        """An add whose certificate keys are *tokens* (:func:`write_keys`).
+
+        Drops every uncertified entry, then every entry whose
+        certificate holds one of *tokens*; returns the two counts.
         """
+        by_token = self._by_token
+        uncertified = self._drop_filed(by_token, UNCERTIFIED)
+        hit = 0
+        for token in by_token.keys() & tokens:
+            hit += self._drop_filed(by_token, token)
+        return uncertified, hit
+
+    def invalidate(self) -> int:
+        """Drop every entry; returns how many were dropped."""
         dropped = len(self._entries)
         self._entries.clear()
+        self._by_token.clear()
+        self._by_member.clear()
         return dropped

@@ -9,8 +9,10 @@ engine resident and adds what online serving needs:
   posting deletion in the index, with a threshold-triggered
   :meth:`compact`;
 * **caching** -- an LRU keyed by (reference fingerprint, config
-  fingerprint), invalidated by write generation, so hot references
-  skip the pipeline entirely;
+  fingerprint) with certified invalidation: a write drops only the
+  cached answers it can change (a remove, those holding the set; an
+  add, those whose signature it shares a token with), so hot
+  references skip the pipeline entirely;
 * **batching** -- :meth:`search_many` deduplicates a batch, serves
   hits from the cache, and fans the cold remainder out across a
   process pool;
@@ -57,7 +59,12 @@ from repro.obs.sketch import quantile_summary
 from repro.obs.trace import span
 from repro.pipeline.driver import search_passes
 from repro.service.batch import QueryFront
-from repro.service.cache import LRUQueryCache, config_fingerprint
+from repro.service.cache import (
+    LRUQueryCache,
+    certificate,
+    config_fingerprint,
+    write_keys,
+)
 from repro.service.stats import ServiceStats
 from repro.settings import resolve
 from repro.tokenize.tokenizers import Tokenizer
@@ -118,8 +125,8 @@ class SilkMothService(QueryFront):
         self.cache = LRUQueryCache(cache_capacity)
         self.stats = ServiceStats()
         self.compact_dead_fraction = compact_dead_fraction
-        #: Bumped by every mutation; cached entries from older
-        #: generations are never served.
+        #: Bumped by every mutation: the WAL sequence and the memo's
+        #: sync point.
         self.generation = 0
         self._config_fp = config_fingerprint(config)
         #: Live-set count the current planner decision was computed at;
@@ -172,10 +179,8 @@ class SilkMothService(QueryFront):
         if self.wal is not None and not self._wal_replaying:
             self.wal.append(op, args, seq=self.generation + 1)
 
-    def _mutated(self) -> None:
-        self.generation += 1
-        if len(self.cache):
-            self.stats.invalidations += 1
+    def _written(self, removed=None, added=None) -> None:
+        super()._written(removed, added)
         # The element-pair similarity memo is keyed on the mutation-
         # independent element texts, but it is still synced to the
         # write generation: entries for removed sets must not
@@ -204,10 +209,12 @@ class SilkMothService(QueryFront):
         """Append one set; it is searchable immediately."""
         elements = [str(element) for element in elements]
         self._wal_append("add", {"elements": elements})
+        vocabulary = self.collection.vocabulary
+        known = len(vocabulary)
         record = self.engine.add_set(elements)
         self.stats.adds += 1
         observe_mutation("add")
-        self._mutated()
+        self._written(added=write_keys(record, len(vocabulary) > known))
         self._maybe_replan()
         return record
 
@@ -221,7 +228,7 @@ class SilkMothService(QueryFront):
         self.index.note_removed(record)
         self.stats.removes += 1
         observe_mutation("remove")
-        self._mutated()
+        self._written(removed=set_id)
         self._maybe_compact()
         return record
 
@@ -236,12 +243,16 @@ class SilkMothService(QueryFront):
             self._wal_append(
                 "update", {"set_id": int(set_id), "elements": elements}
             )
+        vocabulary = self.collection.vocabulary
+        known = len(vocabulary)
         old, record = self.collection.replace_set(set_id, elements)
         self.index.note_removed(old)
         self.index.add_record(record)
         self.stats.updates += 1
         observe_mutation("update")
-        self._mutated()
+        self._written(
+            removed=set_id, added=write_keys(record, len(vocabulary) > known)
+        )
         self._maybe_compact()
         return record
 
@@ -291,14 +302,16 @@ class SilkMothService(QueryFront):
 
     def _run_cold(
         self, references: Sequence[Sequence[str]], processes: int | None
-    ) -> list[list[SearchResult]]:
+    ) -> list[tuple[list[SearchResult], frozenset | None]]:
         """One search pass per reference: the engine runner in-process,
         or the pool runner over the live sets.
 
         Either way each pass's :class:`~repro.core.stats.PassStats` is
         folded into :attr:`stats` and the engine's run stats, the
         latter by the engine itself in-process and here for a pass a
-        pool worker ran (an empty reference runs no pass).
+        pool worker ran (an empty reference runs no pass).  Only an
+        in-process pass signs in this collection's vocabulary, so only
+        its answer is certified.
         """
         passes = search_passes(len(references))
         if processes is not None and processes > 1:
@@ -316,15 +329,22 @@ class SilkMothService(QueryFront):
             for elements, (_, pass_stats) in zip(references, answered):
                 if len(elements):
                     self.engine.stats.add(pass_stats)
+            certificates = [None] * len(answered)
         else:
             # The non-interning query path: a long-lived service must
             # not grow its vocabulary with every unseen query token.
-            answered = self.engine.run_passes(
-                passes, [self.collection.query_set(e) for e in references]
-            )
+            records = [self.collection.query_set(e) for e in references]
+            answered = self.engine.run_passes(passes, records)
+            certificates = [
+                certificate(pass_stats.certificate, record)
+                for record, (_, pass_stats) in zip(records, answered)
+            ]
         for _, pass_stats in answered:
             self.stats.record_pass(pass_stats)
-        return [results for results, _ in answered]
+        return [
+            (results, cert)
+            for (results, _), cert in zip(answered, certificates)
+        ]
 
     # -- snapshots ------------------------------------------------------
     def _snapshot_metadata(self) -> dict:

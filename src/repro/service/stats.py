@@ -3,13 +3,13 @@
 :class:`repro.core.stats.RunStats` counts what the *pipeline* did
 (candidates per funnel stage, one :class:`PassStats` per executed pass).
 :class:`ServiceStats` counts what the *service* did around it: queries
-served, cache hits and misses, mutations, compactions, invalidations,
-and lifetime query wall-clock seconds.  A cache hit increments ``queries``
-and ``cache_hits`` but adds nothing to the engine's ``RunStats`` --
-which is exactly how tests assert that hot references skip the
-signature/filter/verify pipeline entirely.  Per-query latency
-distributions live in the ``silkmoth_query_latency_quantile`` sketch
-(:mod:`repro.obs.instrument`).
+served, cache hits and misses, mutations, compactions, cached answers
+dropped by writes (by reason), and lifetime query wall-clock seconds.
+A cache hit increments ``queries`` and ``cache_hits`` but adds nothing
+to the engine's ``RunStats`` -- which is exactly how tests assert that
+hot references skip the signature/filter/verify pipeline entirely.
+Per-query latency distributions live in the
+``silkmoth_query_latency_quantile`` sketch (:mod:`repro.obs.instrument`).
 """
 
 from __future__ import annotations
@@ -42,7 +42,13 @@ class ServiceStats:
     removes: int = 0
     updates: int = 0
     compactions: int = 0
-    invalidations: int = 0
+    #: Cached answers writes dropped, by reason (certified
+    #: invalidation, :mod:`repro.service.cache`): uncertified answers
+    #: any add drops, answers whose certificate an add hit, and
+    #: answers holding a removed set.
+    invalidated_uncertified: int = 0
+    invalidated_token_hit: int = 0
+    invalidated_member: int = 0
     snapshots_saved: int = 0
     #: Element-pair similarity memo lookups served / missed across the
     #: cold queries this service ran (edit kinds; see
@@ -59,6 +65,15 @@ class ServiceStats:
     def mutations(self) -> int:
         """Total mutation count (adds + removes + updates)."""
         return self.adds + self.removes + self.updates
+
+    @property
+    def invalidations(self) -> int:
+        """Cached answers dropped by writes, every reason together."""
+        return (
+            self.invalidated_uncertified
+            + self.invalidated_token_hit
+            + self.invalidated_member
+        )
 
     @property
     def cache_hit_rate(self) -> float:
@@ -110,6 +125,9 @@ class ServiceStats:
             "queries": self.queries,
             "hit_rate": round(self.cache_hit_rate, 4),
             "sim_hit_rate": round(self.sim_cache_hit_rate, 4),
+            "invalidated_uncertified": self.invalidated_uncertified,
+            "invalidated_token_hit": self.invalidated_token_hit,
+            "invalidated_member": self.invalidated_member,
         }
 
     def to_dict(self) -> dict:
@@ -118,6 +136,7 @@ class ServiceStats:
         payload["cache_hit_rate"] = round(self.cache_hit_rate, 4)
         payload["sim_cache_hit_rate"] = round(self.sim_cache_hit_rate, 4)
         payload["mutations"] = self.mutations
+        payload["invalidations"] = self.invalidations
         payload["query_seconds_total"] = self.query_seconds_total
         payload["mean_query_seconds"] = self.mean_query_seconds
         payload["stage_seconds"] = {
@@ -132,7 +151,9 @@ class ServiceStats:
         The lifetime totals and means survive; derived rates are
         recomputed.  Keys this version does not know --
         ``backend_seconds`` in payloads written before the compute
-        backends became one -- are ignored.
+        backends became one -- are ignored, and so is the
+        ``invalidations`` total of payloads written before it was split
+        by reason (it counted writes, not dropped answers).
         """
         stats = cls()
         for name in _counter_names(stats):

@@ -1,0 +1,383 @@
+"""Certified invalidation: a write drops exactly the answers it can change.
+
+The result cache keeps an answer across a write unless the write can
+change it (:mod:`repro.service.cache`): a remove drops the answers that
+hold the removed set, an add drops the uncertified answers and those
+whose signature certificate the added set hits.  The differential
+oracle below runs generated histories of adds, removes, updates,
+``search`` and ``search_many`` and, after every operation, compares
+every reference's answer -- ids and scores -- with brute force over the
+live sets.  The references carry tokens the collection has not seen
+(some adds bring them in later) and empty elements, the two cases
+where a signature token alone does not decide a hit.
+
+Every test runs once per kernel mode (``strategies.kernels``).
+"""
+
+from __future__ import annotations
+
+import random
+
+import pytest
+
+from repro.baselines.brute_force import brute_force_search
+from repro.cluster import SilkMothCluster
+from repro.core.config import Relatedness, SilkMothConfig
+from repro.core.records import SetCollection
+from repro.obs.diag import format_health
+from repro.service import LRUQueryCache, SilkMothService, reference_fingerprint
+from repro.service.cache import EMPTY, EPHEMERAL, UNCERTIFIED
+from repro.sim.functions import SimilarityKind
+from repro.tokenize.tokenizers import Tokenizer
+from strategies.kernels import kernel_axis  # noqa: F401  (module-wide axis)
+
+WORDS = ["ash", "bay", "elm", "fir", "oak", "sky", "yew", "ivy"]
+#: Tokens no initial set holds: references ask for them, adds bring
+#: some of them in.
+FRESH = ["zeta", "omega", "kappa", "sigma"]
+
+CONFIGS = {
+    "jaccard-similarity": SilkMothConfig(delta=0.5),
+    "jaccard-containment": SilkMothConfig(
+        metric=Relatedness.CONTAINMENT, delta=0.6
+    ),
+    "eds-similarity": SilkMothConfig(
+        similarity=SimilarityKind.EDS, delta=0.5, alpha=0.6
+    ),
+    "eds-containment": SilkMothConfig(
+        similarity=SimilarityKind.EDS,
+        metric=Relatedness.CONTAINMENT,
+        delta=0.6,
+        alpha=0.6,
+    ),
+}
+
+
+def _element(rng: random.Random, words) -> str:
+    return " ".join(rng.sample(words, rng.randint(1, 2)))
+
+
+def _set(rng: random.Random, words, empty: float = 0.1) -> list:
+    return [
+        "" if rng.random() < empty else _element(rng, words)
+        for _ in range(rng.randint(1, 3))
+    ]
+
+
+def _pool(seed: int):
+    """(initial sets, references, sets an add may bring) for *seed*."""
+    rng = random.Random(seed)
+    initial = [_set(rng, WORDS) for _ in range(12)]
+    references = [_set(rng, WORDS) for _ in range(4)]
+    references += [
+        _set(rng, WORDS + FRESH, empty=0.3),
+        ["", _element(rng, WORDS)],
+        # Unseen tokens only: the signature is all ephemeral ids.
+        ["zeta omega", "kappa"],
+        ["sigma"],
+    ]
+    spare = [_set(rng, WORDS) for _ in range(6)]
+    spare += [_set(rng, WORDS + FRESH) for _ in range(3)]
+    spare += [list(reference) for reference in references[-4:]]
+    spare += [["", "fir"], ["", "zeta"]]
+    return initial, references, spare
+
+
+def _oracle(config, live: dict, reference) -> list:
+    """Brute force over the live sets: (id, score, value) rows."""
+    ids = sorted(live)
+    collection = SetCollection(
+        Tokenizer(kind=config.similarity, q=config.effective_q)
+    )
+    for set_id in ids:
+        collection.add_set(live[set_id])
+    record = collection.query_set(reference)
+    return [
+        (ids[r.set_id], r.score, r.relatedness)
+        for r in brute_force_search(record, collection, config)
+    ]
+
+
+def _rows(answer) -> list:
+    return sorted((r.set_id, r.score, r.relatedness) for r in answer)
+
+
+class _Server:
+    """One surface over the service and the cluster, with a live-set model."""
+
+    def __init__(self, kind: str, config, initial):
+        self.kind = kind
+        self.config = config
+        if kind == "cluster":
+            self.server = SilkMothCluster.from_sets(
+                initial, config, shards=2, transport="inline"
+            )
+        else:
+            self.server = SilkMothService(config, wal_dir=False)
+            for elements in initial:
+                self.server.add_set(elements)
+        self.processes = 2 if kind == "service-pool" else None
+        self.live = {i: list(elements) for i, elements in enumerate(initial)}
+        self.next_id = len(initial)
+
+    def close(self) -> None:
+        if self.kind == "cluster":
+            self.server.close()
+
+    def cached(self, reference) -> bool:
+        return (
+            reference_fingerprint(reference),
+            self.server._config_fp,
+        ) in self.server.cache._entries
+
+    def add(self, elements) -> None:
+        got = self.server.add_set(elements)
+        assert getattr(got, "set_id", got) == self.next_id
+        self.live[self.next_id] = list(elements)
+        self.next_id += 1
+
+    def remove(self, set_id: int) -> None:
+        self.server.remove_set(set_id)
+        del self.live[set_id]
+
+    def update(self, set_id: int, elements) -> None:
+        got = self.server.update_set(set_id, elements)
+        assert getattr(got, "set_id", got) == self.next_id
+        del self.live[set_id]
+        self.live[self.next_id] = list(elements)
+        self.next_id += 1
+
+
+def _run_history(server: _Server, seed: int, references, spare, ops: int):
+    """Apply a generated history; check every answer after every op.
+
+    Returns how many cached answers outlived an add: references cached
+    before one and still cached after it.
+    """
+    rng = random.Random(seed)
+    config = server.config
+    expected = {}
+    survived = 0
+
+    def truth(reference):
+        key = tuple(reference)
+        if key not in expected:
+            expected[key] = _oracle(config, server.live, reference)
+        return expected[key]
+
+    def check(reference, answer):
+        assert _rows(answer) == sorted(truth(reference)), (reference, server.live)
+
+    for _ in range(ops):
+        roll = rng.random()
+        if roll < 0.25:
+            before = [r for r in references if server.cached(r)]
+            server.add(rng.choice(spare))
+            survived += sum(server.cached(r) for r in before)
+            expected.clear()
+        elif roll < 0.35 and len(server.live) > 4:
+            server.remove(rng.choice(sorted(server.live)))
+            expected.clear()
+        elif roll < 0.5 and len(server.live) > 4:
+            server.update(rng.choice(sorted(server.live)), rng.choice(spare))
+            expected.clear()
+        elif roll < 0.75:
+            reference = rng.choice(references)
+            check(reference, server.server.search(reference))
+        else:
+            batch = rng.sample(references, 4)
+            batch.append(batch[0])
+            answers = server.server.search_many(batch, processes=server.processes)
+            for reference, answer in zip(batch, answers):
+                check(reference, answer)
+        # After every operation, every reference answers exactly.
+        for reference in references:
+            check(reference, server.server.search(reference))
+    return survived
+
+
+@pytest.mark.parametrize("kind", ["service", "service-pool", "cluster"])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_every_answer_equals_brute_force_after_every_operation(kind, name):
+    config = CONFIGS[name]
+    initial, references, spare = _pool(seed=17)
+    server = _Server(kind, config, initial)
+    try:
+        survived = _run_history(server, 23, references, spare, ops=60)
+        stats = server.server.stats
+        assert stats.cache_hits > 0
+        if kind == "cluster":
+            # Shards sign in their own vocabularies: no certificate, so
+            # every add dropped every cached answer.
+            assert survived == 0
+            assert stats.invalidated_token_hit == 0
+        else:
+            # The probes' own passes are certified: answers outlive adds.
+            assert survived > 0
+            assert stats.invalidated_token_hit > 0
+        assert stats.invalidations == (
+            stats.invalidated_uncertified
+            + stats.invalidated_token_hit
+            + stats.invalidated_member
+        )
+    finally:
+        server.close()
+
+
+def _searched(service, reference) -> list:
+    passes = service.engine.stats.passes
+    answer = service.search(reference)
+    return [r.set_id for r in answer], service.engine.stats.passes - passes
+
+
+def test_a_cached_answer_survives_an_add_that_misses_its_signature():
+    service = SilkMothService(SilkMothConfig(delta=0.5), wal_dir=False)
+    for elements in (["ash bay", "elm"], ["ash bay", "fir"], ["oak sky"]):
+        service.add_set(elements)
+    reference = ["ash bay", "elm"]
+    assert _searched(service, reference) == ([0], 1)
+    service.add_set(["yew ivy", "oak"])  # no token of the reference
+    assert _searched(service, reference) == ([0], 0)  # a hit, no pass
+    assert service.stats.invalidations == 0
+    service.add_set(["ash bay", "elm"])  # hits the signature
+    assert _searched(service, reference) == ([0, 4], 1)
+    assert service.stats.invalidated_token_hit == 1
+
+
+def test_an_add_that_makes_an_unseen_token_real_drops_the_answer():
+    service = SilkMothService(SilkMothConfig(delta=0.5), wal_dir=False)
+    service.add_set(["ash bay"])
+    reference = ["zeta omega"]
+    assert _searched(service, reference) == ([], 1)
+    service.add_set(["zeta omega"])  # grows the vocabulary
+    assert _searched(service, reference) == ([1], 1)
+    assert service.stats.invalidated_token_hit == 1
+
+
+def test_an_empty_element_add_reaches_an_empty_element_answer():
+    """Empty elements score 1 with no token in common, so an added set
+    with one counts as a hit on a reference with one (select surfaces
+    such pairs in its own empty-element phase)."""
+    service = SilkMothService(SilkMothConfig(delta=0.7), wal_dir=False)
+    service.add_set(["", "ash"])
+    reference = ["", "ash"]
+    assert _searched(service, reference) == ([0], 1)
+    assert service.engine.stats.full_scans == 0  # a certified answer
+    service.add_set(["oak", "fir"])  # no token, no empty element
+    assert _searched(service, reference) == ([0], 0)
+    service.add_set(["", "fir"])  # no token in common, an empty element
+    assert service.stats.invalidated_token_hit == 1
+    assert _searched(service, reference) == ([0], 1)
+
+
+def _script(server) -> None:
+    """A fixed write sequence between searches (set ids 0..3 to start)."""
+    for reference in (["ash bay", "elm"], ["oak sky"], ["yew ivy"]):
+        server.search(reference)
+    server.add_set(["oak sky"])      # hits ["oak sky"]'s signature
+    server.add_set(["new words"])    # grows the vocabulary, hits nothing
+    server.search(["oak sky"])
+    server.remove_set(0)             # held by ["ash bay", "elm"]'s answer
+    server.update_set(3, ["elm"])    # remove held by ["yew ivy"]'s answer
+    server.search(["zeta"])          # an ephemeral signature
+    server.add_set(["zeta"])         # grows the vocabulary
+
+
+SCRIPT_SETS = [["ash bay", "elm"], ["ash bay", "fir"], ["oak sky"], ["yew ivy"]]
+
+
+def test_invalidations_by_reason_on_the_service_and_the_cluster():
+    config = SilkMothConfig(delta=0.5)
+    service = SilkMothService(config, wal_dir=False)
+    for elements in SCRIPT_SETS:
+        service.add_set(elements)
+    _script(service)
+    stats = service.stats
+    assert (
+        stats.invalidated_uncertified,
+        stats.invalidated_token_hit,
+        stats.invalidated_member,
+    ) == (0, 2, 2)
+    assert stats.invalidations == 4
+    assert stats.to_dict()["invalidations"] == 4
+    health = service.health()
+    assert health["cache"]["invalidated_token_hit"] == 2
+    assert health["cache"]["invalidated_member"] == 2
+    assert (
+        "invalidated:  0 uncertified, 2 token hit, 2 member"
+        in format_health(health)
+    )
+
+    with SilkMothCluster.from_sets(
+        SCRIPT_SETS, config, shards=2, transport="inline"
+    ) as cluster:
+        _script(cluster)
+        stats = cluster.stats
+        # Every cluster answer is uncertified: adds drop them all, and
+        # the removes here touch no cached answer's result.
+        assert (
+            stats.invalidated_uncertified,
+            stats.invalidated_token_hit,
+            stats.invalidated_member,
+        ) == (5, 0, 0)
+        assert cluster.health()["cache"]["invalidated_uncertified"] == 5
+
+
+# -- the cache's own structure ------------------------------------------
+
+
+def _maps_match(cache: LRUQueryCache) -> None:
+    """The token and member maps file exactly the live entries."""
+    filed = {key for keys in cache._by_token.values() for key in keys}
+    members = {key for keys in cache._by_member.values() for key in keys}
+    live = set(cache._entries)
+    assert filed == live
+    assert members <= live
+    for key, (_, tokens, held) in cache._entries.items():
+        assert all(key in cache._by_token[token] for token in tokens)
+        assert all(key in cache._by_member[member] for member in held)
+    assert all(cache._by_token.values()) and all(cache._by_member.values())
+
+
+def test_maps_hold_only_live_entries():
+    cache = LRUQueryCache(capacity=3)
+    cache.put(("a", "c"), "A", frozenset({1, 2}), [10, 11])
+    cache.put(("b", "c"), "B", None, [11])
+    cache.put(("c", "c"), "C", frozenset({2, EMPTY}), [])
+    _maps_match(cache)
+    cache.put(("d", "c"), "D", frozenset({EPHEMERAL, 5}), [12])  # evicts a
+    assert ("a", "c") not in cache._entries and cache.evictions == 1
+    _maps_match(cache)
+    assert 1 not in cache._by_token and 10 not in cache._by_member
+    assert cache.drop_member(11) == 1  # b
+    _maps_match(cache)
+    assert cache.drop_hits({EMPTY}) == (0, 1)  # c
+    _maps_match(cache)
+    assert cache.invalidate() == 1
+    _maps_match(cache)
+    assert not cache._by_token and not cache._by_member
+
+
+def test_an_uncertified_entry_survives_a_remove_outside_its_answer():
+    cache = LRUQueryCache()
+    cache.put(("a", "c"), "A", None, [1, 2])
+    assert cache._by_token == {UNCERTIFIED: {("a", "c")}}
+    assert cache.drop_member(3) == 0
+    assert cache.get(("a", "c")) == "A"
+    assert cache.drop_hits(set()) == (1, 0)  # any add drops it
+    assert len(cache) == 0
+
+
+def test_a_pool_answer_never_survives_an_add():
+    service = SilkMothService(SilkMothConfig(delta=0.5), wal_dir=False)
+    for elements in SCRIPT_SETS:
+        service.add_set(elements)
+    references = [["ash bay", "elm"], ["oak sky"]]
+    service.search_many(references, processes=2)
+    assert all(
+        (reference_fingerprint(r), service._config_fp) in service.cache._entries
+        for r in references
+    )
+    service.add_set(["unrelated words"])
+    assert len(service.cache) == 0
+    assert service.stats.invalidated_uncertified == 2

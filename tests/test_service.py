@@ -183,19 +183,22 @@ class TestQueryCache:
 
     def test_lru_evicts_oldest(self):
         cache = LRUQueryCache(capacity=2)
-        cache.put(("a", "c"), 0, 1)
-        cache.put(("b", "c"), 0, 2)
-        assert cache.get(("a", "c"), 0) == 1  # refreshes "a"
-        cache.put(("c", "c"), 0, 3)           # evicts "b"
-        assert cache.get(("b", "c"), 0) is None
-        assert cache.get(("a", "c"), 0) == 1
+        cache.put(("a", "c"), 1)
+        cache.put(("b", "c"), 2)
+        assert cache.get(("a", "c")) == 1  # refreshes "a"
+        cache.put(("c", "c"), 3)           # evicts "b"
+        assert cache.get(("b", "c")) is None
+        assert cache.get(("a", "c")) == 1
         assert cache.evictions == 1
 
-    def test_stale_generation_never_served(self):
+    def test_add_the_certificate_cannot_rule_out_is_never_served(self):
         cache = LRUQueryCache(capacity=4)
-        cache.put(("a", "c"), 0, "old")
-        assert cache.get(("a", "c"), 1) is None
-        assert len(cache) == 0  # dropped on sight
+        cache.put(("a", "c"), "old", frozenset({7, 9}))
+        assert cache.drop_hits({1, 2}) == (0, 0)
+        assert cache.get(("a", "c")) == "old"
+        assert cache.drop_hits({2, 9}) == (0, 1)
+        assert cache.get(("a", "c")) is None
+        assert len(cache) == 0  # dropped at the write
 
     def test_fingerprint_keeps_duplicate_elements(self):
         assert reference_fingerprint(["a", "a"]) != reference_fingerprint(["a"])
