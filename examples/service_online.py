@@ -4,7 +4,7 @@ The batch engine answers one query over a frozen collection; the
 service keeps the engine resident and stays exact while the collection
 changes underneath it.  This walkthrough runs a tiny address service
 through the full online lifecycle: ingest, query (cold then cached),
-mutate (which invalidates the cache), batch with duplicates, and
+mutate (the cached answer is kept up to date), batch with duplicates, and
 snapshot/restore.
 
 Run:  PYTHONPATH=src python examples/service_online.py
@@ -46,8 +46,9 @@ def main() -> None:
         f"(cache hits: {service.stats.cache_hits})\n"
     )
 
-    # Mutations bump the write generation, so the cache can never serve
-    # a stale answer.
+    # Writes keep the cached answer current: a remove deletes the set's
+    # row, and an add it may extend makes the next hit run one pass
+    # over the sets added since.
     service.remove_set(0)
     show("after remove_set(0)", service.search(REFERENCE))
     new = service.update_set(1, ["77 Mass Ave Boston MA", "Main St Austin TX"])

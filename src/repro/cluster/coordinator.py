@@ -25,7 +25,7 @@ A query runs in four steps:
    ``search`` and ``search_many`` are the single-node service's own
    (:class:`~repro.service.batch.QueryFront`).  Shards sign in their
    own vocabularies, so every cluster answer is uncertified: an add
-   drops them all, a remove only those holding the removed set.
+   drops them all; a remove deletes its row from those holding it.
 
 Mutations mirror :class:`repro.service.SilkMothService` semantics on
 the global id space -- ``add`` appends a fresh global id,
@@ -1026,15 +1026,22 @@ class SilkMothCluster(QueryFront):
         """A serving batch travels in discovery's blocks."""
         return PASS_BLOCK
 
+    def _next_set_id(self) -> int:
+        return len(self._placement)
+
     def _run_cold(
-        self, references: Sequence[Sequence[str]], processes: "int | None"
+        self,
+        references: Sequence[Sequence[str]],
+        processes: "int | None",
+        floor: int = 0,
     ) -> list[tuple[list[SearchResult], None]]:
         """Uncached cluster passes for a block of external references;
-        every answer uncertified (shards sign in their own vocabularies)."""
+        every answer uncertified (shards sign in their own vocabularies),
+        so none ever goes stale."""
         return [
             (results, None)
             for results, _ in self._search_block(
-                search_passes(len(references)), references
+                search_passes(len(references), floor), references
             )
         ]
 

@@ -64,9 +64,9 @@ class PassStats:
     #: Wall-clock seconds per stage, keyed by stage name
     #: ("signature", "select", "check", "nn", "verify").
     stage_seconds: dict = field(default_factory=dict)
-    #: A plain SEARCH pass's signature token set (``None``: no
-    #: signature -- a full scan or an empty reference -- or a discovery
-    #: pass): the result cache's certificate
+    #: A query reference's signature token set (``None``: no
+    #: signature -- a full scan or an empty reference -- or a
+    #: reference from a collection): the result cache's certificate
     #: (:mod:`repro.service.cache`).  Token ids mean something only to
     #: the collection that signed, so this is no counter: it is never
     #: folded, exported or pickled.

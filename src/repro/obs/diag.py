@@ -339,10 +339,9 @@ def format_health(payload: Dict[str, Any]) -> str:
             f"sim memo {cache.get('sim_hit_rate', 0.0):.0%}"
         )
         lines.append(
-            "invalidated:  "
-            f"{cache.get('invalidated_uncertified', 0)} uncertified, "
-            f"{cache.get('invalidated_token_hit', 0)} token hit, "
-            f"{cache.get('invalidated_member', 0)} member"
+            f"writes:       {cache.get('cache_refreshes', 0)} stale "
+            "answer(s) refreshed, "
+            f"{cache.get('invalidated_uncertified', 0)} uncertified dropped"
         )
     wal = payload.get("wal")
     if isinstance(wal, dict):

@@ -10,7 +10,8 @@ objects into registry updates at the moments they are recorded:
 * :func:`observe_query` from ``ServiceStats.record_query``;
 * :func:`observe_routing` from ``ClusterStats.record_routing``;
 * :func:`observe_invalidations` from ``QueryFront._written`` (one
-  write's dropped cache entries);
+  write's dropped cache entries) and :func:`observe_cache_refresh`
+  from ``QueryFront._current`` (one stale entry completed);
 * :func:`observe_mutation` / :func:`observe_snapshot` /
   :func:`observe_transport_error` from their respective call sites.
 
@@ -110,9 +111,12 @@ class _Handles:
         )
         self.invalidations = registry.register(
             "silkmoth_cache_invalidations_total",
-            "Result-cache entries writes dropped, by reason "
-            "(uncertified/token_hit/member).",
+            "Result-cache entries writes dropped, by reason (uncertified).",
             ("reason",),
+        )
+        self.refreshes = registry.register(
+            "silkmoth_cache_refreshes_total",
+            "Stale result-cache entries completed by a floored pass.",
         )
         self.snapshots = registry.register(
             "silkmoth_snapshot_io_total",
@@ -246,6 +250,11 @@ def observe_invalidations(reason: str, dropped: int) -> None:
     """Record *dropped* result-cache entries one write dropped for *reason*."""
     if dropped:
         handles().invalidations.inc(dropped, reason=reason)
+
+
+def observe_cache_refresh() -> None:
+    """Record one stale result-cache entry completed on a hit."""
+    handles().refreshes.inc()
 
 
 def observe_snapshot(direction: str) -> None:

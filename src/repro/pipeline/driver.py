@@ -107,9 +107,10 @@ def discovery_passes(
     return passes
 
 
-def search_passes(count: int) -> list[Pass]:
-    """*count* plain SEARCH passes: reference i against every set."""
-    return [(i, None, 0) for i in range(count)]
+def search_passes(count: int, floor: int = 0) -> list[Pass]:
+    """*count* SEARCH passes: reference i against every set with id >=
+    *floor* (a cached answer's refresh; 0 = every set)."""
+    return [(i, None, floor) for i in range(count)]
 
 
 def run_discovery(

@@ -90,8 +90,10 @@ class QueryPlan:
     stages: tuple[Stage, ...]
     #: Candidate floor: the pass considers only the live sets with
     #: id >= ``first_set`` (0 = the whole collection).  Set by
-    #: symmetric self-discovery alone
-    #: (:func:`repro.pipeline.driver.discovery_floor`) and honoured
+    #: symmetric self-discovery
+    #: (:func:`repro.pipeline.driver.discovery_floor`) and by the
+    #: refresh of a stale cached answer (the sets added since it was
+    #: cached, :class:`repro.service.batch.QueryFront`), and honoured
     #: where candidates are born -- the select stage's posting runs
     #: and its full scan -- so every later stage only ever sees
     #: surfaced ids.
@@ -203,11 +205,11 @@ class QueryPlan:
                     timings.get(stage.name, 0.0) + time.perf_counter() - started
                 )
             pass_span.set_attr("matches", stats.matches)
-        # Only a plain SEARCH pass's answer is cached, so only it
-        # carries the certificate (a discovery pass's would just sit in
-        # the run stats' window).
-        searched_all = self.skip_set is None and not self.first_set
-        if state.signature is not None and searched_all:
+        # Only a query reference's answer is cached (``query_set``: id
+        # -1, no set of the collection), floored or not, so only its
+        # pass carries the certificate; a discovery pass's would sit in
+        # the run stats' window.
+        if state.signature is not None and self.reference.set_id < 0:
             stats.certificate = state.signature.tokens
         if memo is not None:
             stats.sim_cache_hits = memo.hits - hits_before

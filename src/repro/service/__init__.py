@@ -3,8 +3,9 @@
 :class:`SilkMothService` wraps the batch engine as a long-lived system:
 sets can be added, removed and updated between queries (tombstones +
 lazy index cleanup keep every answer exact), repeated references are
-served from an LRU query cache whose entries a write drops only when
-it can change them (certified invalidation),
+served from an LRU query cache whose answers are maintained across
+writes (a remove edits them, an add marks the ones it may extend
+stale, and their next hit completes them with one floored pass),
 batches deduplicate and fan out across processes, and the whole service
 round-trips through version-2 snapshots.  ``search``, ``search_many``
 and the cache logic live in :class:`repro.service.batch.QueryFront`,

@@ -8,16 +8,18 @@ at all.)
 :class:`repro.cluster.SilkMothCluster` share: the cache key, the
 cache probe, intra-batch deduplication, the
 :class:`~repro.service.stats.ServiceStats` accounting and the one write
-rule, :meth:`QueryFront._written`: each write drops exactly the cached
-answers it can change (certified invalidation,
-:mod:`repro.service.cache`).  A batch's duplicates collapse onto one
-computation, references whose answer is still cached come from the
-cache, and the cold remainder goes to the subclass's *cold runner* in
-blocks, each reference charged an equal share of its block's wall
-clock.  The cold runner is one of the pass
-runners of :mod:`repro.pipeline.driver`: the service's is the engine
-runner, one reference per block (or, for ``processes > 1``, the pool
-runner over the whole remainder); the cluster's sends blocks of
+rule, :meth:`QueryFront._written`: a remove edits the answers holding
+the set, an add marks the certified answers it hits stale and drops
+the uncertified ones (:mod:`repro.service.cache`).  A hit on a stale
+answer completes it with one pass floored at its watermark -- the sets
+added since it was cached -- and takes that pass's certificate.  A
+batch's duplicates collapse onto one computation, references whose
+answer is cached come from the cache, and the cold remainder goes to
+the subclass's *cold runner* in blocks, each reference charged an
+equal share of its block's wall clock.  The cold runner is one of the
+pass runners of :mod:`repro.pipeline.driver`: the service's is the
+engine runner, one reference per block (or, for ``processes > 1``, the
+pool runner over the whole remainder); the cluster's sends blocks of
 :data:`repro.cluster.coordinator.PASS_BLOCK` references to its shards.
 """
 
@@ -27,16 +29,16 @@ import time
 from typing import Iterable, Sequence
 
 from repro.core.engine import SearchResult
-from repro.obs.instrument import observe_invalidations
+from repro.obs.instrument import observe_cache_refresh, observe_invalidations
 from repro.obs.trace import span
 from repro.service.cache import reference_fingerprint
 
 
 class QueryFront:
-    """``search`` / ``search_many`` over a certified result cache.
+    """``search`` / ``search_many`` over a maintained result cache.
 
     A subclass provides ``cache``, ``generation`` (bumped by every
-    write), ``stats``, ``_config_fp`` and the two hooks below, and
+    write), ``stats``, ``_config_fp`` and the three hooks below, and
     reports each write to :meth:`_written`.
     """
 
@@ -45,64 +47,85 @@ class QueryFront:
         raise NotImplementedError
 
     def _run_cold(
-        self, references: Sequence[Sequence[str]], processes: int | None
+        self,
+        references: Sequence[Sequence[str]],
+        processes: int | None,
+        floor: int = 0,
     ) -> list[tuple[list[SearchResult], frozenset | None]]:
-        """Uncached passes: one ``(results, certificate)`` per raw
-        reference, in order (:func:`repro.service.cache.certificate`;
-        ``None`` = uncertified)."""
+        """Uncached passes over the sets with id >= *floor*: one
+        ``(results, certificate)`` per raw reference, in order
+        (:func:`repro.service.cache.certificate`; ``None`` =
+        uncertified)."""
+        raise NotImplementedError
+
+    def _next_set_id(self) -> int:
+        """The id the next added set gets (ids are never reused)."""
         raise NotImplementedError
 
     def _cache_put(self, key, results, certificate) -> tuple:
-        """Cache one cold answer; returns it as the cached tuple."""
-        answer = tuple(results)
-        self.cache.put(
-            key, answer, certificate, [result.set_id for result in answer]
+        """Cache one answer, current to now; returns its rows."""
+        return self.cache.put(
+            key, results, certificate, self._next_set_id()
+        ).answer
+
+    def _current(self, key, entry, elements) -> tuple:
+        """A cached entry's rows, completing a stale one first: one pass
+        floored at its watermark finds the sets added since, their rows
+        are appended (ids ascend) and the entry takes that pass's
+        certificate -- the old one may hold ephemeral ids of tokens an
+        add has since made real."""
+        if not entry.stale:
+            return entry.answer
+        floor = entry.watermark
+        ((results, certificate),) = self._run_cold([elements], None, floor)
+        self.stats.cache_refreshes += 1
+        observe_cache_refresh()
+        return self._cache_put(
+            key,
+            entry.answer + tuple(r for r in results if r.set_id >= floor),
+            certificate,
         )
-        return answer
 
     def _written(
         self, removed: int | None = None, added: Iterable | None = None
     ) -> None:
-        """Account one write: bump the generation, then drop exactly
-        the cached answers it can change.
+        """Account one write: bump the generation, then bring the
+        cached answers up to date with it.
 
-        *removed* is the id of a set the write tombstoned: only the
-        answers holding it change.  *added* are the certificate keys of
+        *removed* is the id of a set the write tombstoned: the answers
+        holding it lose its row.  *added* are the certificate keys of
         a set it appended (:func:`repro.service.cache.write_keys`; a
         server whose entries are all uncertified passes none): every
-        uncertified answer and every answer whose certificate they hit
-        may change.  An update passes both.
+        uncertified answer is dropped and every answer whose
+        certificate they hit goes stale.  An update passes both.
         """
         self.generation += 1
-        stats = self.stats
         if removed is not None:
-            member = self.cache.drop_member(removed)
-            stats.invalidated_member += member
-            observe_invalidations("member", member)
+            self.cache.removed(removed)
         if added is not None:
-            uncertified, hit = self.cache.drop_hits(added)
-            stats.invalidated_uncertified += uncertified
-            stats.invalidated_token_hit += hit
-            observe_invalidations("uncertified", uncertified)
-            observe_invalidations("token_hit", hit)
+            dropped = self.cache.added(added)
+            self.stats.invalidated_uncertified += dropped
+            observe_invalidations("uncertified", dropped)
 
     def search(self, elements: Sequence[str]) -> list[SearchResult]:
         """All live sets related to the raw reference *elements*.
 
         Served from the cache when this reference (under this config)
-        was answered and no write since could change the answer;
-        otherwise one pass runs and the answer is cached.  Set ids are
-        the server's own.
+        was answered before -- completed first by a pass over the sets
+        added since, when an add may have extended it; otherwise one
+        pass runs and the answer is cached.  Set ids are the server's
+        own.
         """
         with span("service.query") as query_span:
             key = (reference_fingerprint(elements), self._config_fp)
             started = time.perf_counter()
             with span("cache.probe"):
-                cached = self.cache.get(key)
-            if cached is not None:
+                entry = self.cache.get(key)
+            if entry is not None:
                 query_span.set_attr("cache", "hit")
+                answer = self._current(key, entry, elements)
                 self.stats.record_query(time.perf_counter() - started, True)
-                return list(cached)
+                return list(answer)
             query_span.set_attr("cache", "miss")
             ((results, certificate),) = self._run_cold([elements], None)
             self._cache_put(key, results, certificate)
@@ -117,7 +140,8 @@ class QueryFront:
         """Answer a batch of references; one result list per input.
 
         Exact duplicates within the batch are computed once; references
-        whose answer is still cached are served without a pass; the
+        whose answer is cached are served from it (a stale one
+        completed as in :meth:`search`); the
         cold remainder runs in blocks through the cold runner.
         *processes* > 1 fans a single node's cold references out
         across a process pool; a cluster's parallelism comes from its
@@ -134,9 +158,10 @@ class QueryFront:
         cold: list[tuple[str, Sequence[str]]] = []
         for fingerprint, elements in unique.items():
             started = time.perf_counter()
-            cached = self.cache.get((fingerprint, self._config_fp))
-            if cached is not None:
-                answers[fingerprint] = cached
+            key = (fingerprint, self._config_fp)
+            entry = self.cache.get(key)
+            if entry is not None:
+                answers[fingerprint] = self._current(key, entry, elements)
                 self.stats.record_query(time.perf_counter() - started, True)
             else:
                 cold.append((fingerprint, elements))

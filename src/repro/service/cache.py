@@ -1,16 +1,22 @@
-"""The query cache: an LRU of search answers, certified by their signatures.
+"""The query cache: an LRU of search answers, maintained across writes.
 
 A search result depends only on (a) the multiset of reference element
 strings, (b) the engine configuration, and (c) the logical contents of
 the searched collection.  (a) and (b) are folded into a fingerprint
-key.  (c) is handled by *certified invalidation*, applied eagerly at
-each write and resting on the paper's Lemma 1: a set related to R
-shares a token with R's signature, whenever that set was added.
+key.  (c) is handled at each write, resting on two facts: relatedness
+is pairwise, and the paper's Lemma 1 -- a set related to R shares a
+token with R's signature, whenever that set was added.
 
-* **remove S** drops only the entries whose answer holds S: removing a
-  set changes no other (reference, set) pair;
-* **add S** drops only the entries whose *certificate* S can hit;
+* **remove S**: the answers holding S lose that one row;
+* **add S**: the entries whose *certificate* S can hit go *stale*;
+  entries no certificate vouches for are dropped;
 * **update** is a remove followed by an add.
+
+Set ids are never reused, so the sets added since an entry was cached
+are those with id >= its *watermark* (the collection's length then):
+a hit on a stale entry is completed by one pass floored there
+(:class:`repro.service.batch.QueryFront`), whose certificate replaces
+the entry's.
 
 An entry's certificate (:func:`certificate`) is the signature token set
 of the pass that answered it, plus two marker keys: :data:`EPHEMERAL`
@@ -22,9 +28,9 @@ empty element scores 1 against another empty element with no token in
 common).  :func:`write_keys` lists what an added set can hit.  Entries
 no signature vouches for -- full-scan passes, empty references, pool
 workers' and shards' passes, whose token ids are not the caller's --
-are *uncertified*: any add drops them, a remove outside their answer
-keeps them.  A token -> entries map and a set id -> entries map make a
-write cost its own token and member count, never the cache size.
+are *uncertified*: any add drops them.  A token -> entries map and a
+set id -> entries map make a write cost its own token and member
+count, never the cache size.
 
 Fingerprints use SHA-1 over a canonical JSON encoding.  Element order
 within a reference does not affect the exact result set (the matching
@@ -38,6 +44,7 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import OrderedDict
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Sequence
 
@@ -124,15 +131,26 @@ def write_keys(record: SetRecord, grew_vocabulary: bool) -> set:
     return keys
 
 
+@dataclass(eq=False)
+class CacheEntry:
+    """One cached answer: rows in ascending set id, certificate keys,
+    the collection length it is current to, and whether an add since
+    may have extended it."""
+
+    answer: tuple
+    tokens: frozenset | tuple
+    watermark: int
+    stale: bool = False
+
+
 class LRUQueryCache:
-    """Bounded LRU of query answers with certified invalidation."""
+    """Bounded LRU of query answers, maintained across writes."""
 
     def __init__(self, capacity: int = 1024):
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        #: key -> (value, certificate keys, member set ids).
-        self._entries: OrderedDict[tuple[str, str], tuple] = OrderedDict()
+        self._entries: OrderedDict[tuple[str, str], CacheEntry] = OrderedDict()
         #: Certificate key -> the cache keys filed under it.
         self._by_token: dict[object, set] = {}
         #: Set id -> the cache keys whose answer holds it.
@@ -144,11 +162,11 @@ class LRUQueryCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def get(self, key: tuple[str, str]):
-        """The cached value for *key*, else ``None``.
+    def get(self, key: tuple[str, str]) -> CacheEntry | None:
+        """The entry for *key*, else ``None``.
 
-        Every entry still cached is current: writes drop the entries
-        they can change as they happen.
+        A stale entry's rows are still exact, but sets added at or
+        above its watermark may be missing from them.
         """
         entry = self._entries.get(key)
         if entry is None:
@@ -156,41 +174,47 @@ class LRUQueryCache:
             return None
         self._entries.move_to_end(key)
         self.hits += 1
-        return entry[0]
+        return entry
 
     def put(
         self,
         key: tuple[str, str],
-        value,
-        certificate: frozenset | None = None,
-        members=(),
-    ) -> None:
-        """Cache *value* for *key* (LRU-evicting).
+        answer,
+        certificate: frozenset | None,
+        watermark: int,
+    ) -> CacheEntry:
+        """Cache *answer* (rows in ascending set id) for *key*,
+        LRU-evicting; replaces any entry *key* had.
 
-        *certificate* is the entry's :func:`certificate` (``None``:
-        uncertified); *members* are the set ids its answer holds.
+        *certificate* is the answer's :func:`certificate` (``None``:
+        uncertified); *watermark* is the collection's length when the
+        answer was computed.
         """
+        entry = CacheEntry(
+            tuple(answer),
+            (UNCERTIFIED,) if certificate is None else certificate,
+            watermark,
+        )
         if self.capacity == 0:
-            return
+            return entry
         if key in self._entries:
             self._drop(key)
-        tokens = (UNCERTIFIED,) if certificate is None else certificate
-        members = frozenset(members)
-        self._entries[key] = (value, tokens, members)
-        for token in tokens:
+        self._entries[key] = entry
+        for token in entry.tokens:
             self._by_token.setdefault(token, set()).add(key)
-        for member in members:
-            self._by_member.setdefault(member, set()).add(key)
+        for row in entry.answer:
+            self._by_member.setdefault(row.set_id, set()).add(key)
         while len(self._entries) > self.capacity:
             self._drop(next(iter(self._entries)))
             self.evictions += 1
+        return entry
 
     def _drop(self, key: tuple[str, str]) -> None:
         """Delete one entry from the LRU and from both maps."""
-        _, tokens, members = self._entries.pop(key)
+        entry = self._entries.pop(key)
         for index, items in (
-            (self._by_token, tokens),
-            (self._by_member, members),
+            (self._by_token, entry.tokens),
+            (self._by_member, [row.set_id for row in entry.answer]),
         ):
             for item in items:
                 keys = index[item]
@@ -198,32 +222,32 @@ class LRUQueryCache:
                 if not keys:
                     del index[item]
 
-    def _drop_filed(self, index: dict, item) -> int:
-        """Drop every entry *index* files under *item*; how many."""
-        keys = index.get(item)
-        if not keys:
-            return 0
-        keys = list(keys)
+    def removed(self, set_id: int) -> int:
+        """A remove of *set_id*: the answers holding it lose its row;
+        returns how many."""
+        keys = self._by_member.pop(set_id, ())
         for key in keys:
-            self._drop(key)
+            entry = self._entries[key]
+            entry.answer = tuple(
+                row for row in entry.answer if row.set_id != set_id
+            )
         return len(keys)
 
-    def drop_member(self, set_id: int) -> int:
-        """A remove of *set_id*: drop the entries whose answer holds it."""
-        return self._drop_filed(self._by_member, set_id)
-
-    def drop_hits(self, tokens) -> tuple[int, int]:
+    def added(self, tokens) -> int:
         """An add whose certificate keys are *tokens* (:func:`write_keys`).
 
-        Drops every uncertified entry, then every entry whose
-        certificate holds one of *tokens*; returns the two counts.
+        Drops every uncertified entry and marks stale every entry whose
+        certificate holds one of *tokens*; returns the number dropped.
         """
         by_token = self._by_token
-        uncertified = self._drop_filed(by_token, UNCERTIFIED)
-        hit = 0
+        dropped = list(by_token.get(UNCERTIFIED, ()))
+        for key in dropped:
+            self._drop(key)
+        entries = self._entries
         for token in by_token.keys() & tokens:
-            hit += self._drop_filed(by_token, token)
-        return uncertified, hit
+            for key in by_token[token]:
+                entries[key].stale = True
+        return len(dropped)
 
     def invalidate(self) -> int:
         """Drop every entry; returns how many were dropped."""

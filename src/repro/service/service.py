@@ -9,10 +9,12 @@ engine resident and adds what online serving needs:
   posting deletion in the index, with a threshold-triggered
   :meth:`compact`;
 * **caching** -- an LRU keyed by (reference fingerprint, config
-  fingerprint) with certified invalidation: a write drops only the
-  cached answers it can change (a remove, those holding the set; an
-  add, those whose signature it shares a token with), so hot
-  references skip the pipeline entirely;
+  fingerprint) whose answers are maintained across writes: a remove
+  deletes the set's row from the answers holding it, an add marks
+  stale the answers whose signature it shares a token with, and a hit
+  on a stale answer completes it with one pass over the sets added
+  since (:mod:`repro.service.cache`), so hot references skip most of
+  the pipeline;
 * **batching** -- :meth:`search_many` deduplicates a batch, serves
   hits from the cache, and fans the cold remainder out across a
   process pool;
@@ -31,6 +33,10 @@ engine resident and adds what online serving needs:
 Every answer remains exact: the engine skips tombstoned sets at
 candidate selection, so results always equal brute force over the
 logically live sets.
+
+**Threads.** A service is not safe for concurrent calls: serialise
+them.  Every mutation writes, and so does :meth:`search` -- a hit on
+a stale answer runs a pass and rewrites the cache entry.
 """
 
 from __future__ import annotations
@@ -300,11 +306,18 @@ class SilkMothService(QueryFront):
         the process pool takes the whole cold remainder at once."""
         return None if processes is not None and processes > 1 else 1
 
+    def _next_set_id(self) -> int:
+        return len(self.collection)
+
     def _run_cold(
-        self, references: Sequence[Sequence[str]], processes: int | None
+        self,
+        references: Sequence[Sequence[str]],
+        processes: int | None,
+        floor: int = 0,
     ) -> list[tuple[list[SearchResult], frozenset | None]]:
-        """One search pass per reference: the engine runner in-process,
-        or the pool runner over the live sets.
+        """One search pass per reference over the sets with id >=
+        *floor*: the engine runner in-process, or the pool runner over
+        the live sets.
 
         Either way each pass's :class:`~repro.core.stats.PassStats` is
         folded into :attr:`stats` and the engine's run stats, the
@@ -313,7 +326,7 @@ class SilkMothService(QueryFront):
         in-process pass signs in this collection's vocabulary, so only
         its answer is certified.
         """
-        passes = search_passes(len(references))
+        passes = search_passes(len(references), floor)
         if processes is not None and processes > 1:
             # The workers rebuild the collection from its live raw sets,
             # so their set ids are positions in the live-id table.

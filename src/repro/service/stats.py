@@ -3,8 +3,9 @@
 :class:`repro.core.stats.RunStats` counts what the *pipeline* did
 (candidates per funnel stage, one :class:`PassStats` per executed pass).
 :class:`ServiceStats` counts what the *service* did around it: queries
-served, cache hits and misses, mutations, compactions, cached answers
-dropped by writes (by reason), and lifetime query wall-clock seconds.
+served, cache hits and misses, stale answers refreshed, uncertified
+answers dropped by writes, mutations, compactions, and lifetime query
+wall-clock seconds.
 A cache hit increments ``queries`` and ``cache_hits`` but adds nothing
 to the engine's ``RunStats`` -- which is exactly how tests assert that
 hot references skip the signature/filter/verify pipeline entirely.
@@ -42,13 +43,12 @@ class ServiceStats:
     removes: int = 0
     updates: int = 0
     compactions: int = 0
-    #: Cached answers writes dropped, by reason (certified
-    #: invalidation, :mod:`repro.service.cache`): uncertified answers
-    #: any add drops, answers whose certificate an add hit, and
-    #: answers holding a removed set.
+    #: Uncertified cached answers adds dropped (every other answer is
+    #: kept across writes, :mod:`repro.service.cache`).
     invalidated_uncertified: int = 0
-    invalidated_token_hit: int = 0
-    invalidated_member: int = 0
+    #: Cache hits on a stale answer, each completed by one pass over
+    #: the sets added since it was cached.
+    cache_refreshes: int = 0
     snapshots_saved: int = 0
     #: Element-pair similarity memo lookups served / missed across the
     #: cold queries this service ran (edit kinds; see
@@ -68,12 +68,8 @@ class ServiceStats:
 
     @property
     def invalidations(self) -> int:
-        """Cached answers dropped by writes, every reason together."""
-        return (
-            self.invalidated_uncertified
-            + self.invalidated_token_hit
-            + self.invalidated_member
-        )
+        """Cached answers dropped by writes: the uncertified ones."""
+        return self.invalidated_uncertified
 
     @property
     def cache_hit_rate(self) -> float:
@@ -126,8 +122,7 @@ class ServiceStats:
             "hit_rate": round(self.cache_hit_rate, 4),
             "sim_hit_rate": round(self.sim_cache_hit_rate, 4),
             "invalidated_uncertified": self.invalidated_uncertified,
-            "invalidated_token_hit": self.invalidated_token_hit,
-            "invalidated_member": self.invalidated_member,
+            "cache_refreshes": self.cache_refreshes,
         }
 
     def to_dict(self) -> dict:
@@ -151,9 +146,10 @@ class ServiceStats:
         The lifetime totals and means survive; derived rates are
         recomputed.  Keys this version does not know --
         ``backend_seconds`` in payloads written before the compute
-        backends became one -- are ignored, and so is the
-        ``invalidations`` total of payloads written before it was split
-        by reason (it counted writes, not dropped answers).
+        backends became one, and ``invalidated_token_hit`` /
+        ``invalidated_member`` from the days writes dropped those
+        answers -- are ignored, and so is ``invalidations``, which is
+        derived (and once counted writes, not dropped answers).
         """
         stats = cls()
         for name in _counter_names(stats):

@@ -1,15 +1,17 @@
-"""Certified invalidation: a write drops exactly the answers it can change.
+"""Maintained cache answers: no write drops a certified answer.
 
-The result cache keeps an answer across a write unless the write can
-change it (:mod:`repro.service.cache`): a remove drops the answers that
-hold the removed set, an add drops the uncertified answers and those
-whose signature certificate the added set hits.  The differential
-oracle below runs generated histories of adds, removes, updates,
-``search`` and ``search_many`` and, after every operation, compares
-every reference's answer -- ids and scores -- with brute force over the
-live sets.  The references carry tokens the collection has not seen
-(some adds bring them in later) and empty elements, the two cases
-where a signature token alone does not decide a hit.
+The result cache keeps its answers across writes
+(:mod:`repro.service.cache`): a remove deletes the removed set's row
+from the answers holding it, an add drops the uncertified answers and
+marks stale those whose signature certificate the added set hits, and
+a hit on a stale answer completes it with one pass floored at its
+watermark.  The differential oracle below runs generated histories of
+adds, removes, updates, ``search`` and ``search_many`` and, after every
+operation, compares every reference's answer -- ids and scores -- with
+brute force over the live sets.  The references carry tokens the
+collection has not seen (some adds bring them in later) and empty
+elements, the two cases where a signature token alone does not decide
+a hit.
 
 Every test runs once per kernel mode (``strategies.kernels``).
 """
@@ -24,7 +26,10 @@ from repro.baselines.brute_force import brute_force_search
 from repro.cluster import SilkMothCluster
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.records import SetCollection
+from repro.core.results import SearchResult
 from repro.obs.diag import format_health
+from repro.obs.metrics import get_registry
+from repro.pipeline.stages import CandidateSelectStage
 from repro.service import LRUQueryCache, SilkMothService, reference_fingerprint
 from repro.service.cache import EMPTY, EPHEMERAL, UNCERTIFIED
 from repro.sim.functions import SimilarityKind
@@ -119,6 +124,17 @@ class _Server:
         self.processes = 2 if kind == "service-pool" else None
         self.live = {i: list(elements) for i, elements in enumerate(initial)}
         self.next_id = len(initial)
+        #: Cached answers removes edited (rather than dropped).
+        self.edited = 0
+        cache = self.server.cache
+        removed = cache.removed
+
+        def counting(set_id):
+            edited = removed(set_id)
+            self.edited += edited
+            return edited
+
+        cache.removed = counting
 
     def close(self) -> None:
         if self.kind == "cluster":
@@ -206,20 +222,18 @@ def test_every_answer_equals_brute_force_after_every_operation(kind, name):
         survived = _run_history(server, 23, references, spare, ops=60)
         stats = server.server.stats
         assert stats.cache_hits > 0
+        # Removes edited cached answers on every server.
+        assert server.edited > 0
         if kind == "cluster":
             # Shards sign in their own vocabularies: no certificate, so
             # every add dropped every cached answer.
             assert survived == 0
-            assert stats.invalidated_token_hit == 0
+            assert stats.cache_refreshes == 0
         else:
-            # The probes' own passes are certified: answers outlive adds.
+            # The probes' own passes are certified: answers outlive
+            # adds, and hits completed the stale ones.
             assert survived > 0
-            assert stats.invalidated_token_hit > 0
-        assert stats.invalidations == (
-            stats.invalidated_uncertified
-            + stats.invalidated_token_hit
-            + stats.invalidated_member
-        )
+            assert stats.cache_refreshes > 0
     finally:
         server.close()
 
@@ -238,20 +252,101 @@ def test_a_cached_answer_survives_an_add_that_misses_its_signature():
     assert _searched(service, reference) == ([0], 1)
     service.add_set(["yew ivy", "oak"])  # no token of the reference
     assert _searched(service, reference) == ([0], 0)  # a hit, no pass
-    assert service.stats.invalidations == 0
     service.add_set(["ash bay", "elm"])  # hits the signature
-    assert _searched(service, reference) == ([0, 4], 1)
-    assert service.stats.invalidated_token_hit == 1
+    assert _searched(service, reference) == ([0, 4], 1)  # a refresh
+    assert service.stats.cache_refreshes == 1
+    assert service.stats.cache_misses == 1
+    assert service.stats.invalidations == 0
 
 
-def test_an_add_that_makes_an_unseen_token_real_drops_the_answer():
+def test_an_add_that_makes_an_unseen_token_real_marks_the_answer_stale():
     service = SilkMothService(SilkMothConfig(delta=0.5), wal_dir=False)
     service.add_set(["ash bay"])
     reference = ["zeta omega"]
     assert _searched(service, reference) == ([], 1)
     service.add_set(["zeta omega"])  # grows the vocabulary
     assert _searched(service, reference) == ([1], 1)
-    assert service.stats.invalidated_token_hit == 1
+    assert service.stats.cache_refreshes == 1
+
+
+def test_a_refresh_takes_the_certificate_of_its_pass():
+    """The refreshed answer must be re-certified in today's vocabulary.
+
+    Signed before ``zeta`` and ``omega`` were real, the answer's
+    certificate is the ephemeral marker alone.  Once an add has made
+    them real, an add holding them no longer grows the vocabulary, so
+    it hits only a certificate re-signed since.
+    """
+    service = SilkMothService(SilkMothConfig(delta=0.5), wal_dir=False)
+    service.add_set(["ash bay"])
+    reference = ["zeta omega"]
+    key = (reference_fingerprint(reference), service._config_fp)
+    assert _searched(service, reference) == ([], 1)
+    assert service.cache.get(key).tokens == frozenset({EPHEMERAL})
+    service.add_set(["zeta", "omega"])  # makes both real; unrelated
+    assert _searched(service, reference) == ([], 1)  # the refresh
+    assert EPHEMERAL not in service.cache.get(key).tokens
+    known = len(service.collection.vocabulary)
+    service.add_set(["zeta omega"])  # holds them, grows nothing
+    assert len(service.collection.vocabulary) == known
+    assert _searched(service, reference) == ([2], 1)
+    assert service.stats.cache_refreshes == 2
+
+
+def test_one_refresh_is_one_pass_over_the_sets_added_since(monkeypatch):
+    config = SilkMothConfig(delta=0.4)
+    initial, _, _ = _pool(seed=5)
+    reference = ["fir", "yew"]  # answered by sets 3, 5 and 11
+    writes = [
+        ("add", ["fir"]),
+        ("remove", 3),
+        ("add", ["oak sky"]),
+        ("add", ["fir", "yew", "elm"]),
+        ("update", 11, ["yew"]),
+        ("add", ["elm ash"]),
+    ]
+
+    def build():
+        service = SilkMothService(config, wal_dir=False)
+        for elements in initial:
+            service.add_set(elements)
+        return service
+
+    def write(service):
+        for op, *args in writes:
+            getattr(service, f"{op}_set")(*args)
+
+    service = build()
+    cold = service.search(reference)
+    watermark = len(service.collection)
+    write(service)
+    entry = service.cache.get((reference_fingerprint(reference), service._config_fp))
+    assert entry.stale and entry.watermark == watermark
+
+    surfaced = []
+    run = CandidateSelectStage.run
+
+    def recording(self, plan, state, stats):
+        run(self, plan, state, stats)
+        surfaced.append(list(state.batch.set_ids))
+
+    monkeypatch.setattr(CandidateSelectStage, "run", recording)
+    passes = service.engine.stats.passes
+    refreshed = service.search(reference)
+    assert service.engine.stats.passes == passes + 1
+    assert service.stats.cache_refreshes == 1
+    (candidates,) = surfaced
+    assert candidates and min(candidates) >= watermark
+    monkeypatch.undo()
+
+    fresh = build()
+    write(fresh)
+    expected = fresh.search(reference)
+    rows = [(r.set_id, r.score, r.relatedness) for r in refreshed]
+    assert rows == [(r.set_id, r.score, r.relatedness) for r in expected]
+    # Set 5's row is the cached one; the others are the refresh's.
+    assert [r.set_id for r in cold] == [3, 5, 11]
+    assert [r.set_id for r in refreshed] == [5, 12, 14, 15]
 
 
 def test_an_empty_element_add_reaches_an_empty_element_answer():
@@ -261,13 +356,15 @@ def test_an_empty_element_add_reaches_an_empty_element_answer():
     service = SilkMothService(SilkMothConfig(delta=0.7), wal_dir=False)
     service.add_set(["", "ash"])
     reference = ["", "ash"]
+    key = (reference_fingerprint(reference), service._config_fp)
     assert _searched(service, reference) == ([0], 1)
     assert service.engine.stats.full_scans == 0  # a certified answer
     service.add_set(["oak", "fir"])  # no token, no empty element
     assert _searched(service, reference) == ([0], 0)
     service.add_set(["", "fir"])  # no token in common, an empty element
-    assert service.stats.invalidated_token_hit == 1
+    assert service.cache.get(key).stale
     assert _searched(service, reference) == ([0], 1)
+    assert service.stats.cache_refreshes == 1
 
 
 def _script(server) -> None:
@@ -276,35 +373,39 @@ def _script(server) -> None:
         server.search(reference)
     server.add_set(["oak sky"])      # hits ["oak sky"]'s signature
     server.add_set(["new words"])    # grows the vocabulary, hits nothing
-    server.search(["oak sky"])
+    server.search(["oak sky"])       # a refresh on the service
     server.remove_set(0)             # held by ["ash bay", "elm"]'s answer
     server.update_set(3, ["elm"])    # remove held by ["yew ivy"]'s answer
     server.search(["zeta"])          # an ephemeral signature
     server.add_set(["zeta"])         # grows the vocabulary
+    server.search(["zeta"])          # a refresh on the service
 
 
 SCRIPT_SETS = [["ash bay", "elm"], ["ash bay", "fir"], ["oak sky"], ["yew ivy"]]
 
 
-def test_invalidations_by_reason_on_the_service_and_the_cluster():
+def _exposed(name: str) -> float:
+    family = get_registry().get(name)
+    return family.value() if family is not None else 0
+
+
+def test_write_counters_on_the_service_and_the_cluster():
     config = SilkMothConfig(delta=0.5)
     service = SilkMothService(config, wal_dir=False)
     for elements in SCRIPT_SETS:
         service.add_set(elements)
+    refreshes = _exposed("silkmoth_cache_refreshes_total")
     _script(service)
     stats = service.stats
-    assert (
-        stats.invalidated_uncertified,
-        stats.invalidated_token_hit,
-        stats.invalidated_member,
-    ) == (0, 2, 2)
-    assert stats.invalidations == 4
-    assert stats.to_dict()["invalidations"] == 4
+    assert (stats.invalidated_uncertified, stats.cache_refreshes) == (0, 2)
+    assert _exposed("silkmoth_cache_refreshes_total") - refreshes == 2
+    assert stats.invalidations == 0
+    assert stats.to_dict()["cache_refreshes"] == 2
     health = service.health()
-    assert health["cache"]["invalidated_token_hit"] == 2
-    assert health["cache"]["invalidated_member"] == 2
+    assert health["cache"]["cache_refreshes"] == 2
+    assert "invalidated_token_hit" not in health["cache"]
     assert (
-        "invalidated:  0 uncertified, 2 token hit, 2 member"
+        "writes:       2 stale answer(s) refreshed, 0 uncertified dropped"
         in format_health(health)
     )
 
@@ -314,57 +415,68 @@ def test_invalidations_by_reason_on_the_service_and_the_cluster():
         _script(cluster)
         stats = cluster.stats
         # Every cluster answer is uncertified: adds drop them all, and
-        # the removes here touch no cached answer's result.
-        assert (
-            stats.invalidated_uncertified,
-            stats.invalidated_token_hit,
-            stats.invalidated_member,
-        ) == (5, 0, 0)
+        # none is ever stale.
+        assert (stats.invalidated_uncertified, stats.cache_refreshes) == (5, 0)
         assert cluster.health()["cache"]["invalidated_uncertified"] == 5
 
 
 # -- the cache's own structure ------------------------------------------
 
 
+def _answer(*set_ids) -> tuple:
+    return tuple(SearchResult(set_id, 1.0, 1.0) for set_id in set_ids)
+
+
 def _maps_match(cache: LRUQueryCache) -> None:
-    """The token and member maps file exactly the live entries."""
+    """The token and member maps file exactly the live entries' keys
+    and rows."""
     filed = {key for keys in cache._by_token.values() for key in keys}
     members = {key for keys in cache._by_member.values() for key in keys}
     live = set(cache._entries)
     assert filed == live
-    assert members <= live
-    for key, (_, tokens, held) in cache._entries.items():
-        assert all(key in cache._by_token[token] for token in tokens)
-        assert all(key in cache._by_member[member] for member in held)
+    assert members == {k for k, e in cache._entries.items() if e.answer}
+    for key, entry in cache._entries.items():
+        assert all(key in cache._by_token[token] for token in entry.tokens)
+        assert all(key in cache._by_member[r.set_id] for r in entry.answer)
+    held = {(r.set_id, k) for k, e in cache._entries.items() for r in e.answer}
+    assert held == {(i, k) for i, keys in cache._by_member.items() for k in keys}
     assert all(cache._by_token.values()) and all(cache._by_member.values())
 
 
 def test_maps_hold_only_live_entries():
     cache = LRUQueryCache(capacity=3)
-    cache.put(("a", "c"), "A", frozenset({1, 2}), [10, 11])
-    cache.put(("b", "c"), "B", None, [11])
-    cache.put(("c", "c"), "C", frozenset({2, EMPTY}), [])
+    cache.put(("a", "c"), _answer(10, 11), frozenset({1, 2}), 20)
+    cache.put(("b", "c"), _answer(11), None, 20)
+    cache.put(("c", "c"), _answer(), frozenset({2, EMPTY}), 20)
     _maps_match(cache)
-    cache.put(("d", "c"), "D", frozenset({EPHEMERAL, 5}), [12])  # evicts a
+    cache.put(("d", "c"), _answer(12), frozenset({EPHEMERAL, 5}), 20)  # evicts a
     assert ("a", "c") not in cache._entries and cache.evictions == 1
     _maps_match(cache)
     assert 1 not in cache._by_token and 10 not in cache._by_member
-    assert cache.drop_member(11) == 1  # b
+    assert cache.removed(11) == 1  # b loses the row, keeps the entry
+    assert cache.get(("b", "c")).answer == ()
     _maps_match(cache)
-    assert cache.drop_hits({EMPTY}) == (0, 1)  # c
+    assert cache.added({EMPTY}) == 1  # drops b, marks c stale
+    assert cache.get(("c", "c")).stale and not cache.get(("d", "c")).stale
     _maps_match(cache)
-    assert cache.invalidate() == 1
+    cache.put(("c", "c"), _answer(21), frozenset({3}), 22)  # its refresh
+    assert not cache.get(("c", "c")).stale
+    assert EMPTY not in cache._by_token
+    _maps_match(cache)
+    assert cache.invalidate() == 2
     _maps_match(cache)
     assert not cache._by_token and not cache._by_member
 
 
-def test_an_uncertified_entry_survives_a_remove_outside_its_answer():
+def test_an_uncertified_entry_survives_a_remove_but_not_an_add():
     cache = LRUQueryCache()
-    cache.put(("a", "c"), "A", None, [1, 2])
+    cache.put(("a", "c"), _answer(1, 2), None, 5)
     assert cache._by_token == {UNCERTIFIED: {("a", "c")}}
-    assert cache.drop_member(3) == 0
-    assert cache.get(("a", "c")) == "A"
-    assert cache.drop_hits(set()) == (1, 0)  # any add drops it
+    assert cache.removed(3) == 0
+    assert cache.get(("a", "c")).answer == _answer(1, 2)
+    assert cache.removed(1) == 1
+    assert cache.get(("a", "c")).answer == _answer(2)
+    assert cache.added(set()) == 1  # any add drops it
     assert len(cache) == 0
 
 

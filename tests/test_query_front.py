@@ -9,11 +9,12 @@ force) and the same serving counters on both.  On the cluster a cold
 batch travels in blocks: ``ceil(N / PASS_BLOCK)`` ``search`` requests
 per routed shard, not one per reference.
 
-Both fronts share the write rule too (certified invalidation), but not
+Both fronts share the write rule too (maintained answers), but not
 the certificates: the service signs in its own vocabulary, so an add
-that misses a cached answer's signature keeps it; every cluster answer
-is uncertified (shards sign in theirs), so any add drops it.  A remove
-drops the answers holding the removed set on both.
+keeps every answer, marking stale only those whose signature it hits;
+every cluster answer is uncertified (shards sign in theirs), so any
+add drops it.  A remove deletes its row from the answers holding it on
+both.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ def _program(server) -> list:
     ask(batch, server.search_many(batch))  # hits, duplicates, > 1 block
     ask(batch[:4], server.search_many(batch[:4]))  # all cached now
     server.remove_set(0)
-    # The remove drops only the answers holding set 0.
+    # The remove deletes set 0's row; every answer stays cached.
     ask(COLD[:3], server.search_many(COLD[:3]))
     return [[(r.set_id, r.score) for r in rows] for rows in answers]
 
@@ -88,17 +89,24 @@ def _program(server) -> list:
 def _add_leg(server) -> tuple:
     """An add sharing no token with COLD[0], then COLD[0] again.
 
-    Returns (answers cached before the add, answers it dropped, cache
-    hits of the search, the answer's rows).
+    Returns (answers cached before the add, answers it dropped,
+    answers it marked stale, cache hits and passes of the search, the
+    answer's rows).
     """
     cached = len(server.cache)
     server.add_set(["oak sky", "yew ivy"])
     dropped = cached - len(server.cache)
-    hits = server.stats.cache_hits
+    stale = sum(entry.stale for entry in server.cache._entries.values())
+    hits, misses = server.stats.cache_hits, server.stats.cache_misses
+    refreshes = server.stats.cache_refreshes
     rows = server.search(COLD[0])
     if isinstance(server, SilkMothService):
         assert [r.set_id for r in rows] == _brute_ids(server, COLD[0])
-    return cached, dropped, server.stats.cache_hits - hits, [
+    passes = (
+        server.stats.cache_misses - misses
+        + server.stats.cache_refreshes - refreshes
+    )
+    return cached, dropped, stale, server.stats.cache_hits - hits, passes, [
         (r.set_id, r.score) for r in rows
     ]
 
@@ -116,24 +124,25 @@ def test_service_and_cluster_share_one_front(transport):
         assert _program(cluster) == expected
         for name in COUNTERS:
             assert getattr(cluster.stats, name) == getattr(service.stats, name)
-        assert service.stats.invalidated_member > 0
-        cached, dropped, hits, rows = _add_leg(cluster)
+        # Every distinct reference missed once: the remove of set 0
+        # (held by COLD[0]'s answer) dropped nothing.
+        assert service.stats.cache_misses == len(COLD)
+        cached, dropped, stale, hits, passes, rows = _add_leg(cluster)
         # Uncertified: the add dropped every cached answer, COLD[0]'s too.
         assert dropped == cached == cluster.stats.invalidated_uncertified
-        assert hits == 0
+        assert (stale, hits, passes) == (0, 0, 1)
     assert service.stats.cache_hits > 0
     assert service.stats.batch_queries_deduplicated == 2
-    # Certified: the add dropped only the answers whose signature it
-    # hits, and COLD[0]'s is not one of them.
-    token_hits = service.stats.invalidated_token_hit
-    assert _add_leg(service) == (
-        cached,
-        service.stats.invalidated_token_hit - token_hits,
-        1,
-        rows,
+    # Certified: the add dropped nothing and marked stale only the
+    # answers whose signature it hits; COLD[0]'s is not one of them,
+    # so its search is a hit with no pass.
+    cached_service, dropped, stale, hits, passes, service_rows = _add_leg(
+        service
     )
-    assert service.stats.invalidated_token_hit - token_hits < cached
-    assert service.stats.invalidated_uncertified == 0
+    assert (cached_service, dropped, hits, passes) == (cached, 0, 1, 0)
+    assert 0 < stale < cached
+    assert service_rows == rows
+    assert service.stats.invalidations == 0
 
 
 def test_cold_batch_costs_one_search_request_per_block_per_shard():

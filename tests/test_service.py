@@ -4,7 +4,8 @@ The hard guarantee is the acceptance criterion for the whole subsystem:
 under any interleaving of add/remove/update with queries, the service's
 answers equal brute force over the logically live sets, for both
 metrics.  The cache tests pin the other contract: a hit never runs the
-pipeline, and a mutation means the next query cannot be served stale.
+pipeline, except one pass over the sets added since when an add may
+have extended its answer, so a mutation is never served stale.
 """
 
 import random
@@ -13,6 +14,7 @@ import pytest
 
 from repro.baselines.brute_force import brute_force_search
 from repro.core.config import Relatedness, SilkMothConfig
+from repro.core.results import SearchResult
 from repro.core.stats import PER_PASS_WINDOW
 from repro.obs.sketch import reset_sketch_registry
 from repro.service import LRUQueryCache, SilkMothService, reference_fingerprint
@@ -32,6 +34,10 @@ def _brute_ids(service, raw_reference):
         r.set_id
         for r in brute_force_search(reference, service.collection, service.config)
     )
+
+
+def _rows(*set_ids):
+    return tuple(SearchResult(set_id, 1.0, 1.0) for set_id in set_ids)
 
 
 def _service(metric=Relatedness.SIMILARITY, delta=0.5, **kwargs):
@@ -155,23 +161,30 @@ class TestQueryCache:
         service.search(["c d", "a b"])
         assert service.stats.cache_hits == 1
 
-    def test_mutation_invalidates(self):
+    def test_an_add_refreshes_the_answer(self):
         service = _service(delta=0.6)
         service.add_set(["a b c"])
         first = service.search(["a b c"])
         assert [r.set_id for r in first] == [0]
         service.add_set(["a b c"])
+        passes = service.engine.stats.passes
         second = service.search(["a b c"])
-        assert service.stats.cache_hits == 0
+        # A hit on the stale answer, completed by one floored pass.
+        assert service.stats.cache_hits == 1
+        assert service.stats.cache_refreshes == 1
+        assert service.engine.stats.passes == passes + 1
         assert [r.set_id for r in second] == [0, 1]
 
-    def test_remove_invalidates(self):
+    def test_a_remove_deletes_its_row_from_the_answer(self):
         service = _service(delta=0.6)
         service.add_set(["a b c"])
         service.add_set(["a b c"])
         assert [r.set_id for r in service.search(["a b c"])] == [0, 1]
         service.remove_set(0)
+        passes = service.engine.stats.passes
         assert [r.set_id for r in service.search(["a b c"])] == [1]
+        assert service.engine.stats.passes == passes  # a hit, no pass
+        assert service.stats.cache_refreshes == 0
 
     def test_capacity_zero_disables_caching(self):
         service = _service(cache_capacity=0)
@@ -183,22 +196,23 @@ class TestQueryCache:
 
     def test_lru_evicts_oldest(self):
         cache = LRUQueryCache(capacity=2)
-        cache.put(("a", "c"), 1)
-        cache.put(("b", "c"), 2)
-        assert cache.get(("a", "c")) == 1  # refreshes "a"
-        cache.put(("c", "c"), 3)           # evicts "b"
+        cache.put(("a", "c"), _rows(1), None, 5)
+        cache.put(("b", "c"), _rows(2), None, 5)
+        assert cache.get(("a", "c")).answer == _rows(1)  # refreshes "a"
+        cache.put(("c", "c"), _rows(3), None, 5)         # evicts "b"
         assert cache.get(("b", "c")) is None
-        assert cache.get(("a", "c")) == 1
+        assert cache.get(("a", "c")).answer == _rows(1)
         assert cache.evictions == 1
 
-    def test_add_the_certificate_cannot_rule_out_is_never_served(self):
+    def test_an_add_the_certificate_cannot_rule_out_marks_the_entry_stale(self):
         cache = LRUQueryCache(capacity=4)
-        cache.put(("a", "c"), "old", frozenset({7, 9}))
-        assert cache.drop_hits({1, 2}) == (0, 0)
-        assert cache.get(("a", "c")) == "old"
-        assert cache.drop_hits({2, 9}) == (0, 1)
-        assert cache.get(("a", "c")) is None
-        assert len(cache) == 0  # dropped at the write
+        cache.put(("a", "c"), _rows(3), frozenset({7, 9}), 5)
+        assert cache.added({1, 2}) == 0
+        assert not cache.get(("a", "c")).stale
+        assert cache.added({2, 9}) == 0  # kept, not dropped
+        entry = cache.get(("a", "c"))
+        assert entry.stale and entry.answer == _rows(3)
+        assert entry.watermark == 5  # what the refresh is floored at
 
     def test_fingerprint_keeps_duplicate_elements(self):
         assert reference_fingerprint(["a", "a"]) != reference_fingerprint(["a"])

@@ -153,6 +153,36 @@ def test_an_old_service_snapshot_loads(tmp_path, name):
     assert not any("backend" in key for key in saved["planner"])
 
 
+def test_retired_invalidation_counters_load(tmp_path):
+    """Stats written while writes still dropped certified answers carry
+    per-reason drop counts; the two reasons no write has any more are
+    ignored, the uncertified count is kept."""
+    config, fingerprint = PINNED["jaccard"]
+    stats = dict(
+        OLD_STATS, invalidations=9, invalidated_uncertified=2,
+        invalidated_token_hit=4, invalidated_member=3,
+    )
+    path = tmp_path / "service.json"
+    _write(path, {
+        "format": "silkmoth-collection", "version": 2,
+        "similarity": config.similarity.value, "q": config.effective_q,
+        "sets": SETS, "deleted": [2],
+        "service": {
+            "generation": 5, "config_fingerprint": fingerprint,
+            "stats": stats, "planner": OLD_DECISION,
+        },
+    })
+    service = SilkMothService.load(path, config)
+    restored = service.stats.to_dict()
+    assert restored["invalidated_uncertified"] == 2
+    assert restored["invalidations"] == 2
+    assert restored["cache_refreshes"] == 0
+    assert restored["queries"] == OLD_STATS["queries"]
+    assert "invalidated_token_hit" not in restored
+    assert "invalidated_member" not in restored
+    assert _answers(service) == _answers(_fresh_service(config))
+
+
 def test_an_old_cluster_manifest_loads(tmp_path):
     manifest = tmp_path / "m.json"
     shard_sets = [[SETS[0], SETS[2]], [SETS[1], SETS[3]]]
