@@ -489,7 +489,6 @@ def cmd_cluster_shard(args: argparse.Namespace) -> int:
         config,
         shards=args.shards,
         transport="inline",
-        summary_bits=args.summary_bits,
     ) as cluster:
         for set_id in args.remove or ():
             if not cluster.is_live(set_id):
@@ -579,15 +578,13 @@ def cmd_cluster_info(args: argparse.Namespace) -> int:
         print(f"live sets:    {len(cluster)}")
         print(f"generation:   {cluster.generation}")
         info = cluster.info()
-        summary = info["summary"]
         print(
-            f"routing:      "
+            "routing:      "
             + (
                 "summary intersection"
                 if info["routing_certificate"]
                 else "broadcast"
             )
-            + f" ({summary['kind']} summaries)"
         )
         print(f"shard live:   {info['shard_live_sets']}")
         if "profile" in info:
@@ -1077,15 +1074,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help=f"shard count (default: {help_default('SILKMOTH_SHARDS')})",
-    )
-    shard.add_argument(
-        "--summary-bits",
-        type=int,
-        default=None,
-        help=(
-            "cap each routing summary at this many Bloom bits "
-            "(default: exact token-hash sets)"
-        ),
     )
     shard.add_argument(
         "--remove",

@@ -8,16 +8,20 @@ single-node search/discover/service API and its exactness guarantees.
 
 Layout:
 
-* :mod:`repro.cluster.routing` -- per-shard token summaries (exact or
-  Bloom) and the pair-level certificate that makes skipping shards
-  provably exact;
+* :mod:`repro.cluster.coordinator` -- the cluster itself: placement
+  and rebalancing policy, fan-out/merge, mutations, discovery,
+  snapshots and introspection, over the three parts below;
+* :mod:`repro.cluster.directory` -- the global id space: placement,
+  raw texts, tombstones, and the one derivation of a shard's state;
+* :mod:`repro.cluster.replicas` -- the replica grid: endpoint
+  construction, health, failover reads, lockstep writes, per-replica
+  WAL directories;
+* :mod:`repro.cluster.routing` -- per-shard token summaries and the
+  pair-level certificate that makes skipping shards provably exact;
 * :mod:`repro.cluster.shard` -- the shard-side command host (a wrapped
   single-node service);
 * :mod:`repro.cluster.transport` -- inline / process / socket shard
   transports speaking one submit/collect protocol;
-* :mod:`repro.cluster.coordinator` -- the cluster itself: global id
-  space, placement, routing, fan-out/merge, mutations, rebalancing
-  compaction, snapshots, shard replication and failover;
 * :mod:`repro.cluster.faults` -- deterministic fault injection (seeded
   fault plans + a fault-injecting transport wrapper) for the chaos
   suites;
@@ -25,7 +29,7 @@ Layout:
   rebalancing and failover counters.
 """
 
-from repro.cluster.coordinator import ClusterDegradedError, SilkMothCluster
+from repro.cluster.coordinator import SilkMothCluster
 from repro.cluster.faults import (
     FAULT_KINDS,
     WAL_CRASH_POINTS,
@@ -37,6 +41,7 @@ from repro.cluster.faults import (
     crash_at,
     crash_point,
 )
+from repro.cluster.replicas import ClusterDegradedError
 from repro.cluster.routing import (
     ReferenceProbe,
     ShardSummary,

@@ -1,9 +1,10 @@
 """Signature routing: which shards can possibly answer a query.
 
-The coordinator keeps one :class:`ShardSummary` per shard -- a compact,
-transport-agnostic digest of every index token the shard holds.  A
-query is fanned out only to shards whose summary *might* intersect the
-reference's token universe; the rest are skipped without any work.
+The coordinator's :class:`ShardRouter` keeps one :class:`ShardSummary`
+per shard -- a transport-agnostic digest of every index token the
+shard holds.  A query is fanned out only to shards whose summary
+intersects the reference's token universe; the rest are skipped
+without any work.
 
 Soundness does not lean on the pipeline at all.  A shard may be skipped
 only under the pair-level certificate of
@@ -27,12 +28,8 @@ Tokens are summarised by a *stable* 64-bit hash of the token string
 (:func:`token_hash`), never by vocabulary ids: each shard interns its
 own vocabulary, and worker processes cannot share Python ``hash``
 values (per-process salting), so the string digest is the only
-representation that survives every transport.
-
-Two summary implementations share one interface: the exact set (no
-false positives) and a Bloom filter whose size is capped by the
-``SILKMOTH_SHARD_SUMMARY_BITS`` knob (false positives only ever route
-to *extra* shards, which costs speed, never exactness).
+representation that survives every transport.  Summaries are exact
+hash sets: no false positives, so routing skips every shard it can.
 """
 
 from __future__ import annotations
@@ -43,12 +40,8 @@ from typing import Iterable, Sequence
 
 from repro.core.config import SilkMothConfig
 from repro.planner.validity import prefix_scheme_valid
+from repro.obs.trace import span
 from repro.tokenize.tokenizers import Tokenizer
-
-#: Hash functions per Bloom summary (classic small-k choice; with the
-#: summary sized generously the false-positive rate stays low, and a
-#: false positive only routes one extra shard).
-BLOOM_HASHES = 3
 
 
 def token_hash(token: str) -> int:
@@ -62,109 +55,23 @@ def token_hash(token: str) -> int:
     return int.from_bytes(digest, "big")
 
 
-class ExactTokenSummary:
-    """The exact summary: a set of 64-bit token hashes.
-
-    Memory grows with the shard's distinct tokens; membership tests are
-    exact, so routing skips every shard it possibly can.
-    """
-
-    def __init__(self) -> None:
-        self._hashes: set[int] = set()
-
-    def add(self, token_hash_value: int) -> None:
-        """Record one token hash as present in the shard."""
-        self._hashes.add(token_hash_value)
-
-    def might_contain(self, token_hash_value: int) -> bool:
-        """Exact membership -- no false positives, no false negatives."""
-        return token_hash_value in self._hashes
-
-    def __len__(self) -> int:
-        return len(self._hashes)
-
-    @property
-    def kind(self) -> str:
-        """Summary implementation name (cluster info reports)."""
-        return "exact"
-
-
-class BloomTokenSummary:
-    """A fixed-size Bloom filter over token hashes.
-
-    The bit array is a Python big-int (bit ``i`` set iff some token
-    hashed onto it), so memory is ``bits / 8`` bytes regardless of how
-    many tokens the shard holds.  ``might_contain`` can return false
-    positives -- routing then fans out to a shard that will answer with
-    zero results -- but never false negatives, so exactness is
-    unaffected.
-    """
-
-    def __init__(self, bits: int):
-        if bits < 8:
-            raise ValueError(f"a Bloom summary needs >= 8 bits, got {bits}")
-        self.bits = bits
-        self._array = 0
-        self._count = 0
-
-    def _positions(self, token_hash_value: int) -> Iterable[int]:
-        """The :data:`BLOOM_HASHES` bit positions for one token hash.
-
-        Derived Kirsch-Mitzenmacher style from the two 32-bit halves of
-        the 64-bit digest, so no extra hashing is needed per probe.
-        """
-        low = token_hash_value & 0xFFFFFFFF
-        high = token_hash_value >> 32
-        for i in range(BLOOM_HASHES):
-            yield (low + i * high) % self.bits
-
-    def add(self, token_hash_value: int) -> None:
-        """Set the token's bits in the filter."""
-        for position in self._positions(token_hash_value):
-            self._array |= 1 << position
-        self._count += 1
-
-    def might_contain(self, token_hash_value: int) -> bool:
-        """Membership with possible false positives (sound for routing)."""
-        return all(
-            self._array >> position & 1
-            for position in self._positions(token_hash_value)
-        )
-
-    def __len__(self) -> int:
-        return self._count
-
-    @property
-    def kind(self) -> str:
-        """Summary implementation name (cluster info reports)."""
-        return "bloom"
-
-
-def make_token_summary(summary_bits: int):
-    """Build the summary implementation the sizing knob selects."""
-    if summary_bits > 0:
-        return BloomTokenSummary(summary_bits)
-    return ExactTokenSummary()
-
-
 @dataclass
 class ShardSummary:
-    """Routing digest of one shard: token summary plus the empty flag.
+    """Routing digest of one shard: token hashes plus the empty flag.
 
     Mutation contract: :meth:`add_set_tokens` must be called for every
     set added to the shard (summaries are append-only between rebuilds;
     removals leave stale entries, which can only over-route).
-    :meth:`rebuild` replaces the state wholesale after compaction, when
-    tombstoned sets' tokens are finally dropped.
+    :meth:`ShardRouter.rebuild` replaces them wholesale after
+    compaction, when tombstoned sets' tokens are finally dropped.
     """
 
-    tokens: object = field(default_factory=ExactTokenSummary)
+    tokens: set = field(default_factory=set)
     has_empty: bool = False
 
     def add_set_tokens(self, hashes: Iterable[int], has_empty: bool) -> None:
         """Fold one added set's token hashes (and empty flag) in."""
-        for value in hashes:
-            self.tokens.add(value)
+        self.tokens.update(hashes)
         if has_empty:
             self.has_empty = True
 
@@ -172,16 +79,7 @@ class ShardSummary:
         """Whether this shard could return a non-empty result for *probe*."""
         if probe.has_empty and self.has_empty:
             return True
-        return any(self.tokens.might_contain(value) for value in probe.hashes)
-
-    def rebuild(
-        self, hashes: Iterable[int], has_empty: bool, summary_bits: int
-    ) -> None:
-        """Replace the summary from a fresh shard token inventory."""
-        self.tokens = make_token_summary(summary_bits)
-        for value in hashes:
-            self.tokens.add(value)
-        self.has_empty = has_empty
+        return not self.tokens.isdisjoint(probe.hashes)
 
 
 @dataclass(frozen=True)
@@ -234,3 +132,45 @@ def routing_certificate_holds(config: SilkMothConfig) -> bool:
     return prefix_scheme_valid(
         config.similarity, config.alpha, config.effective_q
     )
+
+
+class ShardRouter:
+    """The coordinator's routing state: one summary per shard.
+
+    Owns the tokenizer the probes hash with and the certificate
+    verdict for the cluster's config; without the certificate every
+    query broadcasts and the summaries are never consulted.
+    """
+
+    def __init__(self, config: SilkMothConfig, n_shards: int):
+        self.tokenizer = Tokenizer(
+            kind=config.similarity, q=config.effective_q
+        )
+        self.certificate = routing_certificate_holds(config)
+        self.summaries = [ShardSummary() for _ in range(n_shards)]
+
+    def add(self, shard: int, elements: Iterable[str]) -> None:
+        """Fold one set placed on *shard* into its summary."""
+        self.summaries[shard].add_set_tokens(
+            *element_token_hashes(self.tokenizer, elements)
+        )
+
+    def shards_for(self, elements: Sequence[str]) -> list[int]:
+        """Shard indices that might answer the raw reference *elements*."""
+        if not self.certificate:
+            # Broadcast mode never consults a probe; skip hashing.
+            return list(range(len(self.summaries)))
+        with span("cluster.route"):
+            probe = reference_probe(self.tokenizer, elements)
+            return [
+                k
+                for k, summary in enumerate(self.summaries)
+                if summary.may_answer(probe)
+            ]
+
+    def rebuild(self, inventories: Sequence[tuple]) -> None:
+        """Replace every summary from the shards' ``summary`` replies."""
+        self.summaries = [
+            ShardSummary(set(hashes), has_empty)
+            for hashes, has_empty in inventories
+        ]

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.cluster.routing import token_hash
+from repro.cluster.routing import reference_probe
 from repro.core.config import SilkMothConfig
 from repro.core.records import SetCollection
 from repro.io.wal import reset_wal_directory
@@ -196,18 +196,15 @@ class ShardHost:
         inventory matches the index exactly.
         """
         collection = self.service.collection
-        tokenizer = collection.tokenizer
-        hashes: set[int] = set()
-        has_empty = False
-        for record in collection.iter_live():
-            for element in record.elements:
-                tokens = tokenizer.index_tokens(element.text)
-                if not tokens:
-                    has_empty = True
-                    continue
-                for token in tokens:
-                    hashes.add(token_hash(token))
-        return sorted(hashes), has_empty
+        inventory = reference_probe(
+            collection.tokenizer,
+            (
+                element.text
+                for record in collection.iter_live()
+                for element in record.elements
+            ),
+        )
+        return sorted(inventory.hashes), inventory.has_empty
 
     def _cmd_export(self) -> tuple[list[list[str]], list[int], int]:
         """Raw shard state: (sets in local-id order, tombstones, generation).

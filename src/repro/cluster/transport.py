@@ -151,19 +151,8 @@ class ShardTransport(abc.ABC):
 class InlineTransport(ShardTransport):
     """The shard host running inside the coordinator's process."""
 
-    def __init__(
-        self,
-        config: SilkMothConfig,
-        raw_sets: Sequence[Sequence[str]] = (),
-        deleted: Sequence[int] = (),
-        compact_dead_fraction: float = 0.25,
-        wal_dir: "str | None" = None,
-        recover: bool = False,
-    ):
-        self.host = ShardHost(
-            config, raw_sets, deleted, compact_dead_fraction,
-            wal_dir=wal_dir, recover=recover,
-        )
+    def __init__(self, *host_args):
+        self.host = ShardHost(*host_args)
         self._pending: list = []
         self._dead = False
 
@@ -204,8 +193,8 @@ class InlineTransport(ShardTransport):
 def _worker_loop(conn: Connection) -> None:
     """The worker-side command loop shared by process and socket shards.
 
-    Protocol: first message is the ``(config, raw_sets, deleted,
-    compact_dead_fraction, wal_dir, recover)`` construction tuple;
+    Protocol: first message is the construction tuple (the
+    :class:`~repro.cluster.shard.ShardHost` arguments, in order);
     afterwards each ``(command, payload)`` message yields one
     ``(ok, value)`` reply, where a False ``ok`` carries the formatted
     traceback.  The loop exits on the ``"close"`` command or a closed
@@ -217,14 +206,9 @@ def _worker_loop(conn: Connection) -> None:
     worker, because the whole point of the crash harness is a genuine
     process death at that instruction.
     """
-    config, raw_sets, deleted, compact_dead_fraction, wal_dir, recover = (
-        conn.recv()
-    )
+    host_args = conn.recv()
     try:
-        host = ShardHost(
-            config, raw_sets, deleted, compact_dead_fraction,
-            wal_dir=wal_dir, recover=recover,
-        )
+        host = ShardHost(*host_args)
         conn.send((True, "ready"))
     except CrashInjected:  # pragma: no cover - exercised via subprocess
         os._exit(1)
@@ -264,26 +248,9 @@ class _RemoteTransport(ShardTransport):
         #: Whether the worker's construction reply has been consumed.
         self._ready = False
 
-    def _start(
-        self,
-        config: SilkMothConfig,
-        raw_sets: Sequence[Sequence[str]],
-        deleted: Sequence[int],
-        compact_dead_fraction: float,
-        wal_dir: "str | None" = None,
-        recover: bool = False,
-    ) -> None:
+    def _start(self, host_args: tuple) -> None:
         """Ship the construction tuple; the reply is :meth:`await_ready`'s."""
-        self._conn.send(
-            (
-                config,
-                tuple(tuple(elements) for elements in raw_sets),
-                tuple(deleted),
-                compact_dead_fraction,
-                wal_dir,
-                recover,
-            )
-        )
+        self._conn.send(host_args)
 
     def await_ready(self) -> None:
         """Wait for the worker's ready reply (or its construction error)."""
@@ -390,15 +357,7 @@ class ProcessTransport(_RemoteTransport):
 
     kind = "process"
 
-    def __init__(
-        self,
-        config: SilkMothConfig,
-        raw_sets: Sequence[Sequence[str]] = (),
-        deleted: Sequence[int] = (),
-        compact_dead_fraction: float = 0.25,
-        wal_dir: "str | None" = None,
-        recover: bool = False,
-    ):
+    def __init__(self, *host_args):
         super().__init__()
         parent, child = multiprocessing.Pipe()
         self._process = multiprocessing.Process(
@@ -407,10 +366,7 @@ class ProcessTransport(_RemoteTransport):
         self._process.start()
         child.close()
         self._conn = parent
-        self._start(
-            config, raw_sets, deleted, compact_dead_fraction,
-            wal_dir, recover,
-        )
+        self._start(host_args)
 
 
 def _socket_worker(address, authkey: bytes) -> None:
@@ -433,15 +389,7 @@ class SocketTransport(_RemoteTransport):
 
     kind = "socket"
 
-    def __init__(
-        self,
-        config: SilkMothConfig,
-        raw_sets: Sequence[Sequence[str]] = (),
-        deleted: Sequence[int] = (),
-        compact_dead_fraction: float = 0.25,
-        wal_dir: "str | None" = None,
-        recover: bool = False,
-    ):
+    def __init__(self, *host_args):
         super().__init__()
         authkey = multiprocessing.current_process().authkey
         listener = Listener(("127.0.0.1", 0), authkey=bytes(authkey))
@@ -455,10 +403,7 @@ class SocketTransport(_RemoteTransport):
             self._conn = listener.accept()
         finally:
             listener.close()
-        self._start(
-            config, raw_sets, deleted, compact_dead_fraction,
-            wal_dir, recover,
-        )
+        self._start(host_args)
 
 
 #: Transport name -> constructor.
@@ -485,10 +430,11 @@ def make_transport(
     :meth:`~ShardTransport.await_ready` blocks until the shard is
     built and raises its construction error; ``submit`` and ``close``
     imply it, so an endpoint that is simply used behaves as if it had
-    been ready all along.  *wal_dir* / *recover* pass straight through
-    to :class:`~repro.cluster.shard.ShardHost`: the replica's private
-    write-ahead-log directory, and whether to rebuild from it instead
-    of from *raw_sets*.
+    been ready all along.  The arguments are
+    :class:`~repro.cluster.shard.ShardHost`'s, and every transport
+    constructor takes them in that order: *wal_dir* / *recover* are
+    the replica's private write-ahead-log directory, and whether to
+    rebuild from it instead of from *raw_sets*.
     """
     try:
         factory = _TRANSPORTS[name]
@@ -498,6 +444,10 @@ def make_transport(
             f"{', '.join(KNOWN_TRANSPORTS)}"
         ) from None
     return factory(
-        config, raw_sets, deleted, compact_dead_fraction,
-        wal_dir=wal_dir, recover=recover,
+        config,
+        tuple(tuple(elements) for elements in raw_sets),
+        tuple(deleted),
+        compact_dead_fraction,
+        wal_dir,
+        recover,
     )

@@ -28,15 +28,15 @@ with its live-set membership and counters intact::
     }
 
 Version 3 (shard snapshot) is a version-2 snapshot plus the shard's
-place in a cluster -- its index, its local-to-global id map and its
-shard-local write generation -- so one shard file is self-describing
-and a whole cluster is a manifest plus N shard files::
+place in a cluster -- its index and its local-to-global id map -- so
+one shard file is self-describing and a whole cluster is a manifest
+plus N shard files (older files also carry a shard ``generation``,
+which nothing reads)::
 
     {
       ...same fields as version 2...,
       "version": 3,
-      "shard": {"shard_index": 0, "local_to_global": [...],
-                "generation": 4}
+      "shard": {"shard_index": 0, "local_to_global": [...]}
     }
 
 The cluster manifest is a separate, tiny format
@@ -375,7 +375,7 @@ def save_shard_snapshot(
     holds raw texts (its directory) and must not pay a full
     re-tokenisation just to snapshot a shard.  *deleted* holds the
     shard-local tombstoned ids; *shard_meta* is the cluster-shard
-    descriptor (shard index, local-to-global map, shard generation).
+    descriptor (shard index, local-to-global map).
     """
     payload = {
         "format": FORMAT_NAME,

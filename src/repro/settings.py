@@ -189,11 +189,6 @@ SETTINGS: Dict[str, Setting] = {
             "shard carrier", choices=("inline", "process", "socket"),
         ),
         Setting(
-            "SILKMOTH_SHARD_SUMMARY_BITS", "int", 0,
-            "Bloom bits per shard routing summary; 0 keeps exact sets",
-            low=0,
-        ),
-        Setting(
             "SILKMOTH_WAL_DIR", "path", None,
             "write-ahead-log directory; unset disables durability",
         ),

@@ -235,6 +235,16 @@ def test_mutating_dead_ids_raises():
             cluster.update_set(0, ["b"])
         with pytest.raises(KeyError):
             cluster.remove_set(99)
+        cluster.add_set(["c d", "a b"])
+        # Tombstoned ids still answer; ids never assigned do not (a
+        # negative id must not index from the end of the tables).
+        assert cluster.raw_set(0) == ("a",)
+        assert cluster.placement_of(0) == (0, 0)
+        for bad in (-1, -2, 2, 99):
+            with pytest.raises(KeyError):
+                cluster.raw_set(bad)
+            with pytest.raises(KeyError):
+                cluster.placement_of(bad)
 
 
 def test_empty_reference_answers_without_fanout():

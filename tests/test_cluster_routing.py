@@ -10,29 +10,25 @@ both halves of that contract on randomized data:
   would have contributed zero results.
 
 Plus the unit behaviour of the summaries themselves -- exact sets,
-Bloom filters (false positives allowed, false negatives never), the
-empty-element flag, and the certificate predicate per configuration.
+the empty-element flag, and the certificate predicate per
+configuration.
 """
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.brute_force import brute_force_search
 from repro.cluster import SilkMothCluster, routing_certificate_holds
 from repro.cluster.routing import (
-    BloomTokenSummary,
-    ExactTokenSummary,
+    ShardRouter,
     ShardSummary,
     element_token_hashes,
-    make_token_summary,
     reference_probe,
     token_hash,
 )
 from repro.core.config import SilkMothConfig
-from repro.settings import resolve
 from repro.core.records import SetCollection
 from repro.sim.functions import SimilarityKind
 from repro.tokenize.tokenizers import Tokenizer
@@ -50,16 +46,11 @@ _SETTINGS = settings(
     reference=token_sets(),
     config=token_configs(),
     shards=st.integers(min_value=2, max_value=4),
-    summary_bits=st.sampled_from([0, 256]),
 )
 @_SETTINGS
-def test_skipped_shards_provably_empty(
-    sets, reference, config, shards, summary_bits
-):
+def test_skipped_shards_provably_empty(sets, reference, config, shards):
     """Skipped shard => zero token overlap => brute force finds nothing."""
-    with SilkMothCluster.from_sets(
-        sets, config, shards=shards, summary_bits=summary_bits
-    ) as cluster:
+    with SilkMothCluster.from_sets(sets, config, shards=shards) as cluster:
         cluster.search(reference)
         routed = {k for k, _ in cluster.last_pass.per_shard}
         skipped = set(range(cluster.n_shards)) - routed
@@ -138,41 +129,12 @@ def test_broadcast_without_certificate():
 
 
 def test_exact_summary_membership():
-    """Exact summaries have neither false positives nor negatives."""
-    summary = ExactTokenSummary()
-    summary.add(token_hash("ash"))
-    assert summary.might_contain(token_hash("ash"))
-    assert not summary.might_contain(token_hash("oak"))
-    assert summary.kind == "exact"
-    assert len(summary) == 1
-
-
-def test_bloom_summary_no_false_negatives():
-    """Every added token is always reported present."""
-    summary = BloomTokenSummary(bits=64)
-    hashes = [token_hash(f"token{i}") for i in range(50)]
-    for value in hashes:
-        summary.add(value)
-    assert all(summary.might_contain(value) for value in hashes)
-    assert summary.kind == "bloom"
-
-
-def test_bloom_false_positives_only_over_route():
-    """An undersized Bloom summary routes extra shards, never fewer."""
-    config = SilkMothConfig(delta=0.3)
-    sets = [["ash bay"], ["oak sky"], ["ivy yew"], ["elm fir"]]
-    with SilkMothCluster.from_sets(
-        sets, config, shards=2, summary_bits=0
-    ) as exact:
-        with SilkMothCluster.from_sets(
-            sets, config, shards=2, summary_bits=8
-        ) as bloom:
-            for reference in (["ash bay"], ["oak"], ["nothing shared"]):
-                assert bloom.search(reference) == exact.search(reference)
-                assert (
-                    bloom.last_pass.shards_routed
-                    >= exact.last_pass.shards_routed
-                )
+    """Summaries are exact: neither false positives nor negatives."""
+    summary = ShardSummary()
+    summary.add_set_tokens([token_hash("ash")], has_empty=False)
+    assert token_hash("ash") in summary.tokens
+    assert token_hash("oak") not in summary.tokens
+    assert len(summary.tokens) == 1
 
 
 def test_empty_element_pairing_routes():
@@ -209,24 +171,9 @@ def test_summary_rebuild_tightens_after_compaction():
         assert cluster.last_pass.shards_routed == 0
 
 
-def test_summary_bits_knob_resolution(monkeypatch):
-    """SILKMOTH_SHARD_SUMMARY_BITS sizes summaries; 0 means exact."""
-    monkeypatch.delenv("SILKMOTH_SHARD_SUMMARY_BITS", raising=False)
-    assert resolve("SILKMOTH_SHARD_SUMMARY_BITS", None) == 0
-    assert resolve("SILKMOTH_SHARD_SUMMARY_BITS", 128) == 128
-    monkeypatch.setenv("SILKMOTH_SHARD_SUMMARY_BITS", "512")
-    assert resolve("SILKMOTH_SHARD_SUMMARY_BITS", None) == 512
-    with pytest.raises(ValueError):
-        resolve("SILKMOTH_SHARD_SUMMARY_BITS", -1)
-    assert make_token_summary(0).kind == "exact"
-    assert make_token_summary(512).kind == "bloom"
-    with pytest.raises(ValueError):
-        BloomTokenSummary(bits=4)
-
-
 def test_shard_summary_may_answer():
     """ShardSummary combines token intersection with the empty flag."""
-    summary = ShardSummary(make_token_summary(0))
+    summary = ShardSummary()
     summary.add_set_tokens([token_hash("ash")], has_empty=False)
     tokenizer = Tokenizer(kind=SimilarityKind.JACCARD)
     assert summary.may_answer(reference_probe(tokenizer, ["ash oak"]))
@@ -234,3 +181,26 @@ def test_shard_summary_may_answer():
     assert not summary.may_answer(reference_probe(tokenizer, [""]))
     summary.add_set_tokens([], has_empty=True)
     assert summary.may_answer(reference_probe(tokenizer, [""]))
+
+
+def test_router_routes_only_shards_sharing_a_token():
+    """ShardRouter.add folds a set in; shards_for skips the rest."""
+    router = ShardRouter(SilkMothConfig(delta=0.3), n_shards=3)
+    router.add(0, ["ash oak"])
+    router.add(1, ["sky", ""])
+    assert router.certificate
+    assert router.shards_for(["oak"]) == [0]
+    assert router.shards_for(["sky elm"]) == [1]
+    assert router.shards_for([""]) == [1]
+    assert router.shards_for(["ash", "sky"]) == [0, 1]
+    assert router.shards_for(["zzz"]) == []
+
+
+def test_router_rebuild_replaces_every_summary():
+    """rebuild drops what add folded in and keeps only the inventories."""
+    router = ShardRouter(SilkMothConfig(delta=0.3), n_shards=2)
+    router.add(0, ["ash"])
+    router.rebuild([(set(), False), ({token_hash("oak")}, True)])
+    assert router.shards_for(["ash"]) == []
+    assert router.shards_for(["oak"]) == [1]
+    assert router.shards_for([""]) == [1]

@@ -146,16 +146,40 @@ def test_cluster_snapshot_after_mutation_and_rebalance(tmp_path):
     service = SilkMothService(config)
     for elements in sets:
         service.add_set(elements)
-    with SilkMothCluster.from_sets(sets, config, shards=3) as cluster:
+    with SilkMothCluster.from_sets(
+        sets, config, shards=3, replicas=2
+    ) as cluster:
         for gid in (0, 3, 6):  # empty out shard 0, then rebalance
             cluster.remove_set(gid)
             service.remove_set(gid)
         new_gid = cluster.update_set(1, ["w1 changed shared"])
         assert service.update_set(1, ["w1 changed shared"]).set_id == new_gid
         cluster.compact()
+        assert cluster.stats.rebalance_moves > 0
+        # A replica rebuilt after the moves comes from the directory.
+        cluster._replicas.mark_dead(0, 0)
+        assert cluster.revive() == 1
         manifest = tmp_path / "cluster.json"
         cluster.save(manifest)
         saved_stats = cluster.stats.to_dict()
+        # One derivation of a shard's state: what every healthy replica
+        # holds, what the directory derives and what save wrote agree.
+        assert cluster.replica_health() == [[True, True]] * 3
+        for k in range(cluster.n_shards):
+            raw_sets, deleted = cluster._directory.state(k)
+            expected = ([list(s) for s in raw_sets], deleted)
+            for r in range(cluster.replica_count):
+                exported_sets, exported_deleted, _ = (
+                    cluster._replicas.endpoint(k, r).request("export")
+                )
+                assert (exported_sets, exported_deleted) == expected
+            collection, _ = load_shard_snapshot(
+                tmp_path / f"cluster-shard{k}.json"
+            )
+            assert (
+                [[e.text for e in record.elements] for record in collection],
+                sorted(collection.deleted_ids),
+            ) == expected
     loaded = SilkMothCluster.load(manifest, config)
     try:
         assert loaded.live_set_ids() == service.live_set_ids()

@@ -227,8 +227,8 @@ class TestLiveClusterReplay:
         ) as cluster:
             cluster.discover()
             shard_runs = [
-                replicas[0].host.service.engine.stats
-                for replicas in cluster._shards
+                cluster._replicas.endpoint(k, 0).host.service.engine.stats
+                for k in range(cluster.n_shards)
             ]
             for name in _SELECT_COUNTERS:
                 assert getattr(cluster.run_stats, name) == sum(

@@ -144,7 +144,7 @@ def test_failed_fanout_does_not_desynchronize_later_queries():
         expected_b = cluster.search(["oak sky"])
         cluster.cache.invalidate()
 
-        host = cluster._shards[0][0].host
+        host = cluster._replicas.endpoint(0, 0).host
         original = host.handle
         calls = {"n": 0}
 
@@ -236,7 +236,7 @@ def test_cluster_constructor_raises_worker_construction_errors(
 
 def test_failed_construction_closes_the_workers_already_started(monkeypatch):
     """Shard k failing to start must not orphan shards 0..k-1."""
-    from repro.cluster import coordinator
+    from repro.cluster import replicas
 
     calls = []
 
@@ -246,7 +246,7 @@ def test_failed_construction_closes_the_workers_already_started(monkeypatch):
             raise MemoryError("no room for shard 1")
         return make_transport(*args, **kwargs)
 
-    monkeypatch.setattr(coordinator, "make_transport", second_shard_fails)
+    monkeypatch.setattr(replicas, "make_transport", second_shard_fails)
     before = set(multiprocessing.active_children())
     with pytest.raises(MemoryError, match="no room for shard 1"):
         SilkMothCluster.from_sets(
@@ -262,7 +262,11 @@ def test_constructor_returns_only_after_every_replica_is_ready(transport):
     with SilkMothCluster.from_sets(
         DATA, CONFIG, shards=2, replicas=2, transport=transport
     ) as cluster:
-        endpoints = [t for replicas in cluster._shards for t in replicas]
+        endpoints = [
+            cluster._replicas.endpoint(k, r)
+            for k in range(cluster.n_shards)
+            for r in range(cluster.replica_count)
+        ]
         assert len(endpoints) == 4
         for endpoint in endpoints:
             assert endpoint._ready

@@ -75,33 +75,51 @@ def test_revive_from_disk_adopts_a_current_log(tmp_path):
         cluster.add_set(["fresh common words"])
         cluster.remove_set(0)
         expected = cluster.search(BROAD_REFERENCE)
-        cluster._mark_replica_dead(0, 0)
+        cluster._replicas.mark_dead(0, 0)
         assert cluster.revive(from_disk=True) == 1
         # The dead replica's log described exactly the coordinator's
         # state, so it was adopted -- no fallback rebuild.
         assert cluster.wal_revive_fallbacks == 0
-        cluster._shards[0][1].kill()  # answers must come from the revived one
+        cluster._replicas.endpoint(0, 1).kill()  # answers must come from the revived one
         cluster.cache.invalidate()
         assert cluster.search(BROAD_REFERENCE) == expected
 
 
 def test_revive_from_disk_falls_back_on_a_stale_log(tmp_path):
     with _cluster(tmp_path) as cluster:
-        cluster._mark_replica_dead(0, 0)
+        cluster._replicas.mark_dead(0, 0)
         # Mutations the dead replica never saw: its log is now stale.
         cluster.add_set(["ash bay common update"])
         cluster.remove_set(2)
         expected = cluster.search(BROAD_REFERENCE)
         assert cluster.revive(from_disk=True) == 1
         assert cluster.wal_revive_fallbacks == 1
-        cluster._shards[0][1].kill()
+        cluster._replicas.endpoint(0, 1).kill()
         cluster.cache.invalidate()
         assert cluster.search(BROAD_REFERENCE) == expected
 
 
+def test_revive_rejects_a_shard_index_out_of_range(tmp_path):
+    """A bad index names the valid range and revives nothing: no replica
+    comes back under a WAL directory no later load reads."""
+    wal = tmp_path / "wal"
+    with _cluster(tmp_path) as cluster:
+        cluster._replicas.mark_dead(1, 0)
+        before = sorted(p.name for p in wal.iterdir())
+        for bad in (-1, 2, 5):
+            with pytest.raises(ValueError, match=r"0\.\.1"):
+                cluster.revive(shard=bad)
+            with pytest.raises(ValueError, match=r"0\.\.1"):
+                cluster.revive(shard=bad, from_disk=True)
+        assert sorted(p.name for p in wal.iterdir()) == before
+        assert cluster.replica_health() == [[True, True], [False, True]]
+        assert cluster.revive(shard=1) == 1
+        assert sorted(p.name for p in wal.iterdir()) == before
+
+
 def test_plain_revive_never_touches_the_disk_path(tmp_path):
     with _cluster(tmp_path) as cluster:
-        cluster._mark_replica_dead(1, 1)
+        cluster._replicas.mark_dead(1, 1)
         assert cluster.revive() == 1
         assert cluster.wal_revive_fallbacks == 0
 

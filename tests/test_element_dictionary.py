@@ -547,7 +547,7 @@ def test_cluster_shards_answer_like_the_single_node(transport):
         cluster.compact()
         assert cluster_answers(cluster) == single_node(removed)
         if transport == "inline":
-            for replicas in cluster._shards:
-                service = replicas[0].host.service
+            for k in range(cluster.n_shards):
+                service = cluster._replicas.endpoint(k, 0).host.service
                 assert_content_table_consistent(service.index, service.collection)
                 assert_records_shared(service.collection)

@@ -160,9 +160,9 @@ def test_cold_batch_costs_one_search_request_per_block_per_shard():
         transport.submit = counting_submit
 
     with SilkMothCluster.from_sets(DATA, CONFIG, shards=2) as cluster:
-        for shard, replicas in enumerate(cluster._shards):
-            for transport in replicas:
-                count(transport, shard)
+        for shard in range(cluster.n_shards):
+            for r in range(cluster.replica_count):
+                count(cluster._replicas.endpoint(shard, r), shard)
         cluster.search_many(COLD)
         assert cluster.stats.shards_routed_total == 2 * len(COLD)
         blocks = math.ceil(len(COLD) / PASS_BLOCK)

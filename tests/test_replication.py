@@ -26,7 +26,7 @@ from repro.cluster import (
     FaultPlan,
     SilkMothCluster,
 )
-from repro.cluster.coordinator import request_deadline
+from repro.cluster.replicas import ReplicaSet, request_deadline
 from repro.core.config import SilkMothConfig
 from repro.settings import resolve
 from strategies import collections, token_configs, token_sets
@@ -284,7 +284,7 @@ def test_revive_rebuilds_lockstep_replicas():
         oracle.add_set(["post kill common"])
         assert cluster.revive() == 1
         # Now kill the original survivor; the revived replica answers.
-        cluster._shards[0][1].kill()
+        cluster._replicas.endpoint(0, 1).kill()
         cluster.cache.invalidate()
         assert cluster.search(BROAD_REFERENCE) == oracle.search(
             BROAD_REFERENCE
@@ -312,7 +312,7 @@ def test_replicated_snapshot_round_trip(tmp_path):
 def _resolved_deadline(deadline):
     """The deadline a cluster built with *deadline* enforces."""
     with SilkMothCluster(CONFIG, shards=1, deadline=deadline) as cluster:
-        return cluster._deadline
+        return cluster._replicas.deadline
 
 
 def test_replica_knob_resolution(monkeypatch):
@@ -416,9 +416,9 @@ def test_request_deadline_is_the_deadline_per_pass_carried():
         backoff=0.0,
         deadline=1.5,
     ) as cluster:
-        for replicas in cluster._shards:
-            for transport in replicas:
-                spy(transport)
+        for k in range(cluster.n_shards):
+            for r in range(cluster.replica_count):
+                spy(cluster._replicas.endpoint(k, r))
         cluster.discover()
         assert cluster.stats.failovers == 1
         # Shard 0's first block is collected twice: dropped, then retried.
@@ -480,8 +480,8 @@ def test_replicas_and_revivals_are_built_concurrently(handshake_log):
         assert handshake_log == ["start"] * 4 + ["await"] * 4
         del handshake_log[:]
         cluster.search(BROAD_REFERENCE)  # the plan kills replica (1, 0)
-        cluster._shards[1][1].kill()
-        cluster._shards[0][0].kill()
+        cluster._replicas.endpoint(1, 1).kill()
+        cluster._replicas.endpoint(0, 0).kill()
         with pytest.raises(ClusterDegradedError):
             cluster.discover()
         assert cluster.replica_health() == [[False, True], [False, False]]
@@ -510,13 +510,13 @@ def test_kernel_workers_fail_over_exactly(monkeypatch):
         seed=11, clusters=12, sets_per_cluster=3, strings=6
     )
     retried = []
-    original = SilkMothCluster._failover_request
+    original = ReplicaSet._failover
 
     def recording(self, shard, command, payload):
         retried.extend(first_local for *_, first_local in payload[0])
         return original(self, shard, command, payload)
 
-    monkeypatch.setattr(SilkMothCluster, "_failover_request", recording)
+    monkeypatch.setattr(ReplicaSet, "_failover", recording)
     plan = FaultPlan(
         [
             FaultEvent(

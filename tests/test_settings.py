@@ -60,9 +60,9 @@ def _clean_environment(monkeypatch):
         monkeypatch.delenv(name, raising=False)
 
 
-def test_table_declares_the_seventeen_variables():
+def test_table_declares_the_sixteen_variables():
     """The names src/ reads, each with a doc line and a known kind."""
-    assert len(SETTINGS) == 17
+    assert len(SETTINGS) == 16
     for name, setting in SETTINGS.items():
         assert name == setting.name and name.startswith("SILKMOTH_")
         assert setting.doc
@@ -77,7 +77,6 @@ def test_defaults_match_the_documented_values():
         "SILKMOTH_SHARD_DEADLINE": 0.0,
         "SILKMOTH_FAILOVER_BACKOFF": 0.05,
         "SILKMOTH_CLUSTER_TRANSPORT": "inline",
-        "SILKMOTH_SHARD_SUMMARY_BITS": 0,
         "SILKMOTH_WAL_DIR": None,
         "SILKMOTH_WAL_SEGMENT_BYTES": 1 << 20,
         "SILKMOTH_FSYNC": True,

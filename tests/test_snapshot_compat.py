@@ -183,7 +183,11 @@ def test_retired_invalidation_counters_load(tmp_path):
     assert _answers(service) == _answers(_fresh_service(config))
 
 
-def test_an_old_cluster_manifest_loads(tmp_path):
+@pytest.mark.parametrize("summary_bits", [0, 256])
+def test_an_old_cluster_manifest_loads(tmp_path, summary_bits):
+    """Keys later builds dropped (``shard_generations``, the shard-meta
+    ``generation``, ``summary_bits`` even when it asked for Bloom
+    summaries) are ignored."""
     manifest = tmp_path / "m.json"
     shard_sets = [[SETS[0], SETS[2]], [SETS[1], SETS[3]]]
     for k, (sets, local_to_global) in enumerate(
@@ -210,7 +214,7 @@ def test_an_old_cluster_manifest_loads(tmp_path):
         "cluster": {
             "placement": [[0, 0], [1, 0], [0, 1], [1, 1]], "deleted": [2],
             "generation": 1, "shard_generations": [1, 0],
-            "config_fingerprint": FINGERPRINT, "summary_bits": 0,
+            "config_fingerprint": FINGERPRINT, "summary_bits": summary_bits,
             "transport": "inline", "stats": cluster_stats,
         },
     })

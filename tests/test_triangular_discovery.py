@@ -39,6 +39,7 @@ from repro.backends import get_backend
 from repro.baselines.brute_force import brute_force_discover
 from repro.cluster import FaultEvent, FaultPlan, SilkMothCluster
 from repro.cluster import coordinator
+from repro.cluster.replicas import ReplicaSet
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.parallel import parallel_discover
@@ -430,7 +431,7 @@ def test_cluster_discover_through_mutations(transport, replicas, tmp_path):
         # moved-to table stops ascending, which is the case the
         # running-maximum translation of the floor exists for.
         assert cluster.rebalance() > 0
-        tables = cluster._shard_to_global
+        tables = cluster._directory.shard_to_global
         assert any(table != sorted(table) for table in tables)
         matches_before = cluster.run_stats.matches
         assert _rows(cluster.discover()) == expected
@@ -443,7 +444,7 @@ def test_cluster_discover_through_mutations(transport, replicas, tmp_path):
     with SilkMothCluster.load(
         manifest, WORD_CONFIG, transport=transport, replicas=replicas
     ) as loaded:
-        assert any(t != sorted(t) for t in loaded._shard_to_global)
+        assert any(t != sorted(t) for t in loaded._directory.shard_to_global)
         assert _rows(loaded.discover()) == expected
         loaded.add_set(["ash bay", "elm"])
         sets.append(["ash bay", "elm"])
@@ -462,14 +463,14 @@ def test_cluster_failover_retry_carries_the_floor(monkeypatch):
     both shards.
     """
     retried = []
-    original = SilkMothCluster._failover_request
+    original = ReplicaSet._failover
 
     def recording(self, shard, command, payload):
         items, _ = payload
         retried.append((command, [first_local for *_, first_local in items]))
         return original(self, shard, command, payload)
 
-    monkeypatch.setattr(SilkMothCluster, "_failover_request", recording)
+    monkeypatch.setattr(ReplicaSet, "_failover", recording)
     monkeypatch.setattr(coordinator, "PASS_BLOCK", 2)
     plan = FaultPlan(
         [
@@ -559,7 +560,7 @@ def test_cluster_floor_is_a_global_id_on_a_rebalanced_shard():
         # live: shard 0 {9}, shard 1 {1, 4, 7}, shard 2 {2, 8}
         assert cluster.rebalance() == 1
         assert cluster.placement_of(7) == (0, 4)
-        assert cluster._shard_to_global[0] == [0, 3, 6, 9, 7]
+        assert cluster._directory.shard_to_global[0] == [0, 3, 6, 9, 7]
         rows = _rows(cluster.discover())
         assert [row[:2] for row in rows] == [(7, 8), (7, 9), (8, 9)]
         expected = _single_node_rows(sets, config, removed)
