@@ -159,6 +159,7 @@ class ShardHost:
                     results, stats = service.engine.search_with_stats(
                         reference, skip_set=skip_local, first_set=first_local
                     )
+            stats.signed = None  # the coordinator caches uncertified
             service.stats.record_pass(stats)
             replies.append((results, stats, spans))
         return replies

@@ -46,6 +46,7 @@ from repro.planner.planner import PlannerDecision, plan_query
 from repro.planner.report import format_decision
 from repro.settings import resolve
 from repro.signatures import get_scheme
+from repro.signatures.base import SignedReference
 from repro.sim.memo import SimilarityMemo
 
 
@@ -123,7 +124,7 @@ class SilkMoth:
 
     def plan(
         self,
-        reference: SetRecord,
+        reference: SetRecord | SignedReference,
         skip_set: int | None = None,
         first_set: int = 0,
     ) -> QueryPlan:
@@ -181,7 +182,7 @@ class SilkMoth:
 
     def search_with_stats(
         self,
-        reference: SetRecord,
+        reference: SetRecord | SignedReference,
         skip_set: int | None = None,
         first_set: int = 0,
     ) -> tuple[list[SearchResult], PassStats]:
@@ -197,7 +198,7 @@ class SilkMoth:
     def run_passes(
         self,
         passes: Sequence[Pass],
-        references: Sequence[SetRecord],
+        references: Sequence[SetRecord | SignedReference],
         ids: LocalIds | None = None,
     ) -> list[tuple[list[SearchResult], PassStats | None]]:
         """The engine runner: each ``(reference_id, skip, floor)`` pass in

@@ -86,6 +86,13 @@ class SetRecord:
         return frozenset(universe)
 
 
+@dataclass(frozen=True)
+class QueryRecord(SetRecord):
+    """A query reference; ``unseen``: the tokens it gave ephemeral ids."""
+
+    unseen: frozenset[str] = frozenset()
+
+
 class SetCollection(Sequence):
     """An ordered collection of :class:`SetRecord` sharing one vocabulary.
 
@@ -149,13 +156,11 @@ class SetCollection(Sequence):
         ``set_id`` is -1: it does not address this collection.
         """
         ephemeral: dict[str, int] = {}
-        return SetRecord(
-            set_id=-1,
-            elements=tuple(
-                self.make_element(text, intern=False, ephemeral=ephemeral)
-                for text in elements
-            ),
+        elements = tuple(
+            self.make_element(text, intern=False, ephemeral=ephemeral)
+            for text in elements
         )
+        return QueryRecord(-1, elements, frozenset(ephemeral))
 
     def make_element(
         self,

@@ -64,19 +64,16 @@ class PassStats:
     #: Wall-clock seconds per stage, keyed by stage name
     #: ("signature", "select", "check", "nn", "verify").
     stage_seconds: dict = field(default_factory=dict)
-    #: A query reference's signature token set (``None``: no
-    #: signature -- a full scan or an empty reference -- or a
-    #: reference from a collection): the result cache's certificate
-    #: (:mod:`repro.service.cache`).  Token ids mean something only to
-    #: the collection that signed, so this is no counter: it is never
-    #: folded, exported or pickled.
-    certificate: frozenset | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    #: A query reference's signed reference, the result cache's
+    #: certificate and refresh input (:mod:`repro.service.cache`).  Its
+    #: token ids mean something only to the collection that signed, so
+    #: it is never folded, exported or pickled, and the pass's caller
+    #: takes it off before a :attr:`RunStats.per_pass` window keeps it.
+    signed: object = field(default=None, init=False, repr=False, compare=False)
 
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
-        state.pop("certificate", None)
+        state.pop("signed", None)
         return state
 
 

@@ -380,7 +380,8 @@ def _probe_contents(
     """The token-kind probe, over distinct contents instead of occurrences.
 
     Per reference element: merge the signature tokens' content-id runs
-    (:meth:`~repro.index.inverted.InvertedIndex.content_ids`), drop the
+    (:meth:`~repro.index.inverted.InvertedIndex.content_ids`; unread for
+    a token held only below the *first_set* floor), drop the
     contents whose *last* occurrence lies below the *first_set* floor,
     score each remaining content once --
     :meth:`~repro.backends.base.ComputeBackend.indexed_token_similarities`
@@ -406,6 +407,15 @@ def _probe_contents(
     content_ids = index.content_ids
     records = index.content_records()
     sets_of = index.content_sets().__getitem__
+    if first_set:
+        # Posting runs ascend: a token whose last posting lies below
+        # the floor (so every content holding it) is never read.
+        floor_key = first_set << PACK_SHIFT
+
+        def content_ids(token: int):
+            keys = index.posting_keys(token)
+            return index.content_ids(token) if keys and keys[-1] >= floor_key else ()
+
     scanned = distinct = 0
     surfaced: set[int] = set()
     for i, tokens in enumerate(signature.per_element):

@@ -338,6 +338,16 @@ def load_service_snapshot(
     given, mismatched tokenizer settings raise ``ValueError`` instead of
     silently serving results under the wrong similarity function.
     """
+    return _load_snapshot(path, expected_kind, expected_q, "service")
+
+
+def _load_snapshot(
+    path: str | Path,
+    expected_kind: SimilarityKind | None,
+    expected_q: int | None,
+    section: str,
+) -> tuple[SetCollection, dict]:
+    """One read of *path*: its checked collection and *section* object."""
     payload = _read_payload(path)
     collection = _collection_from_payload(path, payload)
     kind = collection.tokenizer.kind
@@ -351,9 +361,9 @@ def load_service_snapshot(
         raise ValueError(
             f"{path}: snapshot was tokenised with q={q}, expected q={expected_q}"
         )
-    metadata = payload.get("service", {})
+    metadata = payload.get(section, {})
     if not isinstance(metadata, dict):
-        raise SnapshotFormatError(f"{path}: 'service' metadata must be an object")
+        raise SnapshotFormatError(f"{path}: '{section}' metadata must be an object")
     return collection, metadata
 
 
@@ -401,16 +411,10 @@ def load_shard_snapshot(
     Lower-version files load too (empty shard metadata), so a cluster
     can adopt a plain dataset or single-node service snapshot as a
     one-shard starting point.  Tokenizer expectations behave as in
-    :func:`load_service_snapshot`.
+    :func:`load_service_snapshot`.  The file is read once, so the
+    collection and the metadata come from one version of it.
     """
-    collection, _ = load_service_snapshot(
-        path, expected_kind=expected_kind, expected_q=expected_q
-    )
-    payload = _read_payload(path)
-    shard_meta = payload.get("shard", {})
-    if not isinstance(shard_meta, dict):
-        raise SnapshotFormatError(f"{path}: 'shard' metadata must be an object")
-    return collection, shard_meta
+    return _load_snapshot(path, expected_kind, expected_q, "shard")
 
 
 def save_cluster_manifest(

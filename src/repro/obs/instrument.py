@@ -20,7 +20,8 @@ Counts go to the counter families; every latency goes to exactly one
 ``_count`` are the totals.  Handles are resolved lazily and cached
 against the registry instance, so tests that call
 :func:`repro.obs.metrics.reset_registry` (or reset the sketch
-registry) get fresh families on the next observation.
+registry) get fresh families on the next observation; so are the
+series :func:`observe_pass` writes, each on its first write.
 """
 
 from __future__ import annotations
@@ -29,6 +30,17 @@ from typing import Optional
 
 from .metrics import MetricsRegistry, get_registry
 from .sketch import SketchRegistry, get_sketch_registry
+
+
+class _Bound(dict):
+    """Key -> its series, bound (so opened) the first time it is used."""
+
+    def __init__(self, bind) -> None:
+        self.bind = bind
+
+    def __missing__(self, key):
+        series = self[key] = self.bind(key)
+        return series
 
 
 class _Handles:
@@ -92,6 +104,11 @@ class _Handles:
             "select_distinct_pairs": (select_distinct_pairs, {}, True),
             "select_size_gate_drops": (select_size_gate_drops, {}, True),
         }
+        counters = self.pass_counters
+        self.scheme_series = _Bound(lambda s: self.passes.child(scheme=s))
+        self.counter_series = _Bound(
+            lambda name: counters[name][0].child(**counters[name][1])
+        )
         self.shards_routed = registry.register(
             "silkmoth_shards_routed_total",
             "Shards actually queried across cluster passes.",
@@ -184,6 +201,11 @@ class _SketchHandles:
             "silkmoth_pass_latency_quantile",
             "Whole-pass pipeline latency quantiles (seconds).",
         )
+        #: Stage -> its sketch; ``None`` -> the whole-pass sketch.
+        self.series = _Bound(
+            lambda stage: self.stage_latency.child(stage=stage)
+            if stage else self.pass_latency.child()
+        )
 
 
 _handles: Optional[_Handles] = None
@@ -211,17 +233,17 @@ def sketch_handles() -> _SketchHandles:
 def observe_pass(stats) -> None:
     """Fold one cold-pass ``PassStats`` into the registries."""
     h = handles()
-    h.passes.inc(scheme=stats.scheme or "unknown")
-    sk = sketch_handles()
+    h.scheme_series[stats.scheme or "unknown"].value += 1
+    sketches = sketch_handles().series
     total = 0.0
     for stage, seconds in stats.stage_seconds.items():
-        sk.stage_latency.record(seconds, stage=stage)
+        sketches[stage].record(seconds)
         total += seconds
-    sk.pass_latency.record(total)
-    for name, (family, labels, keep_zero) in h.pass_counters.items():
+    sketches[None].record(total)
+    for name, (_, _, keep_zero) in h.pass_counters.items():
         value = getattr(stats, name)
         if value or keep_zero:
-            family.inc(value, **labels)
+            h.counter_series[name].value += value
     if stats.full_scan:
         h.full_scans.inc()
 

@@ -38,7 +38,8 @@ class Metric:
         self.label_names = tuple(label_names)
         self._children: Dict[Tuple[str, ...], _Child] = {}
 
-    def _child(self, labels: Dict[str, object]) -> _Child:
+    def child(self, **labels: object) -> _Child:
+        """The series for this label combination (opened on demand)."""
         if set(labels) != set(self.label_names):
             raise ValueError(
                 f"{self.name} expects labels {self.label_names}, "
@@ -55,7 +56,7 @@ class Metric:
         """Add ``amount`` to one labelled series (must be non-negative)."""
         if amount < 0:
             raise ValueError("counters only go up")
-        self._child(labels).value += amount
+        self.child(**labels).value += amount
 
     def series(self) -> List[Tuple[Tuple[str, ...], _Child]]:
         """Stable (label-values, child) pairs for exporters."""

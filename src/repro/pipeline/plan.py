@@ -48,7 +48,7 @@ from repro.settings import resolve
 from repro.sim.functions import SimilarityFunction
 from repro.sim.memo import SimilarityMemo
 from repro.signatures import get_scheme
-from repro.signatures.base import SignatureScheme
+from repro.signatures.base import SignatureScheme, SignedReference
 
 
 def size_range(config: SilkMothConfig, reference_size: int) -> tuple[float, float]:
@@ -77,7 +77,8 @@ class QueryPlan:
     passes.
     """
 
-    reference: SetRecord
+    #: The reference record, or a signed reference to probe with.
+    source: SetRecord | SignedReference
     config: SilkMothConfig
     collection: SetCollection
     index: InvertedIndex
@@ -103,10 +104,16 @@ class QueryPlan:
     #: ``None`` disables memoization for the pass).
     memo: SimilarityMemo | None = None
 
+    @property
+    def reference(self) -> SetRecord:
+        """The reference record the pass searches for."""
+        source = self.source
+        return source.record if isinstance(source, SignedReference) else source
+
     @classmethod
     def build(
         cls,
-        reference: SetRecord,
+        reference: SetRecord | SignedReference,
         config: SilkMothConfig,
         collection: SetCollection,
         index: InvertedIndex,
@@ -119,6 +126,7 @@ class QueryPlan:
     ) -> "QueryPlan":
         """Assemble the stage sequence for one reference under *config*.
 
+        *reference* is a record or a :class:`SignedReference`.
         *decision* is the planner verdict governing the pass; the
         engine passes its own (computed once per engine), while direct
         callers get one planned on the spot.  *scheme* defaults to the
@@ -152,7 +160,7 @@ class QueryPlan:
                 resolve("SILKMOTH_SIM_CACHE", config.sim_cache_size)
             )
         return cls(
-            reference=reference,
+            source=reference,
             config=config,
             collection=collection,
             index=index,
@@ -207,10 +215,9 @@ class QueryPlan:
             pass_span.set_attr("matches", stats.matches)
         # Only a query reference's answer is cached (``query_set``: id
         # -1, no set of the collection), floored or not, so only its
-        # pass carries the certificate; a discovery pass's would sit in
-        # the run stats' window.
-        if state.signature is not None and self.reference.set_id < 0:
-            stats.certificate = state.signature.tokens
+        # pass hands back its signed reference.
+        if self.reference.set_id < 0:
+            stats.signed = state.signed
         if memo is not None:
             stats.sim_cache_hits = memo.hits - hits_before
             stats.sim_cache_misses = memo.misses - misses_before

@@ -28,7 +28,7 @@ from repro.filters.nearest_neighbor import nn_filter_columns
 from repro.matching.reduction import reduced_matching_score
 from repro.matching.score import edit_weight_matrices, matching_score
 from repro.pipeline.batch import CandidateBatch
-from repro.signatures.base import Signature
+from repro.signatures.base import Signature, SignedReference
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.pipeline.plan import QueryPlan
@@ -39,6 +39,7 @@ class PipelineState:
     """Mutable state threaded through one pass's stages."""
 
     signature: Signature | None = None
+    signed: SignedReference | None = None
     full_scan: bool = False
     batch: CandidateBatch = field(default_factory=CandidateBatch)
     results: list[SearchResult] = field(default_factory=list)
@@ -66,7 +67,8 @@ class SignatureStage(Stage):
     the scheme cannot certify Lemma 1 for the configured ``(similarity,
     alpha, q)`` -- e.g. a prefix-style scheme with an out-of-constraint
     gram length -- which forces the same exact full scan without
-    generating a misleading (invalid) signature.
+    generating a misleading (invalid) signature.  A plan built from a
+    signed reference carries its signature: nothing is signed.
     """
 
     name = "signature"
@@ -78,11 +80,15 @@ class SignatureStage(Stage):
         """Generate the signature unless the planner disabled the stage."""
         if not self.enabled:
             return
-        state.signature = plan.scheme.generate(
-            plan.reference, plan.theta - EPSILON, plan.phi, plan.index
-        )
-        if state.signature is not None:
-            stats.signature_tokens = len(state.signature.tokens)
+        signed = plan.source
+        if not isinstance(signed, SignedReference):
+            signed = SignedReference(signed, plan.scheme.generate(
+                signed, plan.theta - EPSILON, plan.phi, plan.index
+            ))
+        state.signed = signed
+        state.signature = signed.signature
+        if signed.signature is not None:
+            stats.signature_tokens = len(signed.signature.tokens)
 
 
 class CandidateSelectStage(Stage):

@@ -12,7 +12,8 @@ rule, :meth:`QueryFront._written`: a remove edits the answers holding
 the set, an add marks the certified answers it hits stale and drops
 the uncertified ones (:mod:`repro.service.cache`).  A hit on a stale
 answer completes it with one pass floored at its watermark -- the sets
-added since it was cached -- and takes that pass's certificate.  A
+added since it was cached -- run on the entry's signed reference, so
+it neither tokenises nor signs -- and takes that pass's certificate.  A
 batch's duplicates collapse onto one computation, references whose
 answer is cached come from the cache, and the cold remainder goes to
 the subclass's *cold runner* in blocks, each reference charged an
@@ -31,7 +32,8 @@ from typing import Iterable, Sequence
 from repro.core.engine import SearchResult
 from repro.obs.instrument import observe_cache_refresh, observe_invalidations
 from repro.obs.trace import span
-from repro.service.cache import reference_fingerprint
+from repro.service.cache import certificate, reference_fingerprint
+from repro.signatures.base import SignedReference
 
 
 class QueryFront:
@@ -48,42 +50,42 @@ class QueryFront:
 
     def _run_cold(
         self,
-        references: Sequence[Sequence[str]],
+        references: Sequence[Sequence[str] | SignedReference],
         processes: int | None,
         floor: int = 0,
-    ) -> list[tuple[list[SearchResult], frozenset | None]]:
+    ) -> list[tuple[list[SearchResult], SignedReference | None]]:
         """Uncached passes over the sets with id >= *floor*: one
-        ``(results, certificate)`` per raw reference, in order
-        (:func:`repro.service.cache.certificate`; ``None`` =
-        uncertified)."""
+        ``(results, signed reference)`` per reference, in order
+        (``None`` = uncertified).  A reference is raw elements, or the
+        signed reference of a stale entry's refresh."""
         raise NotImplementedError
 
     def _next_set_id(self) -> int:
         """The id the next added set gets (ids are never reused)."""
         raise NotImplementedError
 
-    def _cache_put(self, key, results, certificate) -> tuple:
+    def _cache_put(self, key, results, signed) -> tuple:
         """Cache one answer, current to now; returns its rows."""
         return self.cache.put(
-            key, results, certificate, self._next_set_id()
+            key, results, certificate(signed), self._next_set_id(), signed
         ).answer
 
-    def _current(self, key, entry, elements) -> tuple:
+    def _current(self, key, entry) -> tuple:
         """A cached entry's rows, completing a stale one first: one pass
-        floored at its watermark finds the sets added since, their rows
-        are appended (ids ascend) and the entry takes that pass's
-        certificate -- the old one may hold ephemeral ids of tokens an
-        add has since made real."""
+        on its signed reference, floored at its watermark, finds the
+        sets added since, their rows are appended (ids ascend) and the
+        entry takes that pass's signed reference -- a new one when an
+        add has made one of the record's ephemeral tokens real."""
         if not entry.stale:
             return entry.answer
         floor = entry.watermark
-        ((results, certificate),) = self._run_cold([elements], None, floor)
+        ((results, signed),) = self._run_cold([entry.signed], None, floor)
         self.stats.cache_refreshes += 1
         observe_cache_refresh()
         return self._cache_put(
             key,
             entry.answer + tuple(r for r in results if r.set_id >= floor),
-            certificate,
+            signed,
         )
 
     def _written(
@@ -123,12 +125,14 @@ class QueryFront:
                 entry = self.cache.get(key)
             if entry is not None:
                 query_span.set_attr("cache", "hit")
-                answer = self._current(key, entry, elements)
+                if entry.stale:
+                    query_span.set_attr("refreshed", True)
+                answer = self._current(key, entry)
                 self.stats.record_query(time.perf_counter() - started, True)
                 return list(answer)
             query_span.set_attr("cache", "miss")
-            ((results, certificate),) = self._run_cold([elements], None)
-            self._cache_put(key, results, certificate)
+            ((results, signed),) = self._run_cold([elements], None)
+            self._cache_put(key, results, signed)
             self.stats.record_query(time.perf_counter() - started, False)
             return results
 
@@ -161,7 +165,7 @@ class QueryFront:
             key = (fingerprint, self._config_fp)
             entry = self.cache.get(key)
             if entry is not None:
-                answers[fingerprint] = self._current(key, entry, elements)
+                answers[fingerprint] = self._current(key, entry)
                 self.stats.record_query(time.perf_counter() - started, True)
             else:
                 cold.append((fingerprint, elements))
@@ -174,11 +178,11 @@ class QueryFront:
                 [elements for _, elements in block], processes
             )
             share = (time.perf_counter() - started) / len(block)
-            for (fingerprint, _), (results, certificate) in zip(
+            for (fingerprint, _), (results, signed) in zip(
                 block, block_results
             ):
                 answers[fingerprint] = self._cache_put(
-                    (fingerprint, self._config_fp), results, certificate
+                    (fingerprint, self._config_fp), results, signed
                 )
                 self.stats.record_query(share, False)
 

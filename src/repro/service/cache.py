@@ -50,6 +50,7 @@ from typing import Sequence
 
 from repro.core.config import SilkMothConfig
 from repro.core.records import SetRecord
+from repro.signatures.base import SignedReference
 
 
 def reference_fingerprint(elements: Sequence[str]) -> str:
@@ -95,22 +96,20 @@ def _has_empty_element(record: SetRecord) -> bool:
     return not all(map(_index_tokens, record.elements))
 
 
-def certificate(
-    signature_tokens: frozenset | None, reference: SetRecord
-) -> frozenset | None:
-    """The certificate of an answer to *reference* (``None``: uncertified).
+def certificate(signed: SignedReference | None) -> frozenset | None:
+    """The certificate of an answer (``None``: uncertified).
 
-    *signature_tokens* is the answering pass's
-    :attr:`~repro.core.stats.PassStats.certificate`, in the vocabulary
-    of the collection the cache serves.
+    *signed* is the answering pass's signed reference
+    (:attr:`~repro.core.stats.PassStats.signed`), in the vocabulary of
+    the collection the cache serves.
     """
-    if signature_tokens is None:
+    if signed is None or signed.signature is None:
         return None
-    keys = signature_tokens
+    keys = signed.signature.tokens
     if keys and min(keys) < 0:
         keys = {token for token in keys if token >= 0}
         keys.add(EPHEMERAL)
-    if _has_empty_element(reference):
+    if _has_empty_element(signed.record):
         keys = set(keys)
         keys.add(EMPTY)
     return frozenset(keys)
@@ -134,12 +133,14 @@ def write_keys(record: SetRecord, grew_vocabulary: bool) -> set:
 @dataclass(eq=False)
 class CacheEntry:
     """One cached answer: rows in ascending set id, certificate keys,
-    the collection length it is current to, and whether an add since
+    the collection length it is current to, the signed reference its
+    refresh reuses (``None``: uncertified), and whether an add since
     may have extended it."""
 
     answer: tuple
     tokens: frozenset | tuple
     watermark: int
+    signed: SignedReference | None = None
     stale: bool = False
 
 
@@ -182,18 +183,20 @@ class LRUQueryCache:
         answer,
         certificate: frozenset | None,
         watermark: int,
+        signed: SignedReference | None = None,
     ) -> CacheEntry:
         """Cache *answer* (rows in ascending set id) for *key*,
         LRU-evicting; replaces any entry *key* had.
 
         *certificate* is the answer's :func:`certificate` (``None``:
         uncertified); *watermark* is the collection's length when the
-        answer was computed.
+        answer was computed; *signed* is what it was certified from.
         """
         entry = CacheEntry(
             tuple(answer),
             (UNCERTIFIED,) if certificate is None else certificate,
             watermark,
+            None if certificate is None else signed,
         )
         if self.capacity == 0:
             return entry

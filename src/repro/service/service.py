@@ -65,14 +65,10 @@ from repro.obs.sketch import quantile_summary
 from repro.obs.trace import span
 from repro.pipeline.driver import search_passes
 from repro.service.batch import QueryFront
-from repro.service.cache import (
-    LRUQueryCache,
-    certificate,
-    config_fingerprint,
-    write_keys,
-)
+from repro.service.cache import LRUQueryCache, config_fingerprint, write_keys
 from repro.service.stats import ServiceStats
 from repro.settings import resolve
+from repro.signatures.base import SignedReference
 from repro.tokenize.tokenizers import Tokenizer
 
 #: Re-plan (cost model only) once the live-set count grows to this
@@ -311,10 +307,10 @@ class SilkMothService(QueryFront):
 
     def _run_cold(
         self,
-        references: Sequence[Sequence[str]],
+        references: Sequence[Sequence[str] | SignedReference],
         processes: int | None,
         floor: int = 0,
-    ) -> list[tuple[list[SearchResult], frozenset | None]]:
+    ) -> list[tuple[list[SearchResult], SignedReference | None]]:
         """One search pass per reference over the sets with id >=
         *floor*: the engine runner in-process, or the pool runner over
         the live sets.
@@ -324,7 +320,7 @@ class SilkMothService(QueryFront):
         latter by the engine itself in-process and here for a pass a
         pool worker ran (an empty reference runs no pass).  Only an
         in-process pass signs in this collection's vocabulary, so only
-        its answer is certified.
+        its answer comes back with its signed reference.
         """
         passes = search_passes(len(references), floor)
         if processes is not None and processes > 1:
@@ -342,22 +338,26 @@ class SilkMothService(QueryFront):
             for elements, (_, pass_stats) in zip(references, answered):
                 if len(elements):
                     self.engine.stats.add(pass_stats)
-            certificates = [None] * len(answered)
         else:
-            # The non-interning query path: a long-lived service must
-            # not grow its vocabulary with every unseen query token.
-            records = [self.collection.query_set(e) for e in references]
-            answered = self.engine.run_passes(passes, records)
-            certificates = [
-                certificate(pass_stats.certificate, record)
-                for record, (_, pass_stats) in zip(records, answered)
-            ]
-        for _, pass_stats in answered:
+            answered = self.engine.run_passes(
+                passes, [self._pass_input(r) for r in references]
+            )
+        cold = []
+        for results, pass_stats in answered:
             self.stats.record_pass(pass_stats)
-        return [
-            (results, cert)
-            for (results, _), cert in zip(answered, certificates)
-        ]
+            cold.append((results, pass_stats.signed))
+            pass_stats.signed = None  # the engine's run stats keep the pass
+        return cold
+
+    def _pass_input(self, reference) -> SetRecord | SignedReference:
+        """A refresh's signed reference while it is current, else the
+        record of the texts from the non-interning query path (a
+        long-lived service must not grow its vocabulary per query)."""
+        if isinstance(reference, SignedReference):
+            if reference.current(self.collection.vocabulary):
+                return reference
+            reference = [element.text for element in reference.record]
+        return self.collection.query_set(reference)
 
     # -- snapshots ------------------------------------------------------
     def _snapshot_metadata(self) -> dict:

@@ -46,6 +46,25 @@ class Signature:
         return len(self.tokens)
 
 
+@dataclass(frozen=True)
+class SignedReference:
+    """A query reference and the signature a pass generated for it
+    (``None``: a full scan).  Validity is arithmetic on the reference
+    and theta (Lemma 1), so a later pass may probe with it again
+    across adds, replans and compactions while it is :meth:`current`.
+    """
+
+    record: SetRecord
+    signature: Signature | None
+
+    def __len__(self) -> int:
+        return len(self.record)
+
+    def current(self, vocabulary) -> bool:
+        """Whether no token the record gave an ephemeral id is real now."""
+        return not any(map(vocabulary.__contains__, self.record.unseen))
+
+
 def cheapest(tokens: Iterable[int], index: InvertedIndex, count: int) -> frozenset[int]:
     """The *count* tokens with the shortest inverted lists (ties by id)."""
     ranked = sorted(tokens, key=lambda t: (index.list_length(t), t))

@@ -161,8 +161,16 @@ def expected_funnel(
                     held.setdefault(element.index_tokens, set()).add(set_id)
         surfaced: set[int] = set()
         for tokens in signature.per_element:
-            # One content-list entry per (token, content holding it) ...
-            scanned += sum(len(tokens & content) for content in held)
+            # One content-list entry per (token, content holding it),
+            # over the tokens some stored set at or above the floor
+            # holds (a floored probe never opens the others) ...
+            read = {
+                token
+                for content, sets in held.items()
+                if max(sets) >= first_set
+                for token in tokens & content
+            }
+            scanned += sum(len(read & content) for content in held)
             # ... and one scored pair per content reached, unless every
             # set holding it lies below the floor.
             for content, sets in held.items():

@@ -29,6 +29,7 @@ from repro.core.records import SetCollection
 from repro.core.results import SearchResult
 from repro.obs.diag import format_health
 from repro.obs.metrics import get_registry
+from repro.obs.trace import get_tracer, set_trace_enabled
 from repro.pipeline.stages import CandidateSelectStage
 from repro.service import LRUQueryCache, SilkMothService, reference_fingerprint
 from repro.service.cache import EMPTY, EPHEMERAL, UNCERTIFIED
@@ -347,6 +348,101 @@ def test_one_refresh_is_one_pass_over_the_sets_added_since(monkeypatch):
     # Set 5's row is the cached one; the others are the refresh's.
     assert [r.set_id for r in cold] == [3, 5, 11]
     assert [r.set_id for r in refreshed] == [5, 12, 14, 15]
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_a_refresh_reuses_the_signed_reference_of_its_answer(monkeypatch, name):
+    """No token of the reference was interned since it was signed, so
+    the refresh neither tokenises nor signs: one pass on the entry's
+    signed reference, rows equal to a fresh service's."""
+    config = CONFIGS[name]
+    initial, _, _ = _pool(seed=5)
+    reference = ["fir", "yew", "zeta"]  # zeta stays unseen throughout
+    writes = [
+        ("add", ["fir", "yew", "oak"]),  # related: hits the signature
+        ("remove", 3),
+        ("add", ["oak sky"]),
+        ("update", 11, ["fir", "yew"]),
+    ]
+
+    def build():
+        service = SilkMothService(config, wal_dir=False)
+        for elements in initial:
+            service.add_set(elements)
+        return service
+
+    def write(service):
+        for op, *args in writes:
+            getattr(service, f"{op}_set")(*args)
+
+    service = build()
+    service.search(reference)
+    key = (reference_fingerprint(reference), service._config_fp)
+    signed = service.cache.get(key).signed
+    assert signed is not None and signed.record.unseen
+    write(service)
+    assert service.cache.get(key).stale
+
+    calls = []
+    query_set = SetCollection.query_set
+    scheme = type(service.engine.scheme)
+    generate = scheme.generate
+
+    def counting_query_set(self, elements):
+        calls.append("query_set")
+        return query_set(self, elements)
+
+    def counting_generate(self, *args):
+        calls.append("generate")
+        return generate(self, *args)
+
+    monkeypatch.setattr(SetCollection, "query_set", counting_query_set)
+    monkeypatch.setattr(scheme, "generate", counting_generate)
+    passes = service.engine.stats.passes
+    refreshed = service.search(reference)
+    assert calls == []
+    assert service.engine.stats.passes == passes + 1
+    assert service.stats.cache_refreshes == 1
+    assert service.cache.get(key).signed is signed
+    monkeypatch.undo()
+
+    fresh = build()
+    write(fresh)
+    assert _rows(refreshed) == _rows(fresh.search(reference))
+
+
+def test_no_pass_leaves_its_signed_reference_in_the_run_window():
+    """The run stats' window keeps passes, never the signed references
+    the cache holds -- cold, refreshed, batched or re-signed."""
+    service = SilkMothService(SilkMothConfig(delta=0.5), wal_dir=False)
+    for elements in SCRIPT_SETS:
+        service.add_set(elements)
+    _script(service)
+    service.search_many([["ash bay", "fir"], ["oak sky"], ["ivy yew"]])
+    per_pass = service.engine.stats.per_pass
+    assert service.stats.cache_refreshes == 2 and len(per_pass) >= 6
+    assert all(stats.signed is None for stats in per_pass)
+
+
+def test_a_query_span_says_when_a_hit_ran_a_refresh():
+    service = SilkMothService(SilkMothConfig(delta=0.5), wal_dir=False)
+    for elements in SCRIPT_SETS:
+        service.add_set(elements)
+    reference = ["oak sky"]
+    service.search(reference)
+    set_trace_enabled(True)
+    try:
+        get_tracer().drain()
+        service.search(reference)  # a plain hit
+        service.add_set(["oak sky"])  # hits its signature
+        service.search(reference)  # a stale hit: one refresh pass
+        spans = get_tracer().drain()
+    finally:
+        set_trace_enabled(None)
+        get_tracer().drain()
+    plain, stale = [s["attrs"] for s in spans if s["name"] == "service.query"]
+    assert plain == {"cache": "hit"}
+    assert stale == {"cache": "hit", "refreshed": True}
 
 
 def test_an_empty_element_add_reaches_an_empty_element_answer():

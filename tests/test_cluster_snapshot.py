@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.cluster import SilkMothCluster
 from repro.core.config import SilkMothConfig
+from repro.io import persistence
 from repro.io.persistence import (
     load_cluster_manifest,
     load_collection,
@@ -60,6 +61,27 @@ def test_shard_snapshot_round_trip(tmp_path):
     # A v3 file also loads as a plain collection (shard meta ignored).
     plain = load_collection(path)
     assert plain.live_count == 2
+
+
+def test_a_shard_snapshot_is_read_once(tmp_path, monkeypatch):
+    """Collection and shard metadata come from one read of the file, so
+    a file replaced mid-load cannot mix two versions."""
+    path = tmp_path / "shard.json"
+    save_shard_snapshot(
+        path, kind=SimilarityKind.JACCARD, q=1, sets=[["ash"], ["oak"]],
+        deleted=[0], shard_meta={"shard_index": 1},
+    )
+    reads = []
+    read = persistence._read_payload
+
+    def counting(read_path):
+        reads.append(read_path)
+        return read(read_path)
+
+    monkeypatch.setattr(persistence, "_read_payload", counting)
+    collection, shard_meta = load_shard_snapshot(path)
+    assert reads == [path]
+    assert collection.live_count == 1 and shard_meta == {"shard_index": 1}
 
 
 def test_shard_snapshot_validates_tokenizer(tmp_path):

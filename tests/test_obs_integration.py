@@ -18,9 +18,9 @@ from repro.cluster import SilkMothCluster
 from repro.core.config import SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
-from repro.core.stats import PASS_COUNTERS
+from repro.core.stats import PASS_COUNTERS, PassStats
 from repro.obs import get_registry, reset_registry, to_prometheus_text
-from repro.obs.instrument import handles
+from repro.obs.instrument import handles, observe_pass
 from repro.obs.sketch import reset_sketch_registry
 from repro.obs.trace import get_tracer, set_trace_enabled
 
@@ -186,6 +186,56 @@ class TestMetricsFromTraffic:
         assert set(handles().pass_counters) == (
             set(PASS_COUNTERS) - {"signature_tokens"}
         )
+
+    def test_pre_bound_series_sum_the_passes_and_rebind_on_reset(self):
+        """observe_pass writes through series bound on first use; the
+        families still equal the summed fields, and a reset of either
+        registry sends the next pass to the new one."""
+        registry = reset_registry()
+        sketches = reset_sketch_registry()
+
+        def stats(scheme, memo_hits, full_scan=False):
+            s = PassStats(
+                scheme=scheme, full_scan=full_scan, initial_candidates=5,
+                after_check=4, after_nn=3, verified=3, matches=2,
+                sim_cache_hits=memo_hits, select_postings_scanned=7,
+                select_distinct_pairs=6, select_size_gate_drops=1,
+            )
+            s.stage_seconds = {"signature": 0.25, "select": 0.5}
+            return s
+
+        passes = [
+            stats("weighted", 0), stats("dichotomy", 3),
+            stats("weighted", 0, full_scan=True), stats("weighted", 2),
+        ]
+        for s in passes:
+            observe_pass(s)
+        by_scheme = registry.get("silkmoth_passes_total")
+        assert by_scheme.value(scheme="weighted") == 3
+        assert by_scheme.value(scheme="dichotomy") == 1
+        for name, (family, labels, _) in handles().pass_counters.items():
+            assert family.value(**labels) == sum(
+                getattr(s, name) for s in passes
+            ), name
+        # A zero memo count opens no series.
+        lookups = registry.get("silkmoth_sim_cache_lookups_total")
+        assert [labels for labels, _ in lookups.series()] == [("hit",)]
+        assert registry.get("silkmoth_full_scans_total").value() == 1
+        stage = sketches.get("silkmoth_stage_latency_quantile")
+        assert {k: s.count for k, s in stage.series()} == {
+            ("select",): 4, ("signature",): 4,
+        }
+        (_, whole), = sketches.get("silkmoth_pass_latency_quantile").series()
+        assert whole.count == 4 and whole.sum == 3.0
+
+        registry, sketches = reset_registry(), reset_sketch_registry()
+        observe_pass(stats("weighted", 1))
+        assert registry.get("silkmoth_passes_total").value(scheme="weighted") == 1
+        assert registry.get("silkmoth_candidates_total").value(
+            stage="matches"
+        ) == 2
+        (_, whole), = sketches.get("silkmoth_pass_latency_quantile").series()
+        assert whole.count == 1
 
     @pytest.mark.parametrize(
         "family",

@@ -23,7 +23,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import get_backend
-from repro.baselines.brute_force import brute_force_discover
+from repro.baselines.brute_force import brute_force_discover, brute_force_search
 from repro.core.config import SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
@@ -162,6 +162,53 @@ def test_a_set_witnessed_by_several_elements_keeps_element_order():
             [(0, 1.0), (2, 1.0), (1, 1.0)], [(1, 1.0)], []
         ]
         assert gains == [((0.0 + (1.0 - 0.3)) + (1.0 - 0.3)) + (1.0 - 0.5), 0.5, 0.0]
+
+
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
+@pytest.mark.parametrize("tombstone", [False, True])
+def test_a_floored_probe_skips_a_token_held_only_below_the_floor(
+    kernels, tombstone
+):
+    """``ash`` is held below the floor only -- or, with *tombstone*, also
+    by one tombstoned set above it.  Unread in the first case, read in
+    the second: either way the columns equal the per-occurrence
+    oracle's and the rows equal brute force from the floor on."""
+    sets = [["ash bay"], ["ash elm", "fir"], ["bay fir"], ["oak", "fir"]]
+    if tombstone:
+        sets.append(["ash bay"])
+    collection = SetCollection.from_strings(sets)
+    if tombstone:
+        collection.remove_set(4)
+    index = InvertedIndex(collection)
+    reference = collection.query_set(["ash bay", "fir"])
+    per_element = tuple(e.index_tokens for e in reference.elements)
+    signature = Signature(
+        frozenset().union(*per_element), per_element, (0.0, 0.0), "by-hand"
+    )
+    ash = collection.vocabulary.id_of("ash")
+    opened = []
+    content_ids = index.content_ids
+
+    def recording(token):
+        opened.append(token)
+        return content_ids(token)
+
+    index.content_ids = recording
+    phi = SimilarityFunction(SimilarityKind.JACCARD, 0.0)
+    with kernel_mode(kernels):
+        assert_columns_match_the_oracle(
+            reference, signature, index, phi, collection, None, None,
+            get_backend(), (None, None), range(len(sets)), first_set=2,
+        )
+        config = SilkMothConfig(delta=0.3)
+        engine = SilkMoth(collection, config, index)
+        rows = engine.search(reference, first_set=2)
+    assert (ash in opened) is tombstone
+    expected = [
+        r for r in brute_force_search(reference, collection, config)
+        if r.set_id >= 2
+    ]
+    assert rows == expected and [r.set_id for r in rows] == [3]
 
 
 @pytest.mark.parametrize("kernels", KERNEL_MODES)
