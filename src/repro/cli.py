@@ -48,8 +48,10 @@ Results go to stdout as TSV by default, or to ``--output`` as CSV/JSON
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+from contextlib import closing
 from pathlib import Path
 
 from repro.core.config import Relatedness, SilkMothConfig
@@ -62,19 +64,24 @@ from repro.io.loaders import (
     load_jsonl_sets,
     load_string_sets,
 )
+from repro.io.persistence import CLUSTER_FORMAT_NAME, FORMAT_NAME, read_document
+from repro.io.wal import CHECKPOINT_NAME, WalError
 from repro.io.writers import (
     write_discovery_csv,
     write_discovery_json,
     write_search_csv,
     write_search_json,
 )
-from repro.io.wal import WalError
 from repro.settings import SETTINGS, help_default, resolve, resolve_all
 from repro.sim.functions import SimilarityKind
 from repro.signatures import SCHEME_NAMES
 
 #: --format choices accepted by every subcommand.
 FORMATS = ("text", "jsonl", "csv-columns", "csv-schema")
+
+
+class UsageError(Exception):
+    """A bad argument value or an empty input: printed as is, exit 1."""
 
 
 def load_sets(path: str, fmt: str) -> tuple[list[list[str]], list[str]]:
@@ -97,6 +104,43 @@ def load_sets(path: str, fmt: str) -> tuple[list[list[str]], list[str]]:
     return sets, labels
 
 
+def _load_input(
+    path: str, fmt: str, empty: str = "no sets found in input"
+) -> tuple[list[list[str]], list[str]]:
+    """:func:`load_sets`, with an input holding no sets a usage error."""
+    sets, labels = load_sets(path, fmt)
+    if not sets:
+        raise UsageError(empty)
+    return sets, labels
+
+
+def _open_input(
+    args: argparse.Namespace,
+) -> tuple[SilkMothConfig, list[str], SetCollection]:
+    """An input-taking command's config, set labels and sets, tokenised
+    per the config's similarity kind and q."""
+    config = build_config(args)
+    sets, labels = _load_input(args.input, args.format)
+    collection = SetCollection.from_strings(
+        sets, kind=config.similarity, q=config.effective_q
+    )
+    return config, labels, collection
+
+
+def _check_index(flag: str, index: int, count: int) -> None:
+    """*index* must address one of *count* input sets."""
+    if not 0 <= index < count:
+        raise UsageError(f"{flag} {index} out of range (0..{count - 1})")
+
+
+def _remove(target, set_ids) -> None:
+    """Tombstone each ``--remove`` id on a collection or a cluster."""
+    for set_id in set_ids or ():
+        if not target.is_live(set_id):
+            raise UsageError(f"--remove {set_id} out of range or duplicated")
+        target.remove_set(set_id)
+
+
 def build_config(args: argparse.Namespace) -> SilkMothConfig:
     """Translate parsed CLI flags into a :class:`SilkMothConfig`."""
     return SilkMothConfig(
@@ -112,128 +156,63 @@ def build_config(args: argparse.Namespace) -> SilkMothConfig:
     )
 
 
-def build_collection(
-    sets: list[list[str]], config: SilkMothConfig
-) -> SetCollection:
-    """Tokenise raw *sets* per the config's similarity kind and q."""
-    return SetCollection.from_strings(
-        sets, kind=config.similarity, q=config.effective_q
+def open_target(
+    path: "str | Path", fmt: "str | None" = None, **settings
+) -> tuple[str, SilkMothConfig]:
+    """A snapshot, manifest or checkpoint's format and tokenizer config.
+
+    The file is read -- and checked -- by the one snapshot reader,
+    without tokenising; *settings* are further config fields
+    (thresholds) for a command that serves under the file's tokenizer.
+    """
+    payload = read_document(path, fmt)
+    kind = SimilarityKind(payload["similarity"])
+    config = SilkMothConfig(
+        similarity=kind,
+        q=payload["q"] if kind.is_edit_based else None,
+        **settings,
     )
+    return payload["format"], config
 
 
-def _add_config_options(parser: argparse.ArgumentParser) -> None:
-    """Engine-configuration flags shared by every query-running command."""
-    parser.add_argument(
-        "--metric",
-        choices=[m.value for m in Relatedness],
-        default="similarity",
-        help="set relatedness metric (default: similarity)",
-    )
-    parser.add_argument(
-        "--sim",
-        choices=[k.value for k in SimilarityKind],
-        default="jaccard",
-        help="element similarity function (default: jaccard)",
-    )
-    parser.add_argument(
-        "--delta", type=float, default=0.7, help="relatedness threshold (0, 1]"
-    )
-    parser.add_argument(
-        "--alpha",
-        type=float,
-        default=0.0,
-        help="element similarity threshold [0, 1] (default: 0)",
-    )
-    parser.add_argument(
-        "--q",
-        type=int,
-        default=None,
-        help=(
-            "gram length for edit similarity (default: largest valid q; "
-            "out-of-constraint values stay exact via the planner's "
-            "full-scan fallback -- see `silkmoth explain`)"
-        ),
-    )
-    parser.add_argument(
-        "--scheme",
-        choices=("auto",) + SCHEME_NAMES,
-        default="dichotomy",
-        help=(
-            "signature scheme (default: dichotomy; 'auto' lets the "
-            "planner's cost model choose from index statistics)"
-        ),
-    )
-    parser.add_argument(
-        "--no-check-filter", action="store_true", help="disable the check filter"
-    )
-    parser.add_argument(
-        "--no-nn-filter",
-        action="store_true",
-        help="disable the nearest neighbour filter",
-    )
-    parser.add_argument(
-        "--no-reduction",
-        action="store_true",
-        help="disable reduction-based verification",
-    )
-
-
-def _add_common_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("input", help="input data file")
-    parser.add_argument(
-        "--format",
-        choices=FORMATS,
-        default="text",
-        help="how to map the input file to sets (default: text)",
-    )
-    _add_config_options(parser)
-    parser.add_argument(
-        "--output",
-        help="write results to this file (.csv or .json); default stdout TSV",
-    )
-    parser.add_argument(
-        "--quiet", action="store_true", help="suppress the progress summary"
-    )
+def _write_rows(columns: tuple, rows) -> None:
+    """Stdout TSV: *columns* plus score and relatedness, then one line
+    per ``(column values, result)`` in *rows*."""
+    lines = [(*columns, "score", "relatedness")]
+    lines += [(*keys, f"{r.score:.6g}", f"{r.relatedness:.6g}") for keys, r in rows]
+    sys.stdout.write("".join("\t".join(line) + "\n" for line in lines))
 
 
 def _write_output(args, results, kind: str, labels: list[str]) -> None:
     """Emit results to --output (csv/json by extension) or stdout TSV."""
+    discovery = kind == "discovery"
     if args.output:
-        suffix = Path(args.output).suffix.lower()
-        if suffix == ".csv":
-            writer = write_discovery_csv if kind == "discovery" else write_search_csv
-        elif suffix == ".json":
-            writer = (
-                write_discovery_json if kind == "discovery" else write_search_json
-            )
-        else:
+        writers = {
+            ".csv": (write_discovery_csv, write_search_csv),
+            ".json": (write_discovery_json, write_search_json),
+        }.get(Path(args.output).suffix.lower())
+        if writers is None:
             raise SystemExit(
                 f"--output must end in .csv or .json, got {args.output!r}"
             )
-        writer(args.output, results)
-        return
-    out = sys.stdout
-    if kind == "discovery":
-        out.write("reference\tset\tscore\trelatedness\n")
-        for r in results:
-            out.write(
-                f"{labels[r.reference_id]}\t{labels[r.set_id]}"
-                f"\t{r.score:.6g}\t{r.relatedness:.6g}\n"
-            )
+        writers[0 if discovery else 1](args.output, results)
+    elif discovery:
+        _write_rows(
+            ("reference", "set"),
+            (((labels[r.reference_id], labels[r.set_id]), r) for r in results),
+        )
     else:
-        out.write("set\tscore\trelatedness\n")
-        for r in results:
-            out.write(f"{labels[r.set_id]}\t{r.score:.6g}\t{r.relatedness:.6g}\n")
+        _write_rows(("set",), (((labels[r.set_id],), r) for r in results))
+
+
+def _print_json(payload) -> None:
+    json.dump(payload, sys.stdout, indent=2, sort_keys=True)
+    sys.stdout.write("\n")
 
 
 def cmd_discover(args: argparse.Namespace) -> int:
     """``silkmoth discover``: all related pairs within the input."""
-    config = build_config(args)
-    sets, labels = load_sets(args.input, args.format)
-    if not sets:
-        print("no sets found in input", file=sys.stderr)
-        return 1
-    collection = build_collection(sets, config)
+    config, labels, collection = _open_input(args)
     engine = SilkMoth(collection, config)
     started = time.perf_counter()
     results = engine.discover()
@@ -242,7 +221,7 @@ def cmd_discover(args: argparse.Namespace) -> int:
     if not args.quiet:
         stats = engine.stats
         print(
-            f"# {len(results)} related pair(s) among {len(sets)} sets "
+            f"# {len(results)} related pair(s) among {len(collection)} sets "
             f"in {elapsed:.3f}s; verified {stats.verified} of "
             f"{stats.initial_candidates} initial candidates",
             file=sys.stderr,
@@ -252,30 +231,19 @@ def cmd_discover(args: argparse.Namespace) -> int:
 
 def cmd_search(args: argparse.Namespace) -> int:
     """``silkmoth search``: everything related to one reference set."""
-    config = build_config(args)
-    sets, labels = load_sets(args.input, args.format)
-    if not sets:
-        print("no sets found in input", file=sys.stderr)
-        return 1
-    if not 0 <= args.reference < len(sets):
-        print(
-            f"--reference {args.reference} out of range (0..{len(sets) - 1})",
-            file=sys.stderr,
-        )
-        return 1
-    collection = build_collection(sets, config)
+    config, labels, collection = _open_input(args)
+    _check_index("--reference", args.reference, len(collection))
+    reference = collection[args.reference]
     started = time.perf_counter()
     if args.top_k is not None:
         searcher = TopKSearcher(collection, config)
         outcome = searcher.search(
-            collection[args.reference], args.top_k, skip_set=args.reference
+            reference, args.top_k, skip_set=args.reference
         )
         results = list(outcome.results)
     else:
         engine = SilkMoth(collection, config)
-        results = engine.search(
-            collection[args.reference], skip_set=args.reference
-        )
+        results = engine.search(reference, skip_set=args.reference)
     elapsed = time.perf_counter() - started
     _write_output(args, results, "search", labels)
     if not args.quiet:
@@ -291,22 +259,10 @@ def cmd_explain(args: argparse.Namespace) -> int:
     """Print the query plan report, plus a pair trace with --candidate."""
     from repro.core.explain import explain, format_explanation
 
-    config = build_config(args)
-    sets, labels = load_sets(args.input, args.format)
-    if not sets:
-        print("no sets found in input", file=sys.stderr)
-        return 1
-    checked = [("--reference", args.reference)]
+    config, _, collection = _open_input(args)
+    _check_index("--reference", args.reference, len(collection))
     if args.candidate is not None:
-        checked.append(("--candidate", args.candidate))
-    for name, index in checked:
-        if not 0 <= index < len(sets):
-            print(
-                f"{name} {index} out of range (0..{len(sets) - 1})",
-                file=sys.stderr,
-            )
-            return 1
-    collection = build_collection(sets, config)
+        _check_index("--candidate", args.candidate, len(collection))
     engine = SilkMoth(collection, config)
     reference = collection[args.reference]
     print(engine.plan(reference, skip_set=args.reference).describe())
@@ -323,15 +279,10 @@ def cmd_selfcheck(args: argparse.Namespace) -> int:
 
     from repro.baselines.brute_force import brute_force_search
 
-    config = build_config(args)
-    sets, labels = load_sets(args.input, args.format)
-    if not sets:
-        print("no sets found in input", file=sys.stderr)
-        return 1
-    collection = build_collection(sets, config)
+    config, labels, collection = _open_input(args)
     engine = SilkMoth(collection, config)
     rng = random.Random(args.seed)
-    sample = list(range(len(sets)))
+    sample = list(range(len(collection)))
     if args.sample and args.sample < len(sample):
         sample = sorted(rng.sample(sample, args.sample))
     started = time.perf_counter()
@@ -379,21 +330,10 @@ def cmd_service_snapshot(args: argparse.Namespace) -> int:
     ``planned_without_index``.
     """
     from repro.io.persistence import save_service_snapshot
-
-    config = build_config(args)
-    sets, labels = load_sets(args.input, args.format)
-    if not sets:
-        print("no sets found in input", file=sys.stderr)
-        return 1
-    collection = build_collection(sets, config)
-    removals = args.remove or ()
-    for set_id in removals:
-        if not collection.is_live(set_id):
-            print(f"--remove {set_id} out of range or duplicated", file=sys.stderr)
-            return 1
-        collection.remove_set(set_id)
     from repro.planner import plan_query
 
+    config, _, collection = _open_input(args)
+    _remove(collection, args.remove)
     # Config-only plan: the validity/fallback facts are exact, and the
     # serving process re-plans against live index statistics on load
     # anyway -- building an index here just for metadata would double
@@ -404,7 +344,7 @@ def cmd_service_snapshot(args: argparse.Namespace) -> int:
         args.output,
         collection,
         metadata={
-            "generation": len(removals),
+            "generation": len(collection.deleted_ids),
             "planner": planner_meta,
         },
     )
@@ -417,37 +357,58 @@ def cmd_service_snapshot(args: argparse.Namespace) -> int:
     return 0
 
 
+def _serve(args: argparse.Namespace, open_front, describe) -> int:
+    """The body of ``service query`` and ``cluster query``.
+
+    Serves the references ``--repeat`` times over the
+    :class:`~repro.service.batch.QueryFront` that ``open_front(config)``
+    opens; ``describe(front)`` gives the summary line's two
+    front-specific parts, ``(where, tail)``.
+    """
+    if args.repeat < 1:
+        raise UsageError(f"--repeat must be >= 1, got {args.repeat}")
+    config = build_config(args)
+    references, labels = _load_input(
+        args.references, args.format, "no reference sets found"
+    )
+    with closing(open_front(config)) as front:
+        started = time.perf_counter()
+        for _ in range(args.repeat):
+            batches = front.search_many(
+                references, processes=getattr(args, "processes", None)
+            )
+        elapsed = time.perf_counter() - started
+        _write_rows(
+            ("reference", "set"),
+            (
+                ((label, str(r.set_id)), r)
+                for label, results in zip(labels, batches)
+                for r in results
+            ),
+        )
+        if not args.quiet:
+            where, tail = describe(front)
+            print(
+                f"# served {front.stats.queries} query(ies){where} in "
+                f"{elapsed:.3f}s; cache hit rate "
+                f"{front.stats.cache_hit_rate:.0%}; {tail}",
+                file=sys.stderr,
+            )
+    return 0
+
+
 def cmd_service_query(args: argparse.Namespace) -> int:
     """Serve a batch of reference queries from a service snapshot."""
     from repro.service import SilkMothService
 
-    if args.repeat < 1:
-        print(f"--repeat must be >= 1, got {args.repeat}", file=sys.stderr)
-        return 1
-    config = build_config(args)
-    service = SilkMothService.load(args.snapshot, config)
-    references, labels = load_sets(args.references, args.format)
-    if not references:
-        print("no reference sets found", file=sys.stderr)
-        return 1
-    started = time.perf_counter()
-    for _ in range(args.repeat):
-        batches = service.search_many(references, processes=args.processes)
-    elapsed = time.perf_counter() - started
-    out = sys.stdout
-    out.write("reference\tset\tscore\trelatedness\n")
-    for label, results in zip(labels, batches):
-        for r in results:
-            out.write(f"{label}\t{r.set_id}\t{r.score:.6g}\t{r.relatedness:.6g}\n")
-    if not args.quiet:
-        stats = service.stats
-        print(
-            f"# served {stats.queries} query(ies) in {elapsed:.3f}s; "
-            f"cache hit rate {stats.cache_hit_rate:.0%}; "
-            f"{stats.batch_queries_deduplicated} deduplicated in batch",
-            file=sys.stderr,
-        )
-    return 0
+    return _serve(
+        args,
+        lambda config: SilkMothService.load(args.snapshot, config),
+        lambda service: (
+            "",
+            f"{service.stats.batch_queries_deduplicated} deduplicated in batch",
+        ),
+    )
 
 
 def cmd_service_info(args: argparse.Namespace) -> int:
@@ -480,24 +441,11 @@ def cmd_cluster_shard(args: argparse.Namespace) -> int:
     from repro.cluster import SilkMothCluster
 
     config = build_config(args)
-    sets, labels = load_sets(args.input, args.format)
-    if not sets:
-        print("no sets found in input", file=sys.stderr)
-        return 1
+    sets, _ = _load_input(args.input, args.format)
     with SilkMothCluster.from_sets(
-        sets,
-        config,
-        shards=args.shards,
-        transport="inline",
+        sets, config, shards=args.shards, transport="inline"
     ) as cluster:
-        for set_id in args.remove or ():
-            if not cluster.is_live(set_id):
-                print(
-                    f"--remove {set_id} out of range or duplicated",
-                    file=sys.stderr,
-                )
-                return 1
-            cluster.remove_set(set_id)
+        _remove(cluster, args.remove)
         cluster.save(args.output)
         if not args.quiet:
             print(
@@ -513,45 +461,26 @@ def cmd_cluster_query(args: argparse.Namespace) -> int:
     """Serve a batch of reference queries from a cluster manifest."""
     from repro.cluster import SilkMothCluster
 
-    if args.repeat < 1:
-        print(f"--repeat must be >= 1, got {args.repeat}", file=sys.stderr)
-        return 1
-    config = build_config(args)
-    references, labels = load_sets(args.references, args.format)
-    if not references:
-        print("no reference sets found", file=sys.stderr)
-        return 1
-    with SilkMothCluster.load(
-        args.manifest,
-        config,
-        transport=args.transport,
-        replicas=args.replicas,
-        deadline=args.deadline,
-        backoff=args.backoff,
-    ) as cluster:
-        started = time.perf_counter()
-        for _ in range(args.repeat):
-            batches = cluster.search_many(references)
-        elapsed = time.perf_counter() - started
-        out = sys.stdout
-        out.write("reference\tset\tscore\trelatedness\n")
-        for label, results in zip(labels, batches):
-            for r in results:
-                out.write(
-                    f"{label}\t{r.set_id}\t{r.score:.6g}\t{r.relatedness:.6g}\n"
-                )
-        if not args.quiet:
-            stats = cluster.stats
-            print(
-                f"# served {stats.queries} query(ies) over "
-                f"{cluster.n_shards} shard(s) in {elapsed:.3f}s; "
-                f"cache hit rate {stats.cache_hit_rate:.0%}; "
-                f"shard fan-outs {stats.shards_routed_total} routed / "
-                f"{stats.shards_skipped_total} skipped "
-                f"(skip rate {stats.shard_skip_rate:.0%})",
-                file=sys.stderr,
-            )
-    return 0
+    def describe(cluster) -> tuple[str, str]:
+        stats = cluster.stats
+        return f" over {cluster.n_shards} shard(s)", (
+            f"shard fan-outs {stats.shards_routed_total} routed / "
+            f"{stats.shards_skipped_total} skipped "
+            f"(skip rate {stats.shard_skip_rate:.0%})"
+        )
+
+    return _serve(
+        args,
+        lambda config: SilkMothCluster.load(
+            args.manifest,
+            config,
+            transport=args.transport,
+            replicas=args.replicas,
+            deadline=args.deadline,
+            backoff=args.backoff,
+        ),
+        describe,
+    )
 
 
 def cmd_cluster_info(args: argparse.Namespace) -> int:
@@ -563,29 +492,18 @@ def cmd_cluster_info(args: argparse.Namespace) -> int:
     under the real serving flags.
     """
     from repro.cluster import SilkMothCluster
-    from repro.io.persistence import load_cluster_manifest
 
-    payload = load_cluster_manifest(args.manifest)
-    config = SilkMothConfig(
-        similarity=SimilarityKind(payload["similarity"]),
-        q=int(payload["q"]) if SimilarityKind(payload["similarity"]).is_edit_based else None,
-    )
+    _, config = open_target(args.manifest, CLUSTER_FORMAT_NAME)
     with SilkMothCluster.load(args.manifest, config) as cluster:
-        print(f"similarity:   {payload['similarity']}")
-        print(f"q:            {payload['q']}")
+        print(f"similarity:   {config.similarity.value}")
+        print(f"q:            {config.effective_q}")
         print(f"shards:       {cluster.n_shards}")
         print(f"total sets:   {cluster.total_sets}")
         print(f"live sets:    {len(cluster)}")
         print(f"generation:   {cluster.generation}")
         info = cluster.info()
-        print(
-            "routing:      "
-            + (
-                "summary intersection"
-                if info["routing_certificate"]
-                else "broadcast"
-            )
-        )
+        routing = info["routing_certificate"]
+        print(f"routing:      {'summary intersection' if routing else 'broadcast'}")
         print(f"shard live:   {info['shard_live_sets']}")
         if "profile" in info:
             profile = info["profile"]
@@ -600,14 +518,11 @@ def cmd_cluster_info(args: argparse.Namespace) -> int:
 
 def cmd_wal_inspect(args: argparse.Namespace) -> int:
     """``silkmoth wal inspect``: summarise a WAL directory's contents."""
-    import json
-
     from repro.io.wal import describe_wal
 
     summary = describe_wal(args.wal_dir)
     if args.json:
-        json.dump(summary, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
+        _print_json(summary)
         return 0
     checkpoint = summary["checkpoint"]
     if checkpoint is None:
@@ -642,44 +557,35 @@ def cmd_wal_recover(args: argparse.Namespace) -> int:
     under); *delta*/*alpha* only shape query-time behaviour, not the
     recovered state, so their defaults are fine for snapshotting.
     """
-    import json
-
     from repro.service import SilkMothService
 
-    checkpoint = Path(args.wal_dir) / "checkpoint.json"
+    checkpoint = Path(args.wal_dir) / CHECKPOINT_NAME
     if not checkpoint.exists():
         raise WalError(
-            f"{args.wal_dir}: no checkpoint.json; not a WAL directory "
+            f"{args.wal_dir}: no {CHECKPOINT_NAME}; not a WAL directory "
             "(or the base checkpoint was lost)"
         )
-    with open(checkpoint, encoding="utf-8") as handle:
-        header = json.load(handle)
-    kind = SimilarityKind(header["similarity"])
-    q = int(header["q"])
-    config = SilkMothConfig(
-        similarity=kind,
-        q=q if kind.is_edit_based else None,
-        delta=args.delta,
-        alpha=args.alpha,
+    _, config = open_target(
+        checkpoint, FORMAT_NAME, delta=args.delta, alpha=args.alpha
     )
-    service = SilkMothService.recover(
-        args.wal_dir, config, checkpoint=not args.no_checkpoint
-    )
-    report = service.wal_recovery
-    print(f"recovered:    generation {service.generation}", file=sys.stderr)
-    print(
-        f"replayed:     {report.replayed} record(s) "
-        f"({report.skipped} skipped, checkpoint at "
-        f"{report.checkpoint_generation})",
-        file=sys.stderr,
-    )
-    if report.torn_tail is not None:
-        print("torn tail:    dropped 1 partial record", file=sys.stderr)
-    print(f"fingerprint:  {service.state_fingerprint()}", file=sys.stderr)
-    if args.output:
-        service.save(args.output)
-        print(f"snapshot:     {args.output}", file=sys.stderr)
-    service.close()
+    with closing(
+        SilkMothService.recover(
+            args.wal_dir, config, checkpoint=not args.no_checkpoint
+        )
+    ) as service:
+        report = service.wal_recovery
+        lines = [
+            f"recovered:    generation {service.generation}",
+            f"replayed:     {report.replayed} record(s) ({report.skipped} "
+            f"skipped, checkpoint at {report.checkpoint_generation})",
+        ]
+        if report.torn_tail is not None:
+            lines.append("torn tail:    dropped 1 partial record")
+        lines.append(f"fingerprint:  {service.state_fingerprint()}")
+        print("\n".join(lines), file=sys.stderr)
+        if args.output:
+            service.save(args.output)
+            print(f"snapshot:     {args.output}", file=sys.stderr)
     return 0
 
 
@@ -692,22 +598,17 @@ def cmd_stats(args: argparse.Namespace) -> int:
     as JSON -- a one-shot scrape endpoint for dashboards and the CI
     telemetry smoke leg (see ``docs/observability.md``).
     """
-    sets, labels = load_sets(args.input, args.format)
-    if not sets:
-        print("no sets found in input", file=sys.stderr)
-        return 1
-    if getattr(args, "metrics", None):
+    if args.metrics:
         from repro.obs import to_json, to_prometheus_text
 
-        config = build_config(args)
-        collection = build_collection(sets, config)
-        engine = SilkMoth(collection, config)
-        engine.discover()
+        config, _, collection = _open_input(args)
+        SilkMoth(collection, config).discover()
         if args.metrics == "prom":
             sys.stdout.write(to_prometheus_text())
         else:
             print(to_json())
         return 0
+    sets, labels = _load_input(args.input, args.format)
     n_sets = len(sets)
     elements_per_set = sum(len(s) for s in sets) / n_sets
     token_counts = [
@@ -735,8 +636,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     spans = load_jsonl(args.trace_file)
     if not spans:
-        print("no spans in trace file", file=sys.stderr)
-        return 1
+        raise UsageError("no spans in trace file")
     if args.top is not None:
         print(format_hotspots(spans, args.top))
     else:
@@ -751,85 +651,145 @@ def cmd_slowlog(args: argparse.Namespace) -> int:
     counters and per-stage seconds; ``--top N`` truncates, ``--json``
     dumps the raw entries for machine diffing.
     """
-    import json
-
     from repro.obs import format_slowlog, load_slowlog_jsonl
 
     entries = load_slowlog_jsonl(args.slowlog_file)
     if not entries:
-        print("no slow queries captured", file=sys.stderr)
-        return 1
+        raise UsageError("no slow queries captured")
     if args.json:
-        json.dump(entries, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        return 0
-    print(format_slowlog(entries, top=args.top))
+        _print_json(entries)
+    else:
+        print(format_slowlog(entries, top=args.top))
     return 0
 
 
 def cmd_health(args: argparse.Namespace) -> int:
     """``silkmoth health``: one rollup for a snapshot or cluster manifest.
 
-    Sniffs the target file: a ``silkmoth-cluster`` manifest loads as a
-    cluster (latency sketches merged across every shard), anything else
-    as a single-node service.  ``--references FILE`` serves that batch
-    first so the latency/cache sections describe real traffic; the
-    tokenizer settings come from the target file itself.
+    A ``silkmoth-cluster`` manifest loads as a cluster (latency
+    sketches merged across every shard), a snapshot as a single-node
+    service.  ``--references FILE`` serves that batch first so the
+    latency/cache sections describe real traffic; the tokenizer
+    settings come from the target file itself.
     """
-    import json
-
+    from repro.cluster import SilkMothCluster
     from repro.obs import format_health
+    from repro.service import SilkMothService
 
-    with open(args.target, encoding="utf-8") as handle:
-        try:
-            peek = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ValueError(
-                f"{args.target}: not a JSON snapshot or manifest: {exc}"
-            ) from exc
+    fmt, config = open_target(args.target)
     references = None
     if args.references:
         references, _ = load_sets(args.references, args.format)
-    is_cluster = (
-        isinstance(peek, dict) and peek.get("format") == "silkmoth-cluster"
-    )
-    if is_cluster:
-        from repro.cluster import SilkMothCluster
-
-        kind = SimilarityKind(peek["similarity"])
-        config = SilkMothConfig(
-            similarity=kind,
-            q=int(peek["q"]) if kind.is_edit_based else None,
-        )
-        with SilkMothCluster.load(
+    if fmt == CLUSTER_FORMAT_NAME:
+        front = SilkMothCluster.load(
             args.target, config, transport=args.transport
-        ) as cluster:
-            if references:
-                cluster.search_many(references)
-            payload = cluster.health()
-    else:
-        from repro.io.persistence import load_service_snapshot
-        from repro.service import SilkMothService
-
-        collection, _ = load_service_snapshot(args.target)
-        kind = collection.tokenizer.kind
-        config = SilkMothConfig(
-            similarity=kind,
-            q=collection.tokenizer.q if kind.is_edit_based else None,
         )
-        service = SilkMothService.load(args.target, config)
-        try:
-            if references:
-                service.search_many(references)
-            payload = service.health()
-        finally:
-            service.close()
+    else:
+        front = SilkMothService.load(args.target, config)
+    with closing(front):
+        if references:
+            front.search_many(references)
+        payload = front.health()
     if args.json:
-        json.dump(payload, sys.stdout, indent=2, sort_keys=True)
-        sys.stdout.write("\n")
-        return 0
-    print(format_health(payload))
+        _print_json(payload)
+    else:
+        print(format_health(payload))
     return 0
+
+
+#: Arguments several subcommands take, declared once: the
+#: ``add_argument`` keywords per name.
+SHARED_ARGUMENTS = {
+    "input": {"help": "input data file"},
+    "--format": {
+        "choices": FORMATS,
+        "default": "text",
+        "help": "how to map the input (or references) file to sets "
+        "(default: text)",
+    },
+    "--metric": {
+        "choices": [m.value for m in Relatedness],
+        "default": "similarity",
+        "help": "set relatedness metric (default: similarity)",
+    },
+    "--sim": {
+        "choices": [k.value for k in SimilarityKind],
+        "default": "jaccard",
+        "help": "element similarity function (default: jaccard)",
+    },
+    "--delta": {
+        "type": float, "default": 0.7, "help": "relatedness threshold (0, 1]"
+    },
+    "--alpha": {
+        "type": float,
+        "default": 0.0,
+        "help": "element similarity threshold [0, 1] (default: 0)",
+    },
+    "--q": {
+        "type": int,
+        "default": None,
+        "help": "gram length for edit similarity (default: largest valid "
+        "q; out-of-constraint values stay exact via the planner's "
+        "full-scan fallback -- see `silkmoth explain`)",
+    },
+    "--scheme": {
+        "choices": ("auto",) + SCHEME_NAMES,
+        "default": "dichotomy",
+        "help": "signature scheme (default: dichotomy; 'auto' lets the "
+        "planner's cost model choose from index statistics)",
+    },
+    "--no-check-filter": {
+        "action": "store_true", "help": "disable the check filter"
+    },
+    "--no-nn-filter": {
+        "action": "store_true", "help": "disable the nearest neighbour filter"
+    },
+    "--no-reduction": {
+        "action": "store_true", "help": "disable reduction-based verification"
+    },
+    "--quiet": {"action": "store_true", "help": "suppress the summary line"},
+    "--references": {
+        "required": True, "help": "file of reference sets to serve"
+    },
+    "--remove": {
+        "type": int,
+        "action": "append",
+        "help": "tombstone this set id before saving (repeatable)",
+    },
+    "--repeat": {
+        "type": int,
+        "default": 1,
+        "help": "serve the batch this many times (shows the cache hit rate)",
+    },
+    "--transport": {
+        "choices": SETTINGS["SILKMOTH_CLUSTER_TRANSPORT"].choices,
+        "default": None,
+        "help": "cluster shard transport "
+        f"(default: {help_default('SILKMOTH_CLUSTER_TRANSPORT')})",
+    },
+    "--json": {"action": "store_true", "help": "emit JSON instead of text"},
+}
+#: The engine-configuration flags of every query-running command
+#: (:func:`build_config` reads them).
+CONFIG = (
+    "--metric", "--sim", "--delta", "--alpha", "--q", "--scheme",
+    "--no-check-filter", "--no-nn-filter", "--no-reduction",
+)
+
+
+def _subcommand(group, name: str, func, help: str, *arguments) -> None:
+    """One subparser running *func*, taking *arguments* in order: each a
+    :data:`SHARED_ARGUMENTS` name or a ``(name, keywords)`` pair (its
+    own argument, or keywords overriding a shared one's)."""
+    parser = group.add_parser(name, help=help)
+    for argument in arguments:
+        flag, keywords = (
+            (argument, {}) if isinstance(argument, str) else argument
+        )
+        parser.add_argument(
+            flag, **{**SHARED_ARGUMENTS.get(flag, {}), **keywords}
+        )
+    parser.set_defaults(func=func)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -842,409 +802,224 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    discover = sub.add_parser(
-        "discover", help="find all related pairs within the input"
+    dataset = ("input", "--format", *CONFIG)
+    results = (
+        *dataset,
+        ("--output", {"help": "write results to this file (.csv or .json); "
+                      "default stdout TSV"}),
+        "--quiet",
     )
-    _add_common_options(discover)
-    discover.set_defaults(func=cmd_discover)
-
-    search = sub.add_parser(
-        "search", help="find all sets related to one reference set"
+    reference = ("--reference", {
+        "type": int, "required": True,
+        "help": "index of the reference set within the input",
+    })
+    serving = ("--references", "--format", *CONFIG)
+    _subcommand(
+        sub, "discover", cmd_discover,
+        "find all related pairs within the input", *results,
     )
-    _add_common_options(search)
-    search.add_argument(
-        "--reference",
-        type=int,
-        required=True,
-        help="index of the reference set within the input",
+    _subcommand(
+        sub, "search", cmd_search,
+        "find all sets related to one reference set", *results, reference,
+        ("--top-k", {
+            "type": int, "default": None,
+            "help": "return only the k most related sets (iterative "
+            "deepening)",
+        }),
     )
-    search.add_argument(
-        "--top-k",
-        type=int,
-        default=None,
-        help="return only the k most related sets (iterative deepening)",
+    _subcommand(
+        sub, "explain", cmd_explain,
+        "print the planner's query plan for a reference, and trace the "
+        "pipeline's decisions for one candidate with --candidate",
+        *results, reference,
+        ("--candidate", {
+            "type": int, "default": None,
+            "help": "candidate set index (omit for the plan report alone)",
+        }),
     )
-    search.set_defaults(func=cmd_search)
-
-    explain_cmd = sub.add_parser(
-        "explain",
-        help=(
-            "print the planner's query plan for a reference, and trace "
-            "the pipeline's decisions for one candidate with --candidate"
-        ),
+    _subcommand(
+        sub, "selfcheck", cmd_selfcheck,
+        "verify exactness against brute force on (a sample of) the input",
+        *results,
+        ("--sample", {
+            "type": int, "default": 20,
+            "help": "how many reference sets to verify (default 20; 0 = all)",
+        }),
+        ("--seed", {"type": int, "default": 0,
+                    "help": "sampling seed (default 0)"}),
     )
-    _add_common_options(explain_cmd)
-    explain_cmd.add_argument(
-        "--reference", type=int, required=True, help="reference set index"
+    _subcommand(
+        sub, "stats", cmd_stats,
+        "profile the input dataset, or emit pipeline telemetry with --metrics",
+        *dataset,
+        ("--metrics", {
+            "choices": ("prom", "json"), "default": None,
+            "help": "run one discovery pass and print the metrics registry "
+            "in Prometheus text format or JSON instead of the dataset "
+            "profile",
+        }),
     )
-    explain_cmd.add_argument(
-        "--candidate",
-        type=int,
-        default=None,
-        help="candidate set index (omit for the plan report alone)",
+    _subcommand(
+        sub, "trace", cmd_trace,
+        "summarise an exported JSONL trace as a text flame tree",
+        ("trace_file", {"help": "JSONL trace (SILKMOTH_TRACE_EXPORT)"}),
+        ("--top", {
+            "type": int, "default": None,
+            "help": "print the N hottest span names by aggregated "
+            "self-time instead of the flame tree",
+        }),
     )
-    explain_cmd.set_defaults(func=cmd_explain)
-
-    selfcheck = sub.add_parser(
-        "selfcheck",
-        help="verify exactness against brute force on (a sample of) the input",
+    _subcommand(
+        sub, "slowlog", cmd_slowlog,
+        "view a JSONL slow-query export (SILKMOTH_SLOWLOG_EXPORT)",
+        ("slowlog_file", {"help": "JSONL slowlog (SILKMOTH_SLOWLOG_EXPORT)"}),
+        ("--top", {"type": int, "default": None,
+                   "help": "show only the N slowest entries"}),
+        "--json",
     )
-    _add_common_options(selfcheck)
-    selfcheck.add_argument(
-        "--sample",
-        type=int,
-        default=20,
-        help="how many reference sets to verify (default 20; 0 = all)",
+    _subcommand(
+        sub, "health", cmd_health,
+        "roll sketches, caches, WAL and replica state into one view",
+        ("target", {"help": "service snapshot or cluster manifest file"}),
+        ("--references", {
+            "required": False, "default": None,
+            "help": "serve this reference file first so the rollup "
+            "reflects traffic",
+        }),
+        "--format", "--transport", "--json",
     )
-    selfcheck.add_argument(
-        "--seed", type=int, default=0, help="sampling seed (default 0)"
-    )
-    selfcheck.set_defaults(func=cmd_selfcheck)
-
-    stats = sub.add_parser(
-        "stats",
-        help=(
-            "profile the input dataset, or emit pipeline telemetry "
-            "with --metrics"
-        ),
-    )
-    stats.add_argument("input", help="input data file")
-    stats.add_argument("--format", choices=FORMATS, default="text")
-    _add_config_options(stats)
-    stats.add_argument(
-        "--metrics",
-        choices=("prom", "json"),
-        default=None,
-        help=(
-            "run one discovery pass and print the metrics registry in "
-            "Prometheus text format or JSON instead of the dataset profile"
-        ),
-    )
-    stats.set_defaults(func=cmd_stats)
-
-    trace = sub.add_parser(
-        "trace",
-        help="summarise an exported JSONL trace as a text flame tree",
-    )
-    trace.add_argument("trace_file", help="JSONL trace (SILKMOTH_TRACE_EXPORT)")
-    trace.add_argument(
-        "--top",
-        type=int,
-        default=None,
-        help=(
-            "print the N hottest span names by aggregated self-time "
-            "instead of the flame tree"
-        ),
-    )
-    trace.set_defaults(func=cmd_trace)
-
-    slowlog = sub.add_parser(
-        "slowlog",
-        help="view a JSONL slow-query export (SILKMOTH_SLOWLOG_EXPORT)",
-    )
-    slowlog.add_argument(
-        "slowlog_file", help="JSONL slowlog (SILKMOTH_SLOWLOG_EXPORT)"
-    )
-    slowlog.add_argument(
-        "--top",
-        type=int,
-        default=None,
-        help="show only the N slowest entries",
-    )
-    slowlog.add_argument(
-        "--json", action="store_true", help="dump the raw entries as JSON"
-    )
-    slowlog.set_defaults(func=cmd_slowlog)
-
-    health = sub.add_parser(
-        "health",
-        help="roll sketches, caches, WAL and replica state into one view",
-    )
-    health.add_argument(
-        "target", help="service snapshot or cluster manifest file"
-    )
-    health.add_argument(
-        "--references",
-        default=None,
-        help="serve this reference file first so the rollup reflects traffic",
-    )
-    health.add_argument(
-        "--format",
-        choices=FORMATS,
-        default="text",
-        help="how to map the references file to sets (default: text)",
-    )
-    health.add_argument(
-        "--transport",
-        choices=SETTINGS["SILKMOTH_CLUSTER_TRANSPORT"].choices,
-        default=None,
-        help=(
-            "cluster shard transport (default: "
-            f"{help_default('SILKMOTH_CLUSTER_TRANSPORT')})"
-        ),
-    )
-    health.add_argument(
-        "--json", action="store_true", help="emit the rollup as JSON"
-    )
-    health.set_defaults(func=cmd_health)
 
     service = sub.add_parser(
         "service",
         help="online serving: build, inspect, and query service snapshots",
+    ).add_subparsers(dest="service_command", required=True)
+    snapshot_file = ("snapshot", {"help": "service snapshot file"})
+    _subcommand(
+        service, "snapshot", cmd_service_snapshot,
+        "build a version-2 service snapshot from an input dataset",
+        *dataset,
+        ("--output", {"required": True,
+                      "help": "where to write the snapshot (.json)"}),
+        "--remove", "--quiet",
     )
-    service_sub = service.add_subparsers(dest="service_command", required=True)
-
-    snapshot = service_sub.add_parser(
-        "snapshot",
-        help="build a version-2 service snapshot from an input dataset",
+    _subcommand(
+        service, "query", cmd_service_query,
+        "serve a batch of reference queries from a snapshot",
+        snapshot_file, *serving,
+        ("--processes", {
+            "type": int, "default": None,
+            "help": "fan cold queries out across this many processes",
+        }),
+        "--repeat", "--quiet",
     )
-    snapshot.add_argument("input", help="input data file")
-    snapshot.add_argument("--format", choices=FORMATS, default="text")
-    _add_config_options(snapshot)
-    snapshot.add_argument(
-        "--output", required=True, help="where to write the snapshot (.json)"
+    _subcommand(
+        service, "info", cmd_service_info,
+        "describe a service snapshot without querying it", snapshot_file,
     )
-    snapshot.add_argument(
-        "--remove",
-        type=int,
-        action="append",
-        help="tombstone this set id before saving (repeatable)",
-    )
-    snapshot.add_argument(
-        "--quiet", action="store_true", help="suppress the summary line"
-    )
-    snapshot.set_defaults(func=cmd_service_snapshot)
-
-    query = service_sub.add_parser(
-        "query", help="serve a batch of reference queries from a snapshot"
-    )
-    query.add_argument("snapshot", help="service snapshot file")
-    query.add_argument(
-        "--references", required=True, help="file of reference sets to serve"
-    )
-    query.add_argument(
-        "--format",
-        choices=FORMATS,
-        default="text",
-        help="how to map the references file to sets (default: text)",
-    )
-    _add_config_options(query)
-    query.add_argument(
-        "--processes",
-        type=int,
-        default=None,
-        help="fan cold queries out across this many processes",
-    )
-    query.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="serve the batch this many times (shows the cache hit rate)",
-    )
-    query.add_argument(
-        "--quiet", action="store_true", help="suppress the stats summary"
-    )
-    query.set_defaults(func=cmd_service_query)
-
-    info = service_sub.add_parser(
-        "info", help="describe a service snapshot without querying it"
-    )
-    info.add_argument("snapshot", help="service snapshot file")
-    info.set_defaults(func=cmd_service_info)
 
     cluster = sub.add_parser(
         "cluster",
         help="sharded serving: build, query, and inspect cluster manifests",
+    ).add_subparsers(dest="cluster_command", required=True)
+    manifest_file = ("manifest", {"help": "cluster manifest file"})
+    _subcommand(
+        cluster, "shard", cmd_cluster_shard,
+        "shard an input dataset into a manifest + per-shard snapshots",
+        *dataset,
+        ("--output", {"required": True,
+                      "help": "where to write the manifest (.json)"}),
+        ("--shards", {
+            "type": int, "default": None,
+            "help": f"shard count (default: {help_default('SILKMOTH_SHARDS')})",
+        }),
+        "--remove", "--quiet",
     )
-    cluster_sub = cluster.add_subparsers(dest="cluster_command", required=True)
-
-    shard = cluster_sub.add_parser(
-        "shard",
-        help="shard an input dataset into a manifest + per-shard snapshots",
+    _subcommand(
+        cluster, "query", cmd_cluster_query,
+        "serve a batch of reference queries from a manifest",
+        manifest_file, *serving, "--transport",
+        ("--replicas", {
+            "type": int, "default": None,
+            "help": "transport endpoints per shard; reads fail over between "
+            f"them (default: {help_default('SILKMOTH_REPLICAS')})",
+        }),
+        ("--deadline", {
+            "type": float, "default": None,
+            "help": "per-pass shard deadline in seconds, 0 disables; a "
+            "missed deadline fails the replica over "
+            f"(default: {help_default('SILKMOTH_SHARD_DEADLINE')})",
+        }),
+        ("--backoff", {
+            "type": float, "default": None,
+            "help": "base pause in seconds before each failover retry "
+            f"(default: {help_default('SILKMOTH_FAILOVER_BACKOFF')})",
+        }),
+        "--repeat", "--quiet",
     )
-    shard.add_argument("input", help="input data file")
-    shard.add_argument("--format", choices=FORMATS, default="text")
-    _add_config_options(shard)
-    shard.add_argument(
-        "--output", required=True, help="where to write the manifest (.json)"
+    _subcommand(
+        cluster, "info", cmd_cluster_info,
+        "describe a cluster manifest without querying it", manifest_file,
     )
-    shard.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help=f"shard count (default: {help_default('SILKMOTH_SHARDS')})",
-    )
-    shard.add_argument(
-        "--remove",
-        type=int,
-        action="append",
-        help="tombstone this global set id before saving (repeatable)",
-    )
-    shard.add_argument(
-        "--quiet", action="store_true", help="suppress the summary line"
-    )
-    shard.set_defaults(func=cmd_cluster_shard)
-
-    cluster_query = cluster_sub.add_parser(
-        "query", help="serve a batch of reference queries from a manifest"
-    )
-    cluster_query.add_argument("manifest", help="cluster manifest file")
-    cluster_query.add_argument(
-        "--references", required=True, help="file of reference sets to serve"
-    )
-    cluster_query.add_argument(
-        "--format",
-        choices=FORMATS,
-        default="text",
-        help="how to map the references file to sets (default: text)",
-    )
-    _add_config_options(cluster_query)
-    cluster_query.add_argument(
-        "--transport",
-        choices=SETTINGS["SILKMOTH_CLUSTER_TRANSPORT"].choices,
-        default=None,
-        help=(
-            "shard transport "
-            f"(default: {help_default('SILKMOTH_CLUSTER_TRANSPORT')})"
-        ),
-    )
-    cluster_query.add_argument(
-        "--replicas",
-        type=int,
-        default=None,
-        help=(
-            "transport endpoints per shard; reads fail over between "
-            f"them (default: {help_default('SILKMOTH_REPLICAS')})"
-        ),
-    )
-    cluster_query.add_argument(
-        "--deadline",
-        type=float,
-        default=None,
-        help=(
-            "per-pass shard deadline in seconds, 0 disables; a missed "
-            "deadline fails the replica over "
-            f"(default: {help_default('SILKMOTH_SHARD_DEADLINE')})"
-        ),
-    )
-    cluster_query.add_argument(
-        "--backoff",
-        type=float,
-        default=None,
-        help=(
-            "base pause in seconds before each failover retry "
-            f"(default: {help_default('SILKMOTH_FAILOVER_BACKOFF')})"
-        ),
-    )
-    cluster_query.add_argument(
-        "--repeat",
-        type=int,
-        default=1,
-        help="serve the batch this many times (shows the cache hit rate)",
-    )
-    cluster_query.add_argument(
-        "--quiet", action="store_true", help="suppress the stats summary"
-    )
-    cluster_query.set_defaults(func=cmd_cluster_query)
-
-    cluster_info = cluster_sub.add_parser(
-        "info", help="describe a cluster manifest without querying it"
-    )
-    cluster_info.add_argument("manifest", help="cluster manifest file")
-    cluster_info.set_defaults(func=cmd_cluster_info)
 
     wal = sub.add_parser(
         "wal",
         help="durability: inspect or recover a write-ahead-log directory",
+    ).add_subparsers(dest="wal_command", required=True)
+    _subcommand(
+        wal, "inspect", cmd_wal_inspect,
+        "summarise a WAL directory (checkpoint, segments, torn tail)",
+        ("wal_dir", {"help": "WAL directory (SILKMOTH_WAL_DIR)"}),
+        "--json",
     )
-    wal_sub = wal.add_subparsers(dest="wal_command", required=True)
-
-    wal_inspect = wal_sub.add_parser(
-        "inspect",
-        help="summarise a WAL directory (checkpoint, segments, torn tail)",
+    _subcommand(
+        wal, "recover", cmd_wal_recover,
+        "replay a WAL directory into a recovered service and report "
+        "(or snapshot, with --output) the result",
+        ("wal_dir", {"help": "WAL directory to recover from"}),
+        ("--output", {
+            "default": None,
+            "help": "also write the recovered state as a service snapshot "
+            "(.json)",
+        }),
+        ("--no-checkpoint", {
+            "action": "store_true",
+            "help": "leave the log untouched instead of checkpointing the "
+            "recovered state (for forensic inspection)",
+        }),
+        "--delta", "--alpha",
     )
-    wal_inspect.add_argument("wal_dir", help="WAL directory (SILKMOTH_WAL_DIR)")
-    wal_inspect.add_argument(
-        "--json", action="store_true", help="emit the summary as JSON"
-    )
-    wal_inspect.set_defaults(func=cmd_wal_inspect)
-
-    wal_recover = wal_sub.add_parser(
-        "recover",
-        help=(
-            "replay a WAL directory into a recovered service and report "
-            "(or snapshot, with --output) the result"
-        ),
-    )
-    wal_recover.add_argument("wal_dir", help="WAL directory to recover from")
-    wal_recover.add_argument(
-        "--output",
-        default=None,
-        help="also write the recovered state as a service snapshot (.json)",
-    )
-    wal_recover.add_argument(
-        "--no-checkpoint",
-        action="store_true",
-        help=(
-            "leave the log untouched instead of checkpointing the "
-            "recovered state (for forensic inspection)"
-        ),
-    )
-    wal_recover.add_argument(
-        "--delta", type=float, default=0.7, help="relatedness threshold (0, 1]"
-    )
-    wal_recover.add_argument(
-        "--alpha",
-        type=float,
-        default=0.0,
-        help="element similarity threshold [0, 1] (default: 0)",
-    )
-    wal_recover.set_defaults(func=cmd_wal_recover)
-
     return parser
 
 
-def _flush_trace() -> None:
-    """Export buffered spans to ``SILKMOTH_TRACE_EXPORT`` when tracing.
+def _export_telemetry() -> None:
+    """Export buffered spans and captured slow queries, after every
+    command (success or error).
 
-    Runs after every command (success or error) so that
-    ``SILKMOTH_TRACE=1 SILKMOTH_TRACE_EXPORT=out.jsonl silkmoth ...``
-    always leaves a readable JSONL trace behind, viewable with
-    ``silkmoth trace out.jsonl``.
-    """
-    from repro.obs.trace import export_jsonl, trace_enabled
-
-    if not trace_enabled():
-        return
-    path = resolve("SILKMOTH_TRACE_EXPORT")
-    if path is not None:
-        try:
-            export_jsonl(path)
-        except OSError as exc:
-            print(f"warning: trace export failed: {exc}", file=sys.stderr)
-
-
-def _flush_slowlog() -> None:
-    """Export captured slow queries to ``SILKMOTH_SLOWLOG_EXPORT``.
-
-    Runs after every command (success or error), mirroring
-    :func:`_flush_trace`: when an export path is configured and capture
-    is enabled, the ring is drained by *appending* to the JSONL file --
-    created even when empty, so CI artifact steps always find it, and
-    appended so a pipeline of commands accumulates entries -- viewable
-    with ``silkmoth slowlog``.
+    With tracing on, spans go to ``SILKMOTH_TRACE_EXPORT`` (viewable
+    with ``silkmoth trace``).  With slow-query capture on, the ring is
+    drained by *appending* to ``SILKMOTH_SLOWLOG_EXPORT`` -- created
+    even when empty, so CI artifact steps always find it, and appended
+    so a pipeline of commands accumulates entries (viewable with
+    ``silkmoth slowlog``).
     """
     from repro.obs.diag import get_slowlog, slowlog_ms
+    from repro.obs.trace import export_jsonl, trace_enabled
 
-    if slowlog_ms() < 0:
-        return
-    path = resolve("SILKMOTH_SLOWLOG_EXPORT")
-    if path is not None:
-        try:
-            get_slowlog().append_jsonl(path)
-        except OSError as exc:
-            print(f"warning: slowlog export failed: {exc}", file=sys.stderr)
+    for what, enabled, variable, export in (
+        ("trace", trace_enabled(), "SILKMOTH_TRACE_EXPORT", export_jsonl),
+        (
+            "slowlog",
+            slowlog_ms() >= 0,
+            "SILKMOTH_SLOWLOG_EXPORT",
+            lambda path: get_slowlog().append_jsonl(path),
+        ),
+    ):
+        path = resolve(variable) if enabled else None
+        if path is not None:
+            try:
+                export(path)
+            except OSError as exc:
+                print(f"warning: {what} export failed: {exc}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -1254,17 +1029,19 @@ def main(argv: list[str] | None = None) -> int:
     settings_valid = False
     try:
         # A malformed SILKMOTH_* variable fails here, before any work;
-        # the exit-time flushes read settings, so they need it valid.
+        # the exit-time export reads settings, so it needs them valid.
         resolve_all()
         settings_valid = True
         return args.func(args)
+    except UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except (ValueError, OSError, WalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:
         if settings_valid:
-            _flush_trace()
-            _flush_slowlog()
+            _export_telemetry()
 
 
 if __name__ == "__main__":

@@ -24,8 +24,10 @@ from typing import Sequence
 
 from repro.core.config import SilkMothConfig
 from repro.io.persistence import (
-    load_cluster_manifest,
-    load_shard_snapshot,
+    CLUSTER_FORMAT_NAME,
+    FORMAT_NAME,
+    SnapshotFormatError,
+    read_document,
     save_cluster_manifest,
     save_shard_snapshot,
 )
@@ -187,55 +189,41 @@ class ShardDirectory:
     ) -> "tuple[ShardDirectory, dict]":
         """The directory a manifest describes, and its metadata.
 
-        Validates the tokenizer settings against *config* and every
-        table against the others; keys the metadata carries beyond the
-        tables (older files' ``shard_generations``, ``summary_bits``)
-        are left to the caller.
+        Every file goes through the snapshot reader, which checks its
+        shape and its tokenizer settings against *config*; the raw
+        texts come straight from the shard documents, untokenised.
+        Here each table is checked against the others; keys the
+        metadata carries beyond the tables (older files'
+        ``shard_generations``, ``summary_bits``) are left to the
+        caller.
         """
-        payload = load_cluster_manifest(manifest)
-        kind = SimilarityKind(payload["similarity"])
-        q = int(payload["q"])
-        if kind is not config.similarity:
-            raise ValueError(
-                f"{manifest}: cluster was tokenised for {kind.value!r}, "
-                f"expected {config.similarity.value!r}"
-            )
-        if q != config.effective_q:
-            raise ValueError(
-                f"{manifest}: cluster was tokenised with q={q}, "
-                f"expected q={config.effective_q}"
-            )
+        expected = (config.similarity, config.effective_q)
+        payload = read_document(manifest, CLUSTER_FORMAT_NAME, *expected)
         shard_sets = []
         tables = []
         for name in payload["shards"]:
-            collection, shard_meta = load_shard_snapshot(
-                manifest.parent / name, expected_kind=kind, expected_q=q
-            )
-            raw_sets = [
-                tuple(element.text for element in record.elements)
-                for record in collection
-            ]
+            path = manifest.parent / name
+            document = read_document(path, FORMAT_NAME, *expected)
+            raw_sets = [tuple(elements) for elements in document["sets"]]
             shard_sets.append(raw_sets)
-            table = shard_meta.get("local_to_global", [])
+            table = document.get("shard", {}).get("local_to_global", [])
             if len(table) != len(raw_sets):
-                raise ValueError(
-                    f"{name}: local_to_global maps {len(table)} sets, "
+                raise SnapshotFormatError(
+                    f"{path}: local_to_global maps {len(table)} sets, "
                     f"snapshot holds {len(raw_sets)}"
                 )
-            tables.append([int(gid) for gid in table])
+            tables.append(table)
         meta = payload.get("cluster", {})
         directory = cls(len(tables))
-        directory.placement = [
-            (int(pair[0]), int(pair[1])) for pair in meta.get("placement", [])
-        ]
-        directory.deleted = {int(gid) for gid in meta.get("deleted", [])}
+        directory.placement = [tuple(pair) for pair in meta.get("placement", [])]
+        directory.deleted = set(meta.get("deleted", []))
         directory.shard_to_global = tables
         for k, table in enumerate(tables):
             for local, gid in enumerate(table):
                 if not 0 <= gid < len(directory.placement):
-                    raise ValueError(
-                        f"shard {k} maps local {local} to unknown global "
-                        f"id {gid}"
+                    raise SnapshotFormatError(
+                        f"{manifest}: shard {k} maps local {local} to "
+                        f"unknown global id {gid}"
                     )
         for gid, (shard, local) in enumerate(directory.placement):
             if (
@@ -243,7 +231,7 @@ class ShardDirectory:
                 or not 0 <= local < len(tables[shard])
                 or tables[shard][local] != gid
             ):
-                raise ValueError(
+                raise SnapshotFormatError(
                     f"{manifest}: placement maps global id {gid} to "
                     f"shard {shard} local {local}, but that slot does "
                     "not hold it"

@@ -54,10 +54,28 @@ placement table, global tombstones and lifetime stats::
                   "deleted": [...], "generation": 9, ...}
     }
 
-``load_collection`` reads every collection version (tombstones are
-re-applied; shard metadata is ignored); ``load_service_snapshot`` /
-``load_shard_snapshot`` additionally return the metadata and can
-enforce expected tokenizer settings.
+One writer and one reader own the format.  :func:`write_document`
+writes every document -- the four ``save_*`` functions only choose its
+format, version, tokenizer and sections.  :func:`read_document` reads
+both magics and checks, in order, the JSON parse, the magic, the
+version, the checksum and the shape of every field:
+
+* ``similarity`` names a similarity kind and ``q`` is a positive int;
+* ``sets`` is a list of lists of element strings;
+* ``deleted`` holds unique ints in range (set ids for a snapshot,
+  global ids -- placement entries -- for a manifest);
+* ``service``, ``shard`` and ``cluster`` are objects, and a
+  ``generation`` in one of them is an int;
+* ``shard.local_to_global`` is a list of ints, ``shards`` a list of
+  strings and ``cluster.placement`` a list of ``[int, int]`` pairs.
+
+Every fault in the file is a typed :class:`SnapshotError` naming it; a
+file whose (kind, q) differs from what the caller expects is a plain
+``ValueError``.  The reader never tokenises: ``load_collection`` / ``load_service_snapshot``
+/ ``load_shard_snapshot`` build the :class:`repro.SetCollection` from
+the checked document (tombstones re-applied), and callers that only
+need the raw texts -- the cluster's shard directory -- take them from
+the document itself.
 
 Version-2/3 snapshots and the manifest additionally carry a
 ``checksum`` field -- a blake2b-8 digest over the canonical JSON of
@@ -121,6 +139,17 @@ SHARD_FORMAT_VERSION = 3
 CLUSTER_FORMAT_NAME = "silkmoth-cluster"
 #: Cluster manifest schema version.
 CLUSTER_FORMAT_VERSION = 1
+#: The versions the reader accepts, per magic.
+_VERSIONS = {
+    FORMAT_NAME: (FORMAT_VERSION, SERVICE_FORMAT_VERSION, SHARD_FORMAT_VERSION),
+    CLUSTER_FORMAT_NAME: (CLUSTER_FORMAT_VERSION,),
+}
+#: The ``similarity`` values a document may carry.
+_KINDS = tuple(kind.value for kind in SimilarityKind)
+#: What error messages call a document of each magic.
+_NOUNS = {FORMAT_NAME: "snapshot", CLUSTER_FORMAT_NAME: "manifest"}
+
+
 def fsync_directory(path: str | os.PathLike) -> None:
     """Best-effort fsync of a directory entry (no-op where unsupported).
 
@@ -206,26 +235,48 @@ def _verify_checksum(path: str | Path, payload: dict) -> None:
         )
 
 
-def _write_payload(path: str | Path, payload: dict) -> None:
-    """Atomically write one snapshot document (see :func:`atomic_write_text`)."""
+# ----------------------------------------------------------------------
+# The writer
+# ----------------------------------------------------------------------
+def write_document(
+    path: str | Path,
+    fmt: str,
+    version: int,
+    kind: SimilarityKind,
+    q: int,
+    **sections,
+) -> None:
+    """The one writer: header, then *sections* in order, then checksum.
+
+    Every document but a version-1 collection snapshot is sealed with
+    :func:`document_checksum`; the write is atomic
+    (:func:`atomic_write_text`).
+    """
+    payload = {
+        "format": fmt,
+        "version": version,
+        "similarity": kind.value,
+        "q": q,
+        **sections,
+    }
+    if (fmt, version) != (FORMAT_NAME, FORMAT_VERSION):
+        payload["checksum"] = document_checksum(payload)
     with span("snapshot.save", path=str(path)):
         atomic_write_text(path, json.dumps(payload) + "\n")
     observe_snapshot("save")
 
 
+def _raw_sets(collection: SetCollection) -> list:
+    return [[element.text for element in record.elements] for record in collection]
+
+
 def save_collection(path: str | Path, collection: SetCollection) -> None:
     """Write a version-1 collection snapshot (raw sets + tokenizer settings)."""
-    payload = {
-        "format": FORMAT_NAME,
-        "version": FORMAT_VERSION,
-        "similarity": collection.tokenizer.kind.value,
-        "q": collection.tokenizer.q,
-        "sets": [
-            [element.text for element in record.elements]
-            for record in collection
-        ],
-    }
-    _write_payload(path, payload)
+    tokenizer = collection.tokenizer
+    write_document(
+        path, FORMAT_NAME, FORMAT_VERSION, tokenizer.kind, tokenizer.q,
+        sets=_raw_sets(collection),
+    )
 
 
 def save_service_snapshot(
@@ -238,138 +289,15 @@ def save_service_snapshot(
     *metadata* is an arbitrary JSON-serialisable dict (the service
     stores its write generation and lifetime counters there).
     """
-    payload = {
-        "format": FORMAT_NAME,
-        "version": SERVICE_FORMAT_VERSION,
-        "similarity": collection.tokenizer.kind.value,
-        "q": collection.tokenizer.q,
-        "sets": [
-            [element.text for element in record.elements]
-            for record in collection
-        ],
-        "deleted": sorted(collection.deleted_ids),
-        "service": metadata if metadata is not None else {},
-    }
-    payload["checksum"] = document_checksum(payload)
-    _write_payload(path, payload)
+    tokenizer = collection.tokenizer
+    write_document(
+        path, FORMAT_NAME, SERVICE_FORMAT_VERSION, tokenizer.kind, tokenizer.q,
+        sets=_raw_sets(collection),
+        deleted=sorted(collection.deleted_ids),
+        service=metadata if metadata is not None else {},
+    )
 
 
-def _read_payload(path: str | Path) -> dict:
-    """Read and structurally validate a snapshot's JSON document."""
-    with span("snapshot.load", path=str(path)), open(
-        path, encoding="utf-8"
-    ) as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise SnapshotFormatError(
-                f"{path}: truncated or invalid JSON: {exc}"
-            ) from exc
-    observe_snapshot("load")
-    if not isinstance(payload, dict) or payload.get("format") != FORMAT_NAME:
-        raise SnapshotFormatError(f"{path}: not a {FORMAT_NAME} snapshot")
-    version = payload.get("version")
-    if version not in (
-        FORMAT_VERSION,
-        SERVICE_FORMAT_VERSION,
-        SHARD_FORMAT_VERSION,
-    ):
-        raise SnapshotVersionError(
-            f"{path}: unsupported snapshot version {version!r} "
-            f"(this build reads versions {FORMAT_VERSION}, "
-            f"{SERVICE_FORMAT_VERSION} and {SHARD_FORMAT_VERSION})"
-        )
-    _verify_checksum(path, payload)
-    return payload
-
-
-def _collection_from_payload(path: str | Path, payload: dict) -> SetCollection:
-    try:
-        kind = SimilarityKind(payload["similarity"])
-        q = int(payload["q"])
-        sets = payload["sets"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SnapshotFormatError(f"{path}: malformed snapshot: {exc}") from exc
-    if not isinstance(sets, list):
-        raise SnapshotFormatError(f"{path}: 'sets' must be a list")
-    try:
-        collection = SetCollection.from_strings(sets, kind=kind, q=q)
-    except (TypeError, ValueError, AttributeError) as exc:
-        raise SnapshotFormatError(
-            f"{path}: malformed set records: {exc}"
-        ) from exc
-    deleted = payload.get("deleted", [])
-    if not isinstance(deleted, list):
-        raise SnapshotFormatError(f"{path}: 'deleted' must be a list of set ids")
-    if len(set(deleted)) != len(deleted):
-        raise SnapshotFormatError(f"{path}: 'deleted' repeats a set id")
-    for set_id in deleted:
-        if not isinstance(set_id, int) or not 0 <= set_id < len(collection):
-            raise SnapshotFormatError(
-                f"{path}: invalid tombstoned set id {set_id!r}"
-            )
-        collection.remove_set(set_id)
-    return collection
-
-
-def load_collection(path: str | Path) -> SetCollection:
-    """Read a snapshot written by :func:`save_collection` or
-    :func:`save_service_snapshot` (tombstones are re-applied).
-
-    Raises
-    ------
-    ValueError
-        If the file is not a collection snapshot, is truncated, or has
-        an unsupported version.
-    """
-    payload = _read_payload(path)
-    return _collection_from_payload(path, payload)
-
-
-def load_service_snapshot(
-    path: str | Path,
-    expected_kind: SimilarityKind | None = None,
-    expected_q: int | None = None,
-) -> tuple[SetCollection, dict]:
-    """Read a version-2 snapshot: (collection with tombstones, metadata).
-
-    Version-1 files load too (empty metadata), so a service can adopt a
-    plain dataset snapshot.  When *expected_kind* / *expected_q* are
-    given, mismatched tokenizer settings raise ``ValueError`` instead of
-    silently serving results under the wrong similarity function.
-    """
-    return _load_snapshot(path, expected_kind, expected_q, "service")
-
-
-def _load_snapshot(
-    path: str | Path,
-    expected_kind: SimilarityKind | None,
-    expected_q: int | None,
-    section: str,
-) -> tuple[SetCollection, dict]:
-    """One read of *path*: its checked collection and *section* object."""
-    payload = _read_payload(path)
-    collection = _collection_from_payload(path, payload)
-    kind = collection.tokenizer.kind
-    q = collection.tokenizer.q
-    if expected_kind is not None and kind is not expected_kind:
-        raise ValueError(
-            f"{path}: snapshot was tokenised for {kind.value!r}, "
-            f"expected {expected_kind.value!r}"
-        )
-    if expected_q is not None and q != expected_q:
-        raise ValueError(
-            f"{path}: snapshot was tokenised with q={q}, expected q={expected_q}"
-        )
-    metadata = payload.get(section, {})
-    if not isinstance(metadata, dict):
-        raise SnapshotFormatError(f"{path}: '{section}' metadata must be an object")
-    return collection, metadata
-
-
-# ----------------------------------------------------------------------
-# Version 3: shard snapshots and the cluster manifest
-# ----------------------------------------------------------------------
 def save_shard_snapshot(
     path: str | Path,
     kind: SimilarityKind,
@@ -387,34 +315,13 @@ def save_shard_snapshot(
     shard-local tombstoned ids; *shard_meta* is the cluster-shard
     descriptor (shard index, local-to-global map).
     """
-    payload = {
-        "format": FORMAT_NAME,
-        "version": SHARD_FORMAT_VERSION,
-        "similarity": kind.value,
-        "q": q,
-        "sets": [list(elements) for elements in sets],
-        "deleted": sorted(deleted),
-        "service": {},
-        "shard": shard_meta,
-    }
-    payload["checksum"] = document_checksum(payload)
-    _write_payload(path, payload)
-
-
-def load_shard_snapshot(
-    path: str | Path,
-    expected_kind: SimilarityKind | None = None,
-    expected_q: int | None = None,
-) -> tuple[SetCollection, dict]:
-    """Read a version-3 snapshot: (collection with tombstones, shard meta).
-
-    Lower-version files load too (empty shard metadata), so a cluster
-    can adopt a plain dataset or single-node service snapshot as a
-    one-shard starting point.  Tokenizer expectations behave as in
-    :func:`load_service_snapshot`.  The file is read once, so the
-    collection and the metadata come from one version of it.
-    """
-    return _load_snapshot(path, expected_kind, expected_q, "shard")
+    write_document(
+        path, FORMAT_NAME, SHARD_FORMAT_VERSION, kind, q,
+        sets=[list(elements) for elements in sets],
+        deleted=sorted(deleted),
+        service={},
+        shard=shard_meta,
+    )
 
 
 def save_cluster_manifest(
@@ -431,68 +338,189 @@ def save_cluster_manifest(
     coordinator state (placement, global tombstones, generation,
     stats).
     """
-    payload = {
-        "format": CLUSTER_FORMAT_NAME,
-        "version": CLUSTER_FORMAT_VERSION,
-        "similarity": kind.value,
-        "q": q,
-        "shards": [str(name) for name in shard_files],
-        "cluster": metadata,
-    }
-    payload["checksum"] = document_checksum(payload)
-    _write_payload(path, payload)
+    write_document(
+        path, CLUSTER_FORMAT_NAME, CLUSTER_FORMAT_VERSION, kind, q,
+        shards=[str(name) for name in shard_files],
+        cluster=metadata,
+    )
 
 
-def load_cluster_manifest(path: str | Path) -> dict:
-    """Read and structurally validate a cluster manifest.
+# ----------------------------------------------------------------------
+# The reader
+# ----------------------------------------------------------------------
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    Returns the raw payload dict (``similarity``/``q`` are checked for
-    presence and shape here, then re-validated by the caller against
-    its config); shard files are not opened here.
 
-    Raises
-    ------
-    SnapshotFormatError
-        If the file is truncated, not a manifest, or missing/mistyping
-        a required field.
-    SnapshotVersionError
-        If the manifest declares a version this build does not read.
+def _ints(value) -> bool:
+    return isinstance(value, list) and all(map(_is_int, value))
+
+
+def _strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _check_fields(path: str | Path, payload: dict) -> None:
+    """The shape of every field the document's format has."""
+    noun = _NOUNS[payload["format"]]
+
+    def require(holds: bool, what: str) -> None:
+        if not holds:
+            raise SnapshotFormatError(f"{path}: malformed {noun}: {what}")
+
+    def section(name: str) -> dict:
+        value = payload.get(name, {})
+        require(isinstance(value, dict), f"'{name}' must be an object")
+        generation = value.get("generation", 0)
+        require(_is_int(generation), f"'{name}.generation' must be an int")
+        return value
+
+    def tombstones(ids, bound: int) -> None:
+        require(isinstance(ids, list), "'deleted' must be a list of set ids")
+        for set_id in ids:
+            valid = _is_int(set_id) and 0 <= set_id < bound
+            require(valid, f"invalid tombstoned set id {set_id!r}")
+        require(len(set(ids)) == len(ids), "'deleted' repeats a set id")
+
+    kind, q = payload.get("similarity"), payload.get("q")
+    require(kind in _KINDS, f"'similarity' is not a similarity kind: {kind!r}")
+    require(_is_int(q) and q >= 1, f"'q' must be a positive int, got {q!r}")
+    if payload["format"] == CLUSTER_FORMAT_NAME:
+        require(_strings(payload.get("shards")), "'shards' must be file names")
+        cluster = section("cluster")
+        placement = cluster.get("placement", [])
+        pairs = isinstance(placement, list) and all(
+            _ints(pair) and len(pair) == 2 for pair in placement
+        )
+        require(pairs, "'placement' must be a list of [shard, local] pairs")
+        tombstones(cluster.get("deleted", []), len(placement))
+        return
+    sets = payload.get("sets")
+    texts = isinstance(sets, list) and all(map(_strings, sets))
+    require(texts, "'sets' must be a list of lists of element strings")
+    tombstones(payload.get("deleted", []), len(sets))
+    section("service")
+    table = section("shard").get("local_to_global", [])
+    require(_ints(table), "'local_to_global' must be a list of global set ids")
+
+
+def _read_payload(path: str | Path) -> dict:
+    """Read one document of either format and check it; never tokenises.
+
+    Checks, in order: the JSON parse, the magic, the version, the
+    checksum and the shape of every field (:func:`_check_fields`).
+    Each failure is a typed :class:`SnapshotError` naming *path*.
     """
     with span("snapshot.load", path=str(path)), open(
         path, encoding="utf-8"
     ) as handle:
         try:
             payload = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SnapshotFormatError(
                 f"{path}: truncated or invalid JSON: {exc}"
             ) from exc
     observe_snapshot("load")
-    if not isinstance(payload, dict) or payload.get("format") != CLUSTER_FORMAT_NAME:
-        raise SnapshotFormatError(f"{path}: not a {CLUSTER_FORMAT_NAME} manifest")
-    if payload.get("version") != CLUSTER_FORMAT_VERSION:
-        raise SnapshotVersionError(
-            f"{path}: unsupported manifest version "
-            f"{payload.get('version')!r} (this build reads version "
-            f"{CLUSTER_FORMAT_VERSION})"
-        )
-    if not isinstance(payload.get("similarity"), str):
+    fmt = payload.get("format") if isinstance(payload, dict) else None
+    if fmt not in _VERSIONS:
         raise SnapshotFormatError(
-            f"{path}: manifest is missing its 'similarity' kind"
+            f"{path}: not a {FORMAT_NAME} snapshot or a "
+            f"{CLUSTER_FORMAT_NAME} manifest"
         )
-    if not isinstance(payload.get("q"), int) or isinstance(
-        payload.get("q"), bool
-    ):
-        raise SnapshotFormatError(f"{path}: manifest 'q' must be an integer")
-    shards = payload.get("shards")
-    if not isinstance(shards, list) or not all(
-        isinstance(name, str) for name in shards
-    ):
-        raise SnapshotFormatError(f"{path}: 'shards' must be a list of file names")
-    if not isinstance(payload.get("cluster", {}), dict):
-        raise SnapshotFormatError(f"{path}: 'cluster' metadata must be an object")
+    version = payload.get("version")
+    if not _is_int(version) or version not in _VERSIONS[fmt]:
+        raise SnapshotVersionError(
+            f"{path}: unsupported {_NOUNS[fmt]} version {version!r} "
+            f"(this build reads version(s) "
+            f"{', '.join(map(str, _VERSIONS[fmt]))})"
+        )
     _verify_checksum(path, payload)
+    _check_fields(path, payload)
     return payload
+
+
+def read_document(
+    path: str | Path,
+    fmt: str | None = None,
+    expected_kind: SimilarityKind | None = None,
+    expected_q: int | None = None,
+) -> dict:
+    """The one reader: a checked document of format *fmt* (any if ``None``).
+
+    When *expected_kind* / *expected_q* are given, mismatched tokenizer
+    settings raise ``ValueError`` instead of silently serving results
+    under the wrong similarity function.
+    """
+    payload = _read_payload(path)
+    if fmt is not None and payload["format"] != fmt:
+        raise SnapshotFormatError(f"{path}: not a {fmt} {_NOUNS[fmt]}")
+    noun = _NOUNS[payload["format"]]
+    kind = SimilarityKind(payload["similarity"])
+    q = payload["q"]
+    if expected_kind is not None and kind is not expected_kind:
+        raise ValueError(
+            f"{path}: {noun} was tokenised for {kind.value!r}, "
+            f"expected {expected_kind.value!r}"
+        )
+    if expected_q is not None and q != expected_q:
+        raise ValueError(
+            f"{path}: {noun} was tokenised with q={q}, expected q={expected_q}"
+        )
+    return payload
+
+
+def _collection_from_payload(payload: dict) -> SetCollection:
+    """Tokenise a checked collection document (tombstones re-applied)."""
+    collection = SetCollection.from_strings(
+        payload["sets"],
+        kind=SimilarityKind(payload["similarity"]),
+        q=payload["q"],
+    )
+    for set_id in payload.get("deleted", []):
+        collection.remove_set(set_id)
+    return collection
+
+
+def load_collection(path: str | Path) -> SetCollection:
+    """Read any collection snapshot version (tombstones are re-applied,
+    service and shard metadata ignored)."""
+    return _collection_from_payload(read_document(path, FORMAT_NAME))
+
+
+def load_service_snapshot(
+    path: str | Path,
+    expected_kind: SimilarityKind | None = None,
+    expected_q: int | None = None,
+) -> tuple[SetCollection, dict]:
+    """Read a snapshot: (collection with tombstones, service metadata).
+
+    Version-1 files load too (empty metadata), so a service can adopt a
+    plain dataset snapshot.  Tokenizer expectations are
+    :func:`read_document`'s.
+    """
+    payload = read_document(path, FORMAT_NAME, expected_kind, expected_q)
+    return _collection_from_payload(payload), payload.get("service", {})
+
+
+def load_shard_snapshot(
+    path: str | Path,
+    expected_kind: SimilarityKind | None = None,
+    expected_q: int | None = None,
+) -> tuple[SetCollection, dict]:
+    """Read a snapshot: (collection with tombstones, shard metadata).
+
+    Lower-version files load too (empty shard metadata).  The file is
+    read once, so the collection and the metadata come from one version
+    of it.
+    """
+    payload = read_document(path, FORMAT_NAME, expected_kind, expected_q)
+    return _collection_from_payload(payload), payload.get("shard", {})
+
+
+def load_cluster_manifest(path: str | Path) -> dict:
+    """Read a cluster manifest: its checked document (shard files are
+    not opened here)."""
+    return read_document(path, CLUSTER_FORMAT_NAME)
 
 
 # ----------------------------------------------------------------------

@@ -53,7 +53,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.io.crash import crash_point
-from repro.io.persistence import fsync_directory
+from repro.io.persistence import (
+    FORMAT_NAME,
+    fsync_directory,
+    load_service_snapshot,
+    read_document,
+)
 from repro.obs.instrument import observe_wal_append, observe_wal_checkpoint
 from repro.obs.trace import span
 from repro.settings import resolve
@@ -424,8 +429,6 @@ def recover_state(
     Pure inspection: nothing on disk is modified, so it is safe to call
     repeatedly (and is also what ``silkmoth wal inspect`` uses).
     """
-    from repro.io.persistence import load_service_snapshot
-
     directory = Path(directory)
     checkpoint = directory / CHECKPOINT_NAME
     if not checkpoint.exists() and not list_segments(directory):
@@ -461,8 +464,9 @@ def recover_state(
 def describe_wal(directory: str | os.PathLike) -> dict:
     """Human-oriented summary of a WAL directory (CLI ``wal inspect``).
 
-    Decodes every segment (tolerating the one legal torn tail) and the
-    checkpoint header, without building a service.
+    Decodes every segment (tolerating the one legal torn tail) and
+    reads the checkpoint through the snapshot reader, so a damaged one
+    is a typed error naming it; no service is built.
     """
     directory = Path(directory)
     checkpoint = directory / CHECKPOINT_NAME
@@ -472,12 +476,10 @@ def describe_wal(directory: str | os.PathLike) -> dict:
         )
     summary: dict = {"directory": str(directory), "checkpoint": None}
     if checkpoint.exists():
-        with open(checkpoint, encoding="utf-8") as handle:
-            payload = json.load(handle)
-        service_meta = payload.get("service", {}) or {}
+        payload = read_document(checkpoint, FORMAT_NAME)
         summary["checkpoint"] = {
-            "generation": int(service_meta.get("generation", 0)),
-            "sets": len(payload.get("sets", [])),
+            "generation": payload.get("service", {}).get("generation", 0),
+            "sets": len(payload["sets"]),
             "deleted": len(payload.get("deleted", [])),
             "bytes": checkpoint.stat().st_size,
         }

@@ -9,6 +9,7 @@ every malformed input must fail loudly, never load wrong.
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,6 +19,8 @@ from repro.cluster import SilkMothCluster
 from repro.core.config import SilkMothConfig
 from repro.io import persistence
 from repro.io.persistence import (
+    SnapshotFormatError,
+    document_checksum,
     load_cluster_manifest,
     load_collection,
     load_shard_snapshot,
@@ -134,6 +137,45 @@ def test_manifest_round_trip_and_validation(tmp_path):
     )
     with pytest.raises(ValueError):
         load_cluster_manifest(bad)
+
+
+@pytest.mark.parametrize(
+    "file,table,value",
+    [
+        ("manifest", "placement", [5]),
+        ("manifest", "placement", [[0, "1"]]),
+        ("manifest", "placement", [[0, 1, 2]]),
+        ("manifest", "placement", "ab"),
+        ("manifest", "deleted", ["0"]),
+        ("manifest", "deleted", [True]),
+        ("manifest", "deleted", [0, 0]),
+        ("manifest", "deleted", [9]),
+        ("shard", "local_to_global", "ab"),
+        ("shard", "local_to_global", [0, "1"]),
+        ("shard", "deleted", ["0"]),
+    ],
+)
+def test_malformed_manifest_tables_are_format_errors(
+    tmp_path, file, table, value
+):
+    """A mistyped table fails as a SnapshotFormatError naming its file,
+    even under a valid checksum -- never a raw TypeError, and never a
+    string measured with ``len``."""
+    manifest = tmp_path / "cluster.json"
+    with SilkMothCluster.from_sets(
+        [["ash"], ["oak"]], SilkMothConfig(), shards=1
+    ) as cluster:
+        cluster.save(manifest)
+    path = manifest if file == "manifest" else tmp_path / "cluster-shard0.json"
+    payload = json.loads(path.read_text())
+    if table == "deleted" and file == "shard":
+        payload["deleted"] = value
+    else:
+        payload["cluster" if file == "manifest" else "shard"][table] = value
+    payload["checksum"] = document_checksum(payload)
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SnapshotFormatError, match=re.escape(str(path))):
+        SilkMothCluster.load(manifest, SilkMothConfig())
 
 
 @given(
