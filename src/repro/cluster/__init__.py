@@ -12,10 +12,10 @@ Layout:
   and rebalancing policy, fan-out/merge, mutations, discovery,
   snapshots and introspection, over the three parts below;
 * :mod:`repro.cluster.directory` -- the global id space: placement,
-  raw texts, tombstones, and the one derivation of a shard's state;
+  raw texts, tombstones, and the one derivation of a shard's state
+  (every replica and every routing summary is built from it);
 * :mod:`repro.cluster.replicas` -- the replica grid: endpoint
-  construction, health, failover reads, lockstep writes, per-replica
-  WAL directories;
+  construction, health, failover reads, lockstep writes;
 * :mod:`repro.cluster.routing` -- per-shard token summaries and the
   pair-level certificate that makes skipping shards provably exact;
 * :mod:`repro.cluster.shard` -- the shard-side command host (a wrapped

@@ -33,7 +33,12 @@ cluster is observably identical to a single-node service fed the same
 mutation sequence.  :meth:`compact` additionally *rebalances*: live
 sets migrate from overloaded to underloaded shards (global ids
 untouched -- only the placement changes), then every summary is
-rebuilt tight from the shards' live token inventories.
+rebuilt tight from the live sets the directory places on each shard.
+
+The directory is the only source of shard state: every replica is
+built from it, every summary is folded from it, and a cluster is
+durable exactly at :meth:`save` -- the manifest it writes is all
+:meth:`load` trusts.
 """
 
 from __future__ import annotations
@@ -99,12 +104,6 @@ class SilkMothCluster(QueryFront):
     fault_plan:
         Test-only :class:`~repro.cluster.faults.FaultPlan`; wraps every
         replica in a fault-injecting transport.
-    wal_dir:
-        Base directory for per-replica write-ahead logs (``None`` reads
-        ``SILKMOTH_WAL_DIR``; unset disables durability).  Each replica
-        logs to ``<wal_dir>/shard<k>-replica<r>``, so a dead replica --
-        or a whole restarted process -- can be rebuilt from disk (see
-        :meth:`revive` and :meth:`load`).
 
     Every setting is resolved before any worker starts, and every
     replica has answered ready when the constructor returns (see
@@ -123,7 +122,6 @@ class SilkMothCluster(QueryFront):
         deadline: "float | None" = None,
         backoff: "float | None" = None,
         fault_plan: "FaultPlan | None" = None,
-        wal_dir: "str | Path | None" = None,
     ):
         if isinstance(shards, ShardDirectory):
             directory = shards
@@ -133,12 +131,6 @@ class SilkMothCluster(QueryFront):
         self._directory = directory
         self._router = ShardRouter(config, directory.n_shards)
         self.stats = ClusterStats()
-
-        def build_summaries() -> None:
-            for gid in self.live_set_ids():
-                shard = directory.placement[gid][0]
-                self._router.add(shard, directory.raw[gid])
-
         self._replicas = ReplicaSet(
             config,
             self.stats,
@@ -150,9 +142,7 @@ class SilkMothCluster(QueryFront):
             backoff=backoff,
             compact_dead_fraction=compact_dead_fraction,
             fault_plan=fault_plan,
-            wal_dir=wal_dir,
-            try_recover=directory.from_disk,
-            meanwhile=build_summaries,
+            meanwhile=self._rebuild_summaries,
         )
         #: Cluster-wide write generation (bumped by every mutation).
         self.generation = 0
@@ -261,12 +251,6 @@ class SilkMothCluster(QueryFront):
         """Configured replicas per logical shard."""
         return self._replicas.count
 
-    @property
-    def wal_revive_fallbacks(self) -> int:
-        """From-disk replica rebuilds that failed verification and fell
-        back to the directory's state."""
-        return self._replicas.revive_fallbacks
-
     def replica_health(self) -> list[list[bool]]:
         """Per shard, per replica: whether the endpoint is serving."""
         return self._replicas.health()
@@ -276,38 +260,30 @@ class SilkMothCluster(QueryFront):
         until :meth:`revive`)."""
         return self._replicas.lost()
 
-    def revive(
-        self, shard: "int | None" = None, from_disk: bool = False
-    ) -> int:
+    def revive(self, shard: "int | None" = None) -> int:
         """Rebuild dead replicas from the coordinator's directory.
 
         The directory's state for a shard is exactly what :meth:`save`
         would snapshot, so a fresh replica built from it is in lockstep
         with any survivor: same sets, same local ids, same tombstones.
-        Restricts to *shard* when given (a :class:`ValueError` names
-        the valid range), else sweeps every shard; returns how many
-        replicas came back.
-
-        With *from_disk* (and a configured WAL directory) each dead
-        replica first tries to recover from its own write-ahead log;
-        the recovered state is verified against the directory and
-        silently replaced by a plain rebuild on any mismatch (see
-        :attr:`wal_revive_fallbacks`), so the flag can only change
-        *how* a replica comes back, never *what* it holds.
-
-        The replacements are built concurrently and all-or-nothing
+        Restricts to *shard* when given (anything but an ``int`` index
+        in range -- a ``bool`` included -- is a :class:`ValueError`
+        naming the valid range), else sweeps every shard; returns how
+        many replicas came back.  The replacements are built
+        concurrently and all-or-nothing
         (:meth:`~repro.cluster.replicas.ReplicaSet.revive`).
         """
         self._ensure_open()
-        if shard is not None and not 0 <= shard < self.n_shards:
+        if shard is not None and (
+            type(shard) is not int or not 0 <= shard < self.n_shards
+        ):
             raise ValueError(
-                f"shard {shard} out of range: valid shards are "
+                f"shard {shard!r} out of range: valid shards are "
                 f"0..{self.n_shards - 1}"
             )
         revived = self._replicas.revive(
             range(self.n_shards) if shard is None else [shard],
             self._directory.state,
-            from_disk,
         )
         self.stats.replicas_revived += revived
         return revived
@@ -348,6 +324,10 @@ class SilkMothCluster(QueryFront):
                 return shard, self._replicas.mutate(shard, "add", payload)
             except ClusterDegradedError:
                 continue
+
+    def _rebuild_summaries(self) -> None:
+        """Fold every live set into its shard's routing summary afresh."""
+        self._router.rebuild(self._directory.live_sets())
 
     def _commit_add(self, shard: int, local: int, elements) -> int:
         """Coordinator bookkeeping for one accepted append; global id."""
@@ -428,7 +408,7 @@ class SilkMothCluster(QueryFront):
         for k in range(self.n_shards):
             removed += self._replicas.mutate(k, "compact", ())
         moves = self.rebalance()
-        self._router.rebuild(self._replicas.read_all("summary"))
+        self._rebuild_summaries()
         if removed or moves:
             self.stats.compactions += 1
         return removed
@@ -676,18 +656,15 @@ class SilkMothCluster(QueryFront):
     def health(self) -> dict:
         """One cluster-wide health rollup (``silkmoth-health/1``).
 
-        Merges the cross-shard latency sketches, cache hit rates, WAL
-        positions, replica health and failover history, the slowlog
-        state, and any currently-degraded shards into a single JSON
-        document; ``status`` is ``"degraded"`` as soon as one shard has
-        zero healthy replicas, else ``"ok"``.  Best-effort by design:
-        asking for health must work *especially* while degraded.
+        Merges the cross-shard latency sketches, cache hit rates,
+        replica health and failover history, the slowlog state, and any
+        currently-degraded shards into a single JSON document; it has
+        no ``wal`` section (a cluster is durable at :meth:`save`, not
+        through a log).  ``status`` is ``"degraded"`` as soon as one
+        shard has zero healthy replicas, else ``"ok"``.  Best-effort by
+        design: asking for health must work *especially* while degraded.
         """
         self._ensure_open()
-        wal_replies = self._replicas.read_all("wal", allow_lost=True)
-        positions_known = sum(
-            1 for position in wal_replies if position is not None
-        )
         health_flags = self.replica_health()
         lost = self.lost_shards()
         slowlog = get_slowlog()
@@ -709,10 +686,6 @@ class SilkMothCluster(QueryFront):
             "live_sets": len(self),
             "cache": self.stats.cache_summary(),
             "latency": quantile_summary(self.merged_sketches()),
-            "wal": {
-                "enabled": positions_known > 0,
-                "positions_known": positions_known,
-            },
             "replication": replication,
             "slowlog": {
                 "captured": len(slowlog),
@@ -798,27 +771,9 @@ class SilkMothCluster(QueryFront):
         ``<stem>-shard<k><suffix>``.  Everything is written from the
         directory (raw texts, placement), so no shard round-trip is
         needed and a snapshot of a remote-transport cluster costs the
-        same as an inline one.
-
-        When the cluster runs with a WAL directory, every shard is also
-        asked to checkpoint its log first, so the manifest's recorded
-        positions describe freshly-truncated logs; a shard with no
-        healthy replica simply records ``None`` (the snapshot itself
-        never depends on shard round-trips).
+        same as an inline one -- a degraded cluster saves too.
         """
         self._ensure_open()
-        wal_dir = self._replicas.wal_dir
-        wal = {}
-        if wal_dir is not None:
-            positions: "list[dict | None]" = []
-            for k in range(self.n_shards):
-                try:
-                    positions.append(
-                        self._replicas.mutate(k, "checkpoint", ())
-                    )
-                except ClusterDegradedError:
-                    positions.append(None)
-            wal = {"wal": {"dir": str(wal_dir), "positions": positions}}
         self._directory.write(
             Path(path),
             kind=self.config.similarity,
@@ -828,7 +783,6 @@ class SilkMothCluster(QueryFront):
                 "config_fingerprint": self._config_fp,
                 "transport": self.transport_name,
                 "stats": self.stats.to_dict(),
-                **wal,
             },
         )
         self.stats.snapshots_saved += 1
@@ -845,17 +799,9 @@ class SilkMothCluster(QueryFront):
         validated against *config*; lifetime stats are restored only
         under the same config fingerprint (the write generation always
         is).  Keyword arguments are the constructor's, ``shards``
-        excepted.
-
-        With *wal_dir* (or ``SILKMOTH_WAL_DIR``) each replica first
-        tries to recover from its own write-ahead log instead of being
-        fed the snapshot state over the transport.  The manifest stays
-        authoritative: the recovered state is verified against the
-        directory it describes and any divergence (a log that ran ahead
-        of the manifest, or got corrupted) is discarded in favour of a
-        plain rebuild, counted in :attr:`wal_revive_fallbacks`.
-        :meth:`save` checkpoints every shard log, so after a clean
-        save/close cycle recovery and snapshot agree by construction.
+        excepted.  Every replica is built from the manifest's directory;
+        keys older manifests carry beyond it (a ``wal`` section among
+        them) are ignored.
         """
         directory, meta = ShardDirectory.read(Path(path), config)
         cluster = cls(config, shards=directory, **kwargs)

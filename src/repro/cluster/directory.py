@@ -14,13 +14,15 @@ set, or the copy a rebalance move left behind -- is a shard-local
 tombstone.  :meth:`~ShardDirectory.state` applies that rule to derive
 what a shard holds, and it is the only derivation: construction,
 ``revive`` and ``save`` all read it, which is why a dead replica can
-be rebuilt without any surviving replica's help.
+be rebuilt without any surviving replica's help.  The routing
+summaries come from here too (:meth:`~ShardDirectory.live_sets`), so
+the coordinator never asks a shard what it holds.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro.core.config import SilkMothConfig
 from repro.io.persistence import (
@@ -57,8 +59,6 @@ class ShardDirectory:
         self.shard_to_global: list[list[int]] = [[] for _ in range(n_shards)]
         #: Per shard: live sets currently placed there.
         self.shard_live: list[int] = [0] * n_shards
-        #: Read from a manifest: replicas may recover from their own logs.
-        self.from_disk = False
 
     @classmethod
     def round_robin(
@@ -102,6 +102,12 @@ class ShardDirectory:
             if not self._is_live_slot(shard, local)
         ]
         return sets, deleted
+
+    def live_sets(self) -> Iterator[tuple[int, tuple[str, ...]]]:
+        """``(shard, raw texts)`` of every live set, by ascending id."""
+        for gid, (shard, _) in enumerate(self.placement):
+            if gid not in self.deleted:
+                yield shard, self.raw[gid]
 
     def youngest_live_on(self, shard: int) -> int:
         """The highest-slot global id currently live on *shard*."""
@@ -239,5 +245,4 @@ class ShardDirectory:
             directory.raw.append(shard_sets[shard][local])
             if gid not in directory.deleted:
                 directory.shard_live[shard] += 1
-        directory.from_disk = True
         return directory, meta

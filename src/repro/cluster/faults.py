@@ -32,10 +32,9 @@ Crash-point faults live one level *below* the transport: the
 harnesses are this module's audience) kills a process at a named
 point *inside* a WAL operation -- between intent and apply, between
 checkpoint and truncate -- which is exactly the window transport
-faults cannot reach.  The crash-sweep suites iterate
+faults cannot reach.  The crash-sweep suite iterates
 :data:`~repro.io.wal.WAL_CRASH_POINTS` with
-:func:`~repro.io.crash.crash_at` (in-process) or
-``SILKMOTH_CRASH_AT`` (worker processes), and use
+:func:`~repro.io.crash.crash_at` and uses
 :func:`~repro.io.wal.segment_record_offsets` to simulate torn
 appends at every record boundary.
 """

@@ -3,8 +3,8 @@
 Each logical shard runs ``R`` replicas -- independent endpoints holding
 identical state, kept in lockstep by receiving identical mutation
 streams in identical order.  :class:`ReplicaSet` owns the grid (who is
-serving, who is dead), how an endpoint is built (transport, WAL
-directory, fault wrapper), and the two ways a request reaches a shard:
+serving, who is dead), how an endpoint is built (transport, fault
+wrapper) and the two ways a request reaches a shard:
 a pipelined read with per-shard failover (:meth:`ReplicaSet.read`) and
 a mutation applied to every healthy replica (:meth:`ReplicaSet.mutate`).
 Nothing else indexes replicas.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from pathlib import Path
 from typing import Callable, Iterable
 
 from repro.cluster.faults import FaultPlan, FaultyTransport
@@ -25,7 +24,6 @@ from repro.cluster.transport import (
     make_transport,
 )
 from repro.core.config import SilkMothConfig
-from repro.io.wal import wal_directory_in_use
 from repro.obs.instrument import (
     observe_degraded,
     observe_failover,
@@ -110,8 +108,6 @@ class ReplicaSet:
         backoff: "float | None",
         compact_dead_fraction: float,
         fault_plan: "FaultPlan | None",
-        wal_dir: "str | Path | None",
-        try_recover: bool,
         meanwhile: Callable[[], None],
     ):
         self.transport_name = resolve("SILKMOTH_CLUSTER_TRANSPORT", transport)
@@ -121,44 +117,28 @@ class ReplicaSet:
         #: Per-request shard deadline in seconds (None = no deadline).
         self.deadline = deadline if deadline > 0 else None
         self.backoff = resolve("SILKMOTH_FAILOVER_BACKOFF", backoff)
-        #: Base directory for per-replica WALs (None = no durability).
-        self.wal_dir = resolve("SILKMOTH_WAL_DIR", wal_dir)
         self.config = config
         self.stats = stats
         self._compact_dead_fraction = compact_dead_fraction
         self._fault_plan = fault_plan
-        #: From-disk replica rebuilds that failed verification and fell
-        #: back to the given state.
-        self.revive_fallbacks = 0
         #: Per shard: its replica transports (identical state each).
         self._endpoints: "list[list[ShardTransport | None]]" = [
             [None] * self.count for _ in range(n_shards)
         ]
         #: Per shard, per replica: whether the endpoint is serving.
         self._healthy = [[False] * self.count for _ in range(n_shards)]
-        self.revive(range(n_shards), state, try_recover, meanwhile)
+        self.revive(range(n_shards), state, meanwhile)
 
     # ------------------------------------------------------------------
     # Building endpoints
     # ------------------------------------------------------------------
-    def _wal_dir_of(self, shard: int, replica: int) -> "str | None":
-        """The WAL directory a replica logs to (None = WAL disabled)."""
-        if self.wal_dir is None:
-            return None
-        return str(self.wal_dir / f"shard{shard}-replica{replica}")
-
     def _make(
-        self, shard: int, replica: int, raw_sets, deleted,
-        recover: bool = False,
+        self, shard: int, replica: int, raw_sets, deleted
     ) -> ShardTransport:
         """Start one transport endpoint holding *shard*'s state.
 
         The endpoint may still be constructing when this returns (see
-        :func:`~repro.cluster.transport.make_transport`).  With
-        *recover*, it ignores *raw_sets*/*deleted* and rebuilds its
-        service from its own WAL directory -- the caller is responsible
-        for verifying the result before trusting it (see
-        :meth:`revive`).
+        :func:`~repro.cluster.transport.make_transport`).
         """
         inner = make_transport(
             self.transport_name,
@@ -166,38 +146,15 @@ class ReplicaSet:
             raw_sets,
             deleted,
             self._compact_dead_fraction,
-            wal_dir=self._wal_dir_of(shard, replica),
-            recover=recover,
         )
         if self._fault_plan is not None:
             return FaultyTransport(inner, self._fault_plan, shard, replica)
         return inner
 
-    def _recovered_as_expected(
-        self, transport: ShardTransport, raw_sets, deleted
-    ) -> bool:
-        """Whether a from-disk replica came up holding exactly this state.
-
-        Any failure along the recovery path -- corrupt log, dead
-        worker, mismatched config -- reads as "no": recovery must never
-        be able to make things worse than a plain rebuild.
-        """
-        try:
-            transport.await_ready()
-            exported_sets, exported_deleted, _ = transport.request(
-                "export", timeout=self.deadline
-            )
-        except Exception:  # noqa: BLE001 - recovery must never block a rebuild
-            return False
-        return [tuple(s) for s in exported_sets] == [
-            tuple(elements) for elements in raw_sets
-        ] and sorted(exported_deleted) == sorted(deleted)
-
     def revive(
         self,
         shards: Iterable[int],
         state: Callable[[int], tuple],
-        from_disk: bool,
         meanwhile: "Callable[[], None] | None" = None,
     ) -> int:
         """Build every dead replica of *shards*, all at once; how many.
@@ -212,13 +169,6 @@ class ReplicaSet:
         this returns; if any step raises, every endpoint started here
         is closed first, so a failed construction leaves no orphaned
         worker behind, and the replicas stay dead.
-
-        With *from_disk*, a replica whose WAL directory holds a log
-        starts from disk instead.  That path is trust-but-verify: the
-        recovered replica's exported state must equal the expected
-        ``(raw_sets, deleted)`` exactly, or the endpoint is discarded
-        and rebuilt from that authoritative state (counted in
-        :attr:`revive_fallbacks`).
         """
         slots = []
         for k in shards:
@@ -230,40 +180,13 @@ class ReplicaSet:
                     _close_quietly(self._endpoints[k][r])
                 slots.append((k, r, raw_sets, deleted))
         endpoints: "list[ShardTransport]" = []
-        recovering: "list[bool]" = []
         try:
-            for shard, replica, raw_sets, deleted in slots:
-                wal_dir = self._wal_dir_of(shard, replica)
-                recover = (
-                    from_disk
-                    and wal_dir is not None
-                    and wal_directory_in_use(wal_dir)
-                )
-                if recover:
-                    try:
-                        endpoints.append(
-                            self._make(shard, replica, (), (), recover=True)
-                        )
-                    except Exception:  # noqa: BLE001 - inline shards recover here
-                        self.revive_fallbacks += 1
-                        recover = False
-                if not recover:
-                    endpoints.append(
-                        self._make(shard, replica, raw_sets, deleted)
-                    )
-                recovering.append(recover)
+            for slot in slots:
+                endpoints.append(self._make(*slot))
             if meanwhile is not None:
                 meanwhile()
-            for i, (shard, replica, raw_sets, deleted) in enumerate(slots):
-                if recovering[i] and not self._recovered_as_expected(
-                    endpoints[i], raw_sets, deleted
-                ):
-                    _close_quietly(endpoints[i])
-                    self.revive_fallbacks += 1
-                    endpoints[i] = self._make(
-                        shard, replica, raw_sets, deleted
-                    )
-                endpoints[i].await_ready()
+            for transport in endpoints:
+                transport.await_ready()
         except BaseException:
             for transport in endpoints:
                 _close_quietly(transport)

@@ -26,10 +26,11 @@ one.
 
 Tokens are summarised by a *stable* 64-bit hash of the token string
 (:func:`token_hash`), never by vocabulary ids: each shard interns its
-own vocabulary, and worker processes cannot share Python ``hash``
-values (per-process salting), so the string digest is the only
-representation that survives every transport.  Summaries are exact
-hash sets: no false positives, so routing skips every shard it can.
+own vocabulary, so the token string is all the shards share.  The
+coordinator builds every summary itself, from the raw texts its
+:class:`~repro.cluster.directory.ShardDirectory` holds; no shard is
+asked what it indexes.  Summaries are exact hash sets: no false
+positives, so routing skips every shard it can.
 """
 
 from __future__ import annotations
@@ -62,8 +63,8 @@ class ShardSummary:
     Mutation contract: :meth:`add_set_tokens` must be called for every
     set added to the shard (summaries are append-only between rebuilds;
     removals leave stale entries, which can only over-route).
-    :meth:`ShardRouter.rebuild` replaces them wholesale after
-    compaction, when tombstoned sets' tokens are finally dropped.
+    :meth:`ShardRouter.rebuild` replaces them wholesale from the live
+    sets at compaction, when tombstoned sets' tokens are dropped.
     """
 
     tokens: set = field(default_factory=set)
@@ -168,9 +169,10 @@ class ShardRouter:
                 if summary.may_answer(probe)
             ]
 
-    def rebuild(self, inventories: Sequence[tuple]) -> None:
-        """Replace every summary from the shards' ``summary`` replies."""
-        self.summaries = [
-            ShardSummary(set(hashes), has_empty)
-            for hashes, has_empty in inventories
-        ]
+    def rebuild(self, live: Iterable[tuple[int, Sequence[str]]]) -> None:
+        """Replace every summary by a fold of the *live* ``(shard,
+        elements)`` sets (the coordinator's
+        :meth:`~repro.cluster.directory.ShardDirectory.live_sets`)."""
+        self.summaries = [ShardSummary() for _ in self.summaries]
+        for shard, elements in live:
+            self.add(shard, elements)

@@ -15,20 +15,18 @@ costs tokenise + index + plan and nothing else.
 
 Local ids are shard-private and append-only (never reused); the
 coordinator owns the global numbering and the mapping between the two.
-The host never learns about routing -- summaries are coordinator state
--- except for the ``summary`` command, which inventories the shard's
-*live* token hashes so the coordinator can rebuild a tight summary
-after compaction.
+The host never learns about routing, and nothing it holds is read
+back: the coordinator's :class:`~repro.cluster.directory.ShardDirectory`
+already knows every raw set, placement and tombstone, and builds
+replicas and routing summaries from that alone.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from repro.cluster.routing import reference_probe
 from repro.core.config import SilkMothConfig
 from repro.core.records import SetCollection
-from repro.io.wal import reset_wal_directory
 from repro.obs.sketch import get_sketch_registry
 from repro.obs.trace import collect_remote, span
 from repro.service.service import SilkMothService
@@ -51,16 +49,6 @@ class ShardHost:
     compact_dead_fraction:
         Per-shard auto-compaction threshold, passed through to the
         underlying service.
-    wal_dir:
-        This replica's private write-ahead-log directory (``None``
-        disables durability; the coordinator resolves
-        ``SILKMOTH_WAL_DIR`` and derives one directory per replica).
-    recover:
-        When True, ignore *raw_sets*/*deleted* and rebuild the service
-        from *wal_dir* via :meth:`SilkMothService.recover` (the
-        from-disk revive path).  When False and *wal_dir* is given, any
-        stale log there is cleared first: the replica is being built
-        from authoritative coordinator state and starts a new history.
     """
 
     def __init__(
@@ -69,21 +57,7 @@ class ShardHost:
         raw_sets: Sequence[Sequence[str]] = (),
         deleted: Sequence[int] = (),
         compact_dead_fraction: float = 0.25,
-        wal_dir: "str | None" = None,
-        recover: bool = False,
     ):
-        if recover:
-            if wal_dir is None:
-                raise ValueError("recover=True requires a wal_dir")
-            # cache_capacity=0 here and below: result caching happens
-            # once, at the coordinator.
-            self.service = SilkMothService.recover(
-                wal_dir,
-                config,
-                cache_capacity=0,
-                compact_dead_fraction=compact_dead_fraction,
-            )
-            return
         collection = SetCollection(
             Tokenizer(kind=config.similarity, q=config.effective_q)
         )
@@ -91,23 +65,17 @@ class ShardHost:
             collection.add_set(elements)
         for local_id in deleted:
             collection.remove_set(local_id)
-        if wal_dir is not None:
-            reset_wal_directory(wal_dir)
         self.service = SilkMothService(
             config,
             collection,
+            # Result caching happens once, at the coordinator.
             cache_capacity=0,
             compact_dead_fraction=compact_dead_fraction,
-            # False (not None): a bare host must never pick up
-            # SILKMOTH_WAL_DIR itself, or every replica would fight
-            # over the same directory -- the coordinator resolves the
-            # env var once and derives one directory per replica.
-            wal_dir=wal_dir if wal_dir is not None else False,
+            # False (not None): a shard must never pick up
+            # SILKMOTH_WAL_DIR, or every replica would write the same
+            # directory; a cluster is durable at its coordinator's save().
+            wal_dir=False,
         )
-
-    def close(self) -> None:
-        """Release the service's WAL handle (transport teardown)."""
-        self.service.close()
 
     # ------------------------------------------------------------------
     # Command handlers
@@ -175,50 +143,6 @@ class ShardHost:
     def _cmd_compact(self) -> int:
         """Force a physical compaction; returns postings removed."""
         return self.service.compact()
-
-    def _cmd_checkpoint(self) -> "dict | None":
-        """Checkpoint this shard's WAL; returns the new position.
-
-        ``None`` when the shard runs without a WAL -- the coordinator
-        records exactly that in the cluster manifest.
-        """
-        self.service.checkpoint_wal()
-        return self.service.wal_position()
-
-    def _cmd_wal(self) -> "dict | None":
-        """This shard's current WAL position (``None`` = WAL disabled)."""
-        return self.service.wal_position()
-
-    def _cmd_summary(self) -> tuple[list[int], bool]:
-        """Inventory the live sets' token hashes (+ empty-element flag).
-
-        Feeds the coordinator's summary rebuild after compaction; texts
-        are re-tokenised with the shard's own tokenizer so the
-        inventory matches the index exactly.
-        """
-        collection = self.service.collection
-        inventory = reference_probe(
-            collection.tokenizer,
-            (
-                element.text
-                for record in collection.iter_live()
-                for element in record.elements
-            ),
-        )
-        return sorted(inventory.hashes), inventory.has_empty
-
-    def _cmd_export(self) -> tuple[list[list[str]], list[int], int]:
-        """Raw shard state: (sets in local-id order, tombstones, generation).
-
-        Snapshot writing and rebalancing happen coordinator-side, so
-        this is the only bulk read the protocol needs.
-        """
-        collection = self.service.collection
-        sets = [
-            [element.text for element in record.elements]
-            for record in collection
-        ]
-        return sets, sorted(collection.deleted_ids), self.service.generation
 
     def _cmd_info(self) -> dict:
         """Shard descriptor: sizes, generation, planner decision, stats."""

@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import abc
 import multiprocessing
-import os
 import time
 import traceback
 from multiprocessing.connection import Client, Connection, Listener
@@ -57,7 +56,6 @@ from typing import Sequence
 
 from repro.cluster.shard import ShardHost
 from repro.core.config import SilkMothConfig
-from repro.io.crash import CrashInjected
 from repro.obs.sketch import get_sketch_registry
 from repro.settings import SETTINGS
 
@@ -187,7 +185,6 @@ class InlineTransport(ShardTransport):
         """Mark the in-process shard dead and drop pending replies."""
         self._pending.clear()
         self._dead = True
-        self.host.close()
 
 
 def _worker_loop(conn: Connection) -> None:
@@ -199,19 +196,11 @@ def _worker_loop(conn: Connection) -> None:
     ``(ok, value)`` reply, where a False ``ok`` carries the formatted
     traceback.  The loop exits on the ``"close"`` command or a closed
     connection.
-
-    A :class:`~repro.io.crash.CrashInjected` (an armed
-    ``SILKMOTH_CRASH_AT`` point inherited through the environment) is
-    *not* mirrored back like an ordinary error: it hard-exits the
-    worker, because the whole point of the crash harness is a genuine
-    process death at that instruction.
     """
     host_args = conn.recv()
     try:
         host = ShardHost(*host_args)
         conn.send((True, "ready"))
-    except CrashInjected:  # pragma: no cover - exercised via subprocess
-        os._exit(1)
     except Exception as exc:  # noqa: BLE001 - mirrored to the coordinator
         conn.send((False, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"))
         return
@@ -219,16 +208,12 @@ def _worker_loop(conn: Connection) -> None:
         try:
             command, payload = conn.recv()
         except EOFError:
-            host.close()
             return
         if command == "close":
-            host.close()
             conn.send((True, None))
             return
         try:
             conn.send((True, host.handle(command, payload)))
-        except CrashInjected:  # pragma: no cover - exercised via subprocess
-            os._exit(1)
         except Exception as exc:  # noqa: BLE001 - mirrored to the coordinator
             conn.send(
                 (False, f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}")
@@ -261,9 +246,8 @@ class _RemoteTransport(ShardTransport):
         try:
             ok, value = self._conn.recv()
         except (OSError, EOFError) as exc:
-            # A worker that died during construction (e.g. an armed
-            # crash point in its recovery path) closes the pipe without
-            # a reply.
+            # A worker that died during construction closes the pipe
+            # without a reply.
             raise ShardTransportError(
                 "shard worker died during construction"
             ) from exc
@@ -420,8 +404,6 @@ def make_transport(
     raw_sets: Sequence[Sequence[str]] = (),
     deleted: Sequence[int] = (),
     compact_dead_fraction: float = 0.25,
-    wal_dir: "str | None" = None,
-    recover: bool = False,
 ) -> ShardTransport:
     """Start one shard behind the named transport.
 
@@ -432,9 +414,7 @@ def make_transport(
     imply it, so an endpoint that is simply used behaves as if it had
     been ready all along.  The arguments are
     :class:`~repro.cluster.shard.ShardHost`'s, and every transport
-    constructor takes them in that order: *wal_dir* / *recover* are
-    the replica's private write-ahead-log directory, and whether to
-    rebuild from it instead of from *raw_sets*.
+    constructor takes them in that order.
     """
     try:
         factory = _TRANSPORTS[name]
@@ -448,6 +428,4 @@ def make_transport(
         tuple(tuple(elements) for elements in raw_sets),
         tuple(deleted),
         compact_dead_fraction,
-        wal_dir,
-        recover,
     )

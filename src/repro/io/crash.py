@@ -6,17 +6,14 @@ can make the process "die": :func:`crash_point` raises
 :class:`CrashInjected` when an installed :class:`CrashPlan` (or the
 ``SILKMOTH_CRASH_AT`` environment variable) selects that point.  The
 exception is the simulated power cut — everything written to disk
-before it stays, everything after it never happens.  Worker processes
-translate it into a hard ``os._exit`` so the cluster sees a genuine
-process death.
+before it stays, everything after it never happens.
 
 Two ways to arm a point:
 
 * in-process: ``with crash_at("wal.append.after_write"): ...`` — used
   by the single-node sweep harness;
 * cross-process: ``SILKMOTH_CRASH_AT=wal.append.after_write:3`` fires
-  on the third hit, in whichever process (e.g. a shard worker)
-  inherits the variable.
+  on the third hit, in whichever process inherits the variable.
 
 This module lives in the io layer so :mod:`repro.io.wal` can call
 :func:`crash_point` without importing the cluster package;

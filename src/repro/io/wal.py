@@ -194,25 +194,6 @@ def wal_directory_in_use(directory: str | os.PathLike) -> bool:
     )
 
 
-def reset_wal_directory(directory: str | os.PathLike) -> None:
-    """Delete the checkpoint, segments, and stray temp files.
-
-    Used when a replica is deliberately rebuilt from authoritative
-    in-memory state (the coordinator's directory): the old log
-    describes a history the new instance does not continue.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        return
-    for path in list_segments(directory):
-        path.unlink()
-    checkpoint = directory / CHECKPOINT_NAME
-    if checkpoint.exists():
-        checkpoint.unlink()
-    for stray in directory.glob(f"{CHECKPOINT_NAME}.tmp.*"):
-        stray.unlink()
-
-
 def segment_record_offsets(path: str | os.PathLike) -> "list[int]":
     """Byte offsets of each record boundary in a segment, 0 to EOF.
 

@@ -489,9 +489,10 @@ class SilkMothService(QueryFront):
 
         Latency quantiles come from this process's sketch registry,
         cache hit rates from :meth:`ServiceStats.cache_summary`, plus
-        the WAL position and the slowlog state -- the same document
-        shape :meth:`repro.cluster.SilkMothCluster.health` produces
-        cluster-wide, rendered by ``silkmoth health``.
+        the WAL position and the slowlog state -- the document shape
+        :meth:`repro.cluster.SilkMothCluster.health` produces
+        cluster-wide (less the ``wal`` section a cluster has no use
+        for), rendered by ``silkmoth health``.
         """
         position = self.wal_position()
         slowlog = get_slowlog()

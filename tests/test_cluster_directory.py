@@ -29,7 +29,6 @@ def test_round_robin_places_global_id_on_shard_mod_n():
     assert directory.shard_to_global == [[0, 2, 4], [1, 3]]
     assert directory.shard_live == [3, 2]
     assert directory.raw == _SETS
-    assert not directory.from_disk
 
 
 def test_append_returns_fresh_global_ids():
@@ -105,7 +104,6 @@ def test_write_then_read_round_trips_the_tables(tmp_path):
     assert (tmp_path / "bundle-shard0.json").exists()
     assert (tmp_path / "bundle-shard1.json").exists()
     loaded, meta = ShardDirectory.read(manifest, config)
-    assert loaded.from_disk
     assert meta["extra"] == 7
     assert loaded.placement == directory.placement
     assert loaded.raw == directory.raw

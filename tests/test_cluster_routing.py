@@ -16,6 +16,7 @@ configuration.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -197,10 +198,56 @@ def test_router_routes_only_shards_sharing_a_token():
 
 
 def test_router_rebuild_replaces_every_summary():
-    """rebuild drops what add folded in and keeps only the inventories."""
+    """rebuild drops what add folded in and keeps only the live sets."""
     router = ShardRouter(SilkMothConfig(delta=0.3), n_shards=2)
     router.add(0, ["ash"])
-    router.rebuild([(set(), False), ({token_hash("oak")}, True)])
+    router.rebuild([(1, ["oak", ""])])
     assert router.shards_for(["ash"]) == []
     assert router.shards_for(["oak"]) == [1]
     assert router.shards_for([""]) == [1]
+
+
+@pytest.mark.parametrize("transport", ["inline", "process", "socket"])
+def test_compacted_summaries_equal_the_live_sets_on_each_shard(transport):
+    """After compact(), each summary is exactly its shard's live tokens.
+
+    The program adds, removes, updates and compacts with rebalance
+    moves; the expected summary is recomputed here from ``raw_set`` and
+    ``placement_of`` alone, independent of how the router built it.
+    """
+    config = SilkMothConfig(delta=0.3)
+    sets = [[f"w{i} shared", f"x{i % 4}"] for i in range(14)] + [["", "y"]]
+    tokenizer = Tokenizer(kind=config.similarity, q=config.effective_q)
+
+    def assert_tight(cluster):
+        for k, summary in enumerate(cluster._router.summaries):
+            texts = [
+                text
+                for gid in cluster.live_set_ids()
+                if cluster.placement_of(gid)[0] == k
+                for text in cluster.raw_set(gid)
+            ]
+            hashes, has_empty = element_token_hashes(tokenizer, texts)
+            assert (summary.tokens, summary.has_empty) == (
+                set(hashes), has_empty
+            ), k
+
+    with SilkMothCluster.from_sets(
+        sets, config, shards=3, transport=transport
+    ) as cluster:
+        for gid in (0, 3, 6, 9, 12):  # empty out shard 0
+            cluster.remove_set(gid)
+        cluster.update_set(1, ["w1 changed", "z"])
+        cluster.add_set(["fresh words", ""])
+        cluster.compact()
+        assert cluster.stats.rebalance_moves > 0
+        assert_tight(cluster)
+        moves = cluster.stats.rebalance_moves
+        for gid in cluster.live_set_ids():  # empty shard 0 again
+            if cluster.placement_of(gid)[0] == 0:
+                cluster.remove_set(gid)
+        cluster.add_set(["w2 shared", "late"])
+        cluster.update_set(cluster.live_set_ids()[0], ["w4 again"])
+        cluster.compact()
+        assert cluster.stats.rebalance_moves > moves
+        assert_tight(cluster)

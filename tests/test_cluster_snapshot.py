@@ -233,10 +233,11 @@ def test_cluster_snapshot_after_mutation_and_rebalance(tmp_path):
             raw_sets, deleted = cluster._directory.state(k)
             expected = ([list(s) for s in raw_sets], deleted)
             for r in range(cluster.replica_count):
-                exported_sets, exported_deleted, _ = (
-                    cluster._replicas.endpoint(k, r).request("export")
-                )
-                assert (exported_sets, exported_deleted) == expected
+                held = cluster._replicas.endpoint(k, r).host.service.collection
+                assert (
+                    [[e.text for e in record.elements] for record in held],
+                    sorted(held.deleted_ids),
+                ) == expected
             collection, _ = load_shard_snapshot(
                 tmp_path / f"cluster-shard{k}.json"
             )
@@ -258,6 +259,24 @@ def test_cluster_snapshot_after_mutation_and_rebalance(tmp_path):
         assert loaded.search(["w9 shared"]) == service.search(["w9 shared"])
     finally:
         loaded.close()
+
+
+@pytest.mark.parametrize("transport", ["inline", "process", "socket"])
+def test_save_writes_no_wal_metadata(tmp_path, monkeypatch, transport):
+    """A cluster is durable at save() alone: the manifest carries no
+    log positions, and SILKMOTH_WAL_DIR makes no replica write one --
+    not even a worker process, which inherits the variable."""
+    monkeypatch.setenv("SILKMOTH_WAL_DIR", str(tmp_path / "wal"))
+    manifest = tmp_path / "cluster.json"
+    with SilkMothCluster.from_sets(
+        [["ash bay"], ["oak sky"]], SilkMothConfig(delta=0.3), shards=2,
+        transport=transport,
+    ) as cluster:
+        cluster.add_set(["elm fir"])
+        cluster.save(manifest)
+    payload = load_cluster_manifest(manifest)
+    assert "wal" not in payload["cluster"]
+    assert not (tmp_path / "wal").exists()
 
 
 def test_cluster_load_validates_config(tmp_path):

@@ -18,11 +18,17 @@ from repro.cluster import (
     ShardTransportError,
     SilkMothCluster,
 )
+from repro.cluster.shard import ShardHost
 from repro.cluster.transport import KNOWN_TRANSPORTS, make_transport
 from repro.core.config import SilkMothConfig
 from repro.settings import resolve
 
 REMOTE_TRANSPORTS = ("process", "socket")
+
+SHARD_COMMANDS = (
+    "ping", "search", "add", "remove", "compact", "info", "sketches",
+    "close",
+)
 
 DATA = [
     ["ash bay", "elm fir"],
@@ -82,17 +88,36 @@ def test_worker_errors_are_mirrored(transport):
         endpoint.close()
 
 
+@pytest.mark.parametrize("transport", KNOWN_TRANSPORTS)
+def test_shard_protocol_is_eight_commands(transport):
+    """A shard answers exactly ping, search, add, remove, compact, info,
+    sketches and close; the retired log and inventory commands are
+    unknown under every transport, and refusing one harms nothing."""
+    assert sorted(
+        name[len("_cmd_"):] for name in vars(ShardHost)
+        if name.startswith("_cmd_")
+    ) == sorted(SHARD_COMMANDS)
+    endpoint = make_transport(transport, CONFIG, [("ash",), ("oak",)])
+    try:
+        for retired in ("checkpoint", "wal", "summary", "export"):
+            with pytest.raises(ShardTransportError, match=retired):
+                endpoint.request(retired, ())
+        assert endpoint.request("ping") == "pong"
+        assert endpoint.request("info", ())["live_sets"] == 2
+    finally:
+        endpoint.close()
+
+
 @pytest.mark.parametrize("transport", REMOTE_TRANSPORTS)
 def test_pipelined_submits_collect_in_order(transport):
     """submit/submit/collect/collect pairs replies in request order."""
     endpoint = make_transport(transport, CONFIG, [("ash",), ("oak",)])
     try:
         endpoint.submit("info", ())
-        endpoint.submit("summary", ())
+        endpoint.submit("ping", ())
         info = endpoint.collect()
-        hashes, has_empty = endpoint.collect()
+        assert endpoint.collect() == "pong"
         assert info["live_sets"] == 2
-        assert hashes and not has_empty
     finally:
         endpoint.close()
 
@@ -207,8 +232,10 @@ def test_kill_is_abrupt_and_normalizes_use_after_kill(transport):
 @pytest.mark.parametrize("transport", REMOTE_TRANSPORTS)
 def test_await_ready_raises_the_workers_construction_error(transport):
     """Start returns at once; the construction error is await_ready's."""
-    # recover=True without a wal_dir makes ShardHost raise in the worker.
-    endpoint = make_transport(transport, CONFIG, recover=True)
+    # An out-of-range threshold makes ShardHost raise in the worker.
+    endpoint = make_transport(
+        transport, CONFIG, compact_dead_fraction=0.0
+    )
     process = endpoint._process
     try:
         with pytest.raises(ShardTransportError, match="failed to start"):
@@ -220,16 +247,14 @@ def test_await_ready_raises_the_workers_construction_error(transport):
 
 @pytest.mark.parametrize("transport", REMOTE_TRANSPORTS)
 def test_cluster_constructor_raises_worker_construction_errors(
-    transport, tmp_path
+    transport,
 ):
     """A failed worker surfaces from from_sets, not from the first query."""
-    not_a_directory = tmp_path / "wal"
-    not_a_directory.write_text("a file where the WAL base should be")
     before = set(multiprocessing.active_children())
     with pytest.raises(ShardTransportError, match="failed to start"):
         SilkMothCluster.from_sets(
             DATA, CONFIG, shards=2, transport=transport,
-            wal_dir=not_a_directory,
+            compact_dead_fraction=0.0,
         )
     assert set(multiprocessing.active_children()) <= before
 

@@ -310,6 +310,19 @@ def test_cluster_health_document():
     assert "replication:" in format_health(payload)
 
 
+def test_cluster_health_has_no_wal_section(tmp_path, monkeypatch):
+    """A cluster is durable at save(), not through a log: its rollup
+    has no ``wal`` section even with SILKMOTH_WAL_DIR set, and the
+    text rendering copes without one."""
+    monkeypatch.setenv("SILKMOTH_WAL_DIR", str(tmp_path / "wal"))
+    with SilkMothCluster.from_sets(DATA, CONFIG, shards=2) as cluster:
+        cluster.add_set(["elm fir"])
+        payload = cluster.health()
+    assert "wal" not in payload
+    assert "wal" not in format_health(payload)
+    assert not (tmp_path / "wal").exists()
+
+
 def test_cluster_health_degraded_when_shard_lost():
     """Losing every replica of a shard flips the rollup to degraded."""
     plan = FaultPlan([FaultEvent(kind="kill_shard", shard=1, replica=0,

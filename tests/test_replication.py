@@ -198,13 +198,16 @@ def test_all_replicas_dead_names_lost_shards():
         assert infos[1].get("lost") is True
 
 
-def test_degraded_mutations_do_not_desync_id_space():
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_degraded_mutations_do_not_desync_id_space(transport):
     """Refused mutations leave the coordinator id space untouched.
 
     The atomicity policy under test: zero replica successes must
     commit *nothing* -- ``live_set_ids`` (and the tombstone set) agree
     with the surviving shards before and after the failure, and after
     :meth:`revive` the whole cluster answers from exactly that state.
+    Under the process transport the lost replicas are real worker
+    processes killed inside the mutation.
     """
     plan = FaultPlan(
         [
@@ -213,7 +216,8 @@ def test_degraded_mutations_do_not_desync_id_space():
         ]
     )
     with _oracle_for(DATA, CONFIG) as oracle, SilkMothCluster.from_sets(
-        DATA, CONFIG, shards=2, replicas=2, fault_plan=plan, backoff=0.0
+        DATA, CONFIG, shards=2, replicas=2, fault_plan=plan, backoff=0.0,
+        transport=transport,
     ) as cluster:
         before = cluster.live_set_ids()
         total_before = cluster.total_sets
@@ -239,6 +243,21 @@ def test_degraded_mutations_do_not_desync_id_space():
         assert cluster.search(BROAD_REFERENCE) == oracle.search(
             BROAD_REFERENCE
         )
+
+
+def test_revive_rejects_a_shard_index_out_of_range():
+    """A bad index -- out of range, or not an ``int`` at all -- names
+    the valid range and revives nothing."""
+    with SilkMothCluster.from_sets(
+        DATA, CONFIG, shards=2, replicas=2
+    ) as cluster:
+        cluster._replicas.mark_dead(1, 0)
+        for bad in (-1, 2, 5, 1.5, True, "0"):
+            with pytest.raises(ValueError, match=r"0\.\.1"):
+                cluster.revive(shard=bad)
+        assert cluster.replica_health() == [[True, True], [False, True]]
+        assert cluster.revive(shard=1) == 1
+        assert cluster.replica_health() == [[True, True], [True, True]]
 
 
 def test_update_degenerates_to_remove_when_no_shard_takes_the_add():
@@ -270,14 +289,18 @@ def test_update_degenerates_to_remove_when_no_shard_takes_the_add():
         assert 0 not in cluster.live_set_ids()
 
 
-def test_revive_rebuilds_lockstep_replicas():
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_revive_rebuilds_lockstep_replicas(transport):
     """A revived replica is in lockstep: killing the survivor after
-    revive() must be invisible to queries."""
+    revive() must be invisible to queries.  The revived replica is
+    built from the directory alone, a fresh worker process under the
+    process transport."""
     plan = FaultPlan(
         [FaultEvent(kind="kill_shard", shard=0, replica=0, after=1)]
     )
     with _oracle_for(DATA, CONFIG) as oracle, SilkMothCluster.from_sets(
-        DATA, CONFIG, shards=2, replicas=2, fault_plan=plan, backoff=0.0
+        DATA, CONFIG, shards=2, replicas=2, fault_plan=plan, backoff=0.0,
+        transport=transport,
     ) as cluster:
         cluster.search(BROAD_REFERENCE)  # kills replica (0, 0)
         cluster.add_set(["post kill common"])  # survivor-only mutation

@@ -183,11 +183,13 @@ def test_retired_invalidation_counters_load(tmp_path):
     assert _answers(service) == _answers(_fresh_service(config))
 
 
+@pytest.mark.parametrize("transport", ["inline", "process"])
 @pytest.mark.parametrize("summary_bits", [0, 256])
-def test_an_old_cluster_manifest_loads(tmp_path, summary_bits):
+def test_an_old_cluster_manifest_loads(tmp_path, summary_bits, transport):
     """Keys later builds dropped (``shard_generations``, the shard-meta
     ``generation``, ``summary_bits`` even when it asked for Bloom
-    summaries) are ignored."""
+    summaries, the per-replica log positions under ``wal``) are
+    ignored."""
     manifest = tmp_path / "m.json"
     shard_sets = [[SETS[0], SETS[2]], [SETS[1], SETS[3]]]
     for k, (sets, local_to_global) in enumerate(
@@ -216,9 +218,18 @@ def test_an_old_cluster_manifest_loads(tmp_path, summary_bits):
             "generation": 1, "shard_generations": [1, 0],
             "config_fingerprint": FINGERPRINT, "summary_bits": summary_bits,
             "transport": "inline", "stats": cluster_stats,
+            "wal": {
+                "dir": str(tmp_path / "wal"),
+                "positions": [
+                    {"segment": 2, "segment_records": 0, "appended": 3},
+                    None,
+                ],
+            },
         },
     })
-    with SilkMothCluster.load(manifest, CONFIG) as cluster:
+    with SilkMothCluster.load(
+        manifest, CONFIG, transport=transport
+    ) as cluster:
         assert cluster.live_set_ids() == [0, 1, 3]
         restored = cluster.stats.to_dict()
         for name in ("queries", "adds", "removes", "shards_routed_total"):

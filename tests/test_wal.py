@@ -33,7 +33,6 @@ from repro.io.wal import (
     list_segments,
     read_wal_records,
     recover_state,
-    reset_wal_directory,
     segment_record_offsets,
     wal_directory_in_use,
 )
@@ -186,9 +185,7 @@ class TestWriteAheadLog:
         log.append("add", {"elements": []}, 1)
         log.close()
         assert wal_directory_in_use(tmp_path)
-        reset_wal_directory(tmp_path)
-        assert not wal_directory_in_use(tmp_path)
-        reset_wal_directory(tmp_path / "never-created")  # tolerated
+        assert not wal_directory_in_use(tmp_path / "never-created")
 
 
 class TestTornTail:

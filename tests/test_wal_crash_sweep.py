@@ -3,8 +3,7 @@
 The headline durability claim, in executable form.  A crash is
 simulated at every named point in the WAL code path
 (:data:`~repro.io.wal.WAL_CRASH_POINTS`, armed via
-:func:`~repro.cluster.faults.crash_at` in-process or
-``SILKMOTH_CRASH_AT`` in shard worker processes) and at every record
+:func:`~repro.cluster.faults.crash_at`) and at every record
 boundary of the log itself (simulated torn appends).  Whatever the
 crash interrupts, :meth:`SilkMothService.recover` must land
 bit-identical -- by :meth:`~repro.service.SilkMothService
@@ -30,7 +29,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import ClusterDegradedError, SilkMothCluster
 from repro.cluster.faults import (
     WAL_CRASH_POINTS,
     CrashInjected,
@@ -52,17 +50,6 @@ _SETTINGS = settings(
 )
 
 CONFIG = SilkMothConfig(delta=0.3)
-
-DATA = [
-    ["ash bay common", "elm fir"],
-    ["ash bay elm common", "oak"],
-    ["sky yew common", "ivy"],
-    ["ash common", "fir elm"],
-    ["oak sky common", ""],
-    ["bay fir common", "yew"],
-]
-
-BROAD_REFERENCE = ["ash bay common", "oak sky common"]
 
 _programs = st.lists(
     st.one_of(
@@ -256,62 +243,6 @@ def test_torn_append_sweep_recovers_prefix_state(program):
                 "recovered to a third state"
             )
             recovered.close()
-
-
-@pytest.mark.parametrize(
-    "point", ["wal.append.before_write", "wal.append.after_write"]
-)
-def test_process_worker_crash_then_disk_revive(tmp_path, monkeypatch, point):
-    """A worker killed inside append comes back via its WAL, verified.
-
-    ``SILKMOTH_CRASH_AT`` is inherited by the shard worker, which dies
-    with a hard exit mid-append; the coordinator refuses the mutation
-    (zero replica successes commit nothing), and
-    ``revive(from_disk=True)`` must restore exactly the coordinator's
-    state: a log that ran ahead of the refused mutation
-    (``after_write``) is detected by verification and rebuilt instead.
-    """
-    monkeypatch.setenv("SILKMOTH_FSYNC", "0")
-    # Arm before construction: worker processes inherit the variable.
-    # Construction itself never appends (initial sets load through the
-    # collection, not the mutation path), so workers come up healthy.
-    monkeypatch.setenv("SILKMOTH_CRASH_AT", point)
-    cluster = SilkMothCluster.from_sets(
-        DATA,
-        CONFIG,
-        shards=2,
-        replicas=1,
-        transport="process",
-        wal_dir=tmp_path / "wal",
-        backoff=0.0,
-    )
-    oracle = SilkMothCluster.from_sets(DATA, CONFIG, shards=1, replicas=1)
-    try:
-        with pytest.raises(ClusterDegradedError):
-            cluster.remove_set(0)
-        # Nothing committed: the id space still holds the set.
-        assert cluster.is_live(0)
-        assert cluster.lost_shards() != []
-        monkeypatch.delenv("SILKMOTH_CRASH_AT")  # revived workers stay alive
-        revived = cluster.revive(from_disk=True)
-        assert revived >= 1
-        expected_fallbacks = 1 if point == "wal.append.after_write" else 0
-        assert cluster.wal_revive_fallbacks == expected_fallbacks
-        assert cluster.lost_shards() == []
-        assert cluster.live_set_ids() == oracle.live_set_ids()
-        assert cluster.search(BROAD_REFERENCE) == oracle.search(
-            BROAD_REFERENCE
-        )
-        _report_recovery(
-            {
-                "harness": "process_worker",
-                "point": point,
-                "fallbacks": cluster.wal_revive_fallbacks,
-            }
-        )
-    finally:
-        cluster.close()
-        oracle.close()
 
 
 def test_recovery_report_artifact_written(tmp_path, monkeypatch):
