@@ -3,7 +3,7 @@
 The pipeline's numeric kernels (the candidate-selection merge, batched
 element similarity, maximum-matching solves) are routed through one
 :class:`~repro.backends.base.ComputeBackend`.  Its kernels are scalar
-Python; long batches of two shapes take the numpy kernels of
+Python; long batches of three shapes take the numpy kernels of
 :mod:`repro.backends.numpy_kernels`, imported once with this package
 when numpy is installed (so forked workers inherit them loaded and no
 timed region pays for the import).  Without numpy the scalar path runs,

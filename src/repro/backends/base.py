@@ -8,12 +8,13 @@ filters hold the *logic* (which candidates to compare, when to stop);
 the backend holds the *arithmetic*.
 
 There is one backend.  Its kernels are scalar Python except on long
-batches of two shapes -- a posting merge scanning at least
+batches of three shapes -- a posting merge scanning at least
 :attr:`ComputeBackend.select_min_postings` keys, an edit batch of at
-least :attr:`ComputeBackend.edit_batch_min_tasks` pairs -- which go to
-:mod:`repro.backends.numpy_kernels` when numpy is installed.  Either
-path returns the same keys and floats bit for bit, so the gates decide
-speed only.
+least :attr:`ComputeBackend.edit_batch_min_tasks` pairs, a token-kind
+NN group search over at least :attr:`ComputeBackend.nn_group_min_sets`
+sets -- which go to :mod:`repro.backends.numpy_kernels` when numpy is
+installed.  Either path returns the same keys and floats bit for bit,
+so the gates decide speed only.
 
 Weight matrices are intentionally opaque: callers read them through
 :meth:`ComputeBackend.matrix_entry` and solve them through
@@ -23,12 +24,14 @@ Weight matrices are intentionally opaque: callers read them through
 
 from __future__ import annotations
 
+from collections import Counter
 from itertools import repeat
 from operator import attrgetter
 from typing import Mapping, Optional, Sequence, Tuple
 
 from repro.backends.select import merge_distinct_postings_python
 from repro.core.records import ElementRecord, SetRecord
+from repro.index.inverted import PACK_MASK, PACK_SHIFT, InvertedIndex
 from repro.sim.functions import SimilarityFunction
 from repro.sim.memo import SimilarityMemo
 
@@ -43,7 +46,7 @@ _INDEX_TOKENS = attrgetter("index_tokens")
 class ComputeBackend:
     """Numeric kernels behind the staged pipeline.
 
-    The two class attributes below gate the numpy kernels by batch size
+    The three class attributes below gate the numpy kernels by batch size
     (measurements: ``docs/parameters.md``, "Array kernels"); results
     never depend on them, only which (equally exact) path runs.
     """
@@ -62,6 +65,12 @@ class ComputeBackend:
     #: banded path wins: a lane batch costs a fixed ~20 array dispatches
     #: per text character however few lanes it has.
     edit_batch_min_tasks: int = 64
+
+    #: Minimum set ids in one token-kind NN group search before the
+    #: numpy range gather runs.  Below it the scalar galloping walk
+    #: wins: the array path pays a dozen dispatches per probe token
+    #: however few sets it covers.
+    nn_group_min_sets: int = 16
 
     # ------------------------------------------------------------------
     # Index-traversal kernels
@@ -98,6 +107,46 @@ class ComputeBackend:
         return merge_distinct_postings_python(
             key_arrays, skip_set, deleted, sizes, size_range
         )
+
+    def nearest_in_sets(
+        self,
+        probe: frozenset[int],
+        set_ids: Sequence[int],
+        index: InvertedIndex,
+        phi: SimilarityFunction,
+    ) -> dict[int, float]:
+        """Token-kind NN values of the non-empty *probe* in each of *set_ids*.
+
+        The NN filter's group walk (Section 5.2): ``{set_id: phi_alpha
+        of the nearest element}`` for the ascending *set_ids* where that
+        is positive, counting ``|probe & s_j|`` off *probe*'s posting
+        runs (one posting per element and distinct token, so the number
+        of runs holding key ``(S, j)`` is the intersection size) and
+        reading ``|s_j|`` off :meth:`InvertedIndex.token_count_column`;
+        the score is :meth:`SimilarityFunction.tokens_from_counts`.  A
+        repeated set id counts once.
+
+        The scalar path walks each run with
+        :meth:`InvertedIndex.keys_in_sets`; a group of
+        :attr:`nn_group_min_sets` or more set ids takes the numpy range
+        gather (:func:`repro.backends.numpy_kernels.nearest_in_sets`)
+        when numpy is installed.  Both return the same floats.
+        """
+        if numpy_kernels is not None and len(set_ids) >= self.nn_group_min_sets:
+            return numpy_kernels.nearest_in_sets(probe, set_ids, index, phi)
+        found: list[int] = []
+        for token in probe:
+            found += index.keys_in_sets(token, set_ids)
+        offsets, counts = index.token_count_column()
+        size = len(probe)
+        nearest: dict[int, float] = {}
+        for key, shared in Counter(found).items():
+            set_id = key >> PACK_SHIFT
+            other = counts[offsets[set_id] + (key & PACK_MASK)]
+            score = phi.tokens_from_counts(size, other, shared)
+            if score > nearest.get(set_id, 0.0):
+                nearest[set_id] = score
+        return nearest
 
     # ------------------------------------------------------------------
     # Similarity kernels

@@ -1,4 +1,4 @@
-"""The numpy kernels: the two batch shapes where arrays beat scalar code.
+"""The numpy kernels: the three batch shapes where arrays beat scalar code.
 
 The only module in :mod:`repro` that imports numpy.
 :mod:`repro.backends.base` imports it once, inside ``try/except
@@ -15,6 +15,10 @@ that the array set-up costs more than it saves (measurements:
     The lane-parallel Myers bit-vector kernel (:func:`edit_lanes`)
     behind the batched edit similarities (``edit_batch_min_tasks``
     pairs).
+:func:`nearest_in_sets`
+    The NN filter's token-kind group walk as ``searchsorted`` range
+    gathers, one sort-and-count and the kind's closed form
+    (``nn_group_min_sets`` set ids).
 
 Every key, count and float equals the scalar path's bit for bit.
 """
@@ -26,7 +30,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.constants import EPSILON
-from repro.index.inverted import PACK_SHIFT
+from repro.index.inverted import PACK_MASK, PACK_SHIFT, InvertedIndex
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 from repro.sim.memo import SimilarityMemo
 
@@ -101,6 +105,83 @@ def merge_distinct_postings(
                 mask &= size_ok
     kept = merged if mask is None else merged[mask]
     return kept.tolist(), scanned, distinct, size_drops
+
+
+def nearest_in_sets(
+    probe: frozenset[int],
+    set_ids: Sequence[int],
+    index: InvertedIndex,
+    phi: SimilarityFunction,
+) -> dict[int, float]:
+    """Token-kind NN values of *probe* in each of *set_ids*, as arrays.
+
+    Per probe token, the posting run (a zero-copy ``frombuffer`` view)
+    is ``searchsorted`` at every deduplicated set's ``[s << 32, (s + 1)
+    << 32)`` bounds and the ranges gathered; one sort of the keys
+    gathered from several runs and a run-length count give ``|probe &
+    s_j|`` per key, the index's token count column ``|s_j|``.  The closed form is
+    :meth:`SimilarityFunction.tokens_from_counts` written elementwise
+    with the same float64 operations on the same exact integers, then
+    the alpha threshold, and ``np.maximum.reduceat`` takes each set's
+    best.  Returns what
+    :meth:`~repro.backends.base.ComputeBackend.nearest_in_sets`'s
+    scalar walk does, float for float.
+    """
+    # A repeated id would gather its range twice and double ``shared``.
+    lows = np.array(list(dict.fromkeys(set_ids)), dtype=np.int64) << PACK_SHIFT
+    bounds = np.empty(2 * len(lows), dtype=np.int64)
+    bounds[0::2] = lows
+    bounds[1::2] = lows + (1 << PACK_SHIFT)
+    gathered = []
+    for token in probe:
+        postings = index.posting_keys(token)
+        if not postings:
+            continue
+        run = np.frombuffer(postings, dtype=np.int64)
+        edges = run.searchsorted(bounds)
+        starts = edges[0::2]
+        lengths = edges[1::2] - starts
+        ends = lengths.cumsum()
+        total = int(ends[-1])
+        if total:
+            # Position k of the gather reads run[starts[r] + k - first
+            # position of range r].
+            shift = np.repeat(starts - (ends - lengths), lengths)
+            gathered.append(run[shift + np.arange(total)])
+    if not gathered:
+        return {}
+    if len(gathered) == 1:
+        # Ranges of one sorted run: ascending and distinct already.
+        keys = gathered[0]
+        shared = np.ones(keys.size, dtype=np.int64)
+    else:
+        found = np.concatenate(gathered)
+        found.sort()
+        first = np.flatnonzero(np.concatenate(([True], found[1:] != found[:-1])))
+        keys = found[first]
+        shared = np.diff(first, append=found.size)
+    owner = keys >> PACK_SHIFT
+    offsets, counts = index.token_count_column()
+    other = np.frombuffer(counts, dtype=np.int64)[
+        np.frombuffer(offsets, dtype=np.int64)[owner] + (keys & PACK_MASK)
+    ]
+    size = len(probe)
+    kind = phi.kind
+    if kind is SimilarityKind.JACCARD:
+        score = shared / (size + other - shared)
+    elif kind is SimilarityKind.DICE:
+        score = 2.0 * shared / (size + other)
+    elif kind is SimilarityKind.COSINE:
+        score = shared / np.sqrt(size * other)
+    elif kind is SimilarityKind.OVERLAP:
+        score = shared / np.minimum(size, other)
+    else:
+        raise ValueError("nearest_in_sets requires a token-based kind")
+    score[score < phi.alpha] = 0.0
+    set_first = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+    best = np.maximum.reduceat(score, set_first)
+    positive = best > 0.0
+    return dict(zip(owner[set_first][positive].tolist(), best[positive].tolist()))
 
 
 def edit_values(

@@ -19,18 +19,26 @@ candidate of a pass walks the same global element order.
 :func:`nn_filter_columns` therefore iterates *element-major*: for each
 reference element, one :func:`nn_search_group` answers every candidate
 that still needs it, walking each of the element's posting lists once.
-Each candidate sees exactly the additions, in exactly the order, of a
-per-candidate loop, so estimates and witnessed maps are bit-identical
-to it (``tests/test_nn_filter.py`` keeps that loop as the oracle).
+The group is built when its element is refined -- the candidates still
+alive at that moment with no witness for it, in set-id order -- so a
+candidate pruned at its first refined element (most of them) costs no
+other element anything: set-up is one C-level fold per candidate for
+its starting total, and no per-(candidate, element) waiting list is
+kept.  Each candidate sees exactly the additions, in exactly the order,
+of a per-candidate loop, so estimates and witnessed maps are
+bit-identical to it (``tests/test_nn_filter.py`` keeps that loop as the
+oracle, and the up-front waiting lists as the schedule's).
 :func:`nearest_neighbor_filter` is the row-per-candidate wrapper.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
+from functools import reduce
+from operator import add
 from typing import Sequence
 
+from repro.backends import get_backend
 from repro.core.records import ElementRecord, SetCollection, SetRecord
 from repro.filters.check import CandidateInfo
 from repro.index.inverted import PACK_MASK, PACK_SHIFT, InvertedIndex
@@ -73,34 +81,28 @@ def nn_search_group(
     -- hence the number of *element*'s tokens whose run contains
     ``(S, j)`` is ``|element & s_j|`` exactly, and the score is the
     kind's closed form on the three sizes
-    (:meth:`SimilarityFunction.tokens_from_counts`).  Edit kinds score
+    (:meth:`SimilarityFunction.tokens_from_counts`); the compute
+    backend runs that walk
+    (:meth:`~repro.backends.base.ComputeBackend.nearest_in_sets`, on
+    numpy arrays for a large group).  Edit kinds score
     each distinct sharing element once, in first-seen order per set,
     each set's running best tightening the Levenshtein band for its
     next element; *memo* serves and records those pairs.
     """
-    nearest: dict[int, float] = {}
     tokens = element.index_tokens
     if phi.kind.is_token_based:
-        if not tokens:
-            # Empty probe: similarity is 1 against an empty candidate
-            # element (invisible to the index) and 0 against the rest.
-            top = phi.threshold(1.0)
-            if top > 0.0:
-                for set_id in set_ids:
-                    if any(not s.index_tokens for s in collection[set_id].elements):
-                        nearest[set_id] = top
-            return nearest
-        found: list[int] = []
-        for token in tokens:
-            found += index.keys_in_sets(token, set_ids)
-        size = len(tokens)
-        for key, shared in Counter(found).items():
-            set_id = key >> PACK_SHIFT
-            other = collection[set_id].elements[key & PACK_MASK]
-            score = phi.tokens_from_counts(size, len(other.index_tokens), shared)
-            if score > nearest.get(set_id, 0.0):
-                nearest[set_id] = score
+        if tokens:
+            return get_backend().nearest_in_sets(tokens, set_ids, index, phi)
+        # Empty probe: similarity is 1 against an empty candidate
+        # element (invisible to the index) and 0 against the rest.
+        nearest: dict[int, float] = {}
+        top = phi.threshold(1.0)
+        if top > 0.0:
+            for set_id in set_ids:
+                if any(not s.index_tokens for s in collection[set_id].elements):
+                    nearest[set_id] = top
         return nearest
+    nearest = {}
     text = element.text
     memoized = memo is not None and memo.enabled
     seen: set[int] = set()
@@ -170,34 +172,31 @@ def nn_filter_columns(
     caps = [_no_share_cap(element, phi, q) for element in reference.elements]
     effective = [max(bound, cap) for bound, cap in zip(bounds, caps)]
     # Start from the check filter's estimate: witnessed exact NN values
-    # where they beat the bound, signature bounds elsewhere.  Candidates
-    # are visited in set-id order (the batch may arrive unsorted through
-    # the row wrapper) so every element's group is ready for the walk.
-    totals = [0.0] * len(set_ids)
-    alive = [False] * len(set_ids)
-    waiting: list[list[int]] = [[] for _ in effective]
-    for k in sorted(range(len(set_ids)), key=set_ids.__getitem__):
-        best = best_maps[k]
-        total = 0.0
-        pending: list[int] = []
-        for i, estimated in enumerate(effective):
-            witnessed = best.get(i)
-            if witnessed is not None:
-                total += witnessed
-            else:
-                total += estimated
-                if estimated > 0.0:
-                    pending.append(i)
-        totals[k] = total
-        if total >= theta:
-            alive[k] = True
-            for i in pending:
-                waiting[i].append(k)
+    # where they exist, signature bounds elsewhere, added in element
+    # order (a C-level left fold: the bits of a ``+=`` loop, which a
+    # compensated ``sum`` would not give).
+    elements = range(len(effective))
+    totals = [
+        reduce(add, map(best.get, elements, effective), 0.0) for best in best_maps
+    ]
+    # The still-alive candidates in set-id order (the batch may arrive
+    # unsorted through the row wrapper), so every group is ascending.
+    live = [
+        k
+        for k in sorted(range(len(set_ids)), key=set_ids.__getitem__)
+        if totals[k] >= theta
+    ]
     # Refine the estimated elements with exact NN searches, worst bound
-    # first so the estimates fall fastest; a candidate leaves the moment
-    # it is pruned and costs no later element a search.
-    for i in sorted(range(len(effective)), key=lambda i: -effective[i]):
-        group = [k for k in waiting[i] if alive[k]]
+    # first so the estimates fall fastest.  Element i's group is built
+    # when i is refined: the live candidates with no witness for i
+    # (refining i writes best[i] and nothing else, so those are the
+    # candidates that had none at the start).  A pruned candidate
+    # leaves ``live`` and costs no later element a search.
+    for i in sorted(elements, key=lambda i: -effective[i]):
+        estimated = effective[i]
+        if estimated <= 0.0:
+            break  # the rest are 0 too: nothing to refine
+        group = [k for k in live if i not in best_maps[k]]
         if not group:
             continue
         nearest = nn_search_group(
@@ -208,7 +207,8 @@ def nn_filter_columns(
             collection,
             memo,
         )
-        cap, estimated = caps[i], effective[i]
+        cap = caps[i]
+        pruned = False
         for k in group:
             nn = nearest.get(set_ids[k], 0.0)
             if cap > nn:
@@ -216,8 +216,10 @@ def nn_filter_columns(
             totals[k] += nn - estimated
             best_maps[k][i] = nn
             if totals[k] < theta:
-                alive[k] = False
-    keep = [k for k, survives in enumerate(alive) if survives]
+                pruned = True
+        if pruned:
+            live = [k for k in live if totals[k] >= theta]
+    keep = sorted(live)
     return keep, [totals[k] for k in keep]
 
 

@@ -51,7 +51,11 @@ Both share the records' own objects (no copies), are filled by
 :meth:`~InvertedIndex.add_record` and pruned by
 :meth:`~InvertedIndex.compact`.  Everything else -- the NN filter, the
 signature costs, the planner's profile, the reference select kernel --
-reads the occurrence postings, which are the same for both kinds.
+reads the occurrence postings, which are the same for both kinds.  The
+token-kind NN filter also reads one flat column beside them, the
+index-token count of every stored element
+(:meth:`InvertedIndex.token_count_column`): the ``|s_j|`` of the closed
+form, addressed by packed key without dereferencing a record.
 
 Mutability: removals are *lazy*.  Tombstoning a set leaves its postings
 in place (candidate selection skips them via the collection's tombstone
@@ -118,6 +122,11 @@ class InvertedIndex:
         # the size-gate input the selection kernel reads as a flat
         # column instead of dereferencing collection records per set.
         self._sizes: array = array("q")
+        # Token kinds: index-token count per stored element, one run per
+        # set in the order the sets were added, and per set id the
+        # offset of its run (token_count_column).
+        self._token_counts: array = array("q")
+        self._count_offsets: array = array("q")
         # The second level candidate selection reads (module docstring):
         # the content table for token kinds, the forward column (packed
         # posting key -> the element's record) for edit kinds.
@@ -149,7 +158,8 @@ class InvertedIndex:
         out of order, the touched lists are re-sorted so the
         binary-search invariant can't silently break.  The second level
         follows: each element enters the forward column (edit kinds) or
-        the content table (token kinds, :meth:`_add_content`).
+        the content table (token kinds, :meth:`_add_content`) and the
+        token count column (token kinds).
         """
         set_id = record.set_id
         if not 0 <= set_id <= MAX_SET_ID:
@@ -162,13 +172,18 @@ class InvertedIndex:
         touched: set[int] = set()
         token_based = self._token_based
         elements = self._elements
+        offset = len(self._token_counts)
+        count = self._token_counts.append
         added = 0
         for element_index, element in enumerate(record.elements):
             key = base | element_index
             tokens = element.index_tokens
-            if not token_based:
+            size = len(tokens)
+            if token_based:
+                count(size)
+            else:
                 elements[key] = element
-            if not tokens:
+            if not size:
                 self._empty.append(key)
                 added += 1
                 continue
@@ -177,7 +192,7 @@ class InvertedIndex:
                 if postings is None:
                     postings = lists[token] = array("q")
                 postings.append(key)
-            added += len(tokens)
+            added += size
             if not in_order:
                 touched.update(tokens)
             if token_based:
@@ -191,6 +206,11 @@ class InvertedIndex:
         if set_id >= len(sizes):
             sizes.extend([0] * (set_id + 1 - len(sizes)))
         sizes[set_id] = len(record.elements)
+        if token_based:
+            offsets = self._count_offsets
+            if set_id >= len(offsets):
+                offsets.extend([0] * (set_id + 1 - len(offsets)))
+            offsets[set_id] = offset
         self._max_set_id = max(self._max_set_id, set_id)
 
     def _add_content(
@@ -262,7 +282,8 @@ class InvertedIndex:
         preserved (filtering a sorted array keeps it sorted), so every
         index invariant survives.  The second level follows: the
         forward column loses the dropped keys, the content table the
-        dead occurrences and every content left without one.
+        dead occurrences and every content left without one; the token
+        count column loses the dead sets' runs.
         """
         deleted = self.collection.deleted_ids
         if not deleted or not self._dead_postings:
@@ -290,6 +311,7 @@ class InvertedIndex:
             self._empty = kept_empty
         if removed and self._token_based:
             self._compact_contents(deleted)
+            self._compact_token_counts(deleted)
         elif removed:
             self._elements = {
                 key: element
@@ -299,6 +321,22 @@ class InvertedIndex:
         self._dead_postings = 0
         self._compactions += 1
         return removed
+
+    def _compact_token_counts(self, deleted: frozenset) -> None:
+        """Rewrite the token count column without the *deleted* sets' runs.
+
+        Live runs move down in set-id order; a deleted set's offset is
+        left stale, which nothing reads: its postings are gone.
+        """
+        old = self._token_counts
+        offsets = self._count_offsets
+        sizes = self._sizes
+        counts = array("q")
+        for set_id, start in enumerate(offsets):
+            if sizes[set_id] and set_id not in deleted:
+                offsets[set_id] = len(counts)
+                counts.extend(old[start : start + sizes[set_id]])
+        self._token_counts = counts
 
     def _compact_contents(self, deleted: frozenset) -> None:
         """Rebuild the content table without the *deleted* sets.
@@ -420,6 +458,22 @@ class InvertedIndex:
         records are immutable; replacing a set allocates a fresh id.
         """
         return self._sizes
+
+    def token_count_column(self) -> tuple[array, array]:
+        """``(offsets, counts)``: every stored element's index-token count.
+
+        ``counts[offsets[s] + j] == len(collection[s].elements[j].index_tokens)``
+        for every key ``(s << 32) | j`` a posting list holds -- the
+        ``|s_j|`` the NN filter's token-kind closed form needs, read as
+        two flat positional lookups (``numpy.frombuffer`` views them as
+        int64 without copying).  Filled by :meth:`add_record` in any set
+        order; :meth:`compact` drops the tombstoned sets' entries, so
+        only ids it has not compacted away are meaningful.  Both arrays
+        are the index's own (shared, do not mutate) and are rewritten by
+        :meth:`compact`, so read them afresh per call.  Both are empty
+        for an edit-kind collection, whose NN search scores texts.
+        """
+        return self._count_offsets, self._token_counts
 
     def posting_elements(self) -> dict[int, ElementRecord]:
         """Packed posting key -> element record (shared, do not mutate).

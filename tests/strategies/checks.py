@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import pickle
+from array import array
 import random
 from collections import defaultdict
 from dataclasses import replace
@@ -41,6 +42,23 @@ def stored_keys(index) -> set[int]:
     return keys
 
 
+def assert_token_count_column_consistent(index, collection) -> None:
+    """Token kinds: the token count column holds each stored key's ``|s_j|``.
+
+    One entry per stored element (a key in some posting list or the
+    empty list), so after ``compact`` nothing of a tombstoned set is
+    left in it.
+    """
+    offsets, counts = index.token_count_column()
+    keys = stored_keys(index)
+    assert len(counts) == len(keys)
+    for key in keys:
+        set_id, j = key >> PACK_SHIFT, key & PACK_MASK
+        assert counts[offsets[set_id] + j] == len(
+            collection[set_id].elements[j].index_tokens
+        )
+
+
 def assert_forward_column_consistent(index, collection) -> None:
     """Edit kinds: the column holds exactly the stored keys' own records."""
     column = index.posting_elements()
@@ -48,9 +66,10 @@ def assert_forward_column_consistent(index, collection) -> None:
     for key, element in column.items():
         # The collection's own record, not a copy.
         assert element is collection[key >> PACK_SHIFT].elements[key & PACK_MASK]
-    # No content table beside it.
+    # No content table or token count column beside it.
     assert index.content_records() == [] and index.content_sets() == []
     assert not any(len(index.content_ids(token)) for token in index.tokens())
+    assert index.token_count_column() == (array("q"), array("q"))
 
 
 def assert_content_table_consistent(index, collection) -> None:
@@ -91,6 +110,7 @@ def assert_content_table_consistent(index, collection) -> None:
     assert len(index.content_ids(-7)) == 0
     # No forward column beside it.
     assert index.posting_elements() == {}
+    assert_token_count_column_consistent(index, collection)
 
 
 def assert_second_level_consistent(index, collection) -> None:
@@ -107,6 +127,7 @@ def assert_index_pickles(index) -> None:
     assert copy.content_records() == index.content_records()
     assert copy.content_sets() == index.content_sets()
     assert copy.posting_elements() == index.posting_elements()
+    assert copy.token_count_column() == index.token_count_column()
     assert {t: list(copy.content_ids(t)) for t in copy.tokens()} == {
         t: list(index.content_ids(t)) for t in index.tokens()
     }

@@ -1,13 +1,14 @@
 """The numpy kernels' on / off axis, for the suites that pin them.
 
 The compute backend hands a batch to :mod:`repro.backends.numpy_kernels`
-once it reaches one of two gates (``select_min_postings``,
-``edit_batch_min_tasks``).  :func:`kernel_mode` patches both gates so
-that every posting merge and every edit batch takes the numpy kernels
-(``"on"``: gates at 0) or the scalar path (``"off"``: gates at
-``sys.maxsize``); parametrise a suite over :data:`KERNEL_MODES` and run
-its body inside the context (``"on"`` skips when numpy is missing), or
-loop over :data:`LOADED_KERNEL_MODES`.  A module that imports
+once it reaches one of three gates (``select_min_postings``,
+``edit_batch_min_tasks``, ``nn_group_min_sets``).  :func:`kernel_mode`
+patches all three so that every posting merge, every edit batch and
+every token-kind NN group search takes the numpy kernels (``"on"``:
+gates at 0) or the scalar path (``"off"``: gates at ``sys.maxsize``);
+parametrise a suite over :data:`KERNEL_MODES` and run its body inside
+the context (``"on"`` skips when numpy is missing), or loop over
+:data:`LOADED_KERNEL_MODES`.  A module that imports
 :func:`kernel_axis` runs every one of its tests once per mode.
 """
 
@@ -21,6 +22,8 @@ import pytest
 from repro.backends import ComputeBackend, base
 
 KERNEL_MODES = ("on", "off")
+#: The batch-size gates of :class:`ComputeBackend`, one per numpy kernel.
+GATES = ("select_min_postings", "edit_batch_min_tasks", "nn_group_min_sets")
 #: The modes this interpreter can run.
 LOADED_KERNEL_MODES = KERNEL_MODES if base.numpy_kernels is not None else ("off",)
 
@@ -31,12 +34,14 @@ def kernel_mode(mode: str):
     if mode == "on" and base.numpy_kernels is None:
         pytest.skip("numpy not installed")
     gate = 0 if mode == "on" else sys.maxsize
-    saved = ComputeBackend.select_min_postings, ComputeBackend.edit_batch_min_tasks
-    ComputeBackend.select_min_postings = ComputeBackend.edit_batch_min_tasks = gate
+    saved = {name: getattr(ComputeBackend, name) for name in GATES}
+    for name in GATES:
+        setattr(ComputeBackend, name, gate)
     try:
         yield
     finally:
-        ComputeBackend.select_min_postings, ComputeBackend.edit_batch_min_tasks = saved
+        for name, value in saved.items():
+            setattr(ComputeBackend, name, value)
 
 
 @pytest.fixture(scope="module", params=KERNEL_MODES, autouse=True)

@@ -1,6 +1,7 @@
 """The one compute backend: registry, kernel gates, and life without numpy."""
 
 import os
+import random
 import subprocess
 import sys
 import textwrap
@@ -18,9 +19,10 @@ from repro.core.config import SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import ElementRecord, SetCollection
 from repro.core.stats import PassStats
-from repro.index.inverted import pack_posting
+from repro.index.inverted import InvertedIndex, pack_posting
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 from repro.sim.memo import SimilarityMemo
+from strategies import TOKEN_KINDS
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -144,7 +146,12 @@ def kernel_calls(monkeypatch):
     if base.numpy_kernels is None:
         pytest.skip("numpy not installed")
     calls = []
-    for name in ("merge_distinct_postings", "edit_values", "fill_grid_lanes"):
+    for name in (
+        "merge_distinct_postings",
+        "edit_values",
+        "fill_grid_lanes",
+        "nearest_in_sets",
+    ):
         kernel = getattr(base.numpy_kernels, name)
 
         def spy(*args, _kernel=kernel, _name=name, **kwargs):
@@ -161,6 +168,33 @@ class TestGates:
     def test_default_gates(self):
         assert ComputeBackend.select_min_postings == 64
         assert ComputeBackend.edit_batch_min_tasks == 64
+        assert ComputeBackend.nn_group_min_sets == 16
+
+    @pytest.mark.parametrize("kind", TOKEN_KINDS, ids=lambda kind: kind.value)
+    @pytest.mark.parametrize("below", [True, False], ids=["below", "at"])
+    def test_the_nn_group_gate_picks_the_path(
+        self, kernel_calls, monkeypatch, kind, below
+    ):
+        gate = ComputeBackend.nn_group_min_sets
+        rng = random.Random(gate)
+        words = ["a b", "b c d", "a", "c e", "d e f", "", "f a b c"]
+        collection = SetCollection.from_strings(
+            [rng.sample(words, rng.randint(1, 4)) for _ in range(3 * gate)],
+            kind=kind,
+        )
+        index = InvertedIndex(collection)
+        phi = SimilarityFunction(kind, 0.3)
+        probe = collection.query_set(["a b c"]).elements[0].index_tokens
+        set_ids = sorted(rng.sample(range(len(collection)), gate - below))
+        got = get_backend().nearest_in_sets(probe, set_ids, index, phi)
+        assert kernel_calls == ([] if below else ["nearest_in_sets"])
+        monkeypatch.setattr(ComputeBackend, "nn_group_min_sets", sys.maxsize)
+        assert got == get_backend().nearest_in_sets(probe, set_ids, index, phi)
+        brute = {
+            set_id: max(phi.tokens(probe, s.index_tokens) for s in collection[set_id])
+            for set_id in set_ids
+        }
+        assert got == {s: score for s, score in brute.items() if score > 0.0}
 
     @pytest.mark.parametrize("size", [63, 64], ids=["below", "at"])
     @pytest.mark.parametrize("case", sorted(GATE_CASES))

@@ -11,20 +11,26 @@ order, which downstream float summation sees -- must compare equal on
 any input: tombstoned and compacted sets, elements that tokenise to
 nothing on either side, duplicate elements, unsorted, repeated and
 single-candidate batches, references from outside the collection, an
-index built by out-of-order ``add_record``, and every memo state.
+index built by out-of-order ``add_record``, and every memo state -- with
+the numpy group walk forced on and forced off (``kernel_axis``).  The
+refinement *schedule* is pinned as well: the ``(element, group)``
+sequence handed to ``nn_search_group`` equals the one of the waiting
+lists the filter used to build up front, kept here as its oracle.
 """
 
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.filters.nearest_neighbor as nearest_neighbor
 from repro.backends import get_backend
-from repro.core.records import SetCollection
+from repro.core.records import SetCollection, SetRecord
 from repro.filters.check import CandidateInfo
 from repro.filters.nearest_neighbor import (
     _no_share_cap,
@@ -45,6 +51,7 @@ from strategies import (
     string_sets,
     token_sets,
 )
+from strategies.kernels import kernel_axis  # noqa: F401 (autouse axis)
 
 ALPHAS = (0.0, 0.5, 0.8)
 
@@ -165,6 +172,103 @@ def _oracle_nn_filter_columns(
     return keep, estimates
 
 
+def _distinct_elements(case):
+    """*case* with a reference whose equal elements are distinct objects.
+
+    Collections share one record per distinct text, so an element's
+    position is only recoverable from its identity once equal elements
+    are copies.
+    """
+    reference = case[4]
+    copies = tuple(replace(element) for element in reference.elements)
+    return case[:4] + (SetRecord(reference.set_id, copies),) + case[5:]
+
+
+def _position(reference, element):
+    return next(i for i, e in enumerate(reference.elements) if e is element)
+
+
+def _oracle_schedule(case):
+    """The ``(element, group set ids)`` sequence of the up-front waiting lists.
+
+    The filter's body as it was before groups were built lazily,
+    verbatim but for the search call, which records its arguments.
+    """
+    phi, q, collection, index, reference, set_ids, best_maps, bounds, theta = case
+    best_maps = [dict(best) for best in best_maps]
+    memo = None
+    calls = []
+
+    def nn_search_group(element, group_ids, *args):
+        calls.append((_position(reference, element), list(group_ids)))
+        return nearest_neighbor.nn_search_group(element, group_ids, *args)
+
+    caps = [_no_share_cap(element, phi, q) for element in reference.elements]
+    effective = [max(bound, cap) for bound, cap in zip(bounds, caps)]
+    totals = [0.0] * len(set_ids)
+    alive = [False] * len(set_ids)
+    waiting = [[] for _ in effective]
+    for k in sorted(range(len(set_ids)), key=set_ids.__getitem__):
+        best = best_maps[k]
+        total = 0.0
+        pending = []
+        for i, estimated in enumerate(effective):
+            witnessed = best.get(i)
+            if witnessed is not None:
+                total += witnessed
+            else:
+                total += estimated
+                if estimated > 0.0:
+                    pending.append(i)
+        totals[k] = total
+        if total >= theta:
+            alive[k] = True
+            for i in pending:
+                waiting[i].append(k)
+    for i in sorted(range(len(effective)), key=lambda i: -effective[i]):
+        group = [k for k in waiting[i] if alive[k]]
+        if not group:
+            continue
+        nearest = nn_search_group(
+            reference.elements[i],
+            [set_ids[k] for k in group],
+            index,
+            phi,
+            collection,
+            memo,
+        )
+        cap, estimated = caps[i], effective[i]
+        for k in group:
+            nn = nearest.get(set_ids[k], 0.0)
+            if cap > nn:
+                nn = cap
+            totals[k] += nn - estimated
+            best_maps[k][i] = nn
+            if totals[k] < theta:
+                alive[k] = False
+    return calls
+
+
+def _recorded_schedule(case):
+    """The ``(element, group set ids)`` calls ``nn_filter_columns`` makes."""
+    phi, q, collection, index, reference, set_ids, best_maps, bounds, theta = case
+    calls = []
+    search = nearest_neighbor.nn_search_group
+
+    def recording(element, group_ids, *args):
+        calls.append((_position(reference, element), list(group_ids)))
+        return search(element, group_ids, *args)
+
+    # A context, not the fixture: Hypothesis refuses function-scoped ones.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(nearest_neighbor, "nn_search_group", recording)
+        nn_filter_columns(
+            reference, set_ids, [dict(best) for best in best_maps], bounds,
+            theta, index, phi, collection, q=q,
+        )
+    return calls
+
+
 # ----------------------------------------------------------------------
 # Inputs
 # ----------------------------------------------------------------------
@@ -261,10 +365,11 @@ def _assert_identical(case, backend=None, capacity=None):
 
 
 class TestIdentityWithThePerCandidateLoop:
+    @pytest.mark.parametrize("capacity", MEMOS)
     @_SETTINGS
     @given(case=filter_cases(TOKEN_KINDS, collections(), token_sets()))
-    def test_token_kinds(self, case):
-        _assert_identical(case)
+    def test_token_kinds(self, capacity, case):
+        _assert_identical(case, capacity=capacity)
 
     @pytest.mark.parametrize("capacity", MEMOS)
     @_SETTINGS
@@ -272,8 +377,9 @@ class TestIdentityWithThePerCandidateLoop:
     def test_edit_kinds(self, capacity, case):
         _assert_identical(case, capacity=capacity)
 
+    @pytest.mark.parametrize("repeated", [False, True], ids=["distinct", "repeated"])
     @pytest.mark.parametrize("kind", TOKEN_KINDS + EDIT_KINDS)
-    def test_larger_batches_prune_midway(self, kind):
+    def test_larger_batches_prune_midway(self, kind, repeated):
         # Enough candidates and elements that groups shrink element by
         # element: some candidates die first, some last, some never.
         rng = random.Random(kind.value)
@@ -288,6 +394,10 @@ class TestIdentityWithThePerCandidateLoop:
         for reference in list(collection)[:10]:
             size = len(reference)
             set_ids = rng.sample(range(len(collection)), 25)
+            if repeated:
+                # Groups past the default numpy gate that name some
+                # sets twice: the second copy must count nothing.
+                set_ids += rng.choices(set_ids, k=8)
             bounds = tuple(rng.choice((0.4, 0.7, 1.0)) for _ in range(size))
             best_maps = [
                 {i: rng.choice(_VALUES) for i in rng.sample(range(size), rng.randint(0, 1))}
@@ -295,6 +405,43 @@ class TestIdentityWithThePerCandidateLoop:
             ]
             case = (phi, 2, collection, index, reference, set_ids, best_maps, bounds, 0.55 * sum(bounds))
             _assert_identical(case, capacity=4096)
+
+
+class TestRefinementSchedule:
+    """Lazily built groups refine exactly the waiting lists' pairs, in order."""
+
+    @_SETTINGS
+    @given(
+        case=filter_cases(
+            TOKEN_KINDS + EDIT_KINDS, collections(), token_sets()
+        )
+    )
+    def test_schedule_is_the_waiting_lists(self, case):
+        case = _distinct_elements(case)
+        assert _recorded_schedule(case) == _oracle_schedule(case)
+
+    @pytest.mark.parametrize("kind", TOKEN_KINDS)
+    def test_schedule_of_a_pruning_batch(self, kind):
+        rng = random.Random(7 + len(kind.value))
+        words = [" ".join(rng.sample("pqrstuvw", rng.randint(1, 4))) for _ in range(12)]
+        sets = [[rng.choice(words) for _ in range(rng.randint(2, 6))] for _ in range(40)]
+        collection = SetCollection.from_strings(sets, kind=kind)
+        index = InvertedIndex(collection)
+        phi = SimilarityFunction(kind, 0.5)
+        for reference in list(collection)[:10]:
+            size = len(reference)
+            set_ids = rng.sample(range(len(collection)), 30)
+            bounds = tuple(rng.choice((0.4, 0.7, 1.0)) for _ in range(size))
+            best_maps = [
+                {i: rng.choice(_VALUES) for i in rng.sample(range(size), rng.randint(0, 1))}
+                for _ in set_ids
+            ]
+            case = _distinct_elements(
+                (phi, 1, collection, index, reference, set_ids, best_maps, bounds, 0.55 * sum(bounds))
+            )
+            expected = _oracle_schedule(case)
+            assert expected  # something is refined
+            assert _recorded_schedule(case) == expected
 
 
 class TestCountedIntersections:

@@ -102,3 +102,53 @@ def test_a_tree_with_bytecode_under_src_is_refused(tmp_path):
         ab.check_tree(tmp_path)
     with pytest.raises(SystemExit, match="run.py"):
         ab.check_tree(tmp_path / "src")
+
+
+def test_a_workload_list_shares_one_alternating_schedule():
+    calls = []
+
+    def run(label, workload, seed):
+        calls.append((seed, workload, label))
+        wall = 1.0 if label == "A" else 0.5
+        return _result(wall, 1 / wall)
+
+    pairs = ab.collect(["claim", "control"], [11, 12, 13], run)
+    # Per seed every workload runs, both trees in that seed's order.
+    assert calls == [
+        (11, "claim", "A"), (11, "claim", "B"),
+        (11, "control", "A"), (11, "control", "B"),
+        (12, "claim", "B"), (12, "claim", "A"),
+        (12, "control", "B"), (12, "control", "A"),
+        (13, "claim", "A"), (13, "claim", "B"),
+        (13, "control", "A"), (13, "control", "B"),
+    ]
+    # One summary per workload, over its own pairs, each oriented (A, B).
+    assert list(pairs) == ["claim", "control"]
+    for runs in pairs.values():
+        summary = ab.summarise(runs, METRICS)
+        assert summary["wall_s"]["pairs"] == 3
+        assert summary["wall_s"]["improved"] == 3
+        assert summary["wall_s"]["ratio_median"] == 0.5
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["table", "json"])
+def test_main_reports_each_workload(monkeypatch, capsys, as_json):
+    monkeypatch.setattr(ab, "check_tree", lambda tree: None)
+    spec = json.loads((_ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    result = {
+        "correct": True,
+        "failed": 0,
+        "metrics": {m["name"]: {"value": 1.0} for m in spec["end_to_end"]},
+    }
+    monkeypatch.setattr(ab, "run_tree", lambda tree, workload, seed, seconds: result)
+    argv = ["a", "b", "--workload", "claim,control", "--seeds", "1-2"]
+    assert ab.main(argv + ["--json"] if as_json else argv) == 0
+    out = capsys.readouterr().out
+    if as_json:
+        documents = [json.loads(line) for line in out.splitlines()]
+        assert [doc["workload"] for doc in documents] == ["claim", "control"]
+        assert all(doc["seeds"] == [1, 2] for doc in documents)
+        assert all(doc["summary"]["wall_s"]["pairs"] == 2 for doc in documents)
+    else:
+        assert out.startswith("claim, seeds 1..2\n") and "\ncontrol, seeds 1..2\n" in out
+        assert out.count("wall_s ") == 2

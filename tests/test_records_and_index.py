@@ -217,8 +217,10 @@ class TestForwardColumn:
     """Select's second index level lives and dies with the postings.
 
     An edit-kind index keeps the key -> element forward column; the
-    subclass below runs the same four cases over a token-kind index,
-    which keeps the content table instead.
+    subclass below runs the same cases over a token-kind index, which
+    keeps the content table instead.  Both kinds keep the NN filter's
+    token count column, which every consistency check covers too
+    (``assert_token_count_column_consistent``).
     """
 
     WORDS = ["aa", "bb", "cc", "dd", "ee", "ff", "gg"]
@@ -299,6 +301,21 @@ class TestForwardColumn:
             finally:
                 recovered.close()
 
+    def test_column_survives_snapshot_load(self, tmp_path):
+        rng = random.Random(1504)
+        service = SilkMothService(
+            self.CONFIG,
+            self._collection([self._elements(rng) for _ in range(8)]),
+            wal_dir=False,
+        )
+        self._mutate(service, rng, steps=20)
+        service.save(tmp_path / "service.json")
+        loaded = SilkMothService.load(tmp_path / "service.json", self.CONFIG)
+        self._assert_consistent(loaded.index, loaded.collection)
+        loaded.compact()
+        self._assert_consistent(loaded.index, loaded.collection)
+        self._assert_only_live(loaded.index, loaded.collection)
+
     def test_out_of_order_add_record(self):
         collection = self._collection(
             [["a b", "", "a b"], ["b c"], ["a c", "", "d"], ["b c", "a b"]]
@@ -319,7 +336,7 @@ class TestForwardColumn:
 
 
 class TestContentTable(TestForwardColumn):
-    """The same four cases over a token-kind index and its content table."""
+    """The same cases over a token-kind index and its content table."""
 
     CONFIG = SilkMothConfig(delta=0.5)
 

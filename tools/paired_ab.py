@@ -1,22 +1,28 @@
 #!/usr/bin/env python3
-"""Paired A/B runs of one benchmark workload on two source trees.
+"""Paired A/B runs of benchmark workloads on two source trees.
 
 A speed claim compares two trees on a noisy box, so the runs come in
 pairs: per seed, each tree runs its own unmodified
 ``benchmarks/e2e/run.py --workload W --seed S --trace 0``, and which
-tree runs first alternates from seed to seed.  Both trees must be free
-of ``__pycache__`` under ``src/`` (a stale bytecode file could stand in
-for the source being measured), and every child runs with
+tree runs first alternates from seed to seed.  ``--workload`` takes a
+comma-separated list -- the claimed workload and its controls -- and
+every seed then runs each workload in turn, both trees in that seed's
+order, so all of them share one alternating schedule.  Both trees must
+be free of ``__pycache__`` under ``src/`` (a stale bytecode file could
+stand in for the source being measured), and every child runs with
 ``PYTHONDONTWRITEBYTECODE=1`` so they stay that way.  A run whose
 result is not ``correct`` or has failed operations stops the script.
 
-For every end-to-end metric ``BENCHMARK.json`` declares, the report
-gives each tree's median, A's interquartile range (IQR), the median
-and IQR of the per-seed ratios B / A, and how many pairs B improved
-(by the metric's ``better`` direction).  Usage::
+For every workload and every end-to-end metric ``BENCHMARK.json``
+declares, the report gives each tree's median, A's interquartile range
+(IQR), the median and IQR of the per-seed ratios B / A, and how many
+pairs B improved (by the metric's ``better`` direction): one table per
+workload, or with ``--json`` one JSON object per workload, one per
+line.  Usage::
 
     python3 tools/paired_ab.py BASE_TREE CANDIDATE_TREE \\
-        --workload serve_mixed_wal --seeds 101-110 [--seconds 12] [--json]
+        --workload serve_search,serve_mixed_wal --seeds 101-110 \\
+        [--seconds 12] [--json]
 """
 
 from __future__ import annotations
@@ -140,11 +146,31 @@ def format_summary(summary: dict) -> str:
     return "\n".join(lines)
 
 
+def collect(
+    workloads: list[str], seeds: list[int], run
+) -> dict[str, list[tuple[dict, dict]]]:
+    """Per workload, its ``(A result, B result)`` pairs in seed order.
+
+    ``run(label, workload, seed)`` runs one tree; per seed every
+    workload runs both trees in that seed's :func:`schedule` order.
+    """
+    pairs: dict[str, list[tuple[dict, dict]]] = {name: [] for name in workloads}
+    for seed, order in schedule(seeds):
+        for name in workloads:
+            results = {label: run(label, name, seed) for label in order}
+            pairs[name].append((results["A"], results["B"]))
+        print(f"seed {seed}: ran {' then '.join(order)}", file=sys.stderr)
+    return pairs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree_a", type=Path, help="base tree (A)")
     parser.add_argument("tree_b", type=Path, help="candidate tree (B)")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument(
+        "--workload", required=True, type=lambda text: text.split(","),
+        help="one workload, or a comma-separated list",
+    )
     parser.add_argument("--seeds", type=parse_seeds, required=True)
     parser.add_argument("--seconds", type=float, default=12.0)
     parser.add_argument("--json", action="store_true")
@@ -153,21 +179,20 @@ def main(argv=None) -> int:
     for tree in trees.values():
         check_tree(tree)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    pairs = []
-    for seed, order in schedule(args.seeds):
-        results = {
-            label: run_tree(trees[label], args.workload, seed, args.seconds)
-            for label in order
-        }
-        pairs.append((results["A"], results["B"]))
-        print(f"seed {seed}: ran {' then '.join(order)}", file=sys.stderr)
-    summary = summarise(pairs, spec["end_to_end"])
-    if args.json:
-        print(json.dumps({"workload": args.workload, "seeds": args.seeds,
-                          "summary": summary}, indent=1))
-    else:
-        print(f"{args.workload}, seeds {args.seeds[0]}..{args.seeds[-1]}")
-        print(format_summary(summary))
+    pairs = collect(
+        args.workload,
+        args.seeds,
+        lambda label, name, seed: run_tree(trees[label], name, seed, args.seconds),
+    )
+    for name, runs in pairs.items():
+        summary = summarise(runs, spec["end_to_end"])
+        if args.json:
+            print(json.dumps(
+                {"workload": name, "seeds": args.seeds, "summary": summary}
+            ))
+        else:
+            print(f"{name}, seeds {args.seeds[0]}..{args.seeds[-1]}")
+            print(format_summary(summary))
     return 0
 
 
