@@ -29,9 +29,9 @@ fan-out, and snapshot/restore the whole service::
 
 Beyond one machine: :class:`repro.cluster.SilkMothCluster` shards the
 collection across N workers (in-process, worker processes, or socket
-endpoints), routes each query only to shards whose token summaries can
-intersect it, and merges the shard results into answers bit-identical
-to the single-node engine's::
+endpoints), sends each query to every shard, where it is pruned by its
+signature as on one node, and merges the shard results into answers
+bit-identical to the single-node engine's::
 
     from repro import SilkMothCluster, SilkMothConfig
 

@@ -18,8 +18,8 @@ works on real files without writing any Python:
 * ``silkmoth cluster shard|query|info`` drives the sharded layer:
   split an input dataset into a cluster manifest plus per-shard
   version-3 snapshots, serve reference queries against the cluster
-  (signature routing decides which shards each query touches), or
-  inspect a manifest's shards and planner decisions.
+  (every query goes to every shard), or inspect a manifest's shards
+  and planner decisions.
 * ``silkmoth wal inspect|recover`` drives the durability layer:
   summarise a write-ahead-log directory (checkpoint header, segments,
   torn tail) or replay it into a recovered service, optionally
@@ -502,8 +502,6 @@ def cmd_cluster_info(args: argparse.Namespace) -> int:
         print(f"live sets:    {len(cluster)}")
         print(f"generation:   {cluster.generation}")
         info = cluster.info()
-        routing = info["routing_certificate"]
-        print(f"routing:      {'summary intersection' if routing else 'broadcast'}")
         print(f"shard live:   {info['shard_live_sets']}")
         if "profile" in info:
             profile = info["profile"]

@@ -1,10 +1,11 @@
-"""`repro.cluster`: signature-routed multi-shard discovery and serving.
+"""`repro.cluster`: multi-shard discovery and serving.
 
 The single-node engine scales one machine; this package shards the
 indexed collection across N workers -- each a full
 engine/index/backend/planner stack behind a pluggable transport -- and
 coordinates them through :class:`SilkMothCluster`, which keeps the
 single-node search/discover/service API and its exactness guarantees.
+Every pass reaches every shard; only a discovery floor skips one.
 
 Layout:
 
@@ -13,11 +14,9 @@ Layout:
   snapshots and introspection, over the three parts below;
 * :mod:`repro.cluster.directory` -- the global id space: placement,
   raw texts, tombstones, and the one derivation of a shard's state
-  (every replica and every routing summary is built from it);
+  (every replica is built from it);
 * :mod:`repro.cluster.replicas` -- the replica grid: endpoint
   construction, health, failover reads, lockstep writes;
-* :mod:`repro.cluster.routing` -- per-shard token summaries and the
-  pair-level certificate that makes skipping shards provably exact;
 * :mod:`repro.cluster.shard` -- the shard-side command host (a wrapped
   single-node service);
 * :mod:`repro.cluster.transport` -- inline / process / socket shard
@@ -25,7 +24,7 @@ Layout:
 * :mod:`repro.cluster.faults` -- deterministic fault injection (seeded
   fault plans + a fault-injecting transport wrapper) for the chaos
   suites;
-* :mod:`repro.cluster.stats` -- merged pass stats plus routing,
+* :mod:`repro.cluster.stats` -- merged pass stats plus fan-out,
   rebalancing and failover counters.
 """
 
@@ -42,13 +41,6 @@ from repro.cluster.faults import (
     crash_point,
 )
 from repro.cluster.replicas import ClusterDegradedError
-from repro.cluster.routing import (
-    ReferenceProbe,
-    ShardSummary,
-    reference_probe,
-    routing_certificate_holds,
-    token_hash,
-)
 from repro.cluster.stats import ClusterPassStats, ClusterStats
 from repro.cluster.transport import (
     KNOWN_TRANSPORTS,
@@ -70,12 +62,7 @@ __all__ = [
     "FaultyTransport",
     "crash_at",
     "crash_point",
-    "ReferenceProbe",
-    "ShardSummary",
     "ShardTimeoutError",
     "ShardTransportError",
     "SilkMothCluster",
-    "reference_probe",
-    "routing_certificate_holds",
-    "token_hash",
 ]

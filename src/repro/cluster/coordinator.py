@@ -1,26 +1,25 @@
-"""`SilkMothCluster`: signature-routed related-set serving across shards.
+"""`SilkMothCluster`: related-set serving across shards.
 
 The coordinator keeps the cluster-level query cache and lifetime stats
-over three parts: the global id space
-(:class:`~repro.cluster.directory.ShardDirectory`), the replica grid
-(:class:`~repro.cluster.replicas.ReplicaSet`) and the routing
-summaries (:class:`~repro.cluster.routing.ShardRouter`).  Shards own
-everything else -- each one is a full single-node engine (collection,
-inverted index, sim memo, planner decision) behind a
-:mod:`~repro.cluster.transport`.
+over two parts: the global id space
+(:class:`~repro.cluster.directory.ShardDirectory`) and the replica grid
+(:class:`~repro.cluster.replicas.ReplicaSet`).  Shards own everything
+else -- each one is a full single-node engine (collection, inverted
+index, sim memo, planner decision) behind a
+:mod:`~repro.cluster.transport`.  Pruning happens inside each shard,
+with the reference's signature, exactly as on a single node.
 
-A query runs in four steps:
+A query runs in three steps:
 
-1. **route** -- shards that provably cannot answer are skipped (see
-   :mod:`repro.cluster.routing` for the exactness argument);
-2. **fan out** -- submit one ``search`` request carrying the block's
+1. **fan out** -- submit one ``search`` request carrying the block's
    passes (one for a lone :meth:`search`, up to :data:`PASS_BLOCK` for
-   a batch or :meth:`discover`) to every routed shard, then collect
-   (worker shards compute concurrently);
-3. **merge** -- translate shard-local result ids to global ids, sort,
+   a batch or :meth:`discover`) to every shard, then collect (worker
+   shards compute concurrently).  A pass skips only a shard holding
+   nothing at or above its floor (symmetric self-discovery);
+2. **merge** -- translate shard-local result ids to global ids, sort,
    and sum the shards' :class:`~repro.core.stats.PassStats` into one
    :class:`~repro.cluster.stats.ClusterPassStats`;
-4. **cache** -- memoise the answer: the cache, its write rule,
+3. **cache** -- memoise the answer: the cache, its write rule,
    ``search`` and ``search_many`` are the single-node service's own
    (:class:`~repro.service.batch.QueryFront`).  Shards sign in their
    own vocabularies, so every cluster answer is uncertified: an add
@@ -32,13 +31,11 @@ the global id space -- ``add`` appends a fresh global id,
 cluster is observably identical to a single-node service fed the same
 mutation sequence.  :meth:`compact` additionally *rebalances*: live
 sets migrate from overloaded to underloaded shards (global ids
-untouched -- only the placement changes), then every summary is
-rebuilt tight from the live sets the directory places on each shard.
+untouched -- only the placement changes).
 
 The directory is the only source of shard state: every replica is
-built from it, every summary is folded from it, and a cluster is
-durable exactly at :meth:`save` -- the manifest it writes is all
-:meth:`load` trusts.
+built from it, and a cluster is durable exactly at :meth:`save` --
+the manifest it writes is all :meth:`load` trusts.
 """
 
 from __future__ import annotations
@@ -50,9 +47,9 @@ from typing import Sequence
 from repro.cluster.directory import ShardDirectory
 from repro.cluster.faults import FaultPlan
 from repro.cluster.replicas import ClusterDegradedError, ReplicaSet
-from repro.cluster.routing import ShardRouter
 from repro.cluster.stats import ClusterPassStats, ClusterStats
 from repro.core.config import Relatedness, SilkMothConfig
+from repro.core.records import is_set_id
 from repro.core.results import DiscoveryResult, SearchResult
 from repro.core.stats import RunStats
 from repro.obs.diag import get_slowlog, observe_slow_cluster_query, slowlog_ms
@@ -64,7 +61,7 @@ from repro.service.batch import QueryFront
 from repro.service.cache import LRUQueryCache, config_fingerprint
 
 #: Reference passes per ``search`` request, in a serving batch and in
-#: discovery alike: each routed shard gets one request per block; a
+#: discovery alike: each shard gets one request per block; a
 #: failover retries it whole.
 PASS_BLOCK = 8
 
@@ -129,7 +126,6 @@ class SilkMothCluster(QueryFront):
             directory = ShardDirectory(shards)
         self.config = config
         self._directory = directory
-        self._router = ShardRouter(config, directory.n_shards)
         self.stats = ClusterStats()
         self._replicas = ReplicaSet(
             config,
@@ -142,7 +138,6 @@ class SilkMothCluster(QueryFront):
             backoff=backoff,
             compact_dead_fraction=compact_dead_fraction,
             fault_plan=fault_plan,
-            meanwhile=self._rebuild_summaries,
         )
         #: Cluster-wide write generation (bumped by every mutation).
         self.generation = 0
@@ -204,12 +199,6 @@ class SilkMothCluster(QueryFront):
         return self._replicas.transport_name
 
     @property
-    def routing_enabled(self) -> bool:
-        """Whether the pair-level routing certificate holds (else
-        every query broadcasts to all shards)."""
-        return self._router.certificate
-
-    @property
     def total_sets(self) -> int:
         """Global ids ever assigned (live sets plus tombstones)."""
         return len(self._directory.placement)
@@ -226,7 +215,8 @@ class SilkMothCluster(QueryFront):
     def is_live(self, set_id: int) -> bool:
         """Whether *set_id* addresses a live global set."""
         return (
-            0 <= set_id < self.total_sets
+            is_set_id(set_id)
+            and 0 <= set_id < self.total_sets
             and set_id not in self._directory.deleted
         )
 
@@ -325,21 +315,11 @@ class SilkMothCluster(QueryFront):
             except ClusterDegradedError:
                 continue
 
-    def _rebuild_summaries(self) -> None:
-        """Fold every live set into its shard's routing summary afresh."""
-        self._router.rebuild(self._directory.live_sets())
-
-    def _commit_add(self, shard: int, local: int, elements) -> int:
-        """Coordinator bookkeeping for one accepted append; global id."""
-        gid = self._directory.append(shard, local, elements)
-        self._router.add(shard, elements)
-        return gid
-
     def add_set(self, elements: Sequence[str]) -> int:
         """Append one set; returns its global id (searchable immediately)."""
         self._ensure_open()
         shard, local = self._place_new_set(elements)
-        gid = self._commit_add(shard, local, elements)
+        gid = self._directory.append(shard, local, elements)
         self.stats.adds += 1
         self._written(added=())
         return gid
@@ -347,7 +327,7 @@ class SilkMothCluster(QueryFront):
     def _remove_live(self, set_id: int) -> None:
         """Tombstone live *set_id* on its shard, then in the directory."""
         if not self.is_live(set_id):
-            raise KeyError(f"set_id {set_id} is not a live set")
+            raise KeyError(f"set_id {set_id!r} is not a live set")
         shard, local = self._directory.placement[set_id]
         self._replicas.mutate(shard, "remove", (local,))
         self._directory.tombstone(set_id)
@@ -385,13 +365,13 @@ class SilkMothCluster(QueryFront):
             self.stats.removes += 1
             self._written(removed=set_id)
             raise
-        gid = self._commit_add(shard, local, elements)
+        gid = self._directory.append(shard, local, elements)
         self.stats.updates += 1
         self._written(removed=set_id, added=())
         return gid
 
     def compact(self) -> int:
-        """Compact every shard, rebalance placement, rebuild summaries.
+        """Compact every shard, then rebalance placement.
 
         Returns the number of postings dropped across shards.  Global
         ids never change -- rebalancing only rewrites the directory's
@@ -408,7 +388,6 @@ class SilkMothCluster(QueryFront):
         for k in range(self.n_shards):
             removed += self._replicas.mutate(k, "compact", ())
         moves = self.rebalance()
-        self._rebuild_summaries()
         if removed or moves:
             self.stats.compactions += 1
         return removed
@@ -447,7 +426,6 @@ class SilkMothCluster(QueryFront):
             # source shard dies mid-remove, its replicas revive from the
             # updated placement, so the stale copy never returns.
             directory.move(gid, lightest, local)
-            self._router.add(lightest, elements)
             moves += 1
             try:
                 self._replicas.mutate(heaviest, "remove", (old_local,))
@@ -492,14 +470,14 @@ class SilkMothCluster(QueryFront):
         references: Sequence[Sequence[str]],
         shard_ids: "list[LocalIds] | None" = None,
     ) -> list[tuple[list[SearchResult], ClusterPassStats]]:
-        """The cluster runner's block: route, fan out, merge.
+        """The cluster runner's block: fan out, merge.
 
         Each ``(reference_id, skip, floor)`` pass (global ids; the
         reference is ``references[reference_id]``) is translated into
-        every routed shard's local ids through *shard_ids*, the shards'
+        every shard's local ids through *shard_ids*, the shards'
         :class:`~repro.pipeline.driver.LocalIds` (built here when not
-        given); a shard with nothing at or above the floor is not
-        routed.  Each routed shard gets one ``search`` request carrying
+        given); a shard with nothing at or above the floor is skipped.
+        Each shard with a pass to run gets one ``search`` request carrying
         its ``(elements, skip_local, first_local)`` items in pass order.
         Each pass then merges on its own; one ``(results, pass)`` per
         pass.  The slowlog charges each pass an equal share of the
@@ -523,8 +501,8 @@ class SilkMothCluster(QueryFront):
                     # without running any stage; so does the cluster.
                     continue
                 payload = tuple(elements)
-                for k in self._router.shards_for(elements):
-                    local = shard_ids[k].local_pass(skip, floor)
+                for k, ids in enumerate(shard_ids):
+                    local = ids.local_pass(skip, floor)
                     if local is not None:
                         items[k].append((i, (payload, *local)))
             shards = [k for k in range(self.n_shards) if items[k]]
@@ -582,7 +560,7 @@ class SilkMothCluster(QueryFront):
         The one schedule of :func:`repro.pipeline.driver.run_discovery`
         over the cluster runner: the live references' passes travel in
         blocks of :data:`PASS_BLOCK`, so the coordinator waits on each
-        routed shard once per block, not once per reference; a failover
+        shard once per block, not once per reference; a failover
         retries the whole block, floors included, on the next replica.
         The shard holding a reference skips the self pair locally, each
         shard starts at its own translation of the global floor
@@ -694,7 +672,7 @@ class SilkMothCluster(QueryFront):
         }
 
     def info(self) -> dict:
-        """Cluster descriptor: shards, routing state, merged profile."""
+        """Cluster descriptor: shards, id space, merged profile."""
         infos = self.shard_infos()
         profiles = []
         for entry in infos:
@@ -704,15 +682,6 @@ class SilkMothCluster(QueryFront):
         payload = {
             "shards": self.n_shards,
             "transport": self.transport_name,
-            "routing_certificate": self.routing_enabled,
-            "summary": {
-                "tokens_per_shard": [
-                    len(summary.tokens) for summary in self._router.summaries
-                ],
-                "has_empty": [
-                    summary.has_empty for summary in self._router.summaries
-                ],
-            },
             "total_sets": self.total_sets,
             "live_sets": len(self),
             "tombstones": len(self._directory.deleted),
@@ -735,12 +704,7 @@ class SilkMothCluster(QueryFront):
         """
         lines = [
             f"cluster: {self.n_shards} shard(s), transport "
-            f"{self.transport_name}, routing "
-            + (
-                "by summary intersection (pair certificate holds)"
-                if self.routing_enabled
-                else "broadcast (no pair certificate for this config)"
-            )
+            f"{self.transport_name}"
         ]
         for k, entry in enumerate(self.shard_infos()):
             decision = entry.get("decision", {})

@@ -14,17 +14,16 @@ set, or the copy a rebalance move left behind -- is a shard-local
 tombstone.  :meth:`~ShardDirectory.state` applies that rule to derive
 what a shard holds, and it is the only derivation: construction,
 ``revive`` and ``save`` all read it, which is why a dead replica can
-be rebuilt without any surviving replica's help.  The routing
-summaries come from here too (:meth:`~ShardDirectory.live_sets`), so
-the coordinator never asks a shard what it holds.
+be rebuilt without any surviving replica's help.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from repro.core.config import SilkMothConfig
+from repro.core.records import is_set_id
 from repro.io.persistence import (
     CLUSTER_FORMAT_NAME,
     FORMAT_NAME,
@@ -81,9 +80,9 @@ class ShardDirectory:
     def assigned(self, set_id: int) -> int:
         """*set_id*, if it was ever assigned (tombstones included);
         :class:`KeyError` otherwise -- a negative id must not index the
-        tables from the end."""
-        if not 0 <= set_id < len(self.placement):
-            raise KeyError(f"set_id {set_id} was never assigned")
+        tables from the end, nor ``True`` stand for set 1."""
+        if not (is_set_id(set_id) and 0 <= set_id < len(self.placement)):
+            raise KeyError(f"set_id {set_id!r} was never assigned")
         return set_id
 
     def _is_live_slot(self, shard: int, local: int) -> bool:
@@ -102,12 +101,6 @@ class ShardDirectory:
             if not self._is_live_slot(shard, local)
         ]
         return sets, deleted
-
-    def live_sets(self) -> Iterator[tuple[int, tuple[str, ...]]]:
-        """``(shard, raw texts)`` of every live set, by ascending id."""
-        for gid, (shard, _) in enumerate(self.placement):
-            if gid not in self.deleted:
-                yield shard, self.raw[gid]
 
     def youngest_live_on(self, shard: int) -> int:
         """The highest-slot global id currently live on *shard*."""

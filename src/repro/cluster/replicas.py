@@ -56,8 +56,9 @@ class ClusterDegradedError(ShardTransportError):
     is exhausted, so callers learn *which* logical shards are lost (the
     :attr:`shards` tuple) rather than which TCP round-trip happened to
     die last.  Subclasses :class:`ShardTransportError` so existing
-    error handling keeps working.  A degraded cluster still answers
-    queries whose routing avoids the lost shards, and
+    error handling keeps working.  Every search needs every shard, so
+    while one is lost a search raises this error; only a discovery
+    pass whose floor lies past the lost shard's sets still answers.
     :meth:`SilkMothCluster.revive` rebuilds lost replicas from the
     coordinator's directory.
     """
@@ -108,7 +109,6 @@ class ReplicaSet:
         backoff: "float | None",
         compact_dead_fraction: float,
         fault_plan: "FaultPlan | None",
-        meanwhile: Callable[[], None],
     ):
         self.transport_name = resolve("SILKMOTH_CLUSTER_TRANSPORT", transport)
         #: Configured replicas per logical shard.
@@ -127,7 +127,7 @@ class ReplicaSet:
         ]
         #: Per shard, per replica: whether the endpoint is serving.
         self._healthy = [[False] * self.count for _ in range(n_shards)]
-        self.revive(range(n_shards), state, meanwhile)
+        self.revive(range(n_shards), state)
 
     # ------------------------------------------------------------------
     # Building endpoints
@@ -152,10 +152,7 @@ class ReplicaSet:
         return inner
 
     def revive(
-        self,
-        shards: Iterable[int],
-        state: Callable[[int], tuple],
-        meanwhile: "Callable[[], None] | None" = None,
+        self, shards: Iterable[int], state: Callable[[int], tuple]
     ) -> int:
         """Build every dead replica of *shards*, all at once; how many.
 
@@ -163,12 +160,10 @@ class ReplicaSet:
         ``(raw_sets, deleted)``.  Construction is two-phase: every
         endpoint is *started* (worker forked, construction tuple
         shipped) before the first one is *awaited*, so the workers
-        tokenise and index concurrently, and *meanwhile* --
-        coordinator-side work that needs no shard -- runs in between,
-        while they do.  Every endpoint has answered ready by the time
-        this returns; if any step raises, every endpoint started here
-        is closed first, so a failed construction leaves no orphaned
-        worker behind, and the replicas stay dead.
+        tokenise and index concurrently.  Every endpoint has answered
+        ready by the time this returns; if any step raises, every
+        endpoint started here is closed first, so a failed construction
+        leaves no orphaned worker behind, and the replicas stay dead.
         """
         slots = []
         for k in shards:
@@ -183,8 +178,6 @@ class ReplicaSet:
         try:
             for slot in slots:
                 endpoints.append(self._make(*slot))
-            if meanwhile is not None:
-                meanwhile()
             for transport in endpoints:
                 transport.await_ready()
         except BaseException:
@@ -238,7 +231,8 @@ class ReplicaSet:
         The submit/collect protocol has no request ids, so after any
         failure (crash, hang, lost reply) the connection is
         desynchronised and must never be reused: the endpoint is killed
-        and excluded from routing until :meth:`revive` rebuilds it.
+        and excluded from reads and writes until :meth:`revive` rebuilds
+        it.
         """
         if not self._healthy[shard][replica]:
             return

@@ -15,10 +15,9 @@ costs tokenise + index + plan and nothing else.
 
 Local ids are shard-private and append-only (never reused); the
 coordinator owns the global numbering and the mapping between the two.
-The host never learns about routing, and nothing it holds is read
-back: the coordinator's :class:`~repro.cluster.directory.ShardDirectory`
-already knows every raw set, placement and tombstone, and builds
-replicas and routing summaries from that alone.
+Nothing the host holds is read back: the coordinator's
+:class:`~repro.cluster.directory.ShardDirectory` already knows every
+raw set, placement and tombstone, and builds replicas from that alone.
 """
 
 from __future__ import annotations

@@ -1,12 +1,14 @@
-"""Cluster-level observability: merged pass stats plus routing counters.
+"""Cluster-level observability: merged pass stats plus fan-out counters.
 
-Each routed shard runs one ordinary pipeline pass and returns its
-:class:`~repro.core.stats.PassStats`; the coordinator folds them into a
-:class:`ClusterPassStats` -- the familiar funnel counters summed across
-shards, plus how many shards the router touched versus skipped.
+Each shard a pass reaches runs one ordinary pipeline pass and returns
+its :class:`~repro.core.stats.PassStats`; the coordinator folds them
+into a :class:`ClusterPassStats` -- the familiar funnel counters summed
+across shards, plus how many shards the pass touched versus skipped.
+A pass skips only a shard holding nothing at or above its floor
+(symmetric self-discovery), so a plain search touches every shard.
 :class:`ClusterStats` extends the service-lifetime counters with the
-routing totals, so a long-lived cluster reports hit rates, latency
-*and* fan-out efficiency from one object.
+fan-out totals, so a long-lived cluster reports hit rates, latency
+*and* how much of discovery's fan-out the floor saved from one object.
 """
 
 from __future__ import annotations
@@ -44,26 +46,26 @@ def merge_pass_stats(per_shard: list[PassStats]) -> PassStats:
 
 @dataclass
 class ClusterPassStats:
-    """One cluster query's fan-out: routing verdict + merged funnel."""
+    """One cluster query's fan-out: shards touched + merged funnel."""
 
     #: How many shards the cluster holds.
     shards_total: int = 0
-    #: Shards the router actually queried.
+    #: Shards the pass actually queried.
     shards_routed: int = 0
-    #: Shards not queried: skipped by the summary intersection
-    #: (provably empty) or, in symmetric self-discovery, holding
-    #: nothing at or above the reference's candidate floor.
+    #: Shards not queried: in symmetric self-discovery, those holding
+    #: nothing at or above the reference's candidate floor (and every
+    #: shard for an empty reference, which runs nowhere).
     shards_skipped: int = 0
     #: Shard-summed funnel counters and stage timings.
     merged: PassStats = field(default_factory=PassStats)
-    #: (shard index, that shard's PassStats) for every routed shard.
+    #: (shard index, that shard's PassStats) for every queried shard.
     per_shard: list = field(default_factory=list)
 
     @classmethod
     def from_shards(
         cls, shards_total: int, per_shard: list
     ) -> "ClusterPassStats":
-        """Assemble from the routed shards' (index, PassStats) pairs."""
+        """Assemble from the queried shards' (index, PassStats) pairs."""
         return cls(
             shards_total=shards_total,
             shards_routed=len(per_shard),
@@ -74,7 +76,7 @@ class ClusterPassStats:
 
     @property
     def broadcast(self) -> bool:
-        """Whether the query touched every shard (no routing win)."""
+        """Whether the query touched every shard (no floor skip)."""
         return bool(self.shards_total) and (
             self.shards_routed == self.shards_total
         )
@@ -85,15 +87,15 @@ class ClusterStats(ServiceStats):
     """Lifetime counters for one :class:`~repro.cluster.SilkMothCluster`.
 
     Everything a :class:`~repro.service.stats.ServiceStats` tracks,
-    plus routing efficiency and rebalancing activity.  Every int field
+    plus fan-out and rebalancing activity.  Every int field
     round-trips through :meth:`to_dict` / :meth:`from_dict`.
     """
 
     #: Sum of shards queried across every fanned-out query.
     shards_routed_total: int = 0
-    #: Sum of shards skipped by summary routing or a discovery floor.
+    #: Sum of shards skipped by a discovery floor.
     shards_skipped_total: int = 0
-    #: Queries that had to touch every shard (no routing win).
+    #: Queries that touched every shard (no floor skip).
     broadcasts: int = 0
     #: Sets moved between shards by :meth:`SilkMothCluster.compact`.
     rebalance_moves: int = 0
@@ -115,7 +117,7 @@ class ClusterStats(ServiceStats):
 
     @property
     def shard_skip_rate(self) -> float:
-        """Fraction of shard fan-outs the router avoided."""
+        """Fraction of shard fan-outs a discovery floor avoided."""
         considered = self.shards_routed_total + self.shards_skipped_total
         return self.shards_skipped_total / considered if considered else 0.0
 

@@ -23,7 +23,7 @@ Three implementations of one tiny submit/collect protocol:
     listener and the coordinator code does not change.
 
 The fan-out idiom is pipelined: the coordinator ``submit``\\ s to every
-routed shard first and only then ``collect``\\ s, so worker shards
+shard first and only then ``collect``\\ s, so worker shards
 compute concurrently.  Each transport owns exactly one shard;
 request/response pairs are strictly ordered per transport, which keeps
 the protocol trivial (no request ids).

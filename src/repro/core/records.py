@@ -26,10 +26,20 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
+from numbers import Integral
 
 from repro.sim.functions import SimilarityKind
 from repro.tokenize.tokenizers import Tokenizer
 from repro.tokenize.vocabulary import Vocabulary
+
+
+def is_set_id(value) -> bool:
+    """Whether *value* can name a set: an integer that is not a ``bool``.
+
+    Range and liveness are the id space's own checks; this one keeps a
+    float, a string or ``True`` from passing them by comparison.
+    """
+    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -211,10 +221,13 @@ class SetCollection(Sequence):
         Raises
         ------
         KeyError
-            If *set_id* is out of range or already removed.
+            If *set_id* is not an integer, is out of range or is
+            already removed.
         """
-        if not 0 <= set_id < len(self._sets):
-            raise KeyError(f"set_id {set_id} out of range (0..{len(self._sets) - 1})")
+        if not (is_set_id(set_id) and 0 <= set_id < len(self._sets)):
+            raise KeyError(
+                f"set_id {set_id!r} out of range (0..{len(self._sets) - 1})"
+            )
         if set_id in self._deleted:
             raise KeyError(f"set_id {set_id} is already removed")
         self._deleted.add(set_id)
@@ -237,7 +250,11 @@ class SetCollection(Sequence):
 
     def is_live(self, set_id: int) -> bool:
         """Whether *set_id* addresses a live (non-tombstoned) set."""
-        return 0 <= set_id < len(self._sets) and set_id not in self._deleted
+        return (
+            is_set_id(set_id)
+            and 0 <= set_id < len(self._sets)
+            and set_id not in self._deleted
+        )
 
     @property
     def deleted_ids(self) -> frozenset[int]:

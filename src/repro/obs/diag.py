@@ -8,7 +8,7 @@ exceeds ``SILKMOTH_SLOWLOG_MS`` (default 100 ms), a full provenance
 record is captured into a bounded ring buffer: the planner decision
 and its reasons, the signature scheme, every funnel counter including
 the packed-selection funnel, per-stage seconds, similarity-memo hit
-state, shard routing/failover facts, and the active trace id so the
+state, shard fan-out/failover facts, and the active trace id so the
 entry can be joined against an exported span tree.
 
 Capture is always cheap: below the threshold the hook costs one cached
@@ -37,7 +37,7 @@ from typing import Any, Dict, Iterable, List, Optional
 from repro.core.stats import PASS_COUNTERS
 from repro.settings import resolve
 
-from .trace import current_context
+from .trace import current_context, read_jsonl_objects
 
 _slowlog_ms: Optional[float] = None
 
@@ -227,13 +227,12 @@ def observe_slow_cluster_query(
 
 
 def load_slowlog_jsonl(path) -> List[Dict[str, Any]]:
-    """Parse a JSONL slowlog export back into entry dicts."""
-    entries = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if line:
-            entries.append(json.loads(line))
-    return entries
+    """Parse a JSONL slowlog export back into entry dicts (each line an
+    object whose ``seconds`` and ``per_shard``, when present, are a
+    number and a list)."""
+    return read_jsonl_objects(
+        path, {"seconds": ((int, float), False), "per_shard": ((list,), False)}
+    )
 
 
 def _format_seconds(seconds: Any) -> str:
@@ -298,6 +297,8 @@ def format_slowlog(
                 f"failovers={entry.get('failovers', 0)}"
             )
             for shard in entry.get("per_shard", ()):
+                if not isinstance(shard, dict):
+                    continue
                 lines.append(
                     f"    shard {shard.get('shard')}: "
                     f"{_format_seconds(shard.get('seconds'))} "

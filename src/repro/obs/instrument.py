@@ -2,7 +2,7 @@
 
 The engine already measures everything worth knowing -- per-stage
 seconds and the candidate funnel in ``PassStats``, query latency and
-cache outcomes in ``ServiceStats``, routing in ``ClusterPassStats`` --
+cache outcomes in ``ServiceStats``, shard fan-out in ``ClusterPassStats`` --
 so this module does not time anything itself.  It translates those
 objects into registry updates at the moments they are recorded:
 
@@ -115,11 +115,11 @@ class _Handles:
         )
         self.shards_skipped = registry.register(
             "silkmoth_shards_skipped_total",
-            "Shards pruned by signature routing.",
+            "Shards a discovery pass skipped: none at or above its floor.",
         )
         self.broadcasts = registry.register(
             "silkmoth_broadcasts_total",
-            "Cluster passes that had to fan out to every shard.",
+            "Cluster passes that fanned out to every shard.",
         )
         self.mutations = registry.register(
             "silkmoth_mutations_total",
@@ -255,7 +255,7 @@ def observe_query(latency: float, cache_hit: bool) -> None:
 
 
 def observe_routing(cluster_pass) -> None:
-    """Record one ``ClusterPassStats`` worth of routing outcomes."""
+    """Record one ``ClusterPassStats`` worth of fan-out outcomes."""
     h = handles()
     h.shards_routed.inc(cluster_pass.shards_routed)
     h.shards_skipped.inc(cluster_pass.shards_skipped)

@@ -282,14 +282,56 @@ def export_jsonl(path) -> int:
     return len(spans)
 
 
-def load_jsonl(path) -> List[Dict[str, Any]]:
-    """Parse a JSONL trace export back into span dicts."""
-    spans = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+#: The span keys :func:`format_flame` and :func:`format_hotspots`
+#: read: key -> (the JSON types it may hold, whether it is required).
+SPAN_FIELDS = {
+    "trace_id": ((str,), True),
+    "span_id": ((str,), True),
+    "name": ((str,), True),
+    "parent_id": ((str, type(None)), False),
+    "attrs": ((dict,), False),
+    "wall_seconds": ((int, float), False),
+    "cpu_seconds": ((int, float), False),
+}
+
+
+def read_jsonl_objects(
+    path, fields: Dict[str, Tuple[tuple, bool]]
+) -> List[Dict[str, Any]]:
+    """The JSON object on each non-blank line of *path*.
+
+    *fields* maps a key to ``(accepted types, required)``.  A line that
+    does not parse, is not an object, lacks a required key or holds a
+    value of another type is a :class:`ValueError` naming the file and
+    the line.
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    objects = []
+    for line_no, line in enumerate(lines, start=1):
         line = line.strip()
-        if line:
-            spans.append(json.loads(line))
-    return spans
+        if not line:
+            continue
+        where = f"{path}: line {line_no}"
+        try:
+            parsed = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{where}: invalid JSON: {exc.msg}") from None
+        if not isinstance(parsed, dict):
+            raise ValueError(f"{where}: not a JSON object")
+        for key, (types, required) in fields.items():
+            if required and key not in parsed:
+                raise ValueError(f"{where}: missing {key!r}")
+            if key in parsed and not isinstance(parsed[key], types):
+                names = " or ".join(kind.__name__ for kind in types)
+                raise ValueError(f"{where}: {key!r} is not {names}")
+        objects.append(parsed)
+    return objects
+
+
+def load_jsonl(path) -> List[Dict[str, Any]]:
+    """Parse a JSONL trace export back into span dicts (each line
+    checked against :data:`SPAN_FIELDS`)."""
+    return read_jsonl_objects(path, SPAN_FIELDS)
 
 
 def format_flame(spans: Iterable[Dict[str, Any]]) -> str:

@@ -444,7 +444,7 @@ class TestClusterCommands:
         out = capsys.readouterr().out
         assert "shards:       2" in out
         assert "live sets:    2" in out
-        assert "routing:      summary intersection" in out
+        assert "cluster: 2 shard(s), transport inline\n" in out
         assert "shard 0:" in out and "shard 1:" in out
 
     def test_query_serves_batch_with_routing_stats(

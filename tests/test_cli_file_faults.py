@@ -14,7 +14,10 @@ file each command opens:
 * ``stale-checksum`` -- content edited after writing, checksum untouched.
 
 A manifest gets a sixth, ``bad-placement``: a placement entry that is
-not a ``[shard, local]`` pair.
+not a ``[shard, local]`` pair.  The ``trace`` and ``slowlog`` viewers
+read JSONL exports: a line that is not a JSON object, lacks a key the
+viewer needs or holds a value of the wrong type is an error naming the
+file and the line.
 
 The structural faults recompute the checksum, so what fires is the
 reader's shape check rather than its corruption check.
@@ -151,3 +154,53 @@ def test_an_undamaged_file_serves(files, capsys):
     """The control: every command succeeds on the files as written."""
     for argv, _ in COMMANDS.values():
         assert main(argv) == 0, argv
+
+
+#: A span line the trace viewers can read, then lines they cannot.
+SPAN = '{"trace_id": "t", "span_id": "s", "name": "n", "wall_seconds": 0.1}'
+
+JSONL_FAULTS = {
+    "slowlog-list-line": (
+        "slowlog", '{"seconds": 0.1}\n[1, 2]\n',
+        "line 2: not a JSON object",
+    ),
+    "slowlog-string-seconds": (
+        "slowlog", '{"seconds": "slow"}\n',
+        "line 1: 'seconds' is not int or float",
+    ),
+    "slowlog-bad-json": (
+        "slowlog", '{"seconds": 0.1}\n{oops\n', "line 2: invalid JSON",
+    ),
+    "trace-no-span-id": (
+        "trace", SPAN + '\n{"trace_id": "t", "name": "x"}\n',
+        "line 2: missing 'span_id'",
+    ),
+    "trace-list-line": ("trace", "[1]\n", "line 1: not a JSON object"),
+    "trace-list-span-id": (
+        "trace", SPAN.replace('"s"', "[1]") + "\n",
+        "line 1: 'span_id' is not str",
+    ),
+    "trace-list-attrs": (
+        "trace", SPAN[:-1] + ', "attrs": [1]}\n',
+        "line 1: 'attrs' is not dict",
+    ),
+    "trace-bad-json": ("trace", SPAN + "\n\n{oops\n", "line 3: invalid JSON"),
+    "trace-string-wall": (
+        "trace", SPAN.replace("0.1", '"x"') + "\n",
+        "line 1: 'wall_seconds' is not int or float",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JSONL_FAULTS))
+@pytest.mark.parametrize("top", [[], ["--top", "2"]], ids=["all", "top"])
+def test_a_malformed_jsonl_line_is_a_typed_error(tmp_path, capsys, case, top):
+    """``trace`` and ``slowlog`` name the file and the bad line."""
+    command, text, message = JSONL_FAULTS[case]
+    path = tmp_path / "export.jsonl"
+    path.write_text(text)
+    assert main([command, str(path), *top]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {path}: {message}")
+    assert "Traceback" not in captured.err
+    assert captured.out == ""

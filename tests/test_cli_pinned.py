@@ -283,12 +283,10 @@ def test_cluster_info(files, capsys):
         "total sets:   4\n"
         "live sets:    4\n"
         "generation:   0\n"
-        "routing:      summary intersection\n"
         "shard live:   [2, 2]\n"
         "profile:      10 posting(s), 10 token list(s) (upper bound "
         "across shards)\n"
-        "cluster: 2 shard(s), transport inline, routing by summary "
-        "intersection (pair certificate holds)\n"
+        "cluster: 2 shard(s), transport inline\n"
         "  shard 0: 2 live set(s), scheme=dichotomy, full_scan=False; "
         "scheme pinned by configuration\n"
         "  shard 1: 2 live set(s), scheme=dichotomy, full_scan=False; "

@@ -1,4 +1,4 @@
-"""Cluster exactness: shard + route + merge equals the single node.
+"""Cluster exactness: shard + fan out + merge equals the single node.
 
 The tentpole claim in test form: a :class:`repro.SilkMothCluster` is
 observably identical to the single-node engine/service on the same
@@ -18,11 +18,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from repro.cluster import SilkMothCluster
+from repro.cluster import ClusterDegradedError, SilkMothCluster
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
 from repro.service import SilkMothService
+from repro.sim.functions import SimilarityKind
 from strategies import (
     clustered_edit_sets,
     collections,
@@ -88,8 +89,8 @@ def test_cluster_search_identity_edit_kinds(
 ):
     """Edit-kind cluster search == single-node search, for every q.
 
-    Out-of-constraint q values are included: routing then degrades to
-    broadcast (no pair certificate) and must still be exact.
+    Out-of-constraint q values are included: the shards then plan the
+    exact full scan and must still agree with the single node.
     """
     with kernel_mode(kernels):
         _assert_cluster_matches_engine(sets, reference, config, shards)
@@ -411,3 +412,179 @@ def test_closed_cluster_refuses_work():
         cluster.search(["a"])
     with pytest.raises(RuntimeError):
         cluster.add_set(["b"])
+
+
+# ----------------------------------------------------------------------
+# Fan-out: a pass reaches every shard; only a discovery floor skips one.
+# ----------------------------------------------------------------------
+FAN_OUT_CONFIG = SilkMothConfig(delta=0.3)
+
+#: Round-robin over three shards: shard 0 holds gids 0, 3, 6; shard 1
+#: gids 1, 4, 7 (4 is the empty set); shard 2 gids 2, 5.
+FAN_OUT_SETS = [
+    ["ash bay", "elm"],
+    ["ash bay"],
+    ["oak"],
+    ["ash bay", "elm"],
+    [],
+    ["yew", ""],
+    ["oak sky"],
+    ["elm fir"],
+]
+
+
+def _floor_skips(cluster) -> int:
+    """The (pass, shard) pairs ``discover()`` skips, from placement alone.
+
+    A reference's pass has floor ``gid + 1`` (no pass once the floor
+    passes the last id); it skips every shard whose highest placed id,
+    tombstones included, lies under the floor, and an empty reference
+    runs on no shard at all.
+    """
+    last_on = [-1] * cluster.n_shards
+    for gid in range(cluster.total_sets):
+        shard = cluster.placement_of(gid)[0]
+        last_on[shard] = max(last_on[shard], gid)
+    skipped = 0
+    for gid in cluster.live_set_ids():
+        floor = gid + 1
+        if floor >= cluster.total_sets:
+            continue
+        if not cluster.raw_set(gid):
+            skipped += cluster.n_shards
+        else:
+            skipped += sum(last < floor for last in last_on)
+    return skipped
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_discovery_skips_exactly_the_shards_under_the_floor(transport):
+    """``shards_skipped_total`` is the floor's skips and nothing else,
+    after a remove and an add, and the rows are the single node's."""
+    with SilkMothCluster.from_sets(
+        FAN_OUT_SETS, FAN_OUT_CONFIG, shards=3, transport=transport
+    ) as cluster:
+        cluster.remove_set(6)
+        cluster.add_set(["elm", "yew"])
+        expected = _floor_skips(cluster)
+        assert expected > 0
+        rows = cluster.discover()
+        assert cluster.stats.shards_skipped_total == expected
+        passes = cluster.run_stats.passes
+        empty = 1  # gid 4's pass runs nowhere and is not counted
+        assert (
+            cluster.stats.shards_routed_total
+            + cluster.stats.shards_skipped_total
+        ) == (passes + empty) * cluster.n_shards
+    collection = SetCollection.from_strings(FAN_OUT_SETS + [["elm", "yew"]])
+    collection.remove_set(6)
+    assert rows == SilkMoth(collection, FAN_OUT_CONFIG).discover()
+
+
+@given(sets=collections(min_sets=1, max_sets=8), shards=st.integers(1, 4))
+@_SETTINGS
+def test_floor_skips_match_placement_for_any_collection(sets, shards):
+    """The same count on generated collections, empty sets included."""
+    with SilkMothCluster.from_sets(
+        sets, FAN_OUT_CONFIG, shards=shards
+    ) as cluster:
+        expected = _floor_skips(cluster)
+        cluster.discover()
+        assert cluster.stats.shards_skipped_total == expected
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_a_search_reaches_every_shard(transport):
+    """A non-empty search runs on every shard, whatever its tokens.
+
+    With five shards over three sets, shards 3 and 4 hold nothing, and
+    ``zzz`` shares no token with any set; each search still runs on all
+    five, with no cache to answer it, and agrees with the single node.
+    """
+    sets = [["ash oak", ""], ["oak sky"], ["elm"]]
+    with SilkMothCluster.from_sets(
+        sets, FAN_OUT_CONFIG, shards=5, transport=transport,
+        cache_capacity=0,
+    ) as cluster:
+        for reference in (["oak"], ["zzz"], ["", "zzz unknown"], ["elm"]):
+            results = cluster.search(reference)
+            assert cluster.last_pass.shards_routed == 5
+            assert cluster.last_pass.broadcast
+            assert results == _single_node_search(
+                sets, reference, FAN_OUT_CONFIG
+            )
+        assert cluster.stats.shards_skipped_total == 0
+
+
+def test_empty_element_pairing_is_found():
+    """An empty element pairs with an empty element (phi = 1).
+
+    It is the one similarity no shared token witnesses; the shard
+    holding set 0 answers it.
+    """
+    sets = [["ash", ""], ["oak sky"]]
+    with SilkMothCluster.from_sets(sets, FAN_OUT_CONFIG, shards=2) as cluster:
+        results = cluster.search(["", "zzz unknown"])
+        assert cluster.last_pass.shards_routed == 2
+        assert 0 in {r.set_id for r in results}
+
+
+def test_edit_search_without_the_prefix_certificate_is_exact():
+    """Eds at alpha 0 and q 1: the shards plan a full scan; exact."""
+    config = SilkMothConfig(
+        similarity=SimilarityKind.EDS, alpha=0.0, delta=0.1, q=1
+    )
+    sets = [["abcde"], ["edcba"], ["zzzzz"]]
+    with SilkMothCluster.from_sets(sets, config, shards=3) as cluster:
+        results = cluster.search(["abcde"])
+        assert cluster.last_pass.shards_routed == 3
+        assert 1 in {r.set_id for r in results}
+        assert results == _single_node_search(sets, ["abcde"], config)
+
+
+def test_a_lost_shard_fails_every_search_but_not_a_floor_it_lies_under():
+    """Every search needs every shard; a discovery floor may not.
+
+    Three shards over two sets: shard 2 holds nothing.  Once it is
+    lost, a search sharing no token with it still raises
+    :class:`ClusterDegradedError` naming it, while discovery -- whose
+    every floor lies past shard 2's (absent) sets -- answers.
+    """
+    sets = [["ash bay"], ["ash bay", "oak"]]
+    with SilkMothCluster.from_sets(
+        sets, FAN_OUT_CONFIG, shards=3, backoff=0.0
+    ) as cluster:
+        expected = cluster.search(["ash bay"])
+        cluster.cache.invalidate()
+        cluster._replicas.endpoint(2, 0).kill()
+        for reference in (["ash bay"], ["zzz"]):
+            with pytest.raises(ClusterDegradedError) as excinfo:
+                cluster.search(reference)
+            assert excinfo.value.shards == (2,)
+        assert cluster.lost_shards() == [2]
+        rows = cluster.discover()
+        assert [(r.reference_id, r.set_id) for r in rows] == [(0, 1)]
+        assert cluster.revive() == 1
+        assert cluster.search(["ash bay"]) == expected
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_a_non_integer_set_id_is_a_key_error(transport):
+    """``True``, ``1.5`` and ``"0"`` name no set, before any change."""
+    sets = [["a b", "c d"], ["a b", "c e"], ["x y"]]
+    with SilkMothCluster.from_sets(
+        sets, FAN_OUT_CONFIG, shards=2, transport=transport
+    ) as cluster:
+        for bad in (True, False, 1.5, "0", None):
+            assert not cluster.is_live(bad)
+            for call in (
+                lambda: cluster.remove_set(bad),
+                lambda: cluster.update_set(bad, ["q"]),
+                lambda: cluster.raw_set(bad),
+                lambda: cluster.placement_of(bad),
+            ):
+                with pytest.raises(KeyError):
+                    call()
+        assert cluster.live_set_ids() == [0, 1, 2]
+        assert cluster.total_sets == 3
+        assert [r.set_id for r in cluster.search(["a b", "c e"])] == [0, 1]

@@ -1,8 +1,8 @@
 """Merge accounting for ``ClusterPassStats`` / ``ClusterStats``.
 
-Pins the bookkeeping invariants under mixed routing outcomes and
+Pins the bookkeeping invariants under mixed fan-out outcomes and
 mutation programs: merged funnel counters are exactly the per-shard
-sums, skip/broadcast totals follow the routing verdicts, and the
+sums, skip/broadcast totals follow the fan-out verdicts, and the
 live-cluster lifetime counters agree with a query-by-query replay.
 """
 
@@ -152,7 +152,7 @@ class TestClusterStatsAccounting:
 
 
 class TestLiveClusterReplay:
-    """A real cluster under a mixed skip/broadcast mutation program."""
+    """A real cluster under a search-and-mutation program."""
 
     DATA = [
         ["apple pie", "apple tart"],
@@ -168,7 +168,7 @@ class TestLiveClusterReplay:
             self.DATA, SilkMothConfig(delta=0.3), shards=3, transport="inline"
         ) as cluster:
             queries = [
-                ["apple pie", "apple tart"],     # narrow: should skip shards
+                ["apple pie", "apple tart"],
                 ["durian shake", "durian toast"],
                 ["banana split", "banana bread"],
             ]
@@ -194,8 +194,8 @@ class TestLiveClusterReplay:
                 expected_skipped += last.shards_skipped
                 if last.shards_routed == last.shards_total:
                     expected_broadcasts += 1
-                # Interleave mutations so later routings run against a
-                # changed summary/placement state.
+                # Interleave mutations so later fan-outs run against a
+                # changed placement.
                 if i == 0:
                     cluster.add_set(["elderberry jam", "elderberry gin"])
                 if i == 1:
@@ -209,10 +209,10 @@ class TestLiveClusterReplay:
             assert stats.shard_skip_rate == pytest.approx(
                 expected_skipped / considered
             )
-            # The summary intersection really skipped something in this
-            # program (the narrow fruit queries), so the rate is
-            # meaningful rather than vacuously zero.
-            assert stats.shards_skipped_total > 0
+            # A search has no floor, so it skips no shard: every one
+            # of them is a broadcast, however narrow its tokens.
+            assert stats.shards_skipped_total == 0
+            assert stats.broadcasts == len(queries)
 
     def test_discovery_select_funnel_is_the_shard_sum(self):
         """The cluster's run totals carry the shards' select funnel."""

@@ -158,8 +158,8 @@ def test_failed_fanout_does_not_desynchronize_later_queries():
     ids), so a failed endpoint can never be reused -- the coordinator
     marks the replica dead instead.  With a single replica that makes
     the shard *lost*: queries needing it raise
-    :class:`ClusterDegradedError` naming it, queries routed elsewhere
-    still answer, and :meth:`revive` rebuilds the shard from the
+    :class:`ClusterDegradedError` naming it (every search needs every
+    shard), and :meth:`revive` rebuilds the shard from the
     coordinator's directory so later queries are correct again.
     """
     with SilkMothCluster.from_sets(

@@ -139,7 +139,7 @@ def test_threshold_gates_capture():
 
 
 def test_slow_cluster_query_names_shards():
-    """A slow fan-out logs routing, per-shard seconds and merged funnel."""
+    """A slow fan-out logs its shards, per-shard seconds and merged funnel."""
     set_slowlog_ms(0.0)
     with SilkMothCluster.from_sets(DATA, CONFIG, shards=2) as cluster:
         cluster.search(["ash bay"])
@@ -262,6 +262,14 @@ def test_format_slowlog_renders_provenance():
     slow = {"kind": "pass", "seconds": 9.0}
     two = format_slowlog([fast, slow], top=1)
     assert "9000.000ms" in two and "1.000ms" not in two
+    # A per-shard item that is not an object is left out, not a crash.
+    fanned = {
+        "kind": "cluster_query",
+        "seconds": 1.0,
+        "shards": {"routed": 1, "skipped": 0, "total": 1},
+        "per_shard": [7, {"shard": 0, "seconds": 1.0}],
+    }
+    assert "\n    shard 0: 1000.000ms" in format_slowlog([fanned])
 
 
 def test_service_health_document():

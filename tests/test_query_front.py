@@ -7,7 +7,7 @@ a batch with intra-batch duplicates, cache hits, more cold references
 than one block holds -- must give the same answers (equal to brute
 force) and the same serving counters on both.  On the cluster a cold
 batch travels in blocks: ``ceil(N / PASS_BLOCK)`` ``search`` requests
-per routed shard, not one per reference.
+per shard, not one per reference.
 
 Both fronts share the write rule too (maintained answers), but not
 the certificates: the service signs in its own vocabulary, so an add
@@ -146,7 +146,7 @@ def test_service_and_cluster_share_one_front(transport):
 
 
 def test_cold_batch_costs_one_search_request_per_block_per_shard():
-    """N cold references: ceil(N / PASS_BLOCK) requests per routed shard."""
+    """N cold references: ceil(N / PASS_BLOCK) requests per shard."""
     requests = []
 
     def count(transport, shard):

@@ -49,8 +49,8 @@ DATA = [
 
 CONFIG = SilkMothConfig(delta=0.3)
 
-#: A reference overlapping every shard's tokens, so routing cannot
-#: skip the shard the test is killing.
+#: A reference overlapping every shard's tokens (every search reaches
+#: every shard, the one a test kills included).
 BROAD_REFERENCE = ["ash bay common", "oak sky common"]
 
 _mutations = st.lists(

@@ -6,8 +6,7 @@ that serves.  Counted here: every element that goes into a
 :class:`~repro.core.records.SetCollection` through
 :meth:`~repro.core.records.SetCollection.make_element` with interning
 on -- the stored-set path (query references resolve without
-interning and are not counted).  A cluster's routing summaries hash
-the index tokens of each set too, but build no collection.
+interning and are not counted).
 """
 
 from __future__ import annotations

@@ -502,10 +502,12 @@ def test_cluster_failover_retry_carries_the_floor(monkeypatch):
 
 @pytest.mark.parametrize("block", [1, 2, 8])
 def test_cluster_discovery_routing_totals_at_the_edges(monkeypatch, block):
-    """Hand-computed routing totals, whatever the block size.
+    """Hand-computed fan-out totals, whatever the block size.
 
-    Shard 0 holds gids 0, 2, 4 (tokens ash, bay, elm; gid 2 is the
-    empty set) and shard 1 holds gids 1, 3, 5 (adding oak and yew):
+    Shard 0 holds gids 0, 2, 4 (gid 2 is the empty set) and shard 1
+    holds gids 1, 3, 5.  Only the floor skips a shard; a reference
+    sharing no token with a shard (gid 3's oak on shard 0) still
+    reaches it:
 
     ====  ======  ==========================  ======  =======  =====
     gid   floor   shards                      routed  skipped  pass
@@ -513,7 +515,7 @@ def test_cluster_discovery_routing_totals_at_the_edges(monkeypatch, block):
     0     1       both (a broadcast)          2       0        yes
     1     2       both (a broadcast)          2       0        yes
     2     3       none: an empty reference    0       2        no
-    3     4       1 (shard 0 lacks oak)       1       1        yes
+    3     4       both (a broadcast)          2       0        yes
     4     5       1 (shard 0 ends at gid 4)   1       1        yes
     5     6       above every shard: no pass  --      --       no
     ====  ======  ==========================  ======  =======  =====
@@ -529,7 +531,7 @@ def test_cluster_discovery_routing_totals_at_the_edges(monkeypatch, block):
             stats.shards_skipped_total,
             stats.broadcasts,
             cluster.run_stats.passes,
-        ) == (6, 4, 2, 4)
+        ) == (7, 3, 3, 4)
     assert rows == _single_node_rows(sets, WORD_CONFIG)
     assert [row[:2] for row in rows] == [(0, 1), (0, 4), (1, 4)]
 

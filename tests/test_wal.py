@@ -384,6 +384,32 @@ class TestServiceIntegration:
         records, _ = read_wal_records(tmp_path / "wal")
         assert [r.op for r in records] == ["add"]
 
+    def test_a_non_integer_set_id_changes_nothing(self, tmp_path):
+        """``1.5``, ``True`` and ``"0"`` are the out-of-range KeyError.
+
+        None of them may log a record, tombstone a set or change the
+        live count: recovery must rebuild the very same state.
+        """
+        service = _service(tmp_path, config=SilkMothConfig(delta=0.5))
+        for elements in (["a b", "c d"], ["a b", "c e"], ["x y"]):
+            service.add_set(elements)
+        fingerprint = service.state_fingerprint()
+        for bad in (1.5, True, False, "0", None):
+            assert not service.collection.is_live(bad)
+            with pytest.raises(KeyError):
+                service.remove_set(bad)
+            with pytest.raises(KeyError):
+                service.update_set(bad, ["q"])
+        assert len(service) == 3
+        assert service.state_fingerprint() == fingerprint
+        service.close()
+        records, _ = read_wal_records(tmp_path / "wal")
+        assert [r.op for r in records] == ["add"] * 3
+        recovered = _recover(tmp_path, config=SilkMothConfig(delta=0.5))
+        assert recovered.state_fingerprint() == fingerprint
+        assert [r.set_id for r in recovered.search(["a b", "c e"])] == [0, 1]
+        recovered.close()
+
     def test_fresh_attach_over_existing_log_refused(self, tmp_path):
         service = _service(tmp_path)
         service.add_set(["ash"])
