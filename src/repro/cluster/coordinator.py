@@ -25,13 +25,15 @@ A query runs in three steps:
    own vocabularies, so every cluster answer is uncertified: an add
    drops them all; a remove deletes its row from those holding it.
 
-Mutations mirror :class:`repro.service.SilkMothService` semantics on
-the global id space -- ``add`` appends a fresh global id,
-``remove`` tombstones, ``update`` is tombstone-plus-append -- so a
-cluster is observably identical to a single-node service fed the same
-mutation sequence.  :meth:`compact` additionally *rebalances*: live
-sets migrate from overloaded to underloaded shards (global ids
-untouched -- only the placement changes).
+Writes are the single-node service's own too: ``add_set``,
+``remove_set`` and ``update_set`` live on the front, and the cluster
+supplies only how a set is placed on a shard (``_add``) and tombstoned
+there (``_remove``), on the global id space -- ``add`` appends a fresh
+global id, ``remove`` tombstones, ``update`` is tombstone-plus-append
+-- so a cluster is observably identical to a single-node service fed
+the same mutation sequence.  :meth:`compact` additionally
+*rebalances*: live sets migrate from overloaded to underloaded shards
+(global ids untouched -- only the placement changes).
 
 The directory is the only source of shard state: every replica is
 built from it, and a cluster is durable exactly at :meth:`save` --
@@ -53,6 +55,7 @@ from repro.core.records import is_set_id
 from repro.core.results import DiscoveryResult, SearchResult
 from repro.core.stats import RunStats
 from repro.obs.diag import get_slowlog, observe_slow_cluster_query, slowlog_ms
+from repro.obs.instrument import observe_mutation
 from repro.obs.sketch import get_sketch_registry, merge_payloads, quantile_summary
 from repro.obs.trace import current_context, ingest, span
 from repro.pipeline.driver import LocalIds, Pass, run_discovery, search_passes
@@ -297,43 +300,27 @@ class SilkMothCluster(QueryFront):
         live = self._directory.shard_live
         return min(candidates, key=lambda k: (live[k], k))
 
-    def _place_new_set(self, elements: Sequence[str]) -> tuple[int, int]:
-        """Add *elements* to the best reachable shard; (shard, local).
+    def _add(self, elements: list[str]) -> tuple:
+        """Add the set to the best reachable shard, then give it a
+        global id: ``(gid, ())`` -- every cluster answer is uncertified.
 
         If the picked shard's last replicas die during the write, the
-        placement simply retries on the next reachable shard -- each
-        failure shrinks the candidate set, so the loop is bounded and
-        ends in :class:`ClusterDegradedError` only when *no* shard can
-        take the write.  Nothing here touches coordinator bookkeeping;
-        callers commit only after a shard accepted the set.
+        placement retries on the next reachable shard -- each failure
+        shrinks the candidate set, so the loop is bounded and ends in
+        :class:`ClusterDegradedError` only when *no* shard can take the
+        write.  The directory records the set only once a shard took it.
         """
-        payload = (tuple(elements),)
+        self._ensure_open()
         while True:
             shard = self._pick_shard()
             try:
-                return shard, self._replicas.mutate(shard, "add", payload)
+                local = self._replicas.mutate(shard, "add", (tuple(elements),))
             except ClusterDegradedError:
                 continue
+            return self._directory.append(shard, local, elements), ()
 
-    def add_set(self, elements: Sequence[str]) -> int:
-        """Append one set; returns its global id (searchable immediately)."""
-        self._ensure_open()
-        shard, local = self._place_new_set(elements)
-        gid = self._directory.append(shard, local, elements)
-        self.stats.adds += 1
-        self._written(added=())
-        return gid
-
-    def _remove_live(self, set_id: int) -> None:
-        """Tombstone live *set_id* on its shard, then in the directory."""
-        if not self.is_live(set_id):
-            raise KeyError(f"set_id {set_id!r} is not a live set")
-        shard, local = self._directory.placement[set_id]
-        self._replicas.mutate(shard, "remove", (local,))
-        self._directory.tombstone(set_id)
-
-    def remove_set(self, set_id: int) -> None:
-        """Tombstone one global set; it stops matching immediately.
+    def _remove(self, set_id: int) -> None:
+        """Tombstone live *set_id* on its shard, then in the directory.
 
         The tombstone commits only after at least one replica of the
         owning shard applied it -- a fully lost shard raises
@@ -341,34 +328,9 @@ class SilkMothCluster(QueryFront):
         untouched, so it never drifts from what surviving shards hold.
         """
         self._ensure_open()
-        self._remove_live(set_id)
-        self.stats.removes += 1
-        self._written(removed=set_id)
-
-    def update_set(self, set_id: int, elements: Sequence[str]) -> int:
-        """Replace one set's contents; returns its fresh global id.
-
-        Tombstone-plus-append, mirroring the single-node service: the
-        old id is never reused, and the new record may land on a
-        different shard (the placement policy decides).  Failure
-        atomicity: if the owning shard cannot apply the remove, nothing
-        changes; if the remove applied but *every* shard then refused
-        the append, the tombstone still commits (the surviving shards
-        did drop the old record) and the degraded error propagates --
-        either way :meth:`live_set_ids` agrees with the shards.
-        """
-        self._ensure_open()
-        self._remove_live(set_id)
-        try:
-            shard, local = self._place_new_set(elements)
-        except ClusterDegradedError:
-            self.stats.removes += 1
-            self._written(removed=set_id)
-            raise
-        gid = self._directory.append(shard, local, elements)
-        self.stats.updates += 1
-        self._written(removed=set_id, added=())
-        return gid
+        shard, local = self._directory.placement[set_id]
+        self._replicas.mutate(shard, "remove", (local,))
+        self._directory.tombstone(set_id)
 
     def compact(self) -> int:
         """Compact every shard, then rebalance placement.
@@ -390,6 +352,7 @@ class SilkMothCluster(QueryFront):
         moves = self.rebalance()
         if removed or moves:
             self.stats.compactions += 1
+            observe_mutation("compact")
         return removed
 
     def rebalance(self) -> int:

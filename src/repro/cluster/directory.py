@@ -63,13 +63,13 @@ class ShardDirectory:
     def round_robin(
         cls, sets: Sequence[Sequence[str]], shards: "int | None"
     ) -> "ShardDirectory":
-        """Place *sets* in order, global id ``g`` on shard ``g % n``."""
+        """Place *sets* in order, global id ``g`` on shard ``g % n``,
+        each element stored as its ``str`` (as a write stores it)."""
         directory = cls(shards)
         for gid, elements in enumerate(sets):
             shard = gid % directory.n_shards
-            directory.append(
-                shard, len(directory.shard_to_global[shard]), elements
-            )
+            local = len(directory.shard_to_global[shard])
+            directory.append(shard, local, map(str, elements))
         return directory
 
     @property

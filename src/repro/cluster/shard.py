@@ -1,17 +1,18 @@
-"""The shard side of the cluster: one command-driven SilkMoth node.
+"""The shard side of the cluster: one command-driven SilkMoth engine.
 
-A shard is deliberately *not* a new engine: :class:`ShardHost` wraps a
-single-node :class:`repro.service.SilkMothService` (query cache
-disabled -- the coordinator caches at cluster level) and exposes the
-small command vocabulary the transports speak.  Every shard therefore
-inherits the service's exactness-under-mutation story wholesale:
-tombstoned local sets, lazy posting deletion, threshold compaction and
-per-shard re-planning against the shard's own
-:class:`~repro.planner.cost.IndexProfile` (the shard's slice, not the
-cluster's).  A worker process does not import the numpy kernels itself
--- the coordinator loaded them with :mod:`repro.backends` before it
-forked (see :mod:`repro.cluster.transport`), so constructing a host
-costs tokenise + index + plan and nothing else.
+A shard is deliberately *not* a new engine: :class:`ShardHost` drives a
+single :class:`repro.core.engine.SilkMoth` and exposes the small
+command vocabulary the transports speak.  The engine owns what a write
+does to the shard's collection and index -- tombstoned local sets, lazy
+posting deletion, compaction with per-shard re-planning against the
+shard's own :class:`~repro.planner.cost.IndexProfile` (the shard's
+slice, not the cluster's) -- and the host adds only the threshold that
+triggers compaction after a remove.  The cache, the stats, the write
+accounting and durability are the coordinator's.  A worker process
+does not import the numpy kernels itself -- the coordinator loaded them
+with :mod:`repro.backends` before it forked (see
+:mod:`repro.cluster.transport`), so constructing a host costs tokenise
++ index + plan and nothing else.
 
 Local ids are shard-private and append-only (never reused); the
 coordinator owns the global numbering and the mapping between the two.
@@ -25,10 +26,10 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.core.config import SilkMothConfig
+from repro.core.engine import SilkMoth, compaction_threshold
 from repro.core.records import SetCollection
 from repro.obs.sketch import get_sketch_registry
 from repro.obs.trace import collect_remote, span
-from repro.service.service import SilkMothService
 from repro.tokenize.tokenizers import Tokenizer
 
 
@@ -46,8 +47,8 @@ class ShardHost:
     deleted:
         Local ids to tombstone after loading (snapshot tombstones).
     compact_dead_fraction:
-        Per-shard auto-compaction threshold, passed through to the
-        underlying service.
+        Compact the shard's index after a remove once at least this
+        fraction of its postings belongs to tombstoned sets.
     """
 
     def __init__(
@@ -57,6 +58,9 @@ class ShardHost:
         deleted: Sequence[int] = (),
         compact_dead_fraction: float = 0.25,
     ):
+        self.compact_dead_fraction = compaction_threshold(
+            compact_dead_fraction
+        )
         collection = SetCollection(
             Tokenizer(kind=config.similarity, q=config.effective_q)
         )
@@ -64,17 +68,7 @@ class ShardHost:
             collection.add_set(elements)
         for local_id in deleted:
             collection.remove_set(local_id)
-        self.service = SilkMothService(
-            config,
-            collection,
-            # Result caching happens once, at the coordinator.
-            cache_capacity=0,
-            compact_dead_fraction=compact_dead_fraction,
-            # False (not None): a shard must never pick up
-            # SILKMOTH_WAL_DIR, or every replica would write the same
-            # directory; a cluster is durable at its coordinator's save().
-            wal_dir=False,
-        )
+        self.engine = SilkMoth(collection, config)
 
     # ------------------------------------------------------------------
     # Command handlers
@@ -115,47 +109,47 @@ class ShardHost:
         back in the reply for the coordinator to ingest, so a cluster
         query yields one cross-process trace tree.
         """
-        service = self.service
+        engine = self.engine
+        collection = engine.collection
         replies = []
         for elements, skip_local, first_local in items:
             with collect_remote(trace_ctx) as spans:
-                with span(
-                    "shard.search", live_sets=service.collection.live_count
-                ):
-                    reference = service.collection.query_set(elements)
-                    results, stats = service.engine.search_with_stats(
+                with span("shard.search", live_sets=collection.live_count):
+                    reference = collection.query_set(elements)
+                    results, stats = engine.search_with_stats(
                         reference, skip_set=skip_local, first_set=first_local
                     )
             stats.signed = None  # the coordinator caches uncertified
-            service.stats.record_pass(stats)
             replies.append((results, stats, spans))
         return replies
 
     def _cmd_add(self, elements: Sequence[str]) -> int:
         """Append one set; returns its new local id."""
-        return self.service.add_set(elements).set_id
+        return self.engine.add_set(elements).set_id
 
     def _cmd_remove(self, local_id: int) -> None:
-        """Tombstone one local set."""
-        self.service.remove_set(local_id)
+        """Tombstone one local set, compacting past the threshold."""
+        engine = self.engine
+        engine.remove_set(local_id)
+        if engine.index.dead_fraction >= self.compact_dead_fraction:
+            engine.compact()
 
     def _cmd_compact(self) -> int:
         """Force a physical compaction; returns postings removed."""
-        return self.service.compact()
+        return self.engine.compact()
 
     def _cmd_info(self) -> dict:
-        """Shard descriptor: sizes, generation, planner decision, stats."""
-        service = self.service
-        decision = service.decision
-        payload = {
-            "total_sets": len(service.collection),
-            "live_sets": service.collection.live_count,
-            "tombstones": len(service.collection.deleted_ids),
-            "generation": service.generation,
-            "decision": decision.to_dict(),
-            "stats": service.stats.to_dict(),
+        """Shard descriptor: sizes, planner decision, per-stage seconds."""
+        engine = self.engine
+        collection = engine.collection
+        seconds = sorted(engine.stats.stage_seconds.items())
+        return {
+            "total_sets": len(collection),
+            "live_sets": collection.live_count,
+            "tombstones": len(collection.deleted_ids),
+            "decision": engine.decision.to_dict(),
+            "stats": {"stage_seconds": dict(seconds)},
         }
-        return payload
 
     def _cmd_sketches(self) -> dict:
         """This process's quantile-sketch registry as a payload.

@@ -74,13 +74,6 @@ class ClusterPassStats:
             per_shard=per_shard,
         )
 
-    @property
-    def broadcast(self) -> bool:
-        """Whether the query touched every shard (no floor skip)."""
-        return bool(self.shards_total) and (
-            self.shards_routed == self.shards_total
-        )
-
 
 @dataclass
 class ClusterStats(ServiceStats):
@@ -95,8 +88,6 @@ class ClusterStats(ServiceStats):
     shards_routed_total: int = 0
     #: Sum of shards skipped by a discovery floor.
     shards_skipped_total: int = 0
-    #: Queries that touched every shard (no floor skip).
-    broadcasts: int = 0
     #: Sets moved between shards by :meth:`SilkMothCluster.compact`.
     rebalance_moves: int = 0
     #: Requests retried on another replica after a replica failure.
@@ -112,7 +103,6 @@ class ClusterStats(ServiceStats):
         """Fold one query's fan-out verdict into the lifetime counters."""
         self.shards_routed_total += pass_stats.shards_routed
         self.shards_skipped_total += pass_stats.shards_skipped
-        self.broadcasts += pass_stats.broadcast
         observe_routing(pass_stats)
 
     @property

@@ -49,6 +49,20 @@ from repro.signatures import get_scheme
 from repro.signatures.base import SignedReference
 from repro.sim.memo import SimilarityMemo
 
+#: Re-plan (cost model only) once the live-set count grows to this
+#: multiple of the count the current decision was computed at.
+REPLAN_GROWTH_FACTOR = 2
+
+
+def compaction_threshold(dead_fraction: float) -> float:
+    """*dead_fraction* if it is a valid auto-compaction threshold, in
+    (0, 1]; :class:`ValueError` otherwise."""
+    if not 0.0 < dead_fraction <= 1.0:
+        raise ValueError(
+            f"compact_dead_fraction must be in (0, 1], got {dead_fraction}"
+        )
+    return dead_fraction
+
 
 class SilkMoth:
     """Related-set search over one indexed collection.
@@ -100,6 +114,9 @@ class SilkMoth:
                 resolve("SILKMOTH_SIM_CACHE", config.sim_cache_size)
             )
         self.stats = RunStats()
+        #: Live-set count the current planner decision was computed at;
+        #: growth past REPLAN_GROWTH_FACTOR of it triggers a re-plan.
+        self._planned_live_sets = collection.live_count
 
     # ------------------------------------------------------------------
     # Public API
@@ -116,11 +133,45 @@ class SilkMoth:
 
         Incremental ingestion: subsequent searches see the new set
         immediately, with no index rebuild (Section 3 builds the index
-        once; this extends it record by record).
+        once; this extends it record by record).  Growth past
+        :data:`REPLAN_GROWTH_FACTOR` times the live count the decision
+        was made at re-plans: an insert-only collection never compacts.
         """
         record = self.collection.add_set(elements)
         self.index.add_record(record)
+        self._clear_memo()
+        live = self.collection.live_count
+        if live >= max(1, self._planned_live_sets) * REPLAN_GROWTH_FACTOR:
+            self.replan()
         return record
+
+    def remove_set(self, set_id: int) -> SetRecord:
+        """Tombstone one set (:class:`KeyError` unless it is live).
+
+        Its postings stay in the index until :meth:`compact` (lazy
+        deletion); candidate selection skips them from now on.
+        """
+        record = self.collection.remove_set(set_id)
+        self.index.note_removed(record)
+        self._clear_memo()
+        return record
+
+    def compact(self) -> int:
+        """Drop tombstoned postings from the index; returns how many.
+
+        When postings went, the cost model's statistics drifted, so the
+        engine re-plans (exactness never depends on the plan).
+        """
+        removed = self.index.compact()
+        if removed:
+            self.replan()
+            self._clear_memo()
+        return removed
+
+    def _clear_memo(self) -> None:
+        """Every write drops the pair memo (:mod:`repro.sim.memo`)."""
+        if self.memo is not None:
+            self.memo.clear()
 
     def plan(
         self,
@@ -152,12 +203,13 @@ class SilkMoth:
     def replan(self) -> PlannerDecision:
         """Recompute the planner decision from current index statistics.
 
-        Useful after heavy mutation (the service calls this when it
-        compacts): validity never changes -- it is parameter arithmetic
-        -- but the cost model's scheme choice may.
+        :meth:`compact` and growth (:meth:`add_set`) call this:
+        validity never changes -- it is parameter arithmetic -- but the
+        cost model's scheme choice may.
         """
         self.decision = plan_query(self.config, self.index)
         self.scheme = get_scheme(self.decision.scheme)
+        self._planned_live_sets = self.collection.live_count
         return self.decision
 
     def plan_report(self) -> str:

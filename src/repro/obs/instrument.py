@@ -9,11 +9,13 @@ objects into registry updates at the moments they are recorded:
 * :func:`observe_pass` from ``QueryPlan.execute`` (one cold pass);
 * :func:`observe_query` from ``ServiceStats.record_query``;
 * :func:`observe_routing` from ``ClusterStats.record_routing``;
-* :func:`observe_invalidations` from ``QueryFront._written`` (one
-  write's dropped cache entries) and :func:`observe_cache_refresh`
-  from ``QueryFront._current`` (one stale entry completed);
-* :func:`observe_mutation` / :func:`observe_snapshot` /
-  :func:`observe_transport_error` from their respective call sites.
+* :func:`observe_mutation` and :func:`observe_invalidations` from
+  ``QueryFront._written`` (one user write, and the cache entries it
+  dropped), plus ``compact`` from each node's ``compact``;
+  :func:`observe_cache_refresh` from ``QueryFront._current`` (one stale
+  entry completed);
+* :func:`observe_snapshot` / :func:`observe_transport_error` from
+  their respective call sites.
 
 Counts go to the counter families; every latency goes to exactly one
 ``silkmoth_*_quantile`` sketch family, whose summary ``_sum`` /
@@ -117,13 +119,10 @@ class _Handles:
             "silkmoth_shards_skipped_total",
             "Shards a discovery pass skipped: none at or above its floor.",
         )
-        self.broadcasts = registry.register(
-            "silkmoth_broadcasts_total",
-            "Cluster passes that fanned out to every shard.",
-        )
         self.mutations = registry.register(
             "silkmoth_mutations_total",
-            "Index mutations by kind (add/remove/update/compact).",
+            "User writes and compactions by kind "
+            "(add/remove/update/compact), on the node that took them.",
             ("kind",),
         )
         self.invalidations = registry.register(
@@ -259,12 +258,11 @@ def observe_routing(cluster_pass) -> None:
     h = handles()
     h.shards_routed.inc(cluster_pass.shards_routed)
     h.shards_skipped.inc(cluster_pass.shards_skipped)
-    if cluster_pass.broadcast:
-        h.broadcasts.inc()
 
 
 def observe_mutation(kind: str) -> None:
-    """Record one index mutation (``add``/``remove``/``update``/...)."""
+    """Record one write or compaction (``add``/``remove``/``update``/
+    ``compact``)."""
     handles().mutations.inc(kind=kind)
 
 

@@ -1,4 +1,4 @@
-"""The query front: ``search``, ``search_many`` and the result cache, once.
+"""The front both servers share: the result cache and the write path.
 
 (Not to be confused with :mod:`repro.planner`, which decides *how* a
 single pass runs; this module decides *which* references need a pass
@@ -7,20 +7,23 @@ at all.)
 :class:`QueryFront` is what :class:`repro.service.SilkMothService` and
 :class:`repro.cluster.SilkMothCluster` share: the cache key, the
 cache probe, intra-batch deduplication, the
-:class:`~repro.service.stats.ServiceStats` accounting and the one write
-rule, :meth:`QueryFront._written`: a remove edits the answers holding
-the set, an add marks the certified answers it hits stale and drops
-the uncertified ones (:mod:`repro.service.cache`).  A hit on a stale
-answer completes it with one pass floored at its watermark -- the sets
-added since it was cached -- run on the entry's signed reference, so
-it neither tokenises nor signs -- and takes that pass's certificate.  A
-batch's duplicates collapse onto one computation, references whose
-answer is cached come from the cache, and the cold remainder goes to
-the subclass's *cold runner* in blocks, each reference charged an
-equal share of its block's wall clock.  The cold runner is one of the
-pass runners of :mod:`repro.pipeline.driver`: the service's is the
-engine runner, one reference per block (or, for ``processes > 1``, the
-pool runner over the whole remainder); the cluster's sends blocks of
+:class:`~repro.service.stats.ServiceStats` accounting, and
+``add_set`` / ``remove_set`` / ``update_set`` (check, log, apply,
+account, maintain: docs/architecture.md, "The write path").  Every
+write is accounted by :meth:`QueryFront._written`, whose cache rule is
+that a remove edits the answers holding the set, an add marks the
+certified answers it hits stale and drops the uncertified ones
+(:mod:`repro.service.cache`).  A hit on a stale answer completes it
+with one pass floored at its watermark -- the sets added since it was
+cached -- run on the entry's signed reference, so it neither tokenises
+nor signs -- and takes that pass's certificate.  A batch's duplicates
+collapse onto one computation, references whose answer is cached come
+from the cache, and the cold remainder goes to the subclass's *cold
+runner* in blocks, each reference charged an equal share of its
+block's wall clock.  The cold runner is one of the pass runners of
+:mod:`repro.pipeline.driver`: the service's is the engine runner, one
+reference per block (or, for ``processes > 1``, the pool runner over
+the whole remainder); the cluster's sends blocks of
 :data:`repro.cluster.coordinator.PASS_BLOCK` references to its shards.
 """
 
@@ -30,19 +33,93 @@ import time
 from typing import Iterable, Sequence
 
 from repro.core.engine import SearchResult
-from repro.obs.instrument import observe_cache_refresh, observe_invalidations
+from repro.obs.instrument import (
+    observe_cache_refresh,
+    observe_invalidations,
+    observe_mutation,
+)
 from repro.obs.trace import span
 from repro.service.cache import certificate, reference_fingerprint
 from repro.signatures.base import SignedReference
 
 
 class QueryFront:
-    """``search`` / ``search_many`` over a maintained result cache.
+    """``search`` / ``search_many`` over a maintained result cache, and
+    the one write path.
 
     A subclass provides ``cache``, ``generation`` (bumped by every
-    write), ``stats``, ``_config_fp`` and the three hooks below, and
-    reports each write to :meth:`_written`.
+    write), ``stats``, ``_config_fp``, the cold-runner hooks
+    (:meth:`_block_size`, :meth:`_run_cold`, :meth:`_next_set_id`),
+    :meth:`is_live` and the apply hooks :meth:`_add` and
+    :meth:`_remove`; :meth:`_log` and :meth:`_maintain` are no-ops
+    unless it overrides them.
     """
+
+    def is_live(self, set_id: int) -> bool:
+        """Whether *set_id* addresses a live set."""
+        raise NotImplementedError
+
+    def _add(self, elements: list[str]) -> tuple:
+        """Append one set: ``(what add_set returns, its certificate
+        keys)`` -- ``()`` when every answer is uncertified."""
+        raise NotImplementedError
+
+    def _remove(self, set_id: int):
+        """Tombstone live *set_id*; returns what remove_set returns."""
+        raise NotImplementedError
+
+    def _log(self, op: str, args: dict) -> None:
+        """Make one checked write durable before it is applied."""
+
+    def _maintain(self) -> None:
+        """Upkeep after a write that tombstoned a set."""
+
+    def _check_live(self, set_id: int) -> None:
+        """:class:`KeyError` unless *set_id* is live -- before any change."""
+        if not self.is_live(set_id):
+            raise KeyError(f"set_id {set_id!r} is not a live set")
+
+    def add_set(self, elements: Sequence[str]):
+        """Append one set; it is searchable immediately.
+
+        Elements are stored as their ``str``.  Returns the node's
+        handle on the new set (the service's record, the cluster's
+        global id).
+        """
+        elements = [str(element) for element in elements]
+        self._log("add", {"elements": elements})
+        result, keys = self._add(elements)
+        self._written("add", added=keys)
+        return result
+
+    def remove_set(self, set_id: int):
+        """Tombstone one live set; it stops matching immediately."""
+        self._check_live(set_id)
+        self._log("remove", {"set_id": int(set_id)})
+        result = self._remove(set_id)
+        self._written("remove", removed=set_id)
+        self._maintain()
+        return result
+
+    def update_set(self, set_id: int, elements: Sequence[str]):
+        """Replace one live set's contents; returns the new set's handle.
+
+        Tombstone plus append, so the old id is never reused.  If the
+        remove applied but the append then failed, the write commits as
+        a remove and the error propagates: the tombstone did land.
+        """
+        self._check_live(set_id)
+        elements = [str(element) for element in elements]
+        self._log("update", {"set_id": int(set_id), "elements": elements})
+        self._remove(set_id)
+        try:
+            result, keys = self._add(elements)
+        except Exception:
+            self._written("remove", removed=set_id)
+            raise
+        self._written("update", removed=set_id, added=keys)
+        self._maintain()
+        return result
 
     def _block_size(self, processes: int | None) -> int | None:
         """Cold references per :meth:`_run_cold` call (``None`` = all)."""
@@ -89,10 +166,14 @@ class QueryFront:
         )
 
     def _written(
-        self, removed: int | None = None, added: Iterable | None = None
+        self,
+        kind: str,
+        removed: int | None = None,
+        added: Iterable | None = None,
     ) -> None:
-        """Account one write: bump the generation, then bring the
-        cached answers up to date with it.
+        """Account one write of *kind*: its stats counter and
+        ``silkmoth_mutations_total`` series, the generation, then the
+        cached answers brought up to date with it.
 
         *removed* is the id of a set the write tombstoned: the answers
         holding it lose its row.  *added* are the certificate keys of
@@ -101,6 +182,9 @@ class QueryFront:
         uncertified answer is dropped and every answer whose
         certificate they hit goes stale.  An update passes both.
         """
+        counter = f"{kind}s"
+        setattr(self.stats, counter, getattr(self.stats, counter) + 1)
+        observe_mutation(kind)
         self.generation += 1
         if removed is not None:
             self.cache.removed(removed)

@@ -4,10 +4,10 @@ The batch library builds an index once and answers queries by running
 the full signature/filter/verify pipeline.  The service keeps that
 engine resident and adds what online serving needs:
 
-* **mutations** -- :meth:`add_set`, :meth:`remove_set`,
-  :meth:`update_set`, backed by tombstones in the collection and lazy
-  posting deletion in the index, with a threshold-triggered
-  :meth:`compact`;
+* **mutations** -- ``add_set``, ``remove_set`` and ``update_set``
+  (written once, on :class:`~repro.service.batch.QueryFront`), backed
+  by tombstones in the collection and lazy posting deletion in the
+  index, with a threshold-triggered :meth:`compact`;
 * **caching** -- an LRU keyed by (reference fingerprint, config
   fingerprint) whose answers are maintained across writes: a remove
   deletes the set's row from the answers holding it, an add marks
@@ -47,14 +47,13 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.core.config import SilkMothConfig
-from repro.core.engine import SearchResult, SilkMoth
+from repro.core.engine import SearchResult, SilkMoth, compaction_threshold
 from repro.core.parallel import run_pool
 from repro.core.records import SetCollection, SetRecord
 from repro.io.persistence import load_service_snapshot, save_service_snapshot
 from repro.io.wal import (
     RecoveryReport,
     WalError,
-    WalRecord,
     WriteAheadLog,
     recover_state,
     wal_directory_in_use,
@@ -70,10 +69,6 @@ from repro.service.stats import ServiceStats
 from repro.settings import resolve
 from repro.signatures.base import SignedReference
 from repro.tokenize.tokenizers import Tokenizer
-
-#: Re-plan (cost model only) once the live-set count grows to this
-#: multiple of the count the current decision was computed at.
-REPLAN_GROWTH_FACTOR = 2
 
 
 class SilkMothService(QueryFront):
@@ -114,11 +109,9 @@ class SilkMothService(QueryFront):
         wal_fsync: bool | None = None,
         wal_segment_bytes: int | None = None,
     ):
-        if not 0.0 < compact_dead_fraction <= 1.0:
-            raise ValueError(
-                "compact_dead_fraction must be in (0, 1], "
-                f"got {compact_dead_fraction}"
-            )
+        self.compact_dead_fraction = compaction_threshold(
+            compact_dead_fraction
+        )
         if collection is None:
             collection = SetCollection(
                 Tokenizer(kind=config.similarity, q=config.effective_q)
@@ -126,14 +119,9 @@ class SilkMothService(QueryFront):
         self.engine = SilkMoth(collection, config)
         self.cache = LRUQueryCache(cache_capacity)
         self.stats = ServiceStats()
-        self.compact_dead_fraction = compact_dead_fraction
-        #: Bumped by every mutation: the WAL sequence and the memo's
-        #: sync point.
+        #: Bumped by every write: the WAL sequence.
         self.generation = 0
         self._config_fp = config_fingerprint(config)
-        #: Live-set count the current planner decision was computed at;
-        #: growth past REPLAN_GROWTH_FACTOR of it triggers a re-plan.
-        self._planned_live_sets = collection.live_count
         #: The attached write-ahead log (None = durability disabled).
         self.wal: WriteAheadLog | None = None
         #: What :meth:`recover` found, for the service it rebuilt.
@@ -169,119 +157,42 @@ class SilkMothService(QueryFront):
         """Number of live sets being served."""
         return self.collection.live_count
 
-    # -- mutations ------------------------------------------------------
-    def _wal_append(self, op: str, args: dict) -> None:
-        """Log one mutation before applying it (write-ahead discipline).
+    # -- writes (add_set / remove_set / update_set: QueryFront) ---------
+    def is_live(self, set_id: int) -> bool:
+        """Whether *set_id* addresses a live set."""
+        return self.collection.is_live(set_id)
 
-        The record's seq is the generation the service will be at once
-        the mutation lands, so replay after a crash knows exactly which
-        records the last checkpoint already covers.  No-op while
-        replaying (the records being applied are already on disk).
-        """
+    def _log(self, op: str, args: dict) -> None:
+        """Append one record, seq = the generation once the write lands,
+        so replay knows which records a checkpoint covers.  No-op
+        without a WAL and while replaying (those records are on disk)."""
         if self.wal is not None and not self._wal_replaying:
             self.wal.append(op, args, seq=self.generation + 1)
 
-    def _written(self, removed=None, added=None) -> None:
-        super()._written(removed, added)
-        # The element-pair similarity memo is keyed on the mutation-
-        # independent element texts, but it is still synced to the
-        # write generation: entries for removed sets must not
-        # accumulate, and exactness under mutation never has to argue
-        # about cache staleness.
-        if self.engine.memo is not None:
-            self.engine.memo.sync(self.generation)
-
-    def _maybe_replan(self) -> None:
-        """Re-plan when the collection has outgrown the last decision.
-
-        Removals funnel through compaction (which re-plans), but an
-        insert-only service never compacts, so growth gets its own
-        trigger: whenever the live-set count has grown past
-        :data:`REPLAN_GROWTH_FACTOR` times the count the current
-        decision was computed at.  Exactness never depends on this --
-        only the cost model's scheme choice does.
-        """
-        live = self.collection.live_count
-        threshold = max(1, self._planned_live_sets) * REPLAN_GROWTH_FACTOR
-        if live >= threshold:
-            self.engine.replan()
-            self._planned_live_sets = live
-
-    def add_set(self, elements: Sequence[str]) -> SetRecord:
-        """Append one set; it is searchable immediately."""
-        elements = [str(element) for element in elements]
-        self._wal_append("add", {"elements": elements})
+    def _add(self, elements: list[str]) -> tuple:
         vocabulary = self.collection.vocabulary
         known = len(vocabulary)
         record = self.engine.add_set(elements)
-        self.stats.adds += 1
-        observe_mutation("add")
-        self._written(added=write_keys(record, len(vocabulary) > known))
-        self._maybe_replan()
-        return record
+        return record, write_keys(record, len(vocabulary) > known)
 
-    def remove_set(self, set_id: int) -> SetRecord:
-        """Tombstone one set; it stops matching immediately."""
-        if self.collection.is_live(set_id):
-            # Only log applicable mutations: an invalid id raises below
-            # without touching state, and must not pollute the log.
-            self._wal_append("remove", {"set_id": int(set_id)})
-        record = self.collection.remove_set(set_id)
-        self.index.note_removed(record)
-        self.stats.removes += 1
-        observe_mutation("remove")
-        self._written(removed=set_id)
-        self._maybe_compact()
-        return record
+    def _remove(self, set_id: int) -> SetRecord:
+        return self.engine.remove_set(set_id)
 
-    def update_set(self, set_id: int, elements: Sequence[str]) -> SetRecord:
-        """Replace one set's contents; returns the record under its new id.
-
-        Implemented as tombstone + append so posting lists stay
-        append-only; the old id is never reused.
-        """
-        elements = [str(element) for element in elements]
-        if self.collection.is_live(set_id):
-            self._wal_append(
-                "update", {"set_id": int(set_id), "elements": elements}
-            )
-        vocabulary = self.collection.vocabulary
-        known = len(vocabulary)
-        old, record = self.collection.replace_set(set_id, elements)
-        self.index.note_removed(old)
-        self.index.add_record(record)
-        self.stats.updates += 1
-        observe_mutation("update")
-        self._written(
-            removed=set_id, added=write_keys(record, len(vocabulary) > known)
-        )
-        self._maybe_compact()
-        return record
-
-    def _maybe_compact(self) -> None:
+    def _maintain(self) -> None:
+        """Compact once enough of the index is dead postings."""
         if self.index.dead_fraction >= self.compact_dead_fraction:
             self.compact()
 
     def compact(self) -> int:
         """Drop tombstoned postings from the index now; returns how many.
 
-        Compaction is the service's natural re-planning point: the
-        workload statistics the planner's cost model keyed on may have
-        drifted, so the engine recomputes its decision (exactness never
-        depends on this -- validity is parameter arithmetic).
+        The engine re-plans (:meth:`repro.core.engine.SilkMoth.compact`);
+        the WAL is checkpointed, its natural truncation point.
         """
-        removed = self.index.compact()
+        removed = self.engine.compact()
         if removed:
             self.stats.compactions += 1
             observe_mutation("compact")
-            self.engine.replan()
-            self._planned_live_sets = self.collection.live_count
-            if self.engine.memo is not None:
-                # Compaction physically drops tombstoned sets' postings;
-                # drop their cached pair values with them.
-                self.engine.memo.clear()
-        # Compaction is also the WAL's natural truncation point: the
-        # state just got summarised, so snapshot it and drop the log.
         if not self._wal_replaying:
             self.checkpoint_wal()
         return removed
@@ -535,17 +446,6 @@ class SilkMothService(QueryFront):
             canonical.encode("utf-8"), digest_size=16
         ).hexdigest()
 
-    def _apply_wal_record(self, record: WalRecord) -> None:
-        """Re-apply one logged mutation during replay."""
-        if record.op == "add":
-            self.add_set(record.args["elements"])
-        elif record.op == "remove":
-            self.remove_set(record.args["set_id"])
-        elif record.op == "update":
-            self.update_set(record.args["set_id"], record.args["elements"])
-        else:  # pragma: no cover - decode_record validates ops
-            raise WalError(f"unknown WAL op {record.op!r}")
-
     @classmethod
     def recover(
         cls,
@@ -585,7 +485,9 @@ class SilkMothService(QueryFront):
             service._wal_replaying = True
             try:
                 for record in replay:
-                    service._apply_wal_record(record)
+                    # add_set / remove_set / update_set (decode_record
+                    # admits no other op).
+                    getattr(service, f"{record.op}_set")(**record.args)
             finally:
                 service._wal_replaying = False
             expected = report.checkpoint_generation + report.replayed

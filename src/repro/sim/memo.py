@@ -29,11 +29,11 @@ thresholded, so the floored result is ``value if value >= floor else
 returns.
 
 Pair values depend only on the two texts and the (kind, alpha) of the
-owning engine's ``phi``, so they never go stale; the service still
-drops the memo on every mutation (via :meth:`sync` against its write
-generation) so entries for removed sets cannot accumulate, which is
-also what makes staleness trivially impossible to reintroduce as the
-keying evolves.
+owning engine's ``phi``, so they never go stale; the engine still
+drops the memo on every write (:meth:`repro.core.engine.SilkMoth.add_set`,
+``remove_set``, ``compact``) so entries for removed sets cannot
+accumulate, which is also what makes staleness trivially impossible to
+reintroduce as the keying evolves.
 
 Sizing: ``SilkMothConfig.sim_cache_size`` pairs, defaulting to the
 ``SILKMOTH_SIM_CACHE`` environment variable and then 65536 (see
@@ -56,7 +56,7 @@ from repro.sim.functions import SimilarityFunction
 
 
 class SimilarityMemo:
-    """Generation-aware LRU cache of element-pair ``phi_alpha`` values.
+    """LRU cache of element-pair ``phi_alpha`` values.
 
     Parameters
     ----------
@@ -84,8 +84,6 @@ class SimilarityMemo:
         #: per-pass stats).
         self.hits = 0
         self.misses = 0
-        #: Write generation the cached pairs belong to (see :meth:`sync`).
-        self.generation = 0
 
     @property
     def enabled(self) -> bool:
@@ -100,19 +98,6 @@ class SimilarityMemo:
         """Drop every cached pair and interned id (counters survive)."""
         self._ids.clear()
         self._pairs.clear()
-
-    def sync(self, generation: int) -> None:
-        """Invalidate the cache when the owner's write generation moved.
-
-        The service calls this with its write generation on every
-        mutation; a mismatch drops all entries, so a cached pair can
-        never outlive the collection state it was computed alongside.
-        An owner whose generation can move outside its own mutation
-        path must also sync before reads.
-        """
-        if generation != self.generation:
-            self.generation = generation
-            self.clear()
 
     def _key(self, x: str, y: str) -> tuple:
         """The unordered id pair of two texts, interning them as needed.

@@ -22,6 +22,7 @@ from repro.cluster import ClusterDegradedError, SilkMothCluster
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
+from repro.obs.metrics import get_registry
 from repro.service import SilkMothService
 from repro.sim.functions import SimilarityKind
 from strategies import (
@@ -509,7 +510,7 @@ def test_a_search_reaches_every_shard(transport):
         for reference in (["oak"], ["zzz"], ["", "zzz unknown"], ["elm"]):
             results = cluster.search(reference)
             assert cluster.last_pass.shards_routed == 5
-            assert cluster.last_pass.broadcast
+            assert cluster.last_pass.shards_skipped == 0
             assert results == _single_node_search(
                 sets, reference, FAN_OUT_CONFIG
             )
@@ -568,23 +569,82 @@ def test_a_lost_shard_fails_every_search_but_not_a_floor_it_lies_under():
         assert cluster.search(["ash bay"]) == expected
 
 
+def _mutation_series() -> dict:
+    """``silkmoth_mutations_total`` in this process, kind -> count."""
+    family = get_registry().get("silkmoth_mutations_total")
+    return {} if family is None else {
+        labels[0]: child.value for labels, child in family.series()
+    }
+
+
 @pytest.mark.parametrize("transport", ["inline", "process"])
 def test_a_non_integer_set_id_is_a_key_error(transport):
-    """``True``, ``1.5`` and ``"0"`` name no set, before any change."""
-    sets = [["a b", "c d"], ["a b", "c e"], ["x y"]]
+    """A refused write changes nothing: ``True``, ``1.5``, ``"0"``,
+    ``-1``, a past-the-end id and a tombstoned id name no live set.
+
+    The one check runs before any step of the write, so the
+    generation, the mutation counters and the metric series stay put.
+    """
+    sets = [["a b", "c d"], ["a b", "c e"], ["x y"], ["q r"]]
     with SilkMothCluster.from_sets(
         sets, FAN_OUT_CONFIG, shards=2, transport=transport
     ) as cluster:
-        for bad in (True, False, 1.5, "0", None):
+        cluster.remove_set(3)
+        before = (
+            cluster.generation, cluster.stats.mutations, _mutation_series()
+        )
+        unassigned = (True, False, 1.5, "0", None, -1, 4)
+        for bad in unassigned + (3,):
             assert not cluster.is_live(bad)
             for call in (
                 lambda: cluster.remove_set(bad),
                 lambda: cluster.update_set(bad, ["q"]),
+            ):
+                with pytest.raises(KeyError):
+                    call()
+        for bad in unassigned:
+            for call in (
                 lambda: cluster.raw_set(bad),
                 lambda: cluster.placement_of(bad),
             ):
                 with pytest.raises(KeyError):
                     call()
+        assert (
+            cluster.generation, cluster.stats.mutations, _mutation_series()
+        ) == before
         assert cluster.live_set_ids() == [0, 1, 2]
-        assert cluster.total_sets == 3
+        assert cluster.total_sets == 4
         assert [r.set_id for r in cluster.search(["a b", "c e"])] == [0, 1]
+
+
+@pytest.mark.parametrize("transport", ["inline", "process"])
+def test_a_cluster_stores_each_element_as_its_text(transport, tmp_path):
+    """Non-string elements are stored as their ``str``, as on a service.
+
+    ``raw_set`` returns texts, the manifest round-trips, a replica
+    revived from the directory comes up, and ``from_sets`` with ``7``
+    is the cluster ``from_sets`` with ``"7"`` builds.
+    """
+    texts = [["a b", "7"], ["a b", "c e"], ["x y"]]
+    numbers = [["a b", 7], ["a b", "c e"], ["x y"]]
+    references = (["a b", "7"], ["12", "3.5"], ["a b", "c e"])
+    options = dict(shards=2, transport=transport, replicas=2)
+    with SilkMothCluster.from_sets(texts, FAN_OUT_CONFIG, **options) as twin:
+        expected = [twin.search(reference) for reference in references[::2]]
+    with SilkMothCluster.from_sets(numbers, FAN_OUT_CONFIG, **options) as cluster:
+        assert cluster.raw_set(0) == ("a b", "7")
+        assert [cluster.search(r) for r in references[::2]] == expected
+        added = cluster.add_set([12, 3.5])
+        updated = cluster.update_set(1, ["a b", 7])
+        assert cluster.raw_set(added) == ("12", "3.5")
+        assert cluster.raw_set(updated) == ("a b", "7")
+        answers = [cluster.search(reference) for reference in references]
+        assert [r.set_id for r in answers[1]] == [added]
+        cluster._replicas.mark_dead(0, 0)
+        assert cluster.revive() == 1
+        cluster.save(tmp_path / "clu.json")
+    with SilkMothCluster.load(
+        tmp_path / "clu.json", FAN_OUT_CONFIG, transport=transport
+    ) as loaded:
+        assert loaded.raw_set(added) == ("12", "3.5")
+        assert [loaded.search(r) for r in references] == answers

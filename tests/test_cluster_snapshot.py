@@ -233,7 +233,7 @@ def test_cluster_snapshot_after_mutation_and_rebalance(tmp_path):
             raw_sets, deleted = cluster._directory.state(k)
             expected = ([list(s) for s in raw_sets], deleted)
             for r in range(cluster.replica_count):
-                held = cluster._replicas.endpoint(k, r).host.service.collection
+                held = cluster._replicas.endpoint(k, r).host.engine.collection
                 assert (
                     [[e.text for e in record.elements] for record in held],
                     sorted(held.deleted_ids),

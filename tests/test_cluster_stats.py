@@ -2,7 +2,7 @@
 
 Pins the bookkeeping invariants under mixed fan-out outcomes and
 mutation programs: merged funnel counters are exactly the per-shard
-sums, skip/broadcast totals follow the fan-out verdicts, and the
+sums, routed/skipped totals follow the fan-out verdicts, and the
 live-cluster lifetime counters agree with a query-by-query replay.
 """
 
@@ -117,25 +117,36 @@ class TestClusterStatsAccounting:
             ClusterPassStats.from_shards(4, [(0, _pass()), (1, _pass())]),
             ClusterPassStats.from_shards(
                 4, [(k, _pass()) for k in range(4)]
-            ),  # broadcast
+            ),  # every shard
             ClusterPassStats.from_shards(4, [(2, _pass())]),
             ClusterPassStats.from_shards(
                 4, [(k, _pass()) for k in range(4)]
-            ),  # broadcast
+            ),  # every shard
         ]
         for pass_stats in program:
             stats.record_routing(pass_stats)
         assert stats.shards_routed_total == 2 + 4 + 1 + 4
         assert stats.shards_skipped_total == 2 + 0 + 3 + 0
-        assert stats.broadcasts == 2
         considered = stats.shards_routed_total + stats.shards_skipped_total
         assert stats.shard_skip_rate == pytest.approx(5 / considered)
 
-    def test_zero_shard_pass_is_not_a_broadcast(self):
+    def test_zero_shard_pass_has_no_skip_rate(self):
         stats = ClusterStats()
         stats.record_routing(ClusterPassStats.from_shards(0, []))
-        assert stats.broadcasts == 0
+        assert (stats.shards_routed_total, stats.shards_skipped_total) == (0, 0)
         assert stats.shard_skip_rate == 0.0
+
+    def test_broadcasts_are_gone(self):
+        """Routed and skipped totals say all a broadcast count said."""
+        stats = ClusterStats()
+        stats.record_routing(
+            ClusterPassStats.from_shards(2, [(0, _pass()), (1, _pass())])
+        )
+        assert "broadcasts" not in stats.to_dict()
+        assert not hasattr(ClusterPassStats(), "broadcast")
+        restored = ClusterStats.from_dict({"broadcasts": 3, "failovers": 1})
+        assert not hasattr(restored, "broadcasts")
+        assert restored.failovers == 1
 
     def test_round_trip_preserves_routing_counters(self):
         stats = ClusterStats()
@@ -147,7 +158,6 @@ class TestClusterStatsAccounting:
         restored = ClusterStats.from_dict(payload)
         assert restored.shards_routed_total == 2
         assert restored.shards_skipped_total == 1
-        assert restored.broadcasts == 0
         assert restored.rebalance_moves == 5
 
 
@@ -172,7 +182,7 @@ class TestLiveClusterReplay:
                 ["durian shake", "durian toast"],
                 ["banana split", "banana bread"],
             ]
-            expected_routed = expected_skipped = expected_broadcasts = 0
+            expected_routed = expected_skipped = 0
             funnel_checks = 0
             for i, query in enumerate(queries):
                 cluster.search(query)
@@ -192,8 +202,6 @@ class TestLiveClusterReplay:
                 funnel_checks += 1
                 expected_routed += last.shards_routed
                 expected_skipped += last.shards_skipped
-                if last.shards_routed == last.shards_total:
-                    expected_broadcasts += 1
                 # Interleave mutations so later fan-outs run against a
                 # changed placement.
                 if i == 0:
@@ -204,15 +212,14 @@ class TestLiveClusterReplay:
             stats = cluster.stats
             assert stats.shards_routed_total == expected_routed
             assert stats.shards_skipped_total == expected_skipped
-            assert stats.broadcasts == expected_broadcasts
             considered = expected_routed + expected_skipped
             assert stats.shard_skip_rate == pytest.approx(
                 expected_skipped / considered
             )
             # A search has no floor, so it skips no shard: every one
-            # of them is a broadcast, however narrow its tokens.
+            # of them reaches all three, however narrow its tokens.
             assert stats.shards_skipped_total == 0
-            assert stats.broadcasts == len(queries)
+            assert stats.shards_routed_total == 3 * len(queries)
 
     def test_discovery_select_funnel_is_the_shard_sum(self):
         """The cluster's run totals carry the shards' select funnel."""
@@ -227,7 +234,7 @@ class TestLiveClusterReplay:
         ) as cluster:
             cluster.discover()
             shard_runs = [
-                cluster._replicas.endpoint(k, 0).host.service.engine.stats
+                cluster._replicas.endpoint(k, 0).host.engine.stats
                 for k in range(cluster.n_shards)
             ]
             for name in _SELECT_COUNTERS:

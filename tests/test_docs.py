@@ -12,7 +12,9 @@ tier-1 enforces:
   fails here;
 * the ``SILKMOTH_*`` variables ``docs/parameters.md`` documents are
   exactly the ones :mod:`repro.settings` declares, with the declared
-  defaults, and no other module reads one from the environment.
+  defaults, and no other module reads one from the environment;
+* the metric families ``docs/observability.md`` tabulates are exactly
+  the ones the program registers.
 """
 
 from __future__ import annotations
@@ -260,3 +262,50 @@ def test_readme_points_at_docs():
     text = (REPO_ROOT / "README.md").read_text()
     for target in ("docs/architecture.md", "docs/parameters.md", "docs/paper-map.md"):
         assert target in text, f"README.md does not link {target}"
+
+
+def _registered_families(monkeypatch) -> set:
+    """Every counter and sketch family :mod:`repro.obs.instrument` and
+    :mod:`repro.cluster.transport` register, by name, on fresh
+    registries."""
+    from repro.cluster import transport
+    from repro.obs import instrument
+    from repro.obs.metrics import MetricsRegistry
+    from repro.obs.sketch import SketchRegistry
+
+    counters = instrument._Handles(MetricsRegistry()).registry
+    sketches = instrument._SketchHandles(SketchRegistry()).registry
+    monkeypatch.setattr(transport, "get_sketch_registry", lambda: sketches)
+    transport._observe_collect_wait("inline", 0.0)
+    return {
+        family.name
+        for registry in (counters, sketches)
+        for family in registry.families()
+    }
+
+
+def _documented_families() -> list:
+    """The family names of each table row of docs/observability.md
+    whose first cell names one (a row may name two)."""
+    rows = []
+    for line in (DOCS / "observability.md").read_text().splitlines():
+        if line.startswith("| `silkmoth_"):
+            first = line.strip("|").split("|")[0]
+            rows.append(re.findall(r"`(silkmoth_\w+)`", first))
+    return rows
+
+
+def test_observability_doc_tabulates_exactly_the_registered_families(
+    monkeypatch,
+):
+    """No family registered without a row, no row naming an unknown
+    family, no family with two rows."""
+    registered = _registered_families(monkeypatch)
+    rows = _documented_families()
+    documented = [name for row in rows for name in row]
+    assert len(documented) == len(set(documented)), sorted(documented)
+    assert set(documented) == registered, (
+        f"only documented: {sorted(set(documented) - registered)}; "
+        f"only registered: {sorted(registered - set(documented))}"
+    )
+    assert "silkmoth_broadcasts_total" not in registered

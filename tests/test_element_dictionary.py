@@ -548,6 +548,6 @@ def test_cluster_shards_answer_like_the_single_node(transport):
         assert cluster_answers(cluster) == single_node(removed)
         if transport == "inline":
             for k in range(cluster.n_shards):
-                service = cluster._replicas.endpoint(k, 0).host.service
-                assert_content_table_consistent(service.index, service.collection)
-                assert_records_shared(service.collection)
+                engine = cluster._replicas.endpoint(k, 0).host.engine
+                assert_content_table_consistent(engine.index, engine.collection)
+                assert_records_shared(engine.collection)

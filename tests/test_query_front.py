@@ -27,6 +27,7 @@ from repro.baselines.brute_force import brute_force_search
 from repro.cluster import SilkMothCluster
 from repro.cluster.coordinator import PASS_BLOCK
 from repro.core.config import SilkMothConfig
+from repro.obs.metrics import get_registry, reset_registry
 from repro.service import SilkMothService
 
 CONFIG = SilkMothConfig(delta=0.3)
@@ -111,17 +112,45 @@ def _add_leg(server) -> tuple:
     ]
 
 
-@pytest.mark.parametrize("transport", ["inline", "process"])
-def test_service_and_cluster_share_one_front(transport):
-    """Same program, same answers (brute force's), same counters."""
+def _mutation_series() -> dict:
+    """``silkmoth_mutations_total`` in this process, kind -> count."""
+    family = get_registry().get("silkmoth_mutations_total")
+    return {} if family is None else {
+        labels[0]: child.value for labels, child in family.series()
+    }
+
+
+def _compact_counted(server) -> None:
+    """``compact`` is counted exactly when ``stats.compactions`` moves."""
+    reset_registry()
+    before = server.stats.compactions
+    server.compact()
+    moved = server.stats.compactions - before
+    assert moved == 1
+    assert _mutation_series() == {"compact": moved}
+
+
+@pytest.mark.parametrize(
+    "transport, replicas", [("inline", 1), ("process", 1), ("inline", 2)]
+)
+def test_service_and_cluster_share_one_front(transport, replicas):
+    """Same program, same answers (brute force's), same counters, and
+    the same ``silkmoth_mutations_total`` series: one per user write,
+    on the node that took it -- whatever the replica count, and
+    whichever shard compacted on its own meanwhile."""
     service = SilkMothService(CONFIG)
     for elements in DATA:
         service.add_set(elements)
+    reset_registry()
     expected = _program(service)
+    writes = _mutation_series()
+    assert writes == {"add": 1, "remove": 2, "update": 1}
     with SilkMothCluster.from_sets(
-        DATA, CONFIG, shards=3, transport=transport
+        DATA, CONFIG, shards=3, transport=transport, replicas=replicas
     ) as cluster:
+        reset_registry()
         assert _program(cluster) == expected
+        assert _mutation_series() == writes
         for name in COUNTERS:
             assert getattr(cluster.stats, name) == getattr(service.stats, name)
         # Every distinct reference missed once: the remove of set 0
@@ -131,6 +160,7 @@ def test_service_and_cluster_share_one_front(transport):
         # Uncertified: the add dropped every cached answer, COLD[0]'s too.
         assert dropped == cached == cluster.stats.invalidated_uncertified
         assert (stale, hits, passes) == (0, 0, 1)
+        _compact_counted(cluster)
     assert service.stats.cache_hits > 0
     assert service.stats.batch_queries_deduplicated == 2
     # Certified: the add dropped nothing and marked stale only the
@@ -143,6 +173,7 @@ def test_service_and_cluster_share_one_front(transport):
     assert 0 < stale < cached
     assert service_rows == rows
     assert service.stats.invalidations == 0
+    _compact_counted(service)
 
 
 def test_cold_batch_costs_one_search_request_per_block_per_shard():
@@ -172,3 +203,47 @@ def test_cold_batch_costs_one_search_request_per_block_per_shard():
         del requests[:]
         cluster.search(["ash oak", "bay common"])
         assert sorted(requests) == [(0, 1), (1, 1)]
+
+
+def test_the_writes_are_written_once():
+    """Only the front defines the three writes, and a shard drives an
+    engine: nothing under the cluster's shard side comes from the
+    service package."""
+    import ast
+    import inspect
+
+    from repro.cluster import shard
+    from repro.service.batch import QueryFront
+
+    for name in ("add_set", "remove_set", "update_set"):
+        assert name in vars(QueryFront)
+        for server in (SilkMothService, SilkMothCluster):
+            assert name not in vars(server), (server.__name__, name)
+            assert getattr(server, name) is getattr(QueryFront, name)
+    imported = {
+        node.module
+        for node in ast.walk(ast.parse(inspect.getsource(shard)))
+        if isinstance(node, ast.ImportFrom)
+    }
+    assert not any(module.startswith("repro.service") for module in imported)
+    assert not hasattr(shard, "SilkMothService")
+
+
+def test_a_half_done_update_commits_as_a_remove(monkeypatch):
+    """The front's rule for an update whose append fails after its
+    remove landed: it counts as a remove, and the error propagates."""
+    service = SilkMothService(CONFIG)
+    for elements in DATA[:4]:
+        service.add_set(elements)
+    reset_registry()
+
+    def refused(elements):
+        raise RuntimeError("append refused")
+
+    monkeypatch.setattr(service, "_add", refused)
+    with pytest.raises(RuntimeError, match="append refused"):
+        service.update_set(1, ["oak sky"])
+    assert not service.is_live(1)
+    assert (service.stats.removes, service.stats.updates) == (1, 0)
+    assert service.generation == 5
+    assert _mutation_series() == {"remove": 1}

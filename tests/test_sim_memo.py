@@ -1,9 +1,9 @@
 """The cross-stage element-pair similarity memo.
 
 Unit tests pin the memo contract (floor semantics identical to
-``edit_at_least``, LRU eviction, generation sync, sizing resolution);
-the engine and service tests pin the integration guarantees: hit/miss
-counters surface in ``PassStats``/``ServiceStats``, mutation drops the
+``edit_at_least``, LRU eviction, sizing resolution); the engine and
+service tests pin the integration guarantees: hit/miss counters
+surface in ``PassStats``/``ServiceStats``, every engine write drops the
 cache (exactness under mutation never argues about staleness), and
 results stay equal to brute force with caching on -- even with a
 capacity small enough to force constant eviction.
@@ -101,14 +101,6 @@ class TestSimilarityMemo:
         assert value == _PHI.edit_at_least("kitten", "sitting", 0.2)
         assert len(memo) == 0 and memo.hits == 0 and memo.misses == 0
 
-    def test_sync_clears_on_generation_change(self):
-        memo = SimilarityMemo(8)
-        memo.edit_value(_PHI, "aa", "ab")
-        memo.sync(memo.generation)  # same generation: no-op
-        assert len(memo) == 1
-        memo.sync(memo.generation + 1)
-        assert len(memo) == 0
-
     def test_negative_capacity_rejected(self):
         with pytest.raises(ValueError, match="capacity"):
             SimilarityMemo(-1)
@@ -191,7 +183,7 @@ def _brute_ids(service, raw_reference):
 
 
 class TestServiceInvalidation:
-    """The pair cache must not outlive the write generation."""
+    """The pair cache must not outlive a write."""
 
     def test_queries_populate_and_reuse_the_memo(self):
         service = _edit_service()
@@ -218,10 +210,28 @@ class TestServiceInvalidation:
         else:
             service.update_set(1, ["replacement text", "fresh elements"])
         assert len(service.engine.memo) == 0
-        assert service.engine.memo.generation == service.generation
         # Exactness under mutation: the next answer equals brute force.
         results = sorted(r.set_id for r in service.search(reference))
         assert results == _brute_ids(service, reference)
+
+    @pytest.mark.parametrize("write", ["add", "remove", "compact"])
+    def test_every_engine_write_drops_the_pair_cache(self, write):
+        """The engine clears its own memo, so a shard driving a bare
+        engine gets the same rule as the service."""
+        service = _edit_service(compact_dead_fraction=1.0)
+        engine = service.engine
+        service.search(["silkmoth paper", "related sets"])
+        if write == "compact":
+            engine.remove_set(0)
+            service.search(["silkmoth papers", "related set"])
+        assert len(engine.memo) > 0
+        if write == "add":
+            engine.add_set(["entirely new content", "for the cache"])
+        elif write == "remove":
+            engine.remove_set(0)
+        else:
+            assert engine.compact() > 0
+        assert len(engine.memo) == 0
 
     def test_compaction_drops_the_pair_cache(self):
         service = _edit_service(compact_dead_fraction=1.0)

@@ -236,4 +236,5 @@ def test_an_old_cluster_manifest_loads(tmp_path, summary_bits, transport):
             assert restored[name] == cluster_stats[name], name
         assert restored["stage_seconds"] == STAGE_SECONDS
         assert "backend_seconds" not in restored
+        assert "broadcasts" not in restored
         assert _answers(cluster) == _answers(_fresh_service())

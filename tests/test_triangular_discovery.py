@@ -512,10 +512,10 @@ def test_cluster_discovery_routing_totals_at_the_edges(monkeypatch, block):
     ====  ======  ==========================  ======  =======  =====
     gid   floor   shards                      routed  skipped  pass
     ====  ======  ==========================  ======  =======  =====
-    0     1       both (a broadcast)          2       0        yes
-    1     2       both (a broadcast)          2       0        yes
+    0     1       both                        2       0        yes
+    1     2       both                        2       0        yes
     2     3       none: an empty reference    0       2        no
-    3     4       both (a broadcast)          2       0        yes
+    3     4       both                        2       0        yes
     4     5       1 (shard 0 ends at gid 4)   1       1        yes
     5     6       above every shard: no pass  --      --       no
     ====  ======  ==========================  ======  =======  =====
@@ -529,9 +529,8 @@ def test_cluster_discovery_routing_totals_at_the_edges(monkeypatch, block):
         assert (
             stats.shards_routed_total,
             stats.shards_skipped_total,
-            stats.broadcasts,
             cluster.run_stats.passes,
-        ) == (7, 3, 3, 4)
+        ) == (7, 3, 4)
     assert rows == _single_node_rows(sets, WORD_CONFIG)
     assert [row[:2] for row in rows] == [(0, 1), (0, 4), (1, 4)]
 

@@ -36,6 +36,7 @@ from repro.io.wal import (
     segment_record_offsets,
     wal_directory_in_use,
 )
+from repro.obs.metrics import get_registry
 from repro.service import SilkMothService
 from repro.settings import resolve
 from repro.sim.functions import SimilarityKind
@@ -52,6 +53,14 @@ def _records(n, start=1):
         WalRecord(seq=start + i, op="add", args={"elements": [f"word {i}"]})
         for i in range(n)
     ]
+
+
+def _mutation_series() -> dict:
+    """``silkmoth_mutations_total`` in this process, kind -> count."""
+    family = get_registry().get("silkmoth_mutations_total")
+    return {} if family is None else {
+        labels[0]: child.value for labels, child in family.series()
+    }
 
 
 def _service(tmp_path, config=CONFIG, **kwargs):
@@ -385,26 +394,36 @@ class TestServiceIntegration:
         assert [r.op for r in records] == ["add"]
 
     def test_a_non_integer_set_id_changes_nothing(self, tmp_path):
-        """``1.5``, ``True`` and ``"0"`` are the out-of-range KeyError.
+        """``1.5``, ``True``, ``"0"``, ``-1``, a past-the-end id and a
+        tombstoned id are the KeyError of the one live-id check.
 
-        None of them may log a record, tombstone a set or change the
-        live count: recovery must rebuild the very same state.
+        None of them may log a record, tombstone a set, change the live
+        count, move the generation or count a mutation (in the stats or
+        in ``silkmoth_mutations_total``): recovery must rebuild the
+        very same state.
         """
         service = _service(tmp_path, config=SilkMothConfig(delta=0.5))
-        for elements in (["a b", "c d"], ["a b", "c e"], ["x y"]):
+        for elements in (["a b", "c d"], ["a b", "c e"], ["x y"], ["q r"]):
             service.add_set(elements)
+        service.remove_set(3)
         fingerprint = service.state_fingerprint()
-        for bad in (1.5, True, False, "0", None):
-            assert not service.collection.is_live(bad)
+        before = (
+            service.generation, service.stats.mutations, _mutation_series()
+        )
+        for bad in (1.5, True, False, "0", None, -1, 4, 3):
+            assert not service.is_live(bad)
             with pytest.raises(KeyError):
                 service.remove_set(bad)
             with pytest.raises(KeyError):
                 service.update_set(bad, ["q"])
         assert len(service) == 3
         assert service.state_fingerprint() == fingerprint
+        assert (
+            service.generation, service.stats.mutations, _mutation_series()
+        ) == before
         service.close()
         records, _ = read_wal_records(tmp_path / "wal")
-        assert [r.op for r in records] == ["add"] * 3
+        assert [r.op for r in records] == ["add"] * 4 + ["remove"]
         recovered = _recover(tmp_path, config=SilkMothConfig(delta=0.5))
         assert recovered.state_fingerprint() == fingerprint
         assert [r.set_id for r in recovered.search(["a b", "c e"])] == [0, 1]
