@@ -139,11 +139,15 @@ class ComputeBackend:
             found += index.keys_in_sets(token, set_ids)
         offsets, counts = index.token_count_column()
         size = len(probe)
+        # The closed form runs once per distinct (|s_j|, shared) shape.
+        score_of: dict[tuple[int, int], float] = {}
         nearest: dict[int, float] = {}
         for key, shared in Counter(found).items():
             set_id = key >> PACK_SHIFT
-            other = counts[offsets[set_id] + (key & PACK_MASK)]
-            score = phi.tokens_from_counts(size, other, shared)
+            shape = (counts[offsets[set_id] + (key & PACK_MASK)], shared)
+            score = score_of.get(shape)
+            if score is None:
+                score = score_of[shape] = phi.tokens_from_counts(size, *shape)
             if score > nearest.get(set_id, 0.0):
                 nearest[set_id] = score
         return nearest

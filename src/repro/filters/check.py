@@ -12,11 +12,14 @@ The per-candidate witnessed maxima are *exact* nearest-neighbour
 similarities (computation reuse, Section 5.2): any candidate element
 sharing no signature token with ``r_i`` is bounded by ``u_i`` anyway.
 
-The probe's output is columnar: :func:`select_columns` returns the
-candidate batch's ``set_ids`` / ``sizes`` / ``gains`` / ``best``
-columns, which the pipeline's select stage installs as is;
-:func:`select_and_check` is the row-per-candidate wrapper for
-explain-style callers, baselines and tests.
+The probe's output is the witnessed rows: :func:`select_columns`
+returns every gated surfaced set id and, for the few sets among them
+that witnessed something, their ``best`` maps and gains.
+:func:`check_columns` is the check filter proper, the one rule both the
+pipeline's check stage and the row-per-candidate wrapper
+:func:`select_and_check` (explain-style callers, baselines, tests) run.
+Unless the residual alone reaches the cutoff, a set that witnessed
+nothing cannot survive, so the check reads the witnessed rows only.
 
 The probe is the columnar index-traversal kernel.  Which level of the
 index it probes follows from the similarity kind.
@@ -54,27 +57,23 @@ occurrence lies below the floor, scores each remaining content
 once -- the backend's
 :meth:`~repro.backends.base.ComputeBackend.indexed_token_similarities`
 over the content table -- and expands only the witnesses to their
-sets.  Every merged content's sets are surfaced; the floor,
-self-match, tombstone and size gates run once per surfaced *set*
-at the end of the probe.
+sets -- skipping, unscored, the contents whose overlap bound rules
+them out (:func:`_may_witness`).  Every merged content's sets are
+surfaced; the floor, self-match, tombstone and size gates run once
+per surfaced *set* at the end of the probe.
 
-Either way, as in Algorithm 1, a surfaced set costs almost
-nothing until it proves interesting: only the pairs whose score
-beats ``u_i`` (the witnesses) get a ``best`` entry; every other
-candidate is just its id, its size off
-:meth:`~repro.index.inverted.InvertedIndex.set_sizes` and a zero
-gain.
+Either way, as in Algorithm 1, a surfaced set costs one set id until
+it proves interesting: only the pairs whose score beats ``u_i`` (the
+witnesses) get a ``best`` entry, and only the sets holding one become
+witnessed rows.
 
-The original per-posting loop, :func:`_gather_reference`, is kept
-verbatim as the executable oracle the kernel is property-tested
-against (``tests/test_select_kernel.py``, ``tests/test_select_columns.py``).
-Both record, per (reference element, candidate set), the maximum of
-the same ``phi_alpha`` values -- the token probe computes each
-distinct content's value once where the oracle computes it per
-occurrence -- in the same (reference-element, then empty-element)
-phase order, so the columns -- including ``best``-map insertion order,
-which downstream float summation observes, and the gains summed in
-that order -- are bit-identical.
+The probe is property-tested against the original per-posting loop
+(``gather_reference`` in ``tests/strategies/checks.py``).  Both record,
+per (reference element, candidate set), the maximum of the same
+``phi_alpha`` values in the same (reference-element, then
+empty-element) phase order, so the rows -- including ``best``-map
+insertion order, which downstream float summation observes, and the
+gains summed in that order -- are bit-identical.
 """
 
 from __future__ import annotations
@@ -82,8 +81,9 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import repeat
-from operator import attrgetter, rshift
+from collections import Counter
+from itertools import chain, compress, repeat
+from operator import attrgetter, itemgetter, rshift
 from typing import Tuple
 
 from repro.backends import get_backend
@@ -97,6 +97,12 @@ from repro.sim.memo import SimilarityMemo
 from repro.signatures.base import Signature
 
 _TEXT = attrgetter("text")
+_LAST = itemgetter(-1)
+
+#: Fewest merged contents for which the overlap bound (:func:`_may_witness`)
+#: pays for itself: ``serve_mixed_wal`` merges about 5 per element and the
+#: bound rules out a quarter, ``discover_jaccard`` about 38 and 3 in 4.
+_BOUND_MIN_CONTENTS = 16
 
 
 @dataclass
@@ -123,9 +129,13 @@ class CandidateInfo:
         return total
 
 
-#: The candidate batch's columns, parallel and ascending by set id:
-#: ``(set_ids, sizes, gains, best)``.
-SelectColumns = Tuple[list[int], list[int], list[float], list[dict[int, float]]]
+#: The witnessed rows, parallel and ascending by set id:
+#: ``(set_ids, gains, best)``.
+Witnessed = Tuple[list[int], list[float], list[dict[int, float]]]
+
+#: :func:`check_columns`' output, parallel and ascending by set id:
+#: ``(set_ids, gains, estimates, best)``.
+CheckedColumns = Tuple[list[int], list[float], list[float], list[dict[int, float]]]
 
 
 def select_columns(
@@ -140,8 +150,8 @@ def select_columns(
     memo: SimilarityMemo | None = None,
     pass_stats: PassStats | None = None,
     first_set: int = 0,
-) -> SelectColumns:
-    """Algorithm 1's probe, as the columns of a candidate batch.
+) -> tuple[list[int], Witnessed]:
+    """Algorithm 1's probe: the surfaced set ids and the witnessed rows.
 
     Parameters
     ----------
@@ -168,30 +178,55 @@ def select_columns(
 
     Returns
     -------
-    ``(set_ids, sizes, gains, best)``: every surfaced set in ascending
-    id order, its cardinality, its witnessed improvement over the
-    signature residual (``sum_i best_i - u_i``) and its witnessed map.
-    The check filter proper -- ``residual + gain >= theta`` -- is left
-    to the caller (:class:`~repro.pipeline.stages.CheckFilterStage`
-    runs it over the columns; :func:`select_and_check` per row).
+    ``(surfaced, (set_ids, gains, best))``: the gated surfaced set ids,
+    then those that witnessed a pair with their improvement over the
+    residual (``sum_i best_i - u_i``, ``+=`` in map order) and maps;
+    both ascending.  The check filter proper is :func:`check_columns`.
     """
     if backend is None:
         backend = get_backend()
     with span("select.kernel") as sp:
         return _gather_packed(
-            reference,
-            signature,
-            index,
-            phi,
-            collection,
-            size_range,
-            skip_set,
-            backend,
-            memo,
-            pass_stats,
-            sp,
-            first_set,
+            reference, signature, index, phi, collection, size_range,
+            skip_set, backend, memo, pass_stats, sp, first_set,
         )
+
+
+def check_columns(
+    surfaced: list[int],
+    witnessed: Witnessed,
+    residual: float,
+    cutoff: float,
+    apply_check: bool = True,
+) -> CheckedColumns:
+    """The check filter (Section 5.1) over :func:`select_columns`' output.
+
+    A candidate's score is at most the signature *residual* plus its
+    witnessed gain; with *apply_check* the candidates whose bound falls
+    below *cutoff* are pruned and the others carry it as their estimate.
+    Below ``residual >= cutoff`` a set that witnessed nothing cannot
+    survive, so only the witnessed rows are read.  Otherwise (the
+    schemes keep the residual by subtraction, so it may land on either
+    side in the last bit), or unchecked (the NOFILTER configurations of
+    Figure 6, estimates ``inf``), every surfaced set is a row, an
+    unwitnessed one with a zero gain and an empty map of its own.
+    """
+    set_ids, gains, best = witnessed
+    if not apply_check or residual >= cutoff:
+        gain_of = dict(zip(set_ids, gains))
+        best_of = dict(zip(set_ids, best))
+        set_ids = surfaced
+        gains = list(map(gain_of.get, surfaced, repeat(0.0)))
+        best = [best_of[s] if s in best_of else {} for s in surfaced]
+        if not apply_check:
+            return set_ids, gains, [float("inf")] * len(set_ids), best
+    keep = [k for k, gain in enumerate(gains) if residual + gain >= cutoff]
+    return (
+        [set_ids[k] for k in keep],
+        [gains[k] for k in keep],
+        [residual + gains[k] for k in keep],
+        [best[k] for k in keep],
+    )
 
 
 def select_and_check(
@@ -211,42 +246,28 @@ def select_and_check(
     """Algorithm 1, one :class:`CandidateInfo` row per candidate.
 
     The row-API wrapper around :func:`select_columns` (same parameters,
-    minus the discovery-only candidate floor) for explain-style
-    callers, baselines and tests; the pipeline
-    consumes the columns directly.  With *apply_check* the candidates
-    whose estimate cannot reach *theta* are pruned; without it they are
-    only gathered (the NOFILTER configurations of Figure 6), still
-    carrying their witnessed similarities for downstream reuse.
+    minus the discovery-only candidate floor) and
+    :func:`check_columns` (cutoff *theta*) for explain-style callers,
+    baselines and tests; the pipeline consumes the columns directly.
+    With *apply_check* the candidates whose estimate cannot reach
+    *theta* are pruned; without it they are only gathered (the NOFILTER
+    configurations of Figure 6), still carrying their witnessed
+    similarities for downstream reuse.
 
     Returns
     -------
     Candidate infos for every set that survived; ordering follows set id.
     """
-    set_ids, _, gains, best = select_columns(
-        reference,
-        signature,
-        index,
-        phi,
-        collection,
-        size_range=size_range,
-        skip_set=skip_set,
-        backend=backend,
-        memo=memo,
-        pass_stats=pass_stats,
+    surfaced, witnessed = select_columns(
+        reference, signature, index, phi, collection, size_range=size_range,
+        skip_set=skip_set, backend=backend, memo=memo, pass_stats=pass_stats,
     )
-    infos = [
-        CandidateInfo(set_id, witnessed)
-        for set_id, witnessed in zip(set_ids, best)
-    ]
-    if not apply_check:
-        return infos
-    # Prune candidates whose estimate cannot reach theta.  The estimate
-    # is sound for every scheme because each u_i individually bounds the
-    # contribution of r_i.
-    residual = sum(signature.element_bounds)
-    return [
-        info for info, gain in zip(infos, gains) if residual + gain >= theta
-    ]
+    # The estimate is sound for every scheme because each u_i
+    # individually bounds the contribution of r_i.
+    set_ids, _, _, best = check_columns(
+        surfaced, witnessed, sum(signature.element_bounds), theta, apply_check
+    )
+    return list(map(CandidateInfo, set_ids, best))
 
 
 def _from_floor(run: array, floor_key: int) -> array:
@@ -273,25 +294,20 @@ def _gather_packed(
     pass_stats: PassStats | None,
     sp,
     first_set: int = 0,
-) -> SelectColumns:
-    """The columnar probe: index runs in, batch columns out.
+) -> tuple[list[int], Witnessed]:
+    """The columnar probe: index runs in, surfaced ids and witnessed rows out.
 
-    Surfaces the same candidates with the same witnessed maps as
-    :func:`_gather_reference` -- same pair sets, same scores, same
-    witness order -- without an object per surfaced set.  Token kinds
-    probe the index's content table (:func:`_probe_contents`), edit
-    kinds its occurrence postings and forward column
-    (:func:`_probe_postings`); the empty-element phase and the column
-    assembly are common.
+    Surfaces the same candidates with the same witnessed maps as the
+    per-posting oracle -- same scores, same witness order -- without an
+    object per surfaced set.  Token kinds probe the index's content
+    table (:func:`_probe_contents`), edit kinds its occurrence postings
+    and forward column (:func:`_probe_postings`); the empty-element
+    phase and the row assembly are common.
     """
     bounds = signature.element_bounds
-    # Hoisted no-op fast path: a fully open size window (what the
-    # pipeline passes when the size filter is disabled) is no gate at
-    # all, so normalise it away here rather than comparing every
-    # candidate against +/-inf.
-    if size_range is not None and size_range[0] == float(
-        "-inf"
-    ) and size_range[1] == float("inf"):
+    # A fully open size window (what the pipeline passes when the size
+    # filter is disabled) is no gate at all: normalise it away here.
+    if size_range is not None and tuple(size_range) == (-float("inf"), float("inf")):
         size_range = None
     deleted = collection.deleted_ids
     sizes = index.set_sizes()
@@ -314,11 +330,7 @@ def _gather_packed(
     # the index's empty-element postings -- once per distinct set id,
     # since the witness value is per-set -- so every downstream bound
     # stays sound.
-    empty_ref = [
-        i
-        for i, element in enumerate(reference.elements)
-        if not element.index_tokens
-    ]
+    empty_ref = [i for i, e in enumerate(reference.elements) if not e.index_tokens]
     if empty_ref:
         empty_keys = index.empty_posting_keys()
         if first_set:
@@ -353,19 +365,16 @@ def _gather_packed(
 
     # Gains accumulate with += in the maps' insertion order -- the sum
     # CandidateInfo.gain takes (sum() is compensated on 3.12: not it).
-    gain_of: dict[int, float] = {}
-    for set_id, best in best_of.items():
+    # A token-kind witness may have been gated out: intersect first.
+    witnessed = sorted(surfaced.intersection(best_of))
+    maps = list(map(best_of.__getitem__, witnessed))
+    gains = []
+    for best in maps:
         total = 0.0
         for i, score in best.items():
             total += score - bounds[i]
-        gain_of[set_id] = total
-    set_ids = sorted(surfaced)
-    return (
-        set_ids,
-        list(map(sizes.__getitem__, set_ids)),
-        list(map(gain_of.get, set_ids, repeat(0.0))),
-        [best_of.get(set_id) or {} for set_id in set_ids],
-    )
+        gains.append(total)
+    return sorted(surfaced), (witnessed, gains, maps)
 
 
 def _probe_contents(
@@ -379,27 +388,24 @@ def _probe_contents(
 ) -> tuple[set[int], int, int, int]:
     """The token-kind probe, over distinct contents instead of occurrences.
 
-    Per reference element: merge the signature tokens' content-id runs
-    (:meth:`~repro.index.inverted.InvertedIndex.content_ids`; unread for
-    a token held only below the *first_set* floor), drop the
-    contents whose *last* occurrence lies below the *first_set* floor,
-    score each remaining content once --
-    :meth:`~repro.backends.base.ComputeBackend.indexed_token_similarities`
-    over the content table's records -- and expand only the witnesses
-    to the sets they occur in (from the floor on), into *best_of*.
-    Every merged content's sets are surfaced, by one C-level
-    ``set.update``.  The floor, self-match, tombstone and size-window
-    gates then run once per surfaced *set*; the columns are read off
-    the gated ids, so a dropped set's witnessed map in *best_of* is
-    never looked at again.
+    Per reference element: count the signature tokens' content-id runs
+    (unread for a token held only below the *first_set* floor) per
+    content, drop the contents whose last set lies below the floor,
+    score once each content that may beat the element's bound
+    (:func:`_may_witness`) and expand only the witnesses to their sets
+    (from the floor on), into *best_of*.  Every merged content's sets
+    are surfaced by one C-level ``set.update``; the floor, self-match,
+    tombstone and size-window gates then run once per surfaced *set*.
 
     A witnessed maximum does not depend on the order its candidates
     are visited in, and a content's score is the closed form on the
     same three sizes as any of its occurrences', so the maps equal the
-    per-occurrence probe's bit for bit.
+    per-occurrence probe's bit for bit.  A token unread at the floor
+    only leaves out contents the floor drops anyway, so the counts of
+    the contents kept are exact.
 
     Returns the gated set ids and the funnel counters: content-list
-    entries read, distinct (reference element, content) pairs scored,
+    entries read, distinct (reference element, content) pairs merged,
     sets the size window dropped.
     """
     first_set, skip_set, deleted, sizes, size_range = gates
@@ -407,10 +413,12 @@ def _probe_contents(
     content_ids = index.content_ids
     records = index.content_records()
     sets_of = index.content_sets().__getitem__
+    content_sizes = index.content_sizes()
     if first_set:
         # Posting runs ascend: a token whose last posting lies below
         # the floor (so every content holding it) is never read.
         floor_key = first_set << PACK_SHIFT
+        at_floor = first_set.__le__
 
         def content_ids(token: int):
             keys = index.posting_keys(token)
@@ -425,19 +433,29 @@ def _probe_contents(
         if not runs:
             continue
         scanned += sum(map(len, runs))
-        contents = runs[0] if len(runs) == 1 else list(set().union(*runs))
+        # c_sig per content; one run holds each of its contents once.
+        signed = None if len(runs) == 1 else Counter(chain.from_iterable(runs))
+        contents = runs[0] if signed is None else list(signed)
         if first_set:
-            # Occurrence arrays ascend: the last entry decides.
-            contents = [c for c in contents if sets_of(c)[-1] >= first_set]
+            # Occurrence arrays ascend: the last set decides.
+            last = map(_LAST, map(sets_of, contents))
+            contents = list(compress(contents, map(at_floor, last)))
             if not contents:
                 continue
         distinct += len(contents)
         surfaced.update(*map(sets_of, contents))
-        scores = backend.indexed_token_similarities(
-            reference.elements[i].index_tokens, records, contents, phi
-        )
-        # Only the pairs that beat the signature bound are witnesses.
+        probe = reference.elements[i].index_tokens
         bound = bounds[i]
+        # The schemes draw l_i from r_i; a signature that does not
+        # (built by hand) gets no bound and scores every content.
+        if len(contents) >= _BOUND_MIN_CONTENTS and tokens <= probe:
+            contents = _may_witness(
+                contents, signed, content_sizes, len(probe),
+                len(probe) - len(tokens), bound, phi,
+            )
+        scores = backend.indexed_token_similarities(
+            probe, records, contents, phi
+        )
         for content, score in zip(contents, scores):
             if score <= bound:
                 continue
@@ -463,6 +481,33 @@ def _probe_contents(
     return surfaced, scanned, distinct, size_drops
 
 
+def _may_witness(
+    contents, signed, content_sizes, size, unsigned, bound, phi
+) -> list[int]:
+    """The *contents* whose overlap bound still lets them beat *bound*.
+
+    A content holding ``c_sig`` of the element's signature tokens
+    (``signed[c]``; 1 each when *signed* is ``None``) shares at most
+    ``min(c_sig + unsigned, |c|, size)`` of the element's *size* tokens,
+    *unsigned* of which the signature left out.  The closed form
+    :meth:`~repro.sim.functions.SimilarityFunction.tokens_from_counts`
+    is monotone in the overlap for every token kind (correctly rounded
+    division keeps that in floats), so a content whose bound is
+    ``<= bound`` cannot be a witness.  The verdict is taken once per
+    distinct ``(c_sig, |c|)`` and applied by C-level ``compress``.
+    """
+    shapes = list(zip(
+        repeat(1) if signed is None else map(signed.__getitem__, contents),
+        map(content_sizes.__getitem__, contents),
+    ))
+    score = phi.tokens_from_counts
+    verdict = {
+        (c_sig, c): score(size, c, min(c_sig + unsigned, c, size)) > bound
+        for c_sig, c in set(shapes)
+    }
+    return list(compress(contents, map(verdict.__getitem__, shapes)))
+
+
 def _probe_postings(
     reference: SetRecord,
     signature: Signature,
@@ -480,7 +525,8 @@ def _probe_postings(
     :func:`_from_floor`) and gates them at run level; the merged keys'
     texts come off the index's forward column, and their scoring is
     deferred so that one ``backend.edit_values`` batch covers the whole
-    query (long enough, it runs the lane-parallel Myers kernel).  Only the pairs that beat the element's bound reach *best_of*.
+    query (long enough, it runs the lane-parallel Myers kernel).  Only
+    the pairs that beat the element's bound reach *best_of*.
 
     Returns the surfaced set ids and the funnel counters, per posting
     key: postings scanned, distinct gated keys merged, keys the size
@@ -552,128 +598,3 @@ def _probe_postings(
                 if score > best.get(i, 0.0):
                     best[i] = score
     return surfaced, scanned, distinct, size_drops
-
-
-def _gather_reference(
-    reference: SetRecord,
-    signature: Signature,
-    index: InvertedIndex,
-    phi: SimilarityFunction,
-    collection: SetCollection,
-    size_range: tuple[float, float] | None,
-    skip_set: int | None,
-    backend: ComputeBackend,
-    memo: SimilarityMemo | None,
-    first_set: int = 0,
-) -> dict[int, CandidateInfo]:
-    """The original per-posting probe, kept verbatim as the oracle.
-
-    Walks :class:`~repro.index.inverted.Posting` tuples with per-pair
-    set/dict bookkeeping exactly as the pre-columnar implementation
-    did; ``tests/test_select_kernel.py`` pins the columnar probe to its
-    output bit-for-bit.  The *first_set* floor is one more per-posting
-    test here, beside the self-skip it generalises.
-    """
-    bounds = signature.element_bounds
-    token_based = phi.kind.is_token_based
-    candidates: dict[int, CandidateInfo] = {}
-    # Size-gate verdicts per candidate set, computed once per set rather
-    # than once per posting.
-    size_ok: dict[int, bool] = {}
-
-    def passes_size_gate(set_id: int) -> bool:
-        if size_range is None:
-            return True
-        ok = size_ok.get(set_id)
-        if ok is None:
-            size = len(collection[set_id])
-            ok = size_range[0] <= size <= size_range[1]
-            size_ok[set_id] = ok
-        return ok
-
-    # Tombstoned sets keep postings until the index compacts; skip them.
-    deleted = collection.deleted_ids
-
-    for i, tokens in enumerate(signature.per_element):
-        if not tokens:
-            continue
-        bound_i = bounds[i]
-        probe = reference.elements[i]
-        # Gather this element's distinct (set_id, element_index) pairs
-        # across all its signature tokens, so duplicated postings are
-        # not recomputed and phi runs as one batch.
-        seen_i: set[tuple[int, int]] = set()
-        pairs: list[tuple[int, int]] = []
-        for token in tokens:
-            for set_id, element_index in index.postings(token):
-                if set_id < first_set or set_id == skip_set or set_id in deleted:
-                    continue
-                key = (set_id, element_index)
-                if key in seen_i:
-                    continue
-                seen_i.add(key)
-                if not passes_size_gate(set_id):
-                    continue
-                pairs.append(key)
-                if set_id not in candidates:
-                    candidates[set_id] = CandidateInfo(set_id)
-        if not pairs:
-            continue
-        if token_based:
-            scores = backend.token_similarities(
-                probe.index_tokens,
-                [
-                    collection[set_id].elements[j].index_tokens
-                    for set_id, j in pairs
-                ],
-                phi,
-            )
-        elif memo is not None and memo.enabled:
-            scores = [
-                memo.edit_value(
-                    phi, probe.text, collection[set_id].elements[j].text, bound_i
-                )
-                for set_id, j in pairs
-            ]
-        else:
-            # *bound_i* lets the banded Levenshtein bail out early when
-            # the score cannot beat the signature bound anyway.
-            scores = [
-                phi.edit_at_least(
-                    probe.text, collection[set_id].elements[j].text, bound_i
-                )
-                for set_id, j in pairs
-            ]
-        for (set_id, _), score in zip(pairs, scores):
-            if score > bound_i:
-                info = candidates[set_id]
-                if score > info.best.get(i, 0.0):
-                    info.best[i] = score
-
-    # Empty-after-tokenisation reference elements score similarity 1
-    # against any empty candidate element, yet neither side carries a
-    # token the probe above could meet.  Enumerate those candidates from
-    # the index's empty-element postings and witness the (exact) NN
-    # value of 1 so every downstream bound stays sound.
-    empty_ref = [
-        i
-        for i, element in enumerate(reference.elements)
-        if not element.index_tokens
-    ]
-    if empty_ref:
-        witness = phi.threshold(1.0)
-        for set_id, _ in index.empty_postings():
-            if set_id < first_set or set_id == skip_set or set_id in deleted:
-                continue
-            if not passes_size_gate(set_id):
-                continue
-            info = candidates.get(set_id)
-            if info is None:
-                info = CandidateInfo(set_id)
-                candidates[set_id] = info
-            for i in empty_ref:
-                if witness > bounds[i] and witness > info.best.get(i, 0.0):
-                    info.best[i] = witness
-
-    return candidates
-

@@ -33,9 +33,10 @@ tokenizer kind alone:
   first-seen order; the table maps token -> ascending content ids
   (:meth:`InvertedIndex.content_ids`), content id -> a representative
   :class:`~repro.core.records.ElementRecord`
-  (:meth:`~InvertedIndex.content_records`) and content id -> the
+  (:meth:`~InvertedIndex.content_records`), content id -> the
   ascending distinct set ids it occurs in
-  (:meth:`~InvertedIndex.content_sets`).  Content ids mean something
+  (:meth:`~InvertedIndex.content_sets`), and content id -> its token
+  count (:meth:`~InvertedIndex.content_sizes`).  Content ids mean something
   only between two mutations of the index: :meth:`~InvertedIndex.compact`
   renumbers them.
 * **Edit kinds: the forward column**, packed posting key -> the
@@ -136,6 +137,8 @@ class InvertedIndex:
         self._content_lists: dict[int, array] = {}
         self._content_records: list[ElementRecord] = []
         self._content_sets: list[array] = []
+        # Per content id: its token count (the |c| of the closed form).
+        self._content_sizes: array = array("q")
         self._max_set_id = -1
         self._live_postings = 0
         self._dead_postings = 0
@@ -247,6 +250,7 @@ class InvertedIndex:
         self._content_of[tokens] = content = len(self._content_records)
         self._content_records.append(element)
         self._content_sets.append(sets)
+        self._content_sizes.append(len(tokens))
         lists = self._content_lists
         for token in tokens:
             contents = lists.get(token)
@@ -350,6 +354,7 @@ class InvertedIndex:
         self._content_lists = {}
         self._content_records = []
         self._content_sets = []
+        self._content_sizes = array("q")
         for element, sets in stored:
             if not deleted.isdisjoint(sets):
                 sets = array("q", (s for s in sets if s not in deleted))
@@ -516,6 +521,10 @@ class InvertedIndex:
         readers gate the ids exactly as they gate posting keys.
         """
         return self._content_sets
+
+    def content_sizes(self) -> array:
+        """Content id -> its token count ``|c|`` (shared, do not mutate)."""
+        return self._content_sizes
 
     def tokens(self) -> Iterable[int]:
         """The indexed token ids (one per posting list), unordered."""

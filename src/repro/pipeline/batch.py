@@ -1,11 +1,11 @@
 """Columnar candidate batches flowing between pipeline stages.
 
 Stages exchange a :class:`CandidateBatch` -- parallel arrays of set
-ids, cardinalities, witnessed-similarity maps and score upper bounds --
-instead of per-candidate objects.  The select stage does not convert
-into this form: the index probe
-(:func:`repro.filters.check.select_columns`) emits the columns and the
-stage installs them.  The numeric columns are plain lists, so the
+ids, witnessed gains, witnessed-similarity maps and score upper bounds
+-- instead of per-candidate objects.  The check stage builds it from
+the index probe's witnessed rows
+(:func:`repro.filters.check.check_columns`); a full scan's select
+stage builds it directly.  The numeric columns are plain lists, so the
 batch type stays picklable.
 """
 
@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
-
-from repro.filters.check import CandidateInfo
 
 
 @dataclass
@@ -25,18 +23,16 @@ class CandidateBatch:
     ----------
     set_ids:
         Candidate set ids, ascending.
-    sizes:
-        ``len(collection[set_id])`` per candidate (size-gate input).
     gains:
         Witnessed check-filter improvement over the signature residual
         per candidate (``sum_i best_i - u_i`` over witnessed elements).
     estimates:
         Current upper bound on the matching score per candidate
-        (``inf`` until a filter stage tightens it).  ``sizes`` and
-        ``estimates`` are not consumed by the stock verify stage; they
-        are part of the inter-stage contract so alternative final
-        stages (top-k ordering, explain-style tracing, cost models)
-        can consume them without re-deriving per-candidate state.
+        (``inf`` until a filter stage tightens it).  Not consumed by the
+        stock verify stage; it is part of the inter-stage contract so
+        alternative final stages (top-k ordering, explain-style
+        tracing, cost models) can consume it without re-deriving
+        per-candidate state.
     best:
         Witnessed exact NN similarities per candidate: sparse maps from
         reference-element index to similarity (the computation-reuse
@@ -44,7 +40,6 @@ class CandidateBatch:
     """
 
     set_ids: list[int] = field(default_factory=list)
-    sizes: list[int] = field(default_factory=list)
     gains: list[float] = field(default_factory=list)
     estimates: list[float] = field(default_factory=list)
     best: list[dict[int, float]] = field(default_factory=list)
@@ -56,15 +51,7 @@ class CandidateBatch:
         """A new batch holding only the rows at *indices* (in order)."""
         return CandidateBatch(
             set_ids=[self.set_ids[k] for k in indices],
-            sizes=[self.sizes[k] for k in indices],
             gains=[self.gains[k] for k in indices],
             estimates=[self.estimates[k] for k in indices],
             best=[self.best[k] for k in indices],
         )
-
-    def to_infos(self) -> list[CandidateInfo]:
-        """Per-candidate view (interop with the row-oriented filters)."""
-        return [
-            CandidateInfo(set_id=set_id, best=best)
-            for set_id, best in zip(self.set_ids, self.best)
-        ]

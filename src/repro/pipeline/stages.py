@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 from repro.core.constants import EPSILON
 from repro.core.results import SearchResult, relatedness_value
 from repro.core.stats import PassStats
-from repro.filters.check import select_columns
+from repro.filters.check import Witnessed, check_columns, select_columns
 from repro.filters.nearest_neighbor import nn_filter_columns
 from repro.matching.reduction import reduced_matching_score
 from repro.matching.score import edit_weight_matrices, matching_score
@@ -41,6 +41,10 @@ class PipelineState:
     signature: Signature | None = None
     signed: SignedReference | None = None
     full_scan: bool = False
+    #: The select stage's gated surfaced set ids (ascending) and, on a
+    #: probed pass, the witnessed rows among them.
+    surfaced: list[int] = field(default_factory=list)
+    witnessed: Witnessed | None = None
     batch: CandidateBatch = field(default_factory=CandidateBatch)
     results: list[SearchResult] = field(default_factory=list)
 
@@ -92,66 +96,60 @@ class SignatureStage(Stage):
 
 
 class CandidateSelectStage(Stage):
-    """Probe the index with the signature and build the candidate batch.
+    """Probe the index with the signature for the surfaced ids and the
+    witnessed rows, which the check stage turns into the batch.
 
     Without a signature this degrades to scanning every live set,
-    size-gated.  Either way only
+    size-gated, straight into the batch.  Either way only
     sets at or above the plan's ``first_set`` floor become candidates.
     """
 
     name = "select"
 
     def run(self, plan: "QueryPlan", state: PipelineState, stats: PassStats) -> None:
-        """Probe the index (or scan every live set) into a batch."""
+        """Probe the index (or scan every live set into a batch)."""
         lo, hi = plan.size_range
         if state.signature is None:
             state.full_scan = True
             stats.full_scan = True
-            records = [
-                record
+            set_ids = [
+                record.set_id
                 for record in plan.collection.iter_live()
                 if record.set_id != plan.skip_set
                 and record.set_id >= plan.first_set
                 and lo <= len(record) <= hi
             ]
+            state.surfaced = set_ids
             state.batch = CandidateBatch(
-                set_ids=[record.set_id for record in records],
-                sizes=[len(record) for record in records],
-                gains=[0.0] * len(records),
-                estimates=[float("inf")] * len(records),
-                best=[{} for _ in records],
+                set_ids=set_ids,
+                gains=[0.0] * len(set_ids),
+                estimates=[float("inf")] * len(set_ids),
+                best=[{} for _ in set_ids],
             )
-            stats.initial_candidates = len(state.batch)
-            return
-        set_ids, sizes, gains, best = select_columns(
-            plan.reference,
-            state.signature,
-            plan.index,
-            plan.phi,
-            plan.collection,
-            size_range=plan.size_range,
-            skip_set=plan.skip_set,
-            first_set=plan.first_set,
-            backend=plan.backend,
-            memo=plan.memo,
-            pass_stats=stats,
-        )
-        state.batch = CandidateBatch(
-            set_ids=set_ids,
-            sizes=sizes,
-            gains=gains,
-            estimates=[float("inf")] * len(set_ids),
-            best=best,
-        )
-        stats.initial_candidates = len(state.batch)
+        else:
+            state.surfaced, state.witnessed = select_columns(
+                plan.reference,
+                state.signature,
+                plan.index,
+                plan.phi,
+                plan.collection,
+                size_range=plan.size_range,
+                skip_set=plan.skip_set,
+                first_set=plan.first_set,
+                backend=plan.backend,
+                memo=plan.memo,
+                pass_stats=stats,
+            )
+        stats.initial_candidates = len(state.surfaced)
 
 
 class CheckFilterStage(Stage):
-    """The check filter (Section 5.1): columnar bound aggregation.
+    """The check filter (Section 5.1) on a probed pass: builds the batch.
 
     Each candidate's score upper bound is the signature residual plus
-    its witnessed gain; both the aggregation and the theta comparison
-    run over the batch columns.
+    its witnessed gain (:func:`~repro.filters.check.check_columns`);
+    while the residual alone is below the cutoff only the witnessed
+    rows are read.  Disabled, every surfaced set enters the batch.
     """
 
     name = "check"
@@ -160,14 +158,16 @@ class CheckFilterStage(Stage):
         self.enabled = enabled
 
     def run(self, plan: "QueryPlan", state: PipelineState, stats: PassStats) -> None:
-        """Prune the batch against theta by residual + witnessed gains."""
-        if self.enabled and not state.full_scan and len(state.batch):
-            residual = sum(state.signature.element_bounds)
-            cutoff = plan.theta - EPSILON
-            estimates = [residual + gain for gain in state.batch.gains]
-            keep = [k for k, bound in enumerate(estimates) if bound >= cutoff]
-            state.batch = state.batch.take(keep)
-            state.batch.estimates = [estimates[k] for k in keep]
+        """Prune the surfaced sets against theta by residual + witnessed gains."""
+        if not state.full_scan:
+            set_ids, gains, estimates, best = check_columns(
+                state.surfaced,
+                state.witnessed,
+                sum(state.signature.element_bounds),
+                plan.theta - EPSILON,
+                self.enabled,
+            )
+            state.batch = CandidateBatch(set_ids, gains, estimates, best)
         stats.after_check = len(state.batch)
 
 

@@ -4,9 +4,12 @@ Shared by the suites that mutate an index or pin the select kernel
 (``test_records_and_index``, ``test_select_columns``,
 ``test_element_dictionary``): each helper derives what a structure or a
 counter must hold from the collection's records and the occurrence
-postings alone, then compares.  :func:`oracle_signature` is the
-signature schemes' oracle (``test_signatures``): every scheme as
-written before the per-shape tables, recomputing
+postings alone, then compares.  :func:`gather_reference` is the select
+probe's oracle (the per-posting loop the columnar probe replaced) and
+:func:`dense_check` the check filter's (every surfaced set a row).
+:func:`oracle_signature` is the signature schemes' oracle
+(``test_signatures``): every scheme as written before the per-shape
+tables, recomputing
 :meth:`~repro.signatures.weights.ElementWeights.bound` on every call.
 """
 
@@ -21,13 +24,16 @@ from dataclasses import replace
 
 from hypothesis import assume
 
-from repro.core.records import SetCollection
+from repro.backends.base import ComputeBackend
+from repro.core.records import SetCollection, SetRecord
 from repro.core.stats import PassStats
 from repro.filters import check
+from repro.filters.check import CandidateInfo
 from repro.index.inverted import PACK_MASK, PACK_SHIFT, InvertedIndex
 from repro.signatures import Signature, get_scheme
 from repro.signatures.weights import ElementWeights
 from repro.sim.functions import SimilarityFunction
+from repro.sim.memo import SimilarityMemo
 
 INF = float("inf")
 #: Size windows: None, fully open (normalised away), closed, half-open, empty.
@@ -68,6 +74,7 @@ def assert_forward_column_consistent(index, collection) -> None:
         assert element is collection[key >> PACK_SHIFT].elements[key & PACK_MASK]
     # No content table or token count column beside it.
     assert index.content_records() == [] and index.content_sets() == []
+    assert not index.content_sizes()
     assert not any(len(index.content_ids(token)) for token in index.tokens())
     assert index.token_count_column() == (array("q"), array("q"))
 
@@ -79,7 +86,8 @@ def assert_content_table_consistent(index, collection) -> None:
     each of its tokens exactly once; content ids ascend in every token
     list; occurrence arrays are ascending, distinct, and name exactly
     the stored sets holding the content (so after ``compact`` no
-    tombstoned id and no content without a live occurrence is left).
+    tombstoned id and no content without a live occurrence is left);
+    the size column agrees with the table.
     """
     records, occurrences = index.content_records(), index.content_sets()
     assert len(records) == len(occurrences)
@@ -89,6 +97,10 @@ def assert_content_table_consistent(index, collection) -> None:
         tokens = collection[set_id].elements[key & PACK_MASK].index_tokens
         if tokens:
             expected.setdefault(tokens, set()).add(set_id)
+    # The flat column beside the table: each content's |c|.
+    assert list(index.content_sizes()) == [
+        len(record.index_tokens) for record in records
+    ]
     # One id per distinct token set: equal sizes do not merge contents.
     assert len({record.index_tokens for record in records}) == len(records)
     assert {
@@ -126,6 +138,7 @@ def assert_index_pickles(index) -> None:
     copy = pickle.loads(pickle.dumps(index))
     assert copy.content_records() == index.content_records()
     assert copy.content_sets() == index.content_sets()
+    assert copy.content_sizes() == index.content_sizes()
     assert copy.posting_elements() == index.posting_elements()
     assert copy.token_count_column() == index.token_count_column()
     assert {t: list(copy.content_ids(t)) for t in copy.tokens()} == {
@@ -227,38 +240,224 @@ def expected_funnel(
     return scanned, distinct, drops
 
 
+def gather_reference(
+    reference: SetRecord,
+    signature: Signature,
+    index: InvertedIndex,
+    phi: SimilarityFunction,
+    collection: SetCollection,
+    size_range: tuple[float, float] | None,
+    skip_set: int | None,
+    backend: ComputeBackend,
+    memo: SimilarityMemo | None,
+    first_set: int = 0,
+) -> dict[int, CandidateInfo]:
+    """The original per-posting select probe, the columnar probe's oracle.
+
+    Walks :class:`~repro.index.inverted.Posting` tuples with per-pair
+    set/dict bookkeeping exactly as the pre-columnar implementation
+    did; ``tests/test_select_kernel.py`` and ``test_select_columns.py``
+    pin :func:`repro.filters.check.select_columns` to its output bit
+    for bit.  The *first_set* floor is one more per-posting test here,
+    beside the self-skip it generalises.
+    """
+    bounds = signature.element_bounds
+    token_based = phi.kind.is_token_based
+    candidates: dict[int, CandidateInfo] = {}
+    # Size-gate verdicts per candidate set, computed once per set rather
+    # than once per posting.
+    size_ok: dict[int, bool] = {}
+
+    def passes_size_gate(set_id: int) -> bool:
+        if size_range is None:
+            return True
+        ok = size_ok.get(set_id)
+        if ok is None:
+            size = len(collection[set_id])
+            ok = size_range[0] <= size <= size_range[1]
+            size_ok[set_id] = ok
+        return ok
+
+    # Tombstoned sets keep postings until the index compacts; skip them.
+    deleted = collection.deleted_ids
+
+    for i, tokens in enumerate(signature.per_element):
+        if not tokens:
+            continue
+        bound_i = bounds[i]
+        probe = reference.elements[i]
+        # Gather this element's distinct (set_id, element_index) pairs
+        # across all its signature tokens, so duplicated postings are
+        # not recomputed and phi runs as one batch.
+        seen_i: set[tuple[int, int]] = set()
+        pairs: list[tuple[int, int]] = []
+        for token in tokens:
+            for set_id, element_index in index.postings(token):
+                if set_id < first_set or set_id == skip_set or set_id in deleted:
+                    continue
+                key = (set_id, element_index)
+                if key in seen_i:
+                    continue
+                seen_i.add(key)
+                if not passes_size_gate(set_id):
+                    continue
+                pairs.append(key)
+                if set_id not in candidates:
+                    candidates[set_id] = CandidateInfo(set_id)
+        if not pairs:
+            continue
+        if token_based:
+            scores = backend.token_similarities(
+                probe.index_tokens,
+                [
+                    collection[set_id].elements[j].index_tokens
+                    for set_id, j in pairs
+                ],
+                phi,
+            )
+        elif memo is not None and memo.enabled:
+            scores = [
+                memo.edit_value(
+                    phi, probe.text, collection[set_id].elements[j].text, bound_i
+                )
+                for set_id, j in pairs
+            ]
+        else:
+            # *bound_i* lets the banded Levenshtein bail out early when
+            # the score cannot beat the signature bound anyway.
+            scores = [
+                phi.edit_at_least(
+                    probe.text, collection[set_id].elements[j].text, bound_i
+                )
+                for set_id, j in pairs
+            ]
+        for (set_id, _), score in zip(pairs, scores):
+            if score > bound_i:
+                info = candidates[set_id]
+                if score > info.best.get(i, 0.0):
+                    info.best[i] = score
+
+    # Empty-after-tokenisation reference elements score similarity 1
+    # against any empty candidate element, yet neither side carries a
+    # token the probe above could meet.  Enumerate those candidates from
+    # the index's empty-element postings and witness the (exact) NN
+    # value of 1 so every downstream bound stays sound.
+    empty_ref = [
+        i
+        for i, element in enumerate(reference.elements)
+        if not element.index_tokens
+    ]
+    if empty_ref:
+        witness = phi.threshold(1.0)
+        for set_id, _ in index.empty_postings():
+            if set_id < first_set or set_id == skip_set or set_id in deleted:
+                continue
+            if not passes_size_gate(set_id):
+                continue
+            info = candidates.get(set_id)
+            if info is None:
+                info = CandidateInfo(set_id)
+                candidates[set_id] = info
+            for i in empty_ref:
+                if witness > bounds[i] and witness > info.best.get(i, 0.0):
+                    info.best[i] = witness
+
+    return candidates
+
+
+def dense_check(candidates, bounds, cutoff, apply_check=True):
+    """The check filter as the batch was built before the witnessed rows.
+
+    One row per oracle candidate (*candidates*: :func:`gather_reference`'s
+    output), its gain and estimate from :class:`CandidateInfo`; with
+    *apply_check* every row whose ``residual + gain`` is below *cutoff*
+    is dropped.  Returns the ``(set_ids, gains, estimates, best)``
+    columns :func:`repro.filters.check.check_columns` must equal.
+    """
+    residual = sum(bounds)
+    set_ids = sorted(candidates)
+    gains = [candidates[set_id].gain(bounds) for set_id in set_ids]
+    best = [candidates[set_id].best for set_id in set_ids]
+    if not apply_check:
+        return set_ids, gains, [INF] * len(set_ids), best
+    estimates = [residual + gain for gain in gains]
+    keep = [k for k, bound in enumerate(estimates) if bound >= cutoff]
+    return (
+        [set_ids[k] for k in keep],
+        [gains[k] for k in keep],
+        [estimates[k] for k in keep],
+        [best[k] for k in keep],
+    )
+
+
+def assert_same_columns(got, expected):
+    """Two check outputs are equal bit for bit, map key order included."""
+    (ids, gains, estimates, best), (ids2, gains2, estimates2, best2) = got, expected
+    assert ids == ids2
+    assert gains == gains2 and estimates == estimates2
+    assert [list(w.items()) for w in best] == [list(w.items()) for w in best2]
+
+
 def assert_columns_match_the_oracle(
     reference, signature, index, phi, collection, window, skip, backend, memos,
     stored, first_set=0,
 ):
+    """The probe's surfaced ids and witnessed rows equal the oracle's, the
+    funnel counters a first-principles count, and the check's columns --
+    dense or witnessed, on or off -- the dense rule's.  The probe runs
+    with the token-kind overlap bound at its size gate and on every
+    content (these collections are too small to reach the gate)."""
     packed_memo, oracle_memo = memos
-    stats = PassStats()
-    set_ids, sizes, gains, best = check._gather_packed(
-        reference, signature, index, phi, collection, window, skip,
-        backend, packed_memo, stats, None, first_set,
-    )
-    candidates = check._gather_reference(
+    candidates = gather_reference(
         reference, signature, index, phi, collection, window, skip,
         backend, oracle_memo, first_set,
     )
+    funnel = expected_funnel(
+        signature, index, collection, window, skip, reference, stored, first_set
+    )
+    gate = check._BOUND_MIN_CONTENTS
+    for min_contents in (gate, 0):
+        stats = PassStats()
+        check._BOUND_MIN_CONTENTS = min_contents
+        try:
+            surfaced, witnessed = check._gather_packed(
+                reference, signature, index, phi, collection, window, skip,
+                backend, packed_memo, stats, None, first_set,
+            )
+        finally:
+            check._BOUND_MIN_CONTENTS = gate
+        assert_rows_match(surfaced, witnessed, candidates, signature)
+        assert (
+            stats.select_postings_scanned,
+            stats.select_distinct_pairs,
+            stats.select_size_gate_drops,
+        ) == funnel
+
+
+def assert_rows_match(surfaced, witnessed, candidates, signature):
+    """Surfaced ids and witnessed rows equal the oracle *candidates*', and
+    :func:`~repro.filters.check.check_columns` the dense rule."""
     bounds = signature.element_bounds
-    assert set_ids == sorted(candidates)
-    assert sizes == [len(collection[set_id]) for set_id in set_ids]
+    set_ids, gains, best = witnessed
+    assert surfaced == sorted(candidates)
+    assert set_ids == [s for s in surfaced if candidates[s].best]
     # Bit for bit: == on floats, no tolerance.
     assert gains == [candidates[set_id].gain(bounds) for set_id in set_ids]
-    assert [list(witnessed.items()) for witnessed in best] == [
+    assert [list(w.items()) for w in best] == [
         list(candidates[set_id].best.items()) for set_id in set_ids
     ]
     assert all(type(score) is float for w in best for score in w.values())
-    # The NN filter fills the maps in place: no two rows may share one.
-    assert len({id(witnessed) for witnessed in best}) == len(best)
-    assert (
-        stats.select_postings_scanned,
-        stats.select_distinct_pairs,
-        stats.select_size_gate_drops,
-    ) == expected_funnel(
-        signature, index, collection, window, skip, reference, stored, first_set
-    )
+    residual = sum(bounds)
+    for cutoff in (residual - 0.5, residual, residual + 0.5):
+        for apply_check in (True, False):
+            checked = check.check_columns(
+                surfaced, witnessed, residual, cutoff, apply_check
+            )
+            assert_same_columns(
+                checked, dense_check(candidates, bounds, cutoff, apply_check)
+            )
+            # The NN filter fills the maps in place: no two rows may share one.
+            assert len({id(w) for w in checked[3]}) == len(checked[3])
 
 
 def select_probe(

@@ -11,17 +11,27 @@ These are the load-bearing inequalities of the paper:
   (Sections 6.1, 7.2).
 * NN no-share cap: ``Eds(r, s) <= |r| / (|r| + ceil(|r|/q))`` when s
   shares no q-gram at all with r (Section 7.1 / NN filter).
+* Shared-signature-token bound (token kinds, candidate selection): a
+  content c holding ``c_sig`` of the ``k`` signature tokens of r shares
+  at most ``min(c_sig + |r| - k, |c|, |r|)`` tokens with r, and the
+  closed form is monotone in the overlap, so a content whose bound does
+  not beat ``u`` cannot be a witness.
 """
 
 import math
 import random
+from array import array
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.records import SetCollection
+from repro.filters.check import _may_witness
 from repro.sim.functions import SimilarityFunction, SimilarityKind, eds, jaccard, neds
 from repro.signatures.weights import weights_for
+from strategies import TOKEN_KINDS
+from strategies.kernels import KERNEL_MODES, kernel_mode
 
 _WORDS = [f"w{i}" for i in range(20)]
 
@@ -141,3 +151,89 @@ class TestEditBounds:
             if s.index_tokens & k:
                 continue
             assert eds(r.text, s.text) < alpha + 1e-12
+
+
+# ----------------------------------------------------------------------
+# The shared-signature-token bound of the token-kind select probe
+# ----------------------------------------------------------------------
+_MAX_SIZE = 6
+_ALPHAS = (0.0, 0.3, 0.5, 0.8)
+
+
+def _exact(phi, size_r, k, size_c, c_sig, unsigned_shared):
+    """phi on real token sets: r = 0..|r|-1 with signature 0..k-1; c holds
+    c_sig signature tokens, *unsigned_shared* other tokens of r and
+    foreign ones up to |c|."""
+    r = set(range(size_r))
+    c = set(range(c_sig)) | set(range(k, k + unsigned_shared))
+    c |= set(range(100, 100 + size_c - len(c)))
+    return phi.tokens(r, c)
+
+
+def _shapes(size_r, k):
+    """Every (|c|, c_sig) a content reaching r through its signature can
+    have, and per shape the exact scores of every feasible overlap."""
+    for size_c in range(1, _MAX_SIZE + 1):
+        for c_sig in range(1, min(k, size_c) + 1):
+            overlaps = range(min(size_r - k, size_c - c_sig) + 1)
+            yield size_c, c_sig, overlaps
+
+
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
+@pytest.mark.parametrize("kind", TOKEN_KINDS)
+@pytest.mark.parametrize("alpha", _ALPHAS)
+def test_the_overlap_bound_is_sound_and_monotone(kernels, kind, alpha):
+    """Exhaustive over |r|, |c| <= 6: the closed form at the bounded
+    overlap is >= every exact float a content of that shape can score,
+    and the closed form never drops as the overlap grows."""
+    phi = SimilarityFunction(kind, alpha)
+    with kernel_mode(kernels):
+        for size_r in range(1, _MAX_SIZE + 1):
+            for size_c in range(1, _MAX_SIZE + 1):
+                scores = [
+                    phi.tokens_from_counts(size_r, size_c, shared)
+                    for shared in range(min(size_r, size_c) + 1)
+                ]
+                assert scores == sorted(scores)
+            for k in range(1, size_r + 1):
+                for size_c, c_sig, overlaps in _shapes(size_r, k):
+                    bound = phi.tokens_from_counts(
+                        size_r, size_c, min(c_sig + size_r - k, size_c, size_r)
+                    )
+                    for u in overlaps:
+                        exact = _exact(phi, size_r, k, size_c, c_sig, u)
+                        assert exact == phi.tokens_from_counts(
+                            size_r, size_c, c_sig + u
+                        )
+                        assert bound >= exact
+
+
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
+@pytest.mark.parametrize("kind", TOKEN_KINDS)
+@pytest.mark.parametrize("alpha", _ALPHAS)
+def test_the_probe_never_skips_a_possible_witness(kernels, kind, alpha):
+    """``_may_witness`` keeps every content some overlap of its shape lets
+    beat the element bound, at every bound a score can take, in order,
+    whether the c_sig counts are given or all 1."""
+    phi = SimilarityFunction(kind, alpha)
+    with kernel_mode(kernels):
+        for size_r in range(1, _MAX_SIZE + 1):
+            for k in range(1, size_r + 1):
+                shapes = list(_shapes(size_r, k))
+                best = [
+                    max(_exact(phi, size_r, k, c, c_sig, u) for u in overlaps)
+                    for c, c_sig, overlaps in shapes
+                ]
+                sizes = array("q", [c for c, _, _ in shapes])
+                signed = {content: c_sig for content, (_, c_sig, _) in enumerate(shapes)}
+                contents = list(range(len(shapes)))
+                single = [content for content in contents if signed[content] == 1]
+                for bound in sorted({0.0, *best}):
+                    kept = _may_witness(
+                        contents, signed, sizes, size_r, size_r - k, bound, phi
+                    )
+                    assert kept == sorted(kept)
+                    assert {c for c in contents if best[c] > bound} <= set(kept)
+                    assert _may_witness(
+                        single, None, sizes, size_r, size_r - k, bound, phi
+                    ) == [c for c in kept if c in single]

@@ -329,7 +329,7 @@ def test_one_refresh_is_one_pass_over_the_sets_added_since(monkeypatch):
 
     def recording(self, plan, state, stats):
         run(self, plan, state, stats)
-        surfaced.append(list(state.batch.set_ids))
+        surfaced.append(list(state.surfaced))
 
     monkeypatch.setattr(CandidateSelectStage, "run", recording)
     passes = service.engine.stats.passes

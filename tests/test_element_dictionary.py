@@ -10,8 +10,8 @@ in place of the occurrence postings.  Neither may change a result:
   their texts are equal, positions survive, query references read the
   dictionary without writing it and equal a dictionary-free
   tokenisation field for field;
-* **select** -- ``_gather_packed``'s columns equal the per-occurrence
-  oracle ``_gather_reference`` bit for bit and the funnel counters a
+* **select** -- ``_gather_packed``'s rows equal the per-occurrence
+  oracle ``gather_reference`` bit for bit and the funnel counters a
   first-principles count, on duplication-heavy draws
   (``strategies.duplicated_collections``) under floors, self-skips,
   size windows, tombstones before and after ``compact`` and an index
@@ -331,11 +331,11 @@ class TestContentSelect:
             phi = SimilarityFunction(SimilarityKind.JACCARD, 0.0)
             reference = collection[0]
             signature = get_scheme("weighted").generate(reference, 0.5, phi, index)
-            set_ids, _, _, best = check._gather_packed(
+            surfaced, (set_ids, _, best) = check._gather_packed(
                 reference, signature, index, phi, collection, None, 0,
                 get_backend(), None, None, None, 2,
             )
-            assert set_ids == [3] and best == [{0: 1.0}]
+            assert surfaced == set_ids == [3] and best == [{0: 1.0}]
 
     @pytest.mark.parametrize("kernels", KERNEL_MODES)
     def test_gated_sets_leave_no_row_behind(self, kernels):
@@ -361,15 +361,16 @@ class TestContentSelect:
             stats_of = {}
             for window in ((1.0, 2.0), None):
                 stats = stats_of[window] = check.PassStats()
-                set_ids, sizes, gains, best = check._gather_packed(
+                surfaced, (set_ids, gains, best) = check._gather_packed(
                     reference, signature, index, phi, collection, window, 1,
                     get_backend(), None, stats, None, 1,
                 )
+                assert surfaced == set_ids
                 if window is None:
                     assert set_ids == [3, 4, 5]
                     assert best == [{0: 1.0, 1: 1.0}, {0: 1.0, 1: 1.0}, {1: 1.0}]
                 else:
-                    assert set_ids == [4, 5] and sizes == [2, 2]
+                    assert set_ids == [4, 5]
                     assert best == [{0: 1.0, 1: 1.0}, {1: 1.0}]
                     assert gains == [1.0, 0.5]
             # One set dropped by the window in the token probe, one of its

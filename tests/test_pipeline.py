@@ -112,33 +112,16 @@ class TestCandidateBatch:
     def test_take_preserves_parallel_columns(self):
         batch = CandidateBatch(
             set_ids=[1, 3, 5],
-            sizes=[2, 4, 6],
             gains=[0.0, 0.5, 1.0],
             estimates=[1.0, 2.0, 3.0],
             best=[{0: 0.1}, {}, {1: 0.9}],
         )
         taken = batch.take([0, 2])
         assert taken.set_ids == [1, 5]
-        assert taken.sizes == [2, 6]
         assert taken.gains == [0.0, 1.0]
         assert taken.estimates == [1.0, 3.0]
         assert taken.best == [{0: 0.1}, {1: 0.9}]
         assert len(taken) == 2
-
-    def test_row_view_of_the_columns(self):
-        bounds = (0.5, 0.5)
-        batch = CandidateBatch(
-            set_ids=[1, 3],
-            sizes=[2, 4],
-            gains=[0.4, 0.0],
-            estimates=[float("inf")] * 2,
-            best=[{0: 0.9}, {}],
-        )
-        back = batch.to_infos()
-        assert [info.set_id for info in back] == [1, 3]
-        assert back[0].best == {0: 0.9}
-        assert back[0].estimate(bounds) == pytest.approx(1.4)
-        assert [info.gain(bounds) for info in back] == pytest.approx(batch.gains)
 
 
 class TestCrossDriverIdentity:

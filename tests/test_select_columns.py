@@ -1,11 +1,13 @@
 """The columnar select against the per-posting oracle, column by column.
 
-:func:`repro.filters.check._gather_packed` emits the candidate batch's
-columns directly -- no object per surfaced set.  These suites pin every
-column to what the original loop (``_gather_reference``, kept verbatim
-in ``src/``) produces for the same probe: ``set_ids``, ``sizes`` and
-``gains`` bit for bit, ``best`` including the maps' insertion order
-(downstream float summation observes it), plus the three select-funnel
+:func:`repro.filters.check._gather_packed` emits the surfaced set ids
+and the witnessed rows -- no object per surfaced set.  These suites pin
+them to what the original loop (``gather_reference``, kept in
+``strategies/checks.py``) produces for the same probe: the surfaced ids,
+and per witnessed set its gain bit for bit and its ``best`` map
+including the insertion order (downstream float summation observes
+it); the check filter's columns, on and off, to the dense rule's
+(``dense_check``); plus the three select-funnel
 counters against a first-principles count (per posting key for the
 edit kinds, per distinct content for the token kinds) -- for every
 similarity kind, with the numpy kernels on and off, under self-match
@@ -17,21 +19,26 @@ size-window shape, empty and duplicate elements, and member as well as
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.backends import get_backend
+from repro.backends import ComputeBackend, get_backend
 from repro.baselines.brute_force import brute_force_discover, brute_force_search
 from repro.core.config import SilkMothConfig
+from repro.core.constants import EPSILON
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
+from repro.core.stats import PassStats
 from repro.filters import check
 from repro.index.inverted import InvertedIndex
+from repro.pipeline import PipelineState, QueryPlan
 from repro.sim.functions import SimilarityFunction, SimilarityKind
 from repro.sim.memo import SimilarityMemo
-from repro.signatures.base import Signature
+from repro.signatures import get_scheme
+from repro.signatures.base import Signature, SignedReference
 from strategies import (
     EDIT_KINDS,
     TOKEN_KINDS,
@@ -43,6 +50,9 @@ from strategies import (
 from strategies.checks import (
     WINDOWS,
     assert_columns_match_the_oracle,
+    assert_same_columns,
+    dense_check,
+    gather_reference,
     select_probe,
 )
 from strategies.kernels import KERNEL_MODES, LOADED_KERNEL_MODES, kernel_mode
@@ -152,16 +162,16 @@ def test_a_set_witnessed_by_several_elements_keeps_element_order():
     )
     for kernels in LOADED_KERNEL_MODES:
         with kernel_mode(kernels):
-            set_ids, sizes, gains, best = check._gather_packed(
+            surfaced, (set_ids, gains, best) = check._gather_packed(
                 reference, signature, index, phi, collection, None, 0,
                 get_backend(), None, None, None,
             )
-        # Set 3 shares a token but stays under the bound: surfaced, no witness.
-        assert set_ids == [1, 2, 3] and sizes == [3, 2, 1]
+        # Set 3 shares a token but stays under the bound: surfaced, no row.
+        assert surfaced == [1, 2, 3] and set_ids == [1, 2]
         assert [list(w.items()) for w in best] == [
-            [(0, 1.0), (2, 1.0), (1, 1.0)], [(1, 1.0)], []
+            [(0, 1.0), (2, 1.0), (1, 1.0)], [(1, 1.0)]
         ]
-        assert gains == [((0.0 + (1.0 - 0.3)) + (1.0 - 0.3)) + (1.0 - 0.5), 0.5, 0.0]
+        assert gains == [((0.0 + (1.0 - 0.3)) + (1.0 - 0.3)) + (1.0 - 0.5), 0.5]
 
 
 @pytest.mark.parametrize("kernels", KERNEL_MODES)
@@ -229,3 +239,145 @@ def test_engine_and_brute_force_agree(kernels):
     assert engine.stats.select_distinct_pairs > 0
     oracle = brute_force_discover(SetCollection.from_strings(sets), config)
     assert pairs == [(p.reference_id, p.set_id) for p in oracle]
+
+
+# ----------------------------------------------------------------------
+# The check stage's batch, and the overlap bound inside the probe
+# ----------------------------------------------------------------------
+def _stage_batch(reference, signature, collection, index, config):
+    """The batch the signature, select and check stages leave behind."""
+    plan = QueryPlan.build(
+        SignedReference(reference, signature), config, collection, index
+    )
+    state, stats = PipelineState(), PassStats()
+    for stage in plan.stages[:3]:
+        stage.run(plan, state, stats)
+    assert stats.initial_candidates == len(state.surfaced)
+    assert stats.after_check == len(state.batch)
+    batch = state.batch
+    return plan, (batch.set_ids, batch.gains, batch.estimates, batch.best)
+
+
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
+@pytest.mark.parametrize("check_filter", [True, False])
+@pytest.mark.parametrize("bounds", ["scheme", "loose"])
+@pytest.mark.parametrize("kind", [SimilarityKind.JACCARD, SimilarityKind.EDS])
+def test_the_check_stage_batch_equals_the_dense_rule(
+    kernels, check_filter, bounds, kind
+):
+    """The batch after check -- ids, gains, estimates, best maps and their
+    key order -- equals the dense rule over the oracle's rows, with the
+    check on and off, and with a hand-built signature (every bound 1.0)
+    whose residual reaches the cutoff, so unwitnessed sets survive."""
+    rng = random.Random(44)
+    words = ["ash", "bay", "elm", "fir", "ivy", "oak", "sky", "yew"]
+    sets = [
+        [" ".join(rng.sample(words, rng.randint(1, 3))) for _ in range(3)]
+        for _ in range(30)
+    ] + [["", "ash bay"]]
+    collection = SetCollection.from_strings(sets, kind=kind, q=2)
+    index = InvertedIndex(collection)
+    config = SilkMothConfig(
+        similarity=kind, delta=0.5 if kind.is_token_based else 0.8, q=2,
+        check_filter=check_filter, nn_filter=False,
+    )
+    reference = collection.query_set(["ash bay", "elm fir", ""])
+    signature = get_scheme("weighted").generate(
+        reference, config.delta * len(reference) - EPSILON, config.phi, index
+    )
+    assert signature is not None
+    if bounds == "loose":
+        signature = replace(
+            signature, element_bounds=(1.0,) * len(reference), scheme="by-hand"
+        )
+    with kernel_mode(kernels):
+        plan, got = _stage_batch(reference, signature, collection, index, config)
+        assert plan.stages[0].enabled  # a probed pass, not a full scan
+        candidates = gather_reference(
+            reference, signature, index, plan.phi, collection, plan.size_range,
+            None, get_backend(), None,
+        )
+    cutoff = plan.theta - EPSILON
+    assert (sum(signature.element_bounds) >= cutoff) == (bounds == "loose")
+    assert_same_columns(
+        got,
+        dense_check(candidates, signature.element_bounds, cutoff, check_filter),
+    )
+    if bounds == "loose" or not check_filter:
+        assert len(got[0]) == len(candidates) > 0
+    else:
+        assert 0 < len(got[0]) < len(candidates)
+
+
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
+@pytest.mark.parametrize("gate", [0, None])
+def test_the_overlap_bound_skips_scoring(kernels, gate, monkeypatch):
+    """``a b c d`` probes with the one signature token ``a`` and bound 0.6.
+    Of the four contents holding ``a``, the 8-token one shares at most 4
+    tokens (Jaccard <= 0.5) and ``a`` alone at most 1 (0.25): with the
+    size gate at 0 neither is scored, while ``a b c d`` (1.0) and the
+    6-token one (up to 4 / 6) are.  Four contents are below the default
+    gate, so there all four are scored.  The witnesses equal the
+    oracle's either way."""
+    collection = SetCollection.from_strings(
+        [["a b c d"], ["a x y z w v"], ["a p q r s t u v"], ["a b c d", "a"]]
+    )
+    index = InvertedIndex(collection)
+    phi = SimilarityFunction(SimilarityKind.JACCARD, 0.0)
+    reference = collection.query_set(["a b c d"])
+    a = frozenset({collection.vocabulary.id_of("a")})
+    signature = Signature(a, (a,), (0.6,), "by-hand")
+    scored = []
+    score = ComputeBackend.indexed_token_similarities
+
+    def counting(self, probe, elements, keys, phi):
+        scored.append(len(keys))
+        return score(self, probe, elements, keys, phi)
+
+    monkeypatch.setattr(ComputeBackend, "indexed_token_similarities", counting)
+    if gate is not None:
+        monkeypatch.setattr(check, "_BOUND_MIN_CONTENTS", gate)
+    with kernel_mode(kernels):
+        stats = PassStats()
+        surfaced, (set_ids, _, best) = check._gather_packed(
+            reference, signature, index, phi, collection, None, None,
+            get_backend(), None, stats, None,
+        )
+    assert stats.select_distinct_pairs == 4
+    assert scored == ([2] if gate == 0 else [4])
+    assert surfaced == [0, 1, 2, 3]
+    assert set_ids == [0, 3] and best == [{0: 1.0}, {0: 1.0}]
+    candidates = gather_reference(
+        reference, signature, index, phi, collection, None, None,
+        get_backend(), None,
+    )
+    assert set_ids == [s for s in sorted(candidates) if candidates[s].best]
+
+
+@pytest.mark.parametrize("kernels", KERNEL_MODES)
+def test_a_signature_token_outside_the_element_turns_the_bound_off(
+    kernels, monkeypatch
+):
+    """``l_0 = {a, x}`` for ``r_0 = a b``: x is not r_0's, so c_sig + |r_0|
+    - k_0 = 1 would cap ``a b c`` at Jaccard 0.25 though it scores 2 / 3.
+    Such a hand-built signature gets no bound: the witness stays."""
+    collection = SetCollection.from_strings([["a b c"], ["a x"]])
+    index = InvertedIndex(collection)
+    phi = SimilarityFunction(SimilarityKind.JACCARD, 0.0)
+    reference = collection.query_set(["a b"])
+    vocabulary = collection.vocabulary
+    tokens = frozenset({vocabulary.id_of("a"), vocabulary.id_of("x")})
+    signature = Signature(tokens, (tokens,), (0.5,), "by-hand")
+    monkeypatch.setattr(check, "_BOUND_MIN_CONTENTS", 0)
+    with kernel_mode(kernels):
+        surfaced, (set_ids, _, best) = check._gather_packed(
+            reference, signature, index, phi, collection, None, None,
+            get_backend(), None, None, None,
+        )
+    assert surfaced == [0, 1]
+    assert set_ids == [0] and best == [{0: 2 / 3}]
+    candidates = gather_reference(
+        reference, signature, index, phi, collection, None, None,
+        get_backend(), None,
+    )
+    assert best == [candidates[0].best]

@@ -2,7 +2,7 @@
 
 The columnar candidate-selection kernel (:mod:`repro.filters.check`)
 must be observationally identical to the original per-posting loop
-(``check._gather_reference``) on *any* input: same candidate set
+(``strategies.checks.gather_reference``) on *any* input: same candidate set
 ids, same witnessed ``best`` maps -- including dict insertion order,
 which downstream float summation observes -- under tombstones, empty
 elements, self-match skips and every size-gate shape, with the numpy
@@ -28,7 +28,6 @@ from repro.backends.select import (
 from repro.baselines.brute_force import brute_force_search
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
-from repro.filters import check
 from repro.filters.check import select_and_check
 from repro.index.inverted import PACK_SHIFT, InvertedIndex, pack_posting
 from repro.sim.functions import SimilarityFunction, SimilarityKind
@@ -42,6 +41,7 @@ from strategies import (
     token_configs,
     token_sets,
 )
+from strategies.checks import gather_reference
 from strategies.kernels import KERNEL_MODES, kernel_mode
 
 _SETTINGS = settings(
@@ -65,7 +65,7 @@ def _reference_infos(
     size_range=None, skip_set=None, backend=None, memo=None,
 ):
     """``select_and_check``'s rows, from the per-posting oracle."""
-    candidates = check._gather_reference(
+    candidates = gather_reference(
         reference, signature, index, phi, collection, size_range, skip_set,
         backend or get_backend(), memo,
     )
