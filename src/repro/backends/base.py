@@ -196,12 +196,13 @@ class ComputeBackend:
 
         Edit kinds only; every cell equals
         ``phi.edit_at_least(patterns[i], texts[j], 0.0)`` bit for bit.
-        This is the one way an edit-kind weight matrix gets built:
-        verification asks for one grid per pass (patterns = the
-        reference's elements, texts = the distinct element texts of all
-        survivors) and takes each candidate's matrix from its positive
-        cells (:meth:`grid_columns`); :meth:`weight_matrix` asks for
-        the grid of a single candidate.  *memo* is consulted first and
+        Verification asks for one grid per block of survivors (patterns
+        = the reference's elements, texts = the block's distinct element
+        texts) unless it can score the cells that share a gram alone
+        (:func:`repro.matching.score.edit_weight_matrices`), and takes
+        each candidate's matrix from its positive cells
+        (:meth:`grid_columns`); :meth:`weight_matrix` asks for the grid
+        of a single candidate.  *memo* is consulted first and
         receives what had to be computed, so the cross-stage cache
         means what it always did.  When at least
         :attr:`edit_batch_min_tasks` cells are unknown (and alpha is

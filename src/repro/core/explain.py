@@ -23,7 +23,7 @@ from repro.core.constants import EPSILON
 from repro.core.engine import SilkMoth
 from repro.core.results import relatedness_value
 from repro.core.records import SetRecord
-from repro.filters.nearest_neighbor import _no_share_cap, nn_search
+from repro.filters.nearest_neighbor import nn_search
 from repro.matching.assignment import AlignedPair, scored_alignment
 
 
@@ -132,7 +132,7 @@ def explain(
         q = config.effective_q
         nn_estimate = 0.0
         for nn, element in zip(nearest, reference.elements):
-            nn_estimate += max(nn, _no_share_cap(element, phi, q))
+            nn_estimate += max(nn, phi.no_share_cap(element.length, q))
         if "check" in survives and nn_estimate >= theta - EPSILON:
             survives.append("nn")
 

@@ -10,15 +10,19 @@ For edit similarity the index-backed search only retrieves elements
 sharing a q-gram with the probe.  Two strings can have non-zero edit
 similarity without sharing any q-gram, so the search result is combined
 with the no-shared-gram cap ``|r| / (|r| + ceil(|r|/q))`` from Section
-7.1; under the evaluation's ``q < alpha/(1-alpha)`` constraint that cap
-is below alpha and vanishes after thresholding.
+7.1 (:meth:`~repro.sim.functions.SimilarityFunction.no_share_cap`);
+under the evaluation's ``q < alpha/(1-alpha)`` constraint that cap is
+below alpha and vanishes after thresholding.  The edit-kind group search
+walks the group's sets rather than the probe's posting runs and scores
+each distinct sharing text once per call (:func:`nn_search_group`).
 
 Loop order: Algorithm 2 refines a candidate's elements worst bound
 first, and that order depends on the reference element alone, so every
 candidate of a pass walks the same global element order.
 :func:`nn_filter_columns` therefore iterates *element-major*: for each
 reference element, one :func:`nn_search_group` answers every candidate
-that still needs it, walking each of the element's posting lists once.
+that still needs it (token kinds walk each of the element's posting
+lists once, edit kinds each group set once).
 The group is built when its element is refined -- the candidates still
 alive at that moment with no witness for it, in set-id order -- so a
 candidate pruned at its first refined element (most of them) costs no
@@ -33,7 +37,6 @@ oracle, and the up-front waiting lists as the schedule's).
 
 from __future__ import annotations
 
-import math
 from functools import reduce
 from operator import add
 from typing import Sequence
@@ -41,20 +44,8 @@ from typing import Sequence
 from repro.backends import get_backend
 from repro.core.records import ElementRecord, SetCollection, SetRecord
 from repro.filters.check import CandidateInfo
-from repro.index.inverted import PACK_MASK, PACK_SHIFT, InvertedIndex
+from repro.index.inverted import PACK_SHIFT, InvertedIndex
 from repro.sim.functions import SimilarityFunction
-from repro.sim.memo import SimilarityMemo
-
-
-def _no_share_cap(element: ElementRecord, phi: SimilarityFunction, q: int) -> float:
-    """Upper bound on phi_alpha(element, s) when s shares no index token."""
-    if phi.kind.is_token_based:
-        return 0.0
-    length = element.length
-    if length == 0:
-        return 1.0
-    chunks = math.ceil(length / q)
-    return phi.threshold(length / (length + chunks))
 
 
 def nn_search_group(
@@ -63,7 +54,6 @@ def nn_search_group(
     index: InvertedIndex,
     phi: SimilarityFunction,
     collection: SetCollection,
-    memo: SimilarityMemo | None = None,
 ) -> dict[int, float]:
     """Exact NN similarity of *element* within each of *set_ids*, via the index.
 
@@ -71,11 +61,12 @@ def nn_search_group(
     nearest element}`` for the sets where that is positive; a missing
     set means no element sharing an index token scores above zero
     (Section 5.2 -- the caller combines the result with the no-share
-    cap where that matters).
+    cap where that matters).  A set the index does not hold (never
+    added, or compacted away) yields nothing, as its postings would.
 
-    Each token's posting run is walked once for the whole group
-    (:meth:`InvertedIndex.keys_in_sets`).  For token kinds the walk is
-    the similarity: the index holds one posting per (element, distinct
+    Token kinds walk each token's posting run once for the whole group
+    (:meth:`InvertedIndex.keys_in_sets`), and the walk is the
+    similarity: the index holds one posting per (element, distinct
     token) -- ``index_tokens`` is a frozenset, and tombstoning,
     out-of-order ``add_record`` re-sorts and compaction all keep it so
     -- hence the number of *element*'s tokens whose run contains
@@ -84,10 +75,18 @@ def nn_search_group(
     (:meth:`SimilarityFunction.tokens_from_counts`); the compute
     backend runs that walk
     (:meth:`~repro.backends.base.ComputeBackend.nearest_in_sets`, on
-    numpy arrays for a large group).  Edit kinds score
-    each distinct sharing element once, in first-seen order per set,
-    each set's running best tightening the Levenshtein band for its
-    next element; *memo* serves and records those pairs.
+    numpy arrays for a large group).
+
+    Edit kinds walk the group *set-major*: each held set's elements
+    (the index holds a set iff the forward column has its key
+    ``(S, 0)``), of which only those sharing a gram with *element* --
+    exactly the ones its posting runs reach -- can score.  Each
+    distinct text is tested once per call (one C-level ``isdisjoint``)
+    and, if it shares, scored once, unbounded
+    (``phi.edit_at_least(text, other, 0.0)``); a set keeps its
+    maximum.  A max does not depend on the walk order, and a value
+    above a floor is the same float with or without it, so the result
+    is the posting walk's bit for bit.
     """
     tokens = element.index_tokens
     if phi.kind.is_token_based:
@@ -103,23 +102,29 @@ def nn_search_group(
                     nearest[set_id] = top
         return nearest
     nearest = {}
+    if not tokens:
+        return nearest  # shares no gram with anything
+    disjoint = tokens.isdisjoint
     text = element.text
-    memoized = memo is not None and memo.enabled
-    seen: set[int] = set()
-    for token in tokens:
-        for key in index.keys_in_sets(token, set_ids):
-            if key in seen:
-                continue
-            seen.add(key)
-            set_id = key >> PACK_SHIFT
-            best = nearest.get(set_id, 0.0)
-            other = collection[set_id].elements[key & PACK_MASK].text
-            if memoized:
-                score = memo.edit_value(phi, text, other, best)
-            else:
-                score = phi.edit_at_least(text, other, best)
+    stored = index.posting_elements()
+    scores: dict[str, float] = {}
+    for set_id in set_ids:
+        if (set_id << PACK_SHIFT) not in stored:
+            continue
+        best = 0.0
+        for other in collection[set_id].elements:
+            other_text = other.text
+            score = scores.get(other_text)
+            if score is None:
+                score = scores[other_text] = (
+                    0.0
+                    if disjoint(other.index_tokens)
+                    else phi.edit_at_least(text, other_text, 0.0)
+                )
             if score > best:
-                nearest[set_id] = score
+                best = score
+        if best > 0.0:
+            nearest[set_id] = best
     return nearest
 
 
@@ -130,13 +135,12 @@ def nn_search(
     phi: SimilarityFunction,
     collection: SetCollection,
     floor: float = 0.0,
-    memo: SimilarityMemo | None = None,
 ) -> float:
     """Exact NN similarity of *element* within set *set_id*, at least *floor*.
 
     The one-set case of :func:`nn_search_group`.
     """
-    nearest = nn_search_group(element, (set_id,), index, phi, collection, memo)
+    nearest = nn_search_group(element, (set_id,), index, phi, collection)
     return max(floor, nearest.get(set_id, 0.0))
 
 
@@ -150,7 +154,6 @@ def nn_filter_columns(
     phi: SimilarityFunction,
     collection: SetCollection,
     q: int = 1,
-    memo: SimilarityMemo | None = None,
 ) -> tuple[list[int], list[float]]:
     """Algorithm 2 over a columnar candidate batch.
 
@@ -169,7 +172,7 @@ def nn_filter_columns(
     ``(keep, estimates)``: indices into the batch that survive, and the
     refined score upper bound for each survivor (parallel to *keep*).
     """
-    caps = [_no_share_cap(element, phi, q) for element in reference.elements]
+    caps = [phi.no_share_cap(element.length, q) for element in reference.elements]
     effective = [max(bound, cap) for bound, cap in zip(bounds, caps)]
     # Start from the check filter's estimate: witnessed exact NN values
     # where they exist, signature bounds elsewhere, added in element
@@ -205,7 +208,6 @@ def nn_filter_columns(
             index,
             phi,
             collection,
-            memo,
         )
         cap = caps[i]
         pruned = False
@@ -232,7 +234,6 @@ def nearest_neighbor_filter(
     phi: SimilarityFunction,
     collection: SetCollection,
     q: int = 1,
-    memo: SimilarityMemo | None = None,
 ) -> list[CandidateInfo]:
     """Algorithm 2: prune candidates by the NN upper bound.
 
@@ -249,6 +250,5 @@ def nearest_neighbor_filter(
         phi,
         collection,
         q=q,
-        memo=memo,
     )
     return [candidates[k] for k in keep]

@@ -192,7 +192,6 @@ class NNFilterStage(Stage):
                 plan.phi,
                 plan.collection,
                 q=plan.config.effective_q,
-                memo=plan.memo,
             )
             state.batch = state.batch.take(keep)
             state.batch.estimates = estimates
@@ -204,7 +203,7 @@ class VerifyStage(Stage):
 
     Uses reduction-based verification (Section 5.3) where it is sound;
     otherwise edit kinds get all survivors' weight matrices from one
-    backend similarity grid per pass.
+    batch per block of survivors (:func:`edit_weight_matrices`).
     """
 
     name = "verify"
@@ -221,7 +220,12 @@ class VerifyStage(Stage):
         candidates = [plan.collection[set_id] for set_id in state.batch.set_ids]
         if plan.phi.kind.is_edit_based and not use_reduction:
             matrices = edit_weight_matrices(
-                plan.reference, candidates, plan.phi, plan.backend, plan.memo
+                plan.reference,
+                candidates,
+                plan.phi,
+                plan.backend,
+                config.effective_q,
+                plan.memo,
             )
         else:
             matrices = repeat(None)

@@ -223,6 +223,22 @@ class SimilarityFunction:
             return int((1.0 - cutoff) * max(len_x, len_y) + EPSILON)
         raise ValueError("edit_band requires an edit-based kind")
 
+    def no_share_cap(self, length: int, q: int) -> float:
+        """Section 7.1's bound on ``phi_alpha(x, s)`` when s shares no q-gram with x.
+
+        For ``|x| = length`` it is ``|x| / (|x| + ceil(|x|/q))``,
+        thresholded: under the evaluation's ``q < alpha/(1-alpha)``
+        constraint the cap is below alpha and thresholds to 0, so only
+        pairs that share a gram can score.  An empty x shares nothing yet scores 1 against an empty
+        s, so its cap is 1.  Token kinds: 0 (no shared token, no
+        similarity; the empty-probe case is the caller's).
+        """
+        if self.kind.is_token_based:
+            return 0.0
+        if length == 0:
+            return 1.0
+        return self.threshold(length / (length + math.ceil(length / q)))
+
     def edit_score_from_distance(
         self, len_x: int, len_y: int, distance: int, floor: float
     ) -> float:

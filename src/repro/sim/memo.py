@@ -3,22 +3,26 @@
 The paper's computation-reuse idea (Section 5.2) carries exact
 similarities from the check filter into the NN filter -- but only
 within a single candidate of a single pass.  This module extends the
-reuse across the stages that evaluate ``phi_alpha`` on element pairs,
-across all candidates of a pass and across queries of a long-lived
-:class:`~repro.service.SilkMothService`.
+reuse across the two stages that evaluate ``phi_alpha`` on element
+pairs one by one -- candidate selection and verification -- across all
+candidates of a pass and across queries of a long-lived
+:class:`~repro.service.SilkMothService`.  The NN filter does not use
+it: its group search scores each distinct text once per call
+(:func:`repro.filters.nearest_neighbor.nn_search_group`).
 
-Who fills it depends on batch size.  The NN filter always goes
-through :meth:`SimilarityMemo.edit_value` (compute on miss).  So does
-selection when its query-wide batch is short; a long one is scored in
-one lane batch that bypasses the memo (``edit_batch_min_tasks``,
-:mod:`repro.backends.base`), so verification starts colder (measured
-hit ratio 0.20 on the benchmark's ``verify_eds``, 0.70 on
-``discover_eds``).  Verification
-reads a pass's whole similarity grid with :meth:`SimilarityMemo.lookup`
-(never computes), computes the unknown cells in one batch and hands
-them back with :meth:`SimilarityMemo.store` -- the hits it does get are
-mostly the symmetric half: a pair scored for reference R against S is
-served when S becomes the reference.
+Who fills it depends on batch size.  Selection goes through
+:meth:`SimilarityMemo.edit_value` (compute on miss) when its
+query-wide batch is short; a long one is scored in one lane batch that
+bypasses the memo (``edit_batch_min_tasks``, :mod:`repro.backends.base`).
+Verification's dense grid reads a block's cells with
+:meth:`SimilarityMemo.lookup` (never computes), computes the unknown
+cells in one batch and hands them back with :meth:`SimilarityMemo.store`
+-- the hits it gets are mostly the symmetric half: a pair scored for
+reference R against S is served when S becomes the reference.  Its
+sharing-cells batch (:func:`repro.matching.score.edit_weight_matrices`)
+goes through ``edit_values`` like selection's.  On the benchmark's
+``discover_eds`` round (seed 11) that is 4 249 hits for 2 555 misses,
+on ``verify_eds`` 897 for 21 037.
 
 A :class:`SimilarityMemo` interns element texts into small integer ids
 and keeps an LRU map from unordered id pairs to the canonical

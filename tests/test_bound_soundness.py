@@ -116,13 +116,15 @@ class TestEditBounds:
             q=q,
         )
         r = collection[0].elements[0]
+        # alpha 0: the public cap is the unthresholded bound.
+        cap = SimilarityFunction(SimilarityKind.EDS).no_share_cap(r.length, q)
+        assert cap == r.length / (r.length + math.ceil(r.length / q))
         sibling = collection.sibling()
         for _ in range(15):
             s_record = sibling.add_set([_random_string(rng, rng.randint(1, 12))])
             s = s_record.elements[0]
             if s.index_tokens & r.index_tokens:
                 continue
-            cap = r.length / (r.length + math.ceil(r.length / q))
             assert eds(r.text, s.text) <= cap + 1e-12
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))

@@ -291,7 +291,7 @@ class TestPassMatrices:
         candidates = [collection[k] for k in range(1, len(sets))]
         memo = SimilarityMemo(4096)
         matrices = list(
-            edit_weight_matrices(reference, candidates, phi, backend, memo)
+            edit_weight_matrices(reference, candidates, phi, backend, 1, memo)
         )
         assert len(matrices) == len(candidates)
         for candidate, weights in zip(candidates, matrices):

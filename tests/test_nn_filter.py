@@ -1,9 +1,10 @@
 """The element-major NN filter against the per-candidate loop, bit for bit.
 
 :func:`repro.filters.nearest_neighbor.nn_filter_columns` refines all
-candidates of a pass one reference element at a time and, for token
-kinds, reads ``|r_i & s_j|`` off the posting lists instead of
-intersecting sets.  Neither may change a float: the loop it replaced is
+candidates of a pass one reference element at a time; for token kinds
+it reads ``|r_i & s_j|`` off the posting lists instead of intersecting
+sets, for edit kinds it walks each group set's elements and scores each
+distinct text sharing a gram once.  None of it may change a float: the loop it replaced is
 kept here verbatim as the oracle (one index-backed search per candidate
 and element, scored through a compute backend), and every observable --
 ``keep``, ``estimates``, the witnessed maps including their insertion
@@ -11,8 +12,9 @@ order, which downstream float summation sees -- must compare equal on
 any input: tombstoned and compacted sets, elements that tokenise to
 nothing on either side, duplicate elements, unsorted, repeated and
 single-candidate batches, references from outside the collection, an
-index built by out-of-order ``add_record``, and every memo state -- with
-the numpy group walk forced on and forced off (``kernel_axis``).  The
+index built by out-of-order ``add_record``, and the oracle under every
+memo state (the filter itself keeps none) -- with the numpy group walk
+forced on and forced off (``kernel_axis``).  The
 refinement *schedule* is pinned as well: the ``(element, group)``
 sequence handed to ``nn_search_group`` equals the one of the waiting
 lists the filter used to build up front, kept here as its oracle.
@@ -33,7 +35,6 @@ from repro.backends import get_backend
 from repro.core.records import SetCollection, SetRecord
 from repro.filters.check import CandidateInfo
 from repro.filters.nearest_neighbor import (
-    _no_share_cap,
     nearest_neighbor_filter,
     nn_filter_columns,
     nn_search,
@@ -130,7 +131,7 @@ def _oracle_nn_filter_columns(
 ):
     if backend is None:
         backend = get_backend()
-    caps = [_no_share_cap(element, phi, q) for element in reference.elements]
+    caps = [phi.no_share_cap(element.length, q) for element in reference.elements]
     keep = []
     estimates = []
     for k, set_id in enumerate(set_ids):
@@ -196,14 +197,13 @@ def _oracle_schedule(case):
     """
     phi, q, collection, index, reference, set_ids, best_maps, bounds, theta = case
     best_maps = [dict(best) for best in best_maps]
-    memo = None
     calls = []
 
     def nn_search_group(element, group_ids, *args):
         calls.append((_position(reference, element), list(group_ids)))
         return nearest_neighbor.nn_search_group(element, group_ids, *args)
 
-    caps = [_no_share_cap(element, phi, q) for element in reference.elements]
+    caps = [phi.no_share_cap(element.length, q) for element in reference.elements]
     effective = [max(bound, cap) for bound, cap in zip(bounds, caps)]
     totals = [0.0] * len(set_ids)
     alive = [False] * len(set_ids)
@@ -235,7 +235,6 @@ def _oracle_schedule(case):
             index,
             phi,
             collection,
-            memo,
         )
         cap, estimated = caps[i], effective[i]
         for k in group:
@@ -308,7 +307,9 @@ def filter_cases(draw, kinds, sets_strategy, reference_strategy):
         # Records indexed in arbitrary order: every touched posting
         # list is re-sorted by add_record.
         index = InvertedIndex(
-            SetCollection.from_strings([], vocabulary=collection.vocabulary)
+            SetCollection.from_strings(
+                [], kind=kind, q=q, vocabulary=collection.vocabulary
+            )
         )
         for set_id in draw(st.permutations(ids)):
             index.add_record(collection[set_id])
@@ -343,25 +344,16 @@ def _observed(result, best_maps):
 def _assert_identical(case, backend=None, capacity=None):
     phi, q, collection, index, reference, set_ids, best_maps, bounds, theta = case
     expected_maps = [dict(best) for best in best_maps]
-    expected_memo = _memo(capacity)
     expected = _oracle_nn_filter_columns(
         reference, set_ids, expected_maps, bounds, theta, index, phi, collection,
-        q=q, backend=backend, memo=expected_memo,
+        q=q, backend=backend, memo=_memo(capacity),
     )
     actual_maps = [dict(best) for best in best_maps]
-    actual_memo = _memo(capacity)
     actual = nn_filter_columns(
         reference, set_ids, actual_maps, bounds, theta, index, phi, collection,
-        q=q, memo=actual_memo,
+        q=q,
     )
     assert _observed(actual, actual_maps) == _observed(expected, expected_maps)
-    if capacity == 4096 and len(set(set_ids)) == len(set_ids):
-        # Nothing is evicted, so the same pairs in another order leave
-        # the same counters.
-        assert (actual_memo.hits, actual_memo.misses) == (
-            expected_memo.hits,
-            expected_memo.misses,
-        )
 
 
 class TestIdentityWithThePerCandidateLoop:
@@ -496,17 +488,3 @@ class TestGroupWalk:
             assert nn_search(probe, set_id, index, phi, collection) == group.get(set_id, 0.0)
             assert nn_search(probe, set_id, index, phi, collection, floor=0.9) == 0.9
 
-
-def test_row_wrapper_forwards_the_memo():
-    collection = SetCollection.from_strings(
-        [["abcd", "bcde"], ["abce"]], kind=SimilarityKind.EDS, q=2
-    )
-    index = InvertedIndex(collection)
-    phi = SimilarityFunction(SimilarityKind.EDS)
-    memo = SimilarityMemo(64)
-    info = CandidateInfo(set_id=1)
-    survivors = nearest_neighbor_filter(
-        collection[0], [info], (1.0, 1.0), 0.5, index, phi, collection, q=2, memo=memo
-    )
-    assert survivors == [info] and set(info.best) == {0, 1}
-    assert memo.misses == 2 and len(memo) == 2
