@@ -7,26 +7,24 @@ inverted index.  :meth:`search` runs one pass for a reference set
 for every configuration (Lemma 1 guarantees the signatures are valid,
 Sections 5.1-5.2 that the filters only drop provably unrelated sets).
 
-Since the staged-pipeline refactor the engine is a thin driver: every
-pass is a :class:`repro.pipeline.QueryPlan` (signature ->
-candidate-select -> check -> nn-filter -> verify) executed on the
-compute backend.  :meth:`run_passes` is the *engine runner* of
-:mod:`repro.pipeline.driver`: discovery here is that module's one
-schedule over it, as is each partition of partitioned discovery and the
-service's serial cold path; the process pool runs it inside its
-workers, so there is exactly one query path.
+Every pass is a :class:`repro.pipeline.QueryPlan` (signature ->
+candidate-select -> check -> nn-filter -> verify) that shares what the
+engine plans once (:meth:`replan`).  :meth:`run_passes` is the *engine
+runner* of :mod:`repro.pipeline.driver` -- discovery, each partition of
+partitioned discovery, the service's serial cold path and each pool
+worker run it -- and observes its block of passes once, so there is
+exactly one query path.
 
-Every engine is planner-gated: construction runs
-:func:`repro.planner.plan_query` once, which resolves ``scheme="auto"``
-from index statistics and -- crucially for
-exactness -- detects configurations whose signature scheme cannot
-certify Lemma 1 (edit similarity with an out-of-constraint gram
-length) and routes those passes through an exact full scan instead of
-silently dropping related sets.
+Every engine is planner-gated: :func:`repro.planner.plan_query`
+resolves ``scheme="auto"`` from index statistics and -- crucially for
+exactness -- routes configurations whose scheme cannot certify Lemma 1
+(edit similarity with an out-of-constraint gram length) through an
+exact full scan instead of silently dropping related sets.
 """
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Sequence
 
 from repro.backends import get_backend
@@ -38,10 +36,12 @@ from repro.core.results import (  # noqa: F401  (re-exports: legacy import sites
     SearchResult,
     relatedness_value,
 )
-from repro.core.stats import PassStats, RunStats
+from repro.core.stats import PassStats, RunStats, fold
 from repro.index.inverted import InvertedIndex
+from repro.obs.diag import observe_slow_pass
+from repro.obs.instrument import observe_pass
 from repro.pipeline.driver import LocalIds, Pass, run_discovery
-from repro.pipeline.plan import QueryPlan
+from repro.pipeline.plan import QueryPlan, pipeline_stages
 from repro.planner.planner import PlannerDecision, plan_query
 from repro.planner.report import format_decision
 from repro.settings import resolve
@@ -101,8 +101,6 @@ class SilkMoth:
         self.config = config
         self.phi = config.phi
         self.index = index if index is not None else InvertedIndex(collection)
-        self.decision: PlannerDecision = plan_query(config, self.index)
-        self.scheme = get_scheme(self.decision.scheme)
         self.backend = get_backend()
         #: Cross-stage element-pair similarity memo (edit kinds only):
         #: shared by every pass this engine runs, so exact phi values
@@ -114,9 +112,7 @@ class SilkMoth:
                 resolve("SILKMOTH_SIM_CACHE", config.sim_cache_size)
             )
         self.stats = RunStats()
-        #: Live-set count the current planner decision was computed at;
-        #: growth past REPLAN_GROWTH_FACTOR of it triggers a re-plan.
-        self._planned_live_sets = collection.live_count
+        self.replan()
 
     # ------------------------------------------------------------------
     # Public API
@@ -179,36 +175,32 @@ class SilkMoth:
         skip_set: int | None = None,
         first_set: int = 0,
     ) -> QueryPlan:
-        """The staged :class:`QueryPlan` one search pass will execute.
-
-        The plan carries the engine's planner decision;
-        ``plan(...).describe()`` renders the same report as ``silkmoth
-        explain``.  *skip_set* excludes one set id and *first_set*
-        every id below it (the discovery drivers' self-skip and
-        candidate floor, :mod:`repro.pipeline.driver`).
+        """The staged :class:`QueryPlan` of one pass, sharing what
+        :meth:`replan` built; ``plan(...).describe()`` renders the same
+        report as ``silkmoth explain``.  *skip_set* excludes one set id
+        and *first_set* every id below it (the discovery drivers'
+        self-skip and candidate floor, :mod:`repro.pipeline.driver`).
         """
         return QueryPlan.build(
-            reference=reference,
-            config=self.config,
-            collection=self.collection,
-            index=self.index,
-            scheme=self.scheme,
-            backend=self.backend,
-            skip_set=skip_set,
-            first_set=first_set,
-            decision=self.decision,
-            memo=self.memo,
+            reference, self.config, self.collection, self.index,
+            scheme=self.scheme, backend=self.backend, decision=self.decision,
+            memo=self.memo, phi=self.phi, stages=self.stages,
+            skip_set=skip_set, first_set=first_set,
         )
 
     def replan(self) -> PlannerDecision:
-        """Recompute the planner decision from current index statistics.
+        """Recompute the planner decision, scheme and stages every pass
+        shares from current index statistics.
 
-        :meth:`compact` and growth (:meth:`add_set`) call this:
-        validity never changes -- it is parameter arithmetic -- but the
-        cost model's scheme choice may.
+        Construction, :meth:`compact` and growth (:meth:`add_set`) call
+        this: validity never changes -- it is parameter arithmetic --
+        but the cost model's scheme choice may.
         """
         self.decision = plan_query(self.config, self.index)
         self.scheme = get_scheme(self.decision.scheme)
+        self.stages = pipeline_stages(self.decision, self.config)
+        #: Live-set count the current planner decision was computed at;
+        #: growth past REPLAN_GROWTH_FACTOR of it triggers a re-plan.
         self._planned_live_sets = self.collection.live_count
         return self.decision
 
@@ -238,14 +230,11 @@ class SilkMoth:
         skip_set: int | None = None,
         first_set: int = 0,
     ) -> tuple[list[SearchResult], PassStats]:
-        """:meth:`search` plus the pass's funnel counters."""
-        if len(reference) == 0:
-            return [], PassStats(scheme=self.scheme.name)
-        results, stats = self.plan(
-            reference, skip_set=skip_set, first_set=first_set
-        ).execute()
-        self.stats.add(stats)
-        return results, stats
+        """:meth:`search` plus the pass's funnel counters (a block of one)."""
+        block: list = []
+        answer = self._search(reference, skip_set, first_set, block)
+        self._observe(block)
+        return answer
 
     def run_passes(
         self,
@@ -255,20 +244,46 @@ class SilkMoth:
     ) -> list[tuple[list[SearchResult], PassStats | None]]:
         """The engine runner: each ``(reference_id, skip, floor)`` pass in
         turn on ``references[reference_id]``, through *ids* (this
-        engine's set ids -> the global ones; default the identity)."""
+        engine's set ids -> the global ones; default the identity),
+        observed as one block (:meth:`_observe`) when it is done."""
         if ids is None:
             ids = LocalIds(range(len(self.collection)))
         answers: list[tuple[list[SearchResult], PassStats | None]] = []
-        for reference_id, skip, floor in passes:
-            local = ids.local_pass(skip, floor)
-            if local is None:
-                answers.append(([], None))
-                continue
-            results, stats = self.search_with_stats(
-                references[reference_id], skip_set=local[0], first_set=local[1]
-            )
-            answers.append((ids.to_global(results), stats))
+        block: list = []
+        try:
+            for reference_id, skip, floor in passes:
+                local = ids.local_pass(skip, floor)
+                if local is None:
+                    answers.append(([], None))
+                    continue
+                results, stats = self._search(
+                    references[reference_id], local[0], local[1], block
+                )
+                answers.append((ids.to_global(results), stats))
+        finally:  # the passes that ran count even if a later one raised
+            self._observe(block)
         return answers
+
+    def _search(
+        self, reference, skip_set: int | None, first_set: int, block: list
+    ) -> tuple[list[SearchResult], PassStats]:
+        """One pass; a pass that ran joins *block* with ``|R|`` and its end."""
+        if len(reference) == 0:
+            return [], PassStats(scheme=self.scheme.name)
+        results, stats = self.plan(reference, skip_set, first_set).execute()
+        block.append((stats, len(reference), time.time()))
+        return results, stats
+
+    def _observe(self, block: list) -> None:
+        """Fold a block once into :attr:`stats`, the metrics and the slowlog."""
+        if not block:
+            return
+        passes = tuple(stats for stats, _, _ in block)
+        total = PassStats()
+        fold(total, *passes)
+        self.stats.add(total, passes)
+        observe_pass(total, passes)
+        observe_slow_pass(block, self.decision)
 
     def discover(
         self, references: SetCollection | None = None

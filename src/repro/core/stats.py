@@ -3,14 +3,12 @@
 The evaluation reasons about candidate counts at each pipeline stage
 (signature probe, check filter, NN filter, verification), so the engine
 records them for every search pass and aggregates across a discovery
-run.  Since the staged-pipeline refactor each pass also carries
-wall-clock time per stage.
-Benchmarks print these alongside overall wall-clock times.
+run; each pass also carries its wall-clock seconds per stage.
 
 :data:`PASS_COUNTERS` declares which ``PassStats`` fields add up across
 passes and shards; :func:`fold` is the one sum every aggregate
-(``RunStats``, the cluster merge) is built from, and the metrics bridge
-and the slowlog read the same tuple.
+(``RunStats``, the cluster merge, a runner's block of passes in the
+metrics bridge) is built from, and the slowlog reads the same tuple.
 """
 
 from __future__ import annotations
@@ -95,17 +93,18 @@ PASS_COUNTERS = (
 )
 
 
-def fold(into, stats: PassStats) -> None:
-    """Add one pass's :data:`PASS_COUNTERS` and stage seconds to *into*.
+def fold(into, *passes: PassStats) -> None:
+    """Add the passes' :data:`PASS_COUNTERS` and stage seconds to *into*.
 
     *into* is a :class:`RunStats`, or a :class:`PassStats` summing
-    shard passes.
+    shard passes or a runner's block.
     """
-    for name in PASS_COUNTERS:
-        setattr(into, name, getattr(into, name) + getattr(stats, name))
     totals = into.stage_seconds
-    for name, seconds in stats.stage_seconds.items():
-        totals[name] = totals.get(name, 0.0) + seconds
+    for stats in passes:
+        for name in PASS_COUNTERS:
+            setattr(into, name, getattr(into, name) + getattr(stats, name))
+        for name, seconds in stats.stage_seconds.items():
+            totals[name] = totals.get(name, 0.0) + seconds
 
 
 @dataclass
@@ -132,12 +131,13 @@ class RunStats:
     #: The most recent :data:`PER_PASS_WINDOW` passes, oldest first.
     per_pass: list = field(default_factory=list, repr=False)
 
-    def add(self, stats: PassStats) -> None:
-        """Fold one pass into the aggregate."""
-        self.passes += 1
-        self.full_scans += stats.full_scan
-        self.planner_fallbacks += bool(stats.fallback_reason)
+    def add(self, stats: PassStats, block: tuple[PassStats, ...] = ()) -> None:
+        """Fold one pass, or a runner's *block* whose fold is *stats*."""
+        block = block or (stats,)
+        self.passes += len(block)
+        for one in block:
+            self.full_scans += one.full_scan
+            self.planner_fallbacks += bool(one.fallback_reason)
         fold(self, stats)
-        self.per_pass.append(stats)
-        if len(self.per_pass) > PER_PASS_WINDOW:
-            del self.per_pass[0]
+        self.per_pass.extend(block)
+        del self.per_pass[:-PER_PASS_WINDOW]

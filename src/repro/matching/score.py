@@ -79,6 +79,9 @@ def edit_weight_matrices(
     cap, take the dense ``backend.edit_grid`` instead.
     """
     elements = reference.elements
+    if not elements:  # no rows: every matrix is the empty one
+        yield from ([] for _ in candidates)
+        return
     patterns = [element.text for element in elements]
     sparse = not any(phi.no_share_cap(element.length, q) for element in elements)
     for start in range(0, len(candidates), GRID_CANDIDATES):

@@ -127,12 +127,12 @@ def reset_slowlog() -> SlowQueryLog:
     return _SLOWLOG
 
 
-def _base_entry(kind: str, seconds: float) -> Dict[str, Any]:
-    """Fields every slowlog entry carries."""
+def _base_entry(kind: str, seconds: float, ts: float) -> Dict[str, Any]:
+    """Fields every slowlog entry carries (*ts*: when it ran)."""
     ctx = current_context()
     return {
         "kind": kind,
-        "ts": time.time(),
+        "ts": ts,
         "seconds": seconds,
         "threshold_ms": slowlog_ms(),
         "trace_id": ctx[0] if ctx is not None else None,
@@ -148,36 +148,37 @@ def _funnel_of(stats) -> Dict[str, Any]:
     return funnel
 
 
-def observe_slow_pass(stats, decision, reference_size: int) -> None:
-    """Capture one pipeline pass if it crossed the slowlog threshold.
+def observe_slow_pass(block, decision) -> None:
+    """Capture each pass of a runner's block that crossed the threshold.
 
-    Called from ``QueryPlan.execute`` with the pass's ``PassStats``,
-    the governing ``PlannerDecision`` (or ``None``), and the reference
-    cardinality.  The pass duration is the sum of its stage seconds --
+    *block* holds each pass's ``(PassStats, reference cardinality, wall
+    time it ended)``; *decision* is the governing ``PlannerDecision``
+    (or ``None``).  The pass duration is the sum of its stage seconds --
     the same number ``silkmoth_pass_latency_quantile`` records.
     """
     threshold = slowlog_ms()
     if threshold < 0:
         return
-    seconds = sum(stats.stage_seconds.values())
-    if seconds * 1000.0 < threshold:
-        return
-    entry = _base_entry("pass", seconds)
-    entry.update(
-        {
-            "scheme": stats.scheme,
-            "fallback_reason": stats.fallback_reason,
-            "reference_size": reference_size,
-            "planner": decision.to_dict() if decision is not None else None,
-            "funnel": _funnel_of(stats),
-            "stage_seconds": dict(stats.stage_seconds),
-            "sim_cache": {
-                "hits": stats.sim_cache_hits,
-                "misses": stats.sim_cache_misses,
-            },
-        }
-    )
-    get_slowlog().add(entry)
+    for stats, reference_size, ended in block:
+        seconds = sum(stats.stage_seconds.values())
+        if seconds * 1000.0 < threshold:
+            continue
+        entry = _base_entry("pass", seconds, ended)
+        entry.update(
+            {
+                "scheme": stats.scheme,
+                "fallback_reason": stats.fallback_reason,
+                "reference_size": reference_size,
+                "planner": decision.to_dict() if decision is not None else None,
+                "funnel": _funnel_of(stats),
+                "stage_seconds": dict(stats.stage_seconds),
+                "sim_cache": {
+                    "hits": stats.sim_cache_hits,
+                    "misses": stats.sim_cache_misses,
+                },
+            }
+        )
+        get_slowlog().add(entry)
 
 
 def observe_slow_cluster_query(
@@ -198,7 +199,7 @@ def observe_slow_cluster_query(
     if threshold < 0 or seconds * 1000.0 < threshold:
         return
     merged = cluster_pass.merged
-    entry = _base_entry("cluster_query", seconds)
+    entry = _base_entry("cluster_query", seconds, time.time())
     entry.update(
         {
             "scheme": merged.scheme,

@@ -6,7 +6,7 @@ cache outcomes in ``ServiceStats``, shard fan-out in ``ClusterPassStats`` --
 so this module does not time anything itself.  It translates those
 objects into registry updates at the moments they are recorded:
 
-* :func:`observe_pass` from ``QueryPlan.execute`` (one cold pass);
+* :func:`observe_pass` from the engine's runner, per block of passes;
 * :func:`observe_query` from ``ServiceStats.record_query``;
 * :func:`observe_routing` from ``ClusterStats.record_routing``;
 * :func:`observe_mutation` and :func:`observe_invalidations` from
@@ -229,22 +229,25 @@ def sketch_handles() -> _SketchHandles:
     return _sketch_handles
 
 
-def observe_pass(stats) -> None:
-    """Fold one cold-pass ``PassStats`` into the registries."""
+def observe_pass(total, block) -> None:
+    """Write a runner's block of cold passes into the registries: the
+    counters of their fold *total* once, then each pass's scheme, scan
+    and latencies in order."""
     h = handles()
-    h.scheme_series[stats.scheme or "unknown"].value += 1
-    sketches = sketch_handles().series
-    total = 0.0
-    for stage, seconds in stats.stage_seconds.items():
-        sketches[stage].record(seconds)
-        total += seconds
-    sketches[None].record(total)
     for name, (_, _, keep_zero) in h.pass_counters.items():
-        value = getattr(stats, name)
+        value = getattr(total, name)
         if value or keep_zero:
             h.counter_series[name].value += value
-    if stats.full_scan:
-        h.full_scans.inc()
+    sketches = sketch_handles().series
+    for stats in block:
+        h.scheme_series[stats.scheme or "unknown"].value += 1
+        if stats.full_scan:
+            h.full_scans.inc()
+        seconds = 0.0
+        for stage, stage_seconds in stats.stage_seconds.items():
+            sketches[stage].record(stage_seconds)
+            seconds += stage_seconds
+        sketches[None].record(seconds)
 
 
 def observe_query(latency: float, cache_hit: bool) -> None:

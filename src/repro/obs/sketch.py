@@ -168,12 +168,6 @@ class QuantileSketch:
         if other.max is not None and (self.max is None or other.max > self.max):
             self.max = other.max
 
-    def copy(self) -> "QuantileSketch":
-        """An independent deep copy (merging into it leaves us alone)."""
-        clone = QuantileSketch(self.alpha)
-        clone.merge(self)
-        return clone
-
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe form (bucket indices become string keys)."""
         return {
@@ -269,15 +263,6 @@ class SketchFamily:
     def series(self) -> List[Tuple[Tuple[str, ...], QuantileSketch]]:
         """Stable (label-values, sketch) pairs for exporters."""
         return sorted(self._children.items())
-
-    def merge_family(self, other: "SketchFamily") -> None:
-        """Fold every child of ``other`` into this family."""
-        for key, sketch in other._children.items():
-            mine = self._children.get(key)
-            if mine is None:
-                self._children[key] = sketch.copy()
-            else:
-                mine.merge(sketch)
 
     def to_payload(self) -> Dict[str, Any]:
         """JSON-safe family payload (for transport and export)."""

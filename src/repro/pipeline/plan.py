@@ -1,12 +1,11 @@
-"""Query plans: one pass of the staged pipeline, built once, run once.
+"""Query plans: one pass of the staged pipeline.
 
 A :class:`QueryPlan` binds everything a search pass needs -- reference,
 thresholds, collection, index, signature scheme, compute backend, the
 planner's :class:`~repro.planner.PlannerDecision`, and the stage
-sequence -- so every driver (serial engine, process-pool discovery,
-partitioned discovery, the online service) executes the *same* code
-path.  Exactness arguments, funnel counters and future optimisations
-therefore live in exactly one place.
+sequence -- so every driver executes the *same* code path.  An engine
+plans all but the reference, skip and floor once, and every pass's
+plan shares it.
 
 Plans are planner-gated: when the decision says the configured
 signature scheme cannot certify Lemma 1 for these parameters (an
@@ -30,8 +29,6 @@ from repro.core.records import SetCollection, SetRecord
 from repro.core.results import SearchResult
 from repro.core.stats import PassStats
 from repro.index.inverted import InvertedIndex
-from repro.obs.diag import observe_slow_pass
-from repro.obs.instrument import observe_pass
 from repro.obs.trace import span
 from repro.planner.planner import PlannerDecision, plan_query
 from repro.planner.report import format_decision, format_stage_list
@@ -44,7 +41,6 @@ from repro.pipeline.stages import (
     Stage,
     VerifyStage,
 )
-from repro.settings import resolve
 from repro.sim.functions import SimilarityFunction
 from repro.sim.memo import SimilarityMemo
 from repro.signatures import get_scheme
@@ -66,6 +62,20 @@ def size_range(config: SilkMothConfig, reference_size: int) -> tuple[float, floa
             reference_size / delta + EPSILON,
         )
     return (delta * reference_size - EPSILON, math.inf)
+
+
+def pipeline_stages(
+    decision: PlannerDecision, config: SilkMothConfig
+) -> tuple[Stage, ...]:
+    """The stage tuple of a pass under *decision* and *config*; stages
+    keep no per-pass state, so an engine's passes share one."""
+    return (
+        SignatureStage(enabled=not decision.full_scan),
+        CandidateSelectStage(),
+        CheckFilterStage(enabled=config.check_filter),
+        NNFilterStage(enabled=config.nn_filter),
+        VerifyStage(),
+    )
 
 
 @dataclass(frozen=True)
@@ -123,22 +133,18 @@ class QueryPlan:
         decision: PlannerDecision | None = None,
         memo: SimilarityMemo | None = None,
         first_set: int = 0,
+        phi: SimilarityFunction | None = None,
+        stages: tuple[Stage, ...] | None = None,
     ) -> "QueryPlan":
         """Assemble the stage sequence for one reference under *config*.
 
-        *reference* is a record or a :class:`SignedReference`.
-        *decision* is the planner verdict governing the pass; the
-        engine passes its own (computed once per engine), while direct
-        callers get one planned on the spot.  *scheme* defaults to the
-        decision's choice and *backend* to the process-wide one
-        (:func:`repro.backends.get_backend`); a caller-supplied scheme is
-        planned for (and exactness-gated) by its own name, never by
-        ``config.scheme``.  *memo* is the engine's cross-stage
-        similarity cache; ``None`` builds a fresh one per plan for the
-        edit kinds (sized by the config knob) so even direct callers
-        get within-pass reuse.  *skip_set* and *first_set* narrow the
-        candidates to the live sets with id >= *first_set* other than
-        *skip_set*.
+        *reference* is a record or a :class:`SignedReference`.  An
+        engine passes what its passes share: *decision*, *scheme*,
+        *backend*, *memo*, *phi* and *stages*.  A direct caller gets each
+        built on the spot (and no memo), a scheme it supplies planned for
+        (and exactness-gated) by its own name, never ``config.scheme``.
+        *skip_set* and *first_set* narrow the candidates to the live sets
+        with id >= *first_set* other than *skip_set*.
         """
         if decision is None:
             decision = plan_query(
@@ -155,17 +161,13 @@ class QueryPlan:
             scheme = get_scheme(decision.scheme)
         if backend is None:
             backend = get_backend()
-        if memo is None and config.similarity.is_edit_based:
-            memo = SimilarityMemo(
-                resolve("SILKMOTH_SIM_CACHE", config.sim_cache_size)
-            )
         return cls(
             source=reference,
             config=config,
             collection=collection,
             index=index,
             scheme=scheme,
-            phi=config.phi,
+            phi=config.phi if phi is None else phi,
             backend=backend,
             theta=config.delta * len(reference),
             size_range=size_range(config, len(reference)),
@@ -173,13 +175,7 @@ class QueryPlan:
             first_set=first_set,
             decision=decision,
             memo=memo,
-            stages=(
-                SignatureStage(enabled=not decision.full_scan),
-                CandidateSelectStage(),
-                CheckFilterStage(enabled=config.check_filter),
-                NNFilterStage(enabled=config.nn_filter),
-                VerifyStage(),
-            ),
+            stages=pipeline_stages(decision, config) if stages is None else stages,
         )
 
     def describe(self) -> str:
@@ -197,30 +193,28 @@ class QueryPlan:
         stats = PassStats(scheme=self.scheme.name)
         if self.decision is not None and self.decision.full_scan:
             stats.fallback_reason = self.decision.fallback_reason
-        if len(self.reference) == 0:
+        reference = self.reference
+        if len(reference) == 0:
             return [], stats
         memo = self.memo
         hits_before = memo.hits if memo is not None else 0
         misses_before = memo.misses if memo is not None else 0
         state = PipelineState()
         timings = stats.stage_seconds
+        clock = time.perf_counter
         with span("pipeline.pass", scheme=stats.scheme) as pass_span:
             for stage in self.stages:
-                started = time.perf_counter()
-                with span(f"stage.{stage.name}"):
+                started = clock()
+                with span(stage.span_name):
                     stage.run(self, state, stats)
-                timings[stage.name] = (
-                    timings.get(stage.name, 0.0) + time.perf_counter() - started
-                )
+                timings[stage.name] = clock() - started
             pass_span.set_attr("matches", stats.matches)
         # Only a query reference's answer is cached (``query_set``: id
         # -1, no set of the collection), floored or not, so only its
         # pass hands back its signed reference.
-        if self.reference.set_id < 0:
+        if reference.set_id < 0:
             stats.signed = state.signed
         if memo is not None:
             stats.sim_cache_hits = memo.hits - hits_before
             stats.sim_cache_misses = memo.misses - misses_before
-        observe_pass(stats)
-        observe_slow_pass(stats, self.decision, len(self.reference))
         return state.results, stats

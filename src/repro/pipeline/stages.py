@@ -55,6 +55,13 @@ class Stage(abc.ABC):
     #: Stage name -- the key under ``PassStats.stage_seconds``.
     name: str = "abstract"
 
+    def __init_subclass__(cls) -> None:
+        cls.span_name = f"stage.{cls.name}"  # its trace span, named once
+
+    def __init__(self, enabled: bool = True):
+        #: Off, a filter stage runs as a no-op (its counter still set).
+        self.enabled = enabled
+
     @abc.abstractmethod
     def run(self, plan: "QueryPlan", state: PipelineState, stats: PassStats) -> None:
         """Advance *state* by one stage, recording counters on *stats*."""
@@ -76,9 +83,6 @@ class SignatureStage(Stage):
     """
 
     name = "signature"
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
 
     def run(self, plan: "QueryPlan", state: PipelineState, stats: PassStats) -> None:
         """Generate the signature unless the planner disabled the stage."""
@@ -154,9 +158,6 @@ class CheckFilterStage(Stage):
 
     name = "check"
 
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-
     def run(self, plan: "QueryPlan", state: PipelineState, stats: PassStats) -> None:
         """Prune the surfaced sets against theta by residual + witnessed gains."""
         if not state.full_scan:
@@ -175,9 +176,6 @@ class NNFilterStage(Stage):
     """The nearest-neighbour filter (Section 5.2, Algorithm 2)."""
 
     name = "nn"
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
 
     def run(self, plan: "QueryPlan", state: PipelineState, stats: PassStats) -> None:
         """Refine surviving bounds with exact NN searches and prune."""

@@ -10,7 +10,9 @@ until the residual bound drops below theta.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from itertools import repeat
+from math import inf
+from operator import itemgetter
 from typing import Iterable
 
 from repro.core.records import SetRecord
@@ -31,22 +33,21 @@ def rank_tokens(
     of the reference elements containing it.  The value of a token is the
     sum over its elements of the first-selection marginal bound decrease
     (exact for Jaccard, where marginals are constant per element; a
-    standard static approximation for edit similarity).
+    standard static approximation for edit similarity), each a builtin
+    ``sum`` in element order; a value <= 0 ranks last, ties by token id.
     """
-    occurrences: dict[int, list[int]] = defaultdict(list)
+    occurrences: dict[int, list[int]] = {}
     for i, element in enumerate(reference.elements):
         for token in element.signature_tokens:
-            occurrences[token].append(i)
-    lists = index.posting_lists()  # list_length without a call per token
-
-    def sort_key(token: int) -> tuple[float, int]:
-        value = sum(weights[i].marginals[0] for i in occurrences[token])
-        if value <= 0.0:
-            return (float("inf"), token)
-        return (len(lists.get(token, ())) / value, token)
-
-    ranked = sorted(occurrences, key=sort_key)
-    return ranked, occurrences
+            if token in occurrences:  # a plain dict: no __missing__ call
+                occurrences[token].append(i)
+            else:
+                occurrences[token] = [i]
+    first = [w.marginals[0] if w.marginals else 0.0 for w in weights]  # no token
+    costs = map(len, map(index.posting_lists().get, occurrences, repeat(())))
+    values = map(sum, map(map, repeat(first.__getitem__), occurrences.values()))
+    keys = [c / v if v > 0.0 else inf for c, v in zip(costs, values)]
+    return list(map(itemgetter(1), sorted(zip(keys, occurrences)))), occurrences
 
 
 def greedy_signature(

@@ -10,7 +10,9 @@ probe's oracle (the per-posting loop the columnar probe replaced) and
 :func:`oracle_signature` is the signature schemes' oracle
 (``test_signatures``): every scheme as written before the per-shape
 tables, recomputing
-:meth:`~repro.signatures.weights.ElementWeights.bound` on every call.
+:meth:`~repro.signatures.weights.ElementWeights.bound` on every call,
+over :func:`oracle_rank`, the per-token key function ``rank_tokens``
+replaced.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from repro.filters import check
 from repro.filters.check import CandidateInfo
 from repro.index.inverted import PACK_MASK, PACK_SHIFT, InvertedIndex
 from repro.signatures import Signature, get_scheme
-from repro.signatures.weights import ElementWeights
+from repro.signatures.weighted import rank_tokens
+from repro.signatures.weights import ElementWeights, weights_for
 from repro.sim.functions import SimilarityFunction
 from repro.sim.memo import SimilarityMemo
 
@@ -616,6 +619,45 @@ def _exhaustive(order, occurrences, weights, theta, alpha, cost, max_tokens=18):
     ]
 
 
+def _fresh_weights(reference, phi):
+    """Unshared :class:`ElementWeights` per element (no shape table)."""
+    return [
+        ElementWeights(phi.kind, phi.alpha, e.length, len(e.signature_tokens))
+        for e in reference.elements
+    ]
+
+
+def oracle_rank(reference, index, weights):
+    """:func:`~repro.signatures.weighted.rank_tokens` as a key function.
+
+    The token order and occurrence map it returns, with one Python key
+    per token: ``(cost / value, token)`` ascending, the cost read off
+    ``posting_keys``, the value the ``bound`` drop of each element's
+    first selected token, and ``(inf, token)`` for a value <= 0.
+    """
+    occurrences = defaultdict(list)
+    for i, element in enumerate(reference.elements):
+        for token in element.signature_tokens:
+            occurrences[token].append(i)
+
+    def key(token):
+        value = sum(_marginal(weights[i], 0) for i in occurrences[token])
+        if value <= 0.0:
+            return (INF, token)
+        return (len(index.posting_keys(token)) / value, token)
+
+    return sorted(occurrences, key=key), occurrences
+
+
+def assert_ranking_matches_the_oracle(reference, phi, index):
+    """``rank_tokens`` over the shared shape tables ranks *reference*'s
+    tokens exactly as :func:`oracle_rank` over fresh weights."""
+    got = rank_tokens(reference, index, weights_for(reference, phi))
+    want = oracle_rank(reference, index, _fresh_weights(reference, phi))
+    assert got[0] == want[0]
+    assert dict(got[1]) == dict(want[1])
+
+
 def oracle_signature(name, reference, theta, phi, index):
     """What registered scheme *name* signs, computed the slow way.
 
@@ -625,14 +667,8 @@ def oracle_signature(name, reference, theta, phi, index):
     ``posting_keys``.
     """
     alpha = phi.alpha
-    weights = [
-        ElementWeights(phi.kind, alpha, e.length, len(e.signature_tokens))
-        for e in reference.elements
-    ]
-    occurrences = defaultdict(list)
-    for i, element in enumerate(reference.elements):
-        for token in element.signature_tokens:
-            occurrences[token].append(i)
+    weights = _fresh_weights(reference, phi)
+    ranked, occurrences = oracle_rank(reference, index, weights)
 
     def cost(token):
         return len(index.posting_keys(token))
@@ -640,13 +676,6 @@ def oracle_signature(name, reference, theta, phi, index):
     def cheapest(tokens, count):
         return set(sorted(tokens, key=lambda t: (cost(t), t))[:count])
 
-    def value(token):
-        return sum(_marginal(weights[i], 0) for i in occurrences[token])
-
-    ranked = sorted(
-        occurrences,
-        key=lambda t: (cost(t) / value(t), t) if value(t) > 0.0 else (INF, t),
-    )
     if name in ("unweighted", "comb_unweighted"):
         budget = math.ceil(theta) - 1
         if budget >= sum(map(len, occurrences.values())):

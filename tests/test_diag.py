@@ -11,7 +11,9 @@ shard loses all replicas.
 
 from __future__ import annotations
 
+import itertools
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -20,12 +22,17 @@ from repro.cluster.coordinator import PASS_BLOCK
 from repro.cluster.faults import FaultEvent, FaultPlan
 from repro.cluster.stats import ClusterStats
 from repro.core.config import SilkMothConfig
+from repro.core import engine as engine_module
+from repro.core.engine import SilkMoth
+from repro.core.records import SetCollection
+from repro.core.stats import PASS_COUNTERS
 from repro.obs.diag import (
     SlowQueryLog,
     format_health,
     format_slowlog,
     get_slowlog,
     load_slowlog_jsonl,
+    observe_slow_pass,
     reset_slowlog,
     set_slowlog_ms,
 )
@@ -125,6 +132,53 @@ def test_capture_everything_leaves_results_bit_identical():
     assert len(get_slowlog()) > 0, "capture-everything mode logged nothing"
     assert any(uncaptured), "fixture produced no matches"
     assert captured == uncaptured
+
+
+def test_each_slow_pass_of_a_discovery_block_gets_its_own_entry(monkeypatch):
+    """Discovery observes its passes as one block once the run is done,
+    yet each pass over the threshold logs its own entry: its reference
+    size, funnel, stage seconds and the wall time it ended, in pass
+    order."""
+    set_slowlog_ms(0.0)
+    engine = SilkMoth(SetCollection.from_strings(DATA), CONFIG)
+    started = time.time()
+    engine.discover()
+    ended = time.time()
+    passes = list(engine.stats.per_pass)
+    entries = get_slowlog().entries()
+    assert len(entries) == len(passes) == engine.stats.passes == len(DATA) - 1
+    for reference_id, (entry, stats) in enumerate(zip(entries, passes)):
+        assert entry["kind"] == "pass"
+        assert entry["reference_size"] == len(engine.collection[reference_id])
+        assert entry["funnel"] == dict(
+            {name: getattr(stats, name) for name in PASS_COUNTERS},
+            full_scan=stats.full_scan,
+        )
+        assert entry["stage_seconds"] == stats.stage_seconds
+        assert entry["seconds"] == sum(stats.stage_seconds.values())
+    stamps = [entry["ts"] for entry in entries]
+    assert started <= stamps[0] and stamps == sorted(stamps) and stamps[-1] <= ended
+
+    # Each entry carries its own pass's end, not the time the block is
+    # observed: under a clock that ticks once per pass they count up.
+    reset_slowlog()
+    ticks = itertools.count()
+    monkeypatch.setattr(engine_module, "time", SimpleNamespace(time=ticks.__next__))
+    engine.discover()
+    assert [entry["ts"] for entry in get_slowlog().entries()] == list(
+        range(len(passes))
+    )
+
+    # A threshold inside the block's spread logs exactly the slower passes.
+    seconds = sorted(sum(stats.stage_seconds.values()) for stats in passes)
+    set_slowlog_ms(seconds[len(seconds) // 2] * 1000.0)
+    reset_slowlog()
+    observe_slow_pass([(stats, 1, 0.0) for stats in passes], engine.decision)
+    assert [entry["stage_seconds"] for entry in get_slowlog().entries()] == [
+        stats.stage_seconds
+        for stats in passes
+        if sum(stats.stage_seconds.values()) >= seconds[len(seconds) // 2]
+    ]
 
 
 def test_threshold_gates_capture():

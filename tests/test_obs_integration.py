@@ -18,11 +18,21 @@ from repro.cluster import SilkMothCluster
 from repro.core.config import SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
-from repro.core.stats import PASS_COUNTERS, PassStats
+from repro.core.stats import PASS_COUNTERS, PassStats, fold
 from repro.obs import get_registry, reset_registry, to_prometheus_text
 from repro.obs.instrument import handles, observe_pass
-from repro.obs.sketch import reset_sketch_registry
+from repro.obs.sketch import get_sketch_registry, reset_sketch_registry
 from repro.obs.trace import get_tracer, set_trace_enabled
+from repro.sim.functions import SimilarityKind
+
+
+def observe(block):
+    """``observe_pass`` as the engine's runner calls it: a block of
+    passes and their fold."""
+    total = PassStats()
+    fold(total, *block)
+    observe_pass(total, block)
+
 
 DATA = [
     ["apple pie", "apple tart"],
@@ -188,9 +198,9 @@ class TestMetricsFromTraffic:
         )
 
     def test_pre_bound_series_sum_the_passes_and_rebind_on_reset(self):
-        """observe_pass writes through series bound on first use; the
-        families still equal the summed fields, and a reset of either
-        registry sends the next pass to the new one."""
+        """observe_pass writes a block through series bound on first
+        use; the families still equal the summed fields, and a reset of
+        either registry sends the next pass to the new one."""
         registry = reset_registry()
         sketches = reset_sketch_registry()
 
@@ -208,8 +218,8 @@ class TestMetricsFromTraffic:
             stats("weighted", 0), stats("dichotomy", 3),
             stats("weighted", 0, full_scan=True), stats("weighted", 2),
         ]
-        for s in passes:
-            observe_pass(s)
+        observe(passes[:1])  # binds the series ...
+        observe(passes[1:])  # ... a later block writes through
         by_scheme = registry.get("silkmoth_passes_total")
         assert by_scheme.value(scheme="weighted") == 3
         assert by_scheme.value(scheme="dichotomy") == 1
@@ -229,13 +239,55 @@ class TestMetricsFromTraffic:
         assert whole.count == 4 and whole.sum == 3.0
 
         registry, sketches = reset_registry(), reset_sketch_registry()
-        observe_pass(stats("weighted", 1))
+        observe([stats("weighted", 1)])
         assert registry.get("silkmoth_passes_total").value(scheme="weighted") == 1
         assert registry.get("silkmoth_candidates_total").value(
             stage="matches"
         ) == 2
         (_, whole), = sketches.get("silkmoth_pass_latency_quantile").series()
         assert whole.count == 1
+
+    @pytest.mark.parametrize("kind", [SimilarityKind.JACCARD, SimilarityKind.EDS])
+    def test_a_discovery_block_observes_as_its_passes_one_by_one(self, kind):
+        """``discover()`` observes its passes in one call when the block
+        returns: every counter and every sketch's count and sum equal
+        observing each pass on its own."""
+
+        def observed():
+            counters = {
+                (family.name, labels): child.value
+                for family in get_registry().families()
+                for labels, child in family.series()
+            }
+            sketches = {
+                (family.name, labels): (sketch.count, sketch.sum)
+                for family in get_sketch_registry().families()
+                for labels, sketch in family.series()
+            }
+            return counters, sketches
+
+        reset_registry()
+        reset_sketch_registry()
+        alpha = 0.5 if kind.is_edit_based else 0.0
+        config = SilkMothConfig(similarity=kind, delta=0.3, alpha=alpha)
+        collection = SetCollection.from_strings(
+            DATA, kind=kind, q=config.effective_q
+        )
+        engine = SilkMoth(collection, config)
+        engine.discover()
+        block = observed()
+        reset_registry()
+        reset_sketch_registry()
+        for stats in engine.stats.per_pass:
+            observe([stats])
+        assert observed() == block
+        counters, sketches = block
+        passes = engine.stats.passes
+        assert passes == len(DATA) - 1
+        assert sketches[("silkmoth_pass_latency_quantile", ())][0] == passes
+        assert counters[("silkmoth_candidates_total", ("matches",))] == (
+            engine.stats.matches
+        )
 
     @pytest.mark.parametrize(
         "family",

@@ -13,7 +13,11 @@ from repro.sim.functions import SimilarityFunction, SimilarityKind
 from repro.signatures import SCHEME_NAMES, get_scheme
 from repro.signatures.weights import NO_BUDGET, ElementWeights, weights_for
 from strategies import collections, string_collections, string_sets, token_sets
-from strategies.checks import assert_signature_matches_the_oracle
+from repro.signatures.weighted import rank_tokens
+from strategies.checks import (
+    assert_ranking_matches_the_oracle,
+    assert_signature_matches_the_oracle,
+)
 
 
 def _table2():
@@ -424,3 +428,63 @@ class TestSignatureIdentity:
         index = InvertedIndex(collection)
         references = list(collection) + [collection.query_set(query)]
         _assert_every_signature_matches(scheme_name, kind, index, references)
+
+
+class TestRankTokens:
+    """``rank_tokens`` orders exactly as the per-token key function it
+    replaced (``strategies.checks.oracle_rank``)."""
+
+    @given(signing_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_key_function_oracle(self, case):
+        kind, index, references = case
+        for alpha in ALPHAS:
+            phi = SimilarityFunction(kind, alpha)
+            for reference in references:
+                assert_ranking_matches_the_oracle(reference, phi, index)
+
+    def _ranked_words(self, kind, sets, query):
+        collection = SetCollection.from_strings(sets, kind=kind)
+        index = InvertedIndex(collection)
+        reference = collection.query_set(query)
+        for alpha in ALPHAS:
+            assert_ranking_matches_the_oracle(
+                reference, SimilarityFunction(kind, alpha), index
+            )
+        ranked, _ = rank_tokens(
+            reference, index, weights_for(reference, SimilarityFunction(kind))
+        )
+        vocabulary = collection.vocabulary
+        return [vocabulary.token_of(t) if t >= 0 else "<unseen>" for t in ranked]
+
+    def test_unindexed_first_then_ties_by_token_id(self):
+        # "zzz" is in no list (cost 0, key 0) and "elm" has key 1 / (1/2);
+        # "bay" and "ash" tie at cost 2 and value 1/2, so the smaller id
+        # -- "ash", interned first -- leads.
+        words = self._ranked_words(
+            SimilarityKind.JACCARD,
+            [["ash bay"], ["ash bay"], ["elm"]],
+            ["bay ash", "elm zzz"],
+        )
+        assert words == ["<unseen>", "elm", "ash", "bay"]
+
+    def test_zero_value_tokens_rank_last_by_token_id(self):
+        # Overlap bounds a two-token element by 1 until both tokens are
+        # taken: its tokens buy nothing first (value 0) and rank last.
+        words = self._ranked_words(
+            SimilarityKind.OVERLAP,
+            [["ash bay"], ["elm"], ["elm"]],
+            ["bay ash", "elm"],
+        )
+        assert words == ["elm", "ash", "bay"]
+
+    def test_edit_chunks_match_the_oracle(self):
+        collection = SetCollection.from_strings(
+            [["abcabc", "bcd"], ["abcd"], ["zz"]], kind=SimilarityKind.EDS, q=2
+        )
+        index = InvertedIndex(collection)
+        for reference in list(collection) + [collection.query_set(["abxyab", ""])]:
+            for alpha in ALPHAS:
+                assert_ranking_matches_the_oracle(
+                    reference, SimilarityFunction(SimilarityKind.EDS, alpha), index
+                )

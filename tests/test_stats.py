@@ -7,7 +7,13 @@ import pytest
 from repro.core.config import Relatedness, SilkMothConfig
 from repro.core.engine import SilkMoth
 from repro.core.records import SetCollection
-from repro.core.stats import PASS_COUNTERS, PER_PASS_WINDOW, PassStats, RunStats
+from repro.core.stats import (
+    PASS_COUNTERS,
+    PER_PASS_WINDOW,
+    PassStats,
+    RunStats,
+    fold,
+)
 
 
 class TestRunStatsAggregation:
@@ -27,6 +33,27 @@ class TestRunStatsAggregation:
         assert run.matches == 1
         assert run.full_scans == 1
         assert len(run.per_pass) == 2
+
+    def test_a_block_adds_as_its_passes_one_by_one(self):
+        """``add(total, block)`` -- a runner's block and its fold -- is
+        adding each pass: counters, scans, fallbacks and the window."""
+        block = (
+            PassStats(initial_candidates=4, matches=1, full_scan=True,
+                      fallback_reason="invalid q"),
+            PassStats(initial_candidates=2, verified=2, full_scan=True),
+            PassStats(signature_tokens=3, sim_cache_hits=5),
+        )
+        for stats, seconds in zip(block, (0.5, 0.25, 0.125)):
+            stats.stage_seconds = {"verify": seconds}
+        one_by_one = RunStats()
+        for stats in block:
+            one_by_one.add(stats)
+        total = PassStats()
+        fold(total, *block)
+        folded = RunStats()
+        folded.add(total, block)
+        assert folded == one_by_one
+        assert (folded.passes, folded.full_scans, folded.planner_fallbacks) == (3, 2, 1)
 
     def test_pass_counters_declare_every_int_field(self):
         """A new int field on PassStats must join the declaration."""

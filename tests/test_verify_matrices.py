@@ -62,15 +62,13 @@ def verify_passes(draw):
         )
     )
     collection = SetCollection.from_strings(sets, kind=kind, q=q)
-    # A verification pass never has an empty reference (theta is 0).
-    members = [record for record in collection if len(record)]
+    # The engine never verifies an empty reference, but a direct caller
+    # may: its matrices have no rows.
     where = draw(st.sampled_from(("query", "sibling", "member")))
-    if where == "member" and members:
-        reference = draw(st.sampled_from(members))
+    if where == "member":
+        reference = draw(st.sampled_from(list(collection)))
     else:
-        chosen = draw(
-            st.lists(st.sampled_from(patterns + others), min_size=1, max_size=4)
-        )
+        chosen = draw(st.lists(st.sampled_from(patterns + others), max_size=4))
         if where == "query":
             reference = collection.query_set(chosen)
         else:
@@ -83,6 +81,20 @@ def verify_passes(draw):
 
 
 class TestEqualsTheDenseOracle:
+    def test_an_empty_reference_gets_zero_row_matrices(self):
+        collection = SetCollection.from_strings(
+            [["ab", "abc"], []], kind=SimilarityKind.EDS, q=2
+        )
+        phi = SimilarityFunction(SimilarityKind.EDS, 0.5)
+        backend = get_backend()
+        reference = collection.query_set([])
+        matrices = list(
+            edit_weight_matrices(reference, list(collection), phi, backend, 2)
+        )
+        assert matrices == [[], []] == [
+            backend.weight_matrix(reference, candidate, phi) for candidate in collection
+        ]
+
     @_SETTINGS
     @given(case=verify_passes())
     def test_every_matrix(self, case):
